@@ -2,14 +2,13 @@
 
 The annealing allocator's inner loop scores candidate cache subsets.
 Pre-columnar, each score re-walked ``problem.items`` (kept as
-:func:`repro.core.profit.score_masks_object`, the differential oracle
+:func:`repro.core.profit.score_masks_object`, the scoring reference
 and timing baseline); the columnar :class:`~repro.core.profit.ProfitTable`
 scores a whole batch with two ``int64`` matrix-vector products.
 
-Bit-identity is asserted unconditionally — per-candidate scores, the
-final allocation and every :class:`~repro.core.search.SearchStats`
-counter must match the object engine exactly (the RNG draw sequence is
-shared, so the two walks visit identical states). The wall-time floor
+Bit-identity of the per-candidate scores is asserted unconditionally
+(the annealing walk's own answers are pinned by
+``tests/golden/anneal.json``). The wall-time floor
 (>= 3x on a batch of >= 2000 candidates, the default anneal budget) is
 enforced only under ``REPRO_ENFORCE_COMPILE_SPEEDUP=1`` (CI's
 compile-perf job), which also refreshes the committed
@@ -25,7 +24,7 @@ import pytest
 
 from repro.cnn.workloads import load_workload
 from repro.core.profit import ProfitTable, score_masks_object
-from repro.core.search import DEFAULT_SEARCH_BUDGET, AnnealAllocator
+from repro.core.search import DEFAULT_SEARCH_BUDGET
 from repro.eval.bench_io import dump_bench, new_report
 from repro.pim.config import PimConfig
 from repro.verify.differential_search import allocation_instance
@@ -93,20 +92,6 @@ def test_batch_scores_are_bit_identical(problem, candidate_masks):
 
 
 @pytest.mark.paper_artifact("columnar-compile")
-def test_anneal_engines_are_bit_identical(problem):
-    """Both anneal engines produce the same allocation AND SearchStats."""
-    columnar = AnnealAllocator(seed=7, engine="columnar")(problem)
-    objectful = AnnealAllocator(seed=7, engine="object")(problem)
-    assert columnar.placements == objectful.placements
-    assert columnar.cached == objectful.cached
-    assert columnar.total_delta_r == objectful.total_delta_r
-    assert columnar.slots_used == objectful.slots_used
-    assert (
-        columnar.search_stats.as_dict() == objectful.search_stats.as_dict()
-    )
-
-
-@pytest.mark.paper_artifact("columnar-compile")
 def test_columnar_scoring_speedup(problem, candidate_masks, capsys):
     """Median wall time, columnar batch scoring vs the object re-walk.
 
@@ -119,13 +104,6 @@ def test_columnar_scoring_speedup(problem, candidate_masks, capsys):
         lambda: score_masks_object(problem, candidate_masks)
     )
     scoring_speedup = object_s / columnar_s
-
-    anneal_columnar_s = _median_seconds(
-        lambda: AnnealAllocator(seed=7, engine="columnar")(problem)
-    )
-    anneal_object_s = _median_seconds(
-        lambda: AnnealAllocator(seed=7, engine="object")(problem)
-    )
 
     report = new_report("compile", {
         "workload": "lenet5",
@@ -142,12 +120,6 @@ def test_columnar_scoring_speedup(problem, candidate_masks, capsys):
             "columnar_seconds": columnar_s,
             "object_seconds": object_s,
             "speedup": scoring_speedup,
-        },
-        "anneal_walk": {
-            "budget": DEFAULT_SEARCH_BUDGET,
-            "columnar_seconds": anneal_columnar_s,
-            "object_seconds": anneal_object_s,
-            "speedup": anneal_object_s / anneal_columnar_s,
         },
     })
     dump_bench(BENCH_PATH, report)

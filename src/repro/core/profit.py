@@ -11,11 +11,11 @@ dense numpy arrays (plus plain-``int`` list mirrors for scalar hot loops,
 where Python lists beat numpy item access), so a candidate subset is
 scored with a dot product instead of a re-walk of the object graph.
 
-Bit-identity contract: every value the table hands back is a plain
-Python ``int`` (or a list/array thereof), never a numpy scalar, so
-results and :class:`~repro.core.search.SearchStats` built through the
-table are byte-identical to the object path. ``repro.verify --search``
-enforces that contract differentially.
+Every value the table hands back is a plain Python ``int`` (or a
+list/array thereof), never a numpy scalar, so results and
+:class:`~repro.core.search.SearchStats` built through the table
+serialize exactly; ``tests/golden/anneal.json`` pins the annealing
+walk's answers.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
-#: Minimum numpy release the columnar engines are tested against.
+#: Minimum numpy release the columnar code paths are tested against.
 #: (``numpy >= 1.22`` is the floor pinned in ``pyproject.toml``: it is
 #: the first release with stable typed ``np.int64`` matmul promotion on
 #: every platform the CI matrix covers.)
@@ -48,9 +48,9 @@ def require_numpy_floor(module_name: str):
     if match and tuple(map(int, match.groups())) < NUMPY_FLOOR:
         raise ImportError(
             f"{module_name} requires numpy >= "
-            f"{'.'.join(map(str, NUMPY_FLOOR))} for the columnar engines, "
-            f"found {np.__version__}; upgrade numpy or use the object "
-            f"engines (allocator engine='object', sim modes full/steady)"
+            f"{'.'.join(map(str, NUMPY_FLOOR))} (the simulator and the "
+            f"allocators store their state in numpy arrays), found "
+            f"{np.__version__}; upgrade numpy"
         )
     return np
 
@@ -211,8 +211,8 @@ def score_masks_object(problem: "AllocationProblem", masks) -> List[Tuple[int, i
     """Reference scorer: re-walk the item objects once per candidate.
 
     This is the shape of the pre-columnar anneal scoring (one pass over
-    ``problem.items`` per scored candidate) kept as the differential
-    oracle and the baseline of ``benchmarks/test_columnar_compile.py``.
+    ``problem.items`` per scored candidate), kept as the scoring
+    reference and the baseline of ``benchmarks/test_columnar_compile.py``.
     """
     items = problem.items
     n = len(items)

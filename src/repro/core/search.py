@@ -61,14 +61,6 @@ from repro.core.profit import ProfitTable, np
 
 EdgeKey = Tuple[int, int]
 
-#: Walk engines: ``columnar`` scores candidates on the dense
-#: :class:`~repro.core.profit.ProfitTable` arrays (the production
-#: default); ``object`` re-walks the item objects (the differential
-#: oracle). The two are *bit-identical* -- same RNG stream, same
-#: trajectory, same :class:`SearchStats` -- which
-#: ``python -m repro.verify --search`` enforces on every benchmark.
-SEARCH_ENGINES = ("columnar", "object")
-
 #: Default evaluation budget for the annealing walk. Each evaluation is
 #: O(1) (incremental profit/slot accounting), so the default compiles in
 #: well under a millisecond on every paper benchmark.
@@ -165,9 +157,10 @@ class AnnealAllocator:
         record_candidates: keep ``(profit, slots_used)`` of every
             *accepted* candidate in ``self.last_candidates`` (test hook
             for the feasibility-of-every-intermediate property).
-        engine: ``columnar`` (default) scores candidates on the problem's
-            :class:`~repro.core.profit.ProfitTable` arrays; ``object``
-            re-walks the item objects. Bit-identical by contract.
+
+    Candidates are scored on the problem's
+    :class:`~repro.core.profit.ProfitTable` columns; the walk's answers
+    are pinned by ``tests/golden/anneal.json``.
     """
 
     def __init__(
@@ -176,23 +169,16 @@ class AnnealAllocator:
         seed: int = 0,
         seed_from: str = "dp",
         record_candidates: bool = False,
-        engine: str = "columnar",
     ):
         if max_evals < 0:
             raise ValueError(f"max_evals must be >= 0, got {max_evals}")
         if seed_from not in SEEDERS:
             known = ", ".join(sorted(SEEDERS))
             raise ValueError(f"unknown seed_from {seed_from!r}; known: {known}")
-        if engine not in SEARCH_ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; known: "
-                f"{', '.join(SEARCH_ENGINES)}"
-            )
         self.max_evals = max_evals
         self.seed = seed
         self.seed_from = seed_from
         self.record_candidates = record_candidates
-        self.engine = engine
         #: (profit, slots_used) of every accepted candidate of the last
         #: run, seed included (populated when ``record_candidates``).
         self.last_candidates: List[Tuple[int, int]] = []
@@ -200,7 +186,7 @@ class AnnealAllocator:
     def __repr__(self) -> str:
         return (
             f"AnnealAllocator(max_evals={self.max_evals}, seed={self.seed}, "
-            f"seed_from={self.seed_from!r}, engine={self.engine!r})"
+            f"seed_from={self.seed_from!r})"
         )
 
     def __call__(self, problem: AllocationProblem) -> AllocationResult:
@@ -213,128 +199,7 @@ class AnnealAllocator:
             seed_profit=seeded.total_delta_r,
             seed_method=self.seed_from,
         )
-        if self.engine == "columnar":
-            return self._run_columnar(problem, seeded, stats)
-        return self._run_object(problem, seeded, stats)
-
-    # ------------------------------------------------------------------
-    # object engine (the differential oracle: one attribute walk per move)
-    # ------------------------------------------------------------------
-    def _run_object(
-        self,
-        problem: AllocationProblem,
-        seeded: AllocationResult,
-        stats: SearchStats,
-    ) -> AllocationResult:
-        items = problem.items
-        n = len(items)
-        capacity = problem.capacity_slots
-        in_cache = [item.key in set(seeded.cached) for item in items]
-        cur_profit = seeded.total_delta_r
-        cur_slots = seeded.slots_used
-        best = list(in_cache)
-        best_profit, best_slots = cur_profit, cur_slots
-        stats.best_profit = best_profit
-        stats.trajectory.append((0, best_profit))
-        if self.record_candidates:
-            self.last_candidates = [(cur_profit, cur_slots)]
-
-        # Degenerate instances: nothing to move, or nothing ever fits.
-        movable = [i for i in range(n) if items[i].slots <= capacity]
-        if not movable or self.max_evals == 0:
-            result = _finalize(
-                "anneal",
-                problem,
-                [items[i] for i in range(n) if best[i]],
-            )
-            result.search_stats = stats
-            return result
-
-        rng = random.Random(self.seed)
-        # Temperature scale: the largest single-item profit, so an initial
-        # downhill move of typical size is accepted with probability ~1/e.
-        t0 = float(max(item.delta_r for item in items) or 1)
-        temperature = t0
-
-        for eval_index in range(1, self.max_evals + 1):
-            stats.evals_used = eval_index
-            # Deterministic reheat keeps late evaluations exploratory
-            # without making the schedule depend on the total budget.
-            if eval_index % REHEAT_INTERVAL == 0:
-                temperature = t0
-            index = movable[rng.randrange(len(movable))]
-            item = items[index]
-            evicted: List[int] = []
-            if in_cache[index]:
-                delta_profit = -item.delta_r
-                delta_slots = -item.slots
-            else:
-                delta_profit = item.delta_r
-                delta_slots = item.slots
-                if cur_slots + item.slots > capacity:
-                    # Swap move: evict random cached items until it fits.
-                    cached_now = [i for i in range(n) if in_cache[i]]
-                    rng.shuffle(cached_now)
-                    freed = 0
-                    for victim in cached_now:
-                        if cur_slots + item.slots - freed <= capacity:
-                            break
-                        evicted.append(victim)
-                        freed += items[victim].slots
-                        delta_profit -= items[victim].delta_r
-                        delta_slots -= items[victim].slots
-                    if cur_slots + delta_slots > capacity:
-                        # Even a full eviction cannot fit it (shared slots
-                        # with indifferent charge): infeasible, reject.
-                        stats.moves_rejected += 1
-                        temperature *= COOLING
-                        continue
-            accept = delta_profit >= 0 or rng.random() < math.exp(
-                delta_profit / max(temperature, 1e-9)
-            )
-            temperature *= COOLING
-            if not accept:
-                stats.moves_rejected += 1
-                continue
-            stats.moves_accepted += 1
-            for victim in evicted:
-                in_cache[victim] = False
-            in_cache[index] = not in_cache[index]
-            cur_profit += delta_profit
-            cur_slots += delta_slots
-            assert cur_slots <= capacity  # feasibility invariant
-            if self.record_candidates:
-                self.last_candidates.append((cur_profit, cur_slots))
-            if cur_profit > best_profit or (
-                cur_profit == best_profit and cur_slots < best_slots
-            ):
-                best = list(in_cache)
-                best_profit, best_slots = cur_profit, cur_slots
-                if cur_profit > stats.best_profit:
-                    stats.best_profit = cur_profit
-                    stats.best_eval = eval_index
-                    stats.trajectory.append((eval_index, cur_profit))
-
-        result = _finalize(
-            "anneal", problem, [items[i] for i in range(n) if best[i]]
-        )
-        result.search_stats = stats
-        return result
-
-    # ------------------------------------------------------------------
-    # columnar engine (ProfitTable arrays; bit-identical to the object
-    # walk: same RNG draw sequence, same accept/reject decisions, same
-    # trajectory -- the speedup comes from scoring and membership scans,
-    # never from shortcutting a random draw)
-    # ------------------------------------------------------------------
-    def _run_columnar(
-        self,
-        problem: AllocationProblem,
-        seeded: AllocationResult,
-        stats: SearchStats,
-    ) -> AllocationResult:
         table = ProfitTable.of(problem)
-        n = table.num_items
         capacity = problem.capacity_slots
         # Plain-int mirrors for the scalar per-move reads (list indexing
         # beats numpy item access); arrays for the batched scans below.
@@ -358,11 +223,15 @@ class AnnealAllocator:
             return result
 
         rng = random.Random(self.seed)
+        # Temperature scale: the largest single-item profit, so an initial
+        # downhill move of typical size is accepted with probability ~1/e.
         t0 = float(max(delta_of) or 1)
         temperature = t0
 
         for eval_index in range(1, self.max_evals + 1):
             stats.evals_used = eval_index
+            # Deterministic reheat keeps late evaluations exploratory
+            # without making the schedule depend on the total budget.
             if eval_index % REHEAT_INTERVAL == 0:
                 temperature = t0
             index = movable[rng.randrange(len(movable))]
@@ -374,11 +243,9 @@ class AnnealAllocator:
                 delta_profit = delta_of[index]
                 delta_slots = slots_of[index]
                 if cur_slots + delta_slots > capacity:
-                    # Swap move: the victim scan is a vectorized
-                    # membership extraction (ascending, like the object
-                    # walk's list comprehension) followed by the *same*
-                    # shuffle -- the full Fisher-Yates draw sequence is
-                    # part of the trajectory identity and is preserved.
+                    # Swap move: evict random cached items (an ascending
+                    # membership scan, then a seeded shuffle) until the
+                    # new item fits.
                     cached_now = np.flatnonzero(in_cache).tolist()
                     rng.shuffle(cached_now)
                     freed = 0
@@ -391,6 +258,8 @@ class AnnealAllocator:
                         delta_profit -= delta_of[victim]
                         delta_slots -= slots_of[victim]
                     if cur_slots + delta_slots > capacity:
+                        # Even a full eviction cannot fit it (shared slots
+                        # with indifferent charge): infeasible, reject.
                         stats.moves_rejected += 1
                         temperature *= COOLING
                         continue

@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="eDRAM latency factor relative to cache (paper range 2-10)",
     )
     parser.add_argument(
-        "--sim-mode", choices=("full", "steady", "columnar", "columnar-steady"), default=None,
+        "--sim-mode", choices=("full", "steady"), default=None,
         help="discrete-event engine for simulation-backed experiments: "
         "'steady' fingerprints the machine state and fast-forwards "
         "converged rounds (default for validation), 'full' is the "
@@ -111,7 +111,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             report = run_profile(
                 target, machine,
                 top=args.top,
-                sim_mode=args.sim_mode or "columnar",
+                sim_mode=args.sim_mode or "full",
             )
             sections.append(report.render())
         print("\n\n".join(sections))

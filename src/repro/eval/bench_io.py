@@ -1,7 +1,7 @@
 """Schema-versioned bench-trajectory files (``BENCH_<kind>.json``).
 
 Every perf artifact the repo publishes — the fleet serving bench, the
-columnar compile bench, the columnar sim bench — is a *trajectory file*:
+columnar compile bench — is a *trajectory file*:
 a JSON document whose first key is a ``"schema"`` tag of the form
 ``BENCH_<kind>/v<N>``. The tag makes the files self-describing, so a
 dashboard (or a later PR) can reject a payload it does not understand

@@ -3,13 +3,13 @@
 ``python -m repro.eval profile [compile|sim]`` answers "where does the
 time actually go?" without leaving the repo's CLI surface: it runs a
 representative workload under :mod:`cProfile` and renders the top-N
-functions by cumulative time. The two targets mirror the two columnar
-engines this repo optimizes:
+functions by cumulative time. The two targets are the repo's two hot
+paths:
 
 * ``compile`` — a cold :class:`~repro.core.paraconv.ParaConv` compile
   with the simulated-annealing allocator (the ΔR-scoring hot loop).
 * ``sim`` — a paper-scale discrete-event run of the produced plan
-  (the per-round event hot loop), in the columnar engine by default.
+  (the per-round event hot loop), as a full unroll by default.
 
 The rows come back as data (:class:`ProfileRow`) so tests can assert on
 the harness without parsing the rendered table, and so a future PR can
@@ -101,7 +101,7 @@ def run_profile(
     *,
     workload: str = DEFAULT_PROFILE_WORKLOAD,
     top: int = 15,
-    sim_mode: str = "columnar",
+    sim_mode: str = "full",
     allocator: str = "anneal",
 ) -> ProfileReport:
     """Profile one hot path and return its hotspot table.
@@ -112,8 +112,8 @@ def run_profile(
             configuration, so the table matches the BENCH trajectories).
         workload: workload name to compile / simulate.
         top: number of hotspot rows to keep.
-        sim_mode: engine for the ``sim`` target (any
-            :meth:`~repro.sim.modes.SimMode.from_name` alias).
+        sim_mode: simulation mode for the ``sim`` target (any
+            :meth:`~repro.sim.modes.SimMode.from_name` name).
         allocator: allocator spec for the ``compile`` target.
     """
     if target not in PROFILE_TARGETS:

@@ -76,22 +76,6 @@ class Crossbar:
             "max_output_busy_until": max(self._output_free),
         }
 
-    def shift_time(self, delta: int) -> None:
-        """Translate every port clock forward by ``delta`` time units."""
-        if delta < 0:
-            raise ConfigurationError("time shift must be >= 0")
-        self._input_free = [t + delta for t in self._input_free]
-        self._output_free = [t + delta for t in self._output_free]
-
-    def relative_state(
-        self, reference: int
-    ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """Port busy-times relative to ``reference`` (idle clamps to 0)."""
-        return (
-            tuple(max(t - reference, 0) for t in self._input_free),
-            tuple(max(t - reference, 0) for t in self._output_free),
-        )
-
     def reset(self) -> None:
         self._input_free = [0] * self.num_inputs
         self._output_free = [0] * self.num_outputs

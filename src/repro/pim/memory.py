@@ -106,23 +106,6 @@ class CacheModel:
     def resident_keys(self) -> List[Hashable]:
         return list(self._resident)
 
-    def relabel(self, mapping: "dict[Hashable, Hashable]") -> None:
-        """Rename resident keys in place, preserving LRU order.
-
-        Used by the steady-state engine's fast-forward splice, which
-        relabels the logical-iteration component of live entries' keys.
-        Keys absent from ``mapping`` keep their name.
-        """
-        renamed: "OrderedDict[Hashable, int]" = OrderedDict()
-        for key, slots in self._resident.items():
-            new_key = mapping.get(key, key)
-            if new_key in renamed:
-                raise ConfigurationError(
-                    f"relabel collision on key {new_key!r}"
-                )
-            renamed[new_key] = slots
-        self._resident = renamed
-
     def clear(self) -> None:
         self._resident.clear()
         self._used = 0
@@ -175,16 +158,6 @@ class EdramVault:
         """Earliest time this vault can service the next access."""
         return self._free_at
 
-    def shift_time(self, delta: int) -> None:
-        """Translate this vault's service clock forward by ``delta``."""
-        if delta < 0:
-            raise ConfigurationError("time shift must be >= 0")
-        self._free_at += delta
-
-    def relative_busy(self, reference: int) -> int:
-        """Queue backlog relative to ``reference`` (idle clamps to zero)."""
-        return max(self._free_at - reference, 0)
-
     def reset(self) -> None:
         self.reads = self.writes = 0
         self.bytes_read = self.bytes_written = 0
@@ -222,11 +195,6 @@ class MemorySystem:
     def record_edram_transfer(self, size_bytes: int) -> None:
         self.stats.edram_accesses += 1
         self.stats.edram_bytes += size_bytes
-
-    def shift_time(self, delta: int) -> None:
-        """Translate every vault clock forward by ``delta`` time units."""
-        for vault in self.vaults:
-            vault.shift_time(delta)
 
     def reset(self) -> None:
         self.cache.clear()

@@ -16,6 +16,9 @@ from typing import Deque, Iterator, List, Optional, Tuple
 from repro.pim.config import ConfigurationError, PimConfig
 from repro.pim.stats import TrafficStats
 
+#: Depth of a PE's pFIFO, in staged intermediate results.
+PFIFO_DEPTH = 16
+
 
 @dataclass(frozen=True)
 class FifoEntry:
@@ -28,7 +31,7 @@ class FifoEntry:
 class Fifo:
     """Bounded FIFO used for pFIFO/iFIFO/oFIFO structures."""
 
-    def __init__(self, depth: int = 16):
+    def __init__(self, depth: int = PFIFO_DEPTH):
         if depth < 1:
             raise ConfigurationError("FIFO depth must be >= 1")
         self.depth = depth
@@ -85,7 +88,8 @@ class ProcessingEngine:
     occupancy; they do not constrain the analytic model.
     """
 
-    def __init__(self, pe_id: int, config: PimConfig, fifo_depth: int = 16,
+    def __init__(self, pe_id: int, config: PimConfig,
+                 fifo_depth: int = PFIFO_DEPTH,
                  register_file_bytes: int = 512):
         if pe_id < 0:
             raise ConfigurationError("pe_id must be >= 0")
@@ -129,31 +133,6 @@ class ProcessingEngine:
         self._busy_units += duration
         return start, finish
 
-    def shift_time(self, delta: int) -> None:
-        """Translate this PE's clock forward by ``delta`` time units.
-
-        Used by the steady-state engine's fast-forward splice: shifting
-        every absolute clock in the machine by the same constant is an
-        exact time translation of the simulation.
-        """
-        if delta < 0:
-            raise ConfigurationError("time shift must be >= 0")
-        self._free_at += delta
-
-    def relative_state(self, reference: int) -> Tuple[int, Tuple[Tuple[Tuple[int, int], int], ...]]:
-        """Behaviour-relevant state relative to ``reference`` time.
-
-        The free-at clock is clamped at zero: a PE idle *before* the
-        reference behaves identically no matter how long it has been
-        idle, because every future reservation starts at or after the
-        reference. The pFIFO content matters (occupancy gates pushes,
-        entries are popped by edge key), so it is part of the state.
-        """
-        return (
-            max(self._free_at - reference, 0),
-            tuple((entry.key, entry.size_bytes) for entry in self.pfifo),
-        )
-
     def reset(self) -> None:
         self._free_at = 0
         self._busy_units = 0
@@ -189,11 +168,6 @@ class PEArray:
         for pe in self.pes:
             merged = merged.merged_with(pe.stats)
         return merged
-
-    def shift_time(self, delta: int) -> None:
-        """Translate every PE clock forward by ``delta`` time units."""
-        for pe in self.pes:
-            pe.shift_time(delta)
 
     def reset(self) -> None:
         for pe in self.pes:

@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="admission-queue bound (default 64)")
     bench.add_argument("--window", type=positive_int, default=8,
                        help="batching window (default 8)")
-    bench.add_argument("--sim-mode", choices=("full", "steady", "columnar", "columnar-steady"),
+    bench.add_argument("--sim-mode", choices=("full", "steady"),
                        default="steady",
                        help="discrete-event engine: 'steady' fingerprints "
                        "the machine and fast-forwards converged rounds "

@@ -146,7 +146,7 @@ class BatchingServer:
             injectable for deterministic tests.
         graph_loader: workload-name resolver (:func:`load_workload` by
             default); injectable so tests can serve synthetic graphs.
-        sim_mode: discrete-event engine for every session this server
+        sim_mode: simulation mode for every session this server
             creates (``steady`` by default — large batches cost roughly
             the transient; ``full`` forces the event-by-event oracle).
         fault_model: optional :class:`~repro.pim.faults.FaultModel`

@@ -90,10 +90,10 @@ class BatchResult:
     cache_spills: int
     max_lateness: int
     wall_seconds: float
-    #: engine used for this batch (``"full"`` or ``"steady"``).
+    #: simulation mode used for this batch (``"full"`` or ``"steady"``).
     sim_mode: str = SimMode.STEADY_STATE.value
-    #: round at which the steady-state engine converged (None: never, or
-    #: the full-unroll engine was used).
+    #: round at which the steady-state mode converged (None: never, or
+    #: the batch ran as a full unroll).
     converged_round: Optional[int] = None
     #: rounds the engine skipped via the O(1) fast-forward splice.
     rounds_fast_forwarded: int = 0
@@ -148,13 +148,14 @@ class InferenceSession:
             (``compile.pass.<name>.seconds``, ``compile.widths_explored``,
             ``compile.widths_pruned``) into the registry. Cache hits record
             nothing — no compilation happened.
-        sim_mode: discrete-event engine for the serving path.
-            ``SimMode.STEADY_STATE`` (the default) fingerprints the
-            machine at round boundaries and fast-forwards converged rounds
-            in O(1), so large-``N`` batches cost roughly the transient;
-            ``SimMode.FULL_UNROLL`` is the event-by-event oracle. Both
-            produce identical aggregate results (the acceptance tests pin
-            this), so serving defaults to the fast engine.
+        sim_mode: simulation mode of the serving path; both modes run
+            on the one executor engine. ``SimMode.STEADY_STATE`` (the
+            default) fingerprints the machine at round boundaries and
+            fast-forwards converged rounds in O(1), so large-``N``
+            batches cost roughly the transient; ``SimMode.FULL_UNROLL``
+            is the event-by-event oracle. Both produce identical
+            aggregate results (the acceptance tests pin this), so serving
+            defaults to the fast-forwarding mode.
         fault_model: optional :class:`~repro.pim.faults.FaultModel`.
             Static masks degrade the machine *before* the first compile
             (no wasted healthy-machine plan); timed events strike during
@@ -599,10 +600,10 @@ def direct_batch(
 
     Exists so tests (and users migrating from the one-shot pipeline) can
     compare the session path against a from-scratch run with identical
-    semantics. Defaults to the full-unroll oracle engine precisely
-    because it is the reference: comparing a steady-state session batch
-    against a full-unroll direct batch exercises the fast-forward
-    equivalence guarantee end to end.
+    semantics. Defaults to the full-unroll mode precisely because it is
+    the reference: comparing a steady-state session batch against a
+    full-unroll direct batch exercises the fast-forward equivalence
+    guarantee end to end.
     """
     result = ParaConv(config, allocator_name=allocator).run(graph)
     started = time.perf_counter()

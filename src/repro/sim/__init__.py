@@ -8,7 +8,7 @@ timelines, cache residency, eDRAM vault queueing, crossbar port contention
 DESIGN.md) compares the two.
 """
 
-from repro.sim.engine import Event, EventQueue, SimulationError
+from repro.sim.engine import SimulationError
 from repro.sim.executor import (
     ExecutionTrace,
     PeFaultError,
@@ -25,19 +25,14 @@ from repro.sim.sinks import (
     SamplingWindowSink,
     TraceSink,
 )
-from repro.sim.state import EventTag, MachineState
 from repro.sim.trace import InstanceRecord, TransferKind
 
 __all__ = [
     "CountingSink",
-    "Event",
-    "EventQueue",
-    "EventTag",
     "ExecutionTrace",
     "FastForwardNotice",
     "InMemorySink",
     "InstanceRecord",
-    "MachineState",
     "NullSink",
     "PeFaultError",
     "RingBufferSink",

@@ -1,132 +1,7 @@
-"""Minimal discrete-event simulation engine.
-
-A deterministic heap-based event queue: events carry a timestamp, a
-priority (for same-time ordering), an optional *content key* and a
-callback. Determinism matters -- the executor's traces are compared
-across runs in tests -- so ties are broken by ``(priority, key,
-sequence number)``, never by callback identity.
-
-The content key exists for the steady-state engine: when two events share
-a timestamp and a priority, a content key makes their order a function of
-*what they are* (for the executor: the instance or edge they touch)
-rather than of when they were enqueued. That property is what lets the
-steady-state executor splice a converged machine state forward in time
-(rebuilding the pending-event heap with fresh sequence numbers) without
-perturbing the processing order. Events scheduled without a key keep the
-legacy guarantee: same-timestamp, same-priority events fire in schedule
-order.
-
-Events may also carry an opaque ``tag`` describing their payload; the
-engine never inspects it, but :meth:`EventQueue.pending_events` exposes
-the queued events (in processing order) so callers can fingerprint or
-rebuild the in-flight set -- the machinery behind
-:class:`repro.sim.state.MachineState`.
-"""
+"""Error type shared by the discrete-event simulator."""
 
 from __future__ import annotations
-
-import heapq
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
     """Raised on executor/engine inconsistencies (schedule violations)."""
-
-
-@dataclass(order=True)
-class Event:
-    """One scheduled callback. Ordering: time, priority, key, then FIFO."""
-
-    time: int
-    priority: int
-    #: content key for deterministic same-time ordering; the default
-    #: ``()`` sorts before every non-empty key, preserving the legacy
-    #: schedule-order behaviour for untagged events.
-    key: Tuple[int, ...]
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    #: opaque payload describing the event (used by the steady-state
-    #: executor to fingerprint and rebuild the in-flight set).
-    tag: Any = field(compare=False, default=None)
-
-
-class EventQueue:
-    """Deterministic time-ordered event queue."""
-
-    def __init__(self) -> None:
-        self._heap: List[Event] = []
-        self._counter = itertools.count()
-        self._now = 0
-        self.processed = 0
-
-    @property
-    def now(self) -> int:
-        """Current simulation time (last event's timestamp)."""
-        return self._now
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    def schedule(
-        self,
-        time: int,
-        callback: Callable[[], None],
-        priority: int = 0,
-        key: Tuple[int, ...] = (),
-        tag: Any = None,
-    ) -> Event:
-        """Enqueue ``callback`` at ``time`` (must not be in the past)."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time}, simulation time is {self._now}"
-            )
-        event = Event(time, priority, key, next(self._counter), callback, tag)
-        heapq.heappush(self._heap, event)
-        return event
-
-    def pending_events(self) -> List[Event]:
-        """Snapshot of the queued events, in processing order."""
-        return sorted(self._heap)
-
-    def clear_pending(self) -> List[Event]:
-        """Remove and return every queued event (in processing order).
-
-        Used by the steady-state executor's fast-forward splice: the
-        in-flight set is drained, time-shifted, and re-scheduled.
-        """
-        events = sorted(self._heap)
-        self._heap.clear()
-        return events
-
-    def step(self) -> bool:
-        """Process one event; returns False when the queue is empty."""
-        if not self._heap:
-            return False
-        event = heapq.heappop(self._heap)
-        self._now = event.time
-        self.processed += 1
-        event.callback()
-        return True
-
-    def run(self, until: Optional[int] = None, max_events: int = 10_000_000) -> int:
-        """Drain the queue (optionally stopping after time ``until``).
-
-        Returns the final simulation time. ``max_events`` guards against
-        runaway feedback loops in executor logic.
-        """
-        steps = 0
-        while self._heap:
-            if until is not None and self._heap[0].time > until:
-                break
-            if steps >= max_events:
-                raise SimulationError(
-                    f"exceeded {max_events} events; runaway simulation?"
-                )
-            self.step()
-            steps += 1
-        return self._now

@@ -22,6 +22,22 @@ any *lateness* beyond it means an analytic-model premise did not hold on
 the simulated machine (typically vault contention). The validation
 experiment asserts the observed lateness stays small.
 
+The machine state is columnar:
+
+* the machine is a set of **timeline arrays** -- per-PE busy clocks,
+  per-vault service clocks, crossbar port clocks -- advanced in place;
+* all static facts are **precomputed tables** built once per run from
+  the schedule and the :mod:`repro.pim` models (per-op: PE, execution
+  time, nominal-start offset, in-degree, ALU cost, in-edge keys; per-edge:
+  placement, slots, transfer latencies, home vault, vault service time),
+  so the hot loop does list indexing only;
+* events are **plain tuples** ``(time, priority, iteration, op, e0, e1,
+  seq, size)`` on a ``heapq``. The content key ``(iteration, op) + edge``
+  is unique per event, so same-time ordering is a function of event
+  identity and never of the sequence number -- the property the
+  fast-forward splice relies on when it rebuilds the heap with fresh
+  sequence numbers.
+
 Two simulation modes (:class:`~repro.sim.modes.SimMode`):
 
 * ``FULL_UNROLL`` -- the oracle. Every instance is simulated event by
@@ -30,15 +46,16 @@ Two simulation modes (:class:`~repro.sim.modes.SimMode`):
   though the event count is ``O(V * N)``.
 * ``STEADY_STATE`` -- the paper's periodicity, exploited. The engine
   simulates round by round; at each round boundary past the prologue it
-  takes the :class:`~repro.sim.state.MachineState` canonical form. When
-  two consecutive boundaries match (modulo the constant offsets ``p`` in
-  time and ``1`` in iteration index), the simulation is provably periodic:
-  the remaining ``N - k`` full rounds are fast-forwarded in O(1) by
-  replaying the converged per-round stats delta and splicing every clock
-  forward ``(N - k) * p`` time units, then only the epilogue (the final
-  ``R_max`` partial rounds) is simulated. Aggregate statistics are
+  takes the canonical form of the machine state (every clock relative to
+  the boundary time, every iteration label relative to the boundary
+  round). When two boundaries a candidate period apart match, the
+  simulation is provably periodic: the remaining full rounds are
+  fast-forwarded in O(1) by replaying the converged per-round stats
+  delta and splicing every clock forward, then only the epilogue (the
+  final ``R_max`` partial rounds) is simulated. Aggregate statistics are
   *identical* to the full unroll -- ``repro.verify.differential_sim``
-  asserts it across the benchmark suite.
+  asserts it across the benchmark suite, and
+  ``tests/golden/sim_signatures.json`` pins both modes' verdicts.
 
 Record retention is delegated to a pluggable
 :class:`~repro.sim.sinks.TraceSink`, so trace memory is bounded
@@ -58,28 +75,29 @@ it, so a timed fault can never be skipped by the acceleration.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.baseline import SpartaResult
 from repro.core.paraconv import ParaConvResult
-from repro.pim.config import PimConfig
+from repro.core.profit import require_numpy_floor
+from repro.pim.config import ConfigurationError, PimConfig
 from repro.pim.energy import EnergyModel, EnergyReport
 from repro.pim.faults import FAULT_UNIT_PE, FAULT_UNIT_VAULT, FaultModel
-from repro.pim.interconnect import Crossbar
 from repro.pim.memory import MemorySystem, Placement
-from repro.pim.pe import FifoEntry, PEArray
+from repro.pim.pe import PFIFO_DEPTH
 from repro.pim.stats import TrafficStats
-from repro.sim.engine import EventQueue, SimulationError
+from repro.sim.engine import SimulationError
 from repro.sim.modes import SimMode
-from repro.sim.sinks import FastForwardNotice, InMemorySink, TraceSink
-from repro.sim.state import EdgeKey, EventTag, InstanceKey, MachineState
+from repro.sim.sinks import FastForwardNotice, InMemorySink, NullSink, TraceSink
 from repro.sim.trace import InstanceRecord, TransferKind, TransferRecord
 
+np = require_numpy_floor(__name__)
+
 __all__ = [
-    "EdgeKey",
     "ExecutionTrace",
-    "InstanceKey",
     "PeFaultError",
     "ScheduleExecutor",
     "SimMode",
@@ -90,6 +108,11 @@ __all__ = [
 _PRIO_ARRIVE = 0
 _PRIO_START = 1
 _PRIO_PRODUCE = 2
+
+#: heap priority -> event kind name (only for canonical forms / debug).
+_KIND_OF_PRIO = {
+    _PRIO_ARRIVE: "arrive", _PRIO_START: "start", _PRIO_PRODUCE: "produce",
+}
 
 
 class PeFaultError(SimulationError):
@@ -240,10 +263,10 @@ def candidate_period(
 ) -> Optional[int]:
     """Smallest ``q`` whose counter deltas look ``q``-periodic.
 
-    Cheap necessary condition shared by the object and columnar engines:
-    the per-round counter increments over the last ``q`` rounds must
-    equal the increments over the ``q`` rounds before. Only then is the
-    exact (expensive) canonical-form confirmation attempted.
+    Cheap necessary condition: the per-round counter increments over the
+    last ``q`` rounds must equal the increments over the ``q`` rounds
+    before. Only then is the exact (expensive) canonical-form
+    confirmation attempted.
     """
     r = boundary_round
     for q in range(1, max_period + 1):
@@ -298,7 +321,7 @@ class ScheduleExecutor:
 
     Args:
         config: machine description.
-        num_vaults: eDRAM vault count of the stacked memory.
+        num_vaults: eDRAM vault count of the stacked memory (>= 1).
         mode: :class:`SimMode` -- ``FULL_UNROLL`` (oracle, default) or
             ``STEADY_STATE`` (fingerprint convergence + O(1)
             fast-forward). Aggregates are identical either way.
@@ -318,6 +341,10 @@ class ScheduleExecutor:
             steady-state fast-forward never splices across a fault
             boundary, and convergence fingerprints taken before one are
             invalidated.
+        round_probe: optional callable ``(boundary_round,
+            _BoundarySnapshot) -> None`` invoked after every simulated
+            round boundary (the per-round counter stream the golden
+            fixture digests).
     """
 
     def __init__(
@@ -331,6 +358,8 @@ class ScheduleExecutor:
         fault_model: Optional[FaultModel] = None,
         round_probe=None,
     ):
+        if num_vaults < 1:
+            raise ConfigurationError("num_vaults must be >= 1")
         if steady_max_period < 1:
             raise SimulationError("steady_max_period must be >= 1")
         if steady_confirm_budget < 1:
@@ -342,9 +371,6 @@ class ScheduleExecutor:
         self.steady_max_period = steady_max_period
         self.steady_confirm_budget = steady_confirm_budget
         self.fault_model = fault_model
-        #: optional callable ``(boundary_round, _BoundarySnapshot) -> None``
-        #: invoked after every simulated round boundary -- the hook the
-        #: per-round columnar/object equivalence battery observes.
         self.round_probe = round_probe
 
     def execute(
@@ -360,15 +386,7 @@ class ScheduleExecutor:
         run_sink = sink if sink is not None else (
             self._sink if self._sink is not None else InMemorySink()
         )
-        if self.mode.is_columnar:
-            # Imported lazily: columnar.py imports this module's trace
-            # and snapshot types.
-            from repro.sim.columnar import ColumnarRun
-
-            run_cls = ColumnarRun
-        else:
-            run_cls = _ExecutorRun
-        run = run_cls(
+        run = _ScheduleRun(
             self.config, self.num_vaults, result, iterations,
             self.mode, run_sink,
             max_period=self.steady_max_period,
@@ -381,8 +399,8 @@ class ScheduleExecutor:
         return run.execute()
 
 
-class _ExecutorRun:
-    """One executor invocation: machine state + event handlers + loop."""
+class _ScheduleRun:
+    """One executor invocation: static tables + timelines + loop."""
 
     def __init__(
         self,
@@ -411,26 +429,94 @@ class _ExecutorRun:
         self._failed_pes: frozenset = frozenset()
         self._failed_vaults: frozenset = frozenset()
         self._current_round = 0
-        self.schedule = result.schedule
-        self.graph = result.graph
-        self.kernel = self.schedule.kernel
-        self.period = self.schedule.period
-        self.r_max = self.schedule.max_retiming
-        width = result.group_width
+        self.max_period = max_period
+        self.confirm_budget = confirm_budget
+        self._round_probe = round_probe
 
+        schedule = result.schedule
+        graph = result.graph
+        kernel = schedule.kernel
+        self.period = schedule.period
+        self.r_max = schedule.max_retiming
+        width = result.group_width
+        self.graph = graph
+
+        # ---- static per-op tables (index = op_id) ---------------------
+        ops = list(graph.operations())
+        size = max(op.op_id for op in ops) + 1 if ops else 0
+        self._op_order: List[int] = [op.op_id for op in ops]
+        self._pe_of: List[int] = [0] * size
+        self._exec: List[int] = [0] * size
+        self._alu: List[int] = [0] * size
+        self._in_deg: List[int] = [0] * size
+        self._in_keys: List[List[Tuple[int, int]]] = [[] for _ in range(size)]
+        static_off = [0] * size
+        for op in ops:
+            op_id = op.op_id
+            self._pe_of[op_id] = kernel.pe_of(op_id)
+            self._exec[op_id] = op.execution_time
+            self._alu[op_id] = max(op.work, op.execution_time)
+            self._in_deg[op_id] = graph.in_degree(op_id)
+            self._in_keys[op_id] = [e.key for e in graph.in_edges(op_id)]
+            # nominal(op, it) = (it - 1) * p + static_off[op]: the whole
+            # round's nominal starts become one vectorized array add.
+            static_off[op_id] = (
+                self.r_max - schedule.retiming[op_id]
+            ) * self.period + kernel.start(op_id)
+        self._static_off = np.asarray(static_off, dtype=np.int64)
+
+        # ---- static per-edge tables (keyed off the producing op) ------
+        # Vault interleaving and service times come from the memory
+        # model; only its static answers are read, never its clocks.
         memory = MemorySystem(config, num_vaults=num_vaults)
+        #: out_recs[op] = [(consumer, e0, e1, size, is_cache, slots,
+        #:   cache_units, edram_units, service, vault, consumer_pe), ...]
+        #:   in graph.out_edges() order.
+        self._out_recs: List[List[tuple]] = [[] for _ in range(size)]
+        for op in ops:
+            for edge in graph.out_edges(op.op_id):
+                e0, e1 = edge.key
+                size_bytes = edge.size_bytes
+                vault = memory.vault_for(edge.key)
+                self._out_recs[op.op_id].append((
+                    edge.consumer,
+                    e0,
+                    e1,
+                    size_bytes,
+                    schedule.placements[edge.key] is Placement.CACHE,
+                    config.slots_required(size_bytes),
+                    config.cache_transfer_units(size_bytes),
+                    config.edram_transfer_units(size_bytes),
+                    vault.access_time(size_bytes),
+                    vault.vault_id,
+                    kernel.pe_of(edge.consumer),
+                ))
+
+        # ---- timeline arrays + dynamic state --------------------------
+        self._pe_free: List[int] = [0] * width
+        self._fifo: List[List[tuple]] = [[] for _ in range(width)]
+        self._vault_free: List[int] = [0] * num_vaults
+        self._xin: List[int] = [0] * width
+        self._xout: List[int] = [0] * num_vaults
         # Per-group cache share, as the allocator assumed.
-        memory.cache.capacity_slots = max(
+        self._cache_cap = max(
             memory.cache.capacity_slots // result.num_groups, 0
         )
-        self.state = MachineState(
-            pes=PEArray(config.with_pes(width)),
-            memory=memory,
-            crossbar=Crossbar(
-                num_inputs=width, num_outputs=num_vaults, keep_records=False
-            ),
-            queue=EventQueue(),
-        )
+        self._cache_used = 0
+        self._cache_live: Dict[Tuple[int, int, int], int] = {}
+        self._pending: Dict[Tuple[int, int], int] = {}
+        self._max_avail: Dict[Tuple[int, int], int] = {}
+        self._nominal: Dict[Tuple[int, int], int] = {}
+        self._heap: List[tuple] = []
+        self._seq = 0
+        self._now = 0
+        self._processed = 0
+        self._events_skipped = 0
+        self._mem_stats = TrafficStats()
+        self._next_iteration = 1
+        self._max_finish = 0
+        self._converged = False
+
         self.trace = ExecutionTrace(
             config=config,
             iterations=iterations,
@@ -440,104 +526,209 @@ class _ExecutorRun:
             sink=sink,
             sim_mode=mode,
         )
-        #: next logical iteration to materialize (1-based).
-        self._next_iteration = 1
-        #: running maximum finish time over all emitted instances.
-        self._max_finish = 0
-        self._converged = False
-        # --- steady-state detector configuration -----------------------
-        self.max_period = max_period
-        self.confirm_budget = confirm_budget
-        self._round_probe = round_probe
+        #: records are skipped entirely for a NullSink -- the aggregates
+        #: on the trace are exact either way.
+        self._emit = not isinstance(sink, NullSink)
 
     # ------------------------------------------------------------------
-    # event plumbing
+    # event handlers (tuple-dispatched; no tags, no closures)
     # ------------------------------------------------------------------
-    def _dispatch(self, tag: EventTag) -> None:
-        if tag.kind == "arrive":
-            self._data_arrived(tag)
-        elif tag.kind == "start":
-            self._attempt_start((tag.op_id, tag.iteration))
-        elif tag.kind == "produce":
-            self._produce((tag.op_id, tag.iteration))
-        else:  # pragma: no cover - defensive
-            raise SimulationError(f"unknown event kind {tag.kind!r}")
-
-    def _schedule_event(self, time: int, tag: EventTag, priority: int) -> None:
-        """Schedule a tagged event with its content-derived tie-break key.
-
-        The key makes same-time ordering a function of event identity
-        (iteration, operation, edge), never of enqueue order -- the
-        property the fast-forward splice relies on when it rebuilds the
-        in-flight set with fresh sequence numbers.
-        """
-        key = (tag.iteration, tag.op_id) + tag.edge
-        self.state.queue.schedule(
-            time, lambda: self._dispatch(tag), priority, key=key, tag=tag
-        )
-
-    # ------------------------------------------------------------------
-    # instance lifecycle
-    # ------------------------------------------------------------------
-    def _round_of(self, op_id: int, iteration: int) -> int:
-        return iteration + self.r_max - self.schedule.retiming[op_id]
-
     def _materialize(self, iteration: int) -> None:
         """Create the dependency bookkeeping for one logical iteration.
 
         Source instances are scheduled at their nominal starts; dependent
-        instances wait in ``pending`` until every in-edge delivered.
+        instances wait in ``pending`` until every in-edge delivered. The
+        round's nominal starts are one vectorized add.
         """
-        state = self.state
-        for op in self.graph.operations():
-            key = (op.op_id, iteration)
-            nominal = (
-                self._round_of(op.op_id, iteration) - 1
-            ) * self.period + self.kernel.start(op.op_id)
-            state.nominal[key] = nominal
-            degree = self.graph.in_degree(op.op_id)
+        offs = (self._static_off + (iteration - 1) * self.period).tolist()
+        heap = self._heap
+        nominal = self._nominal
+        pending = self._pending
+        max_avail = self._max_avail
+        in_deg = self._in_deg
+        for op_id in self._op_order:
+            key = (op_id, iteration)
+            nominal[key] = offs[op_id]
+            degree = in_deg[op_id]
             if degree == 0:
-                self._schedule_event(
-                    nominal,
-                    EventTag("start", op.op_id, iteration),
-                    _PRIO_START,
-                )
+                heappush(heap, (
+                    offs[op_id], _PRIO_START, iteration, op_id, -1, -1,
+                    self._seq, 0,
+                ))
+                self._seq += 1
             else:
-                state.pending[key] = degree
-                state.max_avail[key] = 0
+                pending[key] = degree
+                max_avail[key] = 0
 
-    def _data_arrived(self, tag: EventTag) -> None:
-        state = self.state
-        consumer: InstanceKey = (tag.op_id, tag.iteration)
-        when = state.queue.now
-        state.max_avail[consumer] = max(state.max_avail[consumer], when)
-        state.pending[consumer] -= 1
+    def _arrive(self, iteration, op_id, e0, e1, size) -> None:
+        key = (op_id, iteration)
+        now = self._now
+        max_avail = self._max_avail
+        if now > max_avail[key]:
+            max_avail[key] = now
+        pending = self._pending
+        pending[key] -= 1
         # Stage the datum in the consumer PE's pFIFO (occupancy stats;
         # a full FIFO degrades to a direct cache/eDRAM read).
-        pe = state.pes[self.kernel.pe_of(tag.op_id)]
-        if not pe.pfifo.full:
-            pe.pfifo.push(FifoEntry(tag.edge, tag.size_bytes))
+        fifo = self._fifo[self._pe_of[op_id]]
+        if len(fifo) < PFIFO_DEPTH:
+            fifo.append(((e0, e1), size))
             self.trace.stats.fifo_pushes += 1
-        if state.pending[consumer] == 0:
-            start_at = max(
-                state.nominal[consumer], state.max_avail[consumer],
-                state.queue.now,
-            )
-            del state.pending[consumer]
-            del state.max_avail[consumer]
-            self._schedule_event(
-                start_at,
-                EventTag("start", tag.op_id, tag.iteration),
-                _PRIO_START,
-            )
+        if pending[key] == 0:
+            start_at = self._nominal[key]
+            avail = max_avail[key]
+            if avail > start_at:
+                start_at = avail  # avail already >= now
+            del pending[key]
+            del max_avail[key]
+            heappush(self._heap, (
+                start_at, _PRIO_START, iteration, op_id, -1, -1,
+                self._seq, 0,
+            ))
+            self._seq += 1
 
+    def _start(self, iteration, op_id) -> None:
+        pe_id = self._pe_of[op_id]
+        if pe_id in self._failed_pes:
+            # The schedule placed this instance on a PE that is dead under
+            # the active fault mask: abort before mutating machine state.
+            self._raise_fault(FAULT_UNIT_PE, pe_id)
+        trace = self.trace
+        in_keys = self._in_keys[op_id]
+        fifo = self._fifo[pe_id]
+        # Consume the pFIFO entries staged for this instance -- the oldest
+        # per in-edge, so a neighbour instance's datum is never stolen.
+        for edge_key in in_keys:
+            for index, entry in enumerate(fifo):
+                if entry[0] == edge_key:
+                    del fifo[index]
+                    break
+        now = self._now
+        start = self._pe_free[pe_id]
+        if now > start:
+            start = now
+        duration = self._exec[op_id]
+        finish = start + duration
+        self._pe_free[pe_id] = finish
+        nominal = self._nominal.pop((op_id, iteration))
+        if self._emit:
+            trace.sink.record_instance(InstanceRecord(
+                op_id=op_id, iteration=iteration, pe=pe_id,
+                nominal_start=nominal, start=start, finish=finish,
+            ))
+        trace.num_instances += 1
+        trace.busy_units += duration
+        lateness = start - nominal
+        trace.lateness_total += lateness
+        if lateness > trace.lateness_max:
+            trace.lateness_max = lateness
+        trace.pes_used.add(pe_id)
+        trace.stats.alu_ops += self._alu[op_id]
+        if finish > self._max_finish:
+            self._max_finish = finish
+        cache_live = self._cache_live
+        for e0, e1 in in_keys:  # consume: free cache slots of in-edges
+            slots = cache_live.pop((e0, e1, iteration), None)
+            if slots is not None:
+                self._cache_used -= slots
+        heappush(self._heap, (
+            finish, _PRIO_PRODUCE, iteration, op_id, -1, -1, self._seq, 0,
+        ))
+        self._seq += 1
+
+    def _produce(self, iteration, op_id) -> None:
+        trace = self.trace
+        mem = self._mem_stats
+        finish = self._now
+        for (consumer, e0, e1, size, is_cache, slots, cache_units,
+             edram_units, service, vault, consumer_pe) in self._out_recs[op_id]:
+            if is_cache:
+                used = self._cache_used + slots
+                if used <= self._cache_cap:
+                    self._cache_live[(e0, e1, iteration)] = slots
+                    self._cache_used = used
+                    if used > trace.cache_peak_slots:
+                        trace.cache_peak_slots = used
+                    mem.cache_accesses += 1
+                    mem.cache_bytes += size
+                    arrival = finish + cache_units
+                    if self._emit:
+                        trace.sink.record_transfer(TransferRecord(
+                            (e0, e1), iteration, TransferKind.CACHE,
+                            size, finish, arrival,
+                        ))
+                    trace.num_transfers += 1
+                    heappush(self._heap, (
+                        arrival, _PRIO_ARRIVE, iteration, consumer,
+                        e0, e1, self._seq, size,
+                    ))
+                    self._seq += 1
+                    continue
+                trace.cache_spills += 1  # transient overflow: spill
+            if vault in self._failed_vaults:
+                # The intermediate result's home vault is dead: its eDRAM
+                # copy is gone, so neither the write-through nor the
+                # prefetch can complete. Surface the fault.
+                self._raise_fault(FAULT_UNIT_VAULT, vault)
+            # eDRAM round-trip. The producer writes through to its vault
+            # while still executing, so the visible cost is the
+            # consumer-side fetch issued at production time: the crossbar
+            # holds both ports for the bandwidth share of the transfer,
+            # the vault queues and services the access, then the
+            # remaining wire latency rides on top -- exactly the analytic
+            # ``edram_transfer_units`` when the vault is idle.
+            issued = finish
+            if self._xin[consumer_pe] > issued:
+                issued = self._xin[consumer_pe]
+            if self._xout[vault] > issued:
+                issued = self._xout[vault]
+            port_finish = issued + cache_units  # the bandwidth share
+            self._xin[consumer_pe] = port_finish
+            self._xout[vault] = port_finish
+            read_start = issued
+            if self._vault_free[vault] > read_start:
+                read_start = self._vault_free[vault]
+            serviced = read_start + service
+            self._vault_free[vault] = serviced
+            extra = edram_units - service
+            arrival = serviced + (extra if extra > 0 else 0)
+            mem.edram_accesses += 1
+            mem.edram_bytes += size
+            if self._emit:
+                trace.sink.record_transfer(TransferRecord(
+                    (e0, e1), iteration, TransferKind.EDRAM,
+                    size, finish, arrival,
+                ))
+            trace.num_transfers += 1
+            heappush(self._heap, (
+                arrival, _PRIO_ARRIVE, iteration, consumer, e0, e1,
+                self._seq, size,
+            ))
+            self._seq += 1
+
+    def _run_until(self, until: int) -> None:
+        heap = self._heap
+        while heap and heap[0][0] <= until:
+            time, prio, iteration, op_id, e0, e1, _seq, size = heappop(heap)
+            self._now = time
+            self._processed += 1
+            if prio == _PRIO_START:
+                self._start(iteration, op_id)
+            elif prio == _PRIO_ARRIVE:
+                self._arrive(iteration, op_id, e0, e1, size)
+            else:
+                self._produce(iteration, op_id)
+
+    # ------------------------------------------------------------------
+    # faults
+    # ------------------------------------------------------------------
     def _raise_fault(self, unit: str, unit_id: int) -> None:
         assert self.fault_model is not None
         raise PeFaultError(
             unit,
             unit_id,
             round=self._current_round,
-            time=self.state.queue.now,
+            time=self._now,
             fault_iteration=self.fault_model.fault_iteration_of(unit, unit_id),
         )
 
@@ -550,133 +741,6 @@ class _ExecutorRun:
         self._failed_vaults = vaults
         return changed
 
-    def _attempt_start(self, key: InstanceKey) -> None:
-        state = self.state
-        trace = self.trace
-        op_id, iteration = key
-        op = self.graph.operation(op_id)
-        pe_id = self.kernel.pe_of(op_id)
-        if pe_id in self._failed_pes:
-            # The schedule placed this instance on a PE that is dead under
-            # the active fault mask: abort before mutating machine state.
-            self._raise_fault(FAULT_UNIT_PE, pe_id)
-        pe = state.pes[pe_id]
-        # Consume the pFIFO entries staged for this instance -- by edge
-        # key, so a neighbour instance's staged datum is never stolen.
-        for edge in self.graph.in_edges(op_id):
-            pe.pfifo.pop_matching(edge.key)
-        start, finish = pe.reserve(state.queue.now, op.execution_time)
-        nominal = state.nominal.pop(key)
-        record = InstanceRecord(
-            op_id=op_id,
-            iteration=iteration,
-            pe=pe.pe_id,
-            nominal_start=nominal,
-            start=start,
-            finish=finish,
-        )
-        trace.sink.record_instance(record)
-        trace.num_instances += 1
-        trace.busy_units += finish - start
-        lateness = start - nominal
-        trace.lateness_total += lateness
-        trace.lateness_max = max(trace.lateness_max, lateness)
-        trace.pes_used.add(pe.pe_id)
-        trace.stats.alu_ops += max(op.work, op.execution_time)
-        self._max_finish = max(self._max_finish, finish)
-        # Consume: free cache slots held by in-edges.
-        for edge in self.graph.in_edges(op_id):
-            live = (edge.key, iteration)
-            if live in state.cache_live:
-                state.memory.cache.remove(live)
-                del state.cache_live[live]
-        self._schedule_event(
-            finish, EventTag("produce", op_id, iteration), _PRIO_PRODUCE
-        )
-
-    def _emit_transfer(self, transfer: TransferRecord) -> None:
-        self.trace.sink.record_transfer(transfer)
-        self.trace.num_transfers += 1
-
-    def _produce(self, key: InstanceKey) -> None:
-        state = self.state
-        trace = self.trace
-        op_id, iteration = key
-        finish = state.queue.now
-        for edge in self.graph.out_edges(op_id):
-            consumer_tag = EventTag(
-                "arrive", edge.consumer, iteration, edge.key, edge.size_bytes
-            )
-            placement = self.schedule.placements[edge.key]
-            if placement is Placement.CACHE:
-                slots = self.config.slots_required(edge.size_bytes)
-                if state.memory.cache.fits(slots):
-                    state.memory.cache.insert((edge.key, iteration), slots)
-                    state.cache_live[(edge.key, iteration)] = slots
-                    trace.cache_peak_slots = max(
-                        trace.cache_peak_slots, state.memory.cache.used_slots
-                    )
-                    state.memory.record_cache_transfer(edge.size_bytes)
-                    arrival = finish + self.config.cache_transfer_units(
-                        edge.size_bytes
-                    )
-                    self._emit_transfer(TransferRecord(
-                        edge.key, iteration, TransferKind.CACHE,
-                        edge.size_bytes, finish, arrival,
-                    ))
-                    self._schedule_event(arrival, consumer_tag, _PRIO_ARRIVE)
-                    continue
-                trace.cache_spills += 1  # transient overflow: spill
-            arrival = self._edram_roundtrip(
-                edge.key, edge.size_bytes, finish,
-                self.kernel.pe_of(op_id), self.kernel.pe_of(edge.consumer),
-            )
-            self._emit_transfer(TransferRecord(
-                edge.key, iteration, TransferKind.EDRAM,
-                edge.size_bytes, finish, arrival,
-            ))
-            self._schedule_event(arrival, consumer_tag, _PRIO_ARRIVE)
-
-    def _edram_roundtrip(
-        self,
-        edge_key: EdgeKey,
-        size_bytes: int,
-        finish: int,
-        producer_pe: int,
-        consumer_pe: int,
-    ) -> int:
-        """Prefetch an intermediate result through the stacked memory.
-
-        The producer writes through to its vault while still executing
-        (the PIM write path pipelines into production), so the visible
-        cost is the consumer-side fetch issued at production time: the
-        vault queues and services the access, then the data crosses the
-        TSV/crossbar wire -- together exactly the analytic
-        ``edram_transfer_units`` when the vault is idle, more under
-        contention. The crossbar ports are occupied for the bandwidth
-        share of the transfer (not its latency), so independent transfers
-        overlap as on real hardware.
-        """
-        memory = self.state.memory
-        crossbar = self.state.crossbar
-        vault = memory.vault_for(edge_key)
-        if vault.vault_id in self._failed_vaults:
-            # The intermediate result's home vault is dead: its eDRAM copy
-            # is gone, so neither the write-through nor the prefetch can
-            # complete. Surface the fault instead of inventing data.
-            self._raise_fault(FAULT_UNIT_VAULT, vault.vault_id)
-        latency = self.config.edram_transfer_units(size_bytes)
-        service = vault.access_time(size_bytes)
-        port_busy = self.config.cache_transfer_units(size_bytes)
-        issued, _ = crossbar.transfer(
-            consumer_pe, vault.vault_id % crossbar.num_outputs, port_busy,
-            finish, size_bytes,
-        )
-        serviced = vault.read(size_bytes, issued)
-        arrival = serviced + max(0, latency - service)
-        memory.record_edram_transfer(size_bytes)
-        return arrival
-
     # ------------------------------------------------------------------
     # steady-state machinery
     # ------------------------------------------------------------------
@@ -684,14 +748,89 @@ class _ExecutorRun:
         trace = self.trace
         return _BoundarySnapshot(
             trace_stats=tuple(trace.stats.as_dict().values()),
-            memory_stats=tuple(self.state.memory.stats.as_dict().values()),
+            memory_stats=tuple(self._mem_stats.as_dict().values()),
             cache_spills=trace.cache_spills,
             num_instances=trace.num_instances,
             num_transfers=trace.num_transfers,
             busy_units=trace.busy_units,
             lateness_total=trace.lateness_total,
-            events_processed=self.state.queue.processed,
+            events_processed=self._processed,
         )
+
+    def _canonical(self, reference_time: int, reference_iteration: int):
+        """The state relative to a round boundary, as a comparable tuple.
+
+        Equal canonical forms at two boundaries imply the simulation is
+        periodic from the earlier one onward: every component that can
+        influence a future event is included (sorted where container
+        order is irrelevant, in processing order where it is not). Clocks
+        that lag the reference clamp to zero -- every future event fires
+        at or after it, so a resource idle since ``T - 3`` and one idle
+        since ``T - 9`` behave identically. Nominal starts are *not*
+        clamped (they feed the lateness accounting), so convergence is
+        declared conservatively.
+        """
+        t = reference_time
+        r = reference_iteration
+        pe_clamped = np.maximum(
+            np.asarray(self._pe_free, dtype=np.int64) - t, 0
+        ).tolist()
+        pe_state = tuple(
+            (free, tuple(fifo))
+            for free, fifo in zip(pe_clamped, self._fifo)
+        )
+        vault_state = tuple(np.maximum(
+            np.asarray(self._vault_free, dtype=np.int64) - t, 0
+        ).tolist())
+        crossbar_state = (
+            tuple(np.maximum(
+                np.asarray(self._xin, dtype=np.int64) - t, 0
+            ).tolist()),
+            tuple(np.maximum(
+                np.asarray(self._xout, dtype=np.int64) - t, 0
+            ).tolist()),
+        )
+        cache_state = tuple(sorted(
+            ((e0, e1), iteration - r, slots)
+            for (e0, e1, iteration), slots in self._cache_live.items()
+        ))
+        pending_state = tuple(sorted(
+            (op_id, iteration - r, count,
+             max(self._max_avail[(op_id, iteration)] - t, 0))
+            for (op_id, iteration), count in self._pending.items()
+        ))
+        nominal_state = tuple(sorted(
+            (op_id, iteration - r, start - t)
+            for (op_id, iteration), start in self._nominal.items()
+        ))
+        event_state = tuple(
+            (
+                time - t,
+                prio,
+                _KIND_OF_PRIO[prio],
+                op_id,
+                iteration - r,
+                (e0, e1),
+                size,
+            )
+            for (time, prio, iteration, op_id, e0, e1, _seq, size)
+            in sorted(self._heap)
+        )
+        return (
+            pe_state,
+            vault_state,
+            crossbar_state,
+            self._cache_used,
+            cache_state,
+            pending_state,
+            nominal_state,
+            event_state,
+        )
+
+    def _fingerprint(self, reference_time: int, reference_iteration: int) -> str:
+        """Stable digest of :meth:`_canonical` (for logs and traces)."""
+        canon = self._canonical(reference_time, reference_iteration)
+        return hashlib.sha256(repr(canon).encode("utf-8")).hexdigest()[:16]
 
     def _fast_forward(
         self,
@@ -711,22 +850,19 @@ class _ExecutorRun:
         simulation continues bit-for-bit as if every skipped round had
         been executed.
         """
-        state = self.state
         trace = self.trace
         rounds = repetitions * period_rounds
         time_shift = rounds * self.period
 
         # 1. Counter replay: the converged per-cycle delta, M times.
-        stats_keys = list(trace.stats.as_dict())
-        for index, name in enumerate(stats_keys):
+        for index, name in enumerate(list(trace.stats.as_dict())):
             delta = current.trace_stats[index] - previous.trace_stats[index]
             setattr(trace.stats, name,
                     getattr(trace.stats, name) + repetitions * delta)
-        memory_keys = list(state.memory.stats.as_dict())
-        for index, name in enumerate(memory_keys):
+        for index, name in enumerate(list(self._mem_stats.as_dict())):
             delta = current.memory_stats[index] - previous.memory_stats[index]
-            setattr(state.memory.stats, name,
-                    getattr(state.memory.stats, name) + repetitions * delta)
+            setattr(self._mem_stats, name,
+                    getattr(self._mem_stats, name) + repetitions * delta)
         instances_skipped = repetitions * (
             current.num_instances - previous.num_instances
         )
@@ -749,14 +885,50 @@ class _ExecutorRun:
         )
         self._max_finish += time_shift
 
-        # 2. Timestamp splice: translate the machine and the in-flight
-        # event set forward; relabel live iterations.
-        state.shift(time_shift, rounds)
-        for event in state.queue.clear_pending():
-            shifted = event.tag.shifted(rounds)
-            self._schedule_event(
-                event.time + time_shift, shifted, event.priority
-            )
+        # 2. Timestamp splice: one array add per timeline; iteration
+        # labels of live bookkeeping rebuilt with the round shift.
+        self._pe_free = (
+            np.asarray(self._pe_free, dtype=np.int64) + time_shift
+        ).tolist()
+        self._vault_free = (
+            np.asarray(self._vault_free, dtype=np.int64) + time_shift
+        ).tolist()
+        self._xin = (
+            np.asarray(self._xin, dtype=np.int64) + time_shift
+        ).tolist()
+        self._xout = (
+            np.asarray(self._xout, dtype=np.int64) + time_shift
+        ).tolist()
+        self._cache_live = {
+            (e0, e1, iteration + rounds): slots
+            for (e0, e1, iteration), slots in self._cache_live.items()
+        }
+        self._pending = {
+            (op_id, iteration + rounds): count
+            for (op_id, iteration), count in self._pending.items()
+        }
+        self._max_avail = {
+            (op_id, iteration + rounds): when + time_shift
+            for (op_id, iteration), when in self._max_avail.items()
+        }
+        self._nominal = {
+            (op_id, iteration + rounds): start + time_shift
+            for (op_id, iteration), start in self._nominal.items()
+        }
+        # In-flight events: shifted in processing order with fresh seqs
+        # (a sorted list already satisfies the heap invariant).
+        shifted: List[tuple] = []
+        seq = 0
+        for (time, prio, iteration, op_id, e0, e1, _seq, size) in sorted(
+            self._heap
+        ):
+            shifted.append((
+                time + time_shift, prio, iteration + rounds, op_id,
+                e0, e1, seq, size,
+            ))
+            seq += 1
+        self._heap = shifted
+        self._seq = seq
         self._next_iteration += rounds
 
         # 3. Bookkeeping for observability and the sink.
@@ -766,7 +938,7 @@ class _ExecutorRun:
         # the fault boundary, re-converge on the other side and splice
         # again -- the counter totals every skipped round.
         trace.rounds_fast_forwarded += rounds
-        trace.steady_fingerprint = state.fingerprint(
+        trace.steady_fingerprint = self._fingerprint(
             boundary_round * self.period, boundary_round
         )
         trace.sink.on_fast_forward(FastForwardNotice(
@@ -778,25 +950,11 @@ class _ExecutorRun:
         ))
 
     # ------------------------------------------------------------------
-    # steady-state detection (two-phase)
-    # ------------------------------------------------------------------
-    def _candidate_period(
-        self, boundary_round: int, snapshots: Dict[int, _BoundarySnapshot]
-    ) -> Optional[int]:
-        """Delegates to the module-level :func:`candidate_period` shared
-        with the columnar engine."""
-        return candidate_period(
-            boundary_round, snapshots, self.max_period, self.r_max
-        )
-
-    # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
     def execute(self) -> ExecutionTrace:
-        state = self.state
         trace = self.trace
         n = self.iterations
-        self._events_skipped = 0
         boundary_round = 0
         detecting = (
             self.mode is SimMode.STEADY_STATE and n > self.r_max + 3
@@ -809,7 +967,7 @@ class _ExecutorRun:
         confirm_from = 0
         failed_confirms = 0
 
-        while state.queue or self._next_iteration <= n:
+        while self._heap or self._next_iteration <= n:
             boundary_round += 1
             self._current_round = boundary_round
             if self.fault_model is not None and self._update_fault_mask(
@@ -826,7 +984,7 @@ class _ExecutorRun:
                 self._materialize(self._next_iteration)
                 self._next_iteration += 1
             boundary_time = boundary_round * self.period
-            state.queue.run(until=boundary_time - 1)
+            self._run_until(boundary_time - 1)
             trace.rounds_simulated += 1
             if self._round_probe is not None:
                 self._round_probe(boundary_round, self._snapshot())
@@ -840,7 +998,7 @@ class _ExecutorRun:
 
             if confirm_q is not None:
                 # Phase 2: exact confirmation of the candidate period.
-                canonical = state.canonical(boundary_time, boundary_round)
+                canonical = self._canonical(boundary_time, boundary_round)
                 canonicals[boundary_round] = canonical
                 reference = canonicals.get(boundary_round - confirm_q)
                 if reference is not None and canonical == reference:
@@ -856,7 +1014,9 @@ class _ExecutorRun:
                         )
                         if next_fault is not None:
                             horizon = min(horizon, next_fault - 1)
-                    repetitions = max(0, (horizon - boundary_round) // confirm_q)
+                    repetitions = max(
+                        0, (horizon - boundary_round) // confirm_q
+                    )
                     if repetitions > 0:
                         self._fast_forward(
                             boundary_round, repetitions, confirm_q,
@@ -867,7 +1027,7 @@ class _ExecutorRun:
                     else:
                         trace.converged_round = boundary_round
                         trace.converged_period = confirm_q
-                        trace.steady_fingerprint = state.fingerprint(
+                        trace.steady_fingerprint = self._fingerprint(
                             boundary_time, boundary_round
                         )
                     snapshots.clear()
@@ -884,11 +1044,13 @@ class _ExecutorRun:
                         snapshots.clear()
             elif boundary_round >= self.r_max + 2:
                 # Phase 1: arm a confirmation when deltas look periodic.
-                q = self._candidate_period(boundary_round, snapshots)
+                q = candidate_period(
+                    boundary_round, snapshots, self.max_period, self.r_max
+                )
                 if q is not None and n - boundary_round > q:
                     confirm_q = q
                     confirm_from = boundary_round
-                    canonicals[boundary_round] = state.canonical(
+                    canonicals[boundary_round] = self._canonical(
                         boundary_time, boundary_round
                     )
 
@@ -900,8 +1062,8 @@ class _ExecutorRun:
                 "dependency deadlock in the schedule"
             )
         trace.realized_makespan = self._max_finish
-        trace.stats = trace.stats.merged_with(state.memory.stats)
-        trace.events_processed = state.queue.processed + self._events_skipped
+        trace.stats = trace.stats.merged_with(self._mem_stats)
+        trace.events_processed = self._processed + self._events_skipped
         return trace
 
 
@@ -939,9 +1101,8 @@ def simulate_sparta(
         sink=sink if sink is not None else InMemorySink(),
         sim_mode=mode,
     )
-    # SPARTA has no columnar machine state to batch, so the columnar
-    # modes degenerate to their object twins' replay structure.
-    simulated = 1 if mode.detects_steady_state else iterations
+    steady = mode is SimMode.STEADY_STATE
+    simulated = 1 if steady else iterations
     for iteration in range(1, simulated + 1):
         base = (iteration - 1) * length
         for op in graph.operations():
@@ -961,7 +1122,7 @@ def simulate_sparta(
             else:
                 memory.record_edram_transfer(edge.size_bytes)
     trace.rounds_simulated = simulated
-    if mode.detects_steady_state and iterations > 1:
+    if steady and iterations > 1:
         skipped = iterations - 1
         per_iteration_instances = trace.num_instances
         for name, value in list(trace.stats.as_dict().items()):

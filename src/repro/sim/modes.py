@@ -3,19 +3,12 @@
 ``FULL_UNROLL`` is the oracle: every instance of every iteration is
 simulated event by event. ``STEADY_STATE`` exploits the periodicity the
 paper proves (Sections 2.2/3.2): after the ``R_max * p`` prologue the
-loop kernel repeats identically every period, so once two consecutive
-round-boundary machine-state fingerprints match, the remaining rounds are
-fast-forwarded in O(1) by replaying the converged per-round stats delta
-and splicing timestamps. The two modes are aggregate-identical --
+loop kernel repeats identically every period, so once two round-boundary
+machine-state fingerprints match, the remaining rounds are fast-forwarded
+in O(1) by replaying the converged per-round stats delta and splicing
+timestamps. Both modes run on the one executor engine
+(:mod:`repro.sim.executor`) and are aggregate-identical --
 ``repro.verify``'s ``differential_simulate`` check holds them to it.
-
-``COLUMNAR`` and ``COLUMNAR_STEADY`` are the array-backed twins of the
-two object modes (:mod:`repro.sim.columnar`): same event-order semantics
-via the same ``(time, priority, content key, seq)`` tie-break, executed
-on flat per-PE/vault/port timeline arrays and precomputed static tables
-instead of the object graph. ``COLUMNAR`` matches ``FULL_UNROLL``
-signature-for-signature; ``COLUMNAR_STEADY`` adds the same convergence
-detection and O(1) fast-forward as ``STEADY_STATE``.
 """
 
 from __future__ import annotations
@@ -30,44 +23,30 @@ class SimMode(enum.Enum):
     FULL_UNROLL = "full"
     #: Detect steady state via machine fingerprints, fast-forward the rest.
     STEADY_STATE = "steady"
-    #: Array-backed full fidelity: every instance, columnar machine state.
-    COLUMNAR = "columnar"
-    #: Array-backed steady state: columnar rounds + convergence splice.
-    COLUMNAR_STEADY = "columnar_steady"
-
-    @property
-    def is_columnar(self) -> bool:
-        """Whether this mode runs on the array engine."""
-        return self in (SimMode.COLUMNAR, SimMode.COLUMNAR_STEADY)
-
-    @property
-    def detects_steady_state(self) -> bool:
-        """Whether this mode fingerprints boundaries and fast-forwards."""
-        return self in (SimMode.STEADY_STATE, SimMode.COLUMNAR_STEADY)
 
     @classmethod
     def from_name(cls, name: "str | SimMode") -> "SimMode":
-        """Parse a CLI-style mode name (``full``/``steady``), leniently."""
+        """Parse a CLI-style mode name (``full``/``steady``), leniently.
+
+        ``columnar`` and ``columnar_steady`` are deprecated aliases of
+        ``full`` and ``steady``: they named the array engine back when a
+        second, object-based engine existed.
+        """
         if isinstance(name, cls):
             return name
         normalized = str(name).strip().lower().replace("-", "_")
         aliases = {
             "full": cls.FULL_UNROLL,
             "full_unroll": cls.FULL_UNROLL,
-            "unroll": cls.FULL_UNROLL,
             "steady": cls.STEADY_STATE,
             "steady_state": cls.STEADY_STATE,
-            "fast": cls.STEADY_STATE,
-            "columnar": cls.COLUMNAR,
-            "array": cls.COLUMNAR,
-            "columnar_full": cls.COLUMNAR,
-            "columnar_steady": cls.COLUMNAR_STEADY,
-            "array_steady": cls.COLUMNAR_STEADY,
+            "columnar": cls.FULL_UNROLL,
+            "columnar_steady": cls.STEADY_STATE,
         }
         try:
             return aliases[normalized]
         except KeyError:
-            known = ", ".join(sorted(aliases))
+            choices = ", ".join(mode.value for mode in cls)
             raise ValueError(
-                f"unknown sim mode {name!r}; known: {known}"
+                f"unknown sim mode {name!r}; choose one of: {choices}"
             ) from None

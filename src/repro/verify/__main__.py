@@ -7,7 +7,7 @@ Usage::
     python -m repro.verify --allocators dp greedy --pes 32
     python -m repro.verify --strict-liveness     # escalate liveness warnings
     python -m repro.verify --no-oracle --no-mutations
-    python -m repro.verify --sim --sim-iterations 1 20 1000  # engine check
+    python -m repro.verify --sim --sim-iterations 1 20 1000  # steady vs full
     python -m repro.verify --faults                     # failover differential
     python -m repro.verify --fleet                      # fleet differential
     python -m repro.verify --search                     # search-allocator battery
@@ -90,11 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-mutations", action="store_true",
                         help="skip the fault-injection stage")
     parser.add_argument("--sim", action="store_true",
-                        help="differentially verify the steady-state and "
-                             "columnar simulation engines against the full "
-                             "unroll (every aggregate must match exactly, "
-                             "and the columnar-steady engine must converge "
-                             "at the same round/period/fingerprint)")
+                        help="differentially verify the steady-state "
+                             "simulation mode against the full unroll "
+                             "(every aggregate must match exactly)")
     parser.add_argument("--faults", action="store_true",
                         help="differentially verify runtime failover: a "
                              "batch that hits an injected unit failure and "
@@ -132,8 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "DP lower bound and anytime monotonicity at "
                              "every ladder budget, full plan validation "
                              "on healthy, degraded and partitioned machines, "
-                             "and columnar/object engine bit-identity "
-                             "(allocation and SearchStats)")
+                             "and vectorized/scan exhaustive-oracle "
+                             "identity")
     parser.add_argument("--search-budgets", type=int, nargs="+",
                         metavar="N", default=None,
                         help="budget ladder for the --search stage "

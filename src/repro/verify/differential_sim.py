@@ -34,16 +34,6 @@ from repro.sim.sinks import NullSink
 #: dominates when the workload converges).
 DEFAULT_SIM_ITERATIONS: Tuple[int, ...] = (1, 20, 1000)
 
-#: candidate engines held to the full-unroll oracle, by mode name. The
-#: columnar pair must match not only the aggregate signature but also
-#: the steady engine's convergence observables (round, period,
-#: fingerprint digest) -- the array engine re-derives them from its own
-#: canonical form, so equality is a real cross-implementation check.
-DEFAULT_CANDIDATE_MODES: Tuple[str, ...] = (
-    "steady", "columnar", "columnar_steady",
-)
-
-
 @dataclass(frozen=True)
 class SimMismatch:
     """One aggregate field where the two engines disagreed."""
@@ -114,73 +104,39 @@ def differential_simulate(
     config: Optional[PimConfig] = None,
     iterations: int = 1000,
     num_vaults: int = 32,
-    modes: Sequence[str] = DEFAULT_CANDIDATE_MODES,
 ) -> SimDifferentialReport:
-    """Hold every candidate engine to the full-unroll oracle on one plan.
+    """Hold the steady-state mode to the full-unroll oracle on one plan.
 
-    All engines run from a fresh machine with a :class:`NullSink` (the
+    Both modes run from a fresh machine with a :class:`NullSink` (the
     signature is sink-independent by construction). Every field of
     :meth:`~repro.sim.executor.ExecutionTrace.aggregate_signature` must
-    match exactly -- no tolerance: both the fast-forward splice and the
-    columnar timelines are integer arithmetic, so any deviation at all
-    is a bug. Mismatch fields from non-``steady`` candidates are
-    prefixed with the mode name (e.g. ``columnar:events_processed``).
-
-    Beyond the signature, the two steady-detecting engines must agree on
-    their convergence observables (round, period, fast-forwarded round
-    count and fingerprint digest): the columnar engine computes its
-    canonical form from timeline arrays, so this equality is a genuine
-    cross-implementation check of the convergence rule itself.
+    match exactly -- no tolerance: the fast-forward splice is integer
+    arithmetic, so any deviation at all is a bug.
     """
     machine = config or plan.config
 
-    def run(mode: str):
+    def run(mode: SimMode):
         return ScheduleExecutor(
-            machine, num_vaults=num_vaults, mode=SimMode.from_name(mode)
+            machine, num_vaults=num_vaults, mode=mode
         ).execute(plan, iterations=iterations, sink=NullSink())
 
-    full = run("full")
-    reference = full.aggregate_signature()
-    traces = {mode: run(mode) for mode in modes}
-    steady_trace = traces.get("steady")
+    reference = run(SimMode.FULL_UNROLL).aggregate_signature()
+    steady = run(SimMode.STEADY_STATE)
     report = SimDifferentialReport(
         workload=plan.graph.name,
         iterations=iterations,
-        converged_round=(
-            steady_trace.converged_round if steady_trace else None
-        ),
-        converged_period=(
-            steady_trace.converged_period if steady_trace else None
-        ),
-        rounds_fast_forwarded=(
-            steady_trace.rounds_fast_forwarded if steady_trace else 0
-        ),
+        converged_round=steady.converged_round,
+        converged_period=steady.converged_period,
+        rounds_fast_forwarded=steady.rounds_fast_forwarded,
     )
-    for mode, trace in traces.items():
-        prefix = "" if mode == "steady" else f"{mode}:"
-        candidate = trace.aggregate_signature()
-        for key in sorted(set(reference) | set(candidate)):
-            lhs = reference.get(key)
-            rhs = candidate.get(key)
-            if lhs != rhs:
-                report.mismatches.append(SimMismatch(
-                    field=f"{prefix}{key}", full_value=lhs, steady_value=rhs
-                ))
-    columnar_steady = traces.get("columnar_steady")
-    if steady_trace is not None and columnar_steady is not None:
-        for observable in (
-            "converged_round", "converged_period",
-            "rounds_fast_forwarded", "steady_fingerprint",
-            "rounds_simulated",
-        ):
-            lhs = getattr(steady_trace, observable)
-            rhs = getattr(columnar_steady, observable)
-            if lhs != rhs:
-                report.mismatches.append(SimMismatch(
-                    field=f"columnar_steady:{observable}",
-                    full_value=lhs,
-                    steady_value=rhs,
-                ))
+    candidate = steady.aggregate_signature()
+    for key in sorted(set(reference) | set(candidate)):
+        lhs = reference.get(key)
+        rhs = candidate.get(key)
+        if lhs != rhs:
+            report.mismatches.append(SimMismatch(
+                field=key, full_value=lhs, steady_value=rhs
+            ))
     return report
 
 

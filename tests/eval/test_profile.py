@@ -42,14 +42,20 @@ class TestRunProfile:
     def test_sim_profile_hits_the_columnar_engine(self, small_machine):
         report = run_profile("sim", small_machine, workload="cat", top=25)
         table = "\n".join(row.function for row in report.rows)
-        assert "columnar" in table
+        # The engine's event loop over its columnar timelines.
+        assert "executor.py" in table
+        assert "_run_until" in table
 
     def test_sim_profile_honors_mode(self, small_machine):
-        report = run_profile(
-            "sim", small_machine, workload="cat", top=25, sim_mode="full"
-        )
-        table = "\n".join(row.function for row in report.rows)
-        assert "columnar" not in table
+        def table(mode):
+            report = run_profile(
+                "sim", small_machine, workload="cat", top=25, sim_mode=mode
+            )
+            return "\n".join(row.function for row in report.rows)
+
+        # Only the steady mode pays for boundary canonical forms.
+        assert "_canonical" not in table("full")
+        assert "_canonical" in table("steady")
 
     def test_rows_sorted_by_cumulative_time(self, small_machine):
         report = run_profile("compile", small_machine, workload="cat")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.search import AnnealAllocator
 from repro.graph.generators import BENCHMARK_SIZES, synthetic_benchmark
 from repro.pim.config import PimConfig
 from repro.verify.differential_search import (
@@ -24,7 +23,6 @@ from repro.verify.differential_search import (
     machine_variants,
 )
 
-from tests.golden import regen
 from tests.golden.regen import (
     ANNEAL_GOLDEN_PATH,
     ANNEAL_SEED,
@@ -64,14 +62,9 @@ class TestFixtureShape:
             assert set(entries) == expected, f"{name}: {REGEN_HINT}"
 
 
-@pytest.mark.parametrize("engine", ("columnar", "object"))
 @pytest.mark.parametrize("name", sorted(BENCHMARK_SIZES))
-def test_benchmark_matches_golden(name, engine, golden, monkeypatch):
+def test_benchmark_matches_golden(name, golden):
     """Re-run the walk on every variant and budget; diff field by field."""
-    monkeypatch.setattr(
-        regen, "AnnealAllocator",
-        lambda **kwargs: AnnealAllocator(engine=engine, **kwargs),
-    )
     graph = synthetic_benchmark(name)
     drifted = []
     for variant, machine in machine_variants(PimConfig()):
@@ -87,6 +80,6 @@ def test_benchmark_matches_golden(name, engine, golden, monkeypatch):
                 if expected.get(field) != actual.get(field)
             )
     assert not drifted, (
-        f"anneal golden drift on {name!r} ({engine} engine): "
+        f"anneal golden drift on {name!r}: "
         + "; ".join(drifted) + f"; {REGEN_HINT}"
     )

@@ -32,12 +32,6 @@ from tests.golden.regen import (
 
 REGEN_HINT = "regenerate with: PYTHONPATH=src python -m tests.golden.regen"
 
-#: Executor mode names that run each fixture mode, per engine.
-ENGINES = {
-    "object": {"full": "full", "steady": "steady"},
-    "columnar": {"full": "columnar", "steady": "columnar_steady"},
-}
-
 
 @pytest.fixture(scope="module")
 def golden():
@@ -67,11 +61,9 @@ class TestFixtureShape:
             PimConfig.from_dict(config)
 
 
-@pytest.mark.parametrize("engine", sorted(ENGINES))
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_workload_matches_golden(name, engine, golden):
+def test_workload_matches_golden(name, golden):
     """Re-simulate every case of one workload and diff field by field."""
-    modes = ENGINES[engine]
     graph = load_workload(name)
     machines = dict(sim_machines())
     plans = {
@@ -83,7 +75,7 @@ def test_workload_matches_golden(name, engine, golden):
         case = sim_case_id(machine, mode, iterations, fault)
         expected = golden["workloads"][name][case]
         actual = sim_entry(
-            plans[machine], machines[machine], modes[mode], iterations, fault
+            plans[machine], machines[machine], mode, iterations, fault
         )
         drifted.extend(
             f"{case} {field}: golden={expected.get(field)!r} "
@@ -92,6 +84,6 @@ def test_workload_matches_golden(name, engine, golden):
             if expected.get(field) != actual.get(field)
         )
     assert not drifted, (
-        f"sim golden drift on {name!r} ({engine} engine): "
+        f"sim golden drift on {name!r}: "
         + "; ".join(drifted) + f"; {REGEN_HINT}"
     )

@@ -1,18 +1,25 @@
-"""Per-round equivalence of the columnar and object sim engines.
+"""Per-round equivalence of the steady-state mode and the full unroll.
 
-``python -m repro.verify --sim`` proves the engines agree on *aggregate*
-signatures; this battery tightens the claim to every round boundary.
-Both engines expose a ``round_probe`` hook that fires after each
-simulated round with the monotone counter snapshot
-(:class:`~repro.sim.executor._BoundarySnapshot`), so two runs are
-per-round equivalent iff their probe streams compare equal. A seeded
-property battery sweeps benchmarks, iteration counts, fault boundaries
-and shard logical views; a divergence in any single round's counters —
-even one that cancels out by the end of the run — fails the comparison.
+``python -m repro.verify --sim`` proves the two simulation modes agree on
+*aggregate* signatures; this battery tightens the claim to every round
+boundary of the columnar engine. The executor's ``round_probe`` hook
+fires after each simulated round with the monotone counter snapshot
+(:class:`~repro.sim.executor._BoundarySnapshot`). The full unroll probes
+every round; the steady mode probes the rounds it simulates and skips
+the fast-forwarded ones. So the steady stream must match the full stream
+on every round both simulated: exactly before the splice, and after it
+on every counter the splice replays (``events_processed`` counts only
+events actually dispatched, so it is the one counter that legitimately
+differs). A seeded property battery sweeps benchmarks, iteration counts,
+fault boundaries and shard logical views; a divergence in any single
+round's counters — even one that cancels out by the end of the run —
+fails the comparison. The exact per-round streams of every registered
+workload are additionally pinned by ``tests/golden/sim_signatures.json``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -27,7 +34,7 @@ from repro.sim.sinks import NullSink
 
 
 def round_stream(machine, plan, mode, iterations, fault_model=None):
-    """Run one engine, recording every (round, snapshot) the probe sees.
+    """Run one mode, recording every (round, snapshot) the probe sees.
 
     Returns ``(rounds, signature, fault)`` where ``signature`` is the
     aggregate signature (None if the run faulted) and ``fault`` is the
@@ -52,27 +59,41 @@ def round_stream(machine, plan, mode, iterations, fault_model=None):
     return rounds, trace.aggregate_signature(), None
 
 
+def pre_splice(rounds):
+    """The probe entries before the first fast-forward jump."""
+    return [
+        entry for position, entry in enumerate(rounds)
+        if entry[0] == position + 1
+    ]
+
+
+def replayed(snapshot):
+    """The snapshot's counters that the fast-forward replays."""
+    return dataclasses.replace(snapshot, events_processed=0)
+
+
 def assert_round_equivalent(machine, plan, iterations, fault_model=None):
-    """Both engine pairs must emit identical per-round probe streams."""
+    """The steady stream must agree with the full stream round by round."""
     full = round_stream(
         machine, plan, SimMode.FULL_UNROLL, iterations, fault_model
-    )
-    columnar = round_stream(
-        machine, plan, SimMode.COLUMNAR, iterations, fault_model
-    )
-    assert columnar == full, (
-        f"columnar/full per-round divergence on {plan.graph.name} "
-        f"N={iterations}"
     )
     steady = round_stream(
         machine, plan, SimMode.STEADY_STATE, iterations, fault_model
     )
-    columnar_steady = round_stream(
-        machine, plan, SimMode.COLUMNAR_STEADY, iterations, fault_model
+    label = f"{plan.graph.name} N={iterations}"
+    full_rounds, steady_rounds = full[0], steady[0]
+    prefix = pre_splice(steady_rounds)
+    assert prefix == full_rounds[: len(prefix)], (
+        f"steady/full per-round divergence before the splice on {label}"
     )
-    assert columnar_steady == steady, (
-        f"columnar_steady/steady per-round divergence on "
-        f"{plan.graph.name} N={iterations}"
+    by_index = dict(full_rounds)
+    for index, snapshot in steady_rounds[len(prefix):]:
+        assert replayed(snapshot) == replayed(by_index[index]), (
+            f"steady/full counters diverge after the splice at round "
+            f"{index} on {label}"
+        )
+    assert steady[1:] == full[1:], (
+        f"steady/full signature or fault divergence on {label}"
     )
     return full
 
@@ -109,26 +130,20 @@ def test_per_round_counters_match(machine, plans, name, iterations):
 
 
 def test_steady_probe_stops_at_fast_forward(machine, plans):
-    """Steady engines only probe simulated rounds — the fast-forwarded
-    tail produces no probe events, and both implementations agree on
-    exactly which rounds were simulated."""
+    """The steady mode only probes simulated rounds — the fast-forwarded
+    tail produces no probe events — and every round it did simulate
+    before the splice matches the full unroll's round for round."""
     full = round_stream(machine, plans["car"], SimMode.FULL_UNROLL, 60)
     steady = round_stream(machine, plans["car"], SimMode.STEADY_STATE, 60)
-    columnar_steady = round_stream(
-        machine, plans["car"], SimMode.COLUMNAR_STEADY, 60
-    )
-    assert columnar_steady == steady
-    # Convergence means the steady engines simulate fewer rounds...
+    assert steady[1] == full[1]
+    # Convergence means the steady mode simulates fewer rounds...
     assert len(steady[0]) < len(full[0])
     # ...and, up to the splice (probe indices are contiguous from 1
     # until the fast-forward jumps them), every simulated round matches
-    # the full engine's round for round.
-    pre_splice = [
-        entry for position, entry in enumerate(steady[0])
-        if entry[0] == position + 1
-    ]
-    assert 1 <= len(pre_splice) < len(steady[0])
-    assert full[0][: len(pre_splice)] == pre_splice
+    # the full unroll's round for round.
+    prefix = pre_splice(steady[0])
+    assert 1 <= len(prefix) < len(steady[0])
+    assert full[0][: len(prefix)] == prefix
 
 
 class TestFaultBoundaries:
@@ -146,7 +161,7 @@ class TestFaultBoundaries:
 
     def test_vault_fault_rounds_match(self, machine, plans):
         # Vault faults only fire if a transfer touches the dead vault;
-        # either way the engines must agree round for round.
+        # either way the modes must agree round for round.
         for vault_id in range(4):
             fault = FaultModel.single(FAULT_UNIT_VAULT, vault_id, 2)
             assert_round_equivalent(
@@ -157,23 +172,17 @@ class TestFaultBoundaries:
         self, machine, plans
     ):
         """A fault beyond the convergence point must still fire: the
-        splice is capped at the fault horizon in both engines."""
+        splice is capped at the fault horizon."""
         fault = FaultModel.single(FAULT_UNIT_PE, 0, 50)
-        steady = round_stream(
-            machine, plans["car"], SimMode.STEADY_STATE, 60,
-            fault_model=fault,
+        full = assert_round_equivalent(
+            machine, plans["car"], 60, fault_model=fault
         )
-        columnar_steady = round_stream(
-            machine, plans["car"], SimMode.COLUMNAR_STEADY, 60,
-            fault_model=fault,
-        )
-        assert columnar_steady == steady
-        assert steady[2] is not None and steady[2][0] == FAULT_UNIT_PE
+        assert full[2] is not None and full[2][0] == FAULT_UNIT_PE
 
 
 def test_shard_logical_views_match(machine):
-    """Per-round equality holds on partitioned machines (PR 6 shard
-    views recompile onto fewer PEs; the engines must agree there too)."""
+    """Per-round equality holds on partitioned machines (shard views
+    recompile onto fewer PEs)."""
     graph = synthetic_benchmark("flower")
     for shard in machine.split(2):
         plan = ParaConv(shard).run(graph)
@@ -181,7 +190,7 @@ def test_shard_logical_views_match(machine):
 
 
 def test_degraded_machine_rounds_match(machine):
-    """Same battery on the PR 5 degraded machine (highest PE dropped)."""
+    """Same battery on a degraded machine (only the highest PE survives)."""
     degraded = machine.degraded([machine.num_pes - 1])
     plan = ParaConv(degraded).run(synthetic_benchmark("cat"))
     assert_round_equivalent(degraded, plan, 12)

@@ -6,7 +6,7 @@ from repro.core.paraconv import ParaConv
 from repro.core.retiming import analyze_edges
 from repro.graph.generators import synthetic_benchmark
 from repro.graph.taskgraph import TaskGraph, linear_chain
-from repro.pim.config import PimConfig
+from repro.pim.config import ConfigurationError, PimConfig
 from repro.pim.memory import Placement
 from repro.sim.executor import ScheduleExecutor
 from repro.verify.validator import ScheduleValidator
@@ -45,6 +45,14 @@ class TestDegenerateMachines:
         result = ParaConv(config).run(synthetic_benchmark("cat"))
         trace = ScheduleExecutor(config).execute(result, iterations=4)
         assert {r.pe for r in trace.records} <= {0, 1}
+
+    @pytest.mark.parametrize("mode", ["full", "steady"])
+    @pytest.mark.parametrize("vaults", [0, -1])
+    def test_vaultless_machine_is_a_typed_error(self, mode, vaults):
+        """No vaults is rejected at construction, never a ZeroDivisionError
+        from the vault interleaving mid-run."""
+        with pytest.raises(ConfigurationError, match="num_vaults must be >= 1"):
+            ScheduleExecutor(PimConfig(num_pes=16), num_vaults=vaults, mode=mode)
 
 
 class TestWorkloadCorners:

@@ -41,12 +41,30 @@ def _signatures(machine, plan, iterations):
 
 
 class TestSimModes:
+    def test_exactly_two_modes(self):
+        assert [mode.value for mode in SimMode] == ["full", "steady"]
+
     def test_from_name_aliases(self):
         assert SimMode.from_name("full") is SimMode.FULL_UNROLL
         assert SimMode.from_name("steady") is SimMode.STEADY_STATE
         assert SimMode.from_name(SimMode.STEADY_STATE) is SimMode.STEADY_STATE
-        with pytest.raises(ValueError, match="unknown"):
+        assert SimMode.from_name("Full-Unroll") is SimMode.FULL_UNROLL
+        assert SimMode.from_name("steady_state") is SimMode.STEADY_STATE
+        # Deprecated names of the array engine, kept for old scripts.
+        assert SimMode.from_name("columnar") is SimMode.FULL_UNROLL
+        assert SimMode.from_name("columnar_steady") is SimMode.STEADY_STATE
+        assert SimMode.from_name("columnar-steady") is SimMode.STEADY_STATE
+        with pytest.raises(ValueError, match="unknown") as excinfo:
             SimMode.from_name("warp-speed")
+        assert "full" in str(excinfo.value)
+        assert "steady" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "dropped", ["unroll", "fast", "array", "array_steady", "columnar_full"]
+    )
+    def test_unused_aliases_are_gone(self, dropped):
+        with pytest.raises(ValueError, match="choose one of: full, steady"):
+            SimMode.from_name(dropped)
 
 
 class TestAggregateEquivalence:
