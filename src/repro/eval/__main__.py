@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--sim-mode", choices=("full", "steady"), default=None,
-        help="discrete-event engine for simulation-backed experiments: "
+        help="simulation mode for simulation-backed experiments: "
         "'steady' fingerprints the machine state and fast-forwards "
         "converged rounds (default for validation), 'full' is the "
         "event-by-event oracle; for latency/table2/sweeps the flag also "

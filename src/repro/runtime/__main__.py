@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="batching window (default 8)")
     bench.add_argument("--sim-mode", choices=("full", "steady"),
                        default="steady",
-                       help="discrete-event engine: 'steady' fingerprints "
+                       help="simulation mode: 'steady' fingerprints "
                        "the machine and fast-forwards converged rounds "
                        "(default), 'full' is the event-by-event oracle")
     bench.add_argument("--fault-pe", type=int, metavar="ID", default=None,

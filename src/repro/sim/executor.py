@@ -109,7 +109,9 @@ _PRIO_ARRIVE = 0
 _PRIO_START = 1
 _PRIO_PRODUCE = 2
 
-#: heap priority -> event kind name (only for canonical forms / debug).
+#: heap priority -> event kind name. Redundant with the priority, but part
+#: of the canonical form, so ``steady_fingerprint`` digests (pinned in
+#: ``tests/golden/sim_signatures.json``) depend on it.
 _KIND_OF_PRIO = {
     _PRIO_ARRIVE: "arrive", _PRIO_START: "start", _PRIO_PRODUCE: "produce",
 }
@@ -415,8 +417,6 @@ class _ScheduleRun:
         fault_model: Optional[FaultModel] = None,
         round_probe=None,
     ):
-        self.config = config
-        self.result = result
         self.iterations = iterations
         self.mode = mode
         #: trivial fault models are normalized away so the fault-free hot

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.graph.generators import BENCHMARK_SIZES, synthetic_benchmark
+from repro.graph.generators import BENCHMARK_SIZES
 from repro.pim.config import PimConfig
 from repro.verify.differential_search import (
     DEFAULT_BUDGET_LADDER,
-    allocation_instance,
     machine_variants,
 )
 
@@ -27,7 +26,7 @@ from tests.golden.regen import (
     ANNEAL_GOLDEN_PATH,
     ANNEAL_SEED,
     GOLDEN_FORMAT_VERSION,
-    anneal_entry,
+    anneal_benchmark_entries,
     load_golden,
 )
 
@@ -65,20 +64,15 @@ class TestFixtureShape:
 @pytest.mark.parametrize("name", sorted(BENCHMARK_SIZES))
 def test_benchmark_matches_golden(name, golden):
     """Re-run the walk on every variant and budget; diff field by field."""
-    graph = synthetic_benchmark(name)
-    drifted = []
-    for variant, machine in machine_variants(PimConfig()):
-        problem, _width = allocation_instance(graph, machine)
-        for budget in DEFAULT_BUDGET_LADDER:
-            key = f"{variant}/{budget}"
-            expected = golden["benchmarks"][name][key]
-            actual = anneal_entry(problem, budget)
-            drifted.extend(
-                f"{key} {field}: golden={expected.get(field)!r} "
-                f"actual={actual.get(field)!r}"
-                for field in sorted(set(expected) | set(actual))
-                if expected.get(field) != actual.get(field)
-            )
+    expected = golden["benchmarks"][name]
+    actual = anneal_benchmark_entries(name)
+    drifted = [
+        f"{key} {field}: golden={expected[key].get(field)!r} "
+        f"actual={actual[key].get(field)!r}"
+        for key in sorted(expected)
+        for field in sorted(set(expected[key]) | set(actual[key]))
+        if expected[key].get(field) != actual[key].get(field)
+    ]
     assert not drifted, (
         f"anneal golden drift on {name!r}: "
         + "; ".join(drifted) + f"; {REGEN_HINT}"

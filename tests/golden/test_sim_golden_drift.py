@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cnn.workloads import WORKLOADS, load_workload
-from repro.core.paraconv import ParaConv
+from repro.cnn.workloads import WORKLOADS
 from repro.pim.config import PimConfig
 
 from tests.golden.regen import (
@@ -26,8 +25,8 @@ from tests.golden.regen import (
     load_golden,
     sim_case_id,
     sim_cases,
-    sim_entry,
     sim_machines,
+    sim_workload_entries,
 )
 
 REGEN_HINT = "regenerate with: PYTHONPATH=src python -m tests.golden.regen"
@@ -64,25 +63,15 @@ class TestFixtureShape:
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_workload_matches_golden(name, golden):
     """Re-simulate every case of one workload and diff field by field."""
-    graph = load_workload(name)
-    machines = dict(sim_machines())
-    plans = {
-        label: ParaConv(config).run(graph)
-        for label, config in machines.items()
-    }
-    drifted = []
-    for machine, mode, iterations, fault in sim_cases():
-        case = sim_case_id(machine, mode, iterations, fault)
-        expected = golden["workloads"][name][case]
-        actual = sim_entry(
-            plans[machine], machines[machine], mode, iterations, fault
-        )
-        drifted.extend(
-            f"{case} {field}: golden={expected.get(field)!r} "
-            f"actual={actual.get(field)!r}"
-            for field in sorted(set(expected) | set(actual))
-            if expected.get(field) != actual.get(field)
-        )
+    expected = golden["workloads"][name]
+    actual = sim_workload_entries(name)
+    drifted = [
+        f"{case} {field}: golden={expected[case].get(field)!r} "
+        f"actual={actual[case].get(field)!r}"
+        for case in sorted(expected)
+        for field in sorted(set(expected[case]) | set(actual[case]))
+        if expected[case].get(field) != actual[case].get(field)
+    ]
     assert not drifted, (
         f"sim golden drift on {name!r}: "
         + "; ".join(drifted) + f"; {REGEN_HINT}"
