@@ -1,6 +1,6 @@
-"""Machine verification of Para-CONV schedules and allocations.
+"""Machine verification of Para-CONV schedules, allocations and serving.
 
-Three independent instruments, designed to be composed:
+The schedule instruments check compiled plans directly:
 
 * :class:`ScheduleValidator` — checks a compiled plan against the paper's
   structural invariants (dependency order across retimed iteration
@@ -13,44 +13,32 @@ Three independent instruments, designed to be composed:
   mutation corpus that scores the validator's ability to catch every
   class of planted invariant violation.
 
-:func:`verify_workload` and :func:`run_verification_sweep` drive all three
-over the paper's benchmarks; ``python -m repro.verify`` is the CLI front
-end and CI gate.
+:data:`BATTERIES` registers the batteries ``python -m repro.verify``
+runs: ``schedule`` drives the three instruments over the benchmarks
+(:func:`run_verification_sweep`); ``sim``, ``faults``, ``search``,
+``fleet``, ``tenancy`` and ``rewire`` each hold one part of the system to
+a reference. Every battery returns :class:`CaseReport` lists built with
+the shared helpers of :mod:`repro.verify.harness`.
 """
 
-from repro.verify.differential_failover import (
-    FailoverDifferentialReport,
-    FailoverMismatch,
-    failover_differential,
-)
-from repro.verify.differential_fleet import (
-    FleetDifferentialReport,
-    FleetReplayMismatch,
-    fleet_differential,
-)
+from repro.verify.differential_failover import failover_differential
+from repro.verify.differential_fleet import fleet_differential
 from repro.verify.differential_rewire import (
-    RandwiredPropertyReport,
-    RewireCaseReport,
-    RewireDifferentialReport,
-    RewireMismatch,
     randwired_property_battery,
     rewire_case,
     rewire_differential,
 )
-from repro.verify.differential_tenancy import (
-    TENANCY_SCENARIOS,
-    TenancyDifferentialReport,
-    TenancyMismatch,
-    TenancyScenarioReport,
-    tenancy_differential,
-)
 from repro.verify.differential_sim import (
     DEFAULT_SIM_ITERATIONS,
-    SimDifferentialReport,
-    SimMismatch,
     differential_simulate,
     sim_differential_battery,
 )
+from repro.verify.differential_search import search_differential
+from repro.verify.differential_tenancy import (
+    TENANCY_SCENARIOS,
+    tenancy_differential,
+)
+from repro.verify.harness import Battery, CaseReport, Mismatch
 from repro.verify.hooks import (
     check_allocation_feasible,
     check_kernel_feasible,
@@ -75,6 +63,7 @@ from repro.verify.oracle import (
     exhaustive_allocate,
 )
 from repro.verify.runner import (
+    BATTERIES,
     SweepOutcome,
     WorkloadVerification,
     run_verification_sweep,
@@ -95,32 +84,23 @@ from repro.verify.violations import (
 )
 
 __all__ = [
+    "BATTERIES",
     "CAPACITY_OBLIVIOUS_METHODS",
     "CHECK_CATALOG",
     "DEFAULT_EXHAUSTIVE_LIMIT",
     "DEFAULT_SIM_ITERATIONS",
+    "Battery",
+    "CaseReport",
     "DifferentialReport",
-    "FailoverDifferentialReport",
-    "FailoverMismatch",
-    "FleetDifferentialReport",
-    "FleetReplayMismatch",
-    "RandwiredPropertyReport",
-    "RewireCaseReport",
-    "RewireDifferentialReport",
-    "RewireMismatch",
-    "SimDifferentialReport",
-    "SimMismatch",
-    "TENANCY_SCENARIOS",
-    "TenancyDifferentialReport",
-    "TenancyMismatch",
-    "TenancyScenarioReport",
     "FaultDetectionReport",
     "InjectedFault",
     "MUTATORS",
+    "Mismatch",
     "OracleSizeError",
     "ScheduleValidator",
     "Severity",
     "SweepOutcome",
+    "TENANCY_SCENARIOS",
     "VerificationError",
     "VerificationReport",
     "Violation",
@@ -143,6 +123,7 @@ __all__ = [
     "rewire_case",
     "rewire_differential",
     "run_verification_sweep",
+    "search_differential",
     "sim_differential_battery",
     "tenancy_differential",
     "verify_result",

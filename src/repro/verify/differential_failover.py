@@ -31,127 +31,54 @@ fault trace, wrong cache key), which is why this check rides in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+import argparse
+from typing import List, Mapping, Optional, Tuple
 
-from repro.core.paraconv import ParaConv
+from repro.cnn.workloads import load_workload
 from repro.graph.taskgraph import TaskGraph
 from repro.pim.config import PimConfig
 from repro.pim.faults import FAULT_UNIT_PE, FAULT_UNIT_VAULT, FaultModel
 from repro.runtime.plan_cache import PlanCache
 from repro.runtime.session import InferenceSession
-from repro.sim.executor import ScheduleExecutor
-from repro.sim.modes import SimMode
-from repro.sim.sinks import NullSink
+from repro.verify.harness import (
+    Battery,
+    CaseReport,
+    Mismatch,
+    benchmark_names,
+    hold_to_cold_compile,
+    machine,
+    non_negative_int,
+    option,
+    run_case,
+)
 from repro.verify.validator import ScheduleValidator
 
-__all__ = [
-    "FailoverDifferentialReport",
-    "FailoverMismatch",
-    "failover_differential",
-]
+__all__ = ["FAULTS_BATTERY", "failover_differential", "failover_verdict"]
 
 
-@dataclass(frozen=True)
-class FailoverMismatch:
-    """One aggregate field where failover and cold compile disagreed."""
+def failover_verdict(facts: Mapping[str, object]) -> List[str]:
+    """The failover invariants over one case's facts.
 
-    field: str
-    failover_value: object
-    cold_value: object
-
-    def describe(self) -> str:
-        return (
-            f"{self.field}: failover={self.failover_value!r} "
-            f"cold={self.cold_value!r}"
+    The faulted session must observe exactly one fault and fail over
+    exactly once (zero means the scenario was vacuous); the warm repeat,
+    when it ran, must replay the fault and recompile nothing.
+    """
+    failures = []
+    for name in ("faults_observed", "failovers"):
+        if facts.get(name) != 1:
+            failures.append(f"{name}={facts.get(name)} (want exactly 1)")
+    if facts.get("warm_recompiles") not in (None, 0):
+        failures.append(
+            f"warm repeat recompiled {facts['warm_recompiles']} time(s)"
         )
-
-
-@dataclass
-class FailoverDifferentialReport:
-    """Outcome of one faulted-run vs cold-degraded-compile comparison."""
-
-    workload: str
-    unit: str
-    unit_id: int
-    fault_iteration: int
-    iterations: int
-    mismatches: List[FailoverMismatch] = field(default_factory=list)
-    #: faults the first (cold) session observed — must be exactly 1.
-    faults_observed: int = 0
-    #: failovers the first session performed — must be exactly 1.
-    failovers: int = 0
-    #: recompiles the *warm* repeat session needed — must be 0 (the
-    #: degraded plan is already in the shared cache).
-    warm_recompiles: Optional[int] = None
-    #: faults the warm session observed — must be 1 (the trace replays).
-    warm_faults: Optional[int] = None
-    #: validator errors found in the degraded plan (must be 0).
-    validator_errors: int = 0
-    #: unexpected exception text (None on a clean run).
-    error: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        if self.error is not None or self.mismatches:
-            return False
-        if self.faults_observed != 1 or self.failovers != 1:
-            return False
-        if self.warm_recompiles not in (None, 0):
-            return False
-        if self.warm_faults not in (None, 1):
-            return False
-        return self.validator_errors == 0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "workload": self.workload,
-            "unit": self.unit,
-            "unit_id": self.unit_id,
-            "fault_iteration": self.fault_iteration,
-            "iterations": self.iterations,
-            "ok": self.ok,
-            "mismatches": [
-                {
-                    "field": m.field,
-                    "failover": repr(m.failover_value),
-                    "cold": repr(m.cold_value),
-                }
-                for m in self.mismatches
-            ],
-            "faults_observed": self.faults_observed,
-            "failovers": self.failovers,
-            "warm_recompiles": self.warm_recompiles,
-            "warm_faults": self.warm_faults,
-            "validator_errors": self.validator_errors,
-            "error": self.error,
-        }
-
-    def describe(self) -> str:
-        tag = (
-            f"{self.workload} {self.unit}{self.unit_id}"
-            f"@{self.fault_iteration} N={self.iterations}"
-        )
-        if self.ok:
-            warm = (
-                f" warm={self.warm_recompiles}rc"
-                if self.warm_recompiles is not None
-                else ""
-            )
-            return f"{tag}: ok [1 failover{warm}]"
-        if self.error is not None:
-            return f"{tag}: ERROR {self.error}"
-        details = "; ".join(m.describe() for m in self.mismatches)
-        return (
-            f"{tag}: FAIL faults={self.faults_observed} "
-            f"failovers={self.failovers} warm={self.warm_recompiles} "
-            f"validator_errors={self.validator_errors} {details}"
-        )
+    if facts.get("warm_faults") not in (None, 1):
+        failures.append(f"warm repeat observed {facts['warm_faults']} faults")
+    return failures
 
 
 def _degraded_reference(
     config: PimConfig, unit: str, unit_id: int, num_vaults: int
-) -> "tuple[PimConfig, int]":
+) -> Tuple[PimConfig, int]:
     """The degraded machine built *independently* of the session."""
     if unit == FAULT_UNIT_PE:
         survivors = [p for p in range(config.num_pes) if p != unit_id]
@@ -175,7 +102,7 @@ def failover_differential(
     cache: Optional[PlanCache] = None,
     validator: Optional[ScheduleValidator] = None,
     check_warm: bool = True,
-) -> FailoverDifferentialReport:
+) -> CaseReport:
     """Assert faulted-then-failed-over == cold compile on degraded config.
 
     ``cache`` may be shared across calls; a fresh private cache is used
@@ -183,16 +110,10 @@ def failover_differential(
     """
     if unit not in (FAULT_UNIT_PE, FAULT_UNIT_VAULT):
         raise ValueError(f"unit must be 'pe' or 'vault', got {unit!r}")
-    report = FailoverDifferentialReport(
-        workload=graph.name,
-        unit=unit,
-        unit_id=unit_id,
-        fault_iteration=fault_iteration,
-        iterations=iterations,
-    )
     cache = cache if cache is not None else PlanCache()
     fault_model = FaultModel.single(unit, unit_id, fault_iteration)
-    try:
+
+    def serve() -> InferenceSession:
         session = InferenceSession(
             graph,
             config,
@@ -202,62 +123,74 @@ def failover_differential(
             fault_model=fault_model,
         )
         session.run(iterations)
-        report.faults_observed = session.faults_observed
-        report.failovers = session.failovers
+        return session
+
+    label = f"{graph.name} {unit}{unit_id}@{fault_iteration} N={iterations}"
+    with run_case("faults", label, failover_verdict) as report:
+        session = serve()
+        report.facts["faults_observed"] = session.faults_observed
+        report.facts["failovers"] = session.failovers
         assert session.last_trace is not None
 
-        # Independent cold reference: degrade, compile, full unroll.
         degraded_config, degraded_vaults = _degraded_reference(
             config, unit, unit_id, num_vaults
         )
-        cold_plan = ParaConv(degraded_config, allocator_name=allocator).run(
-            graph
+        hold_to_cold_compile(
+            report,
+            session.last_trace.aggregate_signature(),
+            graph,
+            degraded_config,
+            iterations,
+            allocator=allocator,
+            num_vaults=degraded_vaults,
+            validator=validator or ScheduleValidator(),
         )
-        cold_trace = ScheduleExecutor(
-            degraded_config, num_vaults=degraded_vaults,
-            mode=SimMode.FULL_UNROLL,
-        ).execute(cold_plan, iterations=iterations, sink=NullSink())
-
-        reference = cold_trace.aggregate_signature()
-        candidate = session.last_trace.aggregate_signature()
-        for key in sorted(set(reference) | set(candidate)):
-            cold_value = reference.get(key)
-            failover_value = candidate.get(key)
-            if cold_value != failover_value:
-                report.mismatches.append(
-                    FailoverMismatch(
-                        field=key,
-                        failover_value=failover_value,
-                        cold_value=cold_value,
-                    )
-                )
         # The session must be serving exactly the reference machine.
-        if session.active_config.fingerprint() != degraded_config.fingerprint():
-            report.mismatches.append(
-                FailoverMismatch(
-                    field="config_fingerprint",
-                    failover_value=session.active_config.fingerprint(),
-                    cold_value=degraded_config.fingerprint(),
-                )
-            )
-
-        # Degraded plans are ordinary plans: the full invariant battery
-        # must pass on the cold reference compile.
-        battery = (validator or ScheduleValidator()).validate(cold_plan)
-        report.validator_errors = len(battery.errors())
+        served = session.active_config.fingerprint()
+        if served != degraded_config.fingerprint():
+            report.mismatches.append(Mismatch(
+                "", "config_fingerprint", degraded_config.fingerprint(), served
+            ))
 
         if check_warm:
-            warm = InferenceSession(
-                graph,
-                config,
-                allocator=allocator,
-                cache=cache,
-                num_vaults=num_vaults,
-                fault_model=fault_model,
-            )
-            warm.run(iterations)
-            report.warm_recompiles = warm.failover_recompiles
-            report.warm_faults = warm.faults_observed
-    except Exception as exc:  # noqa: BLE001 — differential must report, not crash
-        report.error = f"{type(exc).__name__}: {exc}"
+            warm = serve()
+            report.facts["warm_recompiles"] = warm.failover_recompiles
+            report.facts["warm_faults"] = warm.faults_observed
     return report
+
+
+def run_faults_battery(
+    args: argparse.Namespace, validator: ScheduleValidator
+) -> List[CaseReport]:
+    """One failover case per benchmark."""
+    config = machine(args)
+    return [
+        failover_differential(
+            load_workload(name),
+            config,
+            unit=args.fault_unit,
+            unit_id=args.fault_unit_id,
+            fault_iteration=args.fault_iteration,
+            validator=validator,
+        )
+        for name in benchmark_names(args)
+    ]
+
+
+FAULTS_BATTERY = Battery(
+    name="faults",
+    help="differentially verify runtime failover: a batch that hits an "
+         "injected unit failure and fails over must match a cold compile "
+         "on the degraded machine, and a warm repeat of the same fault "
+         "must not recompile",
+    run=run_faults_battery,
+    options=(
+        option("--fault-unit", choices=("pe", "vault"), default="pe",
+               help="unit type the --faults stage kills (default pe)"),
+        option("--fault-unit-id", type=non_negative_int, default=0,
+               help="unit id the --faults stage kills (default 0)"),
+        option("--fault-iteration", type=non_negative_int, default=3,
+               help="iteration boundary at which the unit dies "
+                    "(default 3)"),
+    ),
+)

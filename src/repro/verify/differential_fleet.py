@@ -26,23 +26,27 @@ rides in ``python -m repro.verify --fleet``.
 
 from __future__ import annotations
 
+import argparse
 import tempfile
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.pim.config import PimConfig
-from repro.runtime.server import BatchingServer, RequestResult
 from repro.fleet.loadgen import FleetLoadGenerator
 from repro.fleet.router import FleetRouter
 from repro.fleet.slo import SloClass
 from repro.fleet.store import SharedPlanStore
 from repro.fleet.worker import FleetWorker
+from repro.verify.harness import (
+    Battery,
+    CaseReport,
+    option,
+    positive_int,
+    replay_batches,
+    run_case,
+)
+from repro.verify.validator import ScheduleValidator
 
-__all__ = [
-    "FleetDifferentialReport",
-    "FleetReplayMismatch",
-    "fleet_differential",
-]
+__all__ = ["FLEET_BATTERY", "fleet_differential", "fleet_verdict"]
 
 #: Default workloads: paper models whose steady-state sim converges, so
 #: the differential runs in seconds (mirrors the fleet bench defaults).
@@ -54,179 +58,33 @@ DEFAULT_FLEET_WORKLOADS = (
 )
 
 
-@dataclass(frozen=True)
-class FleetReplayMismatch:
-    """One divergence between a fleet batch and its standalone replay."""
+def fleet_verdict(facts: Mapping[str, object]) -> List[str]:
+    """The fleet invariants over one run's facts.
 
-    worker_id: str
-    batch_id: int
-    request_id: int
-    fleet_field: str
-    fleet_value: object
-    baseline_value: object
-
-    def describe(self) -> str:
-        return (
-            f"{self.worker_id} batch {self.batch_id} request "
-            f"{self.request_id}: {self.fleet_field} fleet="
-            f"{self.fleet_value!r} baseline={self.baseline_value!r}"
-        )
-
-
-@dataclass
-class FleetDifferentialReport:
-    """Outcome of one fleet-vs-single-server differential run."""
-
-    workloads: List[str]
-    num_workers: int
-    requests: int
-    killed_worker: Optional[str] = None
-    rerouted: int = 0
-    accounting: Dict[str, int] = field(default_factory=dict)
-    #: fleet batches replayed on the standalone baseline.
-    replayed_batches: int = 0
-    mismatches: List[FleetReplayMismatch] = field(default_factory=list)
-    #: served fleet ids seen more than once (must be empty).
-    duplicate_fleet_ids: List[int] = field(default_factory=list)
-    #: admitted fleet ids never served (must be empty).
-    missing_fleet_ids: List[int] = field(default_factory=list)
-    #: plans published in the shared store (must equal len(workloads)).
-    store_plans: int = 0
-    #: compiles across every shard cache (must equal len(workloads):
-    #: affinity + the shared store mean one compile per plan, fleet-wide,
-    #: worker death included).
-    fleet_compiles: int = 0
-    #: compiles a cold replica shard needed (must be 0: warm everywhere).
-    cold_replica_compiles: int = 0
-    #: the cold replica's disk hits (every workload, served from store).
-    cold_replica_disk_hits: int = 0
-    #: unexpected exception text (None on a clean run).
-    error: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        if self.error is not None or self.mismatches:
-            return False
-        if self.duplicate_fleet_ids or self.missing_fleet_ids:
-            return False
-        if self.accounting.get("lost", 1) != 0:
-            return False
-        if self.store_plans != len(self.workloads):
-            return False
-        if self.fleet_compiles != len(self.workloads):
-            return False
-        if self.cold_replica_compiles != 0:
-            return False
-        return self.cold_replica_disk_hits == len(self.workloads)
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "workloads": list(self.workloads),
-            "num_workers": self.num_workers,
-            "requests": self.requests,
-            "killed_worker": self.killed_worker,
-            "rerouted": self.rerouted,
-            "ok": self.ok,
-            "accounting": dict(self.accounting),
-            "replayed_batches": self.replayed_batches,
-            "mismatches": [m.describe() for m in self.mismatches],
-            "duplicate_fleet_ids": list(self.duplicate_fleet_ids),
-            "missing_fleet_ids": list(self.missing_fleet_ids),
-            "store_plans": self.store_plans,
-            "fleet_compiles": self.fleet_compiles,
-            "cold_replica_compiles": self.cold_replica_compiles,
-            "cold_replica_disk_hits": self.cold_replica_disk_hits,
-            "error": self.error,
-        }
-
-    def describe(self) -> str:
-        tag = (
-            f"fleet[{self.num_workers}w x {len(self.workloads)}wl "
-            f"N={self.requests}"
-            + (f" kill={self.killed_worker}" if self.killed_worker else "")
-            + "]"
-        )
-        if self.ok:
-            return (
-                f"{tag}: ok [{self.replayed_batches} batches replayed, "
-                f"{self.fleet_compiles} compiles fleet-wide, cold replica "
-                f"0 compiles / {self.cold_replica_disk_hits} disk hits]"
-            )
-        if self.error is not None:
-            return f"{tag}: ERROR {self.error}"
-        details = "; ".join(m.describe() for m in self.mismatches[:5])
-        return (
-            f"{tag}: FAIL lost={self.accounting.get('lost')} "
-            f"dupes={len(self.duplicate_fleet_ids)} "
-            f"missing={len(self.missing_fleet_ids)} "
-            f"compiles={self.fleet_compiles}/{len(self.workloads)} "
-            f"cold={self.cold_replica_compiles}rc {details}"
-        )
-
-
-def _replay_worker(
-    worker: FleetWorker,
-    batch_window: int,
-    allocator: str,
-    report: FleetDifferentialReport,
-) -> None:
-    """Replay one shard's batch history on a standalone baseline server.
-
-    The fleet's batch composition is taken as given (grouped by
-    ``batch_id`` from the shard's retained results); each batch is
-    re-submitted to a fresh private-cache server over the same logical
-    machine and executed as one batch. Same composition in, same
-    per-request ``sim_latency`` out — or the fleet changed *what* was
-    computed, not just when.
+    Accounting closes (``lost == 0``) with no served fleet id duplicated
+    or missing; the shared store holds one plan per workload, the fleet
+    compiled each exactly once, and a cold replica served every workload
+    from the store with zero compiles.
     """
-    results = worker.server.results
-    if not results:
-        return
-    baseline = BatchingServer(
-        worker.serving_config,
-        batch_window=batch_window,
-        max_queue=max(batch_window, worker.server.max_queue),
-        allocator=allocator,
-        num_vaults=worker.num_vaults,
-    )
-    batches: Dict[int, List[RequestResult]] = {}
-    for res in results:
-        batches.setdefault(res.batch_id, []).append(res)
-    for batch_id in sorted(batches):
-        fleet_batch = batches[batch_id]
-        for res in fleet_batch:
-            baseline.submit(
-                res.request.workload, iterations=res.request.iterations
+    failures = []
+    workloads = facts.get("workloads")
+    if facts.get("lost") != 0:
+        failures.append(f"lost={facts.get('lost')} (want 0)")
+    for name in ("duplicate_fleet_ids", "missing_fleet_ids"):
+        if facts.get(name):
+            failures.append(f"{name}={facts[name]}")
+    for name in ("store_plans", "fleet_compiles", "cold_replica_disk_hits"):
+        if facts.get(name) != workloads:
+            failures.append(
+                f"{name}={facts.get(name)} (want one per workload: "
+                f"{workloads})"
             )
-        replay = baseline.step()
-        report.replayed_batches += 1
-        if len(replay) != len(fleet_batch):  # pragma: no cover - defensive
-            report.mismatches.append(
-                FleetReplayMismatch(
-                    worker_id=worker.worker_id,
-                    batch_id=batch_id,
-                    request_id=-1,
-                    fleet_field="batch_size",
-                    fleet_value=len(fleet_batch),
-                    baseline_value=len(replay),
-                )
-            )
-            continue
-        for fleet_res, base_res in zip(fleet_batch, replay):
-            for field_name in ("sim_latency", "batch_size"):
-                fleet_value = getattr(fleet_res, field_name)
-                base_value = getattr(base_res, field_name)
-                if fleet_value != base_value:
-                    report.mismatches.append(
-                        FleetReplayMismatch(
-                            worker_id=worker.worker_id,
-                            batch_id=batch_id,
-                            request_id=fleet_res.request.request_id,
-                            fleet_field=field_name,
-                            fleet_value=fleet_value,
-                            baseline_value=base_value,
-                        )
-                    )
+    if facts.get("cold_replica_compiles") != 0:
+        failures.append(
+            f"cold replica compiled {facts.get('cold_replica_compiles')} "
+            f"plan(s) (want 0)"
+        )
+    return failures
 
 
 def fleet_differential(
@@ -240,7 +98,7 @@ def fleet_differential(
     kill_worker: bool = True,
     allocator: str = "dp",
     store_dir: Optional[str] = None,
-) -> FleetDifferentialReport:
+) -> CaseReport:
     """Run the fleet-vs-single-server differential.
 
     Drives a deterministic trace through a sharded fleet over one
@@ -250,28 +108,21 @@ def fleet_differential(
     the shared store to a caller-owned directory; a temp dir is used and
     cleaned up otherwise.
     """
-    report = FleetDifferentialReport(
-        workloads=list(workloads),
-        num_workers=num_workers,
-        requests=requests,
-    )
-    if num_pes % num_workers != 0:
-        # Unequal shards have different logical shapes and therefore
-        # different plan identities — the warm-everywhere property only
-        # holds between shape-identical shards.
-        report.error = (
-            f"num_pes ({num_pes}) must divide evenly into "
-            f"{num_workers} workers"
+    label = f"{num_workers}w x {len(workloads)}wl N={requests}"
+    with run_case("fleet", label, fleet_verdict) as report, \
+            tempfile.TemporaryDirectory(prefix="fleet-diff-") as tmp:
+        if num_pes % num_workers != 0:
+            # Unequal shards have different logical shapes and therefore
+            # different plan identities — the warm-everywhere property only
+            # holds between shape-identical shards.
+            raise ValueError(
+                f"num_pes ({num_pes}) must divide evenly into "
+                f"{num_workers} workers"
+            )
+        store = SharedPlanStore(store_dir or tmp)
+        shards = PimConfig(num_pes=num_pes).split(
+            num_workers, num_vaults=num_vaults
         )
-        return report
-    owned_tmp: Optional[tempfile.TemporaryDirectory] = None
-    if store_dir is None:
-        owned_tmp = tempfile.TemporaryDirectory(prefix="fleet-diff-")
-        store_dir = owned_tmp.name
-    try:
-        store = SharedPlanStore(store_dir)
-        machine = PimConfig(num_pes=num_pes)
-        shards = machine.split(num_workers, num_vaults=num_vaults)
         workers = [
             FleetWorker(
                 f"worker-{index}",
@@ -285,45 +136,58 @@ def fleet_differential(
         ]
         router = FleetRouter(workers)
         generator = FleetLoadGenerator(list(workloads), seed=seed)
+        report.facts["workloads"] = len(workloads)
 
         served_ids: List[int] = []
         admitted = 0
         kill_at = requests // 2 if kill_worker and num_workers > 1 else None
-        victim = workers[-1].worker_id if kill_at is not None else None
         for trace in generator.requests(requests):
             router.advance_to(trace.arrival_units)
-            if admitted == kill_at and victim is not None:
-                report.killed_worker = victim
-                report.rerouted = router.kill_worker(victim)
+            if admitted == kill_at:
+                victim = workers[-1].worker_id
+                report.facts["killed_worker"] = victim
+                report.facts["rerouted"] = router.kill_worker(victim)
             router.submit(trace.workload, slo=trace.slo)
             admitted += 1
             if admitted % batch_window == 0:
                 served_ids.extend(r.fleet_id for r in router.pump())
         served_ids.extend(r.fleet_id for r in router.drain())
-        report.accounting = router.accounting()
+        accounting = router.accounting()
+        report.facts["served"] = accounting["served"]
+        report.facts["lost"] = accounting["lost"]
 
         # 2. conservation: unique fleet ids, none missing.
         seen: Dict[int, int] = {}
         for fleet_id in served_ids:
             seen[fleet_id] = seen.get(fleet_id, 0) + 1
-        report.duplicate_fleet_ids = sorted(
+        report.facts["duplicate_fleet_ids"] = sorted(
             fleet_id for fleet_id, count in seen.items() if count > 1
         )
-        report.missing_fleet_ids = sorted(
+        report.facts["missing_fleet_ids"] = sorted(
             fleet_id for fleet_id in range(1, admitted + 1)
             if fleet_id not in seen
         )
 
         # 1. per-request replay equivalence, shard by shard.
         for worker in workers:
-            _replay_worker(worker, batch_window, allocator, report)
+            replay_batches(
+                report,
+                worker.worker_id,
+                worker.server.results,
+                worker.serving_config,
+                batch_window,
+                allocator,
+                num_vaults=worker.num_vaults,
+            )
 
         # 3. warm everywhere: one compile per plan fleet-wide, and a
         # cold replica shard served entirely from the shared store.
-        report.store_plans = len(store)
+        report.facts["store_plans"] = len(store)
         # A disk hit counts as a cache *hit* (hydrated, not compiled),
         # so misses count exactly the compiles a shard performed.
-        report.fleet_compiles = sum(w.cache.stats.misses for w in workers)
+        report.facts["fleet_compiles"] = sum(
+            w.cache.stats.misses for w in workers
+        )
         replica = FleetWorker(
             "cold-replica",
             shards[0],
@@ -340,11 +204,34 @@ def fleet_differential(
                 fleet_id=-(index + 1),
             )
             replica.pump(0)
-        report.cold_replica_compiles = replica.cache.stats.misses
-        report.cold_replica_disk_hits = replica.cache.stats.disk_hits
-    except Exception as exc:  # noqa: BLE001 — differential must report, not crash
-        report.error = f"{type(exc).__name__}: {exc}"
-    finally:
-        if owned_tmp is not None:
-            owned_tmp.cleanup()
+        report.facts["cold_replica_compiles"] = replica.cache.stats.misses
+        report.facts["cold_replica_disk_hits"] = replica.cache.stats.disk_hits
     return report
+
+
+def run_fleet_battery(
+    args: argparse.Namespace, validator: ScheduleValidator
+) -> List[CaseReport]:
+    """One traced fleet run across a mid-trace worker kill."""
+    return [fleet_differential(
+        num_workers=args.fleet_workers,
+        requests=args.fleet_requests,
+        seed=args.seed,
+    )]
+
+
+FLEET_BATTERY = Battery(
+    name="fleet",
+    help="differentially verify the fleet tier: every batch a shard served "
+         "must replay identically on a standalone server, request "
+         "accounting must close across a mid-trace worker kill, and a cold "
+         "replica must serve every plan from the shared store with zero "
+         "compiles",
+    run=run_fleet_battery,
+    options=(
+        option("--fleet-workers", type=positive_int, default=4,
+               help="shard count for the --fleet stage (default 4)"),
+        option("--fleet-requests", type=positive_int, default=400,
+               help="trace length for the --fleet stage (default 400)"),
+    ),
+)

@@ -33,12 +33,16 @@ definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+import argparse
+import tempfile
+from typing import List, Mapping, Optional
 
+from repro.cnn.workloads import load_workload
 from repro.core.paraconv import ParaConv
+from repro.fleet.router import FleetRouter
+from repro.fleet.store import SharedPlanStore
+from repro.fleet.worker import FleetWorker
 from repro.graph.randwired import (
-    RANDWIRED_SPECS,
     RandwiredSpec,
     randwired_graph,
     reseeded,
@@ -47,198 +51,43 @@ from repro.graph.taskgraph import TaskGraph
 from repro.pim.config import PimConfig
 from repro.runtime.plan_cache import PlanCache
 from repro.runtime.server import BatchingServer
-from repro.sim.executor import ScheduleExecutor
-from repro.sim.modes import SimMode
-from repro.sim.sinks import NullSink
+from repro.verify.harness import (
+    Battery,
+    CaseReport,
+    hold_to_cold_compile,
+    machine,
+    option,
+    positive_int,
+    run_case,
+)
 from repro.verify.validator import ScheduleValidator
 
 __all__ = [
-    "RewireCaseReport",
-    "RewireDifferentialReport",
-    "RewireMismatch",
-    "RandwiredPropertyReport",
+    "REWIRE_BATTERY",
+    "fleet_rewire_case",
     "randwired_property_battery",
     "rewire_case",
     "rewire_differential",
+    "rewire_verdict",
 ]
 
 
-@dataclass(frozen=True)
-class RewireMismatch:
-    """One aggregate field where post-swap serving and cold compile differ."""
-
-    field: str
-    post_swap_value: object
-    cold_value: object
-
-    def describe(self) -> str:
-        return (
-            f"{self.field}: post_swap={self.post_swap_value!r} "
-            f"cold={self.cold_value!r}"
+def rewire_verdict(facts: Mapping[str, object]) -> List[str]:
+    """The rewire invariants over one case's facts: no admitted request
+    lost across the cut-point, and repeat swaps find every plan warm
+    (``repeat_recompiles`` on a server, ``repeat_warm`` on a fleet)."""
+    failures = []
+    if facts.get("lost") != 0:
+        failures.append(f"lost={facts.get('lost')} (want 0)")
+    if "repeat_warm" in facts:
+        if facts["repeat_warm"] is not True:
+            failures.append("a repeat swap recompiled a warm plan")
+    elif facts.get("repeat_recompiles") != 0:
+        failures.append(
+            f"repeat swaps recompiled {facts.get('repeat_recompiles')} "
+            f"time(s) (want 0)"
         )
-
-
-@dataclass
-class RewireCaseReport:
-    """Outcome of one old-graph -> new-graph live-rewire comparison."""
-
-    workload: str
-    new_graph: str
-    cut_point: str
-    iterations: int
-    mismatches: List[RewireMismatch] = field(default_factory=list)
-    #: requests served on the old plan at the cut-point ("drain").
-    drained: int = 0
-    #: queued requests carried across the swap ("reroute").
-    rerouted: int = 0
-    #: admitted - served - queued after the full scenario; must be 0.
-    lost: Optional[int] = None
-    #: swaps the session performed (first + the two repeats).
-    graph_swaps: int = 0
-    #: recompiles across the *repeat* swaps — must be 0 (warm plans).
-    repeat_recompiles: Optional[int] = None
-    #: validator errors in the cold reference plan (must be 0).
-    validator_errors: int = 0
-    #: unexpected exception text (None on a clean run).
-    error: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        if self.error is not None or self.mismatches:
-            return False
-        if self.lost not in (None, 0):
-            return False
-        if self.repeat_recompiles not in (None, 0):
-            return False
-        return self.validator_errors == 0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "workload": self.workload,
-            "new_graph": self.new_graph,
-            "cut_point": self.cut_point,
-            "iterations": self.iterations,
-            "ok": self.ok,
-            "mismatches": [
-                {
-                    "field": m.field,
-                    "post_swap": repr(m.post_swap_value),
-                    "cold": repr(m.cold_value),
-                }
-                for m in self.mismatches
-            ],
-            "drained": self.drained,
-            "rerouted": self.rerouted,
-            "lost": self.lost,
-            "graph_swaps": self.graph_swaps,
-            "repeat_recompiles": self.repeat_recompiles,
-            "validator_errors": self.validator_errors,
-            "error": self.error,
-        }
-
-    def describe(self) -> str:
-        tag = (
-            f"{self.workload}->{self.new_graph} [{self.cut_point}] "
-            f"N={self.iterations}"
-        )
-        if self.ok:
-            return (
-                f"{tag}: ok [drained={self.drained} "
-                f"rerouted={self.rerouted} "
-                f"repeat={self.repeat_recompiles}rc]"
-            )
-        if self.error is not None:
-            return f"{tag}: ERROR {self.error}"
-        details = "; ".join(m.describe() for m in self.mismatches)
-        return (
-            f"{tag}: FAIL lost={self.lost} "
-            f"repeat={self.repeat_recompiles} "
-            f"validator_errors={self.validator_errors} {details}"
-        )
-
-
-@dataclass
-class RandwiredPropertyReport:
-    """Seeded ER/WS/BA sweep: determinism + legality of every graph."""
-
-    cases: int = 0
-    failures: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.cases > 0 and not self.failures
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "cases": self.cases,
-            "ok": self.ok,
-            "failures": list(self.failures),
-        }
-
-    def describe(self) -> str:
-        if self.ok:
-            return f"randwired battery: ok [{self.cases} graphs]"
-        return (
-            f"randwired battery: FAIL {len(self.failures)}/{self.cases} — "
-            + "; ".join(self.failures)
-        )
-
-
-@dataclass
-class RewireDifferentialReport:
-    """Everything the ``--rewire`` battery verified."""
-
-    cases: List[RewireCaseReport] = field(default_factory=list)
-    randwired: RandwiredPropertyReport = field(
-        default_factory=RandwiredPropertyReport
-    )
-    #: fleet-level zero-loss check: accounting residual after a rewire
-    #: with queued traffic (must be 0; None when the stage errored).
-    fleet_lost: Optional[int] = None
-    #: queued requests the fleet rerouted across the swap.
-    fleet_rerouted: int = 0
-    #: True when the fleet repeat swap found every plan warm.
-    fleet_repeat_warm: Optional[bool] = None
-    error: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        if self.error is not None:
-            return False
-        if any(not case.ok for case in self.cases):
-            return False
-        if not self.randwired.ok:
-            return False
-        if self.fleet_lost not in (None, 0):
-            return False
-        return self.fleet_repeat_warm in (None, True)
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "ok": self.ok,
-            "cases": [case.as_dict() for case in self.cases],
-            "randwired": self.randwired.as_dict(),
-            "fleet_lost": self.fleet_lost,
-            "fleet_rerouted": self.fleet_rerouted,
-            "fleet_repeat_warm": self.fleet_repeat_warm,
-            "error": self.error,
-        }
-
-    def describe(self) -> str:
-        lines = ["rewire differential:"]
-        for case in self.cases:
-            lines.append(f"  {case.describe()}")
-        lines.append(f"  {self.randwired.describe()}")
-        fleet = (
-            f"  fleet: lost={self.fleet_lost} "
-            f"rerouted={self.fleet_rerouted} "
-            f"repeat_warm={self.fleet_repeat_warm}"
-        )
-        lines.append(fleet)
-        if self.error is not None:
-            lines.append(f"  ERROR {self.error}")
-        lines.append(f"overall rewire: {'ok' if self.ok else 'FAIL'}")
-        return "\n".join(lines)
+    return failures
 
 
 def rewire_case(
@@ -251,7 +100,7 @@ def rewire_case(
     allocator: str = "dp",
     num_vaults: int = 32,
     validator: Optional[ScheduleValidator] = None,
-) -> RewireCaseReport:
+) -> CaseReport:
     """Assert post-swap serving == cold compile of the new graph.
 
     The scenario: serve one warm batch of ``old_graph``, queue ``queued``
@@ -260,16 +109,11 @@ def rewire_case(
     ``iterations`` inferences and compare its aggregate signature against
     an independently compiled full-unroll execution of the new graph.
     """
-    report = RewireCaseReport(
-        workload=old_graph.name,
-        new_graph=new_graph.name,
-        cut_point=cut_point,
-        iterations=iterations,
-    )
     workload = old_graph.name
     bystander = f"{workload}-bystander"
     graphs = {workload: old_graph, bystander: old_graph}
-    try:
+    label = f"{workload}->{new_graph.name} [{cut_point}] N={iterations}"
+    with run_case("rewire", label, rewire_verdict) as report:
         server = BatchingServer(
             config,
             cache=PlanCache(),
@@ -285,8 +129,8 @@ def rewire_case(
         server.submit(bystander, iterations=1)
 
         result = server.rewire(workload, new_graph, cut_point=cut_point)
-        report.drained = result.drained_requests
-        report.rerouted = result.rerouted
+        report.facts["drained"] = result.drained_requests
+        report.facts["rerouted"] = result.rerouted
         server.drain()
 
         # Post-swap differential batch: one request, dedicated trace.
@@ -294,27 +138,16 @@ def rewire_case(
         server.drain()
         session = server.sessions()[workload]
         assert session.last_trace is not None
-        candidate = session.last_trace.aggregate_signature()
-
-        cold_plan = ParaConv(config, allocator_name=allocator).run(new_graph)
-        cold_trace = ScheduleExecutor(
-            config, num_vaults=num_vaults, mode=SimMode.FULL_UNROLL
-        ).execute(cold_plan, iterations=iterations, sink=NullSink())
-        reference = cold_trace.aggregate_signature()
-        for key in sorted(set(reference) | set(candidate)):
-            cold_value = reference.get(key)
-            post_value = candidate.get(key)
-            if cold_value != post_value:
-                report.mismatches.append(
-                    RewireMismatch(
-                        field=key,
-                        post_swap_value=post_value,
-                        cold_value=cold_value,
-                    )
-                )
-
-        battery = (validator or ScheduleValidator()).validate(cold_plan)
-        report.validator_errors = len(battery.errors())
+        hold_to_cold_compile(
+            report,
+            session.last_trace.aggregate_signature(),
+            new_graph,
+            config,
+            iterations,
+            allocator=allocator,
+            num_vaults=num_vaults,
+            validator=validator or ScheduleValidator(),
+        )
 
         # Repeat swaps: old and new plans are both warm now, so neither
         # direction may recompile.
@@ -323,25 +156,21 @@ def rewire_case(
         server.drain()
         server.rewire(workload, new_graph, cut_point=cut_point)
         server.drain()
-        report.graph_swaps = session.graph_swaps
-        report.repeat_recompiles = session.swap_recompiles - recompiles_before
+        report.facts["graph_swaps"] = session.graph_swaps
+        report.facts["repeat_recompiles"] = (
+            session.swap_recompiles - recompiles_before
+        )
 
         snap = server.metrics.snapshot()["counters"]
-        report.lost = (
+        report.facts["lost"] = (
             snap.get("requests_accepted", 0)
             - snap.get("requests_served", 0)
             - server.queue_depth
         )
-    except Exception as exc:  # noqa: BLE001 — differential must report, not crash
-        report.error = f"{type(exc).__name__}: {exc}"
     return report
 
 
-def _fleet_check(
-    report: RewireDifferentialReport,
-    new_graph: TaskGraph,
-    requests: int = 8,
-) -> None:
+def fleet_rewire_case(new_graph: TaskGraph, requests: int = 8) -> CaseReport:
     """Zero-loss rewire through the router: reroute + affinity remap.
 
     Shards share a plan store (the production configuration), so the
@@ -349,18 +178,13 @@ def _fleet_check(
     *different* shard under the new digest — still finds warm plans:
     compiled once anywhere, warm everywhere.
     """
-    import tempfile
-
-    from repro.fleet.router import FleetRouter
-    from repro.fleet.store import SharedPlanStore
-    from repro.fleet.worker import FleetWorker
-
-    base = PimConfig(num_pes=64)
-    with tempfile.TemporaryDirectory(prefix="rewire-store-") as tmp:
+    label = f"fleet cat->{new_graph.name} [reroute]"
+    with run_case("rewire", label, rewire_verdict) as report, \
+            tempfile.TemporaryDirectory(prefix="rewire-store-") as tmp:
         store = SharedPlanStore(tmp)
         workers = [
             FleetWorker(f"w{i}", part, store=store)
-            for i, part in enumerate(base.split(4))
+            for i, part in enumerate(PimConfig(num_pes=64).split(4))
         ]
         router = FleetRouter(workers)
         # Warm the old plan with served traffic before the swap.
@@ -370,18 +194,19 @@ def _fleet_check(
         for _ in range(requests):
             router.submit("cat", iterations=1)
         swap = router.rewire("cat", new_graph, cut_point="reroute")
-        report.fleet_rerouted = swap.rerouted
+        report.facts["rerouted"] = swap.rerouted
         router.drain()
         repeat = router.rewire(
             "cat", router.graph_loader("cat"), cut_point="reroute"
         )
-        report.fleet_repeat_warm = (
+        report.facts["repeat_warm"] = (
             not repeat.recompiled
             and not router.rewire(
                 "cat", new_graph, cut_point="reroute"
             ).recompiled
         )
-        report.fleet_lost = router.accounting()["lost"]
+        report.facts["lost"] = router.accounting()["lost"]
+    return report
 
 
 def randwired_property_battery(
@@ -389,12 +214,13 @@ def randwired_property_battery(
     specs: Optional[List[RandwiredSpec]] = None,
     seeds: int = 3,
     validator: Optional[ScheduleValidator] = None,
-) -> RandwiredPropertyReport:
+) -> List[CaseReport]:
     """Determinism + legality across a seeded ER/WS/BA sweep.
 
     Every spec is regenerated twice (fingerprints must match — the graph
     is a pure function of the spec) and compiled through the full
-    pipeline; validator errors are failures by definition.
+    pipeline; validator errors are failures by definition. One case per
+    graph.
     """
     config = config or PimConfig(num_pes=16)
     validator = validator or ScheduleValidator()
@@ -407,25 +233,21 @@ def randwired_property_battery(
         specs = [
             reseeded(spec, seed) for spec in base for seed in range(seeds)
         ]
-    report = RandwiredPropertyReport()
+    reports: List[CaseReport] = []
     for spec in specs:
-        report.cases += 1
-        tag = f"{spec.kind}/n{spec.num_vertices}/s{spec.seed}"
-        try:
+        label = f"randwired {spec.kind}/n{spec.num_vertices}/s{spec.seed}"
+        with run_case("rewire", label) as report:
             graph = randwired_graph(spec)
-            again = randwired_graph(spec)
-            if graph.fingerprint() != again.fingerprint():
-                report.failures.append(f"{tag}: fingerprint not deterministic")
-                continue
-            plan = ParaConv(config).run(graph)
-            errors = validator.validate(plan).errors()
-            if errors:
-                report.failures.append(
-                    f"{tag}: {len(errors)} validator errors ({errors[0]})"
+            if graph.fingerprint() != randwired_graph(spec).fingerprint():
+                report.failures.append("fingerprint not deterministic")
+            else:
+                plan = ParaConv(config).run(graph)
+                report.failures.extend(
+                    str(violation)
+                    for violation in validator.validate(plan).errors()
                 )
-        except Exception as exc:  # noqa: BLE001 — battery must report, not crash
-            report.failures.append(f"{tag}: {type(exc).__name__}: {exc}")
-    return report
+        reports.append(report)
+    return reports
 
 
 def rewire_differential(
@@ -433,33 +255,52 @@ def rewire_differential(
     iterations: int = 20,
     seeds: int = 3,
     validator: Optional[ScheduleValidator] = None,
-) -> RewireDifferentialReport:
+) -> List[CaseReport]:
     """The full ``--rewire`` battery: cases + fleet + randwired sweep."""
-    from repro.cnn.workloads import load_workload
-
     config = config or PimConfig(num_pes=16)
-    report = RewireDifferentialReport()
-    try:
-        cases = [
+    reports = [
+        rewire_case(
+            load_workload(old_name),
+            load_workload(new_name),
+            config,
+            cut_point=cut_point,
+            iterations=iterations,
+            validator=validator,
+        )
+        for old_name, new_name, cut_point in (
             ("cat", "randwired-er", "drain"),
             ("randwired-er", "randwired-ba", "reroute"),
             ("flower", "randwired-ws", "drain"),
-        ]
-        for old_name, new_name, cut_point in cases:
-            report.cases.append(
-                rewire_case(
-                    load_workload(old_name),
-                    load_workload(new_name),
-                    config,
-                    cut_point=cut_point,
-                    iterations=iterations,
-                    validator=validator,
-                )
-            )
-        _fleet_check(report, load_workload("randwired-er"))
-        report.randwired = randwired_property_battery(
-            config, seeds=seeds, validator=validator
         )
-    except Exception as exc:  # noqa: BLE001 — differential must report, not crash
-        report.error = f"{type(exc).__name__}: {exc}"
-    return report
+    ]
+    reports.append(fleet_rewire_case(load_workload("randwired-er")))
+    reports.extend(randwired_property_battery(
+        config, seeds=seeds, validator=validator
+    ))
+    return reports
+
+
+def run_rewire_battery(
+    args: argparse.Namespace, validator: ScheduleValidator
+) -> List[CaseReport]:
+    """Three live-rewire cases, the fleet rewire, the randwired sweep."""
+    return rewire_differential(
+        config=machine(args), seeds=args.rewire_seeds, validator=validator
+    )
+
+
+REWIRE_BATTERY = Battery(
+    name="rewire",
+    help="differentially verify live rewiring: post-swap serving must "
+         "match a cold compile of the new graph field by field, queued "
+         "requests must cross the cut-point with zero loss (single server "
+         "and fleet), repeat swaps must not recompile, and the seeded "
+         "ER/WS/BA randwired battery must be deterministic and "
+         "validator-clean",
+    run=run_rewire_battery,
+    options=(
+        option("--rewire-seeds", type=positive_int, default=3,
+               help="seeds per family for the --rewire randwired battery "
+                    "(default 3)"),
+    ),
+)

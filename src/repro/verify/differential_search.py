@@ -32,15 +32,25 @@ Surfaced by ``python -m repro.verify --search`` and pinned by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+import argparse
+from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
+from repro.cnn.workloads import load_workload
 from repro.core.allocation import AllocationProblem, dp_allocate
 from repro.core.paraconv import ParaConv
 from repro.core.retiming import analyze_edges
 from repro.core.search import AllocatorPortfolio, AnnealAllocator
 from repro.graph.taskgraph import TaskGraph
 from repro.pim.config import PimConfig
+from repro.verify.harness import (
+    Battery,
+    CaseReport,
+    benchmark_names,
+    machine,
+    non_negative_int,
+    option,
+    run_case,
+)
 from repro.verify.oracle import (
     DEFAULT_EXHAUSTIVE_LIMIT,
     OracleSizeError,
@@ -52,73 +62,6 @@ from repro.verify.validator import ScheduleValidator
 #: degenerate 0-eval run (must return the DP seed verbatim) and the
 #: default production budget.
 DEFAULT_BUDGET_LADDER: Tuple[int, ...] = (0, 100, 500, 2000)
-
-
-@dataclass
-class SearchDifferentialReport:
-    """Outcome of the search battery on one (workload, variant) pair.
-
-    Attributes:
-        workload: graph name.
-        variant: machine variant label (``healthy``, ``degraded``,
-            ``shard-0`` ...).
-        num_items: competing intermediate results in the instance.
-        capacity_slots: per-group cache capacity of the instance.
-        profits: achieved profit per method (``dp``, ``anneal``,
-            ``portfolio``; plus ``exhaustive`` when enumerable).
-        exhaustive_checked: whether oracle equality was enforced.
-        budget_profits: anneal profit at every ladder budget, in ladder
-            order — the anytime curve the monotone check walks.
-        validator_errors: errors from the full validator battery on the
-            compiled ``anneal`` plan (empty means the plan is valid).
-        failures: human-readable description of every broken promise.
-    """
-
-    workload: str
-    variant: str
-    num_items: int
-    capacity_slots: int
-    profits: Dict[str, int] = field(default_factory=dict)
-    exhaustive_checked: bool = False
-    budget_profits: Dict[int, int] = field(default_factory=dict)
-    validator_errors: List[str] = field(default_factory=list)
-    failures: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures and not self.validator_errors
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "workload": self.workload,
-            "variant": self.variant,
-            "num_items": self.num_items,
-            "capacity_slots": self.capacity_slots,
-            "profits": dict(self.profits),
-            "exhaustive_checked": self.exhaustive_checked,
-            "budget_profits": {
-                str(budget): profit
-                for budget, profit in self.budget_profits.items()
-            },
-            "validator_errors": list(self.validator_errors),
-            "ok": self.ok,
-            "failures": list(self.failures),
-        }
-
-    def describe(self) -> str:
-        mode = "exhaustive" if self.exhaustive_checked else "dominance"
-        curve = " -> ".join(
-            f"{budget}:{profit}"
-            for budget, profit in self.budget_profits.items()
-        )
-        verdict = "ok" if self.ok else "FAIL"
-        return (
-            f"{self.workload}/{self.variant}: {verdict} "
-            f"[{mode}] dp={self.profits.get('dp')} "
-            f"anneal={self.profits.get('anneal')} "
-            f"portfolio={self.profits.get('portfolio')} "
-            f"ladder {curve}"
-        )
 
 
 def machine_variants(
@@ -160,6 +103,53 @@ def allocation_instance(
     return AllocationProblem.from_timings(timings, capacity), plan.group_width
 
 
+
+
+def search_verdict(facts: Mapping[str, Any]) -> List[str]:
+    """The search invariants over one case's facts.
+
+    The annealer and the portfolio must be capacity-feasible, never below
+    the DP seed, and equal to the brute-force optimum when one was
+    enumerated; both exhaustive-oracle engines must agree; and the anytime
+    curve must stay at or above the DP seed and never fall as the budget
+    grows.
+    """
+    failures = []
+    dp = facts["dp"]
+    exhaustive = facts.get("exhaustive")
+    for name in ("anneal", "portfolio"):
+        profit, slots = facts[name], facts[f"{name}_slots"]
+        if slots > facts["capacity_slots"]:
+            failures.append(
+                f"{name} is capacity-infeasible: {slots} slots used against "
+                f"{facts['capacity_slots']}"
+            )
+        if profit < dp:
+            failures.append(
+                f"{name} profit {profit} regressed below the DP seed {dp}"
+            )
+        if exhaustive is not None and profit != exhaustive:
+            failures.append(
+                f"{name} profit {profit} != brute-force optimum {exhaustive} "
+                f"(n={facts['num_items']}, S={facts['capacity_slots']})"
+            )
+    if facts.get("oracle_engines_agree") is False:
+        failures.append("exhaustive oracle engines diverged")
+    previous: Optional[int] = None
+    for budget, profit in facts["ladder"].items():
+        if profit < dp:
+            failures.append(
+                f"anneal:{budget} profit {profit} below the DP seed {dp}"
+            )
+        if previous is not None and profit < previous:
+            failures.append(
+                f"anytime monotonicity broken: profit {profit} at budget "
+                f"{budget} < {previous} at the previous rung"
+            )
+        previous = profit
+    return failures
+
+
 def search_differential(
     graph: TaskGraph,
     config: PimConfig,
@@ -167,161 +157,96 @@ def search_differential(
     validator: Optional[ScheduleValidator] = None,
     oracle_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
     seed: int = 0,
-    variants: Optional[List[Tuple[str, PimConfig]]] = None,
-    with_validator: bool = True,
-) -> List[SearchDifferentialReport]:
-    """Run the full search battery for one workload, all machine variants."""
+) -> List[CaseReport]:
+    """Run the full search battery for one workload, all machine variants.
+
+    Each variant's ``anneal`` plan is also compiled at the DP's width and
+    pushed through the full validator; its errors are failures.
+    """
     ladder = sorted(set(budgets if budgets is not None
                         else DEFAULT_BUDGET_LADDER))
     validator = validator or ScheduleValidator()
-    views = variants if variants is not None else machine_variants(config)
-    reports: List[SearchDifferentialReport] = []
-    for label, machine in views:
-        problem, width = allocation_instance(graph, machine)
-        report = SearchDifferentialReport(
-            workload=graph.name,
-            variant=label,
-            num_items=problem.num_items,
-            capacity_slots=problem.capacity_slots,
-        )
-
-        dp = dp_allocate(problem)
-        anneal = AnnealAllocator(seed=seed)(problem)
-        portfolio = AllocatorPortfolio(seed=seed)(problem)
-        report.profits["dp"] = dp.total_delta_r
-        report.profits["anneal"] = anneal.total_delta_r
-        report.profits["portfolio"] = portfolio.total_delta_r
-
-        for name, result in (("anneal", anneal), ("portfolio", portfolio)):
-            if result.slots_used > problem.capacity_slots:
-                report.failures.append(
-                    f"{name} is capacity-infeasible: {result.slots_used} "
-                    f"slots used against {problem.capacity_slots}"
-                )
-            if result.total_delta_r < dp.total_delta_r:
-                report.failures.append(
-                    f"{name} profit {result.total_delta_r} regressed below "
-                    f"the DP seed {dp.total_delta_r}"
-                )
-
-        try:
-            exhaustive = exhaustive_allocate(problem, limit=oracle_limit)
-        except OracleSizeError:
-            exhaustive = None
-        if exhaustive is not None:
-            report.exhaustive_checked = True
-            report.profits["exhaustive"] = exhaustive.total_delta_r
-            for name, result in (("anneal", anneal),
-                                 ("portfolio", portfolio)):
-                if result.total_delta_r != exhaustive.total_delta_r:
-                    report.failures.append(
-                        f"{name} profit {result.total_delta_r} != "
-                        f"brute-force optimum {exhaustive.total_delta_r} "
-                        f"(n={problem.num_items}, "
-                        f"S={problem.capacity_slots})"
-                    )
-            # The vectorized oracle must agree with the incumbent scan.
-            object_exhaustive = exhaustive_allocate(
-                problem, limit=oracle_limit, engine="object"
-            )
-            if (
-                exhaustive.placements != object_exhaustive.placements
-                or exhaustive.cached != object_exhaustive.cached
-                or exhaustive.total_delta_r
-                != object_exhaustive.total_delta_r
-                or exhaustive.slots_used != object_exhaustive.slots_used
+    reports: List[CaseReport] = []
+    for label, machine_config in machine_variants(config):
+        with run_case(
+            "search", f"{graph.name}/{label}", search_verdict
+        ) as report:
+            problem, width = allocation_instance(graph, machine_config)
+            facts = report.facts
+            facts["num_items"] = problem.num_items
+            facts["capacity_slots"] = problem.capacity_slots
+            facts["dp"] = dp_allocate(problem).total_delta_r
+            for name, allocator in (
+                ("anneal", AnnealAllocator(seed=seed)),
+                ("portfolio", AllocatorPortfolio(seed=seed)),
             ):
-                report.failures.append(
-                    "exhaustive oracle engines diverged: columnar="
-                    f"{exhaustive.cached!r} object="
-                    f"{object_exhaustive.cached!r}"
+                result = allocator(problem)
+                facts[name] = result.total_delta_r
+                facts[f"{name}_slots"] = result.slots_used
+            try:
+                exhaustive = exhaustive_allocate(problem, limit=oracle_limit)
+            except OracleSizeError:
+                exhaustive = None
+            facts["mode"] = "dominance" if exhaustive is None else "exhaustive"
+            if exhaustive is not None:
+                facts["exhaustive"] = exhaustive.total_delta_r
+                scan = exhaustive_allocate(
+                    problem, limit=oracle_limit, engine="object"
                 )
-
-        previous: Optional[int] = None
-        for budget in ladder:
-            profit = AnnealAllocator(
-                max_evals=budget, seed=seed
-            )(problem).total_delta_r
-            report.budget_profits[budget] = profit
-            if profit < dp.total_delta_r:
-                report.failures.append(
-                    f"anneal:{budget} profit {profit} below the DP seed "
-                    f"{dp.total_delta_r}"
+                facts["oracle_engines_agree"] = (
+                    exhaustive.placements == scan.placements
+                    and exhaustive.cached == scan.cached
+                    and exhaustive.total_delta_r == scan.total_delta_r
+                    and exhaustive.slots_used == scan.slots_used
                 )
-            if previous is not None and profit < previous:
-                report.failures.append(
-                    f"anytime monotonicity broken: profit {profit} at "
-                    f"budget {budget} < {previous} at the previous rung"
-                )
-            previous = profit
-
-        if with_validator:
+            facts["ladder"] = {
+                budget: AnnealAllocator(max_evals=budget, seed=seed)(
+                    problem
+                ).total_delta_r
+                for budget in ladder
+            }
             plan = ParaConv(
-                machine, allocator_name="anneal", validate=False
+                machine_config, allocator_name="anneal", validate=False
             ).run_at_width(graph, width)
-            verdict = validator.validate(plan)
-            report.validator_errors = [
-                str(violation) for violation in verdict.errors()
-            ]
+            report.failures.extend(
+                f"anneal plan: {violation}"
+                for violation in validator.validate(plan).errors()
+            )
         reports.append(report)
     return reports
 
 
-@dataclass
-class SearchSweepOutcome:
-    """Aggregate of the search battery over a benchmark sweep."""
-
-    config: PimConfig
-    budgets: List[int]
-    reports: List[SearchDifferentialReport] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(report.ok for report in self.reports)
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "config": self.config.to_dict(),
-            "budgets": list(self.budgets),
-            "ok": self.ok,
-            "reports": [report.as_dict() for report in self.reports],
-        }
-
-    def summary(self) -> str:
-        lines = [
-            f"search differential on {self.config.describe()}",
-            f"budget ladder: {', '.join(str(b) for b in self.budgets)}",
-        ]
-        lines.extend(f"  {report.describe()}" for report in self.reports)
-        lines.append(f"overall: {'ok' if self.ok else 'FAIL'}")
-        return "\n".join(lines)
-
-
-def search_differential_sweep(
-    config: Optional[PimConfig] = None,
-    benchmarks: Optional[List[str]] = None,
-    budgets: Optional[Sequence[int]] = None,
-    validator: Optional[ScheduleValidator] = None,
-    oracle_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
-    seed: int = 0,
-) -> SearchSweepOutcome:
-    """Run the search battery over the paper benchmarks."""
-    from repro.graph.generators import BENCHMARK_SIZES, synthetic_benchmark
-
-    config = config or PimConfig()
-    names = benchmarks if benchmarks is not None else list(BENCHMARK_SIZES)
-    ladder = sorted(set(budgets if budgets is not None
-                        else DEFAULT_BUDGET_LADDER))
-    outcome = SearchSweepOutcome(config=config, budgets=ladder)
-    for name in names:
-        outcome.reports.extend(
-            search_differential(
-                synthetic_benchmark(name),
-                config,
-                budgets=ladder,
-                validator=validator,
-                oracle_limit=oracle_limit,
-                seed=seed,
-            )
+def run_search_battery(
+    args: argparse.Namespace, validator: ScheduleValidator
+) -> List[CaseReport]:
+    """Every benchmark on every machine variant."""
+    config = machine(args)
+    return [
+        report
+        for name in benchmark_names(args)
+        for report in search_differential(
+            load_workload(name),
+            config,
+            budgets=args.search_budgets,
+            validator=validator,
+            oracle_limit=args.oracle_limit,
+            seed=args.seed,
         )
-    return outcome
+    ]
+
+
+SEARCH_BATTERY = Battery(
+    name="search",
+    help="differentially verify the search allocators: oracle equality on "
+         "enumerable instances, the DP lower bound and anytime monotonicity "
+         "at every ladder budget, full plan validation on healthy, degraded "
+         "and partitioned machines, and vectorized/scan exhaustive-oracle "
+         "identity",
+    run=run_search_battery,
+    options=(
+        option("--search-budgets", type=non_negative_int, nargs="+",
+               metavar="N", default=None,
+               help="budget ladder for the --search stage "
+                    "(default: 0 100 500 2000)"),
+    ),
+)

@@ -20,83 +20,34 @@ which is why this check rides in the ``python -m repro.verify`` CI gate
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import argparse
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.paraconv import ParaConvResult
+from repro.cnn.workloads import load_workload
+from repro.core.allocation import ALLOCATORS
+from repro.core.paraconv import ParaConv, ParaConvResult
+from repro.graph.taskgraph import TaskGraph
 from repro.pim.config import PimConfig
 from repro.sim.executor import ScheduleExecutor
 from repro.sim.modes import SimMode
 from repro.sim.sinks import NullSink
+from repro.verify.harness import (
+    Battery,
+    CaseReport,
+    benchmark_names,
+    diff_signatures,
+    full_unroll_signature,
+    machine,
+    option,
+    positive_int,
+    run_case,
+)
+from repro.verify.validator import ScheduleValidator
 
 #: iteration counts exercised by default: trivial (no steady state can
 #: engage), short (transient-dominated) and paper-scale (fast-forward
 #: dominates when the workload converges).
 DEFAULT_SIM_ITERATIONS: Tuple[int, ...] = (1, 20, 1000)
-
-@dataclass(frozen=True)
-class SimMismatch:
-    """One aggregate field where the two engines disagreed."""
-
-    field: str
-    full_value: object
-    steady_value: object
-
-    def describe(self) -> str:
-        return (
-            f"{self.field}: full={self.full_value!r} "
-            f"steady={self.steady_value!r}"
-        )
-
-
-@dataclass
-class SimDifferentialReport:
-    """Outcome of one full-vs-steady comparison on one plan."""
-
-    workload: str
-    iterations: int
-    mismatches: List[SimMismatch] = field(default_factory=list)
-    #: steady-engine observability (None converged_round: the engine ran
-    #: the whole horizon event by event, which is still a valid -- if
-    #: unaccelerated -- outcome).
-    converged_round: Optional[int] = None
-    converged_period: Optional[int] = None
-    rounds_fast_forwarded: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "workload": self.workload,
-            "iterations": self.iterations,
-            "ok": self.ok,
-            "mismatches": [
-                {
-                    "field": m.field,
-                    "full": repr(m.full_value),
-                    "steady": repr(m.steady_value),
-                }
-                for m in self.mismatches
-            ],
-            "converged_round": self.converged_round,
-            "converged_period": self.converged_period,
-            "rounds_fast_forwarded": self.rounds_fast_forwarded,
-        }
-
-    def describe(self) -> str:
-        ff = (
-            f"converged@{self.converged_round}"
-            f"(q={self.converged_period}) "
-            f"ff={self.rounds_fast_forwarded}"
-            if self.converged_round is not None
-            else "no-convergence"
-        )
-        if self.ok:
-            return f"{self.workload} N={self.iterations}: ok [{ff}]"
-        details = "; ".join(m.describe() for m in self.mismatches)
-        return f"{self.workload} N={self.iterations}: MISMATCH [{ff}] {details}"
 
 
 def differential_simulate(
@@ -104,39 +55,36 @@ def differential_simulate(
     config: Optional[PimConfig] = None,
     iterations: int = 1000,
     num_vaults: int = 32,
-) -> SimDifferentialReport:
+    label: Optional[str] = None,
+) -> CaseReport:
     """Hold the steady-state mode to the full-unroll oracle on one plan.
 
     Both modes run from a fresh machine with a :class:`NullSink` (the
     signature is sink-independent by construction). Every field of
     :meth:`~repro.sim.executor.ExecutionTrace.aggregate_signature` must
     match exactly -- no tolerance: the fast-forward splice is integer
-    arithmetic, so any deviation at all is a bug.
+    arithmetic, so any deviation at all is a bug. The steady run's
+    convergence observables are recorded as facts (``converged_round``
+    None: the engine ran the whole horizon event by event, which is still
+    a valid -- if unaccelerated -- outcome).
     """
-    machine = config or plan.config
-
-    def run(mode: SimMode):
-        return ScheduleExecutor(
-            machine, num_vaults=num_vaults, mode=mode
+    machine_config = config or plan.config
+    case = f"{label or plan.graph.name} N={iterations}"
+    with run_case("sim", case) as report:
+        reference = full_unroll_signature(
+            plan, machine_config, iterations, num_vaults
+        )
+        steady = ScheduleExecutor(
+            machine_config, num_vaults=num_vaults, mode=SimMode.STEADY_STATE
         ).execute(plan, iterations=iterations, sink=NullSink())
-
-    reference = run(SimMode.FULL_UNROLL).aggregate_signature()
-    steady = run(SimMode.STEADY_STATE)
-    report = SimDifferentialReport(
-        workload=plan.graph.name,
-        iterations=iterations,
-        converged_round=steady.converged_round,
-        converged_period=steady.converged_period,
-        rounds_fast_forwarded=steady.rounds_fast_forwarded,
-    )
-    candidate = steady.aggregate_signature()
-    for key in sorted(set(reference) | set(candidate)):
-        lhs = reference.get(key)
-        rhs = candidate.get(key)
-        if lhs != rhs:
-            report.mismatches.append(SimMismatch(
-                field=key, full_value=lhs, steady_value=rhs
-            ))
+        report.facts.update(
+            converged_round=steady.converged_round,
+            converged_period=steady.converged_period,
+            rounds_fast_forwarded=steady.rounds_fast_forwarded,
+        )
+        report.mismatches.extend(
+            diff_signatures(reference, steady.aggregate_signature())
+        )
     return report
 
 
@@ -145,11 +93,67 @@ def sim_differential_battery(
     config: Optional[PimConfig] = None,
     iteration_counts: Sequence[int] = DEFAULT_SIM_ITERATIONS,
     num_vaults: int = 32,
-) -> List[SimDifferentialReport]:
+    label: Optional[str] = None,
+) -> List[CaseReport]:
     """One plan across several batch sizes (transient and steady regimes)."""
     return [
         differential_simulate(
-            plan, config=config, iterations=n, num_vaults=num_vaults
+            plan, config=config, iterations=n, num_vaults=num_vaults,
+            label=label,
         )
         for n in iteration_counts
     ]
+
+
+def plans_at_dp_width(
+    graph: TaskGraph,
+    config: PimConfig,
+    allocators: Sequence[str],
+    dp_plan: Optional[ParaConvResult] = None,
+) -> Dict[str, ParaConvResult]:
+    """Every allocator's plan at the width the DP pipeline picked.
+
+    Reusing the DP's width validates every allocator on the same
+    kernel/grouping decision, isolating the allocation policy exactly like
+    the ablation experiments.
+    """
+    dp_plan = dp_plan or ParaConv(config, validate=False).run(graph)
+    return {
+        name: dp_plan if name == "dp" else ParaConv(
+            config, allocator_name=name, validate=False
+        ).run_at_width(graph, dp_plan.group_width)
+        for name in allocators
+    }
+
+
+def run_sim_battery(
+    args: argparse.Namespace, validator: ScheduleValidator
+) -> List[CaseReport]:
+    """Every benchmark x allocator plan at every ``--sim-iterations``."""
+    config = machine(args)
+    counts = args.sim_iterations or DEFAULT_SIM_ITERATIONS
+    reports: List[CaseReport] = []
+    for name in benchmark_names(args):
+        plans = plans_at_dp_width(
+            load_workload(name), config, args.allocators or sorted(ALLOCATORS)
+        )
+        for allocator, plan in plans.items():
+            reports.extend(sim_differential_battery(
+                plan, config=config, iteration_counts=counts,
+                label=f"{name}/{allocator}",
+            ))
+    return reports
+
+
+SIM_BATTERY = Battery(
+    name="sim",
+    help="differentially verify the steady-state simulation mode against "
+         "the full unroll (every aggregate must match exactly)",
+    run=run_sim_battery,
+    options=(
+        option("--sim-iterations", type=positive_int, nargs="+",
+               metavar="N", default=None,
+               help="batch sizes for the --sim stage "
+                    "(default: 1 20 1000)"),
+    ),
+)

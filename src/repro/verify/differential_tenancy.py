@@ -34,26 +34,37 @@ why this check rides in ``python -m repro.verify --tenancy``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+import argparse
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cnn.models import MODEL_BUILDERS
 from repro.cnn.partition import partition_network
+from repro.core.paraconv import ParaConv
 from repro.core.retiming import analyze_edges, delta_r_accounting
 from repro.pim.config import PimConfig, assert_disjoint
 from repro.pim.tenancy import TenantPlacement
-from repro.runtime.server import BatchingServer, RequestResult
 from repro.fleet.tenancy import TenantScheduler
 from repro.verify.differential_sim import sim_differential_battery
 from repro.verify.differential_search import search_differential
+from repro.verify.harness import (
+    Battery,
+    CaseReport,
+    Mismatch,
+    option,
+    positive_int,
+    replay_batches,
+    run_case,
+)
 from repro.verify.validator import ScheduleValidator
 
 __all__ = [
+    "TENANCY_BATTERY",
     "TENANCY_SCENARIOS",
-    "TenancyDifferentialReport",
-    "TenancyMismatch",
-    "TenancyScenarioReport",
+    "fused_verdict",
+    "run_scenario",
+    "scenario_verdict",
     "tenancy_differential",
+    "verify_fused_model",
 ]
 
 #: Workloads tenants serve: paper models whose steady-state sim converges
@@ -77,173 +88,25 @@ TENANCY_SCENARIOS = ("two-tenant", "three-tenant", "degraded-tenant")
 DEFAULT_FUSED_MODELS = ("alexnet", "vgg16")
 
 
-@dataclass(frozen=True)
-class TenancyMismatch:
-    """One divergence between co-resident serving and its isolated replay."""
-
-    tenant: str
-    kind: str  # "replay" | "counter"
-    detail: str
-    co_resident: object
-    isolated: object
-
-    def describe(self) -> str:
-        return (
-            f"{self.tenant} {self.kind} {self.detail}: "
-            f"co-resident={self.co_resident!r} isolated={self.isolated!r}"
-        )
+def scenario_verdict(facts: Mapping[str, object]) -> List[str]:
+    """Distinct plan identity: the shared cache ends the run holding
+    exactly one plan per (tenant, workload) pair."""
+    if facts.get("cached_plans") != facts.get("expected_plans"):
+        return [
+            f"cached_plans={facts.get('cached_plans')} (want "
+            f"{facts.get('expected_plans')}, one per tenant)"
+        ]
+    return []
 
 
-@dataclass
-class TenancyScenarioReport:
-    """Outcome of one co-residency scenario."""
-
-    scenario: str
-    tenants: List[str]
-    workloads: Dict[str, str]
-    requests: int
-    placement_fingerprint: str = ""
-    replayed_batches: int = 0
-    mismatches: List[TenancyMismatch] = field(default_factory=list)
-    #: "tenant/allocator: <error>" lines from the validator battery.
-    validator_failures: List[str] = field(default_factory=list)
-    #: plans the shared cache holds at the end (must be one per
-    #: (tenant, workload) pair — distinct identity per tenant).
-    cached_plans: int = 0
-    expected_plans: int = 0
-    error: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        if self.error is not None or self.mismatches:
-            return False
-        if self.validator_failures:
-            return False
-        return self.cached_plans == self.expected_plans
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "scenario": self.scenario,
-            "tenants": list(self.tenants),
-            "workloads": dict(self.workloads),
-            "requests": self.requests,
-            "ok": self.ok,
-            "placement_fingerprint": self.placement_fingerprint,
-            "replayed_batches": self.replayed_batches,
-            "mismatches": [m.describe() for m in self.mismatches],
-            "validator_failures": list(self.validator_failures),
-            "cached_plans": self.cached_plans,
-            "expected_plans": self.expected_plans,
-            "error": self.error,
-        }
-
-    def describe(self) -> str:
-        tag = f"tenancy[{self.scenario} x{len(self.tenants)} N={self.requests}]"
-        if self.ok:
-            return (
-                f"{tag}: ok [{self.replayed_batches} batches replayed, "
-                f"{self.cached_plans} distinct plans cached]"
-            )
-        if self.error is not None:
-            return f"{tag}: ERROR {self.error}"
-        details = "; ".join(
-            m.describe() for m in self.mismatches[:3]
-        ) or "; ".join(self.validator_failures[:3])
-        return (
-            f"{tag}: FAIL mismatches={len(self.mismatches)} "
-            f"validator={len(self.validator_failures)} "
-            f"plans={self.cached_plans}/{self.expected_plans} {details}"
-        )
-
-
-@dataclass
-class FusedModelReport:
-    """Fused-mode lowering held to the stock sim/search differentials."""
-
-    model: str
-    unfused_ops: int = 0
-    fused_ops: int = 0
-    fused_stages: int = 0
-    ops_absorbed: int = 0
-    #: every fused run's tasks sum to its member layers' MACs exactly.
-    work_conserved: bool = False
-    #: every op fusion did *not* absorb is bit-identical to its unfused
-    #: counterpart (same name, work, execution time, kind).
-    singletons_untouched: bool = False
-    sim_ok: bool = False
-    search_ok: bool = False
-    delta_r: Dict[str, int] = field(default_factory=dict)
-    error: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        if self.error is not None:
-            return False
-        return (
-            self.work_conserved
-            and self.singletons_untouched
-            and self.sim_ok
-            and self.search_ok
-        )
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "model": self.model,
-            "ok": self.ok,
-            "unfused_ops": self.unfused_ops,
-            "fused_ops": self.fused_ops,
-            "fused_stages": self.fused_stages,
-            "ops_absorbed": self.ops_absorbed,
-            "work_conserved": self.work_conserved,
-            "singletons_untouched": self.singletons_untouched,
-            "sim_ok": self.sim_ok,
-            "search_ok": self.search_ok,
-            "delta_r": dict(self.delta_r),
-            "error": self.error,
-        }
-
-    def describe(self) -> str:
-        tag = f"fused[{self.model} {self.unfused_ops}->{self.fused_ops} ops]"
-        if self.ok:
-            return (
-                f"{tag}: ok [{self.ops_absorbed} stages absorbed, "
-                f"sim+search differentials pass unchanged]"
-            )
-        if self.error is not None:
-            return f"{tag}: ERROR {self.error}"
-        return (
-            f"{tag}: FAIL work={self.work_conserved} "
-            f"singletons={self.singletons_untouched} sim={self.sim_ok} "
-            f"search={self.search_ok}"
-        )
-
-
-@dataclass
-class TenancyDifferentialReport:
-    """Outcome of the whole tenancy + fused-dataflow differential."""
-
-    scenarios: List[TenancyScenarioReport] = field(default_factory=list)
-    fused: List[FusedModelReport] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        if not self.scenarios:
-            return False
-        return all(s.ok for s in self.scenarios) and all(
-            f.ok for f in self.fused
-        )
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "ok": self.ok,
-            "scenarios": [s.as_dict() for s in self.scenarios],
-            "fused": [f.as_dict() for f in self.fused],
-        }
-
-    def describe(self) -> str:
-        lines = [s.describe() for s in self.scenarios]
-        lines.extend(f.describe() for f in self.fused)
-        return "\n".join(lines)
+def fused_verdict(facts: Mapping[str, object]) -> List[str]:
+    """Fusion sums compute without inventing or dropping any, and leaves
+    every op it did not absorb exactly as the unfused lowering had it."""
+    return [
+        f"{name} is false"
+        for name in ("work_conserved", "singletons_untouched")
+        if facts.get(name) is not True
+    ]
 
 
 def _build_placement(
@@ -288,71 +151,6 @@ def _build_placement(
     return placement, workloads
 
 
-def _replay_tenant(
-    tenant: str,
-    view: PimConfig,
-    results: List[RequestResult],
-    batch_window: int,
-    allocator: str,
-    report: TenancyScenarioReport,
-) -> Optional[BatchingServer]:
-    """Replay one tenant's co-resident batches on a standalone server.
-
-    The standalone server runs on the *same partition view* with a fresh
-    private cache — an isolated run of the same tenant on the same
-    hardware slice. Same batch composition in, same per-request
-    ``sim_latency`` out, or co-residency changed what was computed.
-    """
-    if not results:
-        return None
-    baseline = BatchingServer(
-        view,
-        batch_window=batch_window,
-        max_queue=max(batch_window, len(results), 64),
-        allocator=allocator,
-    )
-    batches: Dict[int, List[RequestResult]] = {}
-    for res in results:
-        batches.setdefault(res.batch_id, []).append(res)
-    for batch_id in sorted(batches):
-        co_batch = batches[batch_id]
-        for res in co_batch:
-            baseline.submit(
-                res.request.workload, iterations=res.request.iterations
-            )
-        replay = baseline.step()
-        report.replayed_batches += 1
-        if len(replay) != len(co_batch):  # pragma: no cover - defensive
-            report.mismatches.append(
-                TenancyMismatch(
-                    tenant=tenant,
-                    kind="replay",
-                    detail=f"batch {batch_id} size",
-                    co_resident=len(co_batch),
-                    isolated=len(replay),
-                )
-            )
-            continue
-        for co_res, base_res in zip(co_batch, replay):
-            for field_name in ("sim_latency", "batch_size"):
-                co_value = getattr(co_res, field_name)
-                base_value = getattr(base_res, field_name)
-                if co_value != base_value:
-                    report.mismatches.append(
-                        TenancyMismatch(
-                            tenant=tenant,
-                            kind="replay",
-                            detail=(
-                                f"batch {batch_id} request "
-                                f"{co_res.request.request_id} {field_name}"
-                            ),
-                            co_resident=co_value,
-                            isolated=base_value,
-                        )
-                    )
-    return baseline
-
-
 def run_scenario(
     scenario: str,
     num_pes: int = 64,
@@ -362,19 +160,15 @@ def run_scenario(
     batch_window: int = 4,
     allocator: str = "dp",
     validator: Optional[ScheduleValidator] = None,
-) -> TenancyScenarioReport:
+) -> CaseReport:
     """Run one co-residency scenario end to end."""
     machine = PimConfig(num_pes=num_pes)
     placement, workloads = _build_placement(scenario, machine, num_vaults)
-    report = TenancyScenarioReport(
-        scenario=scenario,
-        tenants=list(placement.names),
-        workloads=workloads,
-        requests=requests_per_tenant * len(placement.names),
-        placement_fingerprint=placement.fingerprint(),
-    )
     validator = validator or ScheduleValidator()
-    try:
+    with run_case("tenancy", scenario, scenario_verdict) as report:
+        report.facts["tenants"] = len(placement.names)
+        report.facts["requests"] = requests_per_tenant * len(placement.names)
+        report.facts["workloads"] = workloads
         # Disjointness is the scenario's premise; prove it, don't assume.
         assert_disjoint(view for _, view in placement.items())
 
@@ -398,13 +192,13 @@ def run_scenario(
         co_totals: Dict[str, int] = {c: 0 for c in ADDITIVE_COUNTERS}
         for tenant in placement.names:
             server = scheduler.server_for(tenant)
-            baseline = _replay_tenant(
+            baseline = replay_batches(
+                report,
                 tenant,
-                placement.config_for(tenant),
                 server.results,
+                placement.config_for(tenant),
                 batch_window,
                 allocator,
-                report,
             )
             co_counters = server.metrics.snapshot()["counters"]
             base_counters = (
@@ -415,35 +209,26 @@ def run_scenario(
             for counter in ADDITIVE_COUNTERS:
                 co_totals[counter] += co_counters.get(counter, 0)
                 isolated_totals[counter] += base_counters.get(counter, 0)
-        for counter in ADDITIVE_COUNTERS:
-            if co_totals[counter] != isolated_totals[counter]:
-                report.mismatches.append(
-                    TenancyMismatch(
-                        tenant="<aggregate>",
-                        kind="counter",
-                        detail=counter,
-                        co_resident=co_totals[counter],
-                        isolated=isolated_totals[counter],
-                    )
-                )
+        report.mismatches.extend(
+            Mismatch("<aggregate>", counter, isolated_totals[counter],
+                     co_totals[counter])
+            for counter in ADDITIVE_COUNTERS
+            if co_totals[counter] != isolated_totals[counter]
+        )
 
         # 3. per-tenant validator battery on every compiled plan.
         for tenant in placement.names:
             for workload, session in (
                 scheduler.server_for(tenant).sessions().items()
             ):
-                verdict = validator.validate(session.plan)
-                if not verdict.ok:
-                    for violation in verdict.errors():
-                        report.validator_failures.append(
-                            f"{tenant}/{workload}: {violation}"
-                        )
+                report.failures.extend(
+                    f"{tenant}/{workload}: {violation}"
+                    for violation in validator.validate(session.plan).errors()
+                )
 
         # 4. distinct plan identity in the shared cache.
-        report.cached_plans = len(scheduler.cache)
-        report.expected_plans = len(placement.names)
-    except Exception as exc:  # noqa: BLE001 — differential must report, not crash
-        report.error = f"{type(exc).__name__}: {exc}"
+        report.facts["cached_plans"] = len(scheduler.cache)
+        report.facts["expected_plans"] = len(placement.names)
     return report
 
 
@@ -451,22 +236,25 @@ def verify_fused_model(
     model: str,
     num_pes: int = 16,
     validator: Optional[ScheduleValidator] = None,
-) -> FusedModelReport:
-    """Lower one paper model fused and hold it to sim+search differentials."""
-    report = FusedModelReport(model=model)
+) -> CaseReport:
+    """Lower one paper model fused and hold it to sim+search differentials.
+
+    The fused plan's sim mismatches and search failures become this
+    case's own, located by the inner case that found them.
+    """
     validator = validator or ScheduleValidator()
-    try:
+    with run_case("tenancy", f"fused-{model}", fused_verdict) as report:
         network = MODEL_BUILDERS[model]()
         info = network.infer_shapes()
         unfused = partition_network(network)
         fused = partition_network(network, fusion="auto")
-        report.unfused_ops = unfused.num_vertices
-        report.fused_ops = fused.num_vertices
-        report.ops_absorbed = sum(
-            op.fused_count - 1 for op in fused.operations()
-        )
-        report.fused_stages = sum(
+        report.facts["unfused_ops"] = unfused.num_vertices
+        report.facts["fused_ops"] = fused.num_vertices
+        report.facts["fused_stages"] = sum(
             1 for op in fused.operations() if op.fused_count > 1
+        )
+        report.facts["ops_absorbed"] = sum(
+            op.fused_count - 1 for op in fused.operations()
         )
 
         # Work conservation: each fused run's tasks (named "a+b#k") must
@@ -477,14 +265,14 @@ def verify_fused_model(
             if op.fused_count > 1:
                 run_work.setdefault(op.name.split("#")[0], 0)
                 run_work[op.name.split("#")[0]] += op.work
-        report.work_conserved = bool(run_work) and all(
+        report.facts["work_conserved"] = bool(run_work) and all(
             total == sum(info[member].macs for member in label.split("+"))
             for label, total in run_work.items()
         )
 
         # Ops outside every fused run must lower exactly as before.
         unfused_by_name = {op.name: op for op in unfused.operations()}
-        report.singletons_untouched = all(
+        report.facts["singletons_untouched"] = all(
             (ref := unfused_by_name.get(op.name)) is not None
             and ref.work == op.work
             and ref.execution_time == op.execution_time
@@ -494,25 +282,23 @@ def verify_fused_model(
         )
 
         config = PimConfig(num_pes=num_pes)
-        # The fused ΔR profile, for the record (and the eval bench).
-        from repro.core.paraconv import ParaConv
-
         plan = ParaConv(config, validate=False).run(fused)
+        # The fused ΔR profile, for the record (and the eval bench).
         timings = analyze_edges(fused, plan.schedule.kernel, config)
-        report.delta_r = delta_r_accounting(fused, timings).as_dict()
+        report.facts["delta_r"] = delta_r_accounting(fused, timings).as_dict()
 
-        sim_reports = sim_differential_battery(
+        inner = sim_differential_battery(
             plan, config=config, iteration_counts=[1, 20]
-        )
-        report.sim_ok = bool(sim_reports) and all(r.ok for r in sim_reports)
-        search_reports = search_differential(
+        ) + search_differential(
             fused, config, budgets=[64, 256], validator=validator
         )
-        report.search_ok = bool(search_reports) and all(
-            r.ok for r in search_reports
-        )
-    except Exception as exc:  # noqa: BLE001 — differential must report, not crash
-        report.error = f"{type(exc).__name__}: {exc}"
+        for case in inner:
+            report.mismatches.extend(case.mismatches)
+            report.failures.extend(
+                f"{case.battery}[{case.case}]: {text}"
+                for text in case.failures
+                + ([case.error] if case.error is not None else [])
+            )
     return report
 
 
@@ -526,22 +312,49 @@ def tenancy_differential(
     batch_window: int = 4,
     allocator: str = "dp",
     validator: Optional[ScheduleValidator] = None,
-) -> TenancyDifferentialReport:
+) -> List[CaseReport]:
     """Run every co-residency scenario plus the fused-dataflow stage."""
-    report = TenancyDifferentialReport()
-    for scenario in scenarios:
-        report.scenarios.append(
-            run_scenario(
-                scenario,
-                num_pes=num_pes,
-                num_vaults=num_vaults,
-                requests_per_tenant=requests_per_tenant,
-                iterations=iterations,
-                batch_window=batch_window,
-                allocator=allocator,
-                validator=validator,
-            )
+    reports = [
+        run_scenario(
+            scenario,
+            num_pes=num_pes,
+            num_vaults=num_vaults,
+            requests_per_tenant=requests_per_tenant,
+            iterations=iterations,
+            batch_window=batch_window,
+            allocator=allocator,
+            validator=validator,
         )
-    for model in fused_models:
-        report.fused.append(verify_fused_model(model, validator=validator))
-    return report
+        for scenario in scenarios
+    ]
+    reports.extend(
+        verify_fused_model(model, validator=validator) for model in fused_models
+    )
+    return reports
+
+
+def run_tenancy_battery(
+    args: argparse.Namespace, validator: ScheduleValidator
+) -> List[CaseReport]:
+    """Every co-residency scenario plus the fused-dataflow models."""
+    return tenancy_differential(
+        requests_per_tenant=args.tenancy_requests, validator=validator
+    )
+
+
+TENANCY_BATTERY = Battery(
+    name="tenancy",
+    help="differentially verify multi-tenant isolation: on 2-tenant, "
+         "3-tenant and degraded-partition co-residency scenarios, every "
+         "batch a tenant's server executed must replay identically on an "
+         "isolated server over the same partition, aggregate counters must "
+         "equal the sum of isolated runs, every tenant plan must pass the "
+         "full validator, and fused-dataflow lowerings must conserve work "
+         "and pass the sim and search differentials unchanged",
+    run=run_tenancy_battery,
+    options=(
+        option("--tenancy-requests", type=positive_int, default=12,
+               help="requests per tenant for the --tenancy stage "
+                    "(default 12)"),
+    ),
+)

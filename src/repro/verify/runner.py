@@ -1,19 +1,22 @@
-"""Benchmark x allocator verification sweeps.
+"""The schedule battery and the registry of every battery.
 
-Ties the three verification instruments together over the paper's
-workloads: for every (benchmark, allocator) pair the full pipeline is run
-and the resulting plan pushed through the :class:`ScheduleValidator`; per
-benchmark the allocation instance is differentially checked against the
-brute-force oracle (or dominance on large instances); and per benchmark a
-seeded fault-injection corpus scores the validator's detection rate.
+The schedule battery ties the three schedule instruments together over
+the paper's workloads: for every (benchmark, allocator) pair the full
+pipeline is run and the resulting plan pushed through the
+:class:`ScheduleValidator`; per benchmark the allocation instance is
+differentially checked against the brute-force oracle (or dominance on
+large instances); and per benchmark a seeded fault-injection corpus
+scores the validator's detection rate.
 
-Used by ``python -m repro.verify`` and by the acceptance tests.
+:data:`BATTERIES` lists it together with the differential batteries, in
+the order ``python -m repro.verify`` runs them.
 """
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.cnn.workloads import load_workload
 from repro.core.allocation import ALLOCATORS, AllocationProblem
@@ -22,19 +25,21 @@ from repro.core.retiming import analyze_edges
 from repro.graph.generators import BENCHMARK_SIZES
 from repro.graph.taskgraph import TaskGraph
 from repro.pim.config import PimConfig
-from repro.verify.differential_failover import (
-    FailoverDifferentialReport,
-    failover_differential,
+from repro.verify.differential_failover import FAULTS_BATTERY
+from repro.verify.differential_fleet import FLEET_BATTERY
+from repro.verify.differential_rewire import REWIRE_BATTERY
+from repro.verify.differential_search import SEARCH_BATTERY
+from repro.verify.differential_sim import SIM_BATTERY, plans_at_dp_width
+from repro.verify.differential_tenancy import TENANCY_BATTERY
+from repro.verify.harness import (
+    Battery,
+    CaseReport,
+    benchmark_names,
+    machine,
+    option,
+    positive_int,
 )
-from repro.verify.differential_search import (
-    SearchDifferentialReport,
-    search_differential,
-)
-from repro.verify.differential_sim import (
-    DEFAULT_SIM_ITERATIONS,
-    SimDifferentialReport,
-    sim_differential_battery,
-)
+from repro.verify.hooks import compile_invariant_hooks
 from repro.verify.mutation import FaultDetectionReport, fault_detection_report
 from repro.verify.oracle import DifferentialReport, differential_check
 from repro.verify.validator import ScheduleValidator
@@ -43,61 +48,48 @@ from repro.verify.violations import VerificationReport
 
 @dataclass
 class WorkloadVerification:
-    """Everything verified about one workload on one machine."""
+    """Everything the schedule instruments verified about one workload."""
 
     workload: str
     reports: Dict[str, VerificationReport] = field(default_factory=dict)
     differential: Optional[DifferentialReport] = None
     faults: Optional[FaultDetectionReport] = None
-    #: full-unroll vs steady-state engine comparisons, keyed by allocator
-    #: (empty when the simulation stage was not requested).
-    simulation: Dict[str, List[SimDifferentialReport]] = field(
-        default_factory=dict
-    )
-    #: runtime failover differential: faulted-then-failed-over serving
-    #: must equal a cold compile on the degraded machine (None when the
-    #: failover stage was not requested).
-    failover: Optional[FailoverDifferentialReport] = None
-    #: search-allocator battery: oracle equality, DP lower bound, anytime
-    #: monotonicity and plan validity per machine variant (empty when the
-    #: search stage was not requested).
-    search: List[SearchDifferentialReport] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        if any(not report.ok for report in self.reports.values()):
-            return False
-        if self.differential is not None and not self.differential.ok:
-            return False
-        if self.faults is not None and not self.faults.ok:
-            return False
-        if self.failover is not None and not self.failover.ok:
-            return False
-        if any(not report.ok for report in self.search):
-            return False
-        for battery in self.simulation.values():
-            if any(not report.ok for report in battery):
-                return False
-        return True
+        return self.case_report().ok
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "workload": self.workload,
-            "ok": self.ok,
-            "validator": {
-                name: report.as_dict() for name, report in self.reports.items()
-            },
-            "differential": (
-                self.differential.as_dict() if self.differential else None
-            ),
-            "faults": self.faults.as_dict() if self.faults else None,
-            "failover": self.failover.as_dict() if self.failover else None,
-            "search": [report.as_dict() for report in self.search],
-            "simulation": {
-                name: [report.as_dict() for report in battery]
-                for name, battery in self.simulation.items()
-            },
-        }
+    def case_report(self) -> CaseReport:
+        """This workload as one case of the schedule battery."""
+        report = CaseReport(battery="schedule", case=self.workload)
+        report.facts["errors"] = sum(
+            len(r.errors()) for r in self.reports.values()
+        )
+        report.facts["warnings"] = sum(
+            len(r.warnings()) for r in self.reports.values()
+        )
+        for name, verdict in self.reports.items():
+            report.failures.extend(
+                f"{name}: {violation}" for violation in verdict.errors()
+            )
+        if self.differential is not None:
+            report.facts["oracle"] = (
+                "exhaustive"
+                if self.differential.exhaustive_checked
+                else "dominance"
+            )
+            report.failures.extend(
+                f"oracle: {text}" for text in self.differential.failures
+            )
+        if self.faults is not None:
+            detected = len(self.faults.detected)
+            report.facts["faults"] = (
+                f"{detected}/{detected + len(self.faults.missed)}"
+            )
+            report.failures.extend(
+                f"missed injected fault: {name}" for name in self.faults.missed
+            )
+        return report
 
 
 @dataclass
@@ -112,76 +104,6 @@ class SweepOutcome:
     def ok(self) -> bool:
         return all(w.ok for w in self.workloads)
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "config": self.config.to_dict(),
-            "allocators": list(self.allocators),
-            "ok": self.ok,
-            "workloads": [w.as_dict() for w in self.workloads],
-        }
-
-    def summary(self) -> str:
-        lines = [
-            f"verification sweep on {self.config.describe()}",
-            f"allocators: {', '.join(self.allocators)}",
-        ]
-        for workload in self.workloads:
-            status = "ok" if workload.ok else "FAIL"
-            errors = sum(
-                len(r.errors()) for r in workload.reports.values()
-            )
-            warnings = sum(
-                len(r.warnings()) for r in workload.reports.values()
-            )
-            extras = []
-            if workload.differential is not None:
-                mode = (
-                    "exhaustive"
-                    if workload.differential.exhaustive_checked
-                    else "dominance"
-                )
-                verdict = "ok" if workload.differential.ok else "FAIL"
-                extras.append(f"oracle[{mode}]={verdict}")
-            if workload.faults is not None:
-                extras.append(
-                    f"faults={len(workload.faults.detected)}/"
-                    f"{len(workload.faults.detected) + len(workload.faults.missed)}"
-                )
-            if workload.failover is not None:
-                verdict = "ok" if workload.failover.ok else "FAIL"
-                warm = (
-                    f",warm={workload.failover.warm_recompiles}rc"
-                    if workload.failover.warm_recompiles is not None
-                    else ""
-                )
-                extras.append(
-                    f"failover[{workload.failover.unit}"
-                    f"{workload.failover.unit_id}"
-                    f"@{workload.failover.fault_iteration}{warm}]={verdict}"
-                )
-            if workload.simulation:
-                batteries = [
-                    report
-                    for battery in workload.simulation.values()
-                    for report in battery
-                ]
-                passed = sum(1 for r in batteries if r.ok)
-                verdict = "ok" if passed == len(batteries) else "FAIL"
-                extras.append(f"sim[{passed}/{len(batteries)}]={verdict}")
-            if workload.search:
-                passed = sum(1 for r in workload.search if r.ok)
-                verdict = "ok" if passed == len(workload.search) else "FAIL"
-                extras.append(
-                    f"search[{passed}/{len(workload.search)}]={verdict}"
-                )
-            lines.append(
-                f"  {workload.workload:<16} {status:<5} "
-                f"errors={errors} warnings={warnings} "
-                + " ".join(extras)
-            )
-        lines.append(f"overall: {'ok' if self.ok else 'FAIL'}")
-        return "\n".join(lines)
-
 
 def verify_workload(
     graph: TaskGraph,
@@ -192,61 +114,24 @@ def verify_workload(
     with_differential: bool = True,
     with_faults: bool = True,
     fault_seed: int = 0,
-    with_simulation: bool = False,
-    sim_iterations: Optional[List[int]] = None,
-    with_failover: bool = False,
-    failover_unit: str = "pe",
-    failover_unit_id: int = 0,
-    failover_iteration: int = 3,
-    failover_batch: int = 20,
-    with_search: bool = False,
-    search_budgets: Optional[List[int]] = None,
 ) -> WorkloadVerification:
-    """Run the full verification battery for one workload.
+    """Run the three schedule instruments for one workload.
 
-    The DP plan's width is reused for the other allocators so all of them
-    are validated on the same kernel/grouping decision (isolating the
-    allocation policy, exactly like the ablation experiments).
-    ``with_failover`` adds the runtime fault-injection differential: a
-    served batch that hits a fault and fails over must produce the same
-    aggregates as a cold compile on the degraded machine, and a warm
-    repeat of the same fault must not recompile.
+    Every allocator is validated at the DP plan's width (see
+    :func:`~repro.verify.differential_sim.plans_at_dp_width`).
     """
     names = allocators if allocators is not None else sorted(ALLOCATORS)
     validator = validator or ScheduleValidator()
     outcome = WorkloadVerification(workload=graph.name)
 
-    # The DP pipeline picks the operating width; the other allocators are
-    # validated at the same width so the sweep isolates allocation policy.
     # The DP compile runs under the per-pass invariant hooks, so a pipeline
     # regression surfaces as a PassInvariantError *naming the broken pass*
     # (the whole-plan validator below only sees the end product).
-    from repro.verify.hooks import compile_invariant_hooks
-
     dp_plan: ParaConvResult = ParaConv(
         config, validate=False, invariant_hooks=compile_invariant_hooks()
     ).run(graph)
-    plans: Dict[str, ParaConvResult] = {}
-    for name in names:
-        if name == "dp":
-            plan = dp_plan
-        else:
-            plan = ParaConv(
-                config, allocator_name=name, validate=False
-            ).run_at_width(graph, dp_plan.group_width)
-        plans[name] = plan
+    for name, plan in plans_at_dp_width(graph, config, names, dp_plan).items():
         outcome.reports[name] = validator.validate(plan)
-
-    if with_simulation:
-        counts = (
-            list(sim_iterations)
-            if sim_iterations is not None
-            else list(DEFAULT_SIM_ITERATIONS)
-        )
-        for name, plan in plans.items():
-            outcome.simulation[name] = sim_differential_battery(
-                plan, config=config, iteration_counts=counts
-            )
 
     if with_differential:
         kernel = dp_plan.schedule.kernel
@@ -260,25 +145,6 @@ def verify_workload(
         outcome.faults = fault_detection_report(
             dp_plan, validator=validator, seed=fault_seed
         )
-    if with_failover:
-        outcome.failover = failover_differential(
-            graph,
-            config,
-            unit=failover_unit,
-            unit_id=failover_unit_id,
-            fault_iteration=failover_iteration,
-            iterations=failover_batch,
-            validator=validator,
-        )
-    if with_search:
-        outcome.search = search_differential(
-            graph,
-            config,
-            budgets=search_budgets,
-            validator=validator,
-            oracle_limit=oracle_limit,
-            seed=fault_seed,
-        )
     return outcome
 
 
@@ -291,15 +157,6 @@ def run_verification_sweep(
     with_differential: bool = True,
     with_faults: bool = True,
     fault_seed: int = 0,
-    with_simulation: bool = False,
-    sim_iterations: Optional[List[int]] = None,
-    with_failover: bool = False,
-    failover_unit: str = "pe",
-    failover_unit_id: int = 0,
-    failover_iteration: int = 3,
-    failover_batch: int = 20,
-    with_search: bool = False,
-    search_budgets: Optional[List[int]] = None,
 ) -> SweepOutcome:
     """Verify benchmarks x allocators on one machine configuration.
 
@@ -315,10 +172,9 @@ def run_verification_sweep(
     )
     outcome = SweepOutcome(config=config, allocators=allocator_names)
     for name in names:
-        graph = load_workload(name)
         outcome.workloads.append(
             verify_workload(
-                graph,
+                load_workload(name),
                 config,
                 allocators=allocator_names,
                 validator=validator,
@@ -326,15 +182,54 @@ def run_verification_sweep(
                 with_differential=with_differential,
                 with_faults=with_faults,
                 fault_seed=fault_seed,
-                with_simulation=with_simulation,
-                sim_iterations=sim_iterations,
-                with_failover=with_failover,
-                failover_unit=failover_unit,
-                failover_unit_id=failover_unit_id,
-                failover_iteration=failover_iteration,
-                failover_batch=failover_batch,
-                with_search=with_search,
-                search_budgets=search_budgets,
             )
         )
     return outcome
+
+
+def run_schedule_battery(
+    args: argparse.Namespace, validator: ScheduleValidator
+) -> List[CaseReport]:
+    """One case per benchmark: validator, oracle and mutation corpus."""
+    sweep = run_verification_sweep(
+        config=machine(args),
+        benchmarks=benchmark_names(args),
+        allocators=args.allocators,
+        validator=validator,
+        oracle_limit=args.oracle_limit,
+        with_differential=not args.no_oracle,
+        with_faults=not args.no_mutations,
+        fault_seed=args.seed,
+    )
+    return [workload.case_report() for workload in sweep.workloads]
+
+
+SCHEDULE_BATTERY = Battery(
+    name="schedule",
+    help="validate every benchmark x allocator plan against the paper's "
+         "invariants, hold the DP allocator to the brute-force oracle and "
+         "score the validator on an injected-fault corpus",
+    run=run_schedule_battery,
+    options=(
+        option("--oracle-limit", type=positive_int, default=16,
+               help="max competing results for exhaustive enumeration "
+                    "(default 16)"),
+        option("--no-oracle", action="store_true",
+               help="skip the oracle-differential stage"),
+        option("--no-mutations", action="store_true",
+               help="skip the fault-injection stage"),
+    ),
+    always=True,
+)
+
+#: Every battery, in run order. The schedule battery runs on every
+#: invocation; each other one runs under ``--<name>`` or ``--all``.
+BATTERIES: Tuple[Battery, ...] = (
+    SCHEDULE_BATTERY,
+    SIM_BATTERY,
+    FAULTS_BATTERY,
+    SEARCH_BATTERY,
+    FLEET_BATTERY,
+    TENANCY_BATTERY,
+    REWIRE_BATTERY,
+)

@@ -1,9 +1,10 @@
-"""The live-rewire differential battery and its report verdicts.
+"""The live-rewire differential battery and its verdicts.
 
-Two layers under test: the report dataclasses' ``ok`` logic (a failure
-in any dimension — mismatch, lost request, cold repeat swap, validator
-error — must fail the battery) and the battery itself run end-to-end on
-small graphs (it must come back green against the full-unroll oracle).
+Two layers under test: the rewire verdict over hand-built facts (a
+failure in any dimension — mismatch, lost request, cold repeat swap,
+validator error — must fail the case) and the battery itself run
+end-to-end on small graphs (it must come back green against the
+full-unroll oracle).
 """
 
 from __future__ import annotations
@@ -16,14 +17,12 @@ from repro.graph.generators import synthetic_benchmark
 from repro.graph.randwired import RandwiredSpec
 from repro.pim.config import PimConfig
 from repro.verify.differential_rewire import (
-    RandwiredPropertyReport,
-    RewireCaseReport,
-    RewireDifferentialReport,
-    RewireMismatch,
     randwired_property_battery,
     rewire_case,
     rewire_differential,
+    rewire_verdict,
 )
+from repro.verify.harness import CaseReport, Mismatch, battery_ok
 
 
 def small_config() -> PimConfig:
@@ -31,81 +30,61 @@ def small_config() -> PimConfig:
 
 
 class TestReportVerdicts:
-    def clean_case(self) -> RewireCaseReport:
-        return RewireCaseReport(
-            workload="cat", new_graph="cat-v2", cut_point="drain",
-            iterations=10, lost=0, repeat_recompiles=0,
-        )
+    def clean_case(self) -> dict:
+        return {"lost": 0, "repeat_recompiles": 0}
 
     def test_clean_case_is_ok(self):
-        assert self.clean_case().ok
+        assert rewire_verdict(self.clean_case()) == []
 
     def test_mismatch_fails(self):
-        report = self.clean_case()
-        report.mismatches.append(
-            RewireMismatch(field="makespan", post_swap_value=9, cold_value=8)
-        )
+        report = CaseReport(battery="rewire", case="cat->cat-v2 [drain]")
+        report.mismatches.append(Mismatch("", "makespan", 8, 9))
         assert not report.ok
         assert "makespan" in report.describe()
 
     def test_lost_request_fails(self):
-        report = self.clean_case()
-        report.lost = 1
-        assert not report.ok
+        assert rewire_verdict({**self.clean_case(), "lost": 1})
 
     def test_cold_repeat_swap_fails(self):
-        report = self.clean_case()
-        report.repeat_recompiles = 2
-        assert not report.ok
+        assert rewire_verdict({**self.clean_case(), "repeat_recompiles": 2})
 
     def test_validator_error_fails(self):
-        report = self.clean_case()
-        report.validator_errors = 1
+        report = CaseReport(
+            battery="rewire", case="x", failures=["cold plan: pe overlap"]
+        )
         assert not report.ok
 
     def test_error_fails(self):
-        report = self.clean_case()
-        report.error = "boom"
+        report = CaseReport(battery="rewire", case="x", error="boom")
         assert not report.ok
         assert "boom" in report.describe()
 
     def test_empty_randwired_battery_is_not_ok(self):
-        assert not RandwiredPropertyReport().ok
-        assert RandwiredPropertyReport(cases=4).ok
-        assert not RandwiredPropertyReport(cases=4, failures=["f"]).ok
+        assert not battery_ok([])
+        assert battery_ok([CaseReport(battery="rewire", case="g")])
+        assert not battery_ok(
+            [CaseReport(battery="rewire", case="g", failures=["f"])]
+        )
 
     def test_overall_report_aggregates(self):
-        report = RewireDifferentialReport(
-            cases=[self.clean_case()],
-            randwired=RandwiredPropertyReport(cases=1),
-            fleet_lost=0,
-            fleet_repeat_warm=True,
-        )
-        assert report.ok
-        assert "overall rewire: ok" in report.describe()
-        report.fleet_lost = 3
-        assert not report.ok
-        report.fleet_lost = 0
-        report.fleet_repeat_warm = False
-        assert not report.ok
-        report.fleet_repeat_warm = True
-        report.cases.append(
-            RewireCaseReport(
-                workload="x", new_graph="y", cut_point="drain",
-                iterations=1, error="exploded",
-            )
-        )
-        assert "overall rewire: FAIL" in report.describe()
+        fleet = {"lost": 0, "repeat_warm": True}
+        assert rewire_verdict(fleet) == []
+        assert rewire_verdict({**fleet, "lost": 3})
+        assert rewire_verdict({**fleet, "repeat_warm": False})
+        reports = [
+            CaseReport(battery="rewire", case="a"),
+            CaseReport(battery="rewire", case="b", error="exploded"),
+        ]
+        assert not battery_ok(reports)
 
     def test_as_dict_is_json_serializable(self):
-        report = RewireDifferentialReport(
-            cases=[self.clean_case()],
-            randwired=RandwiredPropertyReport(cases=2),
-            fleet_lost=0,
+        report = CaseReport(
+            battery="rewire", case="cat->car [drain] N=10",
+            facts={"lost": 0, "repeat_recompiles": 0},
         )
         payload = json.loads(json.dumps(report.as_dict()))
         assert payload["ok"] is True
-        assert payload["cases"][0]["workload"] == "cat"
+        assert payload["case"] == "cat->car [drain] N=10"
 
 
 class TestRewireCase:
@@ -121,18 +100,18 @@ class TestRewireCase:
         )
         assert report.error is None
         assert report.mismatches == []
-        assert report.lost == 0
-        assert report.repeat_recompiles == 0
+        assert report.facts["lost"] == 0
+        assert report.facts["repeat_recompiles"] == 0
         if cut_point == "drain":
-            assert report.drained == 3
+            assert report.facts["drained"] == 3
         else:
-            assert report.rerouted == 3
+            assert report.facts["rerouted"] == 3
         assert report.ok
 
 
 class TestRandwiredBattery:
     def test_small_sweep_green(self):
-        report = randwired_property_battery(
+        reports = randwired_property_battery(
             config=small_config(),
             specs=[
                 RandwiredSpec(kind="er", num_vertices=10, p=0.3, seed=0),
@@ -140,19 +119,19 @@ class TestRandwiredBattery:
             ],
             seeds=1,
         )
-        assert report.failures == []
-        assert report.cases == 2
-        assert report.ok
+        assert [r.failures for r in reports] == [[], []]
+        assert battery_ok(reports)
 
 
 class TestFullBattery:
     def test_rewire_differential_green(self):
-        report = rewire_differential(
+        reports = rewire_differential(
             config=small_config(), iterations=8, seeds=1
         )
-        assert report.error is None
-        assert [case.ok for case in report.cases] == [True] * len(report.cases)
-        assert report.fleet_lost == 0
-        assert report.fleet_repeat_warm is True
-        assert report.ok
-        assert "overall rewire: ok" in report.describe()
+        assert [r.ok for r in reports] == [True] * len(reports)
+        fleet = next(r for r in reports if r.case.startswith("fleet "))
+        assert fleet.facts["lost"] == 0
+        assert fleet.facts["repeat_warm"] is True
+        # 3 rewire cases, the fleet rewire, 1 seed x 3 randwired families
+        assert len(reports) == 7
+        assert battery_ok(reports)

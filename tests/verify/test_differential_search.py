@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.pim.config import PimConfig
+from repro.verify.__main__ import build_parser, main
 from repro.verify.differential_search import (
     DEFAULT_BUDGET_LADDER,
-    SearchDifferentialReport,
+    SEARCH_BATTERY,
     machine_variants,
     search_differential,
-    search_differential_sweep,
+    search_verdict,
 )
+from repro.verify.harness import CaseReport
+from repro.verify.validator import ScheduleValidator
 from repro.graph.generators import synthetic_benchmark
 
 
@@ -46,95 +51,89 @@ class TestMachineVariants:
 class TestSearchDifferential:
     def test_battery_is_green(self, reports):
         for report in reports:
-            assert report.ok, report.failures + report.validator_errors
+            assert report.ok, report.describe()
 
     def test_covers_every_variant(self, reports):
-        assert [r.variant for r in reports] == [
-            "healthy", "degraded", "shard-0", "shard-1",
+        assert [r.case for r in reports] == [
+            "cat/healthy", "cat/degraded", "cat/shard-0", "cat/shard-1",
         ]
 
     def test_search_profits_at_least_dp(self, reports):
         for report in reports:
-            assert report.profits["anneal"] >= report.profits["dp"]
-            assert report.profits["portfolio"] >= report.profits["dp"]
+            assert report.facts["anneal"] >= report.facts["dp"]
+            assert report.facts["portfolio"] >= report.facts["dp"]
 
     def test_oracle_equality_when_enumerable(self, reports):
         for report in reports:
-            if report.exhaustive_checked:
-                assert (
-                    report.profits["anneal"] == report.profits["exhaustive"]
-                )
+            if report.facts["mode"] == "exhaustive":
+                assert report.facts["anneal"] == report.facts["exhaustive"]
+                assert report.facts["oracle_engines_agree"] is True
 
     def test_budget_ladder_is_monotone(self, reports):
         for report in reports:
-            profits = list(report.budget_profits.values())
-            assert sorted(report.budget_profits) == list(
-                report.budget_profits
-            )
+            ladder = report.facts["ladder"]
+            profits = list(ladder.values())
+            assert sorted(ladder) == list(ladder)
             assert profits == sorted(profits)
-            assert set(report.budget_profits) == set(DEFAULT_BUDGET_LADDER)
+            assert set(ladder) == set(DEFAULT_BUDGET_LADDER)
 
     def test_validator_battery_ran_clean(self, reports):
         for report in reports:
-            assert report.validator_errors == []
+            assert report.failures == []
 
     def test_report_dict_shape(self, reports):
-        payload = reports[0].as_dict()
+        payload = json.loads(json.dumps(reports[0].as_dict()))
         assert payload["ok"] is True
-        assert payload["workload"] == "cat"
-        assert set(payload["budget_profits"]) == {
+        assert payload["case"] == "cat/healthy"
+        assert set(payload["facts"]["ladder"]) == {
             str(b) for b in DEFAULT_BUDGET_LADDER
         }
 
     def test_failures_flip_ok(self):
-        report = SearchDifferentialReport(
-            workload="w", variant="healthy", num_items=1, capacity_slots=1
+        facts = dict(
+            num_items=1, capacity_slots=1, dp=2,
+            anneal=2, anneal_slots=1, portfolio=2, portfolio_slots=1,
+            ladder={0: 2, 100: 2},
         )
-        assert report.ok
-        report.failures.append("boom")
-        assert not report.ok
-        broken = SearchDifferentialReport(
-            workload="w", variant="healthy", num_items=1, capacity_slots=1,
-            validator_errors=["bad plan"],
+        assert search_verdict(facts) == []
+        assert search_verdict({**facts, "anneal": 1})  # below the DP seed
+        assert search_verdict({**facts, "portfolio_slots": 2})  # infeasible
+        assert search_verdict({**facts, "exhaustive": 3})  # not optimal
+        assert search_verdict({**facts, "ladder": {0: 2, 100: 1}})
+        assert search_verdict({**facts, "oracle_engines_agree": False})
+        broken = CaseReport(
+            battery="search", case="w/healthy", failures=["bad plan"]
         )
         assert not broken.ok
 
 
 class TestSweepAndCli:
-    def test_sweep_subset_green(self, config):
-        outcome = search_differential_sweep(
-            config=config, benchmarks=["cat", "car"], budgets=[0, 150]
-        )
-        assert outcome.ok
-        assert len(outcome.reports) == 8  # 2 benchmarks x 4 variants
-        assert outcome.budgets == [0, 150]
-        text = outcome.summary()
-        assert "search differential" in text
-        assert "overall: ok" in text
+    def test_sweep_subset_green(self):
+        args = build_parser().parse_args([
+            "--benchmarks", "cat", "car", "--search-budgets", "0", "150",
+        ])
+        reports = SEARCH_BATTERY.run(args, ScheduleValidator())
+        assert all(r.ok for r in reports), [r.describe() for r in reports]
+        assert len(reports) == 8  # 2 benchmarks x 4 variants
+        assert all(list(r.facts["ladder"]) == [0, 150] for r in reports)
 
     def test_verify_cli_search_flag(self, capsys):
-        from repro.verify.__main__ import main
-
         code = main([
             "--benchmarks", "cat", "--no-mutations",
             "--search", "--search-budgets", "0", "100",
         ])
         out = capsys.readouterr().out
         assert code == 0
-        assert "search[4/4]=ok" in out
+        assert "battery search   ok   [4/4]" in out
 
-    def test_runner_wires_search_reports(self, config):
-        from repro.verify.runner import verify_workload
-
-        outcome = verify_workload(
-            synthetic_benchmark("cat"),
-            config,
-            allocators=["dp"],
-            with_differential=False,
-            with_faults=False,
-            with_search=True,
-            search_budgets=[0, 100],
-        )
-        assert outcome.ok
-        assert len(outcome.search) == 4
-        assert outcome.as_dict()["search"][0]["variant"] == "healthy"
+    def test_runner_wires_search_reports(self, capsys):
+        code = main([
+            "--benchmarks", "cat", "--allocators", "dp", "--no-oracle",
+            "--no-mutations", "--search", "--search-budgets", "0", "100",
+            "--json",
+        ])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["ok"] is True
+        assert payload["search"][0]["case"] == "cat/healthy"
+        assert len(payload["search"]) == 4

@@ -1,18 +1,19 @@
 """Tests for the full-vs-steady simulation differential check."""
 
+import json
+
 import pytest
 
 from repro.core.paraconv import ParaConv
 from repro.graph.generators import synthetic_benchmark
 from repro.pim.config import PimConfig
+from repro.verify.__main__ import main
 from repro.verify.differential_sim import (
     DEFAULT_SIM_ITERATIONS,
-    SimDifferentialReport,
-    SimMismatch,
     differential_simulate,
     sim_differential_battery,
 )
-from repro.verify.runner import verify_workload
+from repro.verify.harness import CaseReport, Mismatch, battery_ok
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +26,14 @@ def flower_plan(machine):
     return ParaConv(machine).run(synthetic_benchmark("flower"))
 
 
+def run_cli(capsys, *flags):
+    code = main([
+        "--benchmarks", "cat", "--no-oracle", "--no-mutations", "--json",
+        *flags,
+    ])
+    return code, json.loads(capsys.readouterr().out)
+
+
 class TestDifferentialSimulate:
     def test_engines_agree(self, machine, flower_plan):
         report = differential_simulate(
@@ -32,81 +41,62 @@ class TestDifferentialSimulate:
         )
         assert report.ok
         assert report.mismatches == []
-        assert report.workload == "flower"
+        assert report.case == "flower N=300"
         assert "ok" in report.describe()
 
     def test_convergence_metadata_captured(self, machine, flower_plan):
         report = differential_simulate(
             flower_plan, config=machine, iterations=1000
         )
-        assert report.converged_round is not None
-        assert report.rounds_fast_forwarded > 0
-        assert f"converged@{report.converged_round}" in report.describe()
+        converged = report.facts["converged_round"]
+        assert converged is not None
+        assert report.facts["rounds_fast_forwarded"] > 0
+        assert f"converged_round={converged}" in report.describe()
 
     def test_battery_covers_every_count(self, machine, flower_plan):
         reports = sim_differential_battery(
             flower_plan, config=machine, iteration_counts=(1, 20)
         )
-        assert [r.iterations for r in reports] == [1, 20]
+        assert [r.case for r in reports] == ["flower N=1", "flower N=20"]
         assert all(r.ok for r in reports)
 
     def test_default_counts_span_regimes(self):
         assert DEFAULT_SIM_ITERATIONS == (1, 20, 1000)
 
     def test_as_dict_round_trips_mismatches(self):
-        report = SimDifferentialReport(workload="x", iterations=10)
-        report.mismatches.append(
-            SimMismatch(field="busy_units", full_value=10, steady_value=11)
-        )
+        report = CaseReport(battery="sim", case="x N=10")
+        report.mismatches.append(Mismatch("", "busy_units", 10, 11))
         assert not report.ok
         payload = report.as_dict()
         assert payload["ok"] is False
         assert payload["mismatches"][0]["field"] == "busy_units"
-        assert "MISMATCH" in report.describe()
+        assert "FAIL" in report.describe()
         assert "busy_units" in report.describe()
 
 
 class TestRunnerIntegration:
-    def test_verify_workload_runs_sim_stage(self, machine):
-        outcome = verify_workload(
-            synthetic_benchmark("cat"),
-            machine,
-            allocators=["dp", "greedy"],
-            with_differential=False,
-            with_faults=False,
-            with_simulation=True,
-            sim_iterations=[1, 20],
+    def test_verify_workload_runs_sim_stage(self, capsys):
+        code, payload = run_cli(
+            capsys, "--sim", "--allocators", "dp", "greedy",
+            "--sim-iterations", "1", "20",
         )
-        assert set(outcome.simulation) == {"dp", "greedy"}
-        for battery in outcome.simulation.values():
-            assert [r.iterations for r in battery] == [1, 20]
-            assert all(r.ok for r in battery)
-        assert outcome.ok
-        payload = outcome.as_dict()
-        assert set(payload["simulation"]) == {"dp", "greedy"}
+        assert code == 0
+        assert [case["case"] for case in payload["sim"]] == [
+            "cat/dp N=1", "cat/dp N=20", "cat/greedy N=1", "cat/greedy N=20",
+        ]
+        assert all(case["ok"] for case in payload["sim"])
 
-    def test_sim_stage_failure_fails_workload(self, machine):
-        outcome = verify_workload(
-            synthetic_benchmark("cat"),
-            machine,
-            allocators=["dp"],
-            with_differential=False,
-            with_faults=False,
-            with_simulation=True,
-            sim_iterations=[1],
+    def test_sim_stage_failure_fails_workload(self, machine, flower_plan):
+        reports = sim_differential_battery(
+            flower_plan, config=machine, iteration_counts=(1,)
         )
-        # Plant a mismatch: the workload verdict must flip to failing.
-        outcome.simulation["dp"][0].mismatches.append(
-            SimMismatch(field="busy_units", full_value=1, steady_value=2)
-        )
-        assert not outcome.ok
+        assert battery_ok(reports)
+        # Plant a mismatch: the battery verdict must flip to failing.
+        reports[0].mismatches.append(Mismatch("", "busy_units", 1, 2))
+        assert not battery_ok(reports)
 
-    def test_sim_stage_off_by_default(self, machine):
-        outcome = verify_workload(
-            synthetic_benchmark("cat"),
-            machine,
-            allocators=["dp"],
-            with_differential=False,
-            with_faults=False,
-        )
-        assert outcome.simulation == {}
+    def test_sim_stage_off_by_default(self, capsys):
+        code, payload = run_cli(capsys, "--allocators", "dp")
+        assert code == 0
+        assert payload["sim"] is None
+        assert payload["schedule"][0]["case"] == "cat"

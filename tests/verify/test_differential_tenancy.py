@@ -1,13 +1,18 @@
 """Tenancy differential: isolation scenarios and the fused-dataflow stage."""
 
+import json
+
 import pytest
 
 from repro.verify.differential_tenancy import (
     TENANCY_SCENARIOS,
+    fused_verdict,
     run_scenario,
+    scenario_verdict,
     tenancy_differential,
     verify_fused_model,
 )
+from repro.verify.harness import battery_ok
 
 # Small-but-real sizes: 16 PEs carve into slices that still compile the
 # fleet workloads, and 4 requests per tenant exercise multiple batches.
@@ -20,18 +25,19 @@ class TestScenarios:
         report = run_scenario(scenario, **FAST)
         assert report.error is None
         assert report.mismatches == []
-        assert report.validator_failures == []
+        assert report.failures == []
         assert report.ok, report.describe()
 
     def test_two_tenant_proves_distinct_plan_identity(self):
         report = run_scenario("two-tenant", **FAST)
         # Both tenants serve the SAME workload: one cached plan each.
-        assert len(set(report.workloads.values())) == 1
-        assert report.cached_plans == 2
+        assert len(set(report.facts["workloads"].values())) == 1
+        assert report.facts["cached_plans"] == 2
+        assert scenario_verdict({"cached_plans": 1, "expected_plans": 2})
 
     def test_batches_actually_replayed(self):
         report = run_scenario("two-tenant", **FAST)
-        assert report.replayed_batches >= 2
+        assert report.facts["replayed_batches"] >= 2
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError, match="unknown tenancy scenario"):
@@ -40,10 +46,10 @@ class TestScenarios:
     def test_describe_and_as_dict(self):
         report = run_scenario("degraded-tenant", **FAST)
         assert "degraded-tenant" in report.describe()
-        payload = report.as_dict()
+        payload = json.loads(json.dumps(report.as_dict()))
         assert payload["ok"] is True
-        assert payload["scenario"] == "degraded-tenant"
-        assert payload["placement_fingerprint"]
+        assert payload["case"] == "degraded-tenant"
+        assert set(payload["facts"]["workloads"]) == {"tenant-a", "tenant-b"}
 
 
 class TestFusedStage:
@@ -51,9 +57,11 @@ class TestFusedStage:
         report = verify_fused_model("alexnet")
         assert report.error is None
         assert report.ok, report.describe()
-        assert report.fused_stages > 0
-        assert report.ops_absorbed > 0
-        assert report.delta_r["fused_ops_absorbed"] == report.ops_absorbed
+        facts = report.facts
+        assert facts["fused_stages"] > 0
+        assert facts["ops_absorbed"] > 0
+        assert facts["delta_r"]["fused_ops_absorbed"] == facts["ops_absorbed"]
+        assert fused_verdict({**facts, "work_conserved": False})
 
     def test_unknown_model_reported_not_raised(self):
         report = verify_fused_model("ghostnet")
@@ -63,16 +71,15 @@ class TestFusedStage:
 
 class TestBattery:
     def test_full_battery(self):
-        report = tenancy_differential(
-            fused_models=("alexnet",), **FAST
-        )
-        assert report.ok, report.describe()
-        assert len(report.scenarios) == len(TENANCY_SCENARIOS)
-        payload = report.as_dict()
-        assert payload["ok"] is True
-        assert len(payload["scenarios"]) == 3
-        assert len(payload["fused"]) == 1
+        reports = tenancy_differential(fused_models=("alexnet",), **FAST)
+        assert battery_ok(reports), [r.describe() for r in reports]
+        assert [r.case for r in reports] == [
+            *TENANCY_SCENARIOS, "fused-alexnet"
+        ]
+        payload = json.loads(json.dumps([r.as_dict() for r in reports]))
+        assert all(case["ok"] for case in payload)
 
     def test_empty_battery_is_not_ok(self):
-        report = tenancy_differential(scenarios=(), fused_models=())
-        assert not report.ok
+        reports = tenancy_differential(scenarios=(), fused_models=())
+        assert reports == []
+        assert not battery_ok(reports)

@@ -8,7 +8,11 @@ from repro.core.allocation import ALLOCATORS
 from repro.graph.generators import BENCHMARK_SIZES, synthetic_benchmark
 from repro.pim.config import PimConfig
 from repro.verify.__main__ import build_parser, main
-from repro.verify.runner import run_verification_sweep, verify_workload
+from repro.verify.runner import (
+    BATTERIES,
+    run_verification_sweep,
+    verify_workload,
+)
 
 
 @pytest.fixture(scope="module")
@@ -55,16 +59,15 @@ class TestAcceptanceSweep:
             )
 
     def test_summary_mentions_every_workload(self, sweep):
-        text = sweep.summary()
-        for name in BENCHMARK_SIZES:
-            assert name in text
-        assert "overall: ok" in text
+        lines = [w.case_report().describe() for w in sweep.workloads]
+        for name, line in zip(BENCHMARK_SIZES, lines):
+            assert line.startswith(f"schedule[{name}]: ok")
 
     def test_as_dict_is_json_serializable(self, sweep):
-        payload = json.dumps(sweep.as_dict())
+        payload = json.dumps([w.case_report().as_dict() for w in sweep.workloads])
         decoded = json.loads(payload)
-        assert decoded["ok"] is True
-        assert len(decoded["workloads"]) == len(BENCHMARK_SIZES)
+        assert all(case["ok"] for case in decoded)
+        assert len(decoded) == len(BENCHMARK_SIZES)
 
 
 class TestVerifyWorkload:
@@ -118,7 +121,8 @@ class TestCli:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
-        assert payload["workloads"][0]["workload"] == "cat"
+        assert payload["schedule"][0]["case"] == "cat"
+        assert set(payload) == {"ok"} | {b.name for b in BATTERIES}
 
     def test_strict_liveness_can_fail(self, capsys):
         """Default plans carry the documented liveness gap; strict flags it."""
@@ -130,3 +134,34 @@ class TestCli:
         # Either the plan is tight enough to pass or strict mode fails it;
         # both are legal, but the exit code must match the report.
         assert ("overall: ok" in out) == (code == 0)
+
+    @pytest.mark.parametrize("flags", [
+        ["--faults", "--fault-iteration", "-1"],
+        ["--faults", "--fault-unit-id", "-1"],
+        ["--search", "--search-budgets", "-5", "10"],
+    ])
+    def test_negative_counts_are_usage_errors(self, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--benchmarks", "cat", "--no-oracle", "--no-mutations",
+                  *flags])
+        assert excinfo.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_overall_line_matches_exit_status(self, capsys):
+        """A battery that errors fails the overall line, not just the exit
+        status: 64 PEs do not split into 3 equal fleet shards."""
+        code = main(["--fleet", "--fleet-workers", "3", "--benchmarks", "cat",
+                     "--no-oracle", "--no-mutations"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert ("overall: ok" in out) == (code == 0)
+        assert out.rstrip().endswith("overall: FAIL")
+
+    def test_help_names_every_battery(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = capsys.readouterr().out
+        for battery in BATTERIES:
+            assert battery.name in out
+            if not battery.always:
+                assert f"--{battery.name}" in out
