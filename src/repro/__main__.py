@@ -90,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--trace", metavar="FILE",
-        help="with --simulate: write a chrome://tracing JSON of the run",
+        help="with --simulate: retain every record and write a "
+             "chrome://tracing JSON of the run",
     )
     parser.add_argument(
         "--liveness-aware", action="store_true",
@@ -149,9 +150,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"\nDOT graph written to {args.dot}")
     if args.simulate:
         from repro.sim.executor import ScheduleExecutor
+        from repro.sim.sinks import InMemorySink, NullSink
 
+        # Only the Chrome trace export reads per-instance records; the
+        # summary line below needs the exact aggregates alone.
+        sink = InMemorySink() if args.trace else NullSink()
         trace = ScheduleExecutor(config, num_vaults=32).execute(
-            result, iterations=args.simulate
+            result, iterations=args.simulate, sink=sink
         )
         print(
             f"\nSimulated {args.simulate} iterations: realized "

@@ -609,6 +609,6 @@ def direct_batch(
     started = time.perf_counter()
     trace = ScheduleExecutor(
         config, num_vaults=num_vaults, mode=SimMode.from_name(sim_mode)
-    ).execute(result, iterations=iterations)
+    ).execute(result, iterations=iterations, sink=NullSink())
     wall = time.perf_counter() - started
     return InferenceSession._batch_result(trace, energy_model, wall)

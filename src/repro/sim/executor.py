@@ -28,9 +28,9 @@ The machine state is columnar:
   per-vault service clocks, crossbar port clocks -- advanced in place;
 * all static facts are **precomputed tables** built once per run from
   the schedule and the :mod:`repro.pim` models (per-op: PE, execution
-  time, nominal-start offset, in-degree, ALU cost, in-edge keys; per-edge:
-  placement, slots, transfer latencies, home vault, vault service time),
-  so the hot loop does list indexing only;
+  time, nominal-start offset, in-degree, ALU cost, in-edge keys and pFIFO
+  entries; per-edge: placement, slots, transfer latencies, home vault,
+  vault service time), so the hot loop does list indexing only;
 * events are **plain tuples** ``(time, priority, iteration, op, e0, e1,
   seq, size)`` on a ``heapq``. The content key ``(iteration, op) + edge``
   is unique per event, so same-time ordering is a function of event
@@ -450,6 +450,10 @@ class _ScheduleRun:
         self._alu: List[int] = [0] * size
         self._in_deg: List[int] = [0] * size
         self._in_keys: List[List[Tuple[int, int]]] = [[] for _ in range(size)]
+        #: in_entries[op] = the pFIFO entry ``((e0, e1), size_bytes)`` each
+        #: in-edge stages, in in_keys order. The size is fixed per edge, so
+        #: an entry equals a staged one iff their edge keys match.
+        self._in_entries: List[List[tuple]] = [[] for _ in range(size)]
         static_off = [0] * size
         for op in ops:
             op_id = op.op_id
@@ -457,7 +461,9 @@ class _ScheduleRun:
             self._exec[op_id] = op.execution_time
             self._alu[op_id] = max(op.work, op.execution_time)
             self._in_deg[op_id] = graph.in_degree(op_id)
-            self._in_keys[op_id] = [e.key for e in graph.in_edges(op_id)]
+            in_edges = graph.in_edges(op_id)
+            self._in_keys[op_id] = [e.key for e in in_edges]
+            self._in_entries[op_id] = [(e.key, e.size_bytes) for e in in_edges]
             # nominal(op, it) = (it - 1) * p + static_off[op]: the whole
             # round's nominal starts become one vectorized array add.
             static_off[op_id] = (
@@ -560,175 +566,244 @@ class _ScheduleRun:
                 pending[key] = degree
                 max_avail[key] = 0
 
-    def _arrive(self, iteration, op_id, e0, e1, size) -> None:
-        key = (op_id, iteration)
-        now = self._now
-        max_avail = self._max_avail
-        if now > max_avail[key]:
-            max_avail[key] = now
-        pending = self._pending
-        pending[key] -= 1
-        # Stage the datum in the consumer PE's pFIFO (occupancy stats;
-        # a full FIFO degrades to a direct cache/eDRAM read).
-        fifo = self._fifo[self._pe_of[op_id]]
-        if len(fifo) < PFIFO_DEPTH:
-            fifo.append(((e0, e1), size))
-            self.trace.stats.fifo_pushes += 1
-        if pending[key] == 0:
-            start_at = self._nominal[key]
-            avail = max_avail[key]
-            if avail > start_at:
-                start_at = avail  # avail already >= now
-            del pending[key]
-            del max_avail[key]
-            heappush(self._heap, (
-                start_at, _PRIO_START, iteration, op_id, -1, -1,
-                self._seq, 0,
-            ))
-            self._seq += 1
-
-    def _start(self, iteration, op_id) -> None:
-        pe_id = self._pe_of[op_id]
-        if pe_id in self._failed_pes:
-            # The schedule placed this instance on a PE that is dead under
-            # the active fault mask: abort before mutating machine state.
-            self._raise_fault(FAULT_UNIT_PE, pe_id)
-        trace = self.trace
-        in_keys = self._in_keys[op_id]
-        fifo = self._fifo[pe_id]
-        # Consume the pFIFO entries staged for this instance -- the oldest
-        # per in-edge, so a neighbour instance's datum is never stolen.
-        for edge_key in in_keys:
-            for index, entry in enumerate(fifo):
-                if entry[0] == edge_key:
-                    del fifo[index]
-                    break
-        now = self._now
-        start = self._pe_free[pe_id]
-        if now > start:
-            start = now
-        duration = self._exec[op_id]
-        finish = start + duration
-        self._pe_free[pe_id] = finish
-        nominal = self._nominal.pop((op_id, iteration))
-        if self._emit:
-            trace.sink.record_instance(InstanceRecord(
-                op_id=op_id, iteration=iteration, pe=pe_id,
-                nominal_start=nominal, start=start, finish=finish,
-            ))
-        trace.num_instances += 1
-        trace.busy_units += duration
-        lateness = start - nominal
-        trace.lateness_total += lateness
-        if lateness > trace.lateness_max:
-            trace.lateness_max = lateness
-        trace.pes_used.add(pe_id)
-        trace.stats.alu_ops += self._alu[op_id]
-        if finish > self._max_finish:
-            self._max_finish = finish
-        cache_live = self._cache_live
-        for e0, e1 in in_keys:  # consume: free cache slots of in-edges
-            slots = cache_live.pop((e0, e1, iteration), None)
-            if slots is not None:
-                self._cache_used -= slots
-        heappush(self._heap, (
-            finish, _PRIO_PRODUCE, iteration, op_id, -1, -1, self._seq, 0,
-        ))
-        self._seq += 1
-
-    def _produce(self, iteration, op_id) -> None:
-        trace = self.trace
-        mem = self._mem_stats
-        finish = self._now
-        for (consumer, e0, e1, size, is_cache, slots, cache_units,
-             edram_units, service, vault, consumer_pe) in self._out_recs[op_id]:
-            if is_cache:
-                used = self._cache_used + slots
-                if used <= self._cache_cap:
-                    self._cache_live[(e0, e1, iteration)] = slots
-                    self._cache_used = used
-                    if used > trace.cache_peak_slots:
-                        trace.cache_peak_slots = used
-                    mem.cache_accesses += 1
-                    mem.cache_bytes += size
-                    arrival = finish + cache_units
-                    if self._emit:
-                        trace.sink.record_transfer(TransferRecord(
-                            (e0, e1), iteration, TransferKind.CACHE,
-                            size, finish, arrival,
-                        ))
-                    trace.num_transfers += 1
-                    heappush(self._heap, (
-                        arrival, _PRIO_ARRIVE, iteration, consumer,
-                        e0, e1, self._seq, size,
-                    ))
-                    self._seq += 1
-                    continue
-                trace.cache_spills += 1  # transient overflow: spill
-            if vault in self._failed_vaults:
-                # The intermediate result's home vault is dead: its eDRAM
-                # copy is gone, so neither the write-through nor the
-                # prefetch can complete. Surface the fault.
-                self._raise_fault(FAULT_UNIT_VAULT, vault)
-            # eDRAM round-trip. The producer writes through to its vault
-            # while still executing, so the visible cost is the
-            # consumer-side fetch issued at production time: the crossbar
-            # holds both ports for the bandwidth share of the transfer,
-            # the vault queues and services the access, then the
-            # remaining wire latency rides on top -- exactly the analytic
-            # ``edram_transfer_units`` when the vault is idle.
-            issued = finish
-            if self._xin[consumer_pe] > issued:
-                issued = self._xin[consumer_pe]
-            if self._xout[vault] > issued:
-                issued = self._xout[vault]
-            port_finish = issued + cache_units  # the bandwidth share
-            self._xin[consumer_pe] = port_finish
-            self._xout[vault] = port_finish
-            read_start = issued
-            if self._vault_free[vault] > read_start:
-                read_start = self._vault_free[vault]
-            serviced = read_start + service
-            self._vault_free[vault] = serviced
-            extra = edram_units - service
-            arrival = serviced + (extra if extra > 0 else 0)
-            mem.edram_accesses += 1
-            mem.edram_bytes += size
-            if self._emit:
-                trace.sink.record_transfer(TransferRecord(
-                    (e0, e1), iteration, TransferKind.EDRAM,
-                    size, finish, arrival,
-                ))
-            trace.num_transfers += 1
-            heappush(self._heap, (
-                arrival, _PRIO_ARRIVE, iteration, consumer, e0, e1,
-                self._seq, size,
-            ))
-            self._seq += 1
-
     def _run_until(self, until: int) -> None:
+        """Dispatch every queued event due at or before ``until``.
+
+        One fused loop handles all three event kinds (arrive, start,
+        produce). Static tables, timelines and dicts are bound to locals
+        once per call and every exact counter accumulates in a local; the
+        ``finally`` writes the counters back on every exit -- a normal
+        return or a :class:`PeFaultError` -- so ``round_probe``,
+        :meth:`_snapshot`, :meth:`_canonical` and the fault's round/time
+        see the same state as if each event had updated it in place.
+        """
         heap = self._heap
-        while heap and heap[0][0] <= until:
-            time, prio, iteration, op_id, e0, e1, _seq, size = heappop(heap)
-            self._now = time
-            self._processed += 1
-            if prio == _PRIO_START:
-                self._start(iteration, op_id)
-            elif prio == _PRIO_ARRIVE:
-                self._arrive(iteration, op_id, e0, e1, size)
-            else:
-                self._produce(iteration, op_id)
+        trace = self.trace
+        stats = trace.stats
+        mem = self._mem_stats
+        # ---- static tables -----------------------------------------------
+        pe_of = self._pe_of
+        exec_time = self._exec
+        alu = self._alu
+        in_keys = self._in_keys
+        in_entries = self._in_entries
+        out_recs = self._out_recs
+        cache_cap = self._cache_cap
+        failed_pes = self._failed_pes
+        failed_vaults = self._failed_vaults
+        # ---- timelines and dynamic dicts (mutated in place) --------------
+        fifos = self._fifo
+        pe_free = self._pe_free
+        vault_free = self._vault_free
+        xin = self._xin
+        xout = self._xout
+        cache_live = self._cache_live
+        pending = self._pending
+        max_avail = self._max_avail
+        nominal = self._nominal
+        pes_used_add = trace.pes_used.add
+        emit = self._emit
+        record_instance = trace.sink.record_instance
+        record_transfer = trace.sink.record_transfer
+        fifo_depth = PFIFO_DEPTH
+        prio_arrive = _PRIO_ARRIVE
+        prio_start = _PRIO_START
+        prio_produce = _PRIO_PRODUCE
+        # ---- exact counters (written back in the finally) ----------------
+        now = self._now
+        seq = self._seq
+        processed = self._processed
+        cache_used = self._cache_used
+        max_finish = self._max_finish
+        num_instances = trace.num_instances
+        busy_units = trace.busy_units
+        lateness_total = trace.lateness_total
+        lateness_max = trace.lateness_max
+        num_transfers = trace.num_transfers
+        cache_spills = trace.cache_spills
+        cache_peak = trace.cache_peak_slots
+        fifo_pushes = stats.fifo_pushes
+        alu_ops = stats.alu_ops
+        cache_accesses = mem.cache_accesses
+        cache_bytes = mem.cache_bytes
+        edram_accesses = mem.edram_accesses
+        edram_bytes = mem.edram_bytes
+        try:
+            while heap and heap[0][0] <= until:
+                now, prio, iteration, op_id, e0, e1, _seq, size = heappop(heap)
+                processed += 1
+                if prio == prio_arrive:
+                    key = (op_id, iteration)
+                    if now > max_avail[key]:
+                        max_avail[key] = now
+                    # Stage the datum in the consumer PE's pFIFO (occupancy
+                    # stats; a full FIFO degrades to a direct cache/eDRAM
+                    # read).
+                    fifo = fifos[pe_of[op_id]]
+                    if len(fifo) < fifo_depth:
+                        fifo.append(((e0, e1), size))
+                        fifo_pushes += 1
+                    remaining = pending[key] - 1
+                    if remaining:
+                        pending[key] = remaining
+                        continue
+                    del pending[key]
+                    start_at = nominal[key]
+                    avail = max_avail.pop(key)
+                    if avail > start_at:
+                        start_at = avail  # avail already >= now
+                    heappush(heap, (
+                        start_at, prio_start, iteration, op_id, -1, -1, seq, 0,
+                    ))
+                    seq += 1
+                elif prio == prio_start:
+                    pe_id = pe_of[op_id]
+                    if pe_id in failed_pes:
+                        # The schedule placed this instance on a PE that is
+                        # dead under the active fault mask: abort before
+                        # mutating machine state.
+                        self._raise_fault(FAULT_UNIT_PE, pe_id, now)
+                    # Consume the pFIFO entries staged for this instance --
+                    # the oldest per in-edge (list.remove takes the first
+                    # match), so a neighbour instance's datum is never
+                    # stolen.
+                    fifo = fifos[pe_id]
+                    for entry in in_entries[op_id]:
+                        if entry in fifo:
+                            fifo.remove(entry)
+                    start = pe_free[pe_id]
+                    if now > start:
+                        start = now
+                    duration = exec_time[op_id]
+                    finish = start + duration
+                    pe_free[pe_id] = finish
+                    nominal_start = nominal.pop((op_id, iteration))
+                    if emit:
+                        record_instance(InstanceRecord(
+                            op_id=op_id, iteration=iteration, pe=pe_id,
+                            nominal_start=nominal_start, start=start,
+                            finish=finish,
+                        ))
+                    num_instances += 1
+                    busy_units += duration
+                    lateness = start - nominal_start
+                    lateness_total += lateness
+                    if lateness > lateness_max:
+                        lateness_max = lateness
+                    pes_used_add(pe_id)
+                    alu_ops += alu[op_id]
+                    if finish > max_finish:
+                        max_finish = finish
+                    # consume: free the cache slots of in-edges
+                    for e0, e1 in in_keys[op_id]:
+                        slots = cache_live.pop((e0, e1, iteration), None)
+                        if slots is not None:
+                            cache_used -= slots
+                    heappush(heap, (
+                        finish, prio_produce, iteration, op_id, -1, -1, seq, 0,
+                    ))
+                    seq += 1
+                else:  # produce
+                    finish = now
+                    for (consumer, e0, e1, size, is_cache, slots, cache_units,
+                         edram_units, service, vault,
+                         consumer_pe) in out_recs[op_id]:
+                        if is_cache:
+                            used = cache_used + slots
+                            if used <= cache_cap:
+                                cache_live[(e0, e1, iteration)] = slots
+                                cache_used = used
+                                if used > cache_peak:
+                                    cache_peak = used
+                                cache_accesses += 1
+                                cache_bytes += size
+                                arrival = finish + cache_units
+                                if emit:
+                                    record_transfer(TransferRecord(
+                                        (e0, e1), iteration,
+                                        TransferKind.CACHE,
+                                        size, finish, arrival,
+                                    ))
+                                num_transfers += 1
+                                heappush(heap, (
+                                    arrival, prio_arrive, iteration, consumer,
+                                    e0, e1, seq, size,
+                                ))
+                                seq += 1
+                                continue
+                            cache_spills += 1  # transient overflow: spill
+                        if vault in failed_vaults:
+                            # The intermediate result's home vault is dead:
+                            # its eDRAM copy is gone, so neither the
+                            # write-through nor the prefetch can complete.
+                            self._raise_fault(FAULT_UNIT_VAULT, vault, now)
+                        # eDRAM round-trip. The producer writes through to
+                        # its vault while still executing, so the visible
+                        # cost is the consumer-side fetch issued at
+                        # production time: the crossbar holds both ports
+                        # for the bandwidth share of the transfer, the
+                        # vault queues and services the access, then the
+                        # remaining wire latency rides on top -- exactly
+                        # the analytic ``edram_transfer_units`` when the
+                        # vault is idle.
+                        issued = finish
+                        if xin[consumer_pe] > issued:
+                            issued = xin[consumer_pe]
+                        if xout[vault] > issued:
+                            issued = xout[vault]
+                        port_finish = issued + cache_units  # bandwidth share
+                        xin[consumer_pe] = port_finish
+                        xout[vault] = port_finish
+                        read_start = issued
+                        if vault_free[vault] > read_start:
+                            read_start = vault_free[vault]
+                        serviced = read_start + service
+                        vault_free[vault] = serviced
+                        extra = edram_units - service
+                        arrival = serviced + (extra if extra > 0 else 0)
+                        edram_accesses += 1
+                        edram_bytes += size
+                        if emit:
+                            record_transfer(TransferRecord(
+                                (e0, e1), iteration, TransferKind.EDRAM,
+                                size, finish, arrival,
+                            ))
+                        num_transfers += 1
+                        heappush(heap, (
+                            arrival, prio_arrive, iteration, consumer, e0, e1,
+                            seq, size,
+                        ))
+                        seq += 1
+        finally:
+            self._now = now
+            self._seq = seq
+            self._processed = processed
+            self._cache_used = cache_used
+            self._max_finish = max_finish
+            trace.num_instances = num_instances
+            trace.busy_units = busy_units
+            trace.lateness_total = lateness_total
+            trace.lateness_max = lateness_max
+            trace.num_transfers = num_transfers
+            trace.cache_spills = cache_spills
+            trace.cache_peak_slots = cache_peak
+            stats.fifo_pushes = fifo_pushes
+            stats.alu_ops = alu_ops
+            mem.cache_accesses = cache_accesses
+            mem.cache_bytes = cache_bytes
+            mem.edram_accesses = edram_accesses
+            mem.edram_bytes = edram_bytes
 
     # ------------------------------------------------------------------
     # faults
     # ------------------------------------------------------------------
-    def _raise_fault(self, unit: str, unit_id: int) -> None:
+    def _raise_fault(self, unit: str, unit_id: int, now: int) -> None:
         assert self.fault_model is not None
         raise PeFaultError(
             unit,
             unit_id,
             round=self._current_round,
-            time=self._now,
+            time=now,
             fault_iteration=self.fault_model.fault_iteration_of(unit, unit_id),
         )
 

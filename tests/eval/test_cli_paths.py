@@ -2,9 +2,13 @@
 
 import json
 
+import pytest
 
 from repro.__main__ import main as repro_main
+from repro.cnn.workloads import load_workload
 from repro.eval.__main__ import main as eval_main
+from repro.sim.executor import ScheduleExecutor
+from repro.sim.sinks import NullSink
 
 FAST = ["--iterations", "100", "--benchmarks", "cat"]
 
@@ -69,3 +73,51 @@ class TestReproFlags:
         assert dot.read_text().startswith("digraph")
         payload = json.loads(trace.read_text())
         assert payload["traceEvents"]
+
+
+@pytest.fixture
+def executed(monkeypatch):
+    """Spy on ``ScheduleExecutor.execute``: (sink, trace) per call."""
+    calls = []
+    original = ScheduleExecutor.execute
+
+    def spy(self, result, iterations=20, sink=None, fault_model=None):
+        trace = original(self, result, iterations, sink, fault_model)
+        calls.append((sink, trace))
+        return trace
+
+    monkeypatch.setattr(ScheduleExecutor, "execute", spy)
+    return calls
+
+
+class TestSimulateRecordRetention:
+    """``--simulate`` keeps per-instance records only for ``--trace``."""
+
+    ARGS = ["cat", "--pes", "8", "--iterations", "100", "--simulate", "4"]
+
+    def test_without_trace_no_records_retained(self, executed, capsys):
+        assert repro_main(self.ARGS) == 0
+        assert "Simulated 4 iterations" in capsys.readouterr().out
+        [(sink, trace)] = executed
+        assert isinstance(sink, NullSink)
+        assert trace.records == []
+        assert trace.transfers == []
+        # The printed aggregates stay exact without the records.
+        assert trace.num_instances == load_workload("cat").num_vertices * 4
+
+    def test_trace_exports_one_instance_event_per_op_iteration(
+        self, executed, tmp_path, capsys
+    ):
+        path = tmp_path / "t.json"
+        assert repro_main([*self.ARGS, "--trace", str(path)]) == 0
+        [(sink, trace)] = executed
+        assert not isinstance(sink, NullSink)
+        events = json.loads(path.read_text())["traceEvents"]
+        compute = sorted(
+            (event["args"]["op"], event["args"]["iteration"])
+            for event in events if event["cat"] == "compute"
+        )
+        ops = sorted(op.op_id for op in load_workload("cat").operations())
+        assert compute == [
+            (op_id, iteration) for op_id in ops for iteration in range(1, 5)
+        ]
