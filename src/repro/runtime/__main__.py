@@ -2,11 +2,11 @@
 
 Usage::
 
-    python -m repro.runtime warmup [--pes N] [--workloads A B ...] [--jobs J]
+    python -m repro.runtime warmup [--pes N] [--workloads A B ...]
     python -m repro.runtime bench <workload> [--requests N] [--iterations K]
     python -m repro.runtime stats --disk DIR
 
-``warmup`` compiles the benchmark plans (in parallel) into the cache —
+``warmup`` compiles the benchmark plans into the cache, one by one —
 pass ``--disk`` to persist them; ``bench`` drives the batching server with
 a stream of requests and prints the latency/throughput report; ``stats``
 inspects a persistent plan store.
@@ -62,15 +62,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     warmup = sub.add_parser(
-        "warmup", help="compile workload plans into the cache in parallel"
+        "warmup", help="compile workload plans into the cache"
     )
     _add_machine_args(warmup)
     warmup.add_argument(
         "--workloads", nargs="+", metavar="NAME", default=None,
         help="workloads to warm (default: the 12 paper benchmarks)",
     )
-    warmup.add_argument("--jobs", type=positive_int, default=None,
-                        help="worker threads (default: executor-chosen)")
 
     bench = sub.add_parser(
         "bench", help="serve a request stream and report latency/throughput"
@@ -126,7 +124,6 @@ def cmd_warmup(args: argparse.Namespace) -> int:
         _machine(args),
         cache,
         allocator=args.allocator,
-        max_workers=args.jobs,
     )
     print(report.render())
     breakdown = _pass_breakdown(cache)
@@ -209,6 +206,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "sim_mode": args.sim_mode,
         "batches_converged": counters.get("sim_batches_converged", 0),
         "rounds_fast_forwarded": counters.get("sim_rounds_fast_forwarded", 0),
+        "batches_reused": counters.get("sim_batches_reused", 0),
     }
     fault_tolerance = {
         "faults_observed": counters.get("faults_observed", 0),
@@ -247,7 +245,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print(
         f"  engine              : {engine['sim_mode']} "
         f"({engine['batches_converged']:.0f} batches converged, "
-        f"{engine['rounds_fast_forwarded']:.0f} rounds fast-forwarded)"
+        f"{engine['rounds_fast_forwarded']:.0f} rounds fast-forwarded, "
+        f"{engine['batches_reused']:.0f} batches reused)"
     )
     if fault_tolerance["faults_observed"]:
         print(

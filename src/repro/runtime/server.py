@@ -437,6 +437,7 @@ class BatchingServer:
         batch_id = next(self._batches)
         total_iterations = sum(r.iterations for r in batch)
         compile_was_needed = not state.session.is_compiled
+        reused_before = state.session.batches_reused
         try:
             batch_result = state.session.run(total_iterations)
         except FaultRetryExhausted:
@@ -487,6 +488,10 @@ class BatchingServer:
             )
         if batch_result.converged_round is not None:
             self.metrics.counter("sim_batches_converged").inc()
+        # Batches the session served from a stored trace of the same size;
+        # the counters above describe the batch served either way.
+        if state.session.batches_reused != reused_before:
+            self.metrics.counter("sim_batches_reused").inc()
         # Fault-tolerance observability: batches that needed failover and
         # whether the server is currently serving a degraded machine.
         if batch_result.failovers:

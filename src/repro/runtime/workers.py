@@ -1,22 +1,18 @@
-"""Parallel cold-start compilation: warm the plan cache for a fleet.
+"""Cold-start compilation: warm the plan cache for a fleet.
 
 A fresh server has an empty plan cache; the first request for every
-workload pays the full planning pipeline. ``warm_cache`` compiles many
-workloads concurrently with a :class:`concurrent.futures.ThreadPoolExecutor`
-(the planner is pure Python but each compilation is independent, so the
-pool also serves as the template for a process-pool swap) and inserts each
-plan into the shared cache under its content-addressed key.
+workload pays the full planning pipeline. ``warm_cache`` compiles the
+workloads one after another and inserts each plan into the shared cache
+under its content-addressed key. Compiles run serially because the
+planner is pure Python and holds the GIL: threads cannot overlap them.
 
-Compilation is deterministic per key, so concurrent duplicate compiles are
-benign — last-write-wins inserts an identical plan. The report records
-per-workload wall time and whether the plan came from cache (a warm disk
-tier makes warmup nearly free).
+The report records per-workload wall time and whether the plan came from
+cache (a warm disk tier makes warmup nearly free).
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -57,18 +53,6 @@ class WarmupReport:
     def from_cache(self) -> int:
         return sum(1 for e in self.entries if e.cached)
 
-    @property
-    def serial_seconds(self) -> float:
-        """Sum of per-workload times — the no-parallelism baseline."""
-        return sum(e.seconds for e in self.entries)
-
-    @property
-    def speedup(self) -> float:
-        """Parallel speedup over serial compilation (>= 1.0 with workers)."""
-        if self.wall_seconds == 0.0:
-            return 1.0
-        return self.serial_seconds / self.wall_seconds
-
     def render(self) -> str:
         lines = [
             f"{'workload':<20} {'ms':>9} {'source':>8} {'period':>7} "
@@ -82,8 +66,7 @@ class WarmupReport:
             )
         lines.append(
             f"warmed {len(self.entries)} workloads in {self.wall_seconds:.2f}s "
-            f"wall ({self.compiled} compiled, {self.from_cache} from cache, "
-            f"{self.speedup:.1f}x over serial)"
+            f"wall ({self.compiled} compiled, {self.from_cache} from cache)"
         )
         return "\n".join(lines)
 
@@ -95,17 +78,14 @@ def warm_cache(
     allocator: str = "dp",
     kernel_order: str = "topological",
     liveness_aware: bool = False,
-    max_workers: Optional[int] = None,
     graph_loader: Optional[Callable[[str], TaskGraph]] = None,
 ) -> WarmupReport:
-    """Compile every named workload into ``cache``, in parallel.
+    """Compile every named workload into ``cache``, in order.
 
     Args:
         workloads: workload registry names (e.g. the 12 paper benchmarks).
         config: the machine the fleet serves on.
-        cache: destination plan cache (thread-safe).
-        max_workers: pool width; ``None`` lets the executor pick, ``1``
-            degrades to serial (useful for deterministic timing tests).
+        cache: destination plan cache.
         graph_loader: workload resolver override for tests.
 
     Returns a :class:`WarmupReport`; raises the first compilation error
@@ -150,12 +130,7 @@ def warm_cache(
 
     report = WarmupReport()
     started = time.perf_counter()
-    if max_workers == 1:
-        for name in workloads:
-            report.entries.append(warm_one(name))
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            # map() preserves input order and re-raises worker exceptions.
-            report.entries.extend(pool.map(warm_one, workloads))
+    for name in workloads:
+        report.entries.append(warm_one(name))
     report.wall_seconds = time.perf_counter() - started
     return report

@@ -87,3 +87,65 @@ class TestErrors:
     def test_empty_payload_rejected(self):
         with pytest.raises(GraphValidationError):
             graph_from_dict({"format_version": 1, "name": "empty"})
+
+
+def _payload(**changes):
+    """A valid two-op payload with ``changes`` applied to its records."""
+    payload = {
+        "format_version": 1,
+        "name": "pair",
+        "operations": [{"op_id": 0}, {"op_id": 1}],
+        "edges": [{"producer": 0, "consumer": 1}],
+    }
+    payload.update(changes)
+    return payload
+
+
+HOSTILE_PAYLOADS = {
+    "missing-op-id": (
+        _payload(operations=[{"op_id": 0}, {"name": "x"}]),
+        r"operations\[1\]: missing field 'op_id'",
+    ),
+    "missing-consumer": (
+        _payload(edges=[{"producer": 0}]),
+        r"edges\[0\]: missing field 'consumer'",
+    ),
+    "unknown-kind": (
+        _payload(operations=[{"op_id": 0}, {"op_id": 1, "kind": "warp"}]),
+        r"operations\[1\]: kind 'warp' is not one of conv, pool",
+    ),
+    "null-execution-time": (
+        _payload(operations=[{"op_id": 0, "execution_time": None}]),
+        r"operations\[0\]: field 'execution_time' must be an integer, got None",
+    ),
+    "operations-not-a-list": (
+        _payload(operations=5),
+        r"'operations' must be a list of records, got int",
+    ),
+    "record-not-an-object": (
+        _payload(edges=[[0, 1]]),
+        r"edges\[0\]: must be an object",
+    ),
+    "top-level-list": (
+        [{"op_id": 0}],
+        r"payload must be an object, got list",
+    ),
+    "invalid-json": (b'{"operations": [', r"invalid JSON"),
+    "not-utf8": (b"\xff\xfe{}", r"invalid JSON"),
+}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    list(HOSTILE_PAYLOADS.values()),
+    ids=list(HOSTILE_PAYLOADS),
+)
+def test_hostile_input_raises_typed_error(payload, message, tmp_path):
+    raw = isinstance(payload, bytes)
+    path = tmp_path / "graph.json"
+    path.write_bytes(payload if raw else json.dumps(payload).encode())
+    with pytest.raises(GraphValidationError, match=message):
+        graph_from_json(path)
+    if not raw:
+        with pytest.raises(GraphValidationError, match=message):
+            graph_from_dict(payload)

@@ -50,7 +50,7 @@ class TestRuntimeCli:
         store = str(tmp_path / "plans")
         rc = runtime_cli.main(
             ["warmup", "--workloads", "cat", "car", "--pes", "16",
-             "--disk", store, "--jobs", "2"]
+             "--disk", store]
         )
         out = capsys.readouterr().out
         assert rc == 0
@@ -60,6 +60,12 @@ class TestRuntimeCli:
         assert rc == 0
         assert "2 plans" in out
         assert "cat" in out and "car" in out
+
+    def test_warmup_has_no_jobs_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            runtime_cli.main(["warmup", "--workloads", "cat", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_warmup_rejects_unknown_workload(self, capsys):
         rc = runtime_cli.main(["warmup", "--workloads", "nope"])

@@ -1,9 +1,10 @@
-"""Parallel warmup: cache population, determinism, reporting."""
+"""Warmup: cache population, determinism, reporting."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.paraconv import ParaConv
 from repro.graph.generators import synthetic_benchmark
 from repro.runtime.plan_cache import PlanCache, plan_key_for
 from repro.runtime.workers import warm_cache
@@ -32,19 +33,16 @@ class TestWarmCache:
         assert report.compiled == 0
         assert report.from_cache == 3
 
-    def test_parallel_equals_serial_plans(self, config):
-        serial = PlanCache(capacity=8)
-        parallel = PlanCache(capacity=8)
-        warm_cache(NAMES, config, serial, max_workers=1, graph_loader=loader)
-        warm_cache(NAMES, config, parallel, max_workers=4, graph_loader=loader)
+    def test_warm_plans_equal_direct_compile(self, config):
+        cache = PlanCache(capacity=8)
+        warm_cache(NAMES, config, cache, graph_loader=loader)
         for name in NAMES:
-            key = plan_key_for(loader(name), config)
-            a = serial.get(key)
-            b = parallel.get(key)
-            assert a is not None and b is not None
-            assert a.total_time() == b.total_time()
-            assert a.schedule.placements == b.schedule.placements
-            assert a.schedule.retiming == b.schedule.retiming
+            warm = cache.get(plan_key_for(loader(name), config))
+            direct = ParaConv(config).run(loader(name))
+            assert warm is not None
+            assert warm.total_time() == direct.total_time()
+            assert warm.schedule.placements == direct.schedule.placements
+            assert warm.schedule.retiming == direct.schedule.retiming
 
     def test_order_preserved_and_facts_reported(self, config):
         cache = PlanCache(capacity=8)
