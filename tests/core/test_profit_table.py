@@ -5,26 +5,25 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.paraconv import ParaConv
 from repro.core.profit import (
     NUMPY_FLOOR,
     ProfitTable,
     require_numpy_floor,
-    score_masks_object,
 )
-from repro.graph.generators import synthetic_benchmark
-from repro.pim.config import PimConfig
-from repro.verify.differential_search import allocation_instance
+
+from tests.golden.regen import PROFIT_SCORES_PATH, load_golden, profit_problem
 
 
 @pytest.fixture(scope="module")
 def problem():
-    machine = PimConfig(num_pes=16, iterations=100)
-    instance, _width = allocation_instance(
-        synthetic_benchmark("cat"), machine
-    )
+    instance = profit_problem()
     assert instance.num_items > 0
     return instance
+
+
+@pytest.fixture(scope="module")
+def golden_scores():
+    return load_golden(PROFIT_SCORES_PATH)
 
 
 @pytest.fixture(scope="module")
@@ -67,15 +66,17 @@ class TestScoring:
         assert profit == table.delta_list[0]
         assert slots == table.slots_list[0]
 
-    def test_batch_scoring_matches_object_walk(self, problem, table):
-        rng = np.random.default_rng(3)
-        masks = rng.integers(
-            0, 2, size=(64, table.num_items), dtype=np.int64
-        ) > 0
+    def test_batch_scoring_matches_object_walk(self, table, golden_scores):
+        # The object walk's scores on a fixed batch, frozen by
+        # ``python -m tests.golden.regen``.
+        assert golden_scores["num_items"] == table.num_items
+        masks = np.array(
+            [[bit == "1" for bit in row] for row in golden_scores["masks"]]
+        )
         profits, slots = table.score_masks(masks)
         assert [
-            (int(p), int(s)) for p, s in zip(profits, slots)
-        ] == score_masks_object(problem, masks)
+            [int(p), int(s)] for p, s in zip(profits, slots)
+        ] == golden_scores["scores"]
 
     def test_score_masks_rejects_wrong_shape(self, table):
         with pytest.raises(ValueError, match="masks must be"):

@@ -1,6 +1,6 @@
 """Golden fixture computation and regeneration.
 
-Three fixtures live next to this module:
+Five fixtures live next to this module:
 
 * ``benchmarks.json`` pins the full compiled plan for every paper
   benchmark on the default machine: scalar plan metrics (period,
@@ -16,6 +16,14 @@ Three fixtures live next to this module:
   :class:`~repro.core.search.SearchStats` on every paper benchmark
   across the search battery's machine variants and budget ladder
   (``tests/golden/test_anneal_golden_drift.py``).
+* ``compile_grid.json`` pins the plan digest of every cell of the
+  compile sweep: each paper and randwired workload on 16 and 64 PEs at
+  N=1000, where wide machines make PE-packing ties common
+  (``tests/golden/test_compile_grid_drift.py``).
+* ``profit_scores.json`` pins ``(ΔR profit, slots)`` of a fixed batch of
+  candidate cache subsets on the ``cat`` allocation instance, as the
+  pre-columnar object walk scored them
+  (``tests/core/test_profit_table.py``).
 
 Any change that moves *any* pinned fact is surfaced as an explicit diff;
 intentional changes are blessed by regenerating the fixtures:
@@ -35,7 +43,12 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.cnn.workloads import WORKLOADS, load_workload
+from repro.cnn.workloads import (
+    PAPER_BENCHMARKS,
+    RANDWIRED_BENCHMARKS,
+    WORKLOADS,
+    load_workload,
+)
 from repro.core.paraconv import ParaConv, ParaConvResult
 from repro.core.search import AnnealAllocator
 from repro.graph.generators import BENCHMARK_SIZES, synthetic_benchmark
@@ -56,6 +69,8 @@ _HERE = Path(__file__).resolve().parent
 GOLDEN_PATH = _HERE / "benchmarks.json"
 SIM_GOLDEN_PATH = _HERE / "sim_signatures.json"
 ANNEAL_GOLDEN_PATH = _HERE / "anneal.json"
+COMPILE_GRID_PATH = _HERE / "compile_grid.json"
+PROFIT_SCORES_PATH = _HERE / "profit_scores.json"
 
 #: Fixture layout version; bump when entry fields change.
 GOLDEN_FORMAT_VERSION = 1
@@ -69,6 +84,14 @@ SIM_NUM_VAULTS = 32
 SIM_FAULT = (FAULT_UNIT_PE, 0, 3)
 SIM_FAULT_ITERATIONS = 20
 ANNEAL_SEED = 0
+#: The compile sweep's machine sizes and iteration count.
+GRID_PES: Tuple[int, ...] = (16, 64)
+GRID_ITERATIONS = 1000
+#: The scored candidate batch: workload, machine size and batch shape.
+PROFIT_WORKLOAD = "cat"
+PROFIT_PES = 16
+PROFIT_SEED = 3
+PROFIT_CANDIDATES = 64
 
 
 def plan_digest(result: ParaConvResult) -> str:
@@ -274,6 +297,86 @@ def compute_anneal_golden() -> Dict[str, Any]:
     }
 
 
+# ----------------------------------------------------------------------
+# compile sweep plans
+# ----------------------------------------------------------------------
+def grid_workloads() -> List[str]:
+    """Every workload the compile sweep covers, in registry order."""
+    return PAPER_BENCHMARKS + RANDWIRED_BENCHMARKS
+
+
+def grid_cell_id(name: str, pes: int) -> str:
+    return f"{name}/pes{pes}"
+
+
+def grid_entry(name: str, pes: int) -> Dict[str, Any]:
+    """The compiled plan of one sweep cell, in fixture form."""
+    config = PimConfig(num_pes=pes, iterations=GRID_ITERATIONS)
+    result = ParaConv(config).run(load_workload(name))
+    return {
+        "group_width": result.group_width,
+        "period": result.period,
+        "max_retiming": result.max_retiming,
+        "total_time": result.total_time(),
+        "plan_sha256": plan_digest(result),
+    }
+
+
+def compute_compile_grid() -> Dict[str, Any]:
+    return {
+        "format_version": GOLDEN_FORMAT_VERSION,
+        "pes": list(GRID_PES),
+        "iterations": GRID_ITERATIONS,
+        "cells": {
+            grid_cell_id(name, pes): grid_entry(name, pes)
+            for name in grid_workloads()
+            for pes in GRID_PES
+        },
+    }
+
+
+# ----------------------------------------------------------------------
+# candidate subset scores
+# ----------------------------------------------------------------------
+def profit_problem():
+    """The allocation instance whose candidate scores are pinned."""
+    machine = PimConfig(num_pes=PROFIT_PES, iterations=100)
+    problem, _width = allocation_instance(
+        synthetic_benchmark(PROFIT_WORKLOAD), machine
+    )
+    return problem
+
+
+def score_masks(problem, masks) -> List[List[int]]:
+    """``[profit, slots]`` per candidate, one walk over the items each."""
+    scores: List[List[int]] = []
+    for mask in masks:
+        chosen = [item for item, bit in zip(problem.items, mask) if bit]
+        scores.append([
+            sum(item.delta_r for item in chosen),
+            sum(item.slots for item in chosen),
+        ])
+    return scores
+
+
+def compute_profit_scores() -> Dict[str, Any]:
+    import numpy as np
+
+    problem = profit_problem()
+    rng = np.random.default_rng(PROFIT_SEED)
+    masks = rng.integers(
+        0, 2, size=(PROFIT_CANDIDATES, problem.num_items), dtype=np.int64
+    ) > 0
+    return {
+        "format_version": GOLDEN_FORMAT_VERSION,
+        "workload": PROFIT_WORKLOAD,
+        "pes": PROFIT_PES,
+        "num_items": problem.num_items,
+        "masks": ["".join("1" if bit else "0" for bit in row) for row in masks],
+        "scores": score_masks(problem, masks),
+    }
+
+
 def _write(path: Path, payload: Dict[str, Any]) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -289,6 +392,12 @@ def main() -> int:
     _write(ANNEAL_GOLDEN_PATH, anneal)
     print(f"wrote {len(anneal['benchmarks'])} benchmarks to "
           f"{ANNEAL_GOLDEN_PATH}")
+    grid = compute_compile_grid()
+    _write(COMPILE_GRID_PATH, grid)
+    print(f"wrote {len(grid['cells'])} cells to {COMPILE_GRID_PATH}")
+    scores = compute_profit_scores()
+    _write(PROFIT_SCORES_PATH, scores)
+    print(f"wrote {len(scores['scores'])} scores to {PROFIT_SCORES_PATH}")
     return 0
 
 
