@@ -10,8 +10,8 @@
   which is how the :class:`~repro.compiler.manager.PassManager` enforces
   immutability *between* passes;
 * **shared** holds width-invariant precomputation (ASAP levels, total
-  work) that the width search hoists out of the per-width loop and shares
-  across forked contexts.
+  work, the per-edge price table) that the width search hoists out of the
+  per-width loop and shares across forked contexts.
 
 Forking (:meth:`CompileContext.fork_for_width`) is how one validated graph
 feeds many candidate widths — or, in the ablation harness, how one edge
@@ -21,11 +21,14 @@ analysis feeds many allocators — without re-running upstream passes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.compiler.errors import ArtifactError
 from repro.graph.taskgraph import TaskGraph
 from repro.pim.config import PimConfig
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.retiming import EdgePrice
 
 #: Canonical artifact names produced by the standard pipeline, in order of
 #: first appearance. Kept as one tuple so tests and docs have a single
@@ -164,3 +167,12 @@ class CompileContext:
 
             self.shared["asap_levels"] = asap_levels(self.graph)
         return self.shared["asap_levels"]
+
+    def shared_edge_prices(self) -> "Tuple[EdgePrice, ...]":
+        """Raw transfer times and slot counts of every edge (see
+        :func:`repro.core.retiming.price_edges`)."""
+        if "edge_prices" not in self.shared:
+            from repro.core.retiming import price_edges
+
+            self.shared["edge_prices"] = price_edges(self.graph, self.config)
+        return self.shared["edge_prices"]

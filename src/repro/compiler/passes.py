@@ -34,7 +34,7 @@ from repro.core.allocation import (
     AllocationResult,
     resolve_allocator,
 )
-from repro.core.retiming import analyze_edges, solve_retiming
+from repro.core.retiming import analyze_edges, placed_deltas, solve_retiming
 from repro.core.schedule import (
     PeriodicSchedule,
     ScheduleError,
@@ -42,6 +42,7 @@ from repro.core.schedule import (
     validate_periodic_schedule,
 )
 from repro.core.scheduler import compact_kernel_schedule
+from repro.pim.memory import Placement
 
 Allocator = Callable[[AllocationProblem], AllocationResult]
 
@@ -72,7 +73,8 @@ class ValidateGraphPass(CompilerPass):
     """Structural preconditions; width-invariant, hoisted by the search.
 
     Also primes the shared width-invariant precomputation (ASAP levels,
-    total work, max execution time) so per-width pipeline runs share it.
+    total work, max execution time, edge prices) so per-width pipeline
+    runs share it.
     """
 
     name = "validate-graph"
@@ -85,6 +87,7 @@ class ValidateGraphPass(CompilerPass):
         ctx.shared_total_work()
         ctx.shared_max_execution_time()
         ctx.shared_asap_levels()
+        ctx.shared_edge_prices()
         ctx.put("graph-valid", True)
 
 
@@ -128,7 +131,12 @@ class AnalyzeEdgesPass(CompilerPass):
     def run(self, ctx: CompileContext) -> None:
         ctx.put(
             "timings",
-            analyze_edges(ctx.graph, ctx.get("kernel"), ctx.config),
+            analyze_edges(
+                ctx.graph,
+                ctx.get("kernel"),
+                ctx.config,
+                prices=ctx.shared_edge_prices(),
+            ),
         )
 
 
@@ -191,11 +199,9 @@ class LivenessReweightPass(CompilerPass):
 
         timings = ctx.get("timings")
         allocation = ctx.get("allocation")
-        deltas = {
-            key: timing.delta_for(allocation.placements[key])
-            for key, timing in timings.items()
-        }
-        provisional = solve_retiming(ctx.graph, deltas)
+        provisional = solve_retiming(
+            ctx.graph, placed_deltas(timings, allocation.placements)
+        )
         realized = {
             edge.key: provisional.vertex_retiming[edge.producer]
             - provisional.vertex_retiming[edge.consumer]
@@ -217,12 +223,9 @@ class SolveRetimingPass(CompilerPass):
     produces = ("retiming",)
 
     def run(self, ctx: CompileContext) -> None:
-        timings = ctx.get("timings")
-        allocation = ctx.get("allocation")
-        deltas = {
-            key: timing.delta_for(allocation.placements[key])
-            for key, timing in timings.items()
-        }
+        deltas = placed_deltas(
+            ctx.get("timings"), ctx.get("allocation").placements
+        )
         ctx.put("retiming", solve_retiming(ctx.graph, deltas))
 
 
@@ -237,9 +240,12 @@ class EmitSchedulePass(CompilerPass):
         timings = ctx.get("timings")
         allocation = ctx.get("allocation")
         solution = ctx.get("retiming")
+        placements = allocation.placements
+        cache = Placement.CACHE
         transfer_times = {
-            key: timing.transfer_for(allocation.placements[key])
-            for key, timing in timings.items()
+            key: t.transfer_cache if placements[key] is cache
+            else t.transfer_edram
+            for key, t in timings.items()
         }
         ctx.put(
             "schedule",

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.compiler.errors import PipelineConfigError
 from repro.compiler.manager import PassManager
@@ -54,6 +54,7 @@ from repro.compiler.passes import (
     ValidateSchedulePass,
     ZeroDrPrepassPass,
 )
+from repro.core.retiming import EdgePrice, price_edges
 from repro.graph.taskgraph import TaskGraph
 from repro.pim.config import PimConfig
 
@@ -293,6 +294,7 @@ def transfer_critical_path(
     graph: TaskGraph,
     config: PimConfig,
     period_floor: int,
+    prices: Optional[Sequence[EdgePrice]] = None,
 ) -> int:
     """Longest dependency chain priced with best-case transfers.
 
@@ -313,22 +315,27 @@ def transfer_critical_path(
         config: machine description (prices the cache transfers).
         period_floor: an admissible lower bound on the schedule period at
             the candidate width (the load-balance bound).
+        prices: :func:`~repro.core.retiming.price_edges` of the same graph
+            and machine, when the caller already holds it.
 
     Returns:
         The maximum over all dependency paths of
         ``sum(execution_time) + sum(min(period_floor, cache_transfer))``.
     """
+    if prices is None:
+        prices = price_edges(graph, config)
+    incoming: Dict[int, List[Tuple[int, int]]] = {}
+    for _key, producer, consumer, cache_units, _edram, _slots in prices:
+        cost = cache_units if cache_units < period_floor else period_floor
+        incoming.setdefault(consumer, []).append((producer, cost))
     longest: Dict[int, int] = {}
     for op_id in graph.topological_order():
-        exec_time = graph.operation(op_id).execution_time
-        incoming = 0
-        for edge in graph.in_edges(op_id):
-            price = min(
-                period_floor,
-                config.cache_transfer_units(edge.size_bytes),
-            )
-            incoming = max(incoming, longest[edge.producer] + price)
-        longest[op_id] = incoming + exec_time
+        reach = 0
+        for producer, cost in incoming.get(op_id, ()):
+            arrival = longest[producer] + cost
+            if arrival > reach:
+                reach = arrival
+        longest[op_id] = reach + graph.operation(op_id).execution_time
     return max(longest.values()) if longest else 0
 
 

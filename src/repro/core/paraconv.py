@@ -22,8 +22,8 @@ Since PR 3 the stages are *named compiler passes* executed by
 :class:`repro.compiler.CompileContext` — see :mod:`repro.compiler.passes`
 for the stage table. :class:`ParaConv` is the front-end: it turns its
 knobs into a :class:`repro.compiler.PipelineConfig`, hoists width-invariant
-work (graph validation, ASAP levels) out of the width search, prunes
-candidate widths whose admissible lower bound (load-balance and
+work (graph validation, ASAP levels, edge prices) out of the width search,
+prunes candidate widths whose admissible lower bound (load-balance and
 transfer-critical-path terms) cannot beat the incumbent,
 and attaches a :class:`repro.compiler.CompileStats` breakdown to every
 result (surfaced by ``python -m repro … --explain`` and the serving
@@ -244,8 +244,8 @@ class ParaConv:
         independent of candidate enumeration order.
 
         Width-invariant work (graph validation, ASAP levels, work sums,
-        the transfer critical path per period floor) is hoisted out of
-        the loop, and candidates whose lower bound — the max of the
+        the edge price table, the transfer critical path per period
+        floor) is hoisted out of the loop, and candidates whose lower bound — the max of the
         load-balance and transfer-critical-path terms (see
         :func:`repro.compiler.width_lower_bound`) — cannot beat the
         incumbent best are pruned without compiling, both measurable in
@@ -274,11 +274,13 @@ class ParaConv:
         def cp_for(period_floor: int) -> int:
             if period_floor not in cp_memo:
                 cp_memo[period_floor] = transfer_critical_path(
-                    graph, self.config, period_floor
+                    graph, self.config, period_floor,
+                    prices=base.shared_edge_prices(),
                 )
             return cp_memo[period_floor]
 
         best: Optional[ParaConvResult] = None
+        best_ctx: Optional[CompileContext] = None
         best_key = None
         for width in candidate_group_widths(self.config.num_pes):
             num_groups = max(1, self.config.num_pes // width)
@@ -303,12 +305,13 @@ class ParaConv:
             width_started = time.perf_counter()
             ctx = base.fork_for_width(width)
             manager.run(ctx, stats)
-            result = self._assemble(ctx)
+            result = self._assemble(ctx, census=False)
             stats.record_width(width, time.perf_counter() - width_started)
             key = (result.total_time(), -width)
             if best_key is None or key < best_key:
-                best, best_key = result, key
-        assert best is not None
+                best, best_ctx, best_key = result, ctx, key
+        assert best is not None and best_ctx is not None
+        best.case_histogram = case_census(best_ctx.get("timings"))
         stats.best_width = best.group_width
         stats.record_search(getattr(best.allocation, "search_stats", None))
         stats.total_seconds = time.perf_counter() - started
@@ -369,14 +372,20 @@ class ParaConv:
     # ------------------------------------------------------------------
     # assembly
     # ------------------------------------------------------------------
-    def _assemble(self, ctx: CompileContext) -> ParaConvResult:
-        """Build the result record from a fully-compiled context."""
+    def _assemble(
+        self, ctx: CompileContext, census: bool = True
+    ) -> ParaConvResult:
+        """Build the result record from a fully-compiled context.
+
+        ``census=False`` leaves the case histogram empty; the width search
+        fills it in for the winning width only.
+        """
         return ParaConvResult(
             graph=ctx.graph,
             config=ctx.config,
             schedule=ctx.get("schedule"),
             allocation=ctx.get("allocation"),
-            case_histogram=case_census(ctx.get("timings")),
+            case_histogram=case_census(ctx.get("timings")) if census else {},
             group_width=ctx.width,
             num_groups=ctx.num_groups,
         )

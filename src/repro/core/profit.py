@@ -206,24 +206,3 @@ class ProfitTable:
             capacity_slots=problem.capacity_slots,
         )
 
-
-def score_masks_object(problem: "AllocationProblem", masks) -> List[Tuple[int, int]]:
-    """Reference scorer: re-walk the item objects once per candidate.
-
-    This is the shape of the pre-columnar anneal scoring (one pass over
-    ``problem.items`` per scored candidate), kept as the scoring
-    reference and the baseline of ``benchmarks/test_columnar_compile.py``.
-    """
-    items = problem.items
-    n = len(items)
-    scores: List[Tuple[int, int]] = []
-    for mask in masks:
-        profit = 0
-        slots = 0
-        for index in range(n):
-            if mask[index]:
-                item = items[index]
-                profit += item.delta_r
-                slots += item.slots
-        scores.append((profit, slots))
-    return scores

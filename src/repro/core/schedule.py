@@ -108,31 +108,32 @@ def validate_kernel(
       occupancy depends on the placement (heterogeneous arrays),
     * no two operations overlap on the same PE.
     """
-    op_ids = {op.op_id for op in graph.operations()}
-    placed = set(kernel.placements)
-    if placed != op_ids:
-        missing = sorted(op_ids - placed)
-        extra = sorted(placed - op_ids)
+    execution_times = {op.op_id: op.execution_time for op in graph}
+    placed = kernel.placements
+    if placed.keys() != execution_times.keys():
+        missing = sorted(execution_times.keys() - placed.keys())
+        extra = sorted(placed.keys() - execution_times.keys())
         raise ScheduleError(
             f"kernel op mismatch: missing={missing[:5]}, extra={extra[:5]}"
         )
+    period = kernel.period
     per_pe: Dict[int, List[PlacedOp]] = {}
-    for placement in kernel.placements.values():
+    for placement in placed.values():
         if placement.pe >= num_pes:
             raise ScheduleError(
                 f"op {placement.op_id} on PE {placement.pe} but only "
                 f"{num_pes} PEs exist"
             )
-        if placement.finish > kernel.period:
+        if placement.finish > period:
             raise ScheduleError(
                 f"op {placement.op_id} finishes at {placement.finish} past "
-                f"period {kernel.period}"
+                f"period {period}"
             )
         if duration_of is not None:
             expected = duration_of(placement.op_id, placement.pe)
         else:
-            expected = graph.operation(placement.op_id).execution_time
-        if placement.duration != expected:
+            expected = execution_times[placement.op_id]
+        if placement.finish - placement.start != expected:
             raise ScheduleError(
                 f"op {placement.op_id} occupies {placement.duration} units, "
                 f"execution time is {expected}"
@@ -236,30 +237,35 @@ def validate_periodic_schedule(
     Raises :class:`ScheduleError` on the first violation.
     """
     graph = schedule.graph
-    kernel = schedule.kernel
     period = schedule.period
     if period <= 0:
         raise ScheduleError("period must be positive")
-    for op in graph.operations():
-        if op.op_id not in schedule.retiming:
-            raise ScheduleError(f"no retiming value for op {op.op_id}")
-        if schedule.retiming[op.op_id] < 0:
-            raise ScheduleError(f"negative retiming for op {op.op_id}")
-    for edge in graph.edges():
-        key = edge.key
-        if key not in schedule.placements:
+    retiming = schedule.retiming
+    for op in graph:
+        op_id = op.op_id
+        if op_id not in retiming:
+            raise ScheduleError(f"no retiming value for op {op_id}")
+        if retiming[op_id] < 0:
+            raise ScheduleError(f"negative retiming for op {op_id}")
+    placed = schedule.kernel.placements
+    placements = schedule.placements
+    transfer_times = schedule.transfer_times
+    edge_retiming = schedule.edge_retiming
+    for key in graph.edge_keys():
+        if key not in placements:
             raise ScheduleError(f"no placement for intermediate result {key}")
-        if key not in schedule.transfer_times:
+        if key not in transfer_times:
             raise ScheduleError(f"no transfer time for intermediate result {key}")
-        r_i = schedule.retiming[edge.producer]
-        r_j = schedule.retiming[edge.consumer]
+        producer, consumer = key
+        r_i = retiming[producer]
+        r_j = retiming[consumer]
         delta = r_i - r_j
         if delta < 0:
             raise ScheduleError(
                 f"edge {key}: R(i)={r_i} < R(j)={r_j} breaks the dependency"
             )
         if check_legality:
-            r_ij = schedule.edge_retiming.get(key)
+            r_ij = edge_retiming.get(key)
             if r_ij is None:
                 raise ScheduleError(f"edge {key}: missing R(i,j)")
             if not r_i >= r_ij >= r_j:
@@ -267,26 +273,29 @@ def validate_periodic_schedule(
                     f"edge {key}: illegal retiming R(i)={r_i} >= "
                     f"R(i,j)={r_ij} >= R(j)={r_j} violated"
                 )
-        c_ij = schedule.transfer_times[key]
+        c_ij = transfer_times[key]
         if c_ij > period:
             raise ScheduleError(
                 f"edge {key}: transfer time {c_ij} exceeds period {period} "
                 "(Theorem 3.1 requires c_ij <= p)"
             )
+        try:
+            arrival = placed[producer].finish + c_ij
+            start = placed[consumer].start
+        except KeyError as exc:
+            raise ScheduleError(
+                f"op {exc.args[0]} missing from kernel"
+            ) from None
         # Theorem 3.1 bounds the *required* relative retiming of each pair
         # at 2; the realized R(i) - R(j) may exceed it when other paths
         # push R(i) higher (the data simply waits longer, still legal).
-        required = max(
-            0,
-            -(-(kernel.finish(edge.producer) + c_ij - kernel.start(edge.consumer)) // period),
-        )
+        required = max(0, -(-(arrival - start) // period))
         if required > 2:
             raise ScheduleError(
                 f"edge {key}: required relative retiming {required} exceeds "
                 "the Theorem 3.1 bound of 2"
             )
-        arrival = kernel.finish(edge.producer) + c_ij
-        available = delta * period + kernel.start(edge.consumer)
+        available = delta * period + start
         if arrival > available:
             raise ScheduleError(
                 f"edge {key}: data arrives at offset {arrival} but consumer "

@@ -16,6 +16,7 @@ Two schedulers cover the paper's two regimes:
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Callable, Dict, List, Optional
 
@@ -79,15 +80,16 @@ def compact_kernel_schedule(
         )
     else:
         raise ScheduleError(f"unknown packing order {order!r}")
-    free_at = [0] * num_pes
+    # (free_at, pe) pairs: the heap minimum is the earliest-free PE, the
+    # lowest index among equally free ones.
+    free = [(0, pe) for pe in range(num_pes)]
     placements: Dict[int, PlacedOp] = {}
     for op in ordered:
-        pe = min(range(num_pes), key=lambda k: (free_at[k], k))
-        start = free_at[pe]
+        start, pe = free[0]
         finish = start + op.execution_time
-        free_at[pe] = finish
+        heapq.heapreplace(free, (finish, pe))
         placements[op.op_id] = PlacedOp(op.op_id, pe, start, finish)
-    period = max(free_at) if placements else 0
+    period = max(free)[0] if placements else 0
     return KernelSchedule(period=period, placements=placements)
 
 

@@ -7,7 +7,9 @@ functions by cumulative time. The two targets are the repo's two hot
 paths:
 
 * ``compile`` — a cold :class:`~repro.core.paraconv.ParaConv` compile
-  with the simulated-annealing allocator (the ΔR-scoring hot loop).
+  of ``protein`` (546 ops) with the default dynamic-programming
+  allocator, the path the CLI and the benchmark's compile sweep take
+  (the per-width pass pipeline is the hot loop).
 * ``sim`` — a paper-scale discrete-event run of the produced plan
   (the per-round event hot loop), as a full unroll by default.
 
@@ -34,8 +36,12 @@ from repro.sim.sinks import NullSink
 #: profile targets, in the order the bare ``profile`` experiment runs them.
 PROFILE_TARGETS: Tuple[str, ...] = ("compile", "sim")
 
-#: default workload: large enough that the hot loops dominate the table.
-DEFAULT_PROFILE_WORKLOAD = "lenet5"
+#: default workload per target: large enough that the hot loops dominate
+#: the table.
+DEFAULT_PROFILE_WORKLOADS: Dict[str, str] = {
+    "compile": "protein",
+    "sim": "lenet5",
+}
 
 
 @dataclass(frozen=True)
@@ -99,10 +105,10 @@ def run_profile(
     target: str,
     config: Optional[PimConfig] = None,
     *,
-    workload: str = DEFAULT_PROFILE_WORKLOAD,
+    workload: Optional[str] = None,
     top: int = 15,
     sim_mode: str = "full",
-    allocator: str = "anneal",
+    allocator: Optional[str] = None,
 ) -> ProfileReport:
     """Profile one hot path and return its hotspot table.
 
@@ -110,11 +116,13 @@ def run_profile(
         target: ``"compile"`` or ``"sim"``.
         config: machine; defaults to 64 PEs at N=1000 (the perf-bench
             configuration, so the table matches the BENCH trajectories).
-        workload: workload name to compile / simulate.
+        workload: workload name to compile / simulate; defaults to the
+            target's entry in :data:`DEFAULT_PROFILE_WORKLOADS`.
         top: number of hotspot rows to keep.
         sim_mode: simulation mode for the ``sim`` target (any
             :meth:`~repro.sim.modes.SimMode.from_name` name).
-        allocator: allocator spec for the ``compile`` target.
+        allocator: allocator spec for the ``compile`` target; the
+            default dynamic program when omitted.
     """
     if target not in PROFILE_TARGETS:
         raise ValueError(
@@ -122,6 +130,7 @@ def run_profile(
             f"{', '.join(PROFILE_TARGETS)}"
         )
     machine = config or PimConfig(num_pes=64, iterations=1000)
+    workload = workload or DEFAULT_PROFILE_WORKLOADS[target]
     graph = load_workload(workload)
     if target == "compile":
         def driver() -> object:

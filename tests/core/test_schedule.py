@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.retiming import analyze_edges
 from repro.core.schedule import (
     KernelSchedule,
     PeriodicSchedule,
@@ -10,6 +11,7 @@ from repro.core.schedule import (
     validate_kernel,
     validate_periodic_schedule,
 )
+from repro.pim.config import PimConfig
 from repro.pim.memory import Placement
 
 
@@ -54,6 +56,22 @@ class TestKernelSchedule:
         kernel = KernelSchedule(period=5)
         with pytest.raises(ScheduleError, match="missing"):
             kernel.start(3)
+
+    @pytest.mark.parametrize("dropped", [0, 3])
+    def test_edge_analysis_names_missing_op(self, diamond_graph, dropped):
+        # Op 0 is only ever a producer and op 3 only ever a consumer, so
+        # both lookups of the analysis are covered.
+        kernel = _manual_kernel(diamond_graph)
+        del kernel.placements[dropped]
+        with pytest.raises(ScheduleError, match=f"op {dropped} missing"):
+            analyze_edges(diamond_graph, kernel, PimConfig(num_pes=2))
+
+    @pytest.mark.parametrize("dropped", [0, 3])
+    def test_schedule_validation_names_missing_op(self, diamond_graph, dropped):
+        schedule = _periodic(diamond_graph, {0: 2, 1: 1, 2: 1, 3: 0})
+        del schedule.kernel.placements[dropped]
+        with pytest.raises(ScheduleError, match=f"op {dropped} missing"):
+            validate_periodic_schedule(schedule)
 
 
 def _manual_kernel(diamond_graph, period=3):

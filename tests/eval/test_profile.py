@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.eval.profile import (
+    DEFAULT_PROFILE_WORKLOADS,
     PROFILE_TARGETS,
     ProfileReport,
     run_profile,
@@ -38,6 +39,16 @@ class TestRunProfile:
         for row in report.rows:
             assert row.calls >= 1
             assert row.cumulative_seconds >= row.total_seconds >= 0
+
+    def test_compile_profile_defaults_to_protein_with_dp(self, small_machine):
+        # The path the CLI and the benchmark's compile sweep take.
+        assert DEFAULT_PROFILE_WORKLOADS["compile"] == "protein"
+        report = run_profile("compile", small_machine, top=60)
+        assert report.workload == "protein"
+        table = "\n".join(row.function for row in report.rows)
+        assert "dp_allocate" in table
+        assert "analyze_edges" in table
+        assert "search.py" not in table
 
     def test_sim_profile_hits_the_columnar_engine(self, small_machine):
         report = run_profile("sim", small_machine, workload="cat", top=25)
@@ -82,5 +93,5 @@ def test_profile_cli(capsys):
         "profile", "compile", "--top", "4", "--iterations", "40",
     ]) == 0
     out = capsys.readouterr().out
-    assert "## Hotspots: compile" in out
+    assert "## Hotspots: compile (protein," in out
     assert "cumtime" in out
