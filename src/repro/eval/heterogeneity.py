@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.cnn.workloads import load_workload
 from repro.core.allocation import AllocationProblem, dp_allocate
 from repro.core.baseline import SpartaScheduler
-from repro.core.retiming import analyze_edges, solve_retiming
+from repro.core.retiming import analyze_edges, placed_deltas, solve_retiming
 from repro.core.schedule import PeriodicSchedule
 from repro.core.scheduler import (
     compact_kernel_schedule_heterogeneous,
@@ -63,11 +63,9 @@ def paraconv_heterogeneous(
     timings = analyze_edges(graph, kernel, config)
     problem = AllocationProblem.from_timings(timings, config.total_cache_slots)
     allocation = dp_allocate(problem)
-    deltas = {
-        key: timing.delta_for(allocation.placements[key])
-        for key, timing in timings.items()
-    }
-    solution = solve_retiming(graph, deltas)
+    solution = solve_retiming(
+        graph, placed_deltas(timings, allocation.placements)
+    )
     schedule = PeriodicSchedule(
         graph=graph,
         kernel=kernel,

@@ -83,6 +83,18 @@ class TestAnalyzeEdges:
             assert 0 <= timing.delta_cache <= 2
             assert timing.delta_cache <= timing.delta_edram <= 2
 
+    def test_deltas_match_required_retiming(self, figure2_graph, small_config):
+        kernel = compact_kernel_schedule(figure2_graph, small_config.num_pes)
+        timings = analyze_edges(figure2_graph, kernel, small_config)
+        for (producer, consumer), timing in timings.items():
+            finish, start = kernel.finish(producer), kernel.start(consumer)
+            assert timing.delta_cache == required_retiming(
+                finish, start, timing.transfer_cache, kernel.period
+            )
+            assert timing.delta_edram == required_retiming(
+                finish, start, timing.transfer_edram, kernel.period
+            )
+
     def test_delta_r_non_negative(self, figure2_graph, small_config):
         kernel = compact_kernel_schedule(figure2_graph, small_config.num_pes)
         for timing in analyze_edges(figure2_graph, kernel, small_config).values():
