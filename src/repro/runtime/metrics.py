@@ -217,11 +217,17 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Counter:
         with self._lock:
-            return self.counters.setdefault(name, Counter(name))
+            counter = self.counters.get(name)
+            if counter is None:
+                counter = self.counters[name] = Counter(name)
+            return counter
 
     def gauge(self, name: str) -> Gauge:
         with self._lock:
-            return self.gauges.setdefault(name, Gauge(name))
+            gauge = self.gauges.get(name)
+            if gauge is None:
+                gauge = self.gauges[name] = Gauge(name)
+            return gauge
 
     def histogram(self, name: str, reservoir_size: int = 4096) -> Histogram:
         with self._lock:

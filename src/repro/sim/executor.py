@@ -26,17 +26,28 @@ The machine state is columnar:
 
 * the machine is a set of **timeline arrays** -- per-PE busy clocks,
   per-vault service clocks, crossbar port clocks -- advanced in place;
-* all static facts are **precomputed tables** built once per run from
-  the schedule and the :mod:`repro.pim` models (per-op: PE, execution
-  time, nominal-start offset, in-degree, ALU cost, in-edge keys and pFIFO
-  entries; per-edge: placement, slots, transfer latencies, home vault,
+* all static facts are **precomputed rows** built once per run from the
+  schedule and the :mod:`repro.pim` models, one per event ``rid``
+  (arrival: consumer, its PE, the edge's shared pFIFO entry; start: PE,
+  execution time, ALU cost, pFIFO entries, cache-placed in-edges;
+  produce: per out-edge placement, slots, transfer latencies, home vault,
   vault service time), so the hot loop does list indexing only;
-* events are **plain tuples** ``(time, priority, iteration, op, e0, e1,
-  seq, size)`` on a ``heapq``. The content key ``(iteration, op) + edge``
-  is unique per event, so same-time ordering is a function of event
-  identity and never of the sequence number -- the property the
-  fast-forward splice relies on when it rebuilds the heap with fresh
-  sequence numbers.
+* events are **packed integers** on a ``heapq`` (:class:`_EventKeys`):
+  ``key = (((time << 2) | priority) << (IB + RB)) | (iteration << RB) |
+  rid``. ``rid`` is a static row rank fixed when the tables are built --
+  arrivals ranked by ``(consumer, e0, e1)``, then starts and productions
+  each ranked by op id -- and indexes the row of static facts the
+  handler needs. ``RB`` is the bit length of ``max(E + 2V, max_op_id +
+  1)`` and ``IB`` that of ``iterations + 1``, so no field can overflow
+  into the next and integer order *is* the order of the tuple ``(time,
+  priority, iteration, op, e0, e1)``. That content key is unique per
+  event, so no sequence number is needed to break ties: same-time
+  ordering is a function of event identity alone, which is what lets the
+  fast-forward splice shift every in-flight key with one add;
+* per-instance bookkeeping is **one record per operation instance**,
+  ``[remaining in-edges, latest arrival, nominal start]``, keyed by the
+  integer ``(iteration << RB) | op_id``; live cache slots are keyed by
+  ``(iteration << RB) | edge_rid``.
 
 Two simulation modes (:class:`~repro.sim.modes.SimMode`):
 
@@ -115,6 +126,57 @@ _PRIO_PRODUCE = 2
 _KIND_OF_PRIO = {
     _PRIO_ARRIVE: "arrive", _PRIO_START: "start", _PRIO_PRODUCE: "produce",
 }
+
+#: bits of the priority field of an event key.
+_PRIO_BITS = 2
+
+
+class _EventKeys:
+    """Field layout of a packed event key, sized for one run.
+
+    ``key = (((time << 2) | prio) << shift) | (iteration << rid_bits) |
+    rid`` with ``shift = iteration_bits + rid_bits``. Time is the top
+    field, so it is unbounded; every lower field is checked to fit its
+    width here, once, so integer order equals ``(time, prio, iteration,
+    rid)`` tuple order for every key the run can build.
+    """
+
+    __slots__ = (
+        "rid_bits", "iteration_bits", "shift", "time_shift", "rid_mask",
+        "iteration_mask",
+    )
+
+    def __init__(self, num_rids: int, max_op_id: int, iterations: int):
+        self.rid_bits = max(num_rids, max_op_id + 1).bit_length()
+        self.iteration_bits = (iterations + 1).bit_length()
+        self.shift = self.iteration_bits + self.rid_bits
+        self.time_shift = self.shift + _PRIO_BITS
+        self.rid_mask = (1 << self.rid_bits) - 1
+        #: the iteration field in place (``key & iteration_mask`` keeps
+        #: ``iteration << rid_bits``).
+        self.iteration_mask = ((1 << self.iteration_bits) - 1) << self.rid_bits
+        assert num_rids - 1 <= self.rid_mask and max_op_id <= self.rid_mask
+        assert iterations + 1 < 1 << self.iteration_bits
+        assert max(_KIND_OF_PRIO) < 1 << _PRIO_BITS
+
+    def const(self, prio: int, rid: int) -> int:
+        """The priority and rid fields of a key, ready to OR in."""
+        return (prio << self.shift) | rid
+
+    def pack(self, time: int, prio: int, iteration: int, rid: int) -> int:
+        return (
+            (time << self.time_shift) | (iteration << self.rid_bits)
+            | self.const(prio, rid)
+        )
+
+    def unpack(self, key: int) -> Tuple[int, int, int, int]:
+        """``(time, prio, iteration, rid)`` of a packed key."""
+        return (
+            key >> self.time_shift,
+            (key >> self.shift) & ((1 << _PRIO_BITS) - 1),
+            (key & self.iteration_mask) >> self.rid_bits,
+            key & self.rid_mask,
+        )
 
 
 class PeFaultError(SimulationError):
@@ -441,29 +503,39 @@ class _ScheduleRun:
         width = result.group_width
         self.graph = graph
 
-        # ---- static per-op tables (index = op_id) ---------------------
+        # ---- event-key layout and row ranks ---------------------------
+        # One rid space: arrivals ranked by (consumer, e0, e1), then the
+        # starts, then the productions, each ranked by op id -- within one
+        # (time, prio, iteration) the rid order is the old tuple order.
         ops = list(graph.operations())
         size = max(op.op_id for op in ops) + 1 if ops else 0
+        edges = sorted(graph.edges(), key=lambda e: (e.consumer, *e.key))
+        op_ids = sorted(op.op_id for op in ops)
+        n_edges = len(edges)
+        n_ops = len(op_ids)
+        keys = self._keys = _EventKeys(n_edges + 2 * n_ops, size - 1, iterations)
+        arrive_rid = {edge.key: rid for rid, edge in enumerate(edges)}
+        start_rid = {op_id: n_edges + rank for rank, op_id in enumerate(op_ids)}
+        self._n_arrive = n_edges
+        self._n_arrive_start = n_edges + n_ops
+        #: one shared pFIFO entry ``((e0, e1), size_bytes)`` per edge: an
+        #: arrival stages it and a start removes it by identity.
+        entry_of = {edge.key: (edge.key, edge.size_bytes) for edge in edges}
+        #: rid -> ``(op_id, (e0, e1), size)`` of its events, for decoding.
+        self._rid_fields: List[tuple] = [None] * (n_edges + 2 * n_ops)
+
+        # ---- static per-op tables (index = op_id) ---------------------
         self._op_order: List[int] = [op.op_id for op in ops]
-        self._pe_of: List[int] = [0] * size
-        self._exec: List[int] = [0] * size
-        self._alu: List[int] = [0] * size
         self._in_deg: List[int] = [0] * size
-        self._in_keys: List[List[Tuple[int, int]]] = [[] for _ in range(size)]
-        #: in_entries[op] = the pFIFO entry ``((e0, e1), size_bytes)`` each
-        #: in-edge stages, in in_keys order. The size is fixed per edge, so
-        #: an entry equals a staged one iff their edge keys match.
-        self._in_entries: List[List[tuple]] = [[] for _ in range(size)]
+        #: start_const[op] = the prio and rid fields of op's start key.
+        self._start_const: List[int] = [0] * size
         static_off = [0] * size
         for op in ops:
             op_id = op.op_id
-            self._pe_of[op_id] = kernel.pe_of(op_id)
-            self._exec[op_id] = op.execution_time
-            self._alu[op_id] = max(op.work, op.execution_time)
             self._in_deg[op_id] = graph.in_degree(op_id)
-            in_edges = graph.in_edges(op_id)
-            self._in_keys[op_id] = [e.key for e in in_edges]
-            self._in_entries[op_id] = [(e.key, e.size_bytes) for e in in_edges]
+            self._start_const[op_id] = keys.const(
+                _PRIO_START, start_rid[op_id]
+            )
             # nominal(op, it) = (it - 1) * p + static_off[op]: the whole
             # round's nominal starts become one vectorized array add.
             static_off[op_id] = (
@@ -471,23 +543,51 @@ class _ScheduleRun:
             ) * self.period + kernel.start(op_id)
         self._static_off = np.asarray(static_off, dtype=np.int64)
 
-        # ---- static per-edge tables (keyed off the producing op) ------
+        # ---- static rows, indexed by rid ------------------------------
         # Vault interleaving and service times come from the memory
         # model; only its static answers are read, never its clocks.
         memory = MemorySystem(config, num_vaults=num_vaults)
-        #: out_recs[op] = [(consumer, e0, e1, size, is_cache, slots,
-        #:   cache_units, edram_units, service, vault, consumer_pe), ...]
-        #:   in graph.out_edges() order.
-        self._out_recs: List[List[tuple]] = [[] for _ in range(size)]
-        for op in ops:
-            for edge in graph.out_edges(op.op_id):
-                e0, e1 = edge.key
+        rows: List[tuple] = [None] * (n_edges + 2 * n_ops)
+        for rid, edge in enumerate(edges):
+            consumer = edge.consumer
+            #: arrival row: (consumer, consumer_pe, fifo_entry,
+            #:   consumer_start_const)
+            rows[rid] = (
+                consumer, kernel.pe_of(consumer), entry_of[edge.key],
+                self._start_const[consumer],
+            )
+            self._rid_fields[rid] = (consumer, edge.key, edge.size_bytes)
+        for op_id in op_ids:
+            op = graph.operation(op_id)
+            in_edges = graph.in_edges(op_id)
+            start = start_rid[op_id]
+            produce = start + n_ops
+            #: start row: (op_id, pe, exec_time, alu_cost, in_entries,
+            #:   cache-placed in-edge rids, produce_const). in_entries is
+            #:   in graph.in_edges() order, the pFIFO consume order.
+            rows[start] = (
+                op_id,
+                kernel.pe_of(op_id),
+                op.execution_time,
+                max(op.work, op.execution_time),
+                tuple(entry_of[e.key] for e in in_edges),
+                tuple(
+                    arrive_rid[e.key] for e in in_edges
+                    if schedule.placements[e.key] is Placement.CACHE
+                ),
+                keys.const(_PRIO_PRODUCE, produce),
+            )
+            #: produce row: out-edge records (arrive_const, (e0, e1), size,
+            #:   is_cache, slots, cache_units, edram_units, service, vault,
+            #:   consumer_pe) in graph.out_edges() order. The arrival
+            #:   priority is 0, so arrive_const is also the edge's rid.
+            out_recs = []
+            for edge in graph.out_edges(op_id):
                 size_bytes = edge.size_bytes
                 vault = memory.vault_for(edge.key)
-                self._out_recs[op.op_id].append((
-                    edge.consumer,
-                    e0,
-                    e1,
+                out_recs.append((
+                    keys.const(_PRIO_ARRIVE, arrive_rid[edge.key]),
+                    edge.key,
                     size_bytes,
                     schedule.placements[edge.key] is Placement.CACHE,
                     config.slots_required(size_bytes),
@@ -497,6 +597,10 @@ class _ScheduleRun:
                     vault.vault_id,
                     kernel.pe_of(edge.consumer),
                 ))
+            rows[produce] = tuple(out_recs)
+            self._rid_fields[start] = (op_id, (-1, -1), 0)
+            self._rid_fields[produce] = (op_id, (-1, -1), 0)
+        self._rows = rows
 
         # ---- timeline arrays + dynamic state --------------------------
         self._pe_free: List[int] = [0] * width
@@ -509,12 +613,12 @@ class _ScheduleRun:
             memory.cache.capacity_slots // result.num_groups, 0
         )
         self._cache_used = 0
-        self._cache_live: Dict[Tuple[int, int, int], int] = {}
-        self._pending: Dict[Tuple[int, int], int] = {}
-        self._max_avail: Dict[Tuple[int, int], int] = {}
-        self._nominal: Dict[Tuple[int, int], int] = {}
-        self._heap: List[tuple] = []
-        self._seq = 0
+        #: (iteration << RB) | edge_rid -> cache slots held.
+        self._cache_live: Dict[int, int] = {}
+        #: (iteration << RB) | op_id -> [remaining in-edges, latest
+        #: arrival, nominal start]; dropped when the instance starts.
+        self._inst: Dict[int, List[int]] = {}
+        self._heap: List[int] = []
         self._now = 0
         self._processed = 0
         self._events_skipped = 0
@@ -542,52 +646,54 @@ class _ScheduleRun:
     def _materialize(self, iteration: int) -> None:
         """Create the dependency bookkeeping for one logical iteration.
 
-        Source instances are scheduled at their nominal starts; dependent
-        instances wait in ``pending`` until every in-edge delivered. The
-        round's nominal starts are one vectorized add.
+        Every instance gets its record; source instances are scheduled at
+        their nominal starts, dependent ones wait until every in-edge
+        delivered. The round's nominal starts are one vectorized add.
         """
         offs = (self._static_off + (iteration - 1) * self.period).tolist()
         heap = self._heap
-        nominal = self._nominal
-        pending = self._pending
-        max_avail = self._max_avail
+        inst = self._inst
         in_deg = self._in_deg
+        start_const = self._start_const
+        time_shift = self._keys.time_shift
+        ibits = iteration << self._keys.rid_bits
         for op_id in self._op_order:
-            key = (op_id, iteration)
-            nominal[key] = offs[op_id]
+            nominal = offs[op_id]
             degree = in_deg[op_id]
+            inst[ibits | op_id] = [degree, 0, nominal]
             if degree == 0:
-                heappush(heap, (
-                    offs[op_id], _PRIO_START, iteration, op_id, -1, -1,
-                    self._seq, 0,
-                ))
-                self._seq += 1
-            else:
-                pending[key] = degree
-                max_avail[key] = 0
+                heappush(
+                    heap, (nominal << time_shift) | ibits | start_const[op_id]
+                )
 
     def _run_until(self, until: int) -> None:
         """Dispatch every queued event due at or before ``until``.
 
         One fused loop handles all three event kinds (arrive, start,
-        produce). Static tables, timelines and dicts are bound to locals
-        once per call and every exact counter accumulates in a local; the
-        ``finally`` writes the counters back on every exit -- a normal
-        return or a :class:`PeFaultError` -- so ``round_probe``,
-        :meth:`_snapshot`, :meth:`_canonical` and the fault's round/time
-        see the same state as if each event had updated it in place.
+        produce), told apart by the rid range of the popped key. Static
+        rows, timelines and dicts are bound to locals once per call and
+        every exact counter accumulates in a local; the ``finally`` writes
+        the counters back on every exit -- a normal return or a
+        :class:`PeFaultError` -- so ``round_probe``, :meth:`_snapshot`,
+        :meth:`_canonical` and the fault's round/time see the same state
+        as if each event had updated it in place. A push keeps the popped
+        key's iteration bits and ORs in the new time and the row's
+        prio/rid constant.
         """
         heap = self._heap
         trace = self.trace
         stats = trace.stats
         mem = self._mem_stats
-        # ---- static tables -----------------------------------------------
-        pe_of = self._pe_of
-        exec_time = self._exec
-        alu = self._alu
-        in_keys = self._in_keys
-        in_entries = self._in_entries
-        out_recs = self._out_recs
+        # ---- static rows and key layout ----------------------------------
+        rows = self._rows
+        n_arrive = self._n_arrive
+        n_arrive_start = self._n_arrive_start
+        keys = self._keys
+        time_shift = keys.time_shift
+        rid_bits = keys.rid_bits
+        rid_mask = keys.rid_mask
+        iteration_mask = keys.iteration_mask
+        limit = (until + 1) << time_shift
         cache_cap = self._cache_cap
         failed_pes = self._failed_pes
         failed_vaults = self._failed_vaults
@@ -598,20 +704,14 @@ class _ScheduleRun:
         xin = self._xin
         xout = self._xout
         cache_live = self._cache_live
-        pending = self._pending
-        max_avail = self._max_avail
-        nominal = self._nominal
+        inst = self._inst
         pes_used_add = trace.pes_used.add
         emit = self._emit
         record_instance = trace.sink.record_instance
         record_transfer = trace.sink.record_transfer
         fifo_depth = PFIFO_DEPTH
-        prio_arrive = _PRIO_ARRIVE
-        prio_start = _PRIO_START
-        prio_produce = _PRIO_PRODUCE
         # ---- exact counters (written back in the finally) ----------------
         now = self._now
-        seq = self._seq
         processed = self._processed
         cache_used = self._cache_used
         max_finish = self._max_finish
@@ -629,35 +729,35 @@ class _ScheduleRun:
         edram_accesses = mem.edram_accesses
         edram_bytes = mem.edram_bytes
         try:
-            while heap and heap[0][0] <= until:
-                now, prio, iteration, op_id, e0, e1, _seq, size = heappop(heap)
+            while heap and heap[0] < limit:
+                key = heappop(heap)
                 processed += 1
-                if prio == prio_arrive:
-                    key = (op_id, iteration)
-                    if now > max_avail[key]:
-                        max_avail[key] = now
+                now = key >> time_shift
+                ibits = key & iteration_mask
+                rid = key & rid_mask
+                if rid < n_arrive:
+                    consumer, consumer_pe, entry, start_const = rows[rid]
+                    rec = inst[ibits | consumer]
+                    if now > rec[1]:
+                        rec[1] = now
                     # Stage the datum in the consumer PE's pFIFO (occupancy
                     # stats; a full FIFO degrades to a direct cache/eDRAM
                     # read).
-                    fifo = fifos[pe_of[op_id]]
+                    fifo = fifos[consumer_pe]
                     if len(fifo) < fifo_depth:
-                        fifo.append(((e0, e1), size))
+                        fifo.append(entry)
                         fifo_pushes += 1
-                    remaining = pending[key] - 1
+                    remaining = rec[0] - 1
+                    rec[0] = remaining
                     if remaining:
-                        pending[key] = remaining
                         continue
-                    del pending[key]
-                    start_at = nominal[key]
-                    avail = max_avail.pop(key)
-                    if avail > start_at:
-                        start_at = avail  # avail already >= now
-                    heappush(heap, (
-                        start_at, prio_start, iteration, op_id, -1, -1, seq, 0,
-                    ))
-                    seq += 1
-                elif prio == prio_start:
-                    pe_id = pe_of[op_id]
+                    start_at = rec[2]
+                    if rec[1] > start_at:
+                        start_at = rec[1]  # the latest arrival, >= now
+                    heappush(heap, (start_at << time_shift) | ibits | start_const)
+                elif rid < n_arrive_start:
+                    (op_id, pe_id, duration, alu_cost, in_entries, cache_in,
+                     produce_const) = rows[rid]
                     if pe_id in failed_pes:
                         # The schedule placed this instance on a PE that is
                         # dead under the active fault mask: abort before
@@ -668,21 +768,20 @@ class _ScheduleRun:
                     # match), so a neighbour instance's datum is never
                     # stolen.
                     fifo = fifos[pe_id]
-                    for entry in in_entries[op_id]:
+                    for entry in in_entries:
                         if entry in fifo:
                             fifo.remove(entry)
                     start = pe_free[pe_id]
                     if now > start:
                         start = now
-                    duration = exec_time[op_id]
                     finish = start + duration
                     pe_free[pe_id] = finish
-                    nominal_start = nominal.pop((op_id, iteration))
+                    nominal_start = inst.pop(ibits | op_id)[2]
                     if emit:
                         record_instance(InstanceRecord(
-                            op_id=op_id, iteration=iteration, pe=pe_id,
-                            nominal_start=nominal_start, start=start,
-                            finish=finish,
+                            op_id=op_id, iteration=ibits >> rid_bits,
+                            pe=pe_id, nominal_start=nominal_start,
+                            start=start, finish=finish,
                         ))
                     num_instances += 1
                     busy_units += duration
@@ -691,27 +790,25 @@ class _ScheduleRun:
                     if lateness > lateness_max:
                         lateness_max = lateness
                     pes_used_add(pe_id)
-                    alu_ops += alu[op_id]
+                    alu_ops += alu_cost
                     if finish > max_finish:
                         max_finish = finish
-                    # consume: free the cache slots of in-edges
-                    for e0, e1 in in_keys[op_id]:
-                        slots = cache_live.pop((e0, e1, iteration), None)
+                    # consume: free the cache slots of the cache-placed
+                    # in-edges (a spilled one holds none).
+                    for arrive in cache_in:
+                        slots = cache_live.pop(ibits | arrive, None)
                         if slots is not None:
                             cache_used -= slots
-                    heappush(heap, (
-                        finish, prio_produce, iteration, op_id, -1, -1, seq, 0,
-                    ))
-                    seq += 1
+                    heappush(heap, (finish << time_shift) | ibits | produce_const)
                 else:  # produce
                     finish = now
-                    for (consumer, e0, e1, size, is_cache, slots, cache_units,
+                    for (arrive, edge_key, size, is_cache, slots, cache_units,
                          edram_units, service, vault,
-                         consumer_pe) in out_recs[op_id]:
+                         consumer_pe) in rows[rid]:
                         if is_cache:
                             used = cache_used + slots
                             if used <= cache_cap:
-                                cache_live[(e0, e1, iteration)] = slots
+                                cache_live[ibits | arrive] = slots
                                 cache_used = used
                                 if used > cache_peak:
                                     cache_peak = used
@@ -720,16 +817,15 @@ class _ScheduleRun:
                                 arrival = finish + cache_units
                                 if emit:
                                     record_transfer(TransferRecord(
-                                        (e0, e1), iteration,
+                                        edge_key, ibits >> rid_bits,
                                         TransferKind.CACHE,
                                         size, finish, arrival,
                                     ))
                                 num_transfers += 1
-                                heappush(heap, (
-                                    arrival, prio_arrive, iteration, consumer,
-                                    e0, e1, seq, size,
-                                ))
-                                seq += 1
+                                heappush(
+                                    heap,
+                                    (arrival << time_shift) | ibits | arrive,
+                                )
                                 continue
                             cache_spills += 1  # transient overflow: spill
                         if vault in failed_vaults:
@@ -765,18 +861,13 @@ class _ScheduleRun:
                         edram_bytes += size
                         if emit:
                             record_transfer(TransferRecord(
-                                (e0, e1), iteration, TransferKind.EDRAM,
+                                edge_key, ibits >> rid_bits, TransferKind.EDRAM,
                                 size, finish, arrival,
                             ))
                         num_transfers += 1
-                        heappush(heap, (
-                            arrival, prio_arrive, iteration, consumer, e0, e1,
-                            seq, size,
-                        ))
-                        seq += 1
+                        heappush(heap, (arrival << time_shift) | ibits | arrive)
         finally:
             self._now = now
-            self._seq = seq
             self._processed = processed
             self._cache_used = cache_used
             self._max_finish = max_finish
@@ -865,32 +956,31 @@ class _ScheduleRun:
                 np.asarray(self._xout, dtype=np.int64) - t, 0
             ).tolist()),
         )
+        keys = self._keys
+        rid_bits = keys.rid_bits
+        rid_mask = keys.rid_mask
+        fields = self._rid_fields
         cache_state = tuple(sorted(
-            ((e0, e1), iteration - r, slots)
-            for (e0, e1, iteration), slots in self._cache_live.items()
+            (fields[k & rid_mask][1], (k >> rid_bits) - r, slots)
+            for k, slots in self._cache_live.items()
         ))
         pending_state = tuple(sorted(
-            (op_id, iteration - r, count,
-             max(self._max_avail[(op_id, iteration)] - t, 0))
-            for (op_id, iteration), count in self._pending.items()
+            (k & rid_mask, (k >> rid_bits) - r, count, max(avail - t, 0))
+            for k, (count, avail, _) in self._inst.items()
+            if count
         ))
         nominal_state = tuple(sorted(
-            (op_id, iteration - r, start - t)
-            for (op_id, iteration), start in self._nominal.items()
+            (k & rid_mask, (k >> rid_bits) - r, start - t)
+            for k, (_, _, start) in self._inst.items()
         ))
-        event_state = tuple(
-            (
-                time - t,
-                prio,
-                _KIND_OF_PRIO[prio],
-                op_id,
-                iteration - r,
-                (e0, e1),
-                size,
-            )
-            for (time, prio, iteration, op_id, e0, e1, _seq, size)
-            in sorted(self._heap)
-        )
+        event_state = []
+        for key in sorted(self._heap):
+            time, prio, iteration, rid = keys.unpack(key)
+            op_id, edge, size = fields[rid]
+            event_state.append((
+                time - t, prio, _KIND_OF_PRIO[prio], op_id, iteration - r,
+                edge, size,
+            ))
         return (
             pe_state,
             vault_state,
@@ -899,7 +989,7 @@ class _ScheduleRun:
             cache_state,
             pending_state,
             nominal_state,
-            event_state,
+            tuple(event_state),
         )
 
     def _fingerprint(self, reference_time: int, reference_iteration: int) -> str:
@@ -974,36 +1064,19 @@ class _ScheduleRun:
         self._xout = (
             np.asarray(self._xout, dtype=np.int64) + time_shift
         ).tolist()
+        # Keys carry (iteration << RB) above their rid: one add shifts a
+        # label, and one more the time of an event. A constant added to
+        # every key keeps their order, so the heap stays a heap.
+        label_shift = rounds << self._keys.rid_bits
         self._cache_live = {
-            (e0, e1, iteration + rounds): slots
-            for (e0, e1, iteration), slots in self._cache_live.items()
+            k + label_shift: slots for k, slots in self._cache_live.items()
         }
-        self._pending = {
-            (op_id, iteration + rounds): count
-            for (op_id, iteration), count in self._pending.items()
+        self._inst = {
+            k + label_shift: [count, avail + time_shift, start + time_shift]
+            for k, (count, avail, start) in self._inst.items()
         }
-        self._max_avail = {
-            (op_id, iteration + rounds): when + time_shift
-            for (op_id, iteration), when in self._max_avail.items()
-        }
-        self._nominal = {
-            (op_id, iteration + rounds): start + time_shift
-            for (op_id, iteration), start in self._nominal.items()
-        }
-        # In-flight events: shifted in processing order with fresh seqs
-        # (a sorted list already satisfies the heap invariant).
-        shifted: List[tuple] = []
-        seq = 0
-        for (time, prio, iteration, op_id, e0, e1, _seq, size) in sorted(
-            self._heap
-        ):
-            shifted.append((
-                time + time_shift, prio, iteration + rounds, op_id,
-                e0, e1, seq, size,
-            ))
-            seq += 1
-        self._heap = shifted
-        self._seq = seq
+        key_shift = (time_shift << self._keys.time_shift) + label_shift
+        self._heap = [key + key_shift for key in self._heap]
         self._next_iteration += rounds
 
         # 3. Bookkeeping for observability and the sink.

@@ -99,6 +99,25 @@ class TestRegistry:
         assert registry.gauge("b") is registry.gauge("b")
         assert registry.histogram("c") is registry.histogram("c")
 
+    def test_lookup_of_existing_instrument_builds_nothing(self, monkeypatch):
+        import repro.runtime.metrics as metrics
+
+        registry = MetricsRegistry()
+        counter = registry.counter("a")
+        gauge = registry.gauge("b")
+        built = []
+
+        def refuse(name):
+            built.append(name)
+            raise AssertionError(f"instrument {name!r} rebuilt")
+
+        monkeypatch.setattr(metrics, "Counter", refuse)
+        monkeypatch.setattr(metrics, "Gauge", refuse)
+        for _ in range(3):
+            assert registry.counter("a") is counter
+            assert registry.gauge("b") is gauge
+        assert built == []
+
     def test_snapshot_and_render(self):
         registry = MetricsRegistry()
         registry.counter("served").inc(3)
