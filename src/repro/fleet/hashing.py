@@ -12,6 +12,12 @@ Hash points come from SHA-256, never from Python's builtin ``hash`` —
 routing must be identical across processes and interpreter restarts
 (``PYTHONHASHSEED`` randomizes ``hash(str)``), because a restarted router
 that re-shuffled the key space would turn every warm cache cold.
+
+The router routes every request, but on a handful of distinct keys (one
+plan digest per workload), so :meth:`HashRing.route` memoizes
+``key -> member``. Only membership changes move a key, so :meth:`add`
+and :meth:`remove` clear the memo; :meth:`spread` samples through the
+uncached lookup and leaves the memo as it found it.
 """
 
 from __future__ import annotations
@@ -50,6 +56,8 @@ class HashRing:
         self.replicas = replicas
         self._points: List[Tuple[int, str]] = []
         self._members: Dict[str, bool] = {}
+        #: ``key -> member`` for the current membership (see :meth:`route`).
+        self._routes: Dict[str, str] = {}
         for member in members:
             self.add(member)
 
@@ -70,6 +78,7 @@ class HashRing:
         if member in self._members:
             raise ValueError(f"member {member!r} already on the ring")
         self._members[member] = True
+        self._routes.clear()
         for replica in range(self.replicas):
             point = _hash_point(f"member:{member}#{replica}")
             bisect.insort(self._points, (point, member))
@@ -79,6 +88,7 @@ class HashRing:
         if member not in self._members:
             raise ValueError(f"member {member!r} not on the ring")
         del self._members[member]
+        self._routes.clear()
         self._points = [
             (point, name) for point, name in self._points if name != member
         ]
@@ -86,7 +96,15 @@ class HashRing:
     # -- routing -------------------------------------------------------
     def route(self, key: str) -> str:
         """The member owning ``key``: first ring point at or after the
-        key's hash, wrapping at the top of the space."""
+        key's hash, wrapping at the top of the space. Memoized until the
+        membership next changes."""
+        member = self._routes.get(key)
+        if member is None:
+            member = self._routes[key] = self._lookup(key)
+        return member
+
+    def _lookup(self, key: str) -> str:
+        """:meth:`route` without the memo."""
         if not self._points:
             raise EmptyRingError("cannot route on an empty ring")
         point = _hash_point(f"key:{key}")
@@ -99,5 +117,5 @@ class HashRing:
         """Keys-per-member census for a sample of keys (diagnostics)."""
         counts = {member: 0 for member in self._members}
         for key in keys:
-            counts[self.route(key)] += 1
+            counts[self._lookup(key)] += 1
         return counts

@@ -176,8 +176,11 @@ class FleetWorker:
         a request ages while queued, and serving one that can no longer
         meet its deadline wastes shard capacity that on-time requests
         need. Shed requests are returned (never silently dropped) so the
-        router can count them per class.
+        router can count them per class. When no policy sets a deadline
+        nothing can expire, and the queue is not swept at all.
         """
+        if all(policy.deadline_units is None for policy in policies.values()):
+            return []
 
         def expired(request: InferenceRequest) -> bool:
             meta = self._meta.get(request.request_id)

@@ -8,12 +8,19 @@ streams and statistically faithful for large ones.
 
 Thread safety: the registry lock guards instrument *creation*; every
 instrument additionally carries its own lock guarding *mutation and
-reads* (``Counter.inc``, ``Gauge.set``/``add``, ``Histogram.observe`` and
-the summary accessors). The warmup workers and the failover path record
-from multiple threads concurrently; without per-instrument locking,
-read-modify-write races silently drop increments (the classic
-``value += amount`` lost update), which corrupts serving dashboards in
-ways no test of single-threaded code can catch.
+reads* (``Counter.inc``, ``Gauge.set``/``add``,
+``Histogram.observe``/``observe_many`` and the summary accessors). The
+warmup workers and the failover path record from multiple threads
+concurrently; without per-instrument locking, read-modify-write races
+silently drop increments (the classic ``value += amount`` lost update),
+which corrupts serving dashboards in ways no test of single-threaded
+code can catch.
+
+Hot paths record per batch, not per request: they keep the instrument a
+registry lookup returned the first time they ran (so a snapshot still
+lists only instruments that were used) and hand a whole batch of
+latencies to :meth:`Histogram.observe_many`, which equals a loop of
+``observe``.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import math
 import random
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 __all__ = [
     "Counter",
@@ -116,18 +123,43 @@ class Histogram:
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
-        value = float(value)
+        self.observe_many((value,))
+
+    def observe_many(self, values: Iterable[float]) -> None:
+        """Record ``values`` in order under one lock acquisition.
+
+        The one recording body: ``observe_many(vs)`` leaves exactly the
+        state a loop of ``observe(v)`` would — the same count, total,
+        min, max and reservoir, and the same Algorithm R draws from the
+        seeded RNG in the same order — so a caller may record a whole
+        batch at once without changing what any snapshot shows.
+        """
         with self._lock:
-            self.count += 1
-            self.total += value
-            self.min = value if self.min is None else min(self.min, value)
-            self.max = value if self.max is None else max(self.max, value)
-            if len(self._samples) < self.reservoir_size:
-                self._samples.append(value)
-            else:
-                slot = self._rng.randrange(self.count)
-                if slot < self.reservoir_size:
-                    self._samples[slot] = value
+            count = self.count
+            total = self.total
+            low = self.min
+            high = self.max
+            samples = self._samples
+            size = self.reservoir_size
+            randrange = self._rng.randrange
+            for value in values:
+                value = float(value)
+                count += 1
+                total += value
+                if low is None or value < low:
+                    low = value
+                if high is None or value > high:
+                    high = value
+                if len(samples) < size:
+                    samples.append(value)
+                else:
+                    slot = randrange(count)
+                    if slot < size:
+                        samples[slot] = value
+            self.count = count
+            self.total = total
+            self.min = low
+            self.max = high
 
     def merge(self, other: "Histogram") -> None:
         """Fold another histogram's observations into this one.
@@ -231,9 +263,12 @@ class MetricsRegistry:
 
     def histogram(self, name: str, reservoir_size: int = 4096) -> Histogram:
         with self._lock:
-            if name not in self.histograms:
-                self.histograms[name] = Histogram(name, reservoir_size)
-            return self.histograms[name]
+            histogram = self.histograms.get(name)
+            if histogram is None:
+                histogram = self.histograms[name] = Histogram(
+                    name, reservoir_size
+                )
+            return histogram
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-compatible dump of everything recorded so far."""

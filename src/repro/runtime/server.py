@@ -27,6 +27,7 @@ Per-request latency has two clocks:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from collections import deque
@@ -37,7 +38,7 @@ from repro.cnn.workloads import load_workload
 from repro.graph.taskgraph import TaskGraph
 from repro.pim.config import PimConfig
 from repro.pim.faults import FaultModel
-from repro.runtime.metrics import MetricsRegistry
+from repro.runtime.metrics import Counter, Gauge, MetricsRegistry
 from repro.runtime.plan_cache import PlanCache
 from repro.runtime.session import (
     BatchResult,
@@ -237,8 +238,8 @@ class BatchingServer:
         )
         self._queue.append(request)
         self._state_for(workload).queued += 1
-        self.metrics.counter("requests_accepted").inc()
-        self.metrics.gauge("queue_depth").set(len(self._queue))
+        self._requests_accepted.inc()
+        self._queue_depth.set(len(self._queue))
         return request
 
     # ------------------------------------------------------------------
@@ -261,7 +262,7 @@ class BatchingServer:
             else:
                 kept.append(request)
         self._queue = kept
-        self.metrics.gauge("queue_depth").set(len(self._queue))
+        self._queue_depth.set(len(self._queue))
         return self._execute_batch(batch)
 
     def drain(self) -> List[RequestResult]:
@@ -299,7 +300,7 @@ class BatchingServer:
             self._queue = kept
             for request in removed:
                 self._state_for(request.workload).queued -= 1
-            self.metrics.gauge("queue_depth").set(len(self._queue))
+            self._queue_depth.set(len(self._queue))
         return removed
 
     def sessions(self) -> Dict[str, InferenceSession]:
@@ -363,7 +364,7 @@ class BatchingServer:
                     else:
                         kept.append(request)
                 self._queue = kept
-                self.metrics.gauge("queue_depth").set(len(self._queue))
+                self._queue_depth.set(len(self._queue))
                 drained.extend(self._execute_batch(batch))
         rerouted = state.queued
         recompiles_before = state.session.swap_recompiles
@@ -406,6 +407,16 @@ class BatchingServer:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    # The per-request instruments, looked up once: each is registered the
+    # first time its path runs, so a snapshot lists only what was used.
+    @functools.cached_property
+    def _requests_accepted(self) -> Counter:
+        return self.metrics.counter("requests_accepted")
+
+    @functools.cached_property
+    def _queue_depth(self) -> Gauge:
+        return self.metrics.gauge("queue_depth")
+
     def _load_graph(self, workload: str) -> TaskGraph:
         """Resolve a workload name, honouring live-rewire overrides."""
         override = self._graph_overrides.get(workload)
@@ -456,25 +467,37 @@ class BatchingServer:
             )
         # FIFO attribution inside the batch: request k completes when its
         # last iteration does. Prologue + ceil(cumulative/J) * p, i.e. the
-        # analytic completion prefix of the shared steady-state schedule.
+        # analytic completion prefix of the shared steady-state schedule
+        # (``plan.total_time(cumulative)``, with the plan read once).
         plan = state.session.plan
+        prologue = plan.prologue_time
+        groups = plan.num_groups
+        period = plan.period
+        batch_size = len(batch)
         results: List[RequestResult] = []
+        sim_latencies: List[int] = []
+        wall_latencies: List[float] = []
         cumulative = 0
         for request in batch:
             cumulative += request.iterations
-            sim_latency = plan.total_time(cumulative)
+            sim_latency = prologue + -(-cumulative // groups) * period
             wall_latency = finished_wall - request.submit_wall
-            result = RequestResult(
-                request=request,
-                batch_id=batch_id,
-                batch_size=len(batch),
-                sim_latency=sim_latency,
-                wall_latency=wall_latency,
-                batch=batch_result,
+            results.append(
+                RequestResult(
+                    request=request,
+                    batch_id=batch_id,
+                    batch_size=batch_size,
+                    sim_latency=sim_latency,
+                    wall_latency=wall_latency,
+                    batch=batch_result,
+                )
             )
-            results.append(result)
-            self.metrics.histogram("sim_latency_units").observe(sim_latency)
-            self.metrics.histogram("wall_latency_seconds").observe(wall_latency)
+            sim_latencies.append(sim_latency)
+            wall_latencies.append(wall_latency)
+        self.metrics.histogram("sim_latency_units").observe_many(sim_latencies)
+        self.metrics.histogram("wall_latency_seconds").observe_many(
+            wall_latencies
+        )
         self.metrics.counter("batches_executed").inc()
         self.metrics.counter("requests_served").inc(len(batch))
         self.metrics.counter("inferences_served").inc(total_iterations)

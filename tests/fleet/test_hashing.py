@@ -121,3 +121,36 @@ class TestRemapProperty:
         ring.remove("b")
         ring.add("b")
         assert {k: ring.route(k) for k in keys} == before
+
+
+class TestRouteMemo:
+    """``route`` memoizes ``key -> member``; membership changes clear it."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_memo_agrees_with_a_fresh_ring(self, seed):
+        rng = random.Random(seed)
+        pool = [f"worker-{i}" for i in range(6)]
+        keys = [f"key-{i}" for i in range(1000)]
+        ring = HashRing(pool[:3], replicas=16)
+        for _ in range(12):
+            # Route (filling the memo), then change membership at random.
+            for key in rng.sample(keys, 100):
+                ring.route(key)
+            absent = [m for m in pool if m not in ring]
+            if absent and (len(ring) <= 1 or rng.random() < 0.5):
+                ring.add(rng.choice(absent))
+            else:
+                ring.remove(rng.choice(ring.members()))
+            fresh = HashRing(ring.members(), replicas=16)
+            assert [ring.route(k) for k in keys] == [
+                fresh.route(k) for k in keys
+            ]
+
+    def test_spread_leaves_the_memo_empty(self):
+        ring = HashRing(["a", "b", "c"])
+        keys = [f"k{i}" for i in range(200)]
+        assert sum(ring.spread(keys).values()) == len(keys)
+        assert ring._routes == {}
+        ring.route("k0")
+        ring.spread(keys)
+        assert set(ring._routes) == {"k0"}
