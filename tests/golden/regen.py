@@ -1,6 +1,6 @@
 """Golden fixture computation and regeneration.
 
-Six fixtures live next to this module:
+Seven fixtures live next to this module:
 
 * ``benchmarks.json`` pins the full compiled plan for every paper
   benchmark on the default machine: scalar plan metrics (period,
@@ -30,6 +30,12 @@ Six fixtures live next to this module:
   gauge, and for each histogram in simulated units its count, total,
   min, max and a digest of its reservoir samples; wall-clock histograms
   pin their count only (``tests/golden/test_fleet_metrics_drift.py``).
+* ``sim_tables.json`` pins the static tables the simulator builds before
+  its event loop runs, for every registered workload on one machine at
+  one batch size: a digest each of the event rows, the rid decoding
+  fields, the in-degrees, the start-key constants and the nominal start
+  offsets, plus the packed event-key layout
+  (``tests/golden/test_sim_tables_drift.py``).
 
 Any change that moves *any* pinned fact is surfaced as an explicit diff;
 intentional changes are blessed by regenerating the fixtures:
@@ -66,7 +72,8 @@ from repro.pim.config import PimConfig
 from repro.pim.faults import FAULT_UNIT_PE, FaultModel
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.plan_cache import plan_to_dict
-from repro.sim.executor import PeFaultError, ScheduleExecutor
+from repro.sim.executor import PeFaultError, ScheduleExecutor, _ScheduleRun
+from repro.sim.modes import SimMode
 from repro.sim.sinks import NullSink
 from repro.verify.differential_search import (
     DEFAULT_BUDGET_LADDER,
@@ -83,6 +90,7 @@ ANNEAL_GOLDEN_PATH = _HERE / "anneal.json"
 COMPILE_GRID_PATH = _HERE / "compile_grid.json"
 PROFIT_SCORES_PATH = _HERE / "profit_scores.json"
 FLEET_METRICS_PATH = _HERE / "fleet_metrics.json"
+SIM_TABLES_PATH = _HERE / "sim_tables.json"
 
 #: Fixture layout version; bump when entry fields change.
 GOLDEN_FORMAT_VERSION = 1
@@ -114,6 +122,10 @@ FLEET_WORKLOADS: Tuple[str, ...] = (
 FLEET_REQUESTS = 5000
 FLEET_SEED = 18
 FLEET_KILL = "worker-1"
+#: The machine (a :func:`sim_machines` label) and batch size the
+#: simulator's static tables are frozen at.
+SIM_TABLES_MACHINE = "healthy"
+SIM_TABLES_ITERATIONS = 20
 
 
 def plan_digest(result: ParaConvResult) -> str:
@@ -274,6 +286,39 @@ def compute_sim_golden() -> Dict[str, Any]:
             label: config.to_dict() for label, config in sim_machines()
         },
         "workloads": {name: sim_workload_entries(name) for name in WORKLOADS},
+    }
+
+
+def sim_tables_entry(name: str) -> Dict[str, Any]:
+    """Digests of the static tables one simulator run builds for ``name``.
+
+    The run is constructed, never executed: only what its constructor
+    derives from the plan and the machine is read.
+    """
+    machine = dict(sim_machines())[SIM_TABLES_MACHINE]
+    plan = ParaConv(machine).run(load_workload(name))
+    run = _ScheduleRun(
+        machine, SIM_NUM_VAULTS, plan, SIM_TABLES_ITERATIONS,
+        SimMode.STEADY_STATE, NullSink(),
+    )
+    keys = run._keys
+    return _as_json({
+        "rows_sha256": _sha256(run._rows),
+        "rid_fields_sha256": _sha256(run._rid_fields),
+        "in_deg_sha256": _sha256(run._in_deg),
+        "start_const_sha256": _sha256(run._start_const),
+        "static_off_sha256": _sha256(run._static_off.tolist()),
+        "key_layout": {slot: getattr(keys, slot) for slot in keys.__slots__},
+    })
+
+
+def compute_sim_tables() -> Dict[str, Any]:
+    return {
+        "format_version": GOLDEN_FORMAT_VERSION,
+        "machine": dict(sim_machines())[SIM_TABLES_MACHINE].to_dict(),
+        "num_vaults": SIM_NUM_VAULTS,
+        "iterations": SIM_TABLES_ITERATIONS,
+        "workloads": {name: sim_tables_entry(name) for name in WORKLOADS},
     }
 
 
@@ -512,6 +557,9 @@ def main() -> int:
     _write(FLEET_METRICS_PATH, fleet)
     print(f"wrote {len(fleet['registries'])} registries to "
           f"{FLEET_METRICS_PATH}")
+    tables = compute_sim_tables()
+    _write(SIM_TABLES_PATH, tables)
+    print(f"wrote {len(tables['workloads'])} workloads to {SIM_TABLES_PATH}")
     return 0
 
 
