@@ -183,20 +183,33 @@ class TaskGraph:
 
     The topological order is computed on first use and kept until the
     next :meth:`add_operation` / :meth:`add_edge`, so the width search
-    sorts each graph once, not once per candidate.
+    sorts each graph once, not once per candidate. The fingerprint is
+    kept the same way, and assigning :attr:`period_hint` resets it too,
+    so routing and plan-cache lookups hash each graph once.
     """
 
     def __init__(self, name: str = "taskgraph", period_hint: Optional[int] = None):
         self.name = name
-        #: optional externally supplied iteration period ``p``; schedulers
-        #: compute their own period when this is ``None``.
-        self.period_hint = period_hint
         self._ops: Dict[int, Operation] = {}
         self._edges: Dict[Tuple[int, int], IntermediateResult] = {}
         self._succ: Dict[int, List[int]] = {}
         self._pred: Dict[int, List[int]] = {}
         #: cached topological order; reset whenever a vertex or edge is added.
         self._topo: Optional[List[int]] = None
+        #: cached :meth:`fingerprint`; reset on every content change.
+        self._fingerprint: Optional[str] = None
+        self.period_hint = period_hint
+
+    @property
+    def period_hint(self) -> Optional[int]:
+        """Optional externally supplied iteration period ``p``; schedulers
+        compute their own period when this is ``None``."""
+        return self._period_hint
+
+    @period_hint.setter
+    def period_hint(self, value: Optional[int]) -> None:
+        self._period_hint = value
+        self._fingerprint = None
 
     # ------------------------------------------------------------------
     # construction
@@ -209,6 +222,7 @@ class TaskGraph:
         self._succ[op.op_id] = []
         self._pred[op.op_id] = []
         self._topo = None
+        self._fingerprint = None
         return op
 
     def add_op(
@@ -250,6 +264,7 @@ class TaskGraph:
         self._succ[i].append(j)
         self._pred[j].append(i)
         self._topo = None
+        self._fingerprint = None
         return edge
 
     def connect(
@@ -448,7 +463,14 @@ class TaskGraph:
         regardless of labelling, which is exactly the content-addressing
         the runtime plan cache needs. A version tag is folded in so a
         change to the canonical form invalidates old fingerprints.
+
+        Computed once per graph state, like :meth:`topological_order`.
         """
+        if self._fingerprint is None:
+            self._fingerprint = self._content_hash()
+        return self._fingerprint
+
+    def _content_hash(self) -> str:
         canonical = {
             "fingerprint_version": GRAPH_FINGERPRINT_VERSION,
             "period_hint": self.period_hint,

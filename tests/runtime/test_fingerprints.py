@@ -103,3 +103,47 @@ class TestGraphFingerprint:
         b.add_op(1)
         b.connect(0, 1, profit_cache=11, profit_edram=1)
         assert a.fingerprint() != b.fingerprint()
+
+
+class TestGraphFingerprintCache:
+    """The fingerprint is kept per graph state, like the topological order."""
+
+    @staticmethod
+    def fresh(ops=(1, 2, 3), edges=((0, 1), (1, 2)), period_hint=None):
+        graph = TaskGraph(period_hint=period_hint)
+        for op_id, length in enumerate(ops):
+            graph.add_op(op_id, execution_time=length)
+        for producer, consumer in edges:
+            graph.connect(producer, consumer)
+        return graph
+
+    def test_repeat_calls_hash_once(self):
+        graph = self.fresh()
+        first = graph.fingerprint()
+        assert graph._fingerprint == first
+        assert graph.fingerprint() is first
+
+    def test_add_operation_resets(self):
+        graph = self.fresh()
+        before = graph.fingerprint()
+        graph.add_op(3, execution_time=4)
+        assert graph.fingerprint() != before
+        assert graph.fingerprint() == self.fresh(ops=(1, 2, 3, 4)).fingerprint()
+
+    def test_add_edge_resets(self):
+        graph = self.fresh()
+        before = graph.fingerprint()
+        graph.connect(0, 2)
+        assert graph.fingerprint() != before
+        assert graph.fingerprint() == self.fresh(
+            edges=((0, 1), (1, 2), (0, 2))
+        ).fingerprint()
+
+    def test_period_hint_change_resets(self):
+        graph = self.fresh()
+        before = graph.fingerprint()
+        graph.period_hint = 9
+        assert graph.fingerprint() != before
+        assert graph.fingerprint() == self.fresh(period_hint=9).fingerprint()
+        graph.period_hint = None
+        assert graph.fingerprint() == before
