@@ -46,11 +46,11 @@ def test_warm_compile_at_least_10x_faster_than_cold(quick_machine, capsys):
     def cold():
         cache.clear()
         cache.get_or_compile(
-            key, lambda: ParaConv(quick_machine).run(graph)
+            key, graph, lambda: ParaConv(quick_machine).run(graph)
         )
 
     def warm():
-        plan = cache.get(key)
+        plan = cache.get(key, graph)
         assert plan is not None
 
     cold_seconds = _best_of(cold)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.core.schedule import (
     KernelSchedule,
@@ -21,6 +21,7 @@ from repro.core.schedule import (
     validate_periodic_schedule,
 )
 from repro.graph.io import graph_from_dict, graph_to_dict
+from repro.graph.taskgraph import TaskGraph
 from repro.pim.memory import Placement
 
 FORMAT_VERSION = 1
@@ -57,12 +58,25 @@ def schedule_to_dict(schedule: PeriodicSchedule) -> Dict[str, Any]:
     }
 
 
-def schedule_from_dict(payload: Dict[str, Any]) -> PeriodicSchedule:
-    """Deserialize and semantically validate a schedule."""
+def schedule_from_dict(
+    payload: Dict[str, Any], graph: Optional[TaskGraph] = None
+) -> PeriodicSchedule:
+    """Deserialize and semantically validate a schedule.
+
+    ``graph``, when given, is the graph the schedule was compiled for,
+    already held by the caller: the schedule is built on it and the
+    embedded copy is not parsed. Validation runs against whichever graph
+    the schedule ends up on.
+    """
+    if not isinstance(payload, dict):
+        raise ScheduleError(
+            f"schedule payload must be an object, not {type(payload).__name__}"
+        )
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise ScheduleError(f"unsupported schedule format version {version!r}")
-    graph = graph_from_dict(payload["graph"])
+    if graph is None:
+        graph = graph_from_dict(payload["graph"])
     kernel = KernelSchedule(
         period=int(payload["period"]),
         placements={

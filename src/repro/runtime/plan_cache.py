@@ -15,6 +15,9 @@ an optional on-disk store (one JSON file per plan digest, reusing the
 :mod:`repro.core.schedule_io` schedule format), so a fleet can ship
 pre-compiled plans and a restarted server warms from disk instead of
 re-running the dynamic program. All hit/miss/eviction traffic is counted.
+Lookups take the graph the key was computed from, and a disk hit is
+hydrated against it rather than against a parsed copy of the graph the
+payload embeds.
 """
 
 from __future__ import annotations
@@ -135,13 +138,25 @@ def plan_to_dict(result: ParaConvResult) -> Dict[str, Any]:
     }
 
 
-def plan_from_dict(payload: Dict[str, Any]) -> ParaConvResult:
-    """Rebuild (and semantically re-validate) a plan from its dict form."""
+def plan_from_dict(
+    payload: Dict[str, Any], graph: Optional[TaskGraph] = None
+) -> ParaConvResult:
+    """Rebuild (and semantically re-validate) a plan from its dict form.
+
+    ``graph``, when given, is the graph the plan was compiled for: the
+    plan is hydrated against it (``plan.graph is graph``) instead of a
+    parsed copy of the embedded one. A payload or section of the wrong
+    shape raises :class:`PlanCacheError`.
+    """
+    if not isinstance(payload, dict):
+        raise PlanCacheError(
+            f"plan payload must be an object, not {type(payload).__name__}"
+        )
     version = payload.get("format_version")
     if version != PLAN_FORMAT_VERSION:
         raise PlanCacheError(f"unsupported plan format version {version!r}")
     try:
-        schedule = schedule_from_dict(payload["schedule"])
+        schedule = schedule_from_dict(payload["schedule"], graph)
         config = PimConfig.from_dict(payload["config"])
         alloc = payload["allocation"]
         allocation = AllocationResult(
@@ -168,7 +183,8 @@ def plan_from_dict(payload: Dict[str, Any]) -> ParaConvResult:
             group_width=int(payload["group_width"]),
             num_groups=int(payload["num_groups"]),
         )
-    except (KeyError, TypeError, ValueError, ScheduleError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ScheduleError) as exc:
+        # AttributeError: a nested section that is not an object.
         raise PlanCacheError(f"malformed plan payload: {exc}") from exc
 
 
@@ -290,8 +306,21 @@ class PlanCache:
         return sorted(p.stem for p in self.disk_dir.glob("*.json"))
 
     # -- core operations ----------------------------------------------
-    def get(self, key: PlanKey) -> Optional[ParaConvResult]:
-        """Look up a plan; promotes memory hits, hydrates disk hits."""
+    def get(self, key: PlanKey, graph: TaskGraph) -> Optional[ParaConvResult]:
+        """Look up the plan of ``graph``; promotes memory hits, hydrates
+        disk hits against ``graph``.
+
+        ``graph`` is the graph ``key`` was computed from; a disk hit is
+        built on it instead of a parsed copy of the embedded graph.
+        Raises :class:`PlanCacheError` naming both fingerprints when the
+        graph is not the key's.
+        """
+        fingerprint = graph.fingerprint()
+        if fingerprint != key.graph_fingerprint:
+            raise PlanCacheError(
+                f"graph {graph.name!r} has fingerprint {fingerprint}, but "
+                f"the key was computed from {key.graph_fingerprint}"
+            )
         digest = key.digest
         with self._lock:
             plan = self._plans.get(digest)
@@ -299,7 +328,7 @@ class PlanCache:
                 self._plans.move_to_end(digest)
                 self.stats.hits += 1
                 return plan
-            plan = self._load_from_disk(digest)
+            plan = self._load_from_disk(digest, graph)
             if plan is not None:
                 self.stats.hits += 1
                 self.stats.disk_hits += 1
@@ -314,16 +343,22 @@ class PlanCache:
             self._insert(key.digest, plan, write_disk=True)
 
     def get_or_compile(
-        self, key: PlanKey, compile_fn: Callable[[], ParaConvResult]
+        self,
+        key: PlanKey,
+        graph: TaskGraph,
+        compile_fn: Callable[[], ParaConvResult],
     ) -> ParaConvResult:
         """The compile-once primitive: return the cached plan or build it.
+
+        ``graph`` is the graph ``key`` was computed from, as for
+        :meth:`get`.
 
         The compile happens outside any per-key memoization lock on
         purpose — compilations of *different* keys may run concurrently
         from the warmup pool; a duplicate concurrent compile of the same
         key is benign (both produce the identical deterministic plan).
         """
-        plan = self.get(key)
+        plan = self.get(key, graph)
         if plan is not None:
             return plan
         started = time.perf_counter()
@@ -375,16 +410,19 @@ class PlanCache:
                 raise
             self.stats.disk_writes += 1
 
-    def _load_from_disk(self, digest: str) -> Optional[ParaConvResult]:
+    def _load_from_disk(
+        self, digest: str, graph: TaskGraph
+    ) -> Optional[ParaConvResult]:
         if self.disk_dir is None:
             return None
         path = self.disk_dir / f"{digest}.json"
         if not path.is_file():
             return None
         try:
-            plan = plan_from_dict(json.loads(path.read_text()))
-        except (json.JSONDecodeError, PlanCacheError):
-            # A corrupt file must degrade to a miss, never poison serving.
+            plan = plan_from_dict(json.loads(path.read_text()), graph)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, PlanCacheError):
+            # A corrupt or unreadable file must degrade to a miss, never
+            # poison serving.
             return None
         if self.verify_on_load and not self._plan_verifies(plan):
             self.stats.verify_failures += 1

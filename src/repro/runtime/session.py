@@ -452,7 +452,7 @@ class InferenceSession:
                 return plan
 
             self.last_compile_stats = None
-            self._plan = self.cache.get_or_compile(key, _compile)
+            self._plan = self.cache.get_or_compile(key, self.graph, _compile)
         else:
             self.compilations += 1
             self.last_compile_stats = None

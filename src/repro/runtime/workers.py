@@ -116,7 +116,7 @@ def warm_cache(
                 liveness_aware=liveness_aware,
             ).run(graph)
 
-        plan = cache.get_or_compile(key, _compile)
+        plan = cache.get_or_compile(key, graph, _compile)
         return WorkloadWarmup(
             workload=name,
             digest=key.digest,

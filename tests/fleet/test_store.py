@@ -76,8 +76,8 @@ class TestSharedCaches:
             compiles += 1
             return plan
 
-        cache_a.get_or_compile(key, compile_fn)
-        cache_b.get_or_compile(key, compile_fn)
+        cache_a.get_or_compile(key, plan.graph, compile_fn)
+        cache_b.get_or_compile(key, plan.graph, compile_fn)
         assert compiles == 1
         assert cache_b.stats.disk_hits == 1
         assert cache_b.stats.misses == 0

@@ -100,7 +100,7 @@ class TestCacheStatsAccumulation:
         InferenceSession(figure2_graph, machine, cache=warm).compile()
         cold = PlanCache(disk_dir=tmp_path)
         key = plan_key_for(figure2_graph, machine)
-        plan = cold.get(key)
+        plan = cold.get(key, figure2_graph)
         assert plan is not None
         assert plan.compile_stats is None  # not serialized, by design
         assert cold.stats.pass_seconds == {}

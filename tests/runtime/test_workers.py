@@ -37,7 +37,8 @@ class TestWarmCache:
         cache = PlanCache(capacity=8)
         warm_cache(NAMES, config, cache, graph_loader=loader)
         for name in NAMES:
-            warm = cache.get(plan_key_for(loader(name), config))
+            graph = loader(name)
+            warm = cache.get(plan_key_for(graph, config), graph)
             direct = ParaConv(config).run(loader(name))
             assert warm is not None
             assert warm.total_time() == direct.total_time()

@@ -81,7 +81,7 @@ class TestPlanCacheVerifyOnLoad:
         tamper(tmp_path, graph, config)
         cache = PlanCache(disk_dir=tmp_path, verify_on_load=True)
         key = plan_key_for(graph, config)
-        assert cache.get(key) is None
+        assert cache.get(key, graph) is None
         assert cache.stats.verify_failures == 1
         assert cache.stats.misses == 1
         assert cache.stats.verify_failures == cache.stats.as_dict()[
@@ -102,7 +102,7 @@ class TestPlanCacheVerifyOnLoad:
         assert cache.stats.verify_failures == 1
         # and the recompile healed the disk tier
         healthy = PlanCache(disk_dir=tmp_path, verify_on_load=True)
-        assert healthy.get(plan_key_for(graph, config)) is not None
+        assert healthy.get(plan_key_for(graph, config), graph) is not None
 
     def test_untampered_disk_plan_verifies_and_hits(
         self, graph, config, tmp_path
@@ -111,7 +111,7 @@ class TestPlanCacheVerifyOnLoad:
             graph, config, cache=PlanCache(disk_dir=tmp_path)
         ).compile()
         cache = PlanCache(disk_dir=tmp_path, verify_on_load=True)
-        assert cache.get(plan_key_for(graph, config)) is not None
+        assert cache.get(plan_key_for(graph, config), graph) is not None
         assert cache.stats.verify_failures == 0
         assert cache.stats.disk_hits == 1
 
@@ -122,7 +122,7 @@ class TestPlanCacheVerifyOnLoad:
         ).compile()
         cache = PlanCache(disk_dir=tmp_path, verify_on_load=True)
         key = plan_key_for(graph, config)
-        cache.get(key)
-        cache.get(key)
+        cache.get(key, graph)
+        cache.get(key, graph)
         assert cache.stats.disk_hits == 1
         assert cache.stats.hits == 2
