@@ -17,11 +17,13 @@ import argparse
 import json
 import sys
 import tempfile
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional
 
+import repro.cnn.workloads as cnn_workloads
 from repro.cnn.workloads import WORKLOADS
 from repro.core.allocation import ALLOCATORS
 from repro.eval.bench_io import dump_bench
+from repro.graph.taskgraph import TaskGraph
 from repro.pim.config import PimConfig
 
 from repro.fleet.hashing import HashRing
@@ -162,9 +164,15 @@ def build_fleet(
     allocator: str = "dp",
     policies=None,
 ) -> FleetRouter:
-    """A router over ``num_workers`` equal shards of one physical machine."""
+    """A router over ``num_workers`` equal shards of one physical machine.
+
+    The router and every shard resolve workload names through one
+    :func:`fleet_graph_loader`, so each workload's graph is built once
+    per fleet. Plans stay per shard: each shard's cache hydrates its own.
+    """
     machine = PimConfig(num_pes=pes)
     shards = machine.split(num_workers, num_vaults=vaults)
+    load_graph = fleet_graph_loader()
     workers = [
         FleetWorker(
             f"worker-{index}",
@@ -173,10 +181,30 @@ def build_fleet(
             batch_window=batch_window,
             max_queue=max_queue,
             allocator=allocator,
+            graph_loader=load_graph,
         )
         for index, shard in enumerate(shards)
     ]
-    return FleetRouter(workers, policies=policies)
+    return FleetRouter(workers, policies=policies, graph_loader=load_graph)
+
+
+def fleet_graph_loader() -> Callable[[str], TaskGraph]:
+    """A workload-name resolver that builds each graph once, then shares it.
+
+    The memo belongs to the returned loader alone, so it lives exactly
+    as long as the fleet holding it: a new fleet builds its graphs again.
+    """
+    graphs: Dict[str, TaskGraph] = {}
+
+    def load_graph(name: str) -> TaskGraph:
+        graph = graphs.get(name)
+        if graph is None:
+            # Looked up through the module on every build, so a wrapper
+            # installed on load_workload sees each one.
+            graph = graphs[name] = cnn_workloads.load_workload(name)
+        return graph
+
+    return load_graph
 
 
 def cmd_bench(args: argparse.Namespace) -> int:

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+import repro.cnn.workloads as cnn_workloads
+from repro.fleet import __main__ as fleet_cli
 from repro.fleet.router import FleetConfigurationError, FleetRouter
 from repro.fleet.slo import (
     DEFAULT_SLO_POLICIES,
@@ -13,6 +17,7 @@ from repro.fleet.slo import (
 )
 from repro.fleet.worker import FleetWorker, WorkerDeadError
 from repro.pim.config import PimConfig
+from repro.runtime.plan_cache import plan_key_for
 from repro.runtime.server import QueueFullError
 
 from tests.fleet.conftest import build_fleet, drive, loader
@@ -292,3 +297,92 @@ class TestBackpressure:
         assert router.queue_depth == 2
         router.drain()
         assert router.accounting()["lost"] == 0
+
+
+# ----------------------------------------------------------------------
+# the CLI's build_fleet: one graph per workload per fleet
+# ----------------------------------------------------------------------
+#: real workloads that compile in milliseconds on a 16-PE shard.
+CLI_MIX = ["flower", "lenet5", "stock-predict", "string-matching"]
+
+
+@pytest.fixture()
+def graph_builds(monkeypatch):
+    """Every build through ``repro.cnn.workloads.load_workload``, by name."""
+    builds: Counter = Counter()
+    real = cnn_workloads.load_workload
+
+    def counting(name):
+        builds[name] += 1
+        return real(name)
+
+    monkeypatch.setattr(cnn_workloads, "load_workload", counting)
+    return builds
+
+
+def serve_with_kill(router, count=64):
+    """Serve ``count`` requests over CLI_MIX, killing the first workload's
+    owner halfway so a survivor opens a session for it."""
+    for index in range(count):
+        router.advance_to(index)
+        if index == count // 2:
+            router.kill_worker(router.worker_for(CLI_MIX[0]).worker_id)
+        router.submit(CLI_MIX[index % len(CLI_MIX)])
+        if (index + 1) % 8 == 0:
+            router.pump()
+    router.drain()
+    assert router.accounting()["lost"] == 0
+
+
+class TestFleetScopedGraphs:
+    def test_each_workload_built_once_across_a_kill(self, store, graph_builds):
+        router = fleet_cli.build_fleet(4, 64, 32, store)
+        serve_with_kill(router)
+        sessions = sum(
+            len(worker.server.sessions()) for worker in router.workers.values()
+        )
+        assert sessions > len(CLI_MIX)  # a survivor took over a workload
+        assert graph_builds == Counter({name: 1 for name in CLI_MIX})
+
+    def test_router_and_shards_resolve_the_same_object(self, store):
+        router = fleet_cli.build_fleet(4, 64, 32, store)
+        serve_with_kill(router)
+        for name in CLI_MIX:
+            graph = router.graph_loader(name)
+            for worker in router.workers.values():
+                assert worker.server.graph_loader(name) is graph
+                session = worker.server.sessions().get(name)
+                if session is not None:
+                    assert session.graph is graph
+                    assert session.plan.graph is graph
+
+    def test_a_new_fleet_builds_its_graphs_again(self, store, graph_builds):
+        first = fleet_cli.build_fleet(2, 32, 16, store)
+        second = fleet_cli.build_fleet(2, 32, 16, store)
+        graph = first.graph_loader("flower")
+        assert first.graph_loader("flower") is graph
+        assert second.graph_loader("flower") is not graph
+        assert graph_builds["flower"] == 2
+
+    def test_rewire_override_wins_over_the_shared_loader(self, store):
+        router = fleet_cli.build_fleet(2, 32, 16, store)
+        for _ in range(4):
+            router.submit("flower")
+        router.drain()
+        new_graph = cnn_workloads.load_workload("lenet5").relabelled("flower-v2")
+        router.rewire("flower", new_graph)
+        for _ in range(4):
+            router.submit("flower")
+        router.drain()
+        reference = next(iter(router.workers.values()))
+        assert router.affinity_key("flower") == plan_key_for(
+            new_graph, reference.serving_config, reference.server.allocator
+        ).digest
+        assert router.graph_loader("flower") is not new_graph
+        sessions = [
+            worker.server.sessions()["flower"]
+            for worker in router.workers.values()
+            if "flower" in worker.server.sessions()
+        ]
+        assert sessions
+        assert all(session.graph is new_graph for session in sessions)
