@@ -26,8 +26,10 @@ The machine state is columnar:
 
 * the machine is a set of **timeline arrays** -- per-PE busy clocks,
   per-vault service clocks, crossbar port clocks -- advanced in place;
-* all static facts are **precomputed rows** built once per run from the
-  schedule and the :mod:`repro.pim` models, one per event ``rid``
+* all static facts are **precomputed rows** built once per run, in one
+  pass over the ops and one over the edges, from the schedule, the
+  compiler's edge prices (:func:`repro.core.retiming.price_edges`) and
+  the :mod:`repro.pim` models, one per event ``rid``
   (arrival: consumer, its PE, the edge's shared pFIFO entry; start: PE,
   execution time, ALU cost, pFIFO entries, cache-placed in-edges;
   produce: per out-edge placement, slots, transfer latencies, home vault,
@@ -94,6 +96,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.core.baseline import SpartaResult
 from repro.core.paraconv import ParaConvResult
 from repro.core.profit import require_numpy_floor
+from repro.core.retiming import price_edges
 from repro.pim.config import ConfigurationError, PimConfig
 from repro.pim.energy import EnergyModel, EnergyReport
 from repro.pim.faults import FAULT_UNIT_PE, FAULT_UNIT_VAULT, FaultModel
@@ -507,99 +510,112 @@ class _ScheduleRun:
         # One rid space: arrivals ranked by (consumer, e0, e1), then the
         # starts, then the productions, each ranked by op id -- within one
         # (time, prio, iteration) the rid order is the old tuple order.
-        ops = list(graph.operations())
-        size = max(op.op_id for op in ops) + 1 if ops else 0
-        edges = sorted(graph.edges(), key=lambda e: (e.consumer, *e.key))
-        op_ids = sorted(op.op_id for op in ops)
+        inserted = graph.operations()
+        ops = sorted(inserted, key=lambda op: op.op_id)
+        size = ops[-1].op_id + 1 if ops else 0
+        edges = graph.edges()
         n_edges = len(edges)
-        n_ops = len(op_ids)
+        n_ops = len(ops)
         keys = self._keys = _EventKeys(n_edges + 2 * n_ops, size - 1, iterations)
-        arrive_rid = {edge.key: rid for rid, edge in enumerate(edges)}
-        start_rid = {op_id: n_edges + rank for rank, op_id in enumerate(op_ids)}
+        arrive_rid = {
+            edge.key: rid
+            for rid, edge in enumerate(
+                sorted(edges, key=lambda e: (e.consumer, e.producer))
+            )
+        }
         self._n_arrive = n_edges
         self._n_arrive_start = n_edges + n_ops
-        #: one shared pFIFO entry ``((e0, e1), size_bytes)`` per edge: an
-        #: arrival stages it and a start removes it by identity.
-        entry_of = {edge.key: (edge.key, edge.size_bytes) for edge in edges}
         #: rid -> ``(op_id, (e0, e1), size)`` of its events, for decoding.
-        self._rid_fields: List[tuple] = [None] * (n_edges + 2 * n_ops)
+        rid_fields: List[tuple] = [None] * (n_edges + 2 * n_ops)
+        rows: List[tuple] = [None] * (n_edges + 2 * n_ops)
 
         # ---- static per-op tables (index = op_id) ---------------------
-        self._op_order: List[int] = [op.op_id for op in ops]
-        self._in_deg: List[int] = [0] * size
+        self._op_order: List[int] = [op.op_id for op in inserted]
+        in_deg = [0] * size
         #: start_const[op] = the prio and rid fields of op's start key.
-        self._start_const: List[int] = [0] * size
+        start_const = [0] * size
         static_off = [0] * size
-        for op in ops:
+        pe_of: Dict[int, int] = {}
+        for rank, op in enumerate(ops):
             op_id = op.op_id
-            self._in_deg[op_id] = graph.in_degree(op_id)
-            self._start_const[op_id] = keys.const(
-                _PRIO_START, start_rid[op_id]
-            )
+            placed = kernel.placement(op_id)
+            pe_of[op_id] = placed.pe
+            start_const[op_id] = keys.const(_PRIO_START, n_edges + rank)
             # nominal(op, it) = (it - 1) * p + static_off[op]: the whole
             # round's nominal starts become one vectorized array add.
             static_off[op_id] = (
                 self.r_max - schedule.retiming[op_id]
-            ) * self.period + kernel.start(op_id)
+            ) * self.period + placed.start
+        self._in_deg = in_deg
+        self._start_const = start_const
         self._static_off = np.asarray(static_off, dtype=np.int64)
 
         # ---- static rows, indexed by rid ------------------------------
-        # Vault interleaving and service times come from the memory
-        # model; only its static answers are read, never its clocks.
+        # One pass over the edges, in insertion order: per consumer that
+        # is graph.in_edges() order (the pFIFO consume order), per
+        # producer graph.out_edges() order. Slots and transfer units are
+        # the compiler's own edge prices; vault interleaving and service
+        # times come from the memory model, whose clocks are never read.
         memory = MemorySystem(config, num_vaults=num_vaults)
-        rows: List[tuple] = [None] * (n_edges + 2 * n_ops)
-        for rid, edge in enumerate(edges):
-            consumer = edge.consumer
+        placements = schedule.placements
+        in_entries: Dict[int, List[tuple]] = {op.op_id: [] for op in ops}
+        cache_in: Dict[int, List[int]] = {op.op_id: [] for op in ops}
+        out_recs: Dict[int, List[tuple]] = {op.op_id: [] for op in ops}
+        for edge, price in zip(edges, price_edges(graph, config)):
+            key = price.key
+            consumer = price.consumer
+            size_bytes = edge.size_bytes
+            rid = arrive_rid[key]
+            #: the edge's one shared pFIFO entry ``((e0, e1), size_bytes)``:
+            #: an arrival stages it and a start removes it by identity.
+            entry = (key, size_bytes)
+            consumer_pe = pe_of[consumer]
+            is_cache = placements[key] is Placement.CACHE
+            vault = memory.vault_for(key)
+            in_deg[consumer] += 1
+            in_entries[consumer].append(entry)
+            if is_cache:
+                cache_in[consumer].append(rid)
             #: arrival row: (consumer, consumer_pe, fifo_entry,
             #:   consumer_start_const)
-            rows[rid] = (
-                consumer, kernel.pe_of(consumer), entry_of[edge.key],
-                self._start_const[consumer],
-            )
-            self._rid_fields[rid] = (consumer, edge.key, edge.size_bytes)
-        for op_id in op_ids:
-            op = graph.operation(op_id)
-            in_edges = graph.in_edges(op_id)
-            start = start_rid[op_id]
+            rows[rid] = (consumer, consumer_pe, entry, start_const[consumer])
+            rid_fields[rid] = (consumer, key, size_bytes)
+            #: out-edge record of the producer's produce row: (arrive_const,
+            #:   (e0, e1), size, is_cache, slots, cache_units, edram_units,
+            #:   service, vault, consumer_pe). The arrival priority is 0,
+            #:   so arrive_const is also the edge's rid.
+            out_recs[price.producer].append((
+                keys.const(_PRIO_ARRIVE, rid),
+                key,
+                size_bytes,
+                is_cache,
+                price.slots,
+                price.cache_units,
+                price.edram_units,
+                vault.access_time(size_bytes),
+                vault.vault_id,
+                consumer_pe,
+            ))
+        for rank, op in enumerate(ops):
+            op_id = op.op_id
+            start = n_edges + rank
             produce = start + n_ops
             #: start row: (op_id, pe, exec_time, alu_cost, in_entries,
-            #:   cache-placed in-edge rids, produce_const). in_entries is
-            #:   in graph.in_edges() order, the pFIFO consume order.
+            #:   cache-placed in-edge rids, produce_const).
             rows[start] = (
                 op_id,
-                kernel.pe_of(op_id),
+                pe_of[op_id],
                 op.execution_time,
                 max(op.work, op.execution_time),
-                tuple(entry_of[e.key] for e in in_edges),
-                tuple(
-                    arrive_rid[e.key] for e in in_edges
-                    if schedule.placements[e.key] is Placement.CACHE
-                ),
+                tuple(in_entries[op_id]),
+                tuple(cache_in[op_id]),
                 keys.const(_PRIO_PRODUCE, produce),
             )
-            #: produce row: out-edge records (arrive_const, (e0, e1), size,
-            #:   is_cache, slots, cache_units, edram_units, service, vault,
-            #:   consumer_pe) in graph.out_edges() order. The arrival
-            #:   priority is 0, so arrive_const is also the edge's rid.
-            out_recs = []
-            for edge in graph.out_edges(op_id):
-                size_bytes = edge.size_bytes
-                vault = memory.vault_for(edge.key)
-                out_recs.append((
-                    keys.const(_PRIO_ARRIVE, arrive_rid[edge.key]),
-                    edge.key,
-                    size_bytes,
-                    schedule.placements[edge.key] is Placement.CACHE,
-                    config.slots_required(size_bytes),
-                    config.cache_transfer_units(size_bytes),
-                    config.edram_transfer_units(size_bytes),
-                    vault.access_time(size_bytes),
-                    vault.vault_id,
-                    kernel.pe_of(edge.consumer),
-                ))
-            rows[produce] = tuple(out_recs)
-            self._rid_fields[start] = (op_id, (-1, -1), 0)
-            self._rid_fields[produce] = (op_id, (-1, -1), 0)
+            #: produce row: the op's out-edge records.
+            rows[produce] = tuple(out_recs[op_id])
+            rid_fields[start] = (op_id, (-1, -1), 0)
+            rid_fields[produce] = (op_id, (-1, -1), 0)
+        self._rid_fields = rid_fields
         self._rows = rows
 
         # ---- timeline arrays + dynamic state --------------------------
