@@ -5,7 +5,8 @@ timed passes over an explicit :class:`~repro.compiler.context.CompileContext`,
 executed by a contract-checking
 :class:`~repro.compiler.manager.PassManager`. ``ParaConv`` is now a thin
 front-end over this package; the width search prunes candidates via
-:func:`~repro.compiler.pipeline.width_lower_bound` and reports
+:func:`~repro.compiler.pipeline.width_lower_bound` and, after the kernel
+stage, :func:`~repro.compiler.pipeline.kernel_stage_floor`, and reports
 :class:`~repro.compiler.pipeline.CompileStats` on every result.
 """
 
@@ -38,6 +39,7 @@ from repro.compiler.pipeline import (
     CompileStats,
     PipelineConfig,
     build_pass,
+    kernel_stage_floor,
     transfer_critical_path,
     width_lower_bound,
 )
@@ -68,6 +70,7 @@ __all__ = [
     "ValidateSchedulePass",
     "ZeroDrPrepassPass",
     "build_pass",
+    "kernel_stage_floor",
     "transfer_critical_path",
     "width_lower_bound",
 ]

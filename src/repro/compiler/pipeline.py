@@ -3,14 +3,16 @@
 This module is the declarative face of :mod:`repro.compiler`: a
 :class:`PipelineConfig` turns the old ``ParaConv`` constructor branching
 (allocator choice, kernel packing order, liveness mode, validation) into
-*pipeline configuration* — an ordered list of registered passes — and
-:class:`CompileStats` is the per-compilation observability record
-(per-pass wall time, widths explored/pruned) that ``--explain``, the
-serving runtime and the plan cache all surface.
+*pipeline configuration* — an ordered list of registered passes, split
+into a kernel stage and a plan stage — and :class:`CompileStats` is the
+per-compilation observability record (per-pass wall time, widths
+explored/pruned) that ``--explain``, the serving runtime and the plan
+cache all surface.
 
-The width search itself lives in :meth:`repro.core.paraconv.ParaConv.run`;
-the pruning rule it applies is :func:`width_lower_bound`, the max of two
-admissible lower bounds on ``total_time = (R_max + ceil(N/J)) * p``:
+The width search itself lives in :meth:`repro.core.paraconv.ParaConv.run`.
+It is a branch-and-bound over ``total_time = (R_max + ceil(N/J)) * p``
+with two admissible lower bounds. Before a width compiles anything,
+:func:`width_lower_bound` is the max of two terms:
 
 * the *load-balance* term: the prologue is non-negative and the realized
   period can never beat the load-balance bound, so
@@ -25,13 +27,15 @@ admissible lower bounds on ``total_time = (R_max + ceil(N/J)) * p``:
   ``min(period_floor, cache_transfer)`` (see
   :func:`transfer_critical_path`).
 
-Any candidate whose bound already meets or exceeds the incumbent best
-total time cannot win (ties prefer wider groups, and candidates are
-enumerated widest-first), so the entire per-width pipeline run is
-skipped. The second term is what makes pruning effective in the
-latency-oriented regime (small ``N``): narrow groups stretch the clamp on
-every transfer, so their dependence chains alone already exceed a wide
-incumbent's total.
+The search visits widths in ascending ``(bound, -width)`` order and stops
+at the first whose key exceeds the incumbent's ``(total_time, -width)``.
+After a width's kernel stage, :func:`kernel_stage_floor` fixes ``p`` and
+bounds ``R_max`` from below by :func:`~repro.core.retiming.retiming_floor`;
+a width whose floor key exceeds the incumbent's skips the plan stage.
+The critical-path term is what makes the first bound bite in the
+latency-oriented regime (small ``N``): narrow groups stretch the clamp
+on every transfer, so their dependence chains alone already exceed a
+wide incumbent's total.
 """
 
 from __future__ import annotations
@@ -54,7 +58,9 @@ from repro.compiler.passes import (
     ValidateSchedulePass,
     ZeroDrPrepassPass,
 )
-from repro.core.retiming import EdgePrice, price_edges
+from repro.compiler.context import CompileContext
+from repro.core.retiming import EdgePrice, price_edges, retiming_floor
+from repro.core.scheduler import KERNEL_ORDERS
 from repro.graph.taskgraph import TaskGraph
 from repro.pim.config import PimConfig
 
@@ -86,7 +92,10 @@ class CompileStats:
             every width the search explored).
         pass_runs: number of times each pass executed.
         widths_explored: candidate widths fully compiled, in search order.
-        widths_pruned: candidate widths skipped by the lower-bound rule.
+        widths_pruned: candidate widths that got no plan, in search order:
+            skipped by the lower-bound rule or cut after the kernel stage.
+        widths_cut_after_kernel: the pruned widths that ran the kernel
+            stage and were cut by its floor before the plan stage.
         per_width_seconds: wall seconds spent compiling each explored width.
         best_width: the winning group width (set by the search).
         pruning_enabled: whether the lower-bound pruning was active.
@@ -97,6 +106,7 @@ class CompileStats:
     pass_runs: Dict[str, int] = field(default_factory=dict)
     widths_explored: List[int] = field(default_factory=list)
     widths_pruned: List[int] = field(default_factory=list)
+    widths_cut_after_kernel: List[int] = field(default_factory=list)
     per_width_seconds: Dict[int, float] = field(default_factory=dict)
     best_width: Optional[int] = None
     pruning_enabled: bool = True
@@ -117,6 +127,11 @@ class CompileStats:
 
     def record_pruned(self, width: int) -> None:
         self.widths_pruned.append(width)
+
+    def record_cut(self, width: int) -> None:
+        """A width pruned by its kernel-stage floor."""
+        self.widths_pruned.append(width)
+        self.widths_cut_after_kernel.append(width)
 
     def record_search(self, search_stats: Any) -> None:
         """Attach the winning plan's search stats (no-op for None)."""
@@ -149,6 +164,7 @@ class CompileStats:
             },
             "widths_explored": list(self.widths_explored),
             "widths_pruned": list(self.widths_pruned),
+            "widths_cut_after_kernel": list(self.widths_cut_after_kernel),
             "per_width_seconds": {
                 str(width): self.per_width_seconds[width]
                 for width in sorted(self.per_width_seconds)
@@ -177,9 +193,14 @@ class CompileStats:
             f"widths explored     : {explored} "
             f"({self.num_explored} compiled)"
         )
+        cut = ", ".join(str(w) for w in self.widths_cut_after_kernel) or "-"
         lines.append(
             f"widths pruned       : {pruned} ({self.num_pruned} skipped, "
             f"pruning {'on' if self.pruning_enabled else 'off'})"
+        )
+        lines.append(
+            f"cut after kernel    : {cut} "
+            f"({len(self.widths_cut_after_kernel)} of the skipped)"
         )
         if self.best_width is not None:
             lines.append(f"best width          : {self.best_width}")
@@ -217,11 +238,19 @@ class CompileStats:
 class PipelineConfig:
     """Declarative pipeline configuration (replaces constructor branching).
 
+    The per-width passes split into two stages. The *kernel stage*
+    (``compact-kernel``, ``analyze-edges``) fixes the period and every
+    edge's delta under both placements; the *plan stage*
+    (``zero-dr-prepass`` through ``validate-schedule``) allocates, retimes,
+    emits and validates without changing the kernel.
+
     Attributes:
         allocator: a plain allocator callable, an
             :class:`~repro.core.allocation.AllocatorFactory`, or a factory
             class — resolved per run by the ``dp-allocate`` pass.
-        kernel_order: kernel packing order (``topological`` or ``lpt``).
+        kernel_order: kernel packing order (one of
+            :data:`~repro.core.scheduler.KERNEL_ORDERS`); anything else
+            raises :class:`PipelineConfigError` here.
         liveness_aware: insert the ``liveness-reweight`` pass.
         validate: run kernel/schedule validation passes.
     """
@@ -231,11 +260,19 @@ class PipelineConfig:
     liveness_aware: bool = False
     validate: bool = True
 
-    def build_width_passes(self) -> List[CompilerPass]:
-        """The per-width pipeline (everything after ``validate-graph``)."""
-        passes: List[CompilerPass] = [
+    def __post_init__(self) -> None:
+        check_kernel_order(self.kernel_order)
+
+    def kernel_stage(self) -> List[CompilerPass]:
+        """Passes that build the kernel and price its edges."""
+        return [
             CompactKernelPass(order=self.kernel_order, validate=self.validate),
             AnalyzeEdgesPass(),
+        ]
+
+    def plan_stage(self) -> List[CompilerPass]:
+        """Passes that turn a kernel-stage context into a validated plan."""
+        passes: List[CompilerPass] = [
             ZeroDrPrepassPass(),
             AllocatePass(self.allocator),
         ]
@@ -249,29 +286,40 @@ class PipelineConfig:
 
     def build_passes(self) -> List[CompilerPass]:
         """The full pipeline, ``validate-graph`` included."""
-        return [ValidateGraphPass(), *self.build_width_passes()]
+        return [ValidateGraphPass(), *self.kernel_stage(), *self.plan_stage()]
 
-    def build_manager(
-        self,
-        full: bool = True,
-        hooks=None,
-    ) -> PassManager:
-        """A validated :class:`PassManager` for this configuration.
+    def build_manager(self, hooks=None) -> PassManager:
+        """A validated :class:`PassManager` for the full pipeline.
 
         Args:
-            full: include ``validate-graph``; when false, the manager
-                expects contexts forked from a validated base (the width
-                search's hoisted mode) and declares ``graph-valid`` as an
-                initial artifact.
             hooks: optional per-pass invariant hooks (see
                 :mod:`repro.verify.hooks`).
         """
-        if full:
-            return PassManager(self.build_passes(), hooks=hooks)
+        return PassManager(self.build_passes(), hooks=hooks)
+
+    def kernel_manager(self, hooks=None) -> PassManager:
+        """The kernel stage, for contexts forked from a validated base."""
         return PassManager(
-            self.build_width_passes(),
-            initial_artifacts=("graph-valid",),
+            self.kernel_stage(), initial_artifacts=("graph-valid",), hooks=hooks
+        )
+
+    def plan_manager(self, hooks=None) -> PassManager:
+        """The plan stage, for contexts the kernel stage completed."""
+        built = [a for p in self.kernel_stage() for a in p.produces]
+        return PassManager(
+            self.plan_stage(),
+            initial_artifacts=("graph-valid", *built),
             hooks=hooks,
+        )
+
+
+def check_kernel_order(order: str) -> None:
+    """Raise :class:`PipelineConfigError` unless ``order`` is a packing
+    order the kernel compactor knows."""
+    if order not in KERNEL_ORDERS:
+        raise PipelineConfigError(
+            f"unknown kernel order {order!r}; choose from "
+            f"{', '.join(KERNEL_ORDERS)}"
         )
 
 
@@ -337,6 +385,19 @@ def transfer_critical_path(
                 reach = arrival
         longest[op_id] = reach + graph.operation(op_id).execution_time
     return max(longest.values()) if longest else 0
+
+
+def kernel_stage_floor(ctx: CompileContext, iterations: int) -> int:
+    """Lower bound on ``total_time`` of any plan on ``ctx``'s kernel.
+
+    ``ctx`` has run the kernel stage. The plan stage never changes the
+    kernel, so ``p`` is fixed, and every plan's ``R_max`` is at least
+    :func:`~repro.core.retiming.retiming_floor` of the edge timings:
+    ``total_time >= (R_floor + ceil(N / J)) * p``.
+    """
+    period = ctx.get("kernel").period
+    rounds = math.ceil(iterations / ctx.num_groups)
+    return (retiming_floor(ctx.graph, ctx.get("timings")) + rounds) * period
 
 
 def width_lower_bound(

@@ -23,11 +23,11 @@ Since PR 3 the stages are *named compiler passes* executed by
 for the stage table. :class:`ParaConv` is the front-end: it turns its
 knobs into a :class:`repro.compiler.PipelineConfig`, hoists width-invariant
 work (graph validation, ASAP levels, edge prices) out of the width search,
-prunes candidate widths whose admissible lower bound (load-balance and
-transfer-critical-path terms) cannot beat the incumbent,
-and attaches a :class:`repro.compiler.CompileStats` breakdown to every
-result (surfaced by ``python -m repro … --explain`` and the serving
-runtime).
+visits candidate widths best bound first, builds a plan only at widths
+whose admissible lower bounds (before compiling, and again after the
+kernel stage) can still beat the incumbent, and attaches a
+:class:`repro.compiler.CompileStats` breakdown to every result (surfaced
+by ``python -m repro … --explain`` and the serving runtime).
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from repro.compiler.passes import ValidateGraphPass
 from repro.compiler.pipeline import (
     CompileStats,
     PipelineConfig,
+    kernel_stage_floor,
     transfer_critical_path,
     width_lower_bound,
 )
@@ -184,13 +185,11 @@ class ParaConv:
             gap in the paper's accounting (see repro.core.liveness).
         validate: run the full semantic validator on the produced schedule
             (cheap; disable only in tight parameter sweeps).
-        prune_widths: apply the lower-bound pruning rule in the width
-            search — the max of the load-balance and
-            transfer-critical-path admissible bounds (see
-            :func:`repro.compiler.width_lower_bound`). Pruning never
-            changes the chosen plan — it only skips candidates that
-            provably cannot win — so it is on by default; disable it to
-            measure the exhaustive-search baseline.
+        prune_widths: search widths by branch-and-bound (see
+            :meth:`run`). Pruning never changes the chosen plan — it only
+            skips candidates that provably cannot win — so it is on by
+            default; disable it to measure the exhaustive widest-first
+            baseline.
         invariant_hooks: optional per-pass invariant hooks (pass name ->
             checks) forwarded to the :class:`~repro.compiler.PassManager`;
             see :func:`repro.verify.hooks.compile_invariant_hooks`.
@@ -236,21 +235,29 @@ class ParaConv:
 
         The paper's objective is "the maximum application throughput while
         minimizing the overall off-chip fetching": the pipeline is
-        evaluated at every candidate PE-group width (one iteration per
+        evaluated over every candidate PE-group width (one iteration per
         group, iterations replicated across groups) and the assignment
         with the smallest total execution time over the configured
         iteration count wins; ties prefer wider groups (lower latency and
-        shorter prologue) via the explicit ``(total_time, -width)`` key,
-        independent of candidate enumeration order.
+        shorter prologue) via the explicit ``(total_time, -width)`` key.
 
         Width-invariant work (graph validation, ASAP levels, work sums,
         the edge price table, the transfer critical path per period
-        floor) is hoisted out of the loop, and candidates whose lower bound — the max of the
-        load-balance and transfer-critical-path terms (see
-        :func:`repro.compiler.width_lower_bound`) — cannot beat the
-        incumbent best are pruned without compiling, both measurable in
-        the attached ``compile_stats`` and both guaranteed not to change
-        the produced plan.
+        floor) is hoisted out of the loop. With ``prune_widths`` the
+        search is a branch-and-bound that builds only the widths that can
+        still win:
+
+        * widths are visited in ascending ``(bound, -width)`` order, where
+          ``bound`` is :func:`repro.compiler.width_lower_bound`; the first
+          width whose key exceeds the incumbent's ``(total_time, -width)``
+          ends the search, and it and every later width are pruned;
+        * after a width's kernel stage, a width whose
+          :func:`repro.compiler.kernel_stage_floor` key exceeds the
+          incumbent's skips the plan stage.
+
+        Both bounds are admissible, so the produced plan is the one the
+        exhaustive widest-first loop (``prune_widths=False``) returns.
+        The attached ``compile_stats`` records what each width ran.
         """
         started = time.perf_counter()
         stats = CompileStats(pruning_enabled=self.prune_widths)
@@ -259,52 +266,40 @@ class ParaConv:
         PassManager(
             [ValidateGraphPass()], hooks=self.invariant_hooks
         ).run(base, stats)
-        manager = self.pipeline.build_manager(
-            full=False, hooks=self.invariant_hooks
-        )
-
-        work = base.shared_total_work()
-        cmax = base.shared_max_execution_time()
+        kernel_stage = self.pipeline.kernel_manager(hooks=self.invariant_hooks)
+        plan_stage = self.pipeline.plan_manager(hooks=self.invariant_hooks)
         iterations = self.config.iterations
-        # transfer_critical_path depends on the candidate only through its
-        # load-balance period floor; distinct widths often share a floor
-        # (the c_max clamp), so memoize per floor in the shared store.
-        cp_memo: Dict[int, int] = base.shared.setdefault("cp_transfer", {})
-
-        def cp_for(period_floor: int) -> int:
-            if period_floor not in cp_memo:
-                cp_memo[period_floor] = transfer_critical_path(
-                    graph, self.config, period_floor,
-                    prices=base.shared_edge_prices(),
-                )
-            return cp_memo[period_floor]
+        widths = candidate_group_widths(self.config.num_pes)
+        bounds: Dict[int, int] = {}
+        if self.prune_widths:
+            bounds = self._width_bounds(base, widths)
+            widths.sort(key=lambda width: (bounds[width], -width))
 
         best: Optional[ParaConvResult] = None
         best_ctx: Optional[CompileContext] = None
         best_key = None
-        for width in candidate_group_widths(self.config.num_pes):
-            num_groups = max(1, self.config.num_pes // width)
-            if self.prune_widths and best is not None:
-                floor = max(math.ceil(work / width), cmax)
-                bound = width_lower_bound(
-                    graph,
-                    width,
-                    num_groups,
-                    iterations,
-                    total_work=work,
-                    max_execution_time=cmax,
-                    cp_transfer=cp_for(floor),
-                )
-                # The incumbent is wider (candidates are enumerated widest
-                # first) and ties prefer wider groups, so a candidate whose
-                # lower bound merely *equals* the incumbent's total time
-                # cannot win either.
-                if bound >= best.total_time():
-                    stats.record_pruned(width)
-                    continue
+        for index, width in enumerate(widths):
+            if (
+                self.prune_widths
+                and best_key is not None
+                and (bounds[width], -width) > best_key
+            ):
+                # Widths arrive in ascending bound-key order: none of the
+                # rest can beat the incumbent either.
+                for rest in widths[index:]:
+                    stats.record_pruned(rest)
+                break
             width_started = time.perf_counter()
             ctx = base.fork_for_width(width)
-            manager.run(ctx, stats)
+            kernel_stage.run(ctx, stats)
+            if (
+                self.prune_widths
+                and best_key is not None
+                and (kernel_stage_floor(ctx, iterations), -width) > best_key
+            ):
+                stats.record_cut(width)
+                continue
+            plan_stage.run(ctx, stats)
             result = self._assemble(ctx, census=False)
             stats.record_width(width, time.perf_counter() - width_started)
             key = (result.total_time(), -width)
@@ -318,14 +313,41 @@ class ParaConv:
         best.compile_stats = stats
         return best
 
+    def _width_bounds(
+        self, base: CompileContext, widths: Sequence[int]
+    ) -> Dict[int, int]:
+        """:func:`repro.compiler.width_lower_bound` of every width."""
+        work = base.shared_total_work()
+        cmax = base.shared_max_execution_time()
+        # transfer_critical_path depends on the candidate only through its
+        # load-balance period floor; distinct widths often share a floor
+        # (the c_max clamp), so memoize per floor.
+        cp_memo: Dict[int, int] = {}
+        bounds: Dict[int, int] = {}
+        for width in widths:
+            floor = max(math.ceil(work / width), cmax)
+            if floor not in cp_memo:
+                cp_memo[floor] = transfer_critical_path(
+                    base.graph, self.config, floor,
+                    prices=base.shared_edge_prices(),
+                )
+            bounds[width] = width_lower_bound(
+                base.graph,
+                width,
+                max(1, self.config.num_pes // width),
+                self.config.iterations,
+                total_work=work,
+                max_execution_time=cmax,
+                cp_transfer=cp_memo[floor],
+            )
+        return bounds
+
     def run_at_width(self, graph: TaskGraph, width: int) -> ParaConvResult:
         """Execute the pipeline with a fixed PE-group width."""
         started = time.perf_counter()
         stats = CompileStats(pruning_enabled=False)
         ctx = CompileContext(graph=graph, config=self.config, width=width)
-        manager = self.pipeline.build_manager(
-            full=True, hooks=self.invariant_hooks
-        )
+        manager = self.pipeline.build_manager(hooks=self.invariant_hooks)
         width_started = time.perf_counter()
         manager.run(ctx, stats)
         result = self._assemble(ctx)
@@ -340,33 +362,25 @@ class ParaConv:
     # partial-pipeline API (shared-prefix compilation)
     # ------------------------------------------------------------------
     def analysis_context(self, graph: TaskGraph, width: int) -> CompileContext:
-        """Run the allocator-independent prefix once, return the context.
+        """Run ``validate-graph`` and the kernel stage once at a fixed width.
 
-        Executes ``validate-graph → compact-kernel → analyze-edges →
-        zero-dr-prepass`` at a fixed width. The returned context can be
-        :meth:`~repro.compiler.CompileContext.fork`-ed once per allocator
-        and completed with :meth:`run_from_context`, so sweeps that compare
-        allocation policies (the ablation harness) share the kernel and
-        the edge analysis instead of recomputing them per strategy.
+        The returned context holds the kernel and the edge timings. It can
+        be :meth:`~repro.compiler.CompileContext.fork`-ed once per
+        allocator and completed with :meth:`run_from_context`, so sweeps
+        that compare allocation policies (the ablation harness) share the
+        kernel and the edge analysis instead of recomputing them per
+        strategy.
         """
         ctx = CompileContext(graph=graph, config=self.config, width=width)
-        prefix = [p for p in self.pipeline.build_passes()
-                  if p.name in ("validate-graph", "compact-kernel",
-                                "analyze-edges", "zero-dr-prepass")]
-        PassManager(prefix, hooks=self.invariant_hooks).run(ctx)
+        PassManager(
+            [ValidateGraphPass(), *self.pipeline.kernel_stage()],
+            hooks=self.invariant_hooks,
+        ).run(ctx)
         return ctx
 
     def run_from_context(self, ctx: CompileContext) -> ParaConvResult:
-        """Complete a prefix context (see :meth:`analysis_context`)."""
-        suffix = [p for p in self.pipeline.build_width_passes()
-                  if p.name not in ("compact-kernel", "analyze-edges",
-                                    "zero-dr-prepass")]
-        manager = PassManager(
-            suffix,
-            initial_artifacts=("graph-valid", "kernel", "timings", "problem"),
-            hooks=self.invariant_hooks,
-        )
-        manager.run(ctx)
+        """Run the plan stage on a context from :meth:`analysis_context`."""
+        self.pipeline.plan_manager(hooks=self.invariant_hooks).run(ctx)
         return self._assemble(ctx)
 
     # ------------------------------------------------------------------

@@ -332,6 +332,34 @@ def solve_retiming(
     return solution
 
 
+def retiming_floor(
+    graph: TaskGraph, timings: Mapping[Tuple[int, int], EdgeTiming]
+) -> int:
+    """Smallest ``R_max`` any placement of the edges can induce.
+
+    The :func:`solve_retiming` propagation with every edge at
+    ``min(delta_cache, delta_edram)``. Every allocator places each edge in
+    cache or eDRAM, and the minimal retiming only grows when a delta
+    grows, so every plan built on these timings has ``R_max`` at least
+    this. Computes the vertex retimings only: no edge dict, no legality
+    check.
+    """
+    retiming: Dict[int, int] = {}
+    for op_id in reversed(graph.topological_order()):
+        best = 0
+        for consumer in graph.successors(op_id):
+            timing = timings[(op_id, consumer)]
+            d_cache = timing.delta_cache
+            d_edram = timing.delta_edram
+            reach = retiming[consumer] + (
+                d_cache if d_cache < d_edram else d_edram
+            )
+            if reach > best:
+                best = reach
+        retiming[op_id] = best
+    return max(retiming.values(), default=0)
+
+
 def placed_deltas(
     timings: Mapping[Tuple[int, int], EdgeTiming],
     placement: Mapping[Tuple[int, int], Placement],

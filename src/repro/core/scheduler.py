@@ -25,6 +25,9 @@ from repro.graph.taskgraph import IntermediateResult, TaskGraph
 
 EdgeLatency = Callable[[IntermediateResult], int]
 
+#: Packing orders the kernel compactors accept, sorted.
+KERNEL_ORDERS = ("lpt", "topological")
+
 
 def load_balance_bound(graph: TaskGraph, num_pes: int) -> int:
     """Lower bound on any kernel period: ``max(ceil(Σc_i / P), max c_i)``."""
@@ -79,7 +82,10 @@ def compact_kernel_schedule(
             graph.operations(), key=lambda op: (-op.execution_time, op.op_id)
         )
     else:
-        raise ScheduleError(f"unknown packing order {order!r}")
+        raise ScheduleError(
+            f"unknown packing order {order!r}; choose from "
+            f"{', '.join(KERNEL_ORDERS)}"
+        )
     # (free_at, pe) pairs: the heap minimum is the earliest-free PE, the
     # lowest index among equally free ones.
     free = [(0, pe) for pe in range(num_pes)]
@@ -245,7 +251,10 @@ def compact_kernel_schedule_heterogeneous(
             graph.operations(), key=lambda op: (-op.execution_time, op.op_id)
         )
     else:
-        raise ScheduleError(f"unknown packing order {order!r}")
+        raise ScheduleError(
+            f"unknown packing order {order!r}; choose from "
+            f"{', '.join(KERNEL_ORDERS)}"
+        )
     free_at = [0] * num_pes
     placements: Dict[int, PlacedOp] = {}
     for op in ordered:

@@ -45,6 +45,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Union
 
+from repro.compiler.pipeline import check_kernel_order
 from repro.core.paraconv import ParaConv, ParaConvResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
@@ -138,7 +139,8 @@ class InferenceSession:
             or a budgeted spec such as ``anneal:5000``; budgeted specs are
             normalized to ``name:budget`` form so the plan-cache key
             includes the search budget.
-        kernel_order: kernel packing order knob (ablation).
+        kernel_order: kernel packing order knob (ablation); an unknown
+            order raises :class:`~repro.compiler.PipelineConfigError`.
         liveness_aware: liveness-corrected allocation pass.
         cache: optional :class:`PlanCache`; when provided, compilation is
             ``get_or_compile`` against the content-addressed key, so a
@@ -199,6 +201,7 @@ class InferenceSession:
         # normalizes budgeted allocators to ``name:budget`` so two sessions
         # with different search budgets never share a plan-cache entry.
         allocator = canonical_allocator_spec(allocator)
+        check_kernel_order(kernel_order)
         if num_vaults < 1:
             raise ValueError(f"num_vaults must be >= 1, got {num_vaults}")
         if max_retries < 0:

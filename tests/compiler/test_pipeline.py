@@ -30,6 +30,8 @@ STANDARD_ORDER = [
     "emit-schedule",
     "validate-schedule",
 ]
+KERNEL_STAGE = ["compact-kernel", "analyze-edges"]
+PLAN_STAGE = STANDARD_ORDER[1 + len(KERNEL_STAGE):]
 
 
 class TestPipelineConfig:
@@ -60,6 +62,35 @@ class TestPipelineConfig:
             artifact for p in manager.passes for artifact in p.produces
         }
         assert produced == set(ARTIFACTS)
+
+    def test_stages_split_the_per_width_passes(self):
+        config = PipelineConfig(allocator=dp_allocate)
+        assert [p.name for p in config.kernel_stage()] == KERNEL_STAGE
+        assert [p.name for p in config.plan_stage()] == PLAN_STAGE
+        assert config.plan_manager().initial_artifacts == {
+            "graph-valid", "kernel", "timings"
+        }
+
+    def test_analysis_context_stops_after_the_kernel_stage(
+        self, figure2_graph, small_config
+    ):
+        from repro.runtime.plan_cache import plan_to_dict
+
+        pipeline = ParaConv(small_config, liveness_aware=True)
+        ctx = pipeline.analysis_context(figure2_graph, 2)
+        assert ctx.artifact_names() == ["graph-valid", "kernel", "timings"]
+        completed = pipeline.run_from_context(ctx.fork())
+        assert plan_to_dict(completed) == plan_to_dict(
+            pipeline.run_at_width(figure2_graph, 2)
+        )
+
+    def test_unknown_kernel_order_rejected_at_construction(self):
+        with pytest.raises(PipelineConfigError, match="lpt, topological"):
+            PipelineConfig(allocator=dp_allocate, kernel_order="bogus")
+
+    def test_paraconv_rejects_unknown_kernel_order_before_compiling(self):
+        with pytest.raises(PipelineConfigError, match="'bogus'.*lpt, topological"):
+            ParaConv(PimConfig(num_pes=4), kernel_order="bogus")
 
     def test_build_pass_unknown_name_is_typed(self):
         with pytest.raises(PipelineConfigError):
@@ -100,9 +131,27 @@ class TestCompileStatsDeterminism:
         assert set(stats.pass_runs) == set(STANDARD_ORDER)
         # validate-graph is hoisted: exactly once regardless of widths.
         assert stats.pass_runs["validate-graph"] == 1
-        per_width = set(STANDARD_ORDER) - {"validate-graph"}
-        for name in per_width:
+        ran_kernel_stage = stats.num_explored + len(
+            stats.widths_cut_after_kernel
+        )
+        for name in KERNEL_STAGE:
+            assert stats.pass_runs[name] == ran_kernel_stage
+        for name in PLAN_STAGE:
             assert stats.pass_runs[name] == stats.num_explored
+
+    def test_cut_widths_run_only_the_kernel_stage(self):
+        from repro.graph.generators import synthetic_benchmark
+
+        config = PimConfig(num_pes=64, iterations=1000)
+        stats = ParaConv(config).run(synthetic_benchmark("protein")).compile_stats
+        cut = stats.widths_cut_after_kernel
+        assert cut and set(cut) <= set(stats.widths_pruned)
+        assert not set(cut) & set(stats.widths_explored)
+        assert stats.pass_runs["compact-kernel"] == stats.num_explored + len(cut)
+        assert stats.pass_runs["dp-allocate"] == stats.num_explored
+        assert "cut after kernel" in stats.explain()
+        for width in cut:
+            assert str(width) in stats.explain()
 
     def test_explain_mentions_passes_and_search(self, figure2_graph, small_config):
         result = ParaConv(small_config).run(figure2_graph)
@@ -201,9 +250,11 @@ class TestWidthLowerBound:
         stats = CompileStats()
         stats.record_width(4, 0.5)
         stats.record_pruned(2)
+        stats.record_cut(3)
         stats.record_pass("dp-allocate", 0.25)
         stats.record_pass("dp-allocate", 0.25)
         assert stats.num_explored == 1
-        assert stats.num_pruned == 1
+        assert stats.num_pruned == 2
+        assert stats.widths_cut_after_kernel == [3]
         assert stats.pass_runs["dp-allocate"] == 2
         assert stats.pass_seconds_total == pytest.approx(0.5)

@@ -1,8 +1,10 @@
-"""Width-search behaviour: explicit tie-break, pruning soundness, and the
-differential check against the golden (pre-refactor) plans."""
+"""Width-search behaviour: explicit tie-break, best-first order, pruning
+soundness, and the differential check against the golden (pre-refactor)
+plans."""
 
 import pytest
 
+from repro.compiler import kernel_stage_floor, width_lower_bound
 from repro.core.paraconv import ParaConv
 from repro.core.scheduler import candidate_group_widths
 from repro.graph.generators import BENCHMARK_SIZES, synthetic_benchmark
@@ -92,18 +94,45 @@ class TestPruningDifferential:
         expected = golden["benchmarks"][name]["plan_sha256"]
         assert plan_digest(pruned) == expected
         assert plan_digest(exhaustive) == expected
-        # Pruning may only ever *skip* work, never add or reorder it.
-        assert (
-            pruned.compile_stats.num_explored
-            <= exhaustive.compile_stats.num_explored
-        )
-        explored = pruned.compile_stats.widths_explored
-        assert explored == [
-            width
-            for width in exhaustive.compile_stats.widths_explored
-            if width in explored
-        ]
+        stats = pruned.compile_stats
 
+        # Best-first: the widths that ran, plan or not, are the lowest
+        # bound keys, visited in ascending order; the rest were pruned
+        # without compiling.
+        bound_keys = {
+            width: (
+                width_lower_bound(
+                    graph,
+                    width,
+                    max(1, config.num_pes // width),
+                    config.iterations,
+                    config=config,
+                ),
+                -width,
+            )
+            for width in candidate_group_widths(config.num_pes)
+        }
+        order = sorted(bound_keys, key=bound_keys.__getitem__)
+        ran = stats.widths_explored + stats.widths_cut_after_kernel
+        assert sorted(ran, key=bound_keys.__getitem__) == order[: len(ran)]
+        assert stats.widths_explored == sorted(
+            stats.widths_explored, key=bound_keys.__getitem__
+        )
+        assert set(stats.widths_pruned) == set(order) - set(
+            stats.widths_explored
+        )
+
+        # Every width without a plan provably loses to the exhaustive
+        # winner: by its bound key if it never compiled, by its
+        # kernel-stage floor key if it was cut after the kernel stage.
+        winner = (exhaustive.total_time(), -exhaustive.group_width)
+        for width in stats.widths_pruned:
+            if width in stats.widths_cut_after_kernel:
+                ctx = ParaConv(config).analysis_context(graph, width)
+                key = (kernel_stage_floor(ctx, config.iterations), -width)
+            else:
+                key = bound_keys[width]
+            assert key > winner, (width, key, winner)
 
 class TestCompileStatsThreading:
     def test_run_attaches_stats(self, figure2_graph, small_config):

@@ -108,6 +108,19 @@ class TestRunValidation:
         assert batch.iterations == 2
 
 
+class TestKernelOrderValidation:
+    def test_unknown_kernel_order_rejected_at_construction(self, graph, config):
+        from repro.compiler import PipelineConfigError
+
+        with pytest.raises(PipelineConfigError, match="lpt, topological"):
+            InferenceSession(graph, config, kernel_order="bogus")
+
+    def test_known_kernel_order_compiles(self, graph, config):
+        session = InferenceSession(graph, config, kernel_order="lpt")
+        direct = ParaConv(config, kernel_order="lpt").run(graph)
+        assert session.plan.total_time() == direct.total_time()
+
+
 class TestBatchResult:
     def test_throughputs(self, graph, config):
         session = InferenceSession(graph, config)
