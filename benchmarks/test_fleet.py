@@ -43,7 +43,7 @@ INTERACTIVE_P99_CEILING_UNITS = 2_000_000
 
 def _build_router(store_dir, batch_window=64, max_queue=50_000):
     store = SharedPlanStore(store_dir)
-    shards = PimConfig(num_pes=64).split(NUM_WORKERS, num_vaults=32)
+    shards = PimConfig(num_pes=64).split(NUM_WORKERS, split_vaults=True)
     workers = [
         FleetWorker(
             f"worker-{index}",

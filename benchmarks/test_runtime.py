@@ -96,7 +96,7 @@ def test_disk_hydrated_plan_identical_to_fresh_compile(quick_machine, tmp_path):
     assert hydrated_cache.stats.disk_hits == 1
 
     reference = ParaConv(quick_machine).run(graph)
-    trace = ScheduleExecutor(quick_machine, num_vaults=32).execute(
+    trace = ScheduleExecutor(quick_machine).execute(
         reference, iterations=5
     )
     assert batch.realized_makespan == trace.realized_makespan

@@ -18,9 +18,10 @@ from repro.sim.executor import ScheduleExecutor
 
 
 def main() -> None:
-    # A low-end machine: 8 PEs, 2 KiB of cache each, slow (8x) vaults.
+    # A low-end machine: 8 PEs, 2 KiB of cache each, 16 slow (8x) vaults.
     config = PimConfig(
         num_pes=8,
+        num_vaults=16,
         cache_bytes_per_pe=2048,
         edram_latency_factor=8,
         edram_energy_factor=8,
@@ -36,7 +37,7 @@ def main() -> None:
     print(result.summary())
 
     # Execute 25 iterations on the discrete-event machine model.
-    executor = ScheduleExecutor(config, num_vaults=16)
+    executor = ScheduleExecutor(config)
     trace = executor.execute(result, iterations=25)
     print(f"\nSimulation: {trace.events_processed} events")
     print(f"  analytic makespan : {trace.analytic_makespan} units")

@@ -52,7 +52,7 @@ def main() -> None:
     print(render_expanded(schedule, iterations=3, max_columns=60))
 
     # --- execute on the machine model ----------------------------------
-    trace = ScheduleExecutor(config, num_vaults=32).execute(
+    trace = ScheduleExecutor(config).execute(
         result, iterations=10
     )
     print(f"\nExecuted 10 iterations on the simulated machine: "

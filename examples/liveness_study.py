@@ -22,7 +22,7 @@ from repro.sim.executor import ScheduleExecutor
 def main() -> None:
     pes = int(sys.argv[1]) if len(sys.argv) > 1 else 32
     config = PimConfig(num_pes=pes, iterations=1000)
-    executor = ScheduleExecutor(config, num_vaults=32)
+    executor = ScheduleExecutor(config)
 
     print(f"Machine: {config.describe()}\n")
     print(f"{'benchmark':<16} {'mode':<9} {'cached':>6} {'peak':>5} "

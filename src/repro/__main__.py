@@ -155,7 +155,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Only the Chrome trace export reads per-instance records; the
         # summary line below needs the exact aggregates alone.
         sink = InMemorySink() if args.trace else NullSink()
-        trace = ScheduleExecutor(config, num_vaults=32).execute(
+        trace = ScheduleExecutor(config).execute(
             result, iterations=args.simulate, sink=sink
         )
         print(

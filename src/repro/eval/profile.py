@@ -140,7 +140,7 @@ def run_profile(
         mode = SimMode.from_name(sim_mode)
 
         def driver() -> object:
-            executor = ScheduleExecutor(machine, num_vaults=32, mode=mode)
+            executor = ScheduleExecutor(machine, mode=mode)
             return executor.execute(
                 plan, iterations=machine.iterations, sink=NullSink()
             )

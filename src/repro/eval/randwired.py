@@ -48,7 +48,6 @@ def _bench_workload(
     name: str,
     config: PimConfig,
     iterations: int,
-    num_vaults: int,
     sim_mode: SimMode,
 ) -> Dict[str, Any]:
     graph = load_workload(name)
@@ -60,9 +59,9 @@ def _bench_workload(
     compile_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    trace = ScheduleExecutor(
-        config, num_vaults=num_vaults, mode=sim_mode
-    ).execute(plan, iterations=iterations, sink=NullSink())
+    trace = ScheduleExecutor(config, mode=sim_mode).execute(
+        plan, iterations=iterations, sink=NullSink()
+    )
     sim_wall_seconds = time.perf_counter() - t0
 
     return {
@@ -87,7 +86,6 @@ def run_randwired_bench(
     config: Optional[PimConfig] = None,
     benchmarks: Optional[Sequence[str]] = None,
     iterations: int = 200,
-    num_vaults: int = 32,
     sim_mode: "SimMode | str" = SimMode.STEADY_STATE,
 ) -> Dict[str, Any]:
     """Run the bench and return the ``BENCH_randwired/v1`` report dict."""
@@ -97,7 +95,7 @@ def run_randwired_bench(
     )
     mode = SimMode.from_name(sim_mode)
     rows = [
-        _bench_workload(name, config, iterations, num_vaults, mode)
+        _bench_workload(name, config, iterations, mode)
         for name in names
     ]
     rows.sort(key=lambda row: (row["max_fan_in"], row["workload"]))

@@ -58,13 +58,10 @@ def _bench_scenario(
     tenants: Sequence[str],
     workloads: Sequence[str],
     machine: PimConfig,
-    num_vaults: int,
     requests_per_tenant: int,
     iterations: int,
 ) -> Dict[str, Any]:
-    placement = TenantPlacement.even(
-        machine, list(tenants), num_vaults=num_vaults
-    )
+    placement = TenantPlacement.even(machine, list(tenants), split_vaults=True)
     scheduler = TenantScheduler(placement, batch_window=4)
     assignment = dict(zip(tenants, workloads))
     wall_start = time.perf_counter()
@@ -138,7 +135,6 @@ def run_tenancy_bench(
     scenarios: Sequence = DEFAULT_TENANCY_SCENARIOS,
     fused_models: Sequence[str] = DEFAULT_FUSED_MODELS,
     num_pes: int = 64,
-    num_vaults: int = 32,
     requests_per_tenant: int = 12,
     iterations: int = 5,
 ) -> Dict[str, Any]:
@@ -154,7 +150,7 @@ def run_tenancy_bench(
         "iterations_per_request": iterations,
         "scenarios": [
             _bench_scenario(
-                label, tenants, workloads, machine, num_vaults,
+                label, tenants, workloads, machine,
                 requests_per_tenant, iterations,
             )
             for label, tenants, workloads in scenarios

@@ -54,7 +54,6 @@ def run_validation(
     benchmarks: Sequence[str] = DEFAULT_BENCHMARKS,
     pes: int = 32,
     iterations: int = 20,
-    num_vaults: int = 32,
     sim_mode: Union[str, SimMode] = SimMode.STEADY_STATE,
 ) -> List[ValidationRow]:
     """Execute every benchmark's schedule and compare against the model.
@@ -64,9 +63,7 @@ def run_validation(
     -- and hence every column here -- are identical between the two.
     """
     config = (base_config or PimConfig()).with_pes(pes)
-    executor = ScheduleExecutor(
-        config, num_vaults=num_vaults, mode=SimMode.from_name(sim_mode)
-    )
+    executor = ScheduleExecutor(config, mode=SimMode.from_name(sim_mode))
     rows: List[ValidationRow] = []
     for name in benchmarks:
         graph = load_workload(name)

@@ -170,8 +170,8 @@ def build_fleet(
     :func:`fleet_graph_loader`, so each workload's graph is built once
     per fleet. Plans stay per shard: each shard's cache hydrates its own.
     """
-    machine = PimConfig(num_pes=pes)
-    shards = machine.split(num_workers, num_vaults=vaults)
+    machine = PimConfig(num_pes=pes, num_vaults=vaults)
+    shards = machine.split(num_workers, split_vaults=True)
     load_graph = fleet_graph_loader()
     workers = [
         FleetWorker(

@@ -88,8 +88,6 @@ class FleetWorker:
         store: optional :class:`SharedPlanStore`; when given, this
             shard's plan cache uses the store directory as its disk tier
             (compile once anywhere, warm everywhere).
-        num_vaults: vault count when the partition carries no vault mask
-            (masked partitions simulate ``len(vault_mask)`` vaults).
         cache_capacity: per-shard in-memory plan LRU bound.
         batch_window / max_queue / allocator / sim_mode / clock /
             graph_loader: forwarded to :class:`BatchingServer`.
@@ -100,7 +98,6 @@ class FleetWorker:
         worker_id: str,
         partition: PimConfig,
         store: Optional[SharedPlanStore] = None,
-        num_vaults: int = 32,
         cache_capacity: int = 32,
         batch_window: int = 8,
         max_queue: int = 4096,
@@ -113,11 +110,6 @@ class FleetWorker:
         self.partition = partition
         self.serving_config = partition.logical
         self.store = store
-        self.num_vaults = (
-            len(partition.vault_mask)
-            if partition.vault_mask is not None
-            else num_vaults
-        )
         self.cache: PlanCache = (
             store.open_cache(capacity=cache_capacity)
             if store is not None
@@ -129,7 +121,6 @@ class FleetWorker:
             max_queue=max_queue,
             batch_window=batch_window,
             allocator=allocator,
-            num_vaults=self.num_vaults,
             clock=clock,
             graph_loader=graph_loader,
             sim_mode=sim_mode,
@@ -280,7 +271,7 @@ class FleetWorker:
             "alive": self.alive,
             "partition": self.partition.describe(),
             "pes": self.serving_config.num_pes,
-            "vaults": self.num_vaults,
+            "vaults": self.serving_config.num_vaults,
             "served": self.served,
             "shed": self.shed,
             "queue_depth": self.queue_depth,

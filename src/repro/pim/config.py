@@ -21,6 +21,9 @@ from typing import Any, Dict, Iterable, Optional, Tuple
 #: with plans compiled under the new semantics.
 CONFIG_FINGERPRINT_VERSION = 1
 
+#: Vault count of a :class:`PimConfig` that names none.
+DEFAULT_NUM_VAULTS = 32
+
 
 #: Mask provenance values (see :attr:`PimConfig.mask_kind`).
 MASK_KIND_FAULT = "fault"
@@ -60,11 +63,17 @@ class PimConfig:
             survivor count, so the whole compile pipeline (width search
             included) sees a smaller-but-ordinary machine, while the
             fingerprint still distinguishes *which* PEs survived.
-        vault_mask: surviving physical eDRAM vault ids of a degraded
-            machine (``None`` when all vaults are healthy). The config
-            does not own a vault count — the executor does — so the mask
-            is carried for identity (fingerprints, plan-cache keys) and
-            its length tells the runtime how many vaults to simulate.
+        num_vaults: number of eDRAM vaults in the stacked memory. The one
+            place the vault count lives: the simulator interleaves
+            eDRAM-placed results over this many vaults, and every serving
+            tier reads it from here. Kept out of :meth:`fingerprint` --
+            no compile pass reads it -- so plans are shared between
+            machines that differ only in vault count.
+        vault_mask: surviving (or owned) physical eDRAM vault ids of a
+            sub-machine; ``None`` when the machine owns all its vaults.
+            ``num_vaults`` always equals the mask length, exactly as
+            ``num_pes`` equals the ``pe_mask`` length, so a vault-degraded
+            machine simulates only its survivors.
         mask_kind: provenance of the masks. ``"fault"`` (the default)
             means the sub-machine exists because units died
             (:meth:`degraded`); ``"partition"`` means it was carved on
@@ -81,6 +90,7 @@ class PimConfig:
     edram_latency_factor: int = 4
     edram_energy_factor: int = 6
     iterations: int = 1000
+    num_vaults: int = DEFAULT_NUM_VAULTS
     pe_mask: Optional[Tuple[int, ...]] = None
     vault_mask: Optional[Tuple[int, ...]] = None
     mask_kind: str = MASK_KIND_FAULT
@@ -88,6 +98,8 @@ class PimConfig:
     def __post_init__(self) -> None:
         if self.num_pes < 1:
             raise ConfigurationError("num_pes must be >= 1")
+        if self.num_vaults < 1:
+            raise ConfigurationError("num_vaults must be >= 1")
         if self.mask_kind not in (MASK_KIND_FAULT, MASK_KIND_PARTITION):
             raise ConfigurationError(
                 f"mask_kind must be 'fault' or 'partition', got "
@@ -109,6 +121,11 @@ class PimConfig:
             raise ConfigurationError(
                 f"pe_mask lists {len(self.pe_mask)} surviving PEs but "
                 f"num_pes is {self.num_pes}"
+            )
+        if self.vault_mask is not None and len(self.vault_mask) != self.num_vaults:
+            raise ConfigurationError(
+                f"vault_mask lists {len(self.vault_mask)} surviving vaults "
+                f"but num_vaults is {self.num_vaults}"
             )
         if self.cache_bytes_per_pe < 0:
             raise ConfigurationError("cache_bytes_per_pe must be >= 0")
@@ -186,7 +203,9 @@ class PimConfig:
         serializes (and therefore fingerprints) exactly as it did before
         fault tolerance existed, so cached plans and golden fixtures for
         healthy machines stay valid, while every distinct surviving-unit
-        mask produces a distinct fingerprint.
+        mask produces a distinct fingerprint. ``num_vaults`` follows the
+        same rule: it is emitted only when it differs from the default and
+        no ``vault_mask`` implies it.
         """
         payload: Dict[str, Any] = {
             "fingerprint_version": CONFIG_FINGERPRINT_VERSION,
@@ -198,6 +217,8 @@ class PimConfig:
             "edram_energy_factor": self.edram_energy_factor,
             "iterations": self.iterations,
         }
+        if self.vault_mask is None and self.num_vaults != DEFAULT_NUM_VAULTS:
+            payload["num_vaults"] = self.num_vaults
         if self.pe_mask is not None:
             payload["pe_mask"] = list(self.pe_mask)
         if self.vault_mask is not None:
@@ -224,6 +245,10 @@ class PimConfig:
             edram_latency_factor=int(payload["edram_latency_factor"]),
             edram_energy_factor=int(payload["edram_energy_factor"]),
             iterations=int(payload["iterations"]),
+            num_vaults=int(payload.get(
+                "num_vaults",
+                len(vault_mask) if vault_mask is not None else DEFAULT_NUM_VAULTS,
+            )),
             pe_mask=tuple(int(p) for p in pe_mask) if pe_mask is not None else None,
             vault_mask=(
                 tuple(int(v) for v in vault_mask)
@@ -237,11 +262,14 @@ class PimConfig:
         """Stable content hash of this configuration (hex digest).
 
         Equal configurations always produce equal fingerprints; any field
-        change (or a bump of :data:`CONFIG_FINGERPRINT_VERSION`) produces
-        a different one. Used by :mod:`repro.runtime.plan_cache` to key
-        compiled plans.
+        change except ``num_vaults`` (or a bump of
+        :data:`CONFIG_FINGERPRINT_VERSION`) produces a different one. Used
+        by :mod:`repro.runtime.plan_cache` to key compiled plans; the vault
+        count stays out because no compile pass reads it.
         """
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        payload = self.to_dict()
+        payload.pop("num_vaults", None)
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     # ------------------------------------------------------------------
@@ -286,19 +314,21 @@ class PimConfig:
             vault_list = sorted(set(int(v) for v in vault_ids))
             if not vault_list:
                 raise ConfigurationError("at least one vault must survive")
-            if vault_list[0] < 0:
-                raise ConfigurationError("surviving vault ids must be >= 0")
+            if vault_list[0] < 0 or vault_list[-1] >= self.num_vaults:
+                raise ConfigurationError(
+                    f"surviving vault ids must be within "
+                    f"[0, {self.num_vaults}), got {vault_list}"
+                )
             if self.vault_mask is not None:
-                if vault_list[-1] >= len(self.vault_mask):
-                    raise ConfigurationError(
-                        "surviving vault ids must index the current mask"
-                    )
                 vault_mask = tuple(self.vault_mask[v] for v in vault_list)
             else:
                 vault_mask = tuple(vault_list)
         return replace(
             self,
             num_pes=len(pe_mask),
+            num_vaults=(
+                self.num_vaults if vault_mask is None else len(vault_mask)
+            ),
             pe_mask=pe_mask,
             vault_mask=vault_mask,
             mask_kind=mask_kind,
@@ -342,15 +372,16 @@ class PimConfig:
         return self._masked(pe_ids, vault_ids, MASK_KIND_PARTITION)
 
     def split(
-        self, num_partitions: int, num_vaults: Optional[int] = None
+        self, num_partitions: int, split_vaults: bool = False
     ) -> "list[PimConfig]":
         """Carve this machine into ``num_partitions`` contiguous shards.
 
-        PEs (and, when ``num_vaults`` is given, vaults) are dealt out in
-        contiguous runs, earlier shards absorbing the remainder — every
-        unit lands in exactly one shard. The shards are
+        PEs (and, when ``split_vaults`` is set, the ``num_vaults`` vaults)
+        are dealt out in contiguous runs, earlier shards absorbing the
+        remainder — every unit lands in exactly one shard. The shards are
         :meth:`partition` views, so their fingerprints record physical
         ownership while their *logical* shape is an ordinary machine.
+        Without ``split_vaults`` every shard keeps all the vaults.
         """
         if num_partitions < 1:
             raise ConfigurationError("num_partitions must be >= 1")
@@ -359,9 +390,9 @@ class PimConfig:
                 f"cannot split {self.num_pes} PEs into {num_partitions} "
                 f"partitions"
             )
-        if num_vaults is not None and num_vaults < num_partitions:
+        if split_vaults and self.num_vaults < num_partitions:
             raise ConfigurationError(
-                f"cannot split {num_vaults} vaults into {num_partitions} "
+                f"cannot split {self.num_vaults} vaults into {num_partitions} "
                 f"partitions"
             )
 
@@ -376,7 +407,7 @@ class PimConfig:
 
         pe_runs = runs(self.num_pes)
         vault_runs = (
-            runs(num_vaults) if num_vaults is not None
+            runs(self.num_vaults) if split_vaults
             else [None] * num_partitions
         )
         return [

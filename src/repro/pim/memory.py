@@ -169,24 +169,23 @@ class MemorySystem:
     """Aggregate cache + vault hierarchy for one machine instance."""
 
     config: PimConfig
-    num_vaults: int = 16
     cache: CacheModel = field(init=False)
     vaults: List[EdramVault] = field(init=False)
     stats: TrafficStats = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.num_vaults < 1:
-            raise ConfigurationError("num_vaults must be >= 1")
         self.cache = CacheModel(self.config.total_cache_slots)
         effective = max(
             1, self.config.cache_bytes_per_unit // self.config.edram_latency_factor
         )
-        self.vaults = [EdramVault(v, effective) for v in range(self.num_vaults)]
+        self.vaults = [
+            EdramVault(v, effective) for v in range(self.config.num_vaults)
+        ]
         self.stats = TrafficStats()
 
     def vault_for(self, key: Tuple[int, int]) -> EdramVault:
         """Static address-interleaved vault assignment for an edge key."""
-        return self.vaults[hash(key) % self.num_vaults]
+        return self.vaults[hash(key) % len(self.vaults)]
 
     def record_cache_transfer(self, size_bytes: int) -> None:
         self.stats.cache_accesses += 1

@@ -90,39 +90,36 @@ class TenantPlacement:
         cls,
         base: PimConfig,
         names: Sequence[str],
-        num_vaults: Optional[int] = None,
+        split_vaults: bool = False,
     ) -> "TenantPlacement":
         """Deal the machine out in contiguous equal-ish runs, one per name.
 
         Mirrors :meth:`PimConfig.split` — earlier tenants absorb the
-        remainder, every unit lands in exactly one slice.
+        remainder, every unit lands in exactly one slice. With
+        ``split_vaults`` the base's ``num_vaults`` vaults are dealt out
+        too; otherwise no tenant claims a vault.
         """
         if not names:
             raise ConfigurationError("a placement needs at least one tenant")
-        shards = base.split(len(names), num_vaults)
+        shards = base.split(len(names), split_vaults)
         specs = []
         start = 0
         vault_start = 0
         for name, shard in zip(names, shards):
+            vault_ids = None
+            if split_vaults:
+                vault_ids = tuple(
+                    range(vault_start, vault_start + shard.num_vaults)
+                )
+                vault_start += shard.num_vaults
             specs.append(
                 TenantSpec(
                     name=name,
                     pe_ids=tuple(range(start, start + shard.num_pes)),
-                    vault_ids=(
-                        None
-                        if num_vaults is None or shard.vault_mask is None
-                        else tuple(
-                            range(
-                                vault_start,
-                                vault_start + len(shard.vault_mask),
-                            )
-                        )
-                    ),
+                    vault_ids=vault_ids,
                 )
             )
             start += shard.num_pes
-            if shard.vault_mask is not None:
-                vault_start += len(shard.vault_mask)
         return cls(base=base, specs=tuple(specs))
 
     @classmethod

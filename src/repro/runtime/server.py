@@ -142,7 +142,6 @@ class BatchingServer:
             and no deadlock under overload, the caller owns retry policy.
         batch_window: maximum requests coalesced into one simulated batch.
         allocator: allocator registry name for plan compilation.
-        num_vaults: executor vault count.
         clock: wall-clock source (``time.perf_counter`` by default);
             injectable for deterministic tests.
         graph_loader: workload-name resolver (:func:`load_workload` by
@@ -171,7 +170,6 @@ class BatchingServer:
         max_queue: int = 64,
         batch_window: int = 8,
         allocator: str = "dp",
-        num_vaults: int = 32,
         clock: Optional[Callable[[], float]] = None,
         graph_loader: Optional[Callable[[str], TaskGraph]] = None,
         sim_mode: "SimMode | str" = SimMode.STEADY_STATE,
@@ -190,7 +188,6 @@ class BatchingServer:
         self.max_queue = max_queue
         self.batch_window = batch_window
         self.allocator = allocator
-        self.num_vaults = num_vaults
         self.clock = clock if clock is not None else time.perf_counter
         self.graph_loader = graph_loader if graph_loader is not None else load_workload
         self.sim_mode = SimMode.from_name(sim_mode)
@@ -432,7 +429,6 @@ class BatchingServer:
                     self.config,
                     allocator=self.allocator,
                     cache=self.cache,
-                    num_vaults=self.num_vaults,
                     sim_mode=self.sim_mode,
                     metrics=self.metrics,
                     fault_model=self.fault_model,

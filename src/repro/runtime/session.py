@@ -146,7 +146,6 @@ class InferenceSession:
             ``get_or_compile`` against the content-addressed key, so a
             second session for the same (graph, machine, knobs) tuple is a
             pure lookup.
-        num_vaults: eDRAM vault count handed to the executor.
         verify: when true, every plan this session compiles (or loads from
             the cache) is pushed through the
             :class:`~repro.verify.validator.ScheduleValidator` before it is
@@ -186,7 +185,6 @@ class InferenceSession:
         kernel_order: str = "topological",
         liveness_aware: bool = False,
         cache: Optional[PlanCache] = None,
-        num_vaults: int = 32,
         verify: bool = False,
         metrics: Optional["MetricsRegistry"] = None,
         sim_mode: Union[str, SimMode] = SimMode.STEADY_STATE,
@@ -202,8 +200,6 @@ class InferenceSession:
         # with different search budgets never share a plan-cache entry.
         allocator = canonical_allocator_spec(allocator)
         check_kernel_order(kernel_order)
-        if num_vaults < 1:
-            raise ValueError(f"num_vaults must be >= 1, got {num_vaults}")
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         if retry_backoff_seconds < 0:
@@ -216,7 +212,6 @@ class InferenceSession:
         self.kernel_order = kernel_order
         self.liveness_aware = liveness_aware
         self.cache = cache
-        self.num_vaults = num_vaults
         self.verify = verify
         self.metrics = metrics
         self.sim_mode = SimMode.from_name(sim_mode)
@@ -226,7 +221,6 @@ class InferenceSession:
         # --- fault-tolerance state: the *active* machine starts as the
         # nominal one and shrinks with every failover. ---------------------
         self._active_config: PimConfig = config
-        self._active_num_vaults: int = num_vaults
         self._active_fault_model: Optional[FaultModel] = (
             fault_model
             if fault_model is not None and not fault_model.is_trivial
@@ -277,17 +271,9 @@ class InferenceSession:
         return self._active_config
 
     @property
-    def active_num_vaults(self) -> int:
-        """Vault count of the machine currently being served."""
-        return self._active_num_vaults
-
-    @property
     def degraded_mode(self) -> bool:
         """True once this session serves a reduced machine."""
-        return (
-            self._active_config.is_degraded
-            or self._active_num_vaults != self.num_vaults
-        )
+        return self._active_config.is_degraded
 
     def _metric_inc(self, name: str, amount: int = 1) -> None:
         if self.metrics is not None:
@@ -309,19 +295,17 @@ class InferenceSession:
         """
         assert self._active_fault_model is not None
         model = self._active_fault_model
-        dead_pes = {p for p in model.failed_pes if p < self._active_config.num_pes}
-        dead_vaults = {v for v in model.failed_vaults if v < self._active_num_vaults}
-        surviving_pes = [
-            p for p in range(self._active_config.num_pes) if p not in dead_pes
-        ]
+        machine = self._active_config
+        dead_pes = {p for p in model.failed_pes if p < machine.num_pes}
+        dead_vaults = {v for v in model.failed_vaults if v < machine.num_vaults}
+        surviving_pes = [p for p in range(machine.num_pes) if p not in dead_pes]
         surviving_vaults = [
-            v for v in range(self._active_num_vaults) if v not in dead_vaults
+            v for v in range(machine.num_vaults) if v not in dead_vaults
         ]
         if dead_pes or dead_vaults:
-            self._active_config = self._active_config.degraded(
+            self._active_config = machine.degraded(
                 surviving_pes, surviving_vaults if dead_vaults else None
             )
-            self._active_num_vaults = len(surviving_vaults)
         model = model.compacted(surviving_pes, surviving_vaults)
         self._active_fault_model = model if not model.is_trivial else None
         self._publish_degraded_gauge()
@@ -339,7 +323,7 @@ class InferenceSession:
                 p for p in range(self._active_config.num_pes)
                 if p != fault.unit_id
             ]
-            surviving_vaults = list(range(self._active_num_vaults))
+            surviving_vaults = list(range(self._active_config.num_vaults))
             if not surviving_pes:
                 raise FaultRetryExhausted(
                     self.graph.name, self.failovers + 1, self.max_retries, fault
@@ -348,7 +332,7 @@ class InferenceSession:
         else:
             surviving_pes = list(range(self._active_config.num_pes))
             surviving_vaults = [
-                v for v in range(self._active_num_vaults)
+                v for v in range(self._active_config.num_vaults)
                 if v != fault.unit_id
             ]
             if not surviving_vaults:
@@ -358,7 +342,6 @@ class InferenceSession:
             self._active_config = self._active_config.degraded(
                 surviving_pes, surviving_vaults
             )
-            self._active_num_vaults = len(surviving_vaults)
         if self._active_fault_model is not None:
             model = self._active_fault_model.compacted(
                 surviving_pes, surviving_vaults
@@ -531,9 +514,7 @@ class InferenceSession:
             plan = self.plan
             if self._executor is None:
                 self._executor = ScheduleExecutor(
-                    self._active_config,
-                    num_vaults=self._active_num_vaults,
-                    mode=self.sim_mode,
+                    self._active_config, mode=self.sim_mode
                 )
             try:
                 # Serving needs aggregates only: a NullSink keeps
@@ -623,7 +604,7 @@ class InferenceSession:
         if self.degraded_mode:
             line += (
                 f" [degraded: {self._active_config.num_pes} PEs, "
-                f"{self._active_num_vaults} vaults, "
+                f"{self._active_config.num_vaults} vaults, "
                 f"{self.failovers} failovers]"
             )
         return line
@@ -634,7 +615,6 @@ def direct_batch(
     config: PimConfig,
     iterations: int,
     allocator: str = "dp",
-    num_vaults: int = 32,
     energy_model: Optional[EnergyModel] = None,
     sim_mode: Union[str, SimMode] = SimMode.FULL_UNROLL,
 ) -> BatchResult:
@@ -649,8 +629,8 @@ def direct_batch(
     """
     result = ParaConv(config, allocator_name=allocator).run(graph)
     started = time.perf_counter()
-    trace = ScheduleExecutor(
-        config, num_vaults=num_vaults, mode=SimMode.from_name(sim_mode)
-    ).execute(result, iterations=iterations, sink=NullSink())
+    trace = ScheduleExecutor(config, mode=SimMode.from_name(sim_mode)).execute(
+        result, iterations=iterations, sink=NullSink()
+    )
     wall = time.perf_counter() - started
     return InferenceSession._batch_result(trace, energy_model, wall)

@@ -13,7 +13,6 @@ from repro.sim.executor import (
     ExecutionTrace,
     PeFaultError,
     ScheduleExecutor,
-    simulate_sparta,
 )
 from repro.sim.modes import SimMode
 from repro.sim.sinks import (
@@ -42,5 +41,4 @@ __all__ = [
     "SimulationError",
     "TraceSink",
     "TransferKind",
-    "simulate_sparta",
 ]

@@ -93,11 +93,10 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.baseline import SpartaResult
 from repro.core.paraconv import ParaConvResult
 from repro.core.profit import require_numpy_floor
 from repro.core.retiming import price_edges
-from repro.pim.config import ConfigurationError, PimConfig
+from repro.pim.config import PimConfig
 from repro.pim.energy import EnergyModel, EnergyReport
 from repro.pim.faults import FAULT_UNIT_PE, FAULT_UNIT_VAULT, FaultModel
 from repro.pim.memory import MemorySystem, Placement
@@ -115,7 +114,6 @@ __all__ = [
     "PeFaultError",
     "ScheduleExecutor",
     "SimMode",
-    "simulate_sparta",
 ]
 
 #: Event priorities: arrivals before starts before productions at a tie.
@@ -387,8 +385,7 @@ class ScheduleExecutor:
     """Discrete-event executor for :class:`ParaConvResult` schedules.
 
     Args:
-        config: machine description.
-        num_vaults: eDRAM vault count of the stacked memory (>= 1).
+        config: machine description, vault count included.
         mode: :class:`SimMode` -- ``FULL_UNROLL`` (oracle, default) or
             ``STEADY_STATE`` (fingerprint convergence + O(1)
             fast-forward). Aggregates are identical either way.
@@ -417,7 +414,6 @@ class ScheduleExecutor:
     def __init__(
         self,
         config: PimConfig,
-        num_vaults: int = 16,
         mode: SimMode = SimMode.FULL_UNROLL,
         sink: Optional[TraceSink] = None,
         steady_max_period: int = 8,
@@ -425,14 +421,11 @@ class ScheduleExecutor:
         fault_model: Optional[FaultModel] = None,
         round_probe=None,
     ):
-        if num_vaults < 1:
-            raise ConfigurationError("num_vaults must be >= 1")
         if steady_max_period < 1:
             raise SimulationError("steady_max_period must be >= 1")
         if steady_confirm_budget < 1:
             raise SimulationError("steady_confirm_budget must be >= 1")
         self.config = config
-        self.num_vaults = num_vaults
         self.mode = SimMode.from_name(mode)
         self._sink = sink
         self.steady_max_period = steady_max_period
@@ -454,7 +447,7 @@ class ScheduleExecutor:
             self._sink if self._sink is not None else InMemorySink()
         )
         run = _ScheduleRun(
-            self.config, self.num_vaults, result, iterations,
+            self.config, result, iterations,
             self.mode, run_sink,
             max_period=self.steady_max_period,
             confirm_budget=self.steady_confirm_budget,
@@ -472,7 +465,6 @@ class _ScheduleRun:
     def __init__(
         self,
         config: PimConfig,
-        num_vaults: int,
         result: ParaConvResult,
         iterations: int,
         mode: SimMode,
@@ -556,7 +548,7 @@ class _ScheduleRun:
         # producer graph.out_edges() order. Slots and transfer units are
         # the compiler's own edge prices; vault interleaving and service
         # times come from the memory model, whose clocks are never read.
-        memory = MemorySystem(config, num_vaults=num_vaults)
+        memory = MemorySystem(config)
         placements = schedule.placements
         in_entries: Dict[int, List[tuple]] = {op.op_id: [] for op in ops}
         cache_in: Dict[int, List[int]] = {op.op_id: [] for op in ops}
@@ -621,9 +613,9 @@ class _ScheduleRun:
         # ---- timeline arrays + dynamic state --------------------------
         self._pe_free: List[int] = [0] * width
         self._fifo: List[List[tuple]] = [[] for _ in range(width)]
-        self._vault_free: List[int] = [0] * num_vaults
+        self._vault_free: List[int] = [0] * config.num_vaults
         self._xin: List[int] = [0] * width
-        self._xout: List[int] = [0] * num_vaults
+        self._xout: List[int] = [0] * config.num_vaults
         # Per-group cache share, as the allocator assumed.
         self._cache_cap = max(
             memory.cache.capacity_slots // result.num_groups, 0
@@ -1230,80 +1222,3 @@ class _ScheduleRun:
         trace.events_processed = self._processed + self._events_skipped
         return trace
 
-
-def simulate_sparta(
-    result: SpartaResult,
-    iterations: int = 20,
-    num_vaults: int = 16,
-    mode: SimMode = SimMode.FULL_UNROLL,
-    sink: Optional[TraceSink] = None,
-) -> ExecutionTrace:
-    """Execute a SPARTA schedule: iterations back-to-back on one group.
-
-    The stalled occupancies are already folded into the kernel, so the
-    executor only validates resource feasibility and accumulates traffic:
-    every eDRAM-placed in-edge of an operation counts as a demand fetch.
-
-    SPARTA has no cross-iteration machine state at all (each iteration is
-    a verbatim repetition of the kernel), so ``STEADY_STATE`` mode emits
-    the first iteration's records, then replays the per-iteration stats
-    delta ``N - 1`` times -- O(V) for any ``N``.
-    """
-    if iterations < 1:
-        raise SimulationError("iterations must be >= 1")
-    mode = SimMode.from_name(mode)
-    graph = result.graph
-    kernel = result.kernel
-    config = result.config
-    length = result.iteration_length
-    memory = MemorySystem(config, num_vaults=num_vaults)
-    trace = ExecutionTrace(
-        config=config,
-        iterations=iterations,
-        analytic_makespan=iterations * length,
-        realized_makespan=iterations * length,
-        sink=sink if sink is not None else InMemorySink(),
-        sim_mode=mode,
-    )
-    steady = mode is SimMode.STEADY_STATE
-    simulated = 1 if steady else iterations
-    for iteration in range(1, simulated + 1):
-        base = (iteration - 1) * length
-        for op in graph.operations():
-            start = base + kernel.start(op.op_id)
-            finish = base + kernel.finish(op.op_id)
-            trace.sink.record_instance(InstanceRecord(
-                op.op_id, iteration, kernel.pe_of(op.op_id),
-                start, start, finish,
-            ))
-            trace.num_instances += 1
-            trace.busy_units += finish - start
-            trace.pes_used.add(kernel.pe_of(op.op_id))
-            trace.stats.alu_ops += max(op.work, op.execution_time)
-        for edge in graph.edges():
-            if result.placements[edge.key] is Placement.CACHE:
-                memory.record_cache_transfer(edge.size_bytes)
-            else:
-                memory.record_edram_transfer(edge.size_bytes)
-    trace.rounds_simulated = simulated
-    if steady and iterations > 1:
-        skipped = iterations - 1
-        per_iteration_instances = trace.num_instances
-        for name, value in list(trace.stats.as_dict().items()):
-            setattr(trace.stats, name, value * iterations)
-        for name, value in list(memory.stats.as_dict().items()):
-            setattr(memory.stats, name, value * iterations)
-        trace.num_instances *= iterations
-        trace.busy_units *= iterations
-        trace.converged_round = 1
-        trace.converged_period = 1
-        trace.rounds_fast_forwarded = skipped
-        trace.sink.on_fast_forward(FastForwardNotice(
-            rounds=skipped,
-            time_shift=skipped * length,
-            iteration_shift=skipped,
-            instances_skipped=skipped * per_iteration_instances,
-            transfers_skipped=0,
-        ))
-    trace.stats = trace.stats.merged_with(memory.stats)
-    return trace

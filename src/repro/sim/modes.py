@@ -26,12 +26,7 @@ class SimMode(enum.Enum):
 
     @classmethod
     def from_name(cls, name: "str | SimMode") -> "SimMode":
-        """Parse a CLI-style mode name (``full``/``steady``), leniently.
-
-        ``columnar`` and ``columnar_steady`` are deprecated aliases of
-        ``full`` and ``steady``: they named the array engine back when a
-        second, object-based engine existed.
-        """
+        """Parse a CLI-style mode name (``full``/``steady``), leniently."""
         if isinstance(name, cls):
             return name
         normalized = str(name).strip().lower().replace("-", "_")
@@ -40,8 +35,6 @@ class SimMode(enum.Enum):
             "full_unroll": cls.FULL_UNROLL,
             "steady": cls.STEADY_STATE,
             "steady_state": cls.STEADY_STATE,
-            "columnar": cls.FULL_UNROLL,
-            "columnar_steady": cls.STEADY_STATE,
         }
         try:
             return aliases[normalized]

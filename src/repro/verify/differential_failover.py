@@ -32,7 +32,7 @@ fault trace, wrong cache key), which is why this check rides in
 from __future__ import annotations
 
 import argparse
-from typing import List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional
 
 from repro.cnn.workloads import load_workload
 from repro.graph.taskgraph import TaskGraph
@@ -76,18 +76,13 @@ def failover_verdict(facts: Mapping[str, object]) -> List[str]:
     return failures
 
 
-def _degraded_reference(
-    config: PimConfig, unit: str, unit_id: int, num_vaults: int
-) -> Tuple[PimConfig, int]:
+def _degraded_reference(config: PimConfig, unit: str, unit_id: int) -> PimConfig:
     """The degraded machine built *independently* of the session."""
     if unit == FAULT_UNIT_PE:
         survivors = [p for p in range(config.num_pes) if p != unit_id]
-        return config.degraded(survivors), num_vaults
-    surviving_vaults = [v for v in range(num_vaults) if v != unit_id]
-    return (
-        config.degraded(list(range(config.num_pes)), surviving_vaults),
-        len(surviving_vaults),
-    )
+        return config.degraded(survivors)
+    surviving_vaults = [v for v in range(config.num_vaults) if v != unit_id]
+    return config.degraded(list(range(config.num_pes)), surviving_vaults)
 
 
 def failover_differential(
@@ -98,7 +93,6 @@ def failover_differential(
     fault_iteration: int = 3,
     iterations: int = 20,
     allocator: str = "dp",
-    num_vaults: int = 32,
     cache: Optional[PlanCache] = None,
     validator: Optional[ScheduleValidator] = None,
     check_warm: bool = True,
@@ -119,7 +113,6 @@ def failover_differential(
             config,
             allocator=allocator,
             cache=cache,
-            num_vaults=num_vaults,
             fault_model=fault_model,
         )
         session.run(iterations)
@@ -132,9 +125,7 @@ def failover_differential(
         report.facts["failovers"] = session.failovers
         assert session.last_trace is not None
 
-        degraded_config, degraded_vaults = _degraded_reference(
-            config, unit, unit_id, num_vaults
-        )
+        degraded_config = _degraded_reference(config, unit, unit_id)
         hold_to_cold_compile(
             report,
             session.last_trace.aggregate_signature(),
@@ -142,7 +133,6 @@ def failover_differential(
             degraded_config,
             iterations,
             allocator=allocator,
-            num_vaults=degraded_vaults,
             validator=validator or ScheduleValidator(),
         )
         # The session must be serving exactly the reference machine.

@@ -91,7 +91,6 @@ def fleet_differential(
     workloads: Sequence[str] = DEFAULT_FLEET_WORKLOADS,
     num_workers: int = 4,
     num_pes: int = 64,
-    num_vaults: int = 32,
     requests: int = 400,
     batch_window: int = 16,
     seed: int = 0,
@@ -121,7 +120,7 @@ def fleet_differential(
             )
         store = SharedPlanStore(store_dir or tmp)
         shards = PimConfig(num_pes=num_pes).split(
-            num_workers, num_vaults=num_vaults
+            num_workers, split_vaults=True
         )
         workers = [
             FleetWorker(
@@ -177,7 +176,6 @@ def fleet_differential(
                 worker.serving_config,
                 batch_window,
                 allocator,
-                num_vaults=worker.num_vaults,
             )
 
         # 3. warm everywhere: one compile per plan fleet-wide, and a

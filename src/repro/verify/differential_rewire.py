@@ -98,7 +98,6 @@ def rewire_case(
     iterations: int = 20,
     queued: int = 5,
     allocator: str = "dp",
-    num_vaults: int = 32,
     validator: Optional[ScheduleValidator] = None,
 ) -> CaseReport:
     """Assert post-swap serving == cold compile of the new graph.
@@ -119,7 +118,6 @@ def rewire_case(
             cache=PlanCache(),
             batch_window=4,
             allocator=allocator,
-            num_vaults=num_vaults,
             graph_loader=lambda name: graphs[name],
         )
         server.submit(workload, iterations=1)
@@ -145,7 +143,6 @@ def rewire_case(
             config,
             iterations,
             allocator=allocator,
-            num_vaults=num_vaults,
             validator=validator or ScheduleValidator(),
         )
 

@@ -54,7 +54,6 @@ def differential_simulate(
     plan: ParaConvResult,
     config: Optional[PimConfig] = None,
     iterations: int = 1000,
-    num_vaults: int = 32,
     label: Optional[str] = None,
 ) -> CaseReport:
     """Hold the steady-state mode to the full-unroll oracle on one plan.
@@ -71,11 +70,9 @@ def differential_simulate(
     machine_config = config or plan.config
     case = f"{label or plan.graph.name} N={iterations}"
     with run_case("sim", case) as report:
-        reference = full_unroll_signature(
-            plan, machine_config, iterations, num_vaults
-        )
+        reference = full_unroll_signature(plan, machine_config, iterations)
         steady = ScheduleExecutor(
-            machine_config, num_vaults=num_vaults, mode=SimMode.STEADY_STATE
+            machine_config, mode=SimMode.STEADY_STATE
         ).execute(plan, iterations=iterations, sink=NullSink())
         report.facts.update(
             converged_round=steady.converged_round,
@@ -92,15 +89,11 @@ def sim_differential_battery(
     plan: ParaConvResult,
     config: Optional[PimConfig] = None,
     iteration_counts: Sequence[int] = DEFAULT_SIM_ITERATIONS,
-    num_vaults: int = 32,
     label: Optional[str] = None,
 ) -> List[CaseReport]:
     """One plan across several batch sizes (transient and steady regimes)."""
     return [
-        differential_simulate(
-            plan, config=config, iterations=n, num_vaults=num_vaults,
-            label=label,
-        )
+        differential_simulate(plan, config=config, iterations=n, label=label)
         for n in iteration_counts
     ]
 

@@ -110,12 +110,12 @@ def fused_verdict(facts: Mapping[str, object]) -> List[str]:
 
 
 def _build_placement(
-    scenario: str, machine: PimConfig, num_vaults: int
+    scenario: str, machine: PimConfig,
 ) -> Tuple[TenantPlacement, Dict[str, str]]:
     """The placement and per-tenant workload map for one scenario."""
     if scenario == "two-tenant":
         placement = TenantPlacement.even(
-            machine, ["tenant-a", "tenant-b"], num_vaults=num_vaults
+            machine, ["tenant-a", "tenant-b"], split_vaults=True
         )
         # Both tenants serve the SAME workload on shape-identical slices:
         # the sharpest possible test of per-tenant plan identity.
@@ -127,7 +127,7 @@ def _build_placement(
         placement = TenantPlacement.even(
             machine,
             ["tenant-a", "tenant-b", "tenant-c"],
-            num_vaults=num_vaults,
+            split_vaults=True,
         )
         workloads = {
             "tenant-a": DEFAULT_TENANT_WORKLOADS[0],
@@ -136,7 +136,7 @@ def _build_placement(
         }
     elif scenario == "degraded-tenant":
         placement = TenantPlacement.even(
-            machine, ["tenant-a", "tenant-b"], num_vaults=num_vaults
+            machine, ["tenant-a", "tenant-b"], split_vaults=True
         )
         # Tenant B lost half its slice (fault inside its partition); the
         # degraded tenant must still validate and still isolate.
@@ -154,7 +154,6 @@ def _build_placement(
 def run_scenario(
     scenario: str,
     num_pes: int = 64,
-    num_vaults: int = 32,
     requests_per_tenant: int = 12,
     iterations: int = 5,
     batch_window: int = 4,
@@ -163,7 +162,7 @@ def run_scenario(
 ) -> CaseReport:
     """Run one co-residency scenario end to end."""
     machine = PimConfig(num_pes=num_pes)
-    placement, workloads = _build_placement(scenario, machine, num_vaults)
+    placement, workloads = _build_placement(scenario, machine)
     validator = validator or ScheduleValidator()
     with run_case("tenancy", scenario, scenario_verdict) as report:
         report.facts["tenants"] = len(placement.names)
@@ -306,7 +305,6 @@ def tenancy_differential(
     scenarios: Sequence[str] = TENANCY_SCENARIOS,
     fused_models: Sequence[str] = DEFAULT_FUSED_MODELS,
     num_pes: int = 64,
-    num_vaults: int = 32,
     requests_per_tenant: int = 12,
     iterations: int = 5,
     batch_window: int = 4,
@@ -318,7 +316,6 @@ def tenancy_differential(
         run_scenario(
             scenario,
             num_pes=num_pes,
-            num_vaults=num_vaults,
             requests_per_tenant=requests_per_tenant,
             iterations=iterations,
             batch_window=batch_window,

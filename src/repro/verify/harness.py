@@ -167,13 +167,12 @@ def full_unroll_signature(
     plan: ParaConvResult,
     config: PimConfig,
     iterations: int,
-    num_vaults: int = 32,
 ) -> Dict[str, object]:
     """The reference aggregates: ``plan`` run event by event on a fresh
     machine (the signature is sink-independent, so a :class:`NullSink`)."""
-    return ScheduleExecutor(
-        config, num_vaults=num_vaults, mode=SimMode.FULL_UNROLL
-    ).execute(plan, iterations=iterations, sink=NullSink()).aggregate_signature()
+    return ScheduleExecutor(config, mode=SimMode.FULL_UNROLL).execute(
+        plan, iterations=iterations, sink=NullSink()
+    ).aggregate_signature()
 
 
 def hold_to_cold_compile(
@@ -183,7 +182,6 @@ def hold_to_cold_compile(
     config: PimConfig,
     iterations: int,
     allocator: str,
-    num_vaults: int,
     validator: ScheduleValidator,
 ) -> None:
     """Hold a served trace's signature to a cold compile of ``graph``.
@@ -193,7 +191,7 @@ def hold_to_cold_compile(
     the cold plan must pass the full validator.
     """
     plan = ParaConv(config, allocator_name=allocator).run(graph)
-    reference = full_unroll_signature(plan, config, iterations, num_vaults)
+    reference = full_unroll_signature(plan, config, iterations)
     report.mismatches.extend(diff_signatures(reference, candidate))
     report.failures.extend(
         f"cold plan: {violation}" for violation in validator.validate(plan).errors()
@@ -207,7 +205,6 @@ def replay_batches(
     config: PimConfig,
     batch_window: int,
     allocator: str,
-    num_vaults: int = 32,
 ) -> Optional[BatchingServer]:
     """Replay served batches on a fresh standalone server over ``config``.
 
@@ -225,7 +222,6 @@ def replay_batches(
         batch_window=batch_window,
         max_queue=max(batch_window, len(results)),
         allocator=allocator,
-        num_vaults=num_vaults,
     )
     batches: Dict[int, List[RequestResult]] = {}
     for res in results:

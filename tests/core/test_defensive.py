@@ -124,4 +124,4 @@ class TestSessionRejects:
     def test_non_positive_vaults(self, vaults):
         graph = synthetic_benchmark("cat")
         with pytest.raises(ValueError, match="num_vaults"):
-            InferenceSession(graph, PimConfig(), num_vaults=vaults)
+            InferenceSession(graph, PimConfig(num_vaults=vaults))

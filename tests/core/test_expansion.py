@@ -78,7 +78,7 @@ class TestVerify:
         config = PimConfig(num_pes=16, iterations=100)
         result = ParaConv(config).run(synthetic_benchmark("car"))
         exp = expand(result.schedule, iterations=6)
-        trace = ScheduleExecutor(config, num_vaults=32).execute(
+        trace = ScheduleExecutor(config).execute(
             result, iterations=6
         )
         simulated = {

@@ -80,7 +80,7 @@ class TestLivenessAwarePipeline:
         config = PimConfig(num_pes=32, iterations=200)
         graph = synthetic_benchmark(name)
         result = ParaConv(config, liveness_aware=True).run(graph)
-        trace = ScheduleExecutor(config, num_vaults=32).execute(
+        trace = ScheduleExecutor(config).execute(
             result, iterations=12
         )
         assert trace.cache_spills == 0
@@ -97,7 +97,7 @@ class TestLivenessAwarePipeline:
         config = PimConfig(num_pes=32, iterations=200)
         graph = synthetic_benchmark("shortest-path")
         result = ParaConv(config, liveness_aware=True).run(graph)
-        trace = ScheduleExecutor(config, num_vaults=32).execute(
+        trace = ScheduleExecutor(config).execute(
             result, iterations=12
         )
         capacity = config.total_cache_slots // result.num_groups

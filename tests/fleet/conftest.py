@@ -33,8 +33,8 @@ def build_fleet(
     policies=None,
 ) -> FleetRouter:
     """A router over equal shards of one machine, on synthetic graphs."""
-    machine = PimConfig(num_pes=num_pes)
-    shards = machine.split(num_workers, num_vaults=num_vaults)
+    machine = PimConfig(num_pes=num_pes, num_vaults=num_vaults)
+    shards = machine.split(num_workers, split_vaults=True)
     workers: List[FleetWorker] = [
         FleetWorker(
             f"worker-{index}",

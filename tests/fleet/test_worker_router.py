@@ -40,12 +40,12 @@ class TestWiring:
 
     def test_worker_serves_logical_view(self, store):
         machine = PimConfig(num_pes=64)
-        shard = machine.split(4, num_vaults=32)[2]
+        shard = machine.split(4, split_vaults=True)[2]
         worker = FleetWorker("w2", shard, store=store, graph_loader=loader)
         assert worker.partition.is_partition
         assert not worker.serving_config.has_mask
         assert worker.serving_config.num_pes == 16
-        assert worker.num_vaults == 8
+        assert worker.serving_config.num_vaults == 8
 
     def test_advance_to_is_monotone(self, store):
         router = build_fleet(store, num_workers=2)

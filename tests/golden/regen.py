@@ -191,7 +191,9 @@ def _as_json(payload: Any) -> Any:
 # ----------------------------------------------------------------------
 def sim_machines() -> List[Tuple[str, PimConfig]]:
     """The machines every workload is simulated on."""
-    healthy = PimConfig(num_pes=16, iterations=100)
+    healthy = PimConfig(
+        num_pes=16, iterations=100, num_vaults=SIM_NUM_VAULTS
+    )
     return [
         ("healthy", healthy),
         ("degraded", healthy.degraded([15])),
@@ -233,7 +235,6 @@ def sim_entry(
     rounds: List[Any] = []
     executor = ScheduleExecutor(
         machine,
-        num_vaults=SIM_NUM_VAULTS,
         mode=mode,
         fault_model=FaultModel.single(*fault) if fault is not None else None,
         round_probe=lambda index, snapshot: rounds.append(
@@ -298,7 +299,7 @@ def sim_tables_entry(name: str) -> Dict[str, Any]:
     machine = dict(sim_machines())[SIM_TABLES_MACHINE]
     plan = ParaConv(machine).run(load_workload(name))
     run = _ScheduleRun(
-        machine, SIM_NUM_VAULTS, plan, SIM_TABLES_ITERATIONS,
+        machine, plan, SIM_TABLES_ITERATIONS,
         SimMode.STEADY_STATE, NullSink(),
     )
     keys = run._keys
@@ -454,7 +455,7 @@ def fleet_router() -> FleetRouter:
     their class bound under bursts; shard queues are small enough that
     admission meets ``QueueFullError`` too.
     """
-    shards = PimConfig(num_pes=64).split(4, num_vaults=32)
+    shards = PimConfig(num_pes=64).split(4, split_vaults=True)
     workers = [
         FleetWorker(
             f"worker-{index}", shard, batch_window=32, max_queue=64,

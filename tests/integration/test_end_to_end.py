@@ -120,7 +120,7 @@ class TestExecutionOnMachine:
         config = PimConfig(num_pes=16, iterations=100)
         graph = synthetic_benchmark("character-2")
         result = ParaConv(config).run(graph)
-        trace = ScheduleExecutor(config, num_vaults=32).execute(
+        trace = ScheduleExecutor(config).execute(
             result, iterations=12
         )
         assert trace.slowdown == pytest.approx(1.0, abs=0.02)
@@ -131,7 +131,7 @@ class TestExecutionOnMachine:
         config = PimConfig(num_pes=16, iterations=100)
         graph = synthetic_benchmark("cat")
         result = ParaConv(config).run(graph)
-        trace = ScheduleExecutor(config, num_vaults=32).execute(
+        trace = ScheduleExecutor(config).execute(
             result, iterations=10
         )
         # per-iteration eDRAM bytes from the trace must be at least the

@@ -160,10 +160,86 @@ class TestPartition:
         assert "degraded" not in text
 
 
+class TestVaultCount:
+    """The machine owns its vault count; masks and splits read it."""
+
+    def test_default_and_validation(self):
+        assert PimConfig().num_vaults == 32
+        with pytest.raises(ConfigurationError, match="num_vaults must be >= 1"):
+            PimConfig(num_vaults=0)
+
+    def test_vault_mask_must_match_count(self):
+        with pytest.raises(ConfigurationError, match="num_vaults is 32"):
+            PimConfig(num_pes=4, vault_mask=(0, 1))
+        assert PimConfig(num_pes=4, num_vaults=2, vault_mask=(5, 9)).num_vaults == 2
+
+    def test_masking_sets_count_from_survivors(self):
+        degraded = PimConfig(num_pes=16).degraded(range(16), [0, 1])
+        assert degraded.num_vaults == 2
+        again = degraded.degraded(range(16), [1])
+        assert again.vault_mask == (1,)
+        assert again.num_vaults == 1
+        assert PimConfig(num_pes=16).degraded(range(8)).num_vaults == 32
+
+    @pytest.mark.parametrize(
+        "pes, vaults, message",
+        [
+            ([0, 16], None, r"PE ids must be within \[0, 16\)"),
+            ([-1, 0], None, r"PE ids must be within \[0, 16\)"),
+            (range(16), [40, 41], r"vault ids must be within \[0, 32\)"),
+            (range(16), [-1, 0], r"vault ids must be within \[0, 32\)"),
+        ],
+    )
+    def test_surviving_ids_must_be_inside_the_machine(self, pes, vaults, message):
+        with pytest.raises(ConfigurationError, match=message):
+            PimConfig(num_pes=16).degraded(pes, vaults)
+
+    def test_vault_ids_index_the_current_mask(self):
+        shard = PimConfig(num_pes=16).partition(range(16), range(4))
+        with pytest.raises(ConfigurationError, match=r"within \[0, 4\)"):
+            shard.degraded(range(16), [4])
+
+    def test_count_emitted_only_when_set(self):
+        assert "num_vaults" not in PimConfig().to_dict()
+        assert PimConfig(num_vaults=16).to_dict()["num_vaults"] == 16
+        # A vault mask implies the count.
+        masked = PimConfig(num_vaults=16).degraded(range(16), [3, 7])
+        assert "num_vaults" not in masked.to_dict()
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            PimConfig(num_vaults=16),
+            PimConfig(num_vaults=1, num_pes=4),
+            PimConfig(num_vaults=16).degraded(range(16), [3, 7]),
+            PimConfig(num_vaults=16).partition(range(8)),
+        ],
+    )
+    def test_count_round_trips(self, config):
+        clone = PimConfig.from_dict(config.to_dict())
+        assert clone == config
+        assert clone.num_vaults == config.num_vaults
+
+    def test_count_stays_out_of_the_fingerprint(self):
+        base = PimConfig(num_pes=16)
+        assert PimConfig(num_pes=16, num_vaults=8).fingerprint() == base.fingerprint()
+        assert (
+            PimConfig(num_pes=16, num_vaults=8).logical_fingerprint()
+            == base.logical_fingerprint()
+        )
+
+    def test_split_deals_out_the_configs_vaults(self):
+        shards = PimConfig(num_pes=8, num_vaults=6).split(4, split_vaults=True)
+        assert [s.vault_mask for s in shards] == [(0, 1), (2, 3), (4,), (5,)]
+        assert [s.num_vaults for s in shards] == [2, 2, 1, 1]
+        # Without split_vaults every shard keeps the whole vault array.
+        assert [s.num_vaults for s in PimConfig(num_pes=8).split(4)] == [32] * 4
+
+
 class TestSplit:
     def test_split_covers_every_pe_once(self):
         machine = PimConfig(num_pes=64)
-        shards = machine.split(4, num_vaults=32)
+        shards = machine.split(4, split_vaults=True)
         assert [s.num_pes for s in shards] == [16, 16, 16, 16]
         seen = [pe for s in shards for pe in s.pe_mask]
         assert seen == list(range(64))
@@ -181,7 +257,7 @@ class TestSplit:
         with pytest.raises(ConfigurationError):
             PimConfig(num_pes=4).split(5)
         with pytest.raises(ConfigurationError):
-            PimConfig(num_pes=8).split(4, num_vaults=2)
+            PimConfig(num_pes=8, num_vaults=2).split(4, split_vaults=True)
 
 
 class TestLogicalView:
@@ -190,7 +266,7 @@ class TestLogicalView:
         assert config.logical is config
 
     def test_shape_identical_shards_share_logical_fingerprint(self):
-        shards = PimConfig(num_pes=64).split(4, num_vaults=32)
+        shards = PimConfig(num_pes=64).split(4, split_vaults=True)
         prints = {s.logical_fingerprint() for s in shards}
         assert len(prints) == 1
         # ...and it is exactly the fingerprint of the plain 16-PE machine.

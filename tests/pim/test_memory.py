@@ -122,7 +122,7 @@ class TestEdramVault:
 
 class TestMemorySystem:
     def test_vault_interleaving_is_stable(self):
-        system = MemorySystem(PimConfig(), num_vaults=8)
+        system = MemorySystem(PimConfig(num_vaults=8))
         key = (3, 7)
         assert system.vault_for(key) is system.vault_for(key)
 
@@ -144,7 +144,7 @@ class TestMemorySystem:
 
     def test_invalid_vault_count(self):
         with pytest.raises(ConfigurationError):
-            MemorySystem(PimConfig(), num_vaults=0)
+            MemorySystem(PimConfig(num_vaults=0))
 
     def test_placement_enum(self):
         assert Placement.CACHE.value == "cache"

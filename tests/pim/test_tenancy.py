@@ -13,7 +13,7 @@ class TestAssertDisjoint:
 
     def test_split_with_vaults_is_disjoint(self):
         base = PimConfig(num_pes=16)
-        assert_disjoint(base.split(4, num_vaults=32))
+        assert_disjoint(base.split(4, split_vaults=True))
 
     def test_overlapping_pe_partitions_rejected(self):
         base = PimConfig(num_pes=8)
@@ -61,7 +61,7 @@ class TestTenantPlacement:
 
     def test_even_with_vaults(self):
         base = PimConfig(num_pes=16)
-        placement = TenantPlacement.even(base, ["a", "b"], num_vaults=32)
+        placement = TenantPlacement.even(base, ["a", "b"], split_vaults=True)
         masks = [placement.config_for(n).vault_mask for n in placement.names]
         assert all(mask is not None for mask in masks)
         assert len(set(masks[0]) | set(masks[1])) == 32

@@ -63,7 +63,6 @@ def cold_batch(session, iterations, mode):
     cold = InferenceSession(
         session.graph,
         session.active_config,
-        num_vaults=session.active_num_vaults,
         sim_mode=mode,
     )
     return cold.run(iterations)

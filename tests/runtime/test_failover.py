@@ -17,6 +17,7 @@ from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.plan_cache import PlanCache
 from repro.runtime.server import BatchingServer
 from repro.runtime.session import FaultRetryExhausted, InferenceSession
+from repro.sim import executor as executor_module
 from repro.sim.executor import ScheduleExecutor
 from repro.sim.modes import SimMode
 from repro.sim.sinks import NullSink
@@ -45,7 +46,7 @@ class TestSessionFailover:
         degraded = config.degraded(range(1, config.num_pes))
         cold_plan = ParaConv(degraded).run(graph)
         cold = ScheduleExecutor(
-            degraded, num_vaults=32, mode=SimMode.FULL_UNROLL
+            degraded, mode=SimMode.FULL_UNROLL
         ).execute(cold_plan, iterations=20, sink=NullSink())
         assert session.last_trace is not None
         assert (
@@ -74,9 +75,29 @@ class TestSessionFailover:
         session = InferenceSession(graph, config, fault_model=fault_model)
         result = session.run(10)
         assert result.failovers == 1
-        assert session.active_num_vaults == 31
+        assert session.active_config.num_vaults == 31
         assert session.active_config.vault_mask == tuple(range(1, 32))
         assert session.active_config.num_pes == config.num_pes
+
+    def test_vault_degraded_config_simulates_its_survivors(
+        self, graph, config, monkeypatch
+    ):
+        """A config degraded to vaults [0, 1] is a two-vault machine: the
+        session's executor interleaves over 2 vaults, not a default 32."""
+        built = []
+        real = executor_module.MemorySystem
+
+        def spy(*args, **kwargs):
+            memory = real(*args, **kwargs)
+            built.append(len(memory.vaults))
+            return memory
+
+        monkeypatch.setattr(executor_module, "MemorySystem", spy)
+        degraded = config.degraded(range(config.num_pes), [0, 1])
+        session = InferenceSession(graph, degraded)
+        result = session.run(4)
+        assert built == [2]
+        assert result.degraded and session.degraded_mode
 
     def test_static_mask_degrades_before_first_compile(self, graph, config):
         """All PEs but one dead from the start: the session compiles

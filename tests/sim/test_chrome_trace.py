@@ -1,6 +1,7 @@
 """Tests for the Chrome trace-event exporter."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -15,7 +16,9 @@ from repro.sim.executor import ScheduleExecutor
 def trace():
     config = PimConfig(num_pes=8, iterations=100)
     result = ParaConv(config).run(synthetic_benchmark("cat"))
-    return ScheduleExecutor(config, num_vaults=16).execute(result, iterations=4)
+    return ScheduleExecutor(replace(config, num_vaults=16)).execute(
+        result, iterations=4
+    )
 
 
 class TestTraceToEvents:

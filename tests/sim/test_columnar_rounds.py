@@ -43,7 +43,6 @@ def round_stream(machine, plan, mode, iterations, fault_model=None):
     rounds = []
     executor = ScheduleExecutor(
         machine,
-        num_vaults=32,
         mode=mode,
         fault_model=fault_model,
         round_probe=lambda index, snapshot: rounds.append((index, snapshot)),

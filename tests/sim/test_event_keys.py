@@ -93,7 +93,7 @@ class TestWidthEdge:
         plan = ParaConv(machine).run(synthetic_benchmark(name))
         iterations = 2**k - 1
         run = _ScheduleRun(
-            machine, 16, plan, iterations, SimMode.STEADY_STATE, NullSink()
+            machine, plan, iterations, SimMode.STEADY_STATE, NullSink()
         )
         assert iterations + 1 == 1 << (run._keys.iteration_bits - 1)
         steady = ScheduleExecutor(machine, mode=SimMode.STEADY_STATE).execute(

@@ -1,13 +1,14 @@
 """Tests for the discrete-event schedule executor."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.core.baseline import SpartaScheduler
 from repro.core.paraconv import ParaConv
 from repro.graph.generators import synthetic_benchmark
 from repro.pim.config import PimConfig
 from repro.sim.engine import SimulationError
-from repro.sim.executor import ScheduleExecutor, simulate_sparta
+from repro.sim.executor import ScheduleExecutor
 from repro.sim.trace import TransferKind
 
 
@@ -15,7 +16,7 @@ from repro.sim.trace import TransferKind
 def flower_trace():
     config = PimConfig(num_pes=16)
     result = ParaConv(config).run(synthetic_benchmark("flower"))
-    trace = ScheduleExecutor(config, num_vaults=32).execute(result, iterations=10)
+    trace = ScheduleExecutor(config).execute(result, iterations=10)
     return result, trace
 
 
@@ -96,33 +97,11 @@ class TestExecution:
         assert a.realized_makespan == b.realized_makespan
 
 
-class TestSpartaSimulation:
-    def test_back_to_back_iterations(self):
-        config = PimConfig(num_pes=16)
-        result = SpartaScheduler(config).run(synthetic_benchmark("cat"))
-        trace = simulate_sparta(result, iterations=5)
-        assert trace.realized_makespan == 5 * result.iteration_length
-        assert len(trace.records) == result.graph.num_vertices * 5
-
-    def test_traffic_scales_with_iterations(self):
-        config = PimConfig(num_pes=16)
-        result = SpartaScheduler(config).run(synthetic_benchmark("cat"))
-        short = simulate_sparta(result, iterations=2)
-        long = simulate_sparta(result, iterations=4)
-        assert long.stats.total_bytes == 2 * short.stats.total_bytes
-
-    def test_invalid_iterations(self):
-        config = PimConfig(num_pes=16)
-        result = SpartaScheduler(config).run(synthetic_benchmark("cat"))
-        with pytest.raises(SimulationError):
-            simulate_sparta(result, iterations=0)
-
-
 class TestFifoAccounting:
     def test_pfifo_traffic_recorded(self):
         config = PimConfig(num_pes=8, iterations=100)
         result = ParaConv(config).run(synthetic_benchmark("flower"))
-        trace = ScheduleExecutor(config, num_vaults=16).execute(
+        trace = ScheduleExecutor(replace(config, num_vaults=16)).execute(
             result, iterations=6
         )
         # every delivered intermediate result staged through a pFIFO

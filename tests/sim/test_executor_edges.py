@@ -1,5 +1,7 @@
 """Executor edge cases: degenerate machines and workload corners."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.paraconv import ParaConv
@@ -19,7 +21,7 @@ class TestDegenerateMachines:
         assert all(
             p is Placement.EDRAM for p in result.schedule.placements.values()
         )
-        trace = ScheduleExecutor(config, num_vaults=16).execute(
+        trace = ScheduleExecutor(replace(config, num_vaults=16)).execute(
             result, iterations=6
         )
         assert trace.slowdown == pytest.approx(1.0, abs=0.05)
@@ -29,10 +31,10 @@ class TestDegenerateMachines:
     def test_single_vault_contention_visible(self):
         config = PimConfig(num_pes=8, iterations=100)
         result = ParaConv(config).run(synthetic_benchmark("flower"))
-        relaxed = ScheduleExecutor(config, num_vaults=32).execute(
+        relaxed = ScheduleExecutor(replace(config, num_vaults=32)).execute(
             result, iterations=8
         )
-        contended = ScheduleExecutor(config, num_vaults=1).execute(
+        contended = ScheduleExecutor(replace(config, num_vaults=1)).execute(
             result, iterations=8
         )
         # one vault serializes all off-chip traffic: lateness can only grow
@@ -52,7 +54,7 @@ class TestDegenerateMachines:
         """No vaults is rejected at construction, never a ZeroDivisionError
         from the vault interleaving mid-run."""
         with pytest.raises(ConfigurationError, match="num_vaults must be >= 1"):
-            ScheduleExecutor(PimConfig(num_pes=16), num_vaults=vaults, mode=mode)
+            ScheduleExecutor(PimConfig(num_pes=16, num_vaults=vaults), mode=mode)
 
 
 class TestWorkloadCorners:
@@ -60,7 +62,7 @@ class TestWorkloadCorners:
         graph = linear_chain([2, 3, 1, 2], size_bytes=2048)
         config = PimConfig(num_pes=4, iterations=100)
         result = ParaConv(config).run(graph)
-        trace = ScheduleExecutor(config, num_vaults=8).execute(
+        trace = ScheduleExecutor(replace(config, num_vaults=8)).execute(
             result, iterations=5
         )
         assert trace.slowdown == pytest.approx(1.0, abs=0.05)
@@ -82,9 +84,7 @@ class TestWorkloadCorners:
         config = PimConfig(num_pes=16, iterations=100)
         result = ParaConv(config).run(synthetic_benchmark("character-1"))
         iterations = max(3, result.max_retiming // 2)
-        trace = ScheduleExecutor(config, num_vaults=32).execute(
-            result, iterations=iterations
-        )
+        trace = ScheduleExecutor(config).execute(result, iterations=iterations)
         executed = {(r.op_id, r.iteration) for r in trace.records}
         for op in result.graph.operations():
             for iteration in range(1, iterations + 1):
@@ -105,7 +105,7 @@ class TestExtremeCorners:
         # ... and the period is at least the serial work
         serial = sum(op.execution_time for op in result.graph.operations())
         assert result.period >= serial
-        trace = ScheduleExecutor(config, num_vaults=4).execute(
+        trace = ScheduleExecutor(replace(config, num_vaults=4)).execute(
             result, iterations=3
         )
         assert {r.pe for r in trace.records} == {0}
@@ -142,7 +142,7 @@ class TestExtremeCorners:
         profitable = {k for k, t in timings.items() if t.delta_r > 0}
         assert set(result.allocation.cached) == profitable
         assert result.allocation.slots_used <= result.allocation.capacity_slots
-        trace = ScheduleExecutor(config, num_vaults=16).execute(
+        trace = ScheduleExecutor(replace(config, num_vaults=16)).execute(
             result, iterations=4
         )
         assert trace.cache_spills == 0

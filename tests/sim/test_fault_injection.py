@@ -31,7 +31,7 @@ def plan(machine):
 
 
 def executor(machine, mode=SimMode.FULL_UNROLL):
-    return ScheduleExecutor(machine, num_vaults=32, mode=mode)
+    return ScheduleExecutor(machine, mode=mode)
 
 
 class TestPeFaults:
@@ -72,7 +72,6 @@ class TestPeFaults:
     def test_constructor_level_fault_model(self, machine, plan):
         runner = ScheduleExecutor(
             machine,
-            num_vaults=32,
             mode=SimMode.FULL_UNROLL,
             fault_model=FaultModel.single(FAULT_UNIT_PE, 0, 2),
         )

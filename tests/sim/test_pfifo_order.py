@@ -53,12 +53,12 @@ def _plan():
     )
 
 
-CONFIG = PimConfig(num_pes=2)
+CONFIG = PimConfig(num_pes=2, num_vaults=4)
 
 
 def test_oldest_staged_instance_is_consumed_first():
     run = _ScheduleRun(
-        CONFIG, 4, _plan(), iterations=3, mode=SimMode.FULL_UNROLL,
+        CONFIG, _plan(), iterations=3, mode=SimMode.FULL_UNROLL,
         sink=NullSink(),
     )
     # Drive rounds 1 and 2 as ``execute`` does: materialize, then run to
@@ -79,7 +79,7 @@ def test_oldest_staged_instance_is_consumed_first():
 
 def test_fifo_pushes_hand_count():
     iterations = 5
-    trace = ScheduleExecutor(CONFIG, num_vaults=4).execute(
+    trace = ScheduleExecutor(CONFIG).execute(
         _plan(), iterations=iterations, sink=NullSink()
     )
     assert trace.cache_spills == 0

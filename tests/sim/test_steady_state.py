@@ -11,10 +11,9 @@ import pytest
 from repro.core.paraconv import ParaConv
 from repro.graph.generators import synthetic_benchmark
 from repro.pim.config import PimConfig
-from repro.sim.executor import ScheduleExecutor, simulate_sparta
+from repro.sim.executor import ScheduleExecutor
 from repro.sim.modes import SimMode
 from repro.sim.sinks import CountingSink, NullSink
-from repro.core.baseline import SpartaScheduler
 
 
 @pytest.fixture(scope="module")
@@ -50,17 +49,17 @@ class TestSimModes:
         assert SimMode.from_name(SimMode.STEADY_STATE) is SimMode.STEADY_STATE
         assert SimMode.from_name("Full-Unroll") is SimMode.FULL_UNROLL
         assert SimMode.from_name("steady_state") is SimMode.STEADY_STATE
-        # Deprecated names of the array engine, kept for old scripts.
-        assert SimMode.from_name("columnar") is SimMode.FULL_UNROLL
-        assert SimMode.from_name("columnar_steady") is SimMode.STEADY_STATE
-        assert SimMode.from_name("columnar-steady") is SimMode.STEADY_STATE
         with pytest.raises(ValueError, match="unknown") as excinfo:
             SimMode.from_name("warp-speed")
         assert "full" in str(excinfo.value)
         assert "steady" in str(excinfo.value)
 
     @pytest.mark.parametrize(
-        "dropped", ["unroll", "fast", "array", "array_steady", "columnar_full"]
+        "dropped",
+        [
+            "unroll", "fast", "array", "array_steady", "columnar_full",
+            "columnar", "columnar_steady", "columnar-steady",
+        ],
     )
     def test_unused_aliases_are_gone(self, dropped):
         with pytest.raises(ValueError, match="choose one of: full, steady"):
@@ -131,18 +130,3 @@ class TestConvergenceObservability:
         with pytest.raises(SimulationError):
             ScheduleExecutor(machine, steady_confirm_budget=0)
 
-
-class TestSpartaSteady:
-    def test_sparta_steady_matches_full(self, machine):
-        graph = synthetic_benchmark("cat")
-        baseline = SpartaScheduler(machine).run(graph)
-        full = simulate_sparta(
-            baseline, iterations=50, mode=SimMode.FULL_UNROLL
-        )
-        steady = simulate_sparta(
-            baseline, iterations=50, mode=SimMode.STEADY_STATE
-        )
-        assert steady.realized_makespan == full.realized_makespan
-        assert steady.stats.as_dict() == full.stats.as_dict()
-        assert steady.converged_round == 1
-        assert steady.converged_period == 1
