@@ -128,46 +128,6 @@ def candidate_group_widths(num_pes: int) -> List[int]:
     return widths
 
 
-def choose_group_width(
-    graph: TaskGraph, num_pes: int, utilization_target: float = 0.75
-) -> int:
-    """Widest PE group one iteration can keep busy (paper Section 2.3).
-
-    When the array is wider than one iteration's parallelism, iterations
-    are replicated across PE groups (the motivational example maps two
-    iterations onto two PE pairs). To avoid stranding PEs, candidate
-    widths are ``num_pes // J`` for group counts ``J = 1, 2, ...``; the
-    first (widest) candidate whose compacted kernel keeps at least
-    ``utilization_target`` of the group busy wins -- intra-iteration
-    parallelism is preferred, extra groups are added only once a single
-    iteration cannot fill the array. Falls back to the best-utilization
-    candidate when no width meets the target (tiny graphs on wide arrays).
-
-    Both Para-CONV and the SPARTA baseline use this same policy, so the
-    comparison isolates scheduling quality, not array partitioning.
-    """
-    if not 0 < utilization_target <= 1:
-        raise ScheduleError("utilization_target must be in (0, 1]")
-    if num_pes < 1:
-        raise ScheduleError("num_pes must be >= 1")
-    total = graph.total_work()
-    max_exec = graph.max_execution_time()
-    best_width, best_util = num_pes, -1.0
-    seen = set()
-    for groups in range(1, num_pes + 1):
-        width = num_pes // groups
-        if width in seen:
-            continue
-        seen.add(width)
-        period = max(math.ceil(total / width), max_exec)
-        utilization = total / (width * period)
-        if utilization >= utilization_target:
-            return width
-        if utilization > best_util:
-            best_width, best_util = width, utilization
-    return best_width
-
-
 def list_schedule(
     graph: TaskGraph,
     num_pes: int,
@@ -345,27 +305,3 @@ def downward_rank(graph: TaskGraph, edge_latency: EdgeLatency) -> Dict[int, int]
         rank[op_id] = op.execution_time + best
     return rank
 
-
-def effective_parallel_width(
-    graph: TaskGraph, max_pes: int, edge_latency: Optional[EdgeLatency] = None
-) -> int:
-    """Smallest PE count at which the list-schedule makespan stops improving.
-
-    A baseline that maps one iteration onto the whole array wastes PEs once
-    the graph's parallelism saturates; this probe finds the useful width so
-    the baseline can instead replicate iterations across PE groups (as in
-    the motivational example, where two iterations run concurrently on two
-    PE pairs).
-    """
-    if max_pes < 1:
-        raise ScheduleError("max_pes must be >= 1")
-    best_len = None
-    best_width = 1
-    width = 1
-    while width <= max_pes:
-        length = list_schedule(graph, width, edge_latency).period
-        if best_len is None or length < best_len:
-            best_len = length
-            best_width = width
-        width *= 2
-    return best_width

@@ -287,6 +287,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
             f"(hits={cache['hits']} misses={cache['misses']} "
             f"disk_hits={cache['disk_hits']})"
         )
+        batches = report["batches"]
+        print(
+            f"  batches: executed={batches['executed']} "
+            f"simulated={batches['simulated']} reused={batches['reused']}"
+        )
         print(
             f"  wall: {report['wall_seconds']:.2f}s "
             f"({report['requests_per_second']:.0f} req/s)"

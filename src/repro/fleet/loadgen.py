@@ -190,6 +190,9 @@ def run_bench(
     accounting = router.accounting()
     if accounting["lost"] != 0:
         raise RuntimeError(f"fleet lost requests: {accounting}")
+    workers = [w.snapshot() for w in router.workers.values()]
+    executed = sum(w["batches_executed"] for w in workers)
+    reused = sum(w["sim_batches_reused"] for w in workers)
     report: Dict[str, Any] = new_report("fleet", {
         "num_requests": num_requests,
         "num_workers": len(router.workers),
@@ -211,9 +214,14 @@ def run_bench(
             },
         },
         "cache": router.cache_summary(),
-        "workers": [
-            w.snapshot() for w in router.workers.values()
-        ],
+        # Batches the shards executed: simulated, or served from a
+        # stored trace.
+        "batches": {
+            "executed": executed,
+            "simulated": executed - reused,
+            "reused": reused,
+        },
+        "workers": workers,
         "wall_seconds": wall_seconds,
         "requests_per_second": (
             len(overall) / wall_seconds if wall_seconds > 0 else 0.0

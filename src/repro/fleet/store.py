@@ -19,6 +19,14 @@ Workers normally reach the store through :meth:`open_cache`, which binds
 an ordinary two-tier :class:`~repro.runtime.plan_cache.PlanCache` to the
 shared directory — the memory LRU stays private per worker, the disk
 tier is the fleet-wide artifact store.
+
+The same rule covers simulation: a store handle owns one in-memory table
+of batch traces, and every cache it opens shares it. A batch's trace is
+a function of ``(plan digest, active machine, sim mode, active fault
+model, N)``, so a shard that inherits another shard's workload — after a
+kill, say — serves a batch size the fleet already simulated from that
+table. The table lives exactly as long as the handle; a new
+``SharedPlanStore`` over the same directory starts it empty.
 """
 
 from __future__ import annotations
@@ -86,15 +94,24 @@ class SharedPlanStore:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.verify_on_load = verify_on_load
         self.stats = StoreStats()
+        #: batch traces shared by every cache :meth:`open_cache` returns
+        #: (see :attr:`PlanCache.batch_traces`).
+        self.batch_traces: Dict[tuple, Any] = {}
 
     # -- cache integration --------------------------------------------
     def open_cache(self, capacity: int = 32) -> PlanCache:
-        """A per-worker two-tier cache whose disk tier is this store."""
-        return PlanCache(
+        """A per-worker two-tier cache whose disk tier is this store.
+
+        Its memory tier and stats are its own; its batch-trace table is
+        this store's.
+        """
+        cache = PlanCache(
             capacity=capacity,
             disk_dir=self.directory,
             verify_on_load=self.verify_on_load,
         )
+        cache.batch_traces = self.batch_traces
+        return cache
 
     # -- direct artifact access ---------------------------------------
     def _path(self, digest: str) -> Path:

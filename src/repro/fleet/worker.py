@@ -87,7 +87,10 @@ class FleetWorker:
             ``partition.logical``.
         store: optional :class:`SharedPlanStore`; when given, this
             shard's plan cache uses the store directory as its disk tier
-            (compile once anywhere, warm everywhere).
+            (compile once anywhere, warm everywhere) and the store's
+            batch-trace table (simulate once per fleet: a batch another
+            shard already ran on an equal logical machine is reused).
+            Without one the shard's cache owns its traces.
         cache_capacity: per-shard in-memory plan LRU bound.
         batch_window / max_queue / allocator / sim_mode / clock /
             graph_loader: forwarded to :class:`BatchingServer`.
@@ -277,6 +280,7 @@ class FleetWorker:
             "queue_depth": self.queue_depth,
             "virtual_free_at": self.virtual_free_at,
             "batches_executed": counters.get("batches_executed", 0),
+            "sim_batches_reused": counters.get("sim_batches_reused", 0),
             "plans_compiled_or_loaded": counters.get(
                 "plans_compiled_or_loaded", 0
             ),

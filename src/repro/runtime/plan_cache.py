@@ -32,7 +32,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Union
 
 from repro.core.allocation import AllocationResult
 from repro.core.cases import RetimingCase
@@ -42,6 +42,9 @@ from repro.core.schedule_io import schedule_from_dict, schedule_to_dict
 from repro.graph.taskgraph import TaskGraph
 from repro.pim.config import PimConfig
 from repro.pim.memory import Placement
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.sim.executor import ExecutionTrace
 
 #: On-disk plan payload version; bump on any layout change.
 PLAN_FORMAT_VERSION = 1
@@ -282,6 +285,12 @@ class PlanCache:
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
         self.verify_on_load = verify_on_load
         self.stats = CacheStats()
+        #: traces of the batches sessions on this cache simulated without
+        #: a fault, keyed ``(plan digest, active machine, sim mode, active
+        #: fault model, N)``. Every cache a
+        #: :class:`~repro.fleet.store.SharedPlanStore` opens shares the
+        #: store's table instead.
+        self.batch_traces: Dict[tuple, "ExecutionTrace"] = {}
         self._plans: "OrderedDict[str, ParaConvResult]" = OrderedDict()
         self._lock = threading.RLock()
 

@@ -17,11 +17,15 @@ adds no transformation in between (verified by ``benchmarks/test_runtime``).
 Batch reuse. A plan is a static periodic schedule and every batch runs
 on a fresh machine, so a batch's trace depends only on the plan, the
 active machine, the active fault model, the sim mode and ``N``. The
-session keeps the trace of the last successful batch of each size and
-serves a repeated ``run(N)`` from it instead of simulating again. The
-table belongs to one plan: it is dropped on failover, on
-:meth:`InferenceSession.swap_graph` and whenever :meth:`compile`
-installs a different plan object.
+session stores the trace of each batch that finished without a fault
+and serves a repeated batch from it instead of simulating again. With a
+plan cache the trace goes into the cache's table under ``(plan digest,
+active machine, sim mode, active fault model, N)``; caches opened from
+one :class:`~repro.fleet.store.SharedPlanStore` share that table, so a
+batch is simulated once per fleet, not once per shard. Without a cache
+the session keeps a private table keyed by ``N`` that belongs to one
+plan: it is dropped on failover, on :meth:`InferenceSession.swap_graph`
+and whenever :meth:`compile` installs a different plan object.
 
 Fault tolerance. A session constructed with a
 :class:`~repro.pim.faults.FaultModel` keeps serving when units die: the
@@ -43,7 +47,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Union
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
 
 from repro.compiler.pipeline import check_kernel_order
 from repro.core.paraconv import ParaConv, ParaConvResult
@@ -242,9 +246,13 @@ class InferenceSession:
         #: batches served from a stored trace instead of the simulator.
         self.batches_reused: int = 0
         self._plan: Optional[ParaConvResult] = None
+        #: cache key digest of ``_plan`` (set only when compiling through
+        #: a cache).
+        self._plan_digest: Optional[str] = None
         self._executor: Optional[ScheduleExecutor] = None
-        # Trace of the last successful batch of each size, valid for
-        # ``_traces_plan`` on the active machine and fault model.
+        # Without a cache: trace of the last successful batch of each
+        # size, valid for ``_traces_plan`` on the active machine and
+        # fault model.
         self._traces: Dict[int, ExecutionTrace] = {}
         self._traces_plan: Optional[ParaConvResult] = None
         if self._active_fault_model is not None and (
@@ -439,6 +447,7 @@ class InferenceSession:
 
             self.last_compile_stats = None
             self._plan = self.cache.get_or_compile(key, self.graph, _compile)
+            self._plan_digest = key.digest
         else:
             self.compilations += 1
             self.last_compile_stats = None
@@ -483,9 +492,11 @@ class InferenceSession:
         executor path. A repeated ``iterations`` on the same plan skips
         even that: the batch is built from the stored trace of the last
         successful batch of that size (``batches_reused`` counts these;
-        ``wall_seconds`` is this call's own, ``failovers`` is 0). The
-        stored traces are dropped on failover, on :meth:`swap_graph` and
-        when :meth:`compile` installs a different plan.
+        ``wall_seconds`` is this call's own, ``failovers`` is 0). With a
+        cache the trace may come from any session on the cache's table
+        (see :meth:`_trace_slot`); without one, the stored traces are
+        dropped on failover, on :meth:`swap_graph` and when
+        :meth:`compile` installs a different plan.
 
         Under a fault model, a :class:`~repro.sim.executor.PeFaultError`
         mid-batch triggers failover: degrade, recompile (cache-first),
@@ -496,10 +507,8 @@ class InferenceSession:
         if iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {iterations}")
         started = time.perf_counter()
-        # The table only holds traces of the served plan: compile()
-        # clears it when it installs another plan, and failover and
-        # swap_graph clear it when they drop theirs.
-        trace = self._traces.get(iterations)
+        table, key = self._trace_slot(iterations)
+        trace = table.get(key)
         if trace is not None:
             self.batches_reused += 1
             self.last_trace = trace
@@ -540,7 +549,9 @@ class InferenceSession:
                 continue
             wall = time.perf_counter() - started
             self.last_trace = trace
-            self._traces[iterations] = trace
+            # Keyed after any failover: the machine the trace ran on.
+            table, key = self._trace_slot(iterations)
+            table[key] = trace
             return self._batch_result(
                 trace,
                 energy_model,
@@ -548,6 +559,29 @@ class InferenceSession:
                 failovers=attempts,
                 degraded=self.degraded_mode,
             )
+
+    def _trace_slot(self, iterations: int) -> Tuple[dict, object]:
+        """Table and key of a batch of ``iterations`` on the served plan.
+
+        With a cache: the cache's table, keyed by everything the trace
+        depends on. The plan digest alone is not enough, because
+        :meth:`PimConfig.fingerprint` leaves out ``num_vaults``. Without
+        one: this session's table, keyed by ``N``. It only holds traces
+        of the served plan: :meth:`compile` clears it when it installs
+        another plan, and failover and :meth:`swap_graph` clear it when
+        they drop theirs.
+        """
+        if self.cache is None:
+            return self._traces, iterations
+        if self._plan is None:
+            self.compile()
+        return self.cache.batch_traces, (
+            self._plan_digest,
+            self._active_config,
+            self.sim_mode,
+            self._active_fault_model,
+            iterations,
+        )
 
     @staticmethod
     def _batch_result(

@@ -8,15 +8,13 @@ from repro.core.schedule import ScheduleError, validate_kernel
 from repro.core.scheduler import (
     MIN_GROUP_WIDTH,
     candidate_group_widths,
-    choose_group_width,
     compact_kernel_schedule,
     downward_rank,
-    effective_parallel_width,
     list_schedule,
     load_balance_bound,
 )
 from repro.graph.generators import SyntheticGraphGenerator
-from repro.graph.taskgraph import TaskGraph, linear_chain
+from repro.graph.taskgraph import TaskGraph
 
 
 class TestLoadBalanceBound:
@@ -156,24 +154,3 @@ class TestWidthPolicies:
     def test_candidate_widths_invalid(self):
         with pytest.raises(ScheduleError):
             candidate_group_widths(0)
-
-    def test_choose_group_width_full_when_saturated(self):
-        # a heavy graph keeps the whole array busy
-        graph = SyntheticGraphGenerator().generate(200, 300, seed=1)
-        assert choose_group_width(graph, 8) == 8
-
-    def test_choose_group_width_shrinks_for_tiny_graphs(self):
-        graph = linear_chain([1, 1])
-        width = choose_group_width(graph, 64)
-        assert width < 64
-
-    def test_choose_group_width_validates_target(self, figure2_graph):
-        with pytest.raises(ScheduleError):
-            choose_group_width(figure2_graph, 8, utilization_target=0.0)
-
-    def test_effective_parallel_width_chain(self, chain_graph):
-        # a chain gains nothing from more than one PE
-        assert effective_parallel_width(chain_graph, 16) == 1
-
-    def test_effective_parallel_width_branches(self, diamond_graph):
-        assert effective_parallel_width(diamond_graph, 16) == 2

@@ -46,6 +46,29 @@ class TestBench:
         assert report["live_workers"] == 1
         text = capsys.readouterr().out
         assert "lost" in text and "latency" in text
+        assert "batches: executed=" in text
+
+    def test_batch_counts_sum_the_shards(self, capsys):
+        code = main([
+            "bench",
+            "--workers", "2",
+            "--pes", "32",
+            "--requests", "64",
+            "--workloads", "flower,lenet5,stock-predict,string-matching",
+            "--batch-window", "4",
+            "--pump-every", "4",
+            "--kill-after", "32",
+            "--out", "-",
+            "--json",
+        ])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        batches = report["batches"]
+        assert batches == {"executed": 41, "simulated": 10, "reused": 31}
+        for key, counter in (
+            ("executed", "batches_executed"), ("reused", "sim_batches_reused")
+        ):
+            assert batches[key] == sum(w[counter] for w in report["workers"])
 
     def test_no_kill_keeps_fleet_whole(self, tmp_path, capsys):
         out = tmp_path / "bench.json"
