@@ -1,6 +1,6 @@
 """Golden fixture computation and regeneration.
 
-Seven fixtures live next to this module:
+Eight fixtures live next to this module:
 
 * ``benchmarks.json`` pins the full compiled plan for every paper
   benchmark on the default machine: scalar plan metrics (period,
@@ -36,6 +36,12 @@ Seven fixtures live next to this module:
   fields, the in-degrees, the start-key constants and the nominal start
   offsets, plus the packed event-key layout
   (``tests/golden/test_sim_tables_drift.py``).
+* ``oracle_verdicts.json`` pins the exhaustive allocation oracle's
+  answer (placements as a digest, the cached keys in order, profit and
+  slots) on every instance the search battery enumerates: the paper
+  benchmarks on its machine variants at the verify CLI's defaults, where
+  an instance has at most ``DEFAULT_EXHAUSTIVE_LIMIT`` competing results
+  (``tests/golden/test_oracle_verdicts_drift.py``).
 
 Any change that moves *any* pinned fact is surfaced as an explicit diff;
 intentional changes are blessed by regenerating the fixtures:
@@ -80,6 +86,7 @@ from repro.verify.differential_search import (
     allocation_instance,
     machine_variants,
 )
+from repro.verify.oracle import DEFAULT_EXHAUSTIVE_LIMIT, exhaustive_allocate
 
 _HERE = Path(__file__).resolve().parent
 
@@ -91,6 +98,7 @@ COMPILE_GRID_PATH = _HERE / "compile_grid.json"
 PROFIT_SCORES_PATH = _HERE / "profit_scores.json"
 FLEET_METRICS_PATH = _HERE / "fleet_metrics.json"
 SIM_TABLES_PATH = _HERE / "sim_tables.json"
+ORACLE_VERDICTS_PATH = _HERE / "oracle_verdicts.json"
 
 #: Fixture layout version; bump when entry fields change.
 GOLDEN_FORMAT_VERSION = 1
@@ -126,6 +134,9 @@ FLEET_KILL = "worker-1"
 #: simulator's static tables are frozen at.
 SIM_TABLES_MACHINE = "healthy"
 SIM_TABLES_ITERATIONS = 20
+#: The search battery's machine at the verify CLI's defaults.
+ORACLE_PES = 16
+ORACLE_ITERATIONS = 1000
 
 
 def plan_digest(result: ParaConvResult) -> str:
@@ -366,6 +377,52 @@ def compute_anneal_golden() -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
+# exhaustive oracle verdicts
+# ----------------------------------------------------------------------
+def oracle_machine() -> PimConfig:
+    return PimConfig(num_pes=ORACLE_PES, iterations=ORACLE_ITERATIONS)
+
+
+def oracle_benchmark_entries(
+    name: str, engine: str = "columnar"
+) -> Dict[str, Any]:
+    """The oracle's answer on every enumerable variant of one benchmark."""
+    graph = load_workload(name)
+    entries: Dict[str, Any] = {}
+    for variant, machine in machine_variants(oracle_machine()):
+        problem, _width = allocation_instance(graph, machine)
+        if problem.num_items > DEFAULT_EXHAUSTIVE_LIMIT:
+            continue
+        result = exhaustive_allocate(problem, engine=engine)
+        placements = sorted(
+            [list(key), placement.value]
+            for key, placement in result.placements.items()
+        )
+        entries[variant] = _as_json({
+            "num_items": problem.num_items,
+            "capacity_slots": problem.capacity_slots,
+            "placements_sha256": _sha256(placements),
+            "cached": result.cached,
+            "total_delta_r": result.total_delta_r,
+            "slots_used": result.slots_used,
+        })
+    return entries
+
+
+def compute_oracle_verdicts() -> Dict[str, Any]:
+    """Frozen from the incumbent object scan, the oracle's reference."""
+    return {
+        "format_version": GOLDEN_FORMAT_VERSION,
+        "config": oracle_machine().to_dict(),
+        "limit": DEFAULT_EXHAUSTIVE_LIMIT,
+        "benchmarks": {
+            name: oracle_benchmark_entries(name, engine="object")
+            for name in BENCHMARK_SIZES
+        },
+    }
+
+
+# ----------------------------------------------------------------------
 # compile sweep plans
 # ----------------------------------------------------------------------
 def grid_workloads() -> List[str]:
@@ -561,6 +618,10 @@ def main() -> int:
     tables = compute_sim_tables()
     _write(SIM_TABLES_PATH, tables)
     print(f"wrote {len(tables['workloads'])} workloads to {SIM_TABLES_PATH}")
+    verdicts = compute_oracle_verdicts()
+    _write(ORACLE_VERDICTS_PATH, verdicts)
+    print(f"wrote {len(verdicts['benchmarks'])} benchmarks to "
+          f"{ORACLE_VERDICTS_PATH}")
     return 0
 
 
