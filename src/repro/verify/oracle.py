@@ -21,10 +21,8 @@ from typing import Dict, List, Optional
 
 from repro.core.allocation import (
     ALLOCATORS,
-    AllocationItem,
     AllocationProblem,
     AllocationResult,
-    _finalize,
     dp_allocate,
 )
 from repro.core.profit import ProfitTable, np
@@ -32,11 +30,10 @@ from repro.core.profit import ProfitTable, np
 #: Largest item count enumerated exhaustively (2^n subsets).
 DEFAULT_EXHAUSTIVE_LIMIT = 16
 
-#: Enumeration engines: ``columnar`` scores all ``2^n`` subsets with two
-#: matrix products on the :class:`~repro.core.profit.ProfitTable`
-#: columns; ``object`` is the original incumbent scan (kept as the
-#: differential oracle for the vectorized tie-break).
-ORACLE_ENGINES = ("columnar", "object")
+#: Ceiling on any enumeration limit. Enumeration holds a ``(2^n, n)``
+#: uint64 bit matrix, ``2^n * n * 8`` bytes: 168 MB at 20 items, 3.2 GB
+#: at 24.
+MAX_EXHAUSTIVE_LIMIT = 20
 
 #: Registry entries that are per-run factories needing the task graph
 #: (``ALLOCATORS[name](graph, timings)(problem)``) rather than plain
@@ -52,81 +49,39 @@ class OracleSizeError(ValueError):
 def exhaustive_allocate(
     problem: AllocationProblem,
     limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
-    engine: str = "columnar",
 ) -> AllocationResult:
     """Optimal allocation by enumerating every subset of competing results.
 
     Ground truth for :func:`repro.core.allocation.dp_allocate`: among all
     subsets whose total space fits the capacity, return one maximizing the
-    profit ``sum of DR(m)``. Ties prefer fewer slots, then the
-    lexicographically smallest key set, making the outcome deterministic.
+    profit ``sum of DR(m)``. Ties prefer fewer slots, then the greatest
+    sorted key tuple, making the outcome deterministic.
 
-    The default ``columnar`` engine batch-scores all ``2^n`` subsets with
-    two matrix products and reproduces the incumbent scan's tie-break
-    exactly (max profit, then min slots, then the *greatest* sorted key
-    tuple -- what the sequential replace-on-strictly-greater scan
-    converges to); ``engine="object"`` runs that original scan.
+    Every subset is one row of a ``(2^n, n)`` bit matrix; profits and
+    slot totals fall out of two matrix products on the
+    :class:`~repro.core.profit.ProfitTable` columns. The verdicts of the
+    original incumbent scan, which replaced its incumbent on a strictly
+    greater ``(profit, -slots, sorted keys)``, are frozen in
+    ``tests/golden/oracle_verdicts.json``.
 
     Raises :class:`OracleSizeError` beyond ``limit`` items — the caller
-    should fall back to dominance checking.
+    should fall back to dominance checking — and for a ``limit`` above
+    :data:`MAX_EXHAUSTIVE_LIMIT`.
     """
-    if engine not in ORACLE_ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; known: {', '.join(ORACLE_ENGINES)}"
+    if limit > MAX_EXHAUSTIVE_LIMIT:
+        raise OracleSizeError(
+            f"exhaustive limit {limit} exceeds the ceiling "
+            f"{MAX_EXHAUSTIVE_LIMIT} (2^{limit} subsets); choose 1.."
+            f"{MAX_EXHAUSTIVE_LIMIT}"
         )
     problem.validate()
-    items = problem.items
-    n = len(items)
+    n = problem.num_items
     if n > limit:
         raise OracleSizeError(
             f"{n} competing results exceed the exhaustive limit {limit} "
             f"(2^{n} subsets)"
         )
-    if engine == "columnar":
-        return _exhaustive_columnar(problem)
-    capacity = problem.capacity_slots
-    best_mask = 0
-    best_profit, best_slots, best_keys = 0, 0, ()
-    for mask in range(1 << n):
-        profit = slots = 0
-        for index in range(n):
-            if mask >> index & 1:
-                item = items[index]
-                profit += item.delta_r
-                slots += item.slots
-                if slots > capacity:
-                    break
-        if slots > capacity:
-            continue
-        keys = tuple(
-            items[index].key for index in range(n) if mask >> index & 1
-        )
-        candidate = (profit, -slots, tuple(sorted(keys)))
-        incumbent = (best_profit, -best_slots, tuple(sorted(best_keys)))
-        if (
-            profit > best_profit
-            or (profit == best_profit and candidate[1:] > incumbent[1:])
-        ):
-            best_profit, best_slots, best_keys = profit, slots, keys
-            best_mask = mask
-    chosen: List[AllocationItem] = [
-        items[index] for index in range(n) if best_mask >> index & 1
-    ]
-    return _finalize("exhaustive", problem, chosen)
-
-
-def _exhaustive_columnar(problem: AllocationProblem) -> AllocationResult:
-    """Vectorized subset enumeration on the ProfitTable columns.
-
-    Every subset is one row of a ``(2^n, n)`` bit matrix; profits and
-    slot totals fall out of two matrix-vector products. The winner is
-    the lexicographic maximum of ``(profit, -slots, sorted keys)`` over
-    feasible rows -- provably what the object scan returns, because that
-    scan replaces its incumbent exactly on strict lexicographic
-    improvement and distinct subsets always differ in their key sets.
-    """
     table = ProfitTable.of(problem)
-    n = table.num_items
     capacity = problem.capacity_slots
     if n == 0:
         return table.result_from_mask(
@@ -144,9 +99,8 @@ def _exhaustive_columnar(problem: AllocationProblem) -> AllocationResult:
     if len(indices) == 1:
         winner = int(indices[0])
     else:
-        # Full (profit, slots) tie: the incumbent scan keeps replacing on
-        # a strictly greater sorted key tuple, so the survivor is the
-        # maximum key tuple among the tied rows (typically a handful).
+        # Full (profit, slots) tie: the greatest sorted key tuple wins
+        # among the tied rows (typically a handful).
         def sorted_keys(row: int):
             mask = int(subsets[row])
             return tuple(sorted(

@@ -41,7 +41,12 @@ from repro.verify.harness import (
 )
 from repro.verify.hooks import compile_invariant_hooks
 from repro.verify.mutation import FaultDetectionReport, fault_detection_report
-from repro.verify.oracle import DifferentialReport, differential_check
+from repro.verify.oracle import (
+    DEFAULT_EXHAUSTIVE_LIMIT,
+    MAX_EXHAUSTIVE_LIMIT,
+    DifferentialReport,
+    differential_check,
+)
 from repro.verify.validator import ScheduleValidator
 from repro.verify.violations import VerificationReport
 
@@ -187,6 +192,16 @@ def run_verification_sweep(
     return outcome
 
 
+def oracle_limit(text: str) -> int:
+    """argparse type: an enumeration limit in ``1..MAX_EXHAUSTIVE_LIMIT``."""
+    value = positive_int(text)
+    if value > MAX_EXHAUSTIVE_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"must be in 1..{MAX_EXHAUSTIVE_LIMIT}, got {value}"
+        )
+    return value
+
+
 def run_schedule_battery(
     args: argparse.Namespace, validator: ScheduleValidator
 ) -> List[CaseReport]:
@@ -211,9 +226,11 @@ SCHEDULE_BATTERY = Battery(
          "score the validator on an injected-fault corpus",
     run=run_schedule_battery,
     options=(
-        option("--oracle-limit", type=positive_int, default=16,
-               help="max competing results for exhaustive enumeration "
-                    "(default 16)"),
+        option("--oracle-limit", type=oracle_limit,
+               default=DEFAULT_EXHAUSTIVE_LIMIT,
+               help="max competing results for exhaustive enumeration, "
+                    f"1..{MAX_EXHAUSTIVE_LIMIT} "
+                    f"(default {DEFAULT_EXHAUSTIVE_LIMIT})"),
         option("--no-oracle", action="store_true",
                help="skip the oracle-differential stage"),
         option("--no-mutations", action="store_true",

@@ -383,9 +383,7 @@ def oracle_machine() -> PimConfig:
     return PimConfig(num_pes=ORACLE_PES, iterations=ORACLE_ITERATIONS)
 
 
-def oracle_benchmark_entries(
-    name: str, engine: str = "columnar"
-) -> Dict[str, Any]:
+def oracle_benchmark_entries(name: str) -> Dict[str, Any]:
     """The oracle's answer on every enumerable variant of one benchmark."""
     graph = load_workload(name)
     entries: Dict[str, Any] = {}
@@ -393,7 +391,7 @@ def oracle_benchmark_entries(
         problem, _width = allocation_instance(graph, machine)
         if problem.num_items > DEFAULT_EXHAUSTIVE_LIMIT:
             continue
-        result = exhaustive_allocate(problem, engine=engine)
+        result = exhaustive_allocate(problem)
         placements = sorted(
             [list(key), placement.value]
             for key, placement in result.placements.items()
@@ -410,13 +408,13 @@ def oracle_benchmark_entries(
 
 
 def compute_oracle_verdicts() -> Dict[str, Any]:
-    """Frozen from the incumbent object scan, the oracle's reference."""
+    """The oracle's verdicts, as the incumbent scan first froze them."""
     return {
         "format_version": GOLDEN_FORMAT_VERSION,
         "config": oracle_machine().to_dict(),
         "limit": DEFAULT_EXHAUSTIVE_LIMIT,
         "benchmarks": {
-            name: oracle_benchmark_entries(name, engine="object")
+            name: oracle_benchmark_entries(name)
             for name in BENCHMARK_SIZES
         },
     }

@@ -67,7 +67,6 @@ class TestSearchDifferential:
         for report in reports:
             if report.facts["mode"] == "exhaustive":
                 assert report.facts["anneal"] == report.facts["exhaustive"]
-                assert report.facts["oracle_engines_agree"] is True
 
     def test_budget_ladder_is_monotone(self, reports):
         for report in reports:
@@ -100,7 +99,6 @@ class TestSearchDifferential:
         assert search_verdict({**facts, "portfolio_slots": 2})  # infeasible
         assert search_verdict({**facts, "exhaustive": 3})  # not optimal
         assert search_verdict({**facts, "ladder": {0: 2, 100: 1}})
-        assert search_verdict({**facts, "oracle_engines_agree": False})
         broken = CaseReport(
             battery="search", case="w/healthy", failures=["bad plan"]
         )

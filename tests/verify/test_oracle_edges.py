@@ -19,7 +19,12 @@ from repro.core.search import AnnealAllocator
 from repro.graph.generators import synthetic_benchmark
 from repro.pim.config import PimConfig
 from repro.verify.differential_search import allocation_instance
-from repro.verify.oracle import OracleSizeError, exhaustive_allocate
+from repro.verify import oracle
+from repro.verify.oracle import (
+    MAX_EXHAUSTIVE_LIMIT,
+    OracleSizeError,
+    exhaustive_allocate,
+)
 
 
 def make_problem(spec, capacity):
@@ -104,6 +109,26 @@ def test_size_guard():
     # raising the limit admits the instance
     result = exhaustive_allocate(problem, limit=17)
     assert result.total_delta_r == 8
+
+
+@pytest.mark.parametrize("items", [1, 30])
+def test_limit_above_the_ceiling_raises_before_enumerating(
+    items, monkeypatch
+):
+    """A limit past the ceiling is refused before any subset matrix is
+    built, whatever the instance's size."""
+
+    class NoTable:
+        @staticmethod
+        def of(problem):
+            raise AssertionError("the oracle built a profit table")
+
+    monkeypatch.setattr(oracle, "ProfitTable", NoTable)
+    problem = make_problem([(1, 1)] * items, capacity=8)
+    with pytest.raises(OracleSizeError, match=f"1..{MAX_EXHAUSTIVE_LIMIT}"):
+        exhaustive_allocate(problem, limit=max(items, MAX_EXHAUSTIVE_LIMIT + 1))
+    with pytest.raises(OracleSizeError, match="exceed the exhaustive limit"):
+        exhaustive_allocate(problem, limit=0)
 
 
 def test_oracle_equality_with_indifferent_edges():

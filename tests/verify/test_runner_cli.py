@@ -8,6 +8,7 @@ from repro.core.allocation import ALLOCATORS
 from repro.graph.generators import BENCHMARK_SIZES, synthetic_benchmark
 from repro.pim.config import PimConfig
 from repro.verify.__main__ import build_parser, main
+from repro.verify.oracle import MAX_EXHAUSTIVE_LIMIT
 from repro.verify.runner import (
     BATTERIES,
     run_verification_sweep,
@@ -146,6 +147,23 @@ class TestCli:
                   *flags])
         assert excinfo.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("limit", [MAX_EXHAUSTIVE_LIMIT + 1, 30, 40])
+    def test_oracle_limit_above_the_ceiling_is_a_usage_error(
+        self, limit, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["--oracle-limit", str(limit)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--oracle-limit" in err
+        assert f"must be in 1..{MAX_EXHAUSTIVE_LIMIT}, got {limit}" in err
+
+    def test_oracle_limit_ceiling_is_accepted(self):
+        args = build_parser().parse_args(
+            ["--oracle-limit", str(MAX_EXHAUSTIVE_LIMIT)]
+        )
+        assert args.oracle_limit == MAX_EXHAUSTIVE_LIMIT
 
     def test_overall_line_matches_exit_status(self, capsys):
         """A battery that errors fails the overall line, not just the exit
