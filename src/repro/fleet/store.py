@@ -48,6 +48,7 @@ from repro.core.paraconv import ParaConvResult
 from repro.runtime.plan_cache import (
     PlanCache,
     PlanKey,
+    TraceTable,
     plan_from_dict,
     plan_to_dict,
 )
@@ -96,7 +97,7 @@ class SharedPlanStore:
         self.stats = StoreStats()
         #: batch traces shared by every cache :meth:`open_cache` returns
         #: (see :attr:`PlanCache.batch_traces`).
-        self.batch_traces: Dict[tuple, Any] = {}
+        self.batch_traces = TraceTable()
 
     # -- cache integration --------------------------------------------
     def open_cache(self, capacity: int = 32) -> PlanCache:

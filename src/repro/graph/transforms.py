@@ -1,112 +1,20 @@
-"""Task-graph transformations.
+"""Task-graph fusion rewrites.
 
-Utilities used by experiments and available to library users: execution
--time scaling (to study time-quantization sensitivity), uniform-size
-rewrites (isolating structure effects from size effects), transitive-edge
-pruning (CNN partitions can emit redundant dependencies) and linear-chain
-coarsening (fusing pipeline stages into a single operation).
+:func:`fuse_stages` contracts the runs of stages a caller names into
+single dataflow stages; :func:`coarsen_chains` fuses every maximal linear
+chain into one operation. Both drop ``period_hint`` when anything fused.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.graph.taskgraph import (
     GraphValidationError,
     IntermediateResult,
     TaskGraph,
 )
-
-
-def scale_execution_times(
-    graph: TaskGraph, factor: float, name: Optional[str] = None
-) -> TaskGraph:
-    """Multiply every ``c_i`` by ``factor`` (rounded, floor 1).
-
-    ``period_hint`` is a statement about the *execution times* of the
-    graph it is attached to, so it scales with them — same rounding,
-    same floor. Copying it verbatim (the old behaviour) left a hint that
-    was stale for the scaled graph: infeasibly small after scaling up,
-    needlessly loose after scaling down.
-    """
-    if factor <= 0:
-        raise GraphValidationError("factor must be positive")
-    hint = graph.period_hint
-    out = TaskGraph(
-        name=name or f"{graph.name}-x{factor:g}",
-        period_hint=None if hint is None else max(1, round(hint * factor)),
-    )
-    for op in graph.operations():
-        out.add_operation(
-            replace(op, execution_time=max(1, round(op.execution_time * factor)))
-        )
-    for edge in graph.edges():
-        out.add_edge(edge)
-    return out
-
-
-def with_uniform_sizes(
-    graph: TaskGraph, size_bytes: int, name: Optional[str] = None
-) -> TaskGraph:
-    """Rewrite every intermediate result to the same footprint.
-
-    Execution times are untouched, so ``period_hint`` — a statement
-    about those times — survives the rewrite unchanged.
-    """
-    if size_bytes < 1:
-        raise GraphValidationError("size_bytes must be positive")
-    out = TaskGraph(name=name or f"{graph.name}-uniform",
-                    period_hint=graph.period_hint)
-    for op in graph.operations():
-        out.add_operation(op)
-    for edge in graph.edges():
-        out.add_edge(replace(edge, size_bytes=size_bytes))
-    return out
-
-
-def prune_transitive_edges(
-    graph: TaskGraph, name: Optional[str] = None
-) -> TaskGraph:
-    """Drop edges implied by longer paths (transitive reduction).
-
-    An edge ``(i, j)`` is redundant as a *dependency* when another path
-    from ``i`` to ``j`` exists; note the data transfer itself may still be
-    real, so this is an analysis transform, not a semantic no-op -- use it
-    to measure how much of a graph's retiming pressure comes from shortcut
-    edges.
-    """
-    order = graph.topological_order()
-    position = {op_id: idx for idx, op_id in enumerate(order)}
-    # reachable[i] = set of vertices reachable from i via >= 2 edges
-    reachable: Dict[int, Set[int]] = {op_id: set() for op_id in order}
-    keep: List[IntermediateResult] = []
-    for op_id in reversed(order):
-        succs = graph.successors(op_id)
-        via_two = set()
-        for succ in succs:
-            via_two |= reachable[succ]
-            via_two.add(succ)
-        # direct successors reachable through another successor's subtree
-        shadowed = set()
-        for succ in succs:
-            for other in succs:
-                if other != succ and succ in reachable[other] | set(
-                    graph.successors(other)
-                ):
-                    shadowed.add(succ)
-        for edge in graph.out_edges(op_id):
-            if edge.consumer not in shadowed:
-                keep.append(edge)
-        reachable[op_id] = via_two
-    out = TaskGraph(name=name or f"{graph.name}-reduced",
-                    period_hint=graph.period_hint)
-    for op in graph.operations():
-        out.add_operation(op)
-    for edge in sorted(keep, key=lambda e: e.key):
-        out.add_edge(edge)
-    out.validate()
-    return out
 
 
 def fuse_stages(

@@ -49,9 +49,40 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 #: On-disk plan payload version; bump on any layout change.
 PLAN_FORMAT_VERSION = 1
 
+#: Batch traces one :class:`TraceTable` holds; a serving run keeps a few
+#: dozen, so only a stream of ever-new batch sizes reaches it.
+BATCH_TRACE_CAPACITY = 256
+
 
 class PlanCacheError(RuntimeError):
     """Raised for malformed plan payloads or inconsistent cache state."""
+
+
+class TraceTable(OrderedDict):
+    """Batch traces, least recently used first.
+
+    :meth:`get` refreshes a trace; storing one past
+    :data:`BATCH_TRACE_CAPACITY` evicts the least recently used. Both
+    hold a lock, since the sessions of one cache may run on threads.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._lock = threading.Lock()
+
+    def get(self, key, default=None):
+        with self._lock:
+            if key not in self:
+                return default
+            self.move_to_end(key)
+            return self[key]
+
+    def __setitem__(self, key, value) -> None:
+        with self._lock:
+            super().__setitem__(key, value)
+            self.move_to_end(key)
+            if len(self) > BATCH_TRACE_CAPACITY:
+                self.popitem(last=False)
 
 
 # ----------------------------------------------------------------------
@@ -287,10 +318,10 @@ class PlanCache:
         self.stats = CacheStats()
         #: traces of the batches sessions on this cache simulated without
         #: a fault, keyed ``(plan digest, active machine, sim mode, active
-        #: fault model, N)``. Every cache a
+        #: fault model, N)``, least recently used first. Every cache a
         #: :class:`~repro.fleet.store.SharedPlanStore` opens shares the
         #: store's table instead.
-        self.batch_traces: Dict[tuple, "ExecutionTrace"] = {}
+        self.batch_traces: "TraceTable[tuple, ExecutionTrace]" = TraceTable()
         self._plans: "OrderedDict[str, ParaConvResult]" = OrderedDict()
         self._lock = threading.RLock()
 

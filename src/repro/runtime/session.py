@@ -12,7 +12,8 @@ prologue across every request it serves.
 The session path is bit-identical to the direct
 ``ParaConv(...).run(graph)`` + ``ScheduleExecutor(...).execute(...)``
 path: both the planner and the executor are deterministic, and the session
-adds no transformation in between (verified by ``benchmarks/test_runtime``).
+adds no transformation in between (``tests/runtime/test_session.py``
+checks it).
 
 Batch reuse. A plan is a static periodic schedule and every batch runs
 on a fresh machine, so a batch's trace depends only on the plan, the
@@ -25,7 +26,10 @@ one :class:`~repro.fleet.store.SharedPlanStore` share that table, so a
 batch is simulated once per fleet, not once per shard. Without a cache
 the session keeps a private table keyed by ``N`` that belongs to one
 plan: it is dropped on failover, on :meth:`InferenceSession.swap_graph`
-and whenever :meth:`compile` installs a different plan object.
+and whenever :meth:`compile` installs a different plan object. Every
+table is a :class:`~repro.runtime.plan_cache.TraceTable`, which evicts
+its least recently used trace past ``BATCH_TRACE_CAPACITY``; an
+evicted batch is simulated again.
 
 Fault tolerance. A session constructed with a
 :class:`~repro.pim.faults.FaultModel` keeps serving when units die: the
@@ -47,7 +51,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Optional, Tuple, Union
 
 from repro.compiler.pipeline import check_kernel_order
 from repro.core.paraconv import ParaConv, ParaConvResult
@@ -60,7 +64,7 @@ from repro.pim.config import PimConfig
 from repro.pim.energy import EnergyModel, EnergyReport
 from repro.pim.faults import FAULT_UNIT_PE, FaultModel
 from repro.pim.stats import TrafficStats
-from repro.runtime.plan_cache import PlanCache, plan_key_for
+from repro.runtime.plan_cache import PlanCache, TraceTable, plan_key_for
 from repro.sim.executor import ExecutionTrace, PeFaultError, ScheduleExecutor
 from repro.sim.modes import SimMode
 from repro.sim.sinks import NullSink
@@ -253,7 +257,7 @@ class InferenceSession:
         # Without a cache: trace of the last successful batch of each
         # size, valid for ``_traces_plan`` on the active machine and
         # fault model.
-        self._traces: Dict[int, ExecutionTrace] = {}
+        self._traces: "TraceTable[int, ExecutionTrace]" = TraceTable()
         self._traces_plan: Optional[ParaConvResult] = None
         if self._active_fault_model is not None and (
             self._active_fault_model.failed_pes
@@ -560,7 +564,7 @@ class InferenceSession:
                 degraded=self.degraded_mode,
             )
 
-    def _trace_slot(self, iterations: int) -> Tuple[dict, object]:
+    def _trace_slot(self, iterations: int) -> Tuple[TraceTable, object]:
         """Table and key of a batch of ``iterations`` on the served plan.
 
         With a cache: the cache's table, keyed by everything the trace

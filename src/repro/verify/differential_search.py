@@ -19,6 +19,7 @@ them to all three on real compiled instances:
    battery, on the healthy machine *and* on degraded
    (:meth:`repro.pim.config.PimConfig.degraded`) and partitioned
    (:meth:`~repro.pim.config.PimConfig.split`) variants.
+
 The annealing walk's exact answers (placements and
 :class:`~repro.core.search.SearchStats`) are pinned separately by
 ``tests/golden/anneal.json``, and the oracle's own verdicts on the
@@ -108,8 +109,8 @@ def search_verdict(facts: Mapping[str, Any]) -> List[str]:
 
     The annealer and the portfolio must be capacity-feasible, never below
     the DP seed, and equal to the brute-force optimum when one was
-    enumerated; and the anytime curve must stay at or above the DP seed and never fall as the budget
-    grows.
+    enumerated; and the anytime curve must stay at or above the DP seed
+    and never fall as the budget grows.
     """
     failures = []
     dp = facts["dp"]

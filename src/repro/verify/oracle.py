@@ -59,9 +59,8 @@ def exhaustive_allocate(
 
     Every subset is one row of a ``(2^n, n)`` bit matrix; profits and
     slot totals fall out of two matrix products on the
-    :class:`~repro.core.profit.ProfitTable` columns. The verdicts of the
-    original incumbent scan, which replaced its incumbent on a strictly
-    greater ``(profit, -slots, sorted keys)``, are frozen in
+    :class:`~repro.core.profit.ProfitTable` columns. Its verdicts on the
+    search battery's enumerable instances are pinned by
     ``tests/golden/oracle_verdicts.json``.
 
     Raises :class:`OracleSizeError` beyond ``limit`` items — the caller

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 from typing import Union
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cnn.workloads import PAPER_BENCHMARKS, load_workload
 from repro.compiler import kernel_stage_floor
@@ -100,6 +100,12 @@ def test_floor_never_exceeds_the_plan_at_its_width(
     liveness_aware=st.booleans(),
     kernel_order=KERNEL_ORDER,
 )
+# The latency regime: N=1 on the widest array, where the transfer term
+# of the width bound prunes all but one candidate.
+@example(
+    source="lenet5", num_pes=64, iterations=1, allocator="dp",
+    liveness_aware=False, kernel_order="topological",
+)
 def test_pruned_search_returns_the_exhaustive_plan(
     source, num_pes, iterations, allocator, liveness_aware, kernel_order
 ):
@@ -111,5 +117,6 @@ def test_pruned_search_returns_the_exhaustive_plan(
     stats = pruned.compile_stats
     assert set(stats.widths_cut_after_kernel) <= set(stats.widths_pruned)
     assert sorted(stats.widths_explored + stats.widths_pruned) == sorted(
-        candidate_group_widths(num_pes)
-    )
+        exhaustive.compile_stats.widths_explored
+    ) == sorted(candidate_group_widths(num_pes))
+    assert exhaustive.compile_stats.num_pruned == 0

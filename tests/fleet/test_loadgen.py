@@ -120,6 +120,11 @@ class TestRunBench:
         assert report["accounting"]["lost"] == 0
         assert report["accounting"]["served"] == 300
         assert report["accounting"]["workers_lost"] == 1
+        # One compile per workload fleet-wide: the killed worker's
+        # workloads re-home as disk hits, never as recompiles.
+        cache = report["cache"]
+        assert cache["misses"] == cache["disk_writes"] == len(WORKLOADS)
+        assert cache["hits"] == cache["disk_hits"]
 
     def test_backpressure_retry_never_drops(self, store):
         """Tiny queues force admission retries; the bench still serves

@@ -408,7 +408,7 @@ def oracle_benchmark_entries(name: str) -> Dict[str, Any]:
 
 
 def compute_oracle_verdicts() -> Dict[str, Any]:
-    """The oracle's verdicts, as the incumbent scan first froze them."""
+    """The oracle's verdicts on every paper benchmark's enumerable variants."""
     return {
         "format_version": GOLDEN_FORMAT_VERSION,
         "config": oracle_machine().to_dict(),

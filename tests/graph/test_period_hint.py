@@ -1,22 +1,15 @@
 """Regression tests pinning ``period_hint`` semantics across rewrites.
 
-The hint is a statement about a graph's *execution times*: it must scale
-with them (``scale_execution_times``), survive rewrites that leave them
-untouched (``with_uniform_sizes``, ``prune_transitive_edges``), and be
-dropped by fusing rewrites that change scheduling granularity
-(``fuse_stages``, ``coarsen_chains`` when anything actually fused).
+The hint is a statement about a graph's *execution times*: fusing
+rewrites that change scheduling granularity (``fuse_stages``,
+``coarsen_chains`` when anything actually fused) must drop it, and a
+no-op rewrite keeps it.
 """
 
 from __future__ import annotations
 
 from repro.graph.taskgraph import TaskGraph
-from repro.graph.transforms import (
-    coarsen_chains,
-    fuse_stages,
-    prune_transitive_edges,
-    scale_execution_times,
-    with_uniform_sizes,
-)
+from repro.graph.transforms import coarsen_chains, fuse_stages
 
 
 def hinted_chain(stages: int = 4, hint: int = 10) -> TaskGraph:
@@ -40,49 +33,6 @@ def branchy_graph(hint: int = 10) -> TaskGraph:
     graph.connect(2, 3)
     graph.validate()
     return graph
-
-
-class TestScaleExecutionTimes:
-    def test_hint_scales_up_with_times(self):
-        scaled = scale_execution_times(hinted_chain(hint=10), 2.0)
-        assert scaled.period_hint == 20
-
-    def test_hint_scales_down_with_times(self):
-        scaled = scale_execution_times(hinted_chain(hint=10), 0.5)
-        assert scaled.period_hint == 5
-
-    def test_hint_floors_at_one(self):
-        scaled = scale_execution_times(hinted_chain(hint=10), 0.01)
-        assert scaled.period_hint == 1
-
-    def test_hint_rounding_matches_time_rounding(self):
-        scaled = scale_execution_times(hinted_chain(hint=3), 0.5)
-        assert scaled.period_hint == round(3 * 0.5)
-
-    def test_no_hint_stays_none(self):
-        graph = hinted_chain()
-        bare = TaskGraph(name="bare")
-        for op in graph.operations():
-            bare.add_operation(op)
-        for edge in graph.edges():
-            bare.add_edge(edge)
-        assert scale_execution_times(bare, 2.0).period_hint is None
-
-    def test_scaled_hint_stays_feasible(self):
-        """The old bug: a verbatim hint is infeasibly small after 10x."""
-        graph = hinted_chain(hint=4)  # p >= max c_i = 3: feasible
-        scaled = scale_execution_times(graph, 10.0)
-        max_time = max(op.execution_time for op in scaled.operations())
-        assert scaled.period_hint >= max_time
-
-
-class TestSizeOnlyRewrites:
-    def test_uniform_sizes_keeps_hint(self):
-        assert with_uniform_sizes(hinted_chain(hint=7), 64).period_hint == 7
-
-    def test_transitive_reduction_keeps_hint(self):
-        graph = branchy_graph(hint=9)
-        assert prune_transitive_edges(graph).period_hint == 9
 
 
 class TestFusingRewrites:

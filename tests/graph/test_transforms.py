@@ -1,83 +1,7 @@
 """Tests for graph transformations."""
 
-import pytest
-
-from repro.graph.taskgraph import GraphValidationError, TaskGraph, linear_chain
-from repro.graph.transforms import (
-    coarsen_chains,
-    prune_transitive_edges,
-    scale_execution_times,
-    with_uniform_sizes,
-)
-
-
-class TestScaleExecutionTimes:
-    def test_doubling(self, diamond_graph):
-        scaled = scale_execution_times(diamond_graph, 2.0)
-        assert scaled.total_work() == 2 * diamond_graph.total_work()
-
-    def test_floor_at_one(self, diamond_graph):
-        scaled = scale_execution_times(diamond_graph, 0.01)
-        for op in scaled.operations():
-            assert op.execution_time == 1
-
-    def test_edges_preserved(self, diamond_graph):
-        scaled = scale_execution_times(diamond_graph, 3.0)
-        assert [e.key for e in scaled.edges()] == [
-            e.key for e in diamond_graph.edges()
-        ]
-
-    def test_non_positive_factor_rejected(self, diamond_graph):
-        with pytest.raises(GraphValidationError):
-            scale_execution_times(diamond_graph, 0)
-
-
-class TestUniformSizes:
-    def test_all_sizes_rewritten(self, diamond_graph):
-        uniform = with_uniform_sizes(diamond_graph, 777)
-        assert all(e.size_bytes == 777 for e in uniform.edges())
-        assert uniform.num_edges == diamond_graph.num_edges
-
-    def test_invalid_size_rejected(self, diamond_graph):
-        with pytest.raises(GraphValidationError):
-            with_uniform_sizes(diamond_graph, 0)
-
-
-class TestTransitiveReduction:
-    def test_shortcut_edge_removed(self):
-        graph = TaskGraph()
-        for i in range(3):
-            graph.add_op(i)
-        graph.connect(0, 1)
-        graph.connect(1, 2)
-        graph.connect(0, 2)  # shortcut implied by 0->1->2
-        reduced = prune_transitive_edges(graph)
-        assert reduced.num_edges == 2
-        assert not reduced.has_edge(0, 2)
-
-    def test_diamond_untouched(self, diamond_graph):
-        reduced = prune_transitive_edges(diamond_graph)
-        assert reduced.num_edges == diamond_graph.num_edges
-
-    def test_reachability_preserved(self):
-        from repro.graph.generators import SyntheticGraphGenerator
-
-        graph = SyntheticGraphGenerator().generate(25, 60, seed=3)
-        reduced = prune_transitive_edges(graph)
-        assert reduced.num_edges <= graph.num_edges
-        # every removed dependency must still be implied by a path
-        def reach(g, src):
-            seen, stack = set(), [src]
-            while stack:
-                node = stack.pop()
-                for succ in g.successors(node):
-                    if succ not in seen:
-                        seen.add(succ)
-                        stack.append(succ)
-            return seen
-
-        for edge in graph.edges():
-            assert edge.consumer in reach(reduced, edge.producer)
+from repro.graph.taskgraph import TaskGraph, linear_chain
+from repro.graph.transforms import coarsen_chains
 
 
 class TestCoarsenChains:

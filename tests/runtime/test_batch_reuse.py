@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.fleet.store import SharedPlanStore
 from repro.pim.faults import FAULT_UNIT_PE, FaultModel
-from repro.runtime.plan_cache import PlanCache
+from repro.runtime import plan_cache
+from repro.runtime.plan_cache import BATCH_TRACE_CAPACITY, PlanCache, TraceTable
 from repro.runtime.server import BatchingServer
 from repro.runtime.session import (
     FaultRetryExhausted,
@@ -171,3 +173,46 @@ class TestReuseScope:
         assert counters["sim_batches_reused"] == 2
         busy = results[0].batch.realized_makespan
         assert counters["sim_units_busy"] == 3 * busy
+
+
+class TestTraceTableBound:
+    def test_overfilled_table_evicts_least_recently_used(self):
+        table = TraceTable()
+        for key in range(BATCH_TRACE_CAPACITY):
+            table[key] = f"trace-{key}"
+        assert table.get(0) == "trace-0"  # a hit refreshes: 1 is oldest
+        assert table.get("absent") is None
+        table[BATCH_TRACE_CAPACITY] = "new"
+        assert len(table) == BATCH_TRACE_CAPACITY
+        assert 1 not in table
+        assert list(table)[:2] == [2, 3]
+        assert list(table)[-2:] == [0, BATCH_TRACE_CAPACITY]
+        table[2] = "stored again"  # a store refreshes too: 3 is oldest
+        table[BATCH_TRACE_CAPACITY + 1] = "newer"
+        assert 3 not in table
+        assert table[2] == "stored again"
+        assert len(table) == BATCH_TRACE_CAPACITY
+
+    @pytest.mark.parametrize("holder", ["session", "cache", "store"])
+    def test_evicted_batch_equals_a_cold_batch(
+        self, graph, config, executed, monkeypatch, tmp_path, holder
+    ):
+        monkeypatch.setattr(plan_cache, "BATCH_TRACE_CAPACITY", 2)
+        cache = {
+            "session": lambda: None,
+            "cache": lambda: PlanCache(capacity=4),
+            "store": lambda: SharedPlanStore(tmp_path).open_cache(),
+        }[holder]()
+        session = InferenceSession(graph, config, cache=cache)
+        for iterations in (12, 13, 14):
+            session.run(iterations)
+        table, _key = session._trace_slot(12)
+        assert isinstance(table, TraceTable)
+        assert len(table) == 2
+        result = session.run(12)  # evicted: simulated again
+        session.run(14)  # still held
+        assert executed == [12, 13, 14, 12]
+        assert session.batches_reused == 1
+        assert aggregates(result) == aggregates(
+            cold_batch(session, 12, session.sim_mode)
+        )

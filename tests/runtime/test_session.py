@@ -47,7 +47,7 @@ class TestCompileOnce:
 class TestEquivalence:
     """The serving path must be bit-identical to the one-shot pipeline."""
 
-    @pytest.mark.parametrize("iterations", [1, 7, 20])
+    @pytest.mark.parametrize("iterations", [1, 7, 20, 25])
     def test_results_match_direct_path(self, graph, config, iterations):
         session = InferenceSession(graph, config, cache=PlanCache())
         batch = session.run(iterations)

@@ -67,7 +67,7 @@ class TestSimModes:
 
 
 class TestAggregateEquivalence:
-    @pytest.mark.parametrize("iterations", [1, 20, 300])
+    @pytest.mark.parametrize("iterations", [1, 20, 300, 1000])
     @pytest.mark.parametrize("name", ["cat", "flower", "car"])
     def test_signatures_match_full_unroll(self, machine, plans, name, iterations):
         full, steady = _signatures(machine, plans[name], iterations)
@@ -92,7 +92,8 @@ class TestConvergenceObservability:
         assert steady.converged_round is not None
         assert steady.converged_period is not None
         assert steady.converged_period >= 1
-        assert steady.rounds_fast_forwarded > 0
+        # Nearly the whole horizon is spliced, not simulated.
+        assert steady.rounds_fast_forwarded >= 900
         assert steady.steady_fingerprint is not None
         # Simulated + skipped covers the whole horizon.
         full, _ = _signatures(machine, plans["flower"], 1)
