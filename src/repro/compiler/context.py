@@ -10,7 +10,8 @@
   which is how the :class:`~repro.compiler.manager.PassManager` enforces
   immutability *between* passes;
 * **shared** holds width-invariant precomputation (ASAP levels, total
-  work, the per-edge price table) that the width search hoists out of the
+  work, the kernel packing order, the per-edge price table and its
+  index-based edge table) that the width search hoists out of the
   per-width loop and shares across forked contexts.
 
 Forking (:meth:`CompileContext.fork_for_width`) is how one validated graph
@@ -28,7 +29,7 @@ from repro.graph.taskgraph import TaskGraph
 from repro.pim.config import PimConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.retiming import EdgePrice
+    from repro.core.retiming import EdgePrice, EdgeTable
 
 #: Canonical artifact names produced by the standard pipeline, in order of
 #: first appearance. Kept as one tuple so tests and docs have a single
@@ -176,3 +177,27 @@ class CompileContext:
 
             self.shared["edge_prices"] = price_edges(self.graph, self.config)
         return self.shared["edge_prices"]
+
+    def shared_packing_order(self, order: str) -> "Tuple[Tuple[int, int], ...]":
+        """The kernel packing order ``order`` of the graph (see
+        :func:`repro.core.scheduler.packing_order`)."""
+        key = f"packing_order:{order}"
+        if key not in self.shared:
+            from repro.core.scheduler import packing_order
+
+            levels = (
+                self.shared_asap_levels() if order == "topological" else None
+            )
+            self.shared[key] = packing_order(self.graph, order, levels)
+        return self.shared[key]
+
+    def shared_edge_table(self) -> "EdgeTable":
+        """The edge prices indexed by topological position (see
+        :func:`repro.core.retiming.edge_table`)."""
+        if "edge_table" not in self.shared:
+            from repro.core.retiming import edge_table
+
+            self.shared["edge_table"] = edge_table(
+                self.graph, self.shared_edge_prices()
+            )
+        return self.shared["edge_table"]

@@ -110,11 +110,11 @@ class CompactKernelPass(CompilerPass):
             raise ScheduleError(
                 f"group width {width} outside [1, {ctx.config.num_pes}]"
             )
-        levels = (
-            ctx.shared_asap_levels() if self.order == "topological" else None
-        )
         kernel = compact_kernel_schedule(
-            ctx.graph, width, order=self.order, levels=levels
+            ctx.graph,
+            width,
+            order=self.order,
+            packing=ctx.shared_packing_order(self.order),
         )
         if self.validate:
             validate_kernel(ctx.graph, kernel, width)

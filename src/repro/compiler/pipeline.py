@@ -6,8 +6,8 @@ This module is the declarative face of :mod:`repro.compiler`: a
 *pipeline configuration* — an ordered list of registered passes, split
 into a kernel stage and a plan stage — and :class:`CompileStats` is the
 per-compilation observability record (per-pass wall time, widths
-explored/pruned) that ``--explain``, the serving runtime and the plan
-cache all surface.
+explored/pruned and why each width lost) that ``--explain``, the serving
+runtime and the plan cache all surface.
 
 The width search itself lives in :meth:`repro.core.paraconv.ParaConv.run`.
 It is a branch-and-bound over ``total_time = (R_max + ceil(N/J)) * p``
@@ -29,20 +29,29 @@ with two admissible lower bounds. Before a width compiles anything,
 
 The search visits widths in ascending ``(bound, -width)`` order and stops
 at the first whose key exceeds the incumbent's ``(total_time, -width)``.
-After a width's kernel stage, :func:`kernel_stage_floor` fixes ``p`` and
-bounds ``R_max`` from below by :func:`~repro.core.retiming.retiming_floor`;
-a width whose floor key exceeds the incumbent's skips the plan stage.
-The critical-path term is what makes the first bound bite in the
-latency-oriented regime (small ``N``): narrow groups stretch the clamp
-on every transfer, so their dependence chains alone already exceed a
-wide incumbent's total.
+Each width it visits runs three steps:
+
+* the *kernel stage* (``compact-kernel``) fixes the period ``p`` and every
+  op's start and finish offset;
+* :func:`kernel_stage_floor` bounds ``R_max`` from below in one
+  reverse-topological pass over the graph's edge table and cuts the width
+  when ``((R_floor + ceil(N/J)) * p, -width)`` exceeds the incumbent's
+  key — before any edge analysis;
+* the *plan stage* (``analyze-edges`` through ``validate-schedule``)
+  builds and validates the plan of every width that survives.
+
+Both bounds read one index-based edge table per graph
+(:func:`repro.core.retiming.edge_table`). The critical-path term is what
+makes the first bound bite in the latency-oriented regime (small ``N``):
+narrow groups stretch the clamp on every transfer, so their dependence
+chains alone already exceed a wide incumbent's total.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.compiler.errors import PipelineConfigError
 from repro.compiler.manager import PassManager
@@ -59,7 +68,14 @@ from repro.compiler.passes import (
     ZeroDrPrepassPass,
 )
 from repro.compiler.context import CompileContext
-from repro.core.retiming import EdgePrice, price_edges, retiming_floor
+from repro.core.retiming import (
+    EdgeTable,
+    RetimingError,
+    analyze_edges,
+    edge_table,
+    price_edges,
+)
+from repro.core.schedule import ScheduleError
 from repro.core.scheduler import KERNEL_ORDERS
 from repro.graph.taskgraph import TaskGraph
 from repro.pim.config import PimConfig
@@ -96,6 +112,10 @@ class CompileStats:
             skipped by the lower-bound rule or cut after the kernel stage.
         widths_cut_after_kernel: the pruned widths that ran the kernel
             stage and were cut by its floor before the plan stage.
+        lost_to: why each pruned width lost: its bound (the width's
+            lower bound, or its kernel-stage floor if it was cut) and the
+            incumbent's ``(total_time, -width)`` key that the
+            ``(bound, -width)`` key exceeded.
         per_width_seconds: wall seconds spent compiling each explored width.
         best_width: the winning group width (set by the search).
         pruning_enabled: whether the lower-bound pruning was active.
@@ -107,6 +127,9 @@ class CompileStats:
     widths_explored: List[int] = field(default_factory=list)
     widths_pruned: List[int] = field(default_factory=list)
     widths_cut_after_kernel: List[int] = field(default_factory=list)
+    lost_to: Dict[int, Tuple[int, Tuple[int, int]]] = field(
+        default_factory=dict
+    )
     per_width_seconds: Dict[int, float] = field(default_factory=dict)
     best_width: Optional[int] = None
     pruning_enabled: bool = True
@@ -125,13 +148,20 @@ class CompileStats:
         self.widths_explored.append(width)
         self.per_width_seconds[width] = seconds
 
-    def record_pruned(self, width: int) -> None:
+    def record_pruned(
+        self, width: int, bound: int, incumbent: Tuple[int, int]
+    ) -> None:
+        """A width skipped by its lower bound, before compiling."""
         self.widths_pruned.append(width)
+        self.lost_to[width] = (bound, incumbent)
 
-    def record_cut(self, width: int) -> None:
+    def record_cut(
+        self, width: int, floor: int, incumbent: Tuple[int, int]
+    ) -> None:
         """A width pruned by its kernel-stage floor."""
         self.widths_pruned.append(width)
         self.widths_cut_after_kernel.append(width)
+        self.lost_to[width] = (floor, incumbent)
 
     def record_search(self, search_stats: Any) -> None:
         """Attach the winning plan's search stats (no-op for None)."""
@@ -165,6 +195,10 @@ class CompileStats:
             "widths_explored": list(self.widths_explored),
             "widths_pruned": list(self.widths_pruned),
             "widths_cut_after_kernel": list(self.widths_cut_after_kernel),
+            "lost_to": {
+                str(width): [bound, list(incumbent)]
+                for width, (bound, incumbent) in self.lost_to.items()
+            },
             "per_width_seconds": {
                 str(width): self.per_width_seconds[width]
                 for width in sorted(self.per_width_seconds)
@@ -174,6 +208,23 @@ class CompileStats:
             "total_seconds": self.total_seconds,
             "search": dict(self.search) if self.search is not None else None,
         }
+
+    def _loss_lines(self) -> List[str]:
+        """One line per pruned width: the bound that beat it and why."""
+        cut = set(self.widths_cut_after_kernel)
+        lines = []
+        for width in self.widths_pruned:
+            bound, (total, neg_width) = self.lost_to[width]
+            if width in cut:
+                name, where = "floor", "cut before edge analysis"
+            else:
+                name, where = "bound", "never compiled"
+            relation = ">" if bound > total else "="
+            lines.append(
+                f"  {width}: {name} {bound} {relation} incumbent {total} "
+                f"at width {-neg_width} ({where})"
+            )
+        return lines
 
     def explain(self) -> str:
         """Human-readable per-pass breakdown (the ``--explain`` body)."""
@@ -202,6 +253,7 @@ class CompileStats:
             f"cut after kernel    : {cut} "
             f"({len(self.widths_cut_after_kernel)} of the skipped)"
         )
+        lines.extend(self._loss_lines())
         if self.best_width is not None:
             lines.append(f"best width          : {self.best_width}")
         if self.search is not None:
@@ -239,10 +291,11 @@ class PipelineConfig:
     """Declarative pipeline configuration (replaces constructor branching).
 
     The per-width passes split into two stages. The *kernel stage*
-    (``compact-kernel``, ``analyze-edges``) fixes the period and every
-    edge's delta under both placements; the *plan stage*
-    (``zero-dr-prepass`` through ``validate-schedule``) allocates, retimes,
-    emits and validates without changing the kernel.
+    (``compact-kernel``) fixes the period and every op's offsets; the
+    width search's :func:`kernel_stage_floor` runs between the two. The
+    *plan stage* (``analyze-edges`` through ``validate-schedule``)
+    derives every edge's delta under both placements, then allocates,
+    retimes, emits and validates without changing the kernel.
 
     Attributes:
         allocator: a plain allocator callable, an
@@ -264,14 +317,18 @@ class PipelineConfig:
         check_kernel_order(self.kernel_order)
 
     def kernel_stage(self) -> List[CompilerPass]:
-        """Passes that build the kernel and price its edges."""
+        """Passes that build the kernel."""
         return [
-            CompactKernelPass(order=self.kernel_order, validate=self.validate),
-            AnalyzeEdgesPass(),
+            CompactKernelPass(order=self.kernel_order, validate=self.validate)
         ]
 
     def plan_stage(self) -> List[CompilerPass]:
         """Passes that turn a kernel-stage context into a validated plan."""
+        return [AnalyzeEdgesPass(), *self.allocation_stage()]
+
+    def allocation_stage(self) -> List[CompilerPass]:
+        """The plan stage after ``analyze-edges``: the passes that differ
+        between allocators."""
         passes: List[CompilerPass] = [
             ZeroDrPrepassPass(),
             AllocatePass(self.allocator),
@@ -312,6 +369,19 @@ class PipelineConfig:
             hooks=hooks,
         )
 
+    def allocation_manager(self, hooks=None) -> PassManager:
+        """The allocation stage, for contexts that ran ``analyze-edges``."""
+        built = [
+            a
+            for p in (*self.kernel_stage(), AnalyzeEdgesPass())
+            for a in p.produces
+        ]
+        return PassManager(
+            self.allocation_stage(),
+            initial_artifacts=("graph-valid", *built),
+            hooks=hooks,
+        )
+
 
 def check_kernel_order(order: str) -> None:
     """Raise :class:`PipelineConfigError` unless ``order`` is a packing
@@ -342,7 +412,7 @@ def transfer_critical_path(
     graph: TaskGraph,
     config: PimConfig,
     period_floor: int,
-    prices: Optional[Sequence[EdgePrice]] = None,
+    table: Optional[EdgeTable] = None,
 ) -> int:
     """Longest dependency chain priced with best-case transfers.
 
@@ -358,33 +428,36 @@ def transfer_critical_path(
     path and telescoping ``sum(delta) <= R_max`` leaves ``(R_max + 1) *
     p >= sum(e_v + c_edge)``.
 
+    One forward pass over the edge table's rows: they are sorted by
+    producer position, so a vertex's arrival is final before its first
+    out-edge is read.
+
     Args:
         graph: validated task graph.
         config: machine description (prices the cache transfers).
         period_floor: an admissible lower bound on the schedule period at
             the candidate width (the load-balance bound).
-        prices: :func:`~repro.core.retiming.price_edges` of the same graph
+        table: :func:`~repro.core.retiming.edge_table` of the same graph
             and machine, when the caller already holds it.
 
     Returns:
         The maximum over all dependency paths of
         ``sum(execution_time) + sum(min(period_floor, cache_transfer))``.
     """
-    if prices is None:
-        prices = price_edges(graph, config)
-    incoming: Dict[int, List[Tuple[int, int]]] = {}
-    for _key, producer, consumer, cache_units, _edram, _slots in prices:
-        cost = cache_units if cache_units < period_floor else period_floor
-        incoming.setdefault(consumer, []).append((producer, cost))
-    longest: Dict[int, int] = {}
-    for op_id in graph.topological_order():
-        reach = 0
-        for producer, cost in incoming.get(op_id, ()):
-            arrival = longest[producer] + cost
-            if arrival > reach:
-                reach = arrival
-        longest[op_id] = reach + graph.operation(op_id).execution_time
-    return max(longest.values()) if longest else 0
+    if table is None:
+        table = edge_table(graph, price_edges(graph, config))
+    # reach[v]: the longest priced chain that ends where v starts.
+    reach = [0] * len(table.op_ids)
+    for producer, consumer, cache_units, _edram, execution_time in table.rows:
+        arrival = reach[producer] + execution_time + (
+            cache_units if cache_units < period_floor else period_floor
+        )
+        if arrival > reach[consumer]:
+            reach[consumer] = arrival
+    return max(
+        (start + run for start, run in zip(reach, table.execution_times)),
+        default=0,
+    )
 
 
 def kernel_stage_floor(ctx: CompileContext, iterations: int) -> int:
@@ -392,12 +465,66 @@ def kernel_stage_floor(ctx: CompileContext, iterations: int) -> int:
 
     ``ctx`` has run the kernel stage. The plan stage never changes the
     kernel, so ``p`` is fixed, and every plan's ``R_max`` is at least
-    :func:`~repro.core.retiming.retiming_floor` of the edge timings:
-    ``total_time >= (R_floor + ceil(N / J)) * p``.
+    ``R_floor``, the minimal retiming with every edge at its cache delta:
+    ``total_time >= (R_floor + ceil(N / J)) * p``. Every allocator gives
+    each edge the cache or the eDRAM delta, the eDRAM transfer is never
+    faster, and the minimal retiming only grows with a delta.
+
+    ``R_floor`` is one reverse pass over the context's edge table, reading
+    the kernel's offsets; it builds no
+    :class:`~repro.core.retiming.EdgeTiming`. A cut width never runs
+    :func:`~repro.core.retiming.analyze_edges`, so the pass keeps its
+    checks: on an inverted memory hierarchy, a delta beyond Theorem 3.1's
+    bound of 2 or an op missing from the kernel it raises the error
+    ``analyze_edges`` raises on this kernel.
     """
-    period = ctx.get("kernel").period
+    kernel = ctx.get("kernel")
+    period = kernel.period
+    if period <= 0:
+        raise RetimingError("kernel period must be positive")
+    table = ctx.shared_edge_table()
+    op_ids = table.op_ids
+    placed = kernel.placements
+    try:
+        windows = [placed[op_id] for op_id in op_ids]
+    except KeyError as exc:
+        _report_bad_kernel(ctx)
+        raise ScheduleError(f"op {exc.args[0]} missing from kernel") from None
+    starts = [window.start for window in windows]
+    finishes = [window.finish for window in windows]
+    twice = 2 * period
+    # retiming[v]: the minimal R(v) with every edge at its cache delta.
+    retiming = [0] * len(op_ids)
+    for producer, consumer, cache_units, edram_units, _ in reversed(
+        table.rows
+    ):
+        t_cache = cache_units if cache_units < period else period
+        t_edram = edram_units if edram_units < period else period
+        gap = finishes[producer] - starts[consumer]
+        # delta_edram > 2 exactly when gap + t_edram > 2p, and
+        # delta_cache <= delta_edram unless the hierarchy is inverted.
+        if t_edram < t_cache or gap + t_edram > twice:
+            _report_bad_kernel(ctx)
+            raise RetimingError(
+                f"edge {(op_ids[producer], op_ids[consumer])}: fails an "
+                "edge check that analyze_edges passes (internal error)"
+            )
+        need = gap + t_cache
+        # delta_cache = max(0, ceil(need / p)).
+        reach = retiming[consumer] + (-(-need // period) if need > 0 else 0)
+        if reach > retiming[producer]:
+            retiming[producer] = reach
     rounds = math.ceil(iterations / ctx.num_groups)
-    return (retiming_floor(ctx.graph, ctx.get("timings")) + rounds) * period
+    return (max(retiming, default=0) + rounds) * period
+
+
+def _report_bad_kernel(ctx: CompileContext) -> None:
+    """Raise what :func:`~repro.core.retiming.analyze_edges` raises on
+    ``ctx``'s kernel, naming the first bad edge in edge order."""
+    analyze_edges(
+        ctx.graph, ctx.get("kernel"), ctx.config,
+        prices=ctx.shared_edge_prices(),
+    )
 
 
 def width_lower_bound(

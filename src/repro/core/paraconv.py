@@ -17,15 +17,16 @@ End-to-end flow, mirroring Section 3.3.3's construction:
    vertex retiming, yielding ``R_max``, the prologue and the full periodic
    schedule.
 
-Since PR 3 the stages are *named compiler passes* executed by
+The stages are *named compiler passes* executed by
 :class:`repro.compiler.PassManager` over an explicit
 :class:`repro.compiler.CompileContext` — see :mod:`repro.compiler.passes`
 for the stage table. :class:`ParaConv` is the front-end: it turns its
 knobs into a :class:`repro.compiler.PipelineConfig`, hoists width-invariant
-work (graph validation, ASAP levels, edge prices) out of the width search,
-visits candidate widths best bound first, builds a plan only at widths
-whose admissible lower bounds (before compiling, and again after the
-kernel stage) can still beat the incumbent, and attaches a
+work (graph validation, ASAP levels, the packing order, edge prices and
+the edge table) out of the width search, visits candidate widths best
+bound first, builds a plan only at widths whose admissible lower bounds
+(before compiling, and again after ``compact-kernel``, before any edge
+analysis) can still beat the incumbent, and attaches a
 :class:`repro.compiler.CompileStats` breakdown to every result (surfaced
 by ``python -m repro … --explain`` and the serving runtime).
 """
@@ -39,7 +40,7 @@ from typing import Callable, Dict, Mapping, Optional, Sequence
 
 from repro.compiler.context import CompileContext
 from repro.compiler.manager import InvariantHook, PassManager
-from repro.compiler.passes import ValidateGraphPass
+from repro.compiler.passes import AnalyzeEdgesPass, ValidateGraphPass
 from repro.compiler.pipeline import (
     CompileStats,
     PipelineConfig,
@@ -242,10 +243,13 @@ class ParaConv:
         shorter prologue) via the explicit ``(total_time, -width)`` key.
 
         Width-invariant work (graph validation, ASAP levels, work sums,
-        the edge price table, the transfer critical path per period
-        floor) is hoisted out of the loop. With ``prune_widths`` the
-        search is a branch-and-bound that builds only the widths that can
-        still win:
+        the kernel packing order, the edge price table and the edge table
+        both bounds read, the transfer critical path per period floor) is
+        hoisted out of the loop. Each visited width runs ``compact-kernel``
+        (the kernel stage), then — if it can still win — the plan stage,
+        ``analyze-edges`` through ``validate-schedule``. With
+        ``prune_widths`` the search is a branch-and-bound that builds only
+        the widths that can still win:
 
         * widths are visited in ascending ``(bound, -width)`` order, where
           ``bound`` is :func:`repro.compiler.width_lower_bound`; the first
@@ -253,11 +257,14 @@ class ParaConv:
           ends the search, and it and every later width are pruned;
         * after a width's kernel stage, a width whose
           :func:`repro.compiler.kernel_stage_floor` key exceeds the
-          incumbent's skips the plan stage.
+          incumbent's is cut: it skips the plan stage, edge analysis
+          included.
 
         Both bounds are admissible, so the produced plan is the one the
         exhaustive widest-first loop (``prune_widths=False``) returns.
-        The attached ``compile_stats`` records what each width ran.
+        The attached ``compile_stats`` records what each width ran, and
+        for each width without a plan the bound and incumbent key that
+        removed it.
         """
         started = time.perf_counter()
         stats = CompileStats(pruning_enabled=self.prune_widths)
@@ -287,18 +294,16 @@ class ParaConv:
                 # Widths arrive in ascending bound-key order: none of the
                 # rest can beat the incumbent either.
                 for rest in widths[index:]:
-                    stats.record_pruned(rest)
+                    stats.record_pruned(rest, bounds[rest], best_key)
                 break
             width_started = time.perf_counter()
             ctx = base.fork_for_width(width)
             kernel_stage.run(ctx, stats)
-            if (
-                self.prune_widths
-                and best_key is not None
-                and (kernel_stage_floor(ctx, iterations), -width) > best_key
-            ):
-                stats.record_cut(width)
-                continue
+            if self.prune_widths and best_key is not None:
+                floor = kernel_stage_floor(ctx, iterations)
+                if (floor, -width) > best_key:
+                    stats.record_cut(width, floor, best_key)
+                    continue
             plan_stage.run(ctx, stats)
             result = self._assemble(ctx, census=False)
             stats.record_width(width, time.perf_counter() - width_started)
@@ -319,17 +324,19 @@ class ParaConv:
         """:func:`repro.compiler.width_lower_bound` of every width."""
         work = base.shared_total_work()
         cmax = base.shared_max_execution_time()
-        # transfer_critical_path depends on the candidate only through its
-        # load-balance period floor; distinct widths often share a floor
-        # (the c_max clamp), so memoize per floor.
+        table = base.shared_edge_table()
+        # transfer_critical_path depends on the candidate only through
+        # min(edge cost, period floor), so every floor at or above the
+        # largest cache cost gives the same path: memoize per floor
+        # capped there.
         cp_memo: Dict[int, int] = {}
         bounds: Dict[int, int] = {}
         for width in widths:
             floor = max(math.ceil(work / width), cmax)
-            if floor not in cp_memo:
-                cp_memo[floor] = transfer_critical_path(
-                    base.graph, self.config, floor,
-                    prices=base.shared_edge_prices(),
+            capped = min(floor, table.max_cache_units)
+            if capped not in cp_memo:
+                cp_memo[capped] = transfer_critical_path(
+                    base.graph, self.config, capped, table=table
                 )
             bounds[width] = width_lower_bound(
                 base.graph,
@@ -338,7 +345,7 @@ class ParaConv:
                 self.config.iterations,
                 total_work=work,
                 max_execution_time=cmax,
-                cp_transfer=cp_memo[floor],
+                cp_transfer=cp_memo[capped],
             )
         return bounds
 
@@ -362,7 +369,8 @@ class ParaConv:
     # partial-pipeline API (shared-prefix compilation)
     # ------------------------------------------------------------------
     def analysis_context(self, graph: TaskGraph, width: int) -> CompileContext:
-        """Run ``validate-graph`` and the kernel stage once at a fixed width.
+        """Run ``validate-graph``, the kernel stage and ``analyze-edges``
+        once at a fixed width.
 
         The returned context holds the kernel and the edge timings. It can
         be :meth:`~repro.compiler.CompileContext.fork`-ed once per
@@ -373,14 +381,19 @@ class ParaConv:
         """
         ctx = CompileContext(graph=graph, config=self.config, width=width)
         PassManager(
-            [ValidateGraphPass(), *self.pipeline.kernel_stage()],
+            [
+                ValidateGraphPass(),
+                *self.pipeline.kernel_stage(),
+                AnalyzeEdgesPass(),
+            ],
             hooks=self.invariant_hooks,
         ).run(ctx)
         return ctx
 
     def run_from_context(self, ctx: CompileContext) -> ParaConvResult:
-        """Run the plan stage on a context from :meth:`analysis_context`."""
-        self.pipeline.plan_manager(hooks=self.invariant_hooks).run(ctx)
+        """Run the rest of the plan stage on a context from
+        :meth:`analysis_context`."""
+        self.pipeline.allocation_manager(hooks=self.invariant_hooks).run(ctx)
         return self._assemble(ctx)
 
     # ------------------------------------------------------------------

@@ -21,6 +21,10 @@ Only the clamp to ``p`` and the offsets depend on the kernel. The raw
 cache/eDRAM transfer times and slot counts of every edge depend on the
 graph and the machine alone; :func:`price_edges` computes them once and
 the width search reuses that table for every candidate width.
+:func:`edge_table` re-indexes the same prices by topological position,
+for the width search's two bounds
+(:func:`repro.compiler.transfer_critical_path` and
+:func:`repro.compiler.kernel_stage_floor`).
 """
 
 from __future__ import annotations
@@ -125,17 +129,84 @@ class EdgePrice(NamedTuple):
 
 
 def price_edges(graph: TaskGraph, config: PimConfig) -> Tuple[EdgePrice, ...]:
-    """Price every edge of ``graph`` on ``config``, in edge insertion order."""
-    return tuple(
-        EdgePrice(
-            edge.key,
-            edge.producer,
-            edge.consumer,
-            config.cache_transfer_units(edge.size_bytes),
-            config.edram_transfer_units(edge.size_bytes),
-            config.slots_required(edge.size_bytes),
+    """Price every edge of ``graph`` on ``config``, in edge insertion order.
+
+    The units are :meth:`~repro.pim.config.PimConfig.cache_transfer_units`,
+    :meth:`~repro.pim.config.PimConfig.edram_transfer_units` and
+    :meth:`~repro.pim.config.PimConfig.slots_required`, computed from the
+    config constants once per edge (edge sizes are positive by
+    construction, so the methods' argument checks cannot fire).
+    """
+    per_unit = config.cache_bytes_per_unit
+    edram_factor = config.edram_latency_factor
+    slot_bytes = config.cache_slot_bytes
+    prices = []
+    for edge in graph.edges():
+        size = edge.size_bytes
+        edram_units = size * edram_factor // per_unit
+        slots = -(-size // slot_bytes)
+        prices.append(
+            EdgePrice(
+                (edge.producer, edge.consumer),
+                edge.producer,
+                edge.consumer,
+                size // per_unit,
+                edram_units if edram_units > 1 else 1,
+                slots if slots > 1 else 1,
+            )
         )
-        for edge in graph.edges()
+    return tuple(prices)
+
+
+class EdgeTable(NamedTuple):
+    """Index-based view of a graph's priced edges, for the width bounds.
+
+    Vertices are numbered by their position in the graph's topological
+    order, and the rows are sorted by producer index, then consumer
+    index. A forward pass over the rows therefore sees every edge into a
+    vertex before any edge out of it, and a reverse pass sees every edge
+    out of a vertex before any edge into it, so a longest-path DP in
+    either direction is one flat loop over the rows.
+
+    Attributes:
+        op_ids: op id of each vertex index (the topological order).
+        execution_times: execution time of each vertex index.
+        rows: one ``(producer, consumer, cache_units, edram_units,
+            producer_execution_time)`` tuple per edge, endpoints as
+            vertex indices and units as in :class:`EdgePrice`.
+        max_cache_units: the largest ``cache_units`` of any row (0 when
+            the graph has no edge).
+    """
+
+    op_ids: Tuple[int, ...]
+    execution_times: Tuple[int, ...]
+    rows: Tuple[Tuple[int, int, int, int, int], ...]
+    max_cache_units: int
+
+
+def edge_table(graph: TaskGraph, prices: Sequence[EdgePrice]) -> EdgeTable:
+    """Build the :class:`EdgeTable` of ``graph`` from its
+    :func:`price_edges` table."""
+    op_ids = tuple(graph.topological_order())
+    index = {op_id: position for position, op_id in enumerate(op_ids)}
+    execution_times = tuple(
+        graph.operation(op_id).execution_time for op_id in op_ids
+    )
+    rows = sorted(
+        (
+            index[price.producer],
+            index[price.consumer],
+            price.cache_units,
+            price.edram_units,
+            execution_times[index[price.producer]],
+        )
+        for price in prices
+    )
+    return EdgeTable(
+        op_ids,
+        execution_times,
+        tuple(rows),
+        max((row[2] for row in rows), default=0),
     )
 
 
@@ -332,34 +403,6 @@ def solve_retiming(
     return solution
 
 
-def retiming_floor(
-    graph: TaskGraph, timings: Mapping[Tuple[int, int], EdgeTiming]
-) -> int:
-    """Smallest ``R_max`` any placement of the edges can induce.
-
-    The :func:`solve_retiming` propagation with every edge at
-    ``min(delta_cache, delta_edram)``. Every allocator places each edge in
-    cache or eDRAM, and the minimal retiming only grows when a delta
-    grows, so every plan built on these timings has ``R_max`` at least
-    this. Computes the vertex retimings only: no edge dict, no legality
-    check.
-    """
-    retiming: Dict[int, int] = {}
-    for op_id in reversed(graph.topological_order()):
-        best = 0
-        for consumer in graph.successors(op_id):
-            timing = timings[(op_id, consumer)]
-            d_cache = timing.delta_cache
-            d_edram = timing.delta_edram
-            reach = retiming[consumer] + (
-                d_cache if d_cache < d_edram else d_edram
-            )
-            if reach > best:
-                best = reach
-        retiming[op_id] = best
-    return max(retiming.values(), default=0)
-
-
 def placed_deltas(
     timings: Mapping[Tuple[int, int], EdgeTiming],
     placement: Mapping[Tuple[int, int], Placement],
@@ -370,12 +413,3 @@ def placed_deltas(
         key: t.delta_cache if placement[key] is cache else t.delta_edram
         for key, t in timings.items()
     }
-
-
-def max_retiming_for_placement(
-    graph: TaskGraph,
-    timings: Mapping[Tuple[int, int], EdgeTiming],
-    placement: Mapping[Tuple[int, int], Placement],
-) -> int:
-    """``R_max`` that a concrete placement of every edge induces."""
-    return solve_retiming(graph, placed_deltas(timings, placement)).max_retiming

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.schedule import KernelSchedule, PlacedOp, ScheduleError
 from repro.graph.taskgraph import IntermediateResult, TaskGraph
@@ -41,33 +41,20 @@ def load_balance_bound(graph: TaskGraph, num_pes: int) -> int:
     )
 
 
-def compact_kernel_schedule(
+def packing_order(
     graph: TaskGraph,
-    num_pes: int,
     order: str = "topological",
     levels: Optional[Dict[int, int]] = None,
-) -> KernelSchedule:
-    """Pack one dependency-free iteration onto ``num_pes`` PEs.
+) -> Tuple[Tuple[int, int], ...]:
+    """The ``(op_id, execution_time)`` pairs in kernel packing order.
 
-    After retiming, intra-iteration edges impose no ordering, so any greedy
-    list assignment to the earliest-available PE is feasible; the makespan
-    is the steady-state period ``p``.
-
-    Packing order still matters for *retiming depth*: with
-    ``order="topological"`` (default), operations are packed by ASAP level,
-    so producers land before their consumers within the window and most
-    cache-resident edges need no retiming at all -- eDRAM latency becomes
-    the dominant cause of prologue iterations, which is the effect the
-    paper's allocation problem optimizes. ``order="lpt"``
-    (longest-processing-time first) packs tighter on pathological execution
-    -time mixes and is kept for ablation.
-
-    ``levels`` may carry precomputed ASAP levels (width-invariant) so the
-    width search pays the level analysis once per graph instead of once
-    per candidate width; when omitted it is computed here, identically.
+    ``order="topological"`` sorts by ``(ASAP level, -execution time,
+    op_id)``; ``order="lpt"`` by ``(-execution time, op_id)``. Neither key
+    depends on the group width, so the width search sorts each graph
+    once and packs every candidate width from the same order.
+    ``levels`` may carry precomputed ASAP levels; when omitted they are
+    computed here, identically.
     """
-    if num_pes < 1:
-        raise ScheduleError("num_pes must be >= 1")
     if order == "topological":
         if levels is None:
             from repro.graph.analysis import asap_levels
@@ -86,15 +73,48 @@ def compact_kernel_schedule(
             f"unknown packing order {order!r}; choose from "
             f"{', '.join(KERNEL_ORDERS)}"
         )
+    return tuple((op.op_id, op.execution_time) for op in ordered)
+
+
+def compact_kernel_schedule(
+    graph: TaskGraph,
+    num_pes: int,
+    order: str = "topological",
+    packing: Optional[Sequence[Tuple[int, int]]] = None,
+) -> KernelSchedule:
+    """Pack one dependency-free iteration onto ``num_pes`` PEs.
+
+    After retiming, intra-iteration edges impose no ordering, so any greedy
+    list assignment to the earliest-available PE is feasible; the makespan
+    is the steady-state period ``p``.
+
+    Packing order still matters for *retiming depth*: with
+    ``order="topological"`` (default), operations are packed by ASAP level,
+    so producers land before their consumers within the window and most
+    cache-resident edges need no retiming at all -- eDRAM latency becomes
+    the dominant cause of prologue iterations, which is the effect the
+    paper's allocation problem optimizes. ``order="lpt"``
+    (longest-processing-time first) packs tighter on pathological execution
+    -time mixes and is kept for ablation.
+
+    ``packing`` may carry :func:`packing_order` of the same graph and
+    order (width-invariant), so the width search sorts once per graph
+    instead of once per candidate width; when omitted it is computed
+    here, identically.
+    """
+    if num_pes < 1:
+        raise ScheduleError("num_pes must be >= 1")
+    if packing is None:
+        packing = packing_order(graph, order)
     # (free_at, pe) pairs: the heap minimum is the earliest-free PE, the
     # lowest index among equally free ones.
     free = [(0, pe) for pe in range(num_pes)]
     placements: Dict[int, PlacedOp] = {}
-    for op in ordered:
+    for op_id, execution_time in packing:
         start, pe = free[0]
-        finish = start + op.execution_time
+        finish = start + execution_time
         heapq.heapreplace(free, (finish, pe))
-        placements[op.op_id] = PlacedOp(op.op_id, pe, start, finish)
+        placements[op_id] = PlacedOp(op_id, pe, start, finish)
     period = max(free)[0] if placements else 0
     return KernelSchedule(period=period, placements=placements)
 

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.graph.taskgraph import (
     GraphValidationError,
+    IntermediateResult,
     OperationKind,
     TaskGraph,
 )
@@ -118,32 +119,41 @@ class SyntheticGraphGenerator:
             )
 
         rng = random.Random(seed)
+        # ``rng.randint(a, b)`` is ``a + rng._randbelow(b - a + 1)`` in
+        # CPython; drawing through ``_randbelow`` directly keeps every
+        # draw and skips randint/randrange's argument handling, the bulk
+        # of this loop's cost.
+        below = rng._randbelow
+        params = self.params
         graph = TaskGraph(name=name)
-        pool_count = int(self.params.pool_fraction * num_vertices)
+        pool_count = int(params.pool_fraction * num_vertices)
         pool_ids = set(rng.sample(range(1, num_vertices), pool_count)) if pool_count else set()
+        exec_span = params.max_exec - params.min_exec + 1
         for op_id in range(num_vertices):
             graph.add_op(
                 op_id,
-                execution_time=rng.randint(self.params.min_exec, self.params.max_exec),
+                execution_time=params.min_exec + below(exec_span),
                 kind=OperationKind.POOL if op_id in pool_ids else OperationKind.CONV,
             )
 
         used = set()
         # Backbone: one incoming edge per non-source vertex, short range.
         for consumer in range(1, num_vertices):
-            producer = rng.randint(max(0, consumer - window), consumer - 1)
-            used.add((producer, consumer))
+            low = consumer - window if consumer > window else 0
+            used.add((low + below(consumer - low), consumer))
         # Extra edges: sample unused forward pairs inside the window.
         while len(used) < num_edges:
-            consumer = rng.randint(1, num_vertices - 1)
-            producer = rng.randint(max(0, consumer - window), consumer - 1)
-            used.add((producer, consumer))
+            consumer = 1 + below(num_vertices - 1)
+            low = consumer - window if consumer > window else 0
+            used.add((low + below(consumer - low), consumer))
 
+        size_span = params.max_size - params.min_size + 1
+        add_edge = graph.add_edge
         for producer, consumer in sorted(used):
-            graph.connect(
-                producer,
-                consumer,
-                size_bytes=rng.randint(self.params.min_size, self.params.max_size),
+            add_edge(
+                IntermediateResult(
+                    producer, consumer, params.min_size + below(size_span)
+                )
             )
         graph.validate()
         assert graph.num_vertices == num_vertices
@@ -238,9 +248,3 @@ def synthetic_benchmark(
     actual_seed = _BENCHMARK_SEEDS[name] if seed is None else seed
     return generator.generate(num_vertices, num_edges, seed=actual_seed, name=name)
 
-
-def all_synthetic_benchmarks(
-    params: Optional[GeneratorParams] = None,
-) -> List[TaskGraph]:
-    """All 12 paper benchmarks, in Table 1 (size) order."""
-    return [synthetic_benchmark(name, params) for name in BENCHMARK_SIZES]

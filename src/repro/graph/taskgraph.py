@@ -253,14 +253,14 @@ class TaskGraph:
         Cycle detection is deferred to :meth:`validate` /
         :meth:`topological_order` so bulk construction stays ``O(V + E)``.
         """
-        i, j = edge.producer, edge.consumer
+        i, j = key = edge.producer, edge.consumer
         if i not in self._ops:
             raise GraphValidationError(f"producer {i} not in graph")
         if j not in self._ops:
             raise GraphValidationError(f"consumer {j} not in graph")
-        if edge.key in self._edges:
-            raise GraphValidationError(f"duplicate edge {edge.key}")
-        self._edges[edge.key] = edge
+        if key in self._edges:
+            raise GraphValidationError(f"duplicate edge {key}")
+        self._edges[key] = edge
         self._succ[i].append(j)
         self._pred[j].append(i)
         self._topo = None

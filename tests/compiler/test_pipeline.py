@@ -30,8 +30,9 @@ STANDARD_ORDER = [
     "emit-schedule",
     "validate-schedule",
 ]
-KERNEL_STAGE = ["compact-kernel", "analyze-edges"]
+KERNEL_STAGE = ["compact-kernel"]
 PLAN_STAGE = STANDARD_ORDER[1 + len(KERNEL_STAGE):]
+ALLOCATION_STAGE = PLAN_STAGE[1:]
 
 
 class TestPipelineConfig:
@@ -67,7 +68,11 @@ class TestPipelineConfig:
         config = PipelineConfig(allocator=dp_allocate)
         assert [p.name for p in config.kernel_stage()] == KERNEL_STAGE
         assert [p.name for p in config.plan_stage()] == PLAN_STAGE
+        assert [p.name for p in config.allocation_stage()] == ALLOCATION_STAGE
         assert config.plan_manager().initial_artifacts == {
+            "graph-valid", "kernel"
+        }
+        assert config.allocation_manager().initial_artifacts == {
             "graph-valid", "kernel", "timings"
         }
 
@@ -148,10 +153,46 @@ class TestCompileStatsDeterminism:
         assert cut and set(cut) <= set(stats.widths_pruned)
         assert not set(cut) & set(stats.widths_explored)
         assert stats.pass_runs["compact-kernel"] == stats.num_explored + len(cut)
+        # A cut width is cut before edge analysis.
+        assert stats.pass_runs["analyze-edges"] == stats.num_explored
         assert stats.pass_runs["dp-allocate"] == stats.num_explored
-        assert "cut after kernel" in stats.explain()
+        text = stats.explain()
+        assert "cut after kernel" in text
         for width in cut:
-            assert str(width) in stats.explain()
+            floor, (total, neg_width) = stats.lost_to[width]
+            assert (floor, -width) > (total, neg_width)
+            assert (
+                f"  {width}: floor {floor} "
+                f"{'>' if floor > total else '='} incumbent {total} at "
+                f"width {-neg_width} (cut before edge analysis)"
+            ) in text.splitlines()
+
+    def test_explain_says_why_every_pruned_width_lost(self):
+        from repro.graph.generators import synthetic_benchmark
+
+        config = PimConfig(num_pes=16, iterations=1000)
+        result = ParaConv(config).run(synthetic_benchmark("protein"))
+        stats = result.compile_stats
+        never_compiled = [
+            width for width in stats.widths_pruned
+            if width not in stats.widths_cut_after_kernel
+        ]
+        assert never_compiled
+        assert set(stats.lost_to) == set(stats.widths_pruned)
+        lines = stats.explain().splitlines()
+        winner = (result.total_time(), -result.group_width)
+        for width in never_compiled:
+            bound, incumbent = stats.lost_to[width]
+            assert (bound, -width) > incumbent >= winner
+            assert any(
+                line.startswith(f"  {width}: bound {bound} ")
+                and line.endswith("(never compiled)")
+                for line in lines
+            )
+        assert stats.as_dict()["lost_to"] == {
+            str(width): [bound, list(incumbent)]
+            for width, (bound, incumbent) in stats.lost_to.items()
+        }
 
     def test_explain_mentions_passes_and_search(self, figure2_graph, small_config):
         result = ParaConv(small_config).run(figure2_graph)
@@ -249,12 +290,13 @@ class TestWidthLowerBound:
     def test_record_helpers(self):
         stats = CompileStats()
         stats.record_width(4, 0.5)
-        stats.record_pruned(2)
-        stats.record_cut(3)
+        stats.record_pruned(2, 40, (30, -4))
+        stats.record_cut(3, 35, (30, -4))
         stats.record_pass("dp-allocate", 0.25)
         stats.record_pass("dp-allocate", 0.25)
         assert stats.num_explored == 1
         assert stats.num_pruned == 2
         assert stats.widths_cut_after_kernel == [3]
+        assert stats.lost_to == {2: (40, (30, -4)), 3: (35, (30, -4))}
         assert stats.pass_runs["dp-allocate"] == 2
         assert stats.pass_seconds_total == pytest.approx(0.5)

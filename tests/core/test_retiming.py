@@ -8,7 +8,7 @@ from repro.core.retiming import (
     EdgeTiming,
     RetimingError,
     analyze_edges,
-    max_retiming_for_placement,
+    placed_deltas,
     required_retiming,
     solve_retiming,
 )
@@ -190,6 +190,10 @@ class TestPlacementRetiming:
         timings = analyze_edges(graph, kernel, paper_config)
         all_cache = {k: Placement.CACHE for k in timings}
         all_edram = {k: Placement.EDRAM for k in timings}
-        r_cache = max_retiming_for_placement(graph, timings, all_cache)
-        r_edram = max_retiming_for_placement(graph, timings, all_edram)
+        r_cache = solve_retiming(
+            graph, placed_deltas(timings, all_cache)
+        ).max_retiming
+        r_edram = solve_retiming(
+            graph, placed_deltas(timings, all_edram)
+        ).max_retiming
         assert r_cache <= r_edram

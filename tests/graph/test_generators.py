@@ -7,7 +7,6 @@ from repro.graph.generators import (
     BENCHMARK_SIZES,
     GeneratorParams,
     SyntheticGraphGenerator,
-    all_synthetic_benchmarks,
     synthetic_benchmark,
 )
 from repro.graph.taskgraph import GraphValidationError
@@ -42,7 +41,7 @@ class TestExactCounts:
         assert (graph.num_vertices, graph.num_edges) == size
 
     def test_all_benchmarks_ordered(self):
-        graphs = all_synthetic_benchmarks()
+        graphs = [synthetic_benchmark(name) for name in BENCHMARK_SIZES]
         assert len(graphs) == 12
         sizes = [g.num_vertices for g in graphs]
         assert sizes == sorted(sizes)
