@@ -1,14 +1,21 @@
 """Shared content-addressed plan-artifact tier.
 
-One directory of ``<digest>.json`` plan payloads (the
-:mod:`repro.runtime.plan_cache` disk format) shared by every worker in a
-fleet: a plan compiled on *any* shard is published here and becomes a
-warm disk hit for every other shard that ever needs it — compile once,
-warm everywhere. The store is safe for concurrent writers across threads,
-workers and whole processes:
+One directory of plan payloads (the :mod:`repro.runtime.plan_cache` disk
+format, version 2) shared by every worker in a fleet: a plan compiled on
+*any* shard is published here and becomes a warm disk hit for every
+other shard that ever needs it — compile once, warm everywhere. The
+directory holds one ``<digest>.json`` per plan and, under ``graphs/``,
+one ``<fingerprint>.json`` per graph, written once, when absent. A plan
+names its graph by fingerprint; workers hydrate plans against the graph
+they hold, and :meth:`SharedPlanStore.get`, which holds none, reads the
+graph file. Plan listings (:meth:`SharedPlanStore.digests`, ``len``,
+``in``) count plans only. The store is safe for concurrent writers
+across threads, workers and whole processes:
 
-* every write stages into a uniquely named temp file and publishes with
-  an atomic ``os.replace`` (readers see complete payloads only), and
+* every write goes through :func:`~repro.runtime.plan_cache.write_plan`,
+  which stages into a uniquely named temp file and publishes with an
+  atomic ``os.replace``, graph before plan (readers see complete
+  payloads only, and a plan's graph is there before the plan is), and
 * direct :meth:`SharedPlanStore.put` calls additionally serialize through
   an advisory file lock (``fcntl.flock`` where available), so two
   processes publishing the same digest never race the rename storm —
@@ -32,9 +39,6 @@ table. The table lives exactly as long as the handle; a new
 from __future__ import annotations
 
 import contextlib
-import json
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
@@ -47,10 +51,11 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 from repro.core.paraconv import ParaConvResult
 from repro.runtime.plan_cache import (
     PlanCache,
+    PlanCacheError,
     PlanKey,
     TraceTable,
-    plan_from_dict,
-    plan_to_dict,
+    read_plan,
+    write_plan,
 )
 
 
@@ -119,7 +124,7 @@ class SharedPlanStore:
         return self.directory / f"{digest}.json"
 
     def digests(self) -> List[str]:
-        """Digests of every published plan, sorted."""
+        """Digests of every published plan (graph files excluded), sorted."""
         return sorted(p.stem for p in self.directory.glob("*.json"))
 
     def __len__(self) -> int:
@@ -146,32 +151,22 @@ class SharedPlanStore:
     def put(self, key: "PlanKey | str", plan: ParaConvResult) -> str:
         """Publish one plan under its digest; returns the digest."""
         digest = key.digest if isinstance(key, PlanKey) else str(key)
-        payload = json.dumps(plan_to_dict(plan))
         with self._write_lock():
-            fd, tmp_name = tempfile.mkstemp(
-                prefix=f".{digest}.", suffix=".tmp", dir=self.directory
-            )
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(payload)
-                os.replace(tmp_name, self._path(digest))
-            except BaseException:
-                with contextlib.suppress(OSError):
-                    os.unlink(tmp_name)
-                raise
+            write_plan(self.directory, digest, plan)
         self.stats.writes += 1
         return digest
 
     def get(self, key: "PlanKey | str") -> Optional[ParaConvResult]:
-        """Hydrate one plan (``None`` on absent or corrupt payloads)."""
+        """Hydrate one plan against its stored graph (``None`` when the
+        plan is absent, or it or its graph file is corrupt)."""
         digest = key.digest if isinstance(key, PlanKey) else str(key)
         self.stats.reads += 1
         path = self._path(digest)
         if not path.is_file():
             return None
         try:
-            plan = plan_from_dict(json.loads(path.read_text()))
-        except Exception:
+            plan = read_plan(path)
+        except PlanCacheError:
             # Corrupt artifacts degrade to a miss, mirroring PlanCache.
             self.stats.corrupt_payloads += 1
             return None

@@ -270,14 +270,14 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if not store.is_dir():
         print(f"no plan store at {store}", file=sys.stderr)
         return 2
-    from repro.runtime.plan_cache import plan_from_dict
+    from repro.runtime.plan_cache import PlanCacheError, read_plan
 
     files = sorted(store.glob("*.json"))
     print(f"plan store {store}: {len(files)} plans")
     for path in files:
         try:
-            plan = plan_from_dict(json.loads(path.read_text()))
-        except Exception as exc:  # corrupt entries are reported, not fatal
+            plan = read_plan(path)
+        except PlanCacheError as exc:  # corrupt entries are reported, not fatal
             print(f"  {path.stem[:16]}…  UNREADABLE ({exc})")
             continue
         print(

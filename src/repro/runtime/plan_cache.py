@@ -11,13 +11,25 @@ everything that determines it:
 * the allocator name and pipeline knobs (kernel order, liveness mode).
 
 The cache is two-tier: an in-memory LRU front (bounded by plan count) and
-an optional on-disk store (one JSON file per plan digest, reusing the
-:mod:`repro.core.schedule_io` schedule format), so a fleet can ship
-pre-compiled plans and a restarted server warms from disk instead of
-re-running the dynamic program. All hit/miss/eviction traffic is counted.
-Lookups take the graph the key was computed from, and a disk hit is
-hydrated against it rather than against a parsed copy of the graph the
-payload embeds.
+an optional on-disk store, so a fleet can ship pre-compiled plans and a
+restarted server warms from disk instead of re-running the dynamic
+program. All hit/miss/eviction traffic is counted.
+
+The disk tier (payload format version 2) holds one ``<digest>.json`` per
+plan and one ``graphs/<fingerprint>.json`` per graph, written once, when
+absent. A plan payload names its graph by ``TaskGraph.fingerprint()``
+instead of embedding it, and holds the schedule in the
+:mod:`repro.core.schedule_io` layout: a few flat arrays in sorted op-id
+and sorted edge-key order. The allocation keeps only what the schedule
+does not hold (its cached edges, as indices into that edge order).
+Lookups take the graph the key was computed from, so a disk hit decodes
+those arrays against the held graph and reads no graph file; the
+standalone readers (:meth:`repro.fleet.store.SharedPlanStore.get`,
+``python -m repro.runtime stats``) load the graph file. Every hydration
+still runs ``validate_periodic_schedule``. :func:`read_plan` is the one
+reader of plan files and :func:`write_plan` the one writer; a file of an
+older format version, or of any wrong shape, is a miss that the next
+compile overwrites.
 """
 
 from __future__ import annotations
@@ -26,6 +38,7 @@ import contextlib
 import hashlib
 import json
 import os
+import shutil
 import tempfile
 import threading
 import time
@@ -37,8 +50,8 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Union
 from repro.core.allocation import AllocationResult
 from repro.core.cases import RetimingCase
 from repro.core.paraconv import ParaConvResult
-from repro.core.schedule import ScheduleError
 from repro.core.schedule_io import schedule_from_dict, schedule_to_dict
+from repro.graph.io import graph_from_json, graph_to_dict
 from repro.graph.taskgraph import TaskGraph
 from repro.pim.config import PimConfig
 from repro.pim.memory import Placement
@@ -47,7 +60,10 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.sim.executor import ExecutionTrace
 
 #: On-disk plan payload version; bump on any layout change.
-PLAN_FORMAT_VERSION = 1
+PLAN_FORMAT_VERSION = 2
+
+#: Subdirectory of a disk tier holding one ``<fingerprint>.json`` per graph.
+GRAPH_DIR = "graphs"
 
 #: Batch traces one :class:`TraceTable` holds; a serving run keeps a few
 #: dozen, so only a stream of ever-new batch sizes reaches it.
@@ -143,23 +159,27 @@ def plan_key_for(
 def plan_to_dict(result: ParaConvResult) -> Dict[str, Any]:
     """Serialize a full compiled plan to a JSON-compatible dict.
 
-    Reuses the :mod:`repro.core.schedule_io` schedule format (which embeds
-    the task graph) and adds the allocation outcome, the Figure 4 case
-    census and the group decomposition — everything
-    :class:`ParaConvResult` carries.
+    The graph is named by its fingerprint, not embedded; the schedule
+    uses the :mod:`repro.core.schedule_io` layout. The allocation keeps
+    what the schedule does not already hold: its placements are the
+    schedule's, and its cached edges are indices into the schedule's
+    sorted edge order.
     """
     allocation = result.allocation
+    if allocation.placements != result.schedule.placements:
+        raise PlanCacheError(
+            "allocation placements differ from the schedule's; the payload "
+            "stores them once"
+        )
+    index = {key: i for i, key in enumerate(sorted(result.graph.edge_keys()))}
     return {
         "format_version": PLAN_FORMAT_VERSION,
+        "graph": result.graph.fingerprint(),
         "config": result.config.to_dict(),
         "schedule": schedule_to_dict(result.schedule),
         "allocation": {
             "method": allocation.method,
-            "placements": [
-                {"producer": i, "consumer": j, "where": p.value}
-                for (i, j), p in allocation.placements.items()
-            ],
-            "cached": [[i, j] for (i, j) in allocation.cached],
+            "cached": [index[key] for key in allocation.cached],
             "total_delta_r": allocation.total_delta_r,
             "slots_used": allocation.slots_used,
             "capacity_slots": allocation.capacity_slots,
@@ -173,14 +193,19 @@ def plan_to_dict(result: ParaConvResult) -> Dict[str, Any]:
 
 
 def plan_from_dict(
-    payload: Dict[str, Any], graph: Optional[TaskGraph] = None
+    payload: Dict[str, Any],
+    graph: Optional[TaskGraph] = None,
+    graph_dir: Optional[Path] = None,
 ) -> ParaConvResult:
     """Rebuild (and semantically re-validate) a plan from its dict form.
 
-    ``graph``, when given, is the graph the plan was compiled for: the
-    plan is hydrated against it (``plan.graph is graph``) instead of a
-    parsed copy of the embedded one. A payload or section of the wrong
-    shape raises :class:`PlanCacheError`.
+    ``graph`` is the graph the plan was compiled for, held by the caller:
+    the plan is hydrated against it (``plan.graph is graph``), and its
+    fingerprint must be the one the payload names. Without it, the graph
+    is read from ``graph_dir/<fingerprint>.json``, where the disk tier
+    stores it. A payload of the wrong shape, a fingerprint that is not
+    the held graph's, or a graph file that is missing or corrupt raises
+    :class:`PlanCacheError`.
     """
     if not isinstance(payload, dict):
         raise PlanCacheError(
@@ -189,17 +214,38 @@ def plan_from_dict(
     version = payload.get("format_version")
     if version != PLAN_FORMAT_VERSION:
         raise PlanCacheError(f"unsupported plan format version {version!r}")
+    fingerprint = payload.get("graph")
+    if not isinstance(fingerprint, str):
+        raise PlanCacheError("plan payload does not name its graph")
+    if graph is None:
+        if graph_dir is None:
+            raise PlanCacheError(
+                f"plan of graph {fingerprint} needs the graph or a graph directory"
+            )
+        graph = _load_graph(graph_dir, fingerprint)
+    elif graph.fingerprint() != fingerprint:
+        raise PlanCacheError(
+            f"plan payload names graph {fingerprint}, but graph "
+            f"{graph.name!r} has fingerprint {graph.fingerprint()}"
+        )
     try:
         schedule = schedule_from_dict(payload["schedule"], graph)
         config = PimConfig.from_dict(payload["config"])
         alloc = payload["allocation"]
+        # The schedule's dicts are built in sorted edge-key order.
+        edge_keys = list(schedule.placements)
+        cached = [int(i) for i in alloc["cached"]]
+        if any(not 0 <= i < len(edge_keys) for i in cached):
+            raise PlanCacheError(
+                f"cached edge index out of range 0..{len(edge_keys) - 1}"
+            )
+        cached_keys = [edge_keys[i] for i in cached]
+        if any(schedule.placements[key] is not Placement.CACHE for key in cached_keys):
+            raise PlanCacheError("a cached edge is not placed in cache")
         allocation = AllocationResult(
             method=str(alloc["method"]),
-            placements={
-                (int(r["producer"]), int(r["consumer"])): Placement(r["where"])
-                for r in alloc["placements"]
-            },
-            cached=[(int(i), int(j)) for i, j in alloc["cached"]],
+            placements=dict(schedule.placements),
+            cached=cached_keys,
             total_delta_r=int(alloc["total_delta_r"]),
             slots_used=int(alloc["slots_used"]),
             capacity_slots=int(alloc["capacity_slots"]),
@@ -209,7 +255,7 @@ def plan_from_dict(
             for case, count in payload.get("case_histogram", {}).items()
         }
         return ParaConvResult(
-            graph=schedule.graph,
+            graph=graph,
             config=config,
             schedule=schedule,
             allocation=allocation,
@@ -217,9 +263,86 @@ def plan_from_dict(
             group_width=int(payload["group_width"]),
             num_groups=int(payload["num_groups"]),
         )
-    except (AttributeError, KeyError, TypeError, ValueError, ScheduleError) as exc:
-        # AttributeError: a nested section that is not an object.
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # AttributeError: a nested section that is not an object;
+        # ValueError covers ScheduleError and ConfigurationError.
         raise PlanCacheError(f"malformed plan payload: {exc}") from exc
+
+
+# ----------------------------------------------------------------------
+# the one reader and the one writer of plan files
+# ----------------------------------------------------------------------
+def _load_graph(graph_dir: Path, fingerprint: str) -> TaskGraph:
+    """The graph stored as ``graph_dir/<fingerprint>.json``.
+
+    Raises :class:`PlanCacheError` when the file is missing, does not
+    parse, or holds a graph with another fingerprint.
+    """
+    try:
+        graph = graph_from_json(graph_dir / f"{fingerprint}.json")
+    except (OSError, ValueError) as exc:
+        # ValueError covers GraphValidationError, which also wraps bad JSON.
+        raise PlanCacheError(f"graph {fingerprint} unreadable: {exc}") from exc
+    if graph.fingerprint() != fingerprint:
+        raise PlanCacheError(
+            f"graph file {fingerprint}.json holds graph {graph.fingerprint()}"
+        )
+    return graph
+
+
+def read_plan(path: Path, graph: Optional[TaskGraph] = None) -> ParaConvResult:
+    """Hydrate the plan file at ``path``.
+
+    ``graph`` is the held graph, as for :func:`plan_from_dict`; without
+    it the graph is read from the ``graphs/`` directory next to the plan.
+    Every way a file can fail (unreadable, not UTF-8, not JSON, not a
+    plan) raises :class:`PlanCacheError`.
+    """
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        # ValueError covers UnicodeDecodeError and JSONDecodeError.
+        raise PlanCacheError(f"plan file {path.name} unreadable: {exc}") from exc
+    return plan_from_dict(payload, graph, path.parent / GRAPH_DIR)
+
+
+def _publish(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a unique temp file and a rename.
+
+    Many writers (threads or processes) may publish the same path at
+    once. Each stages into its own temp file -- a fixed temp name would
+    let two writers interleave into one file -- and atomically renames
+    it into place, so readers see the old complete file or the new one,
+    never a partial write.
+    """
+    fd, tmp_name = tempfile.mkstemp(
+        prefix=f".{path.stem}.", suffix=".tmp", dir=path.parent
+    )
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp_name, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp_name)
+        raise
+
+
+def write_plan(directory: Path, digest: str, plan: ParaConvResult) -> None:
+    """Publish ``plan`` as ``directory/<digest>.json``.
+
+    Its graph is published first, as ``graphs/<fingerprint>.json``, and
+    only when that file is absent (both directories are created as
+    needed), so a reader that finds the plan finds its graph.
+    Last-writer-wins on the plan is benign: equal keys always serialize
+    identical plans.
+    """
+    graphs = directory / GRAPH_DIR
+    graph_path = graphs / f"{plan.graph.fingerprint()}.json"
+    if not graph_path.is_file():
+        graphs.mkdir(parents=True, exist_ok=True)
+        _publish(graph_path, json.dumps(graph_to_dict(plan.graph)))
+    _publish(directory / f"{digest}.json", json.dumps(plan_to_dict(plan)))
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +408,8 @@ class PlanCache:
             recently *used* plan is evicted first. Evicted plans survive
             on disk when a ``disk_dir`` is configured.
         disk_dir: optional directory for the persistent tier. Created on
-            first write. One ``<digest>.json`` file per plan. The
+            first write. One ``<digest>.json`` file per plan, and one
+            ``graphs/<fingerprint>.json`` per graph. The
             directory may be *shared* by any number of caches across
             threads, workers and processes: writes stage into uniquely
             named temp files and publish with an atomic rename, so
@@ -340,7 +464,8 @@ class PlanCache:
             return list(self._plans)
 
     def disk_digests(self) -> List[str]:
-        """Digests of every plan in the persistent tier."""
+        """Digests of every plan in the persistent tier (graph files
+        excluded)."""
         if self.disk_dir is None or not self.disk_dir.is_dir():
             return []
         return sorted(p.stem for p in self.disk_dir.glob("*.json"))
@@ -351,7 +476,7 @@ class PlanCache:
         disk hits against ``graph``.
 
         ``graph`` is the graph ``key`` was computed from; a disk hit is
-        built on it instead of a parsed copy of the embedded graph.
+        built on it, and the stored graph file is not read.
         Raises :class:`PlanCacheError` naming both fingerprints when the
         graph is not the key's.
         """
@@ -411,12 +536,14 @@ class PlanCache:
         return plan
 
     def clear(self, memory_only: bool = True) -> None:
-        """Drop the in-memory tier (and optionally the disk tier)."""
+        """Drop the in-memory tier (and optionally the disk tier, graphs
+        included)."""
         with self._lock:
             self._plans.clear()
             if not memory_only and self.disk_dir is not None and self.disk_dir.is_dir():
                 for path in self.disk_dir.glob("*.json"):
                     path.unlink()
+                shutil.rmtree(self.disk_dir / GRAPH_DIR, ignore_errors=True)
 
     # -- internals -----------------------------------------------------
     def _insert(self, digest: str, plan: ParaConvResult, write_disk: bool) -> None:
@@ -427,27 +554,7 @@ class PlanCache:
             self._plans.popitem(last=False)
             self.stats.evictions += 1
         if write_disk and self.disk_dir is not None:
-            self.disk_dir.mkdir(parents=True, exist_ok=True)
-            path = self.disk_dir / f"{digest}.json"
-            # Shared-dir safety: many caches (threads *or* processes) may
-            # persist the same digest concurrently. Each writer stages
-            # into its own uniquely named temp file — a fixed temp name
-            # would let two writers interleave into one file and publish
-            # torn JSON — then atomically renames it into place. Readers
-            # see either the old complete payload or the new one, never a
-            # partial write, and last-writer-wins is benign because equal
-            # keys always serialize identical plans.
-            fd, tmp_name = tempfile.mkstemp(
-                prefix=f".{digest}.", suffix=".tmp", dir=self.disk_dir
-            )
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(json.dumps(plan_to_dict(plan)))
-                os.replace(tmp_name, path)
-            except BaseException:
-                with contextlib.suppress(OSError):
-                    os.unlink(tmp_name)
-                raise
+            write_plan(self.disk_dir, digest, plan)
             self.stats.disk_writes += 1
 
     def _load_from_disk(
@@ -459,10 +566,10 @@ class PlanCache:
         if not path.is_file():
             return None
         try:
-            plan = plan_from_dict(json.loads(path.read_text()), graph)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError, PlanCacheError):
-            # A corrupt or unreadable file must degrade to a miss, never
-            # poison serving.
+            plan = read_plan(path, graph)
+        except PlanCacheError:
+            # A corrupt, unreadable or stale file must degrade to a miss,
+            # never poison serving.
             return None
         if self.verify_on_load and not self._plan_verifies(plan):
             self.stats.verify_failures += 1

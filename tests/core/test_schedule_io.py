@@ -24,7 +24,7 @@ def schedule():
 
 class TestRoundTrip:
     def test_dict_round_trip_is_lossless(self, schedule):
-        restored = schedule_from_dict(schedule_to_dict(schedule))
+        restored = schedule_from_dict(schedule_to_dict(schedule), schedule.graph)
         assert restored.period == schedule.period
         assert restored.retiming == schedule.retiming
         assert restored.edge_retiming == schedule.edge_retiming
@@ -54,18 +54,16 @@ class TestValidationOnLoad:
         payload = schedule_to_dict(schedule)
         payload["format_version"] = 42
         with pytest.raises(ScheduleError, match="version"):
-            schedule_from_dict(payload)
+            schedule_from_dict(payload, schedule.graph)
 
     def test_tampered_schedule_rejected(self, schedule):
         """Loading validates semantics, not just syntax."""
         payload = schedule_to_dict(schedule)
         # zero out the retiming: cross-iteration dependencies now break
-        payload["retiming"] = {k: 0 for k in payload["retiming"]}
-        payload["edge_retiming"] = [
-            {**r, "value": 0} for r in payload["edge_retiming"]
-        ]
+        payload["retiming"] = [0] * len(payload["retiming"])
+        payload["edge_retiming"] = [0] * len(payload["edge_retiming"])
         with pytest.raises(ScheduleError):
-            schedule_from_dict(payload)
+            schedule_from_dict(payload, schedule.graph)
 
     def test_json_is_stable_text(self, schedule, tmp_path):
         a = tmp_path / "a.json"
@@ -74,3 +72,43 @@ class TestValidationOnLoad:
         schedule_to_json(schedule, b)
         assert a.read_text() == b.read_text()
         json.loads(a.read_text())  # well-formed
+
+    @pytest.mark.parametrize(
+        "section", ["pe", "start", "finish", "retiming", "edge_retiming",
+                    "transfer_times", "placements"],
+    )
+    def test_array_of_the_wrong_length_rejected(self, schedule, section):
+        """``zip`` would drop a long array's tail: lengths are checked."""
+        for values in (
+            schedule_to_dict(schedule)[section][:-1],
+            schedule_to_dict(schedule)[section] * 2,
+        ):
+            payload = {**schedule_to_dict(schedule), section: values}
+            with pytest.raises(ScheduleError, match=section):
+                schedule_from_dict(payload, schedule.graph)
+
+    def test_unknown_placement_code_rejected(self, schedule):
+        payload = schedule_to_dict(schedule)
+        payload["placements"] = "x" + payload["placements"][1:]
+        with pytest.raises(ScheduleError, match="unknown placement codes"):
+            schedule_from_dict(payload, schedule.graph)
+
+
+class TestArtifact:
+    def test_artifact_is_the_schedule_layout_in_an_envelope(
+        self, schedule, tmp_path
+    ):
+        path = tmp_path / "schedule.json"
+        schedule_to_json(schedule, path)
+        envelope = json.loads(path.read_text())
+        assert set(envelope) == {"graph", "schedule"}
+        assert envelope["schedule"] == schedule_to_dict(schedule)
+
+    @pytest.mark.parametrize(
+        "text", ["[]", "{}", '{"graph": []}'], ids=["list", "empty", "graph-list"]
+    )
+    def test_malformed_artifact_raises_typed_error(self, text, tmp_path):
+        path = tmp_path / "schedule.json"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            schedule_from_json(path)

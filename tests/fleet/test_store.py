@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
@@ -9,8 +10,14 @@ import pytest
 from repro.core.paraconv import ParaConv
 from repro.fleet.store import SharedPlanStore
 from repro.graph.generators import synthetic_benchmark
+from repro.graph.io import graph_to_dict
 from repro.pim.config import PimConfig
-from repro.runtime.plan_cache import PlanKey, plan_key_for, plan_to_dict
+from repro.runtime.plan_cache import (
+    GRAPH_DIR,
+    PlanKey,
+    plan_key_for,
+    plan_to_dict,
+)
 
 
 @pytest.fixture(scope="module")
@@ -55,11 +62,105 @@ class TestRoundTrip:
         SharedPlanStore(target)
         assert target.is_dir()
 
+    def test_listings_count_plans_only(self, tmp_path, plan_and_key):
+        plan, key = plan_and_key
+        store = SharedPlanStore(tmp_path / "store")
+        store.put(key, plan)
+        fingerprint = plan.graph.fingerprint()
+        assert (store.directory / GRAPH_DIR / f"{fingerprint}.json").is_file()
+        assert store.digests() == [key.digest]
+        assert len(store) == 1
+        assert fingerprint not in store
+        assert GRAPH_DIR not in store
+
+    def test_second_put_does_not_rewrite_the_graph_file(
+        self, tmp_path, plan_and_key
+    ):
+        plan, key = plan_and_key
+        store = SharedPlanStore(tmp_path / "store")
+        store.put(key, plan)
+        graph_file = (
+            store.directory / GRAPH_DIR / f"{plan.graph.fingerprint()}.json"
+        )
+        stamp = graph_file.stat().st_mtime_ns, graph_file.stat().st_ino
+        store.put("1" * 64, plan)
+        assert len(store) == 2
+        assert (graph_file.stat().st_mtime_ns, graph_file.stat().st_ino) == stamp
+        assert len(list((store.directory / GRAPH_DIR).iterdir())) == 1
+
     def test_describe_mentions_counts(self, tmp_path, plan_and_key):
         plan, key = plan_and_key
         store = SharedPlanStore(tmp_path / "store")
         store.put(key, plan)
         assert "1 plans" in store.describe()
+
+
+def _graph_file(store, plan):
+    return store.directory / GRAPH_DIR / f"{plan.graph.fingerprint()}.json"
+
+
+def _rewrite_plan(store, key, change):
+    path = store.directory / f"{key.digest}.json"
+    path.write_text(json.dumps(change(json.loads(path.read_text()))))
+
+
+def _schedule_with(section, change):
+    def edit(payload):
+        payload["schedule"][section] = change(payload["schedule"][section])
+        return payload
+    return edit
+
+
+#: Ways a published plan or its graph file can be damaged; each makes
+#: :meth:`SharedPlanStore.get` a miss.
+DAMAGE = {
+    "plan-torn": lambda store, key, plan: (
+        store.directory / f"{key.digest}.json"
+    ).write_text("{ torn"),
+    "plan-v1": lambda store, key, plan: _rewrite_plan(
+        store, key, lambda payload: {**payload, "format_version": 1}
+    ),
+    "transfer-times-one-short": lambda store, key, plan: _rewrite_plan(
+        store, key, _schedule_with("transfer_times", lambda v: v[:-1])
+    ),
+    "retiming-one-long": lambda store, key, plan: _rewrite_plan(
+        store, key, _schedule_with("retiming", lambda v: v + v[-1:])
+    ),
+    "placement-code-unknown": lambda store, key, plan: _rewrite_plan(
+        store, key, _schedule_with("placements", lambda v: "?" + v[1:])
+    ),
+    "cached-index-out-of-range": lambda store, key, plan: _rewrite_plan(
+        store, key, lambda payload: {
+            **payload,
+            "allocation": {
+                **payload["allocation"],
+                "cached": [plan.graph.num_edges],
+            },
+        },
+    ),
+    "graph-file-missing": lambda store, key, plan: _graph_file(
+        store, plan
+    ).unlink(),
+    "graph-file-torn": lambda store, key, plan: _graph_file(
+        store, plan
+    ).write_text("{ torn"),
+    "graph-file-of-another-graph": lambda store, key, plan: _graph_file(
+        store, plan
+    ).write_text(json.dumps(graph_to_dict(synthetic_benchmark("car")))),
+}
+
+
+@pytest.mark.parametrize(
+    "damage", list(DAMAGE.values()), ids=list(DAMAGE)
+)
+def test_damaged_artifact_degrades_to_miss(damage, tmp_path, plan_and_key):
+    plan, key = plan_and_key
+    store = SharedPlanStore(tmp_path / "store")
+    store.put(key, plan)
+    damage(store, key, plan)
+    assert store.get(key) is None
+    assert store.stats.corrupt_payloads == 1
+    assert store.stats.read_hits == 0
 
 
 class TestSharedCaches:
@@ -88,7 +189,7 @@ class TestSharedCaches:
         for _ in range(5):
             store.put(key, plan)
         leftovers = [
-            p.name for p in store.directory.iterdir()
+            p.name for p in store.directory.rglob("*")
             if p.suffix == ".tmp"
         ]
         assert leftovers == []

@@ -61,6 +61,22 @@ class TestRuntimeCli:
         assert "2 plans" in out
         assert "cat" in out and "car" in out
 
+    def test_stats_reports_a_plan_whose_graph_file_is_corrupt(
+        self, tmp_path, capsys
+    ):
+        store = tmp_path / "plans"
+        assert runtime_cli.main(
+            ["warmup", "--workloads", "cat", "--pes", "16", "--disk", str(store)]
+        ) == 0
+        for graph_file in (store / "graphs").glob("*.json"):
+            graph_file.write_bytes(b"\xff\xfe\x00")
+        capsys.readouterr()
+        rc = runtime_cli.main(["stats", "--disk", str(store)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "1 plans" in out
+        assert "UNREADABLE" in out and "period=" not in out
+
     def test_warmup_has_no_jobs_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             runtime_cli.main(["warmup", "--workloads", "cat", "--jobs", "2"])

@@ -8,15 +8,21 @@ import pytest
 
 from repro.cnn.workloads import WORKLOADS, load_workload
 from repro.core.paraconv import ParaConv
+from repro.graph.io import graph_to_dict
+from repro.graph.taskgraph import TaskGraph
 from repro.runtime.plan_cache import (
+    GRAPH_DIR,
     PlanCache,
     PlanCacheError,
     PlanKey,
     plan_from_dict,
     plan_key_for,
     plan_to_dict,
+    read_plan,
+    write_plan,
 )
 from repro.runtime.session import InferenceSession
+from repro.sim.executor import ScheduleExecutor
 
 
 def compile_plan(graph, config, allocator="dp"):
@@ -121,7 +127,9 @@ class TestAccounting:
 class TestDiskTier:
     def test_plan_round_trip_equals(self, graph, config):
         plan = compile_plan(graph, config)
-        restored = plan_from_dict(json.loads(json.dumps(plan_to_dict(plan))))
+        restored = plan_from_dict(
+            json.loads(json.dumps(plan_to_dict(plan))), graph.copy()
+        )
         assert restored.period == plan.period
         assert restored.max_retiming == plan.max_retiming
         assert restored.group_width == plan.group_width
@@ -175,9 +183,34 @@ class TestDiskTier:
     def test_clear_disk(self, graph, config, tmp_path):
         cache = PlanCache(capacity=2, disk_dir=tmp_path)
         cache.put(plan_key_for(graph, config), compile_plan(graph, config))
+        assert (tmp_path / GRAPH_DIR).is_dir()
         cache.clear(memory_only=False)
         assert len(cache) == 0
         assert cache.disk_digests() == []
+        assert not (tmp_path / GRAPH_DIR).exists()
+
+    def test_disk_digests_list_plans_only(self, graph, other_graph, config, tmp_path):
+        cache = PlanCache(capacity=2, disk_dir=tmp_path)
+        keys = [plan_key_for(g, config) for g in (graph, other_graph)]
+        for key, g in zip(keys, (graph, other_graph)):
+            cache.put(key, compile_plan(g, config))
+        graph_files = sorted(p.stem for p in (tmp_path / GRAPH_DIR).glob("*.json"))
+        assert graph_files == sorted(
+            [graph.fingerprint(), other_graph.fingerprint()]
+        )
+        assert cache.disk_digests() == sorted(key.digest for key in keys)
+
+    def test_second_put_does_not_rewrite_the_graph_file(
+        self, graph, config, tmp_path
+    ):
+        cache = PlanCache(capacity=2, disk_dir=tmp_path)
+        cache.put(plan_key_for(graph, config), compile_plan(graph, config))
+        graph_file = tmp_path / GRAPH_DIR / f"{graph.fingerprint()}.json"
+        stamp = graph_file.stat().st_mtime_ns, graph_file.stat().st_ino
+        other = config.with_pes(64)
+        cache.put(plan_key_for(graph, other), compile_plan(graph, other))
+        assert len(cache.disk_digests()) == 2
+        assert (graph_file.stat().st_mtime_ns, graph_file.stat().st_ino) == stamp
 
     def test_bad_version_rejected(self, graph, config):
         payload = plan_to_dict(compile_plan(graph, config))
@@ -272,8 +305,8 @@ class TestSharedDiskDir:
         for _ in range(5):
             cache.put(key, plan)
         stray = [
-            p.name for p in shared.iterdir()
-            if not p.name.endswith(".json")
+            p.name for p in shared.rglob("*")
+            if p.is_file() and not p.name.endswith(".json")
         ]
         assert stray == []
 
@@ -282,13 +315,13 @@ class TestSharedDiskDir:
 # hydration against the graph the caller holds
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_held_graph_hydration_matches_standalone(name, config):
-    """Skipping the embedded graph changes nothing but the graph's identity."""
+def test_held_graph_hydration_matches_standalone(name, config, tmp_path):
+    """Reading the stored graph file changes nothing but the graph's identity."""
     graph = load_workload(name)
     compiled = compile_plan(graph, config)
-    payload = json.loads(json.dumps(plan_to_dict(compiled)))
-    held = plan_from_dict(payload, graph)
-    standalone = plan_from_dict(payload)
+    write_plan(tmp_path, "plan", compiled)
+    held = read_plan(tmp_path / "plan.json", graph)
+    standalone = read_plan(tmp_path / "plan.json")
     assert held.graph is graph
     assert held.schedule.graph is graph
     assert standalone.graph is not graph
@@ -334,28 +367,193 @@ class TestHeldGraph:
         assert (cache.stats.hits, cache.stats.misses) == (0, 0)
 
 
+def reversed_edges(graph: TaskGraph) -> TaskGraph:
+    """``graph`` rebuilt with its edges inserted in reverse order."""
+    rebuilt = TaskGraph(name=graph.name, period_hint=graph.period_hint)
+    for op in graph.operations():
+        rebuilt.add_operation(op)
+    for edge in reversed(graph.edges()):
+        rebuilt.add_edge(edge)
+    return rebuilt
+
+
+@pytest.mark.parametrize("name", ["cat", "protein", "randwired-ba-64"])
+def test_hydration_does_not_depend_on_edge_insertion_order(name, config):
+    """The arrays are in sorted edge order, which both graphs share.
+
+    The simulator reads a graph's edges in insertion order (the pFIFO
+    consume order), so the rebuilt graph may simulate the same plan
+    differently from the original; the hydrated plan must simulate
+    exactly as a plan compiled on the rebuilt graph does.
+    """
+    graph = load_workload(name)
+    rebuilt = reversed_edges(graph)
+    assert list(rebuilt.edge_keys()) != list(graph.edge_keys())
+    assert rebuilt.fingerprint() == graph.fingerprint()
+    compiled = compile_plan(graph, config)
+    payload = json.loads(json.dumps(plan_to_dict(compiled)))
+    hydrated = plan_from_dict(payload, rebuilt)
+    assert hydrated.graph is rebuilt
+    assert plan_to_dict(hydrated) == plan_to_dict(compiled)
+    recompiled = compile_plan(rebuilt, config)
+    assert plan_to_dict(recompiled) == plan_to_dict(compiled)
+    executor = ScheduleExecutor(config)
+    assert (
+        executor.execute(hydrated, iterations=20).aggregate_signature()
+        == executor.execute(recompiled, iterations=20).aggregate_signature()
+    )
+
+
 # ----------------------------------------------------------------------
 # malformed payloads: a miss in the cache, a typed error when parsed
 # ----------------------------------------------------------------------
-#: Disk contents that are not a plan, as bytes.
+def _with(payload, section, value):
+    return {**payload, section: value}
+
+
+def _schedule_with(payload, section, value):
+    return _with(payload, "schedule", _with(payload["schedule"], section, value))
+
+
+def _grow(payload, section):
+    """``section`` of the schedule with its last entry repeated."""
+    values = payload["schedule"][section]
+    return _schedule_with(payload, section, values + values[-1:])
+
+
+def _cached(payload, indices):
+    return _with(payload, "allocation", _with(payload["allocation"], "cached", indices))
+
+
+def v1_payload(plan) -> dict:
+    """``plan`` in the version-1 layout: an embedded graph and one record
+    per edge, with the allocation's placements repeated."""
+    schedule, allocation = plan.schedule, plan.allocation
+
+    def records(values, field):
+        return [
+            {"producer": i, "consumer": j, field: getattr(v, "value", v)}
+            for (i, j), v in values.items()
+        ]
+
+    return {
+        "format_version": 1,
+        "config": plan.config.to_dict(),
+        "schedule": {
+            "format_version": 1,
+            "graph": graph_to_dict(plan.graph),
+            "period": schedule.period,
+            "kernel": [
+                {"op_id": p.op_id, "pe": p.pe, "start": p.start, "finish": p.finish}
+                for p in schedule.kernel.placements.values()
+            ],
+            "retiming": {str(k): v for k, v in schedule.retiming.items()},
+            "edge_retiming": records(schedule.edge_retiming, "value"),
+            "placements": records(schedule.placements, "where"),
+            "transfer_times": records(schedule.transfer_times, "units"),
+        },
+        "allocation": {
+            "method": allocation.method,
+            "placements": records(allocation.placements, "where"),
+            "cached": [list(key) for key in allocation.cached],
+            "total_delta_r": allocation.total_delta_r,
+            "slots_used": allocation.slots_used,
+            "capacity_slots": allocation.capacity_slots,
+        },
+        "case_histogram": {
+            str(int(c)): n for c, n in plan.case_histogram.items()
+        },
+        "group_width": plan.group_width,
+        "num_groups": plan.num_groups,
+    }
+
+
+#: A plan payload, or one of its sections, of the wrong shape; or a v2
+#: payload whose arrays or indices do not fit the graph it names.
+WRONG_SHAPES = {
+    "list": lambda valid: [],
+    "null": lambda valid: None,
+    "string": lambda valid: "plan",
+    "schedule-list": lambda valid: _with(valid, "schedule", []),
+    "config-list": lambda valid: _with(valid, "config", []),
+    "allocation-null": lambda valid: _with(valid, "allocation", None),
+    "placements-object": lambda valid: _schedule_with(
+        valid, "placements", {"a": 1}
+    ),
+    "cached-object": lambda valid: _cached(valid, {"a": 1}),
+    "kernel-ints": lambda valid: _schedule_with(valid, "pe", [1, 2]),
+    "retiming-list": lambda valid: _schedule_with(valid, "retiming", []),
+    "retiming-object": lambda valid: _schedule_with(valid, "retiming", {}),
+    "case-histogram-list": lambda valid: _with(valid, "case_histogram", []),
+    "graph-unnamed": lambda valid: _with(valid, "graph", None),
+    "pe-one-short": lambda valid: _schedule_with(
+        valid, "pe", valid["schedule"]["pe"][:-1]
+    ),
+    "finish-one-long": lambda valid: _grow(valid, "finish"),
+    "retiming-one-short": lambda valid: _schedule_with(
+        valid, "retiming", valid["schedule"]["retiming"][:-1]
+    ),
+    "edge-retiming-one-long": lambda valid: _grow(valid, "edge_retiming"),
+    "transfer-times-one-short": lambda valid: _schedule_with(
+        valid, "transfer_times", valid["schedule"]["transfer_times"][:-1]
+    ),
+    "placements-one-short": lambda valid: _schedule_with(
+        valid, "placements", valid["schedule"]["placements"][:-1]
+    ),
+    "placements-one-long": lambda valid: _schedule_with(
+        valid, "placements", valid["schedule"]["placements"] + "e"
+    ),
+    "placement-code-unknown": lambda valid: _schedule_with(
+        valid, "placements", "x" + valid["schedule"]["placements"][1:]
+    ),
+    "cached-index-out-of-range": lambda valid: _cached(
+        valid, [len(valid["schedule"]["placements"])]
+    ),
+    "cached-index-negative": lambda valid: _cached(valid, [-1]),
+    "cached-edge-in-edram": lambda valid: _cached(
+        valid, [valid["schedule"]["placements"].index("e")]
+    ),
+    "foreign-fingerprint": lambda valid: _with(valid, "graph", "0" * 64),
+}
+
+
+def _wrong_shape_file(name):
+    """Bytes of the ``WRONG_SHAPES[name]`` payload of a plan."""
+    def make(plan):
+        valid = json.loads(json.dumps(plan_to_dict(plan)))
+        return json.dumps(WRONG_SHAPES[name](valid)).encode()
+    return make
+
+
+#: Disk contents that are not a v2 plan of the key's graph, as bytes.
 MALFORMED_FILES = {
-    "not-utf8": b"\xff\xfe\x00\x01plan",
-    "list": b"[]",
-    "null": b"null",
-    "schedule-list": b'{"format_version": 1, "schedule": []}',
+    "not-utf8": lambda plan: b"\xff\xfe\x00\x01plan",
+    "list": lambda plan: b"[]",
+    "null": lambda plan: b"null",
+    "schedule-list": lambda plan: json.dumps(
+        _with(plan_to_dict(plan), "schedule", [])
+    ).encode(),
+    "v1": lambda plan: json.dumps(v1_payload(plan)).encode(),
+    **{
+        name: _wrong_shape_file(name)
+        for name in (
+            "pe-one-short", "edge-retiming-one-long", "placement-code-unknown",
+            "cached-index-out-of-range", "foreign-fingerprint",
+        )
+    },
 }
 
 
 @pytest.mark.parametrize(
-    "raw", list(MALFORMED_FILES.values()), ids=list(MALFORMED_FILES)
+    "make", list(MALFORMED_FILES.values()), ids=list(MALFORMED_FILES)
 )
 def test_malformed_disk_payload_is_a_miss_then_recompiles(
-    raw, graph, config, tmp_path
+    make, graph, config, tmp_path
 ):
     cache = PlanCache(capacity=2, disk_dir=tmp_path)
     key = plan_key_for(graph, config)
     path = tmp_path / f"{key.digest}.json"
-    path.write_bytes(raw)
+    path.write_bytes(make(compile_plan(graph, config)))
     assert cache.get(key, graph) is None
     assert (cache.stats.misses, cache.stats.disk_hits) == (1, 0)
     compiles = []
@@ -368,50 +566,66 @@ def test_malformed_disk_payload_is_a_miss_then_recompiles(
     assert compiles == [1]
     assert cache.stats.disk_writes == 1
     assert json.loads(path.read_text()) == json.loads(json.dumps(plan_to_dict(plan)))
+    assert json.loads(path.read_text())["format_version"] == 2
     healed = PlanCache(capacity=2, disk_dir=tmp_path)
     assert healed.get(key, graph) is not None
     assert healed.stats.disk_hits == 1
-
-
-def _with(payload, section, value):
-    return {**payload, section: value}
-
-
-#: A plan payload, or one of its sections, of the wrong shape.
-WRONG_SHAPES = {
-    "list": lambda valid: [],
-    "null": lambda valid: None,
-    "string": lambda valid: "plan",
-    "schedule-list": lambda valid: {"format_version": 1, "schedule": []},
-    "config-list": lambda valid: _with(valid, "config", []),
-    "allocation-null": lambda valid: _with(valid, "allocation", None),
-    "placements-object": lambda valid: _with(
-        valid, "allocation", _with(valid["allocation"], "placements", {"a": 1})
-    ),
-    "kernel-ints": lambda valid: _with(
-        valid, "schedule", _with(valid["schedule"], "kernel", [1, 2])
-    ),
-    "retiming-list": lambda valid: _with(
-        valid, "schedule", _with(valid["schedule"], "retiming", [])
-    ),
-    "case-histogram-list": lambda valid: _with(valid, "case_histogram", []),
-}
 
 
 @pytest.mark.parametrize("held", [False, True], ids=["standalone", "held-graph"])
 @pytest.mark.parametrize(
     "make", list(WRONG_SHAPES.values()), ids=list(WRONG_SHAPES)
 )
-def test_wrong_shape_raises_plan_cache_error(make, held, graph, config):
-    valid = json.loads(json.dumps(plan_to_dict(compile_plan(graph, config))))
+def test_wrong_shape_raises_plan_cache_error(make, held, graph, config, tmp_path):
+    plan = compile_plan(graph, config)
+    write_plan(tmp_path, "plan", plan)
+    valid = json.loads(json.dumps(plan_to_dict(plan)))
+    assert plan_from_dict(valid, None, tmp_path / GRAPH_DIR).graph is not graph
     with pytest.raises(PlanCacheError):
-        plan_from_dict(make(valid), graph if held else None)
+        plan_from_dict(make(valid), graph if held else None, tmp_path / GRAPH_DIR)
 
 
-def test_wrong_shape_embedded_graph_raises_when_parsed(graph, config):
-    valid = json.loads(json.dumps(plan_to_dict(compile_plan(graph, config))))
-    payload = _with(valid, "schedule", _with(valid["schedule"], "graph", []))
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda path: path.unlink(),
+        lambda path: path.write_bytes(b"\xff\xfe\x00"),
+        lambda path: path.write_text("{ torn"),
+        lambda path: path.write_text(json.dumps(graph_to_dict(load_workload("car")))),
+    ],
+    ids=["missing", "not-utf8", "torn", "other-graph"],
+)
+def test_standalone_read_without_its_graph_file_raises(damage, graph, config, tmp_path):
+    write_plan(tmp_path, "plan", compile_plan(graph, config))
+    damage(tmp_path / GRAPH_DIR / f"{graph.fingerprint()}.json")
+    with pytest.raises(PlanCacheError, match=graph.fingerprint()):
+        read_plan(tmp_path / "plan.json")
+    # a held graph needs no graph file
+    assert read_plan(tmp_path / "plan.json", graph).graph is graph
+
+
+def test_wrong_shape_graph_file_raises_when_read(graph, config, tmp_path):
+    write_plan(tmp_path, "plan", compile_plan(graph, config))
+    (tmp_path / GRAPH_DIR / f"{graph.fingerprint()}.json").write_text("[]")
     with pytest.raises(PlanCacheError):
+        read_plan(tmp_path / "plan.json")
+    # a held graph stands in for the graph file, which is not read
+    assert read_plan(tmp_path / "plan.json", graph).graph is graph
+
+
+def test_placements_are_stored_once(graph, config):
+    """The payload keeps the schedule's placements only, so a plan whose
+    allocation disagrees with its schedule cannot be written."""
+    plan = compile_plan(graph, config)
+    key = next(iter(plan.allocation.placements))
+    flipped = dict(plan.allocation.placements)
+    flipped[key] = next(p for p in type(flipped[key]) if p is not flipped[key])
+    plan.allocation.placements = flipped
+    with pytest.raises(PlanCacheError, match="placements"):
+        plan_to_dict(plan)
+
+
+def test_standalone_hydration_needs_a_graph_source(graph, config):
+    payload = plan_to_dict(compile_plan(graph, config))
+    with pytest.raises(PlanCacheError, match=graph.fingerprint()):
         plan_from_dict(payload)
-    # a held graph stands in for the embedded copy, which is not parsed
-    assert plan_from_dict(payload, graph).graph is graph
