@@ -17,11 +17,7 @@ from repro.cnn.workloads import (
     UnknownWorkloadError,
     load_workload,
 )
-from repro.core.allocation import (
-    ALLOCATORS,
-    UnknownAllocatorError,
-    parse_allocator_spec,
-)
+from repro.core.allocation import ALLOCATORS
 from repro.core.baseline import SpartaScheduler
 from repro.core.gantt import render_kernel, render_retiming
 from repro.core.paraconv import ParaConv
@@ -37,15 +33,6 @@ def positive_int(text: str) -> int:
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
     return value
-
-
-def allocator_spec(text: str) -> str:
-    """argparse type: registry name or budgeted spec (``anneal:5000``)."""
-    try:
-        parse_allocator_spec(text)
-    except UnknownAllocatorError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,13 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="steady-state iteration count N (> 0)",
     )
     parser.add_argument(
-        "--allocator", default="dp", type=allocator_spec,
-        metavar="SPEC",
-        help=(
-            "cache-allocation strategy: one of "
-            f"{', '.join(sorted(ALLOCATORS))}; search allocators accept a "
-            "budget suffix, e.g. anneal:5000"
-        ),
+        "--allocator", default="dp", choices=sorted(ALLOCATORS),
+        help="cache-allocation strategy (default: dp)",
     )
     parser.add_argument(
         "--gantt", action="store_true",

@@ -49,18 +49,13 @@ class UnknownAllocatorError(AllocationError, ValueError):
     paths keep working.
     """
 
-    def __init__(self, spec: str, detail: str = ""):
+    def __init__(self, spec: str):
         self.spec = spec
         self.choices = sorted(ALLOCATORS)
-        message = (
+        super().__init__(
             f"unknown allocator {spec!r}; registered: "
-            f"{', '.join(self.choices)} "
-            f"(budgeted allocators also accept a spec suffix, e.g. "
-            f"'anneal:5000' or 'portfolio:5000')"
+            f"{', '.join(self.choices)}"
         )
-        if detail:
-            message = f"{message}: {detail}"
-        super().__init__(message)
 
 
 class AllocatorFactory:
@@ -94,84 +89,19 @@ class AllocatorFactory:
 #: A cache-allocation strategy: AllocationProblem -> AllocationResult.
 Allocator = Callable[["AllocationProblem"], "AllocationResult"]
 
-#: Registry names that accept an evaluation-budget suffix (``name:evals``).
-BUDGETED_ALLOCATORS = frozenset({"anneal", "portfolio"})
+def allocator_from_spec(spec: str) -> Any:
+    """Resolve a registry name to its registry entry.
 
-
-def parse_allocator_spec(spec: str) -> Tuple[str, Optional[int]]:
-    """Parse an allocator spec string into ``(name, budget)``.
-
-    Accepted forms: a bare registry name (``dp``, ``greedy``, ``anneal``)
-    or a budgeted name with an evaluation-count suffix (``anneal:5000``,
-    ``portfolio:800``). Raises :class:`UnknownAllocatorError` for unknown
-    names, budget suffixes on non-budgeted allocators, and malformed or
-    non-positive budgets — always enumerating the registry, mirroring the
-    ``--allocator`` CLI choices.
+    Raises :class:`UnknownAllocatorError`, enumerating the registry, for
+    names it does not hold -- mirroring the ``--allocator`` CLI choices.
     """
     if not isinstance(spec, str):
         raise AllocationError(
             f"allocator spec must be a string, got {type(spec).__name__}"
         )
-    name, _, suffix = spec.partition(":")
-    if name not in ALLOCATORS:
+    if spec not in ALLOCATORS:
         raise UnknownAllocatorError(spec)
-    if not suffix:
-        if ":" in spec:
-            raise UnknownAllocatorError(spec, "empty budget suffix")
-        return name, None
-    if name not in BUDGETED_ALLOCATORS:
-        raise UnknownAllocatorError(
-            spec,
-            f"{name!r} does not take a budget (budgeted: "
-            f"{', '.join(sorted(BUDGETED_ALLOCATORS))})",
-        )
-    try:
-        budget = int(suffix)
-    except ValueError:
-        raise UnknownAllocatorError(
-            spec, f"budget {suffix!r} is not an integer"
-        ) from None
-    if budget < 0:
-        raise UnknownAllocatorError(spec, f"budget must be >= 0, got {budget}")
-    return name, budget
-
-
-def allocator_from_spec(spec: str) -> Any:
-    """Resolve a spec string to a registry entry or a budgeted instance.
-
-    Bare names return the registry entry itself; budgeted specs construct
-    a fresh instance with that evaluation budget (deterministic default
-    seed), so two sessions asking for ``anneal:500`` get equal-behaving
-    allocators.
-    """
-    name, budget = parse_allocator_spec(spec)
-    if budget is None:
-        return ALLOCATORS[name]
-    from repro.core.search import AllocatorPortfolio, AnnealAllocator
-
-    if name == "anneal":
-        return AnnealAllocator(max_evals=budget)
-    return AllocatorPortfolio(max_evals=budget)
-
-
-def canonical_allocator_spec(spec: str) -> str:
-    """Normalize a spec for identity purposes (plan-cache keys).
-
-    Budgeted allocators always render with an explicit budget
-    (``anneal`` -> ``anneal:2000``), so a plan compiled under the default
-    budget and one compiled under ``anneal:2000`` share a cache entry,
-    while every distinct budget keys a distinct plan. Non-budgeted names
-    pass through unchanged — healthy ``dp`` keys stay byte-identical to
-    every release before the search allocator existed.
-    """
-    name, budget = parse_allocator_spec(spec)
-    if name not in BUDGETED_ALLOCATORS:
-        return name
-    if budget is None:
-        from repro.core.search import DEFAULT_SEARCH_BUDGET
-
-        budget = DEFAULT_SEARCH_BUDGET
-    return f"{name}:{budget}"
+    return ALLOCATORS[spec]
 
 
 def resolve_allocator(
@@ -181,7 +111,7 @@ def resolve_allocator(
 ) -> Allocator:
     """Resolve a registry entry / user-supplied allocator to a callable.
 
-    * **string spec** (``"dp"``, ``"anneal:5000"``): looked up / built via
+    * **registry name** (``"dp"``): looked up via
       :func:`allocator_from_spec`, then resolved like the entry it names;
       unknown names raise :class:`UnknownAllocatorError` enumerating the
       registry.

@@ -210,9 +210,8 @@ class ParaConv:
         if allocator is not None and allocator_name is not None:
             raise ValueError("pass either allocator or allocator_name, not both")
         if allocator_name is not None:
-            # Accepts budgeted specs too (``anneal:5000``); unknown names
-            # raise UnknownAllocatorError (a ValueError) listing the
-            # registry, mirroring the --allocator CLI choices.
+            # Unknown names raise UnknownAllocatorError (a ValueError)
+            # listing the registry, mirroring the --allocator CLI choices.
             allocator = allocator_from_spec(allocator_name)
         self.config = config
         self.allocator = allocator if allocator is not None else dp_allocate

@@ -78,7 +78,6 @@ class ProfitTable:
         keys: item edge keys, in the problem's deadline order.
         slots: ``int64`` array of space requirements ``sp_m``.
         delta_r: ``int64`` array of profits ``ΔR(m)``.
-        deadlines: ``int64`` array of deadlines ``d_m``.
         slots_list / delta_list: plain-``int`` mirrors of the arrays for
             scalar hot loops (numpy item access costs more than a list
             index; vector ops cost far less than a Python loop -- the
@@ -86,8 +85,7 @@ class ProfitTable:
     """
 
     __slots__ = (
-        "keys", "slots", "delta_r", "deadlines",
-        "slots_list", "delta_list", "_index_of",
+        "keys", "slots", "delta_r", "slots_list", "delta_list", "_index_of",
     )
 
     def __init__(self, items: Sequence) -> None:
@@ -96,9 +94,6 @@ class ProfitTable:
         self.delta_list: List[int] = [item.delta_r for item in items]
         self.slots = np.asarray(self.slots_list, dtype=np.int64)
         self.delta_r = np.asarray(self.delta_list, dtype=np.int64)
-        self.deadlines = np.asarray(
-            [item.deadline for item in items], dtype=np.int64
-        )
         self._index_of = {key: i for i, key in enumerate(self.keys)}
 
     @classmethod
@@ -118,9 +113,6 @@ class ProfitTable:
     @property
     def num_items(self) -> int:
         return len(self.keys)
-
-    def index_of(self, key: EdgeKey) -> int:
-        return self._index_of[key]
 
     def member_mask(self, keys: Sequence[EdgeKey]):
         """Boolean membership column for a key collection."""

@@ -37,9 +37,9 @@ other member) on the same instance and keeps the best feasible answer —
 the deployment shape: exact where exactness holds, search where it bends.
 
 Both register in :data:`repro.core.allocation.ALLOCATORS` under
-``anneal`` / ``portfolio`` and accept a budget suffix through the
-allocator-spec syntax (``anneal:5000``) parsed by
-:func:`repro.core.allocation.parse_allocator_spec`.
+``anneal`` / ``portfolio`` with the default budget; another budget means
+constructing an instance (``AnnealAllocator(max_evals=5000)``) and
+passing it as the allocator.
 """
 
 from __future__ import annotations
@@ -388,8 +388,7 @@ def register_search() -> None:
 
     Registered as *instances* (plain callables), so the resolver and the
     differential oracle invoke them like any ``problem -> result``
-    allocator; budgets are customized through the ``anneal:<evals>`` /
-    ``portfolio:<evals>`` spec syntax, which constructs fresh instances.
+    allocator, at :data:`DEFAULT_SEARCH_BUDGET`.
     """
     ALLOCATORS.setdefault("anneal", AnnealAllocator())
     ALLOCATORS.setdefault("portfolio", AllocatorPortfolio())

@@ -74,13 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
         "enables executor-measured columns",
     )
     parser.add_argument(
-        "--search-budgets", type=int, nargs="*", metavar="N", default=None,
-        help="with the 'ablation' experiment: also emit the search-"
-             "allocator quality-vs-budget table at these evaluation "
-             "budgets (no values: the default ladder 0 100 500 2000), "
-             "swept over healthy, degraded and partitioned machines",
-    )
-    parser.add_argument(
         "--out", default="paraconv_report.md",
         help="output path for the 'report' experiment",
     )
@@ -156,17 +149,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         sections.append(render_figure6(run_figure6(config, benchmarks=args.benchmarks)))
     if "ablation" in wants:
         sections.append(render_ablation(run_ablation(config, benchmarks=args.benchmarks)))
-        if args.search_budgets is not None:
-            from repro.eval.ablation import (
-                render_search_ablation,
-                run_search_ablation,
-            )
-
-            sections.append(render_search_ablation(run_search_ablation(
-                config,
-                benchmarks=args.benchmarks,
-                budgets=args.search_budgets,
-            )))
     if "validation" in wants:
         kwargs = {"benchmarks": args.benchmarks} if args.benchmarks else {}
         sections.append(render_validation(run_validation(

@@ -90,119 +90,6 @@ def run_ablation(
     return rows
 
 
-@dataclass(frozen=True)
-class SearchAblationRow:
-    """Search quality vs compile budget on one (benchmark, variant) pair.
-
-    ``budget_profits`` is the *greedy-seeded* annealer's profit per ladder
-    budget — the curve that shows the walk climbing from a weak start
-    toward the optimum. ``anneal_profit`` is the production (DP-seeded)
-    allocator at the default budget, which by the anytime lower bound
-    never sits below ``dp_profit``. ``oracle_profit`` is the brute-force
-    optimum when the instance is enumerable, else None.
-    """
-
-    benchmark: str
-    variant: str
-    num_items: int
-    capacity_slots: int
-    dp_profit: int
-    greedy_profit: int
-    anneal_profit: int
-    budget_profits: Dict[int, int]
-    oracle_profit: Optional[int]
-
-
-def run_search_ablation(
-    base_config: Optional[PimConfig] = None,
-    benchmarks: Optional[Sequence[str]] = None,
-    pes: int = 32,
-    budgets: Optional[Sequence[int]] = None,
-    seed: int = 0,
-    oracle_limit: int = 16,
-) -> List[SearchAblationRow]:
-    """Quality-vs-budget sweep: benchmarks x machine variants x budgets."""
-    from repro.core.allocation import dp_allocate, greedy_allocate
-    from repro.core.search import AnnealAllocator
-    from repro.verify.differential_search import (
-        DEFAULT_BUDGET_LADDER,
-        allocation_instance,
-        machine_variants,
-    )
-    from repro.verify.oracle import OracleSizeError, exhaustive_allocate
-
-    config = (base_config or PimConfig()).with_pes(pes)
-    names = (
-        list(benchmarks) if benchmarks is not None else list(PAPER_BENCHMARKS)
-    )
-    ladder = sorted(set(budgets if budgets else DEFAULT_BUDGET_LADDER))
-    rows: List[SearchAblationRow] = []
-    for name in names:
-        graph = load_workload(name)
-        for label, machine in machine_variants(config):
-            problem, _ = allocation_instance(graph, machine)
-            try:
-                oracle_profit = exhaustive_allocate(
-                    problem, limit=oracle_limit
-                ).total_delta_r
-            except OracleSizeError:
-                oracle_profit = None
-            rows.append(
-                SearchAblationRow(
-                    benchmark=name,
-                    variant=label,
-                    num_items=problem.num_items,
-                    capacity_slots=problem.capacity_slots,
-                    dp_profit=dp_allocate(problem).total_delta_r,
-                    greedy_profit=greedy_allocate(problem).total_delta_r,
-                    anneal_profit=AnnealAllocator(seed=seed)(
-                        problem
-                    ).total_delta_r,
-                    budget_profits={
-                        budget: AnnealAllocator(
-                            max_evals=budget, seed=seed, seed_from="greedy"
-                        )(problem).total_delta_r
-                        for budget in ladder
-                    },
-                    oracle_profit=oracle_profit,
-                )
-            )
-    return rows
-
-
-def render_search_ablation(rows: Sequence[SearchAblationRow]) -> str:
-    """Render the search quality-vs-budget table.
-
-    The ``b=N`` columns are the greedy-seeded climb; ``anneal`` is the
-    production DP-seeded allocator; ``opt`` is the brute-force optimum
-    (blank when the instance is too large to enumerate).
-    """
-    ladder = sorted(
-        {budget for row in rows for budget in row.budget_profits}
-    )
-    headers = (
-        ["benchmark", "variant", "n", "S", "dp", "greedy"]
-        + [f"b={budget}" for budget in ladder]
-        + ["anneal", "opt"]
-    )
-    body: List[List[object]] = []
-    for row in rows:
-        body.append(
-            [row.benchmark, row.variant, row.num_items, row.capacity_slots,
-             row.dp_profit, row.greedy_profit]
-            + [row.budget_profits.get(budget, "") for budget in ladder]
-            + [row.anneal_profit,
-               row.oracle_profit if row.oracle_profit is not None else ""]
-        )
-    return format_table(
-        headers, body,
-        title=(
-            "Ablation A2: search-allocator profit vs compile budget "
-            "(greedy-seeded climb; healthy/degraded/partitioned machines)"
-        ),
-    )
-
-
 def render_ablation(rows: Sequence[AblationRow]) -> str:
     strategies = list(next(iter(rows)).cells) if rows else []
     headers = ["benchmark"]

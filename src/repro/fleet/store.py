@@ -5,7 +5,8 @@ format, version 2) shared by every worker in a fleet: a plan compiled on
 *any* shard is published here and becomes a warm disk hit for every
 other shard that ever needs it — compile once, warm everywhere. The
 directory holds one ``<digest>.json`` per plan and, under ``graphs/``,
-one ``<fingerprint>.json`` per graph, written once, when absent. A plan
+one ``<fingerprint>.json`` per graph, written when absent (a reader
+deletes one that does not load, so the next write repairs it). A plan
 names its graph by fingerprint; workers hydrate plans against the graph
 they hold, and :meth:`SharedPlanStore.get`, which holds none, reads the
 graph file. Plan listings (:meth:`SharedPlanStore.digests`, ``len``,

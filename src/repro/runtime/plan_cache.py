@@ -16,9 +16,11 @@ restarted server warms from disk instead of re-running the dynamic
 program. All hit/miss/eviction traffic is counted.
 
 The disk tier (payload format version 2) holds one ``<digest>.json`` per
-plan and one ``graphs/<fingerprint>.json`` per graph, written once, when
-absent. A plan payload names its graph by ``TaskGraph.fingerprint()``
-instead of embedding it, and holds the schedule in the
+plan and one ``graphs/<fingerprint>.json`` per graph, written when
+absent. A graph file that does not load as its fingerprint is deleted by
+the reader that finds it, so the next write of that graph replaces it.
+A plan payload names its graph by ``TaskGraph.fingerprint()`` instead
+of embedding it, and holds the schedule in the
 :mod:`repro.core.schedule_io` layout: a few flat arrays in sorted op-id
 and sorted edge-key order. The allocation keeps only what the schedule
 does not hold (its cached edges, as indices into that edge order).
@@ -276,18 +278,31 @@ def _load_graph(graph_dir: Path, fingerprint: str) -> TaskGraph:
     """The graph stored as ``graph_dir/<fingerprint>.json``.
 
     Raises :class:`PlanCacheError` when the file is missing, does not
-    parse, or holds a graph with another fingerprint.
+    parse, or holds a graph with another fingerprint. A file that exists
+    but does not load as its fingerprint is deleted first, so the next
+    :func:`write_plan` of that graph publishes it again.
     """
+    path = graph_dir / f"{fingerprint}.json"
     try:
-        graph = graph_from_json(graph_dir / f"{fingerprint}.json")
+        graph = graph_from_json(path)
+    except FileNotFoundError as exc:
+        raise PlanCacheError(f"graph {fingerprint} unreadable: {exc}") from exc
     except (OSError, ValueError) as exc:
         # ValueError covers GraphValidationError, which also wraps bad JSON.
+        _drop(path)
         raise PlanCacheError(f"graph {fingerprint} unreadable: {exc}") from exc
     if graph.fingerprint() != fingerprint:
+        _drop(path)
         raise PlanCacheError(
             f"graph file {fingerprint}.json holds graph {graph.fingerprint()}"
         )
     return graph
+
+
+def _drop(path: Path) -> None:
+    """Delete a bad store file; a concurrent reader may have done so."""
+    with contextlib.suppress(OSError):
+        path.unlink()
 
 
 def read_plan(path: Path, graph: Optional[TaskGraph] = None) -> ParaConvResult:
@@ -333,7 +348,8 @@ def write_plan(directory: Path, digest: str, plan: ParaConvResult) -> None:
 
     Its graph is published first, as ``graphs/<fingerprint>.json``, and
     only when that file is absent (both directories are created as
-    needed), so a reader that finds the plan finds its graph.
+    needed; a bad one was deleted by whoever failed to load it), so a
+    reader that finds the plan finds its graph.
     Last-writer-wins on the plan is benign: equal keys always serialize
     identical plans.
     """
@@ -569,7 +585,10 @@ class PlanCache:
             plan = read_plan(path, graph)
         except PlanCacheError:
             # A corrupt, unreadable or stale file must degrade to a miss,
-            # never poison serving.
+            # never poison serving. The recompile that follows republishes
+            # the graph file too, if loading it here finds it bad.
+            with contextlib.suppress(PlanCacheError):
+                _load_graph(self.disk_dir / GRAPH_DIR, graph.fingerprint())
             return None
         if self.verify_on_load and not self._plan_verifies(plan):
             self.stats.verify_failures += 1

@@ -143,10 +143,9 @@ class InferenceSession:
         graph: the workload's task graph.
         config: machine description; its ``iterations`` field only affects
             the width search's objective (as in the one-shot pipeline).
-        allocator: allocator spec -- a registry name (``dp`` by default)
-            or a budgeted spec such as ``anneal:5000``; budgeted specs are
-            normalized to ``name:budget`` form so the plan-cache key
-            includes the search budget.
+        allocator: allocator registry name (``dp`` by default); an
+            unknown name raises
+            :class:`~repro.core.allocation.UnknownAllocatorError`.
         kernel_order: kernel packing order knob (ablation); an unknown
             order raises :class:`~repro.compiler.PipelineConfigError`.
         liveness_aware: liveness-corrected allocation pass.
@@ -201,12 +200,10 @@ class InferenceSession:
         retry_backoff_seconds: float = 0.0,
         sleep: Optional[Callable[[float], None]] = None,
     ):
-        from repro.core.allocation import canonical_allocator_spec
+        from repro.core.allocation import allocator_from_spec
 
-        # Validates the spec (UnknownAllocatorError is a ValueError) and
-        # normalizes budgeted allocators to ``name:budget`` so two sessions
-        # with different search budgets never share a plan-cache entry.
-        allocator = canonical_allocator_spec(allocator)
+        # UnknownAllocatorError is a ValueError.
+        allocator_from_spec(allocator)
         check_kernel_order(kernel_order)
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")

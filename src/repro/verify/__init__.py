@@ -8,7 +8,9 @@ The schedule instruments check compiled plans directly:
   accounting) and returns a structured :class:`VerificationReport`.
 * :func:`exhaustive_allocate` / :func:`differential_check` — a brute-force
   subset oracle that pins the DP allocator to the true optimum on small
-  instances and to dominance relations on large ones.
+  instances and to dominance relations on large ones;
+  :func:`~repro.verify.oracle.view_differentials` runs it on every
+  machine view (healthy, degraded, shards).
 * :func:`inject_faults` / :func:`fault_detection_report` — a seeded
   mutation corpus that scores the validator's ability to catch every
   class of planted invariant violation.

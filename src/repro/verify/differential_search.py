@@ -18,7 +18,9 @@ them to all three on real compiled instances:
    must pass the complete :class:`repro.verify.validator.ScheduleValidator`
    battery, on the healthy machine *and* on degraded
    (:meth:`repro.pim.config.PimConfig.degraded`) and partitioned
-   (:meth:`~repro.pim.config.PimConfig.split`) variants.
+   (:meth:`~repro.pim.config.PimConfig.split`) variants -- the views of
+   :func:`repro.verify.oracle.machine_variants`, on which the schedule
+   battery holds the DP itself to the oracle.
 
 The annealing walk's exact answers (placements and
 :class:`~repro.core.search.SearchStats`) are pinned separately by
@@ -35,9 +37,8 @@ import argparse
 from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cnn.workloads import load_workload
-from repro.core.allocation import AllocationProblem, dp_allocate
+from repro.core.allocation import dp_allocate
 from repro.core.paraconv import ParaConv
-from repro.core.retiming import analyze_edges
 from repro.core.search import AllocatorPortfolio, AnnealAllocator
 from repro.graph.taskgraph import TaskGraph
 from repro.pim.config import PimConfig
@@ -53,7 +54,9 @@ from repro.verify.harness import (
 from repro.verify.oracle import (
     DEFAULT_EXHAUSTIVE_LIMIT,
     OracleSizeError,
+    allocation_instance,
     exhaustive_allocate,
+    machine_variants,
 )
 from repro.verify.validator import ScheduleValidator
 
@@ -61,47 +64,6 @@ from repro.verify.validator import ScheduleValidator
 #: degenerate 0-eval run (must return the DP seed verbatim) and the
 #: default production budget.
 DEFAULT_BUDGET_LADDER: Tuple[int, ...] = (0, 100, 500, 2000)
-
-
-def machine_variants(
-    config: PimConfig, shards: int = 2
-) -> List[Tuple[str, PimConfig]]:
-    """The machine views the search battery sweeps.
-
-    ``healthy`` is the config itself; ``degraded`` drops the highest-id PE
-    (the canonical single-fault view); ``shard-i`` are the contiguous
-    :meth:`~repro.pim.config.PimConfig.split` partitions. Degenerate
-    machines (a single PE cannot lose one, nor be split) contribute only
-    the views that exist.
-    """
-    variants: List[Tuple[str, PimConfig]] = [("healthy", config)]
-    if config.num_pes > 1:
-        variants.append(
-            ("degraded", config.degraded(list(range(config.num_pes - 1))))
-        )
-    if config.num_pes >= shards:
-        for index, shard in enumerate(config.split(shards)):
-            variants.append((f"shard-{index}", shard))
-    return variants
-
-
-def allocation_instance(
-    graph: TaskGraph, config: PimConfig
-) -> Tuple[AllocationProblem, int]:
-    """Compile the DP plan and rebuild its allocation instance.
-
-    Mirrors the oracle-differential stage of the verification runner: the
-    instance the allocators are compared on is the one the *pipeline*
-    actually solved (same kernel, same per-group capacity), not a
-    synthetic stand-in. Returns ``(problem, group_width)``.
-    """
-    plan = ParaConv(config, validate=False).run(graph)
-    kernel = plan.schedule.kernel
-    timings = analyze_edges(graph, kernel, config)
-    capacity = config.total_cache_slots // plan.num_groups
-    return AllocationProblem.from_timings(timings, capacity), plan.group_width
-
-
 
 
 def search_verdict(facts: Mapping[str, Any]) -> List[str]:

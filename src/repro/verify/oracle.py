@@ -11,13 +11,15 @@ On instances too large to enumerate, optimality degrades to *dominance*:
 the DP's profit must be at least every polynomial baseline's (greedy,
 random, all-eDRAM) and at most the capacity-oblivious oracle's upper
 bound. :func:`differential_check` runs both modes and returns a structured
-:class:`DifferentialReport`.
+:class:`DifferentialReport`; :func:`view_differentials` runs it on the
+instance a compiled plan solved, on every machine view of
+:func:`machine_variants` (healthy, degraded, shards).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.allocation import (
     ALLOCATORS,
@@ -25,7 +27,11 @@ from repro.core.allocation import (
     AllocationResult,
     dp_allocate,
 )
+from repro.core.paraconv import ParaConv, ParaConvResult
 from repro.core.profit import ProfitTable, np
+from repro.core.retiming import analyze_edges
+from repro.graph.taskgraph import TaskGraph
+from repro.pim.config import PimConfig
 
 #: Largest item count enumerated exhaustively (2^n subsets).
 DEFAULT_EXHAUSTIVE_LIMIT = 16
@@ -60,8 +66,8 @@ def exhaustive_allocate(
     Every subset is one row of a ``(2^n, n)`` bit matrix; profits and
     slot totals fall out of two matrix products on the
     :class:`~repro.core.profit.ProfitTable` columns. Its verdicts on the
-    search battery's enumerable instances are pinned by
-    ``tests/golden/oracle_verdicts.json``.
+    enumerable instances of every paper benchmark's machine views are
+    pinned by ``tests/golden/oracle_verdicts.json``.
 
     Raises :class:`OracleSizeError` beyond ``limit`` items — the caller
     should fall back to dominance checking — and for a ``limit`` above
@@ -208,3 +214,66 @@ def differential_check(
                 f"({result.total_delta_r})"
             )
     return report
+
+
+def machine_variants(
+    config: PimConfig, shards: int = 2
+) -> List[Tuple[str, PimConfig]]:
+    """The machine views the DP is held to the oracle on.
+
+    ``healthy`` is the config itself; ``degraded`` drops the highest-id PE
+    (the canonical single-fault view); ``shard-i`` are the contiguous
+    :meth:`~repro.pim.config.PimConfig.split` partitions. Degenerate
+    machines (a single PE cannot lose one, nor be split) contribute only
+    the views that exist.
+    """
+    variants: List[Tuple[str, PimConfig]] = [("healthy", config)]
+    if config.num_pes > 1:
+        variants.append(
+            ("degraded", config.degraded(list(range(config.num_pes - 1))))
+        )
+    if config.num_pes >= shards:
+        for index, shard in enumerate(config.split(shards)):
+            variants.append((f"shard-{index}", shard))
+    return variants
+
+
+def allocation_instance(
+    graph: TaskGraph,
+    config: PimConfig,
+    plan: Optional[ParaConvResult] = None,
+) -> Tuple[AllocationProblem, int]:
+    """The allocation instance the DP plan of ``graph`` solved.
+
+    The instance the oracle checks is the one the *pipeline* actually
+    solved (same kernel, same per-group capacity), not a synthetic
+    stand-in. ``plan`` is that DP plan when the caller already compiled
+    it on ``config``. Returns ``(problem, group_width)``.
+    """
+    if plan is None:
+        plan = ParaConv(config, validate=False).run(graph)
+    timings = analyze_edges(graph, plan.schedule.kernel, config)
+    capacity = config.total_cache_slots // plan.num_groups
+    return AllocationProblem.from_timings(timings, capacity), plan.group_width
+
+
+def view_differentials(
+    graph: TaskGraph,
+    config: PimConfig,
+    exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
+    plan: Optional[ParaConvResult] = None,
+) -> Dict[str, DifferentialReport]:
+    """:func:`differential_check` on every view of :func:`machine_variants`.
+
+    ``plan`` is the DP plan on the healthy ``config`` when the caller
+    already compiled it; every other view compiles its own.
+    """
+    return {
+        label: differential_check(
+            allocation_instance(
+                graph, view, plan if label == "healthy" else None
+            )[0],
+            exhaustive_limit=exhaustive_limit,
+        )
+        for label, view in machine_variants(config)
+    }

@@ -3,10 +3,11 @@
 The schedule battery ties the three schedule instruments together over
 the paper's workloads: for every (benchmark, allocator) pair the full
 pipeline is run and the resulting plan pushed through the
-:class:`ScheduleValidator`; per benchmark the allocation instance is
-differentially checked against the brute-force oracle (or dominance on
-large instances); and per benchmark a seeded fault-injection corpus
-scores the validator's detection rate.
+:class:`ScheduleValidator`; per benchmark the DP's allocation instance on
+every machine view (healthy, degraded, shards) is differentially checked
+against the brute-force oracle (or dominance on large instances); and per
+benchmark a seeded fault-injection corpus scores the validator's
+detection rate.
 
 :data:`BATTERIES` lists it together with the differential batteries, in
 the order ``python -m repro.verify`` runs them.
@@ -19,9 +20,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.cnn.workloads import load_workload
-from repro.core.allocation import ALLOCATORS, AllocationProblem
+from repro.core.allocation import ALLOCATORS
 from repro.core.paraconv import ParaConv, ParaConvResult
-from repro.core.retiming import analyze_edges
 from repro.graph.generators import BENCHMARK_SIZES
 from repro.graph.taskgraph import TaskGraph
 from repro.pim.config import PimConfig
@@ -45,7 +45,7 @@ from repro.verify.oracle import (
     DEFAULT_EXHAUSTIVE_LIMIT,
     MAX_EXHAUSTIVE_LIMIT,
     DifferentialReport,
-    differential_check,
+    view_differentials,
 )
 from repro.verify.validator import ScheduleValidator
 from repro.verify.violations import VerificationReport
@@ -57,7 +57,8 @@ class WorkloadVerification:
 
     workload: str
     reports: Dict[str, VerificationReport] = field(default_factory=dict)
-    differential: Optional[DifferentialReport] = None
+    #: DP vs the oracle per machine view (empty when the stage is off).
+    differentials: Dict[str, DifferentialReport] = field(default_factory=dict)
     faults: Optional[FaultDetectionReport] = None
 
     @property
@@ -77,14 +78,15 @@ class WorkloadVerification:
             report.failures.extend(
                 f"{name}: {violation}" for violation in verdict.errors()
             )
-        if self.differential is not None:
-            report.facts["oracle"] = (
-                "exhaustive"
-                if self.differential.exhaustive_checked
-                else "dominance"
+        if self.differentials:
+            report.facts["oracle"] = ",".join(
+                f"{view}:"
+                f"{'exhaustive' if diff.exhaustive_checked else 'dominance'}"
+                for view, diff in self.differentials.items()
             )
+        for view, diff in self.differentials.items():
             report.failures.extend(
-                f"oracle: {text}" for text in self.differential.failures
+                f"oracle[{view}]: {text}" for text in diff.failures
             )
         if self.faults is not None:
             detected = len(self.faults.detected)
@@ -139,12 +141,8 @@ def verify_workload(
         outcome.reports[name] = validator.validate(plan)
 
     if with_differential:
-        kernel = dp_plan.schedule.kernel
-        timings = analyze_edges(graph, kernel, config)
-        capacity = config.total_cache_slots // dp_plan.num_groups
-        problem = AllocationProblem.from_timings(timings, capacity)
-        outcome.differential = differential_check(
-            problem, exhaustive_limit=oracle_limit
+        outcome.differentials = view_differentials(
+            graph, config, exhaustive_limit=oracle_limit, plan=dp_plan
         )
     if with_faults:
         outcome.faults = fault_detection_report(
@@ -222,8 +220,9 @@ def run_schedule_battery(
 SCHEDULE_BATTERY = Battery(
     name="schedule",
     help="validate every benchmark x allocator plan against the paper's "
-         "invariants, hold the DP allocator to the brute-force oracle and "
-         "score the validator on an injected-fault corpus",
+         "invariants, hold the DP allocator to the brute-force oracle on "
+         "the healthy, degraded and shard views of the machine, and score "
+         "the validator on an injected-fault corpus",
     run=run_schedule_battery,
     options=(
         option("--oracle-limit", type=oracle_limit,

@@ -60,7 +60,7 @@ SOURCES = st.one_of(
 )
 NUM_PES = st.sampled_from((1, 4, 16, 64))
 ITERATIONS = st.sampled_from((1, 7, 1000))
-ALLOCATORS = st.sampled_from(("dp", "anneal:50"))
+ALLOCATORS = st.sampled_from(("dp", "greedy", "iterative"))
 KERNEL_ORDER = st.sampled_from(KERNEL_ORDERS)
 #: Every workload's results are under 8192 bytes, so on the default
 #: machine every edge is below one cache unit; finer units give the

@@ -101,7 +101,7 @@ class TestPipelineIntegration:
 
 
 class TestAllocatorSpecs:
-    """String specs: names, budget suffixes, and the typed error path."""
+    """String specs: registry names and the typed error path."""
 
     def test_bare_name_resolves_to_registry_entry(self, analysis):
         graph, timings = analysis
@@ -130,54 +130,18 @@ class TestAllocatorSpecs:
         assert issubclass(UnknownAllocatorError, ValueError)
         assert issubclass(UnknownAllocatorError, AllocationError)
 
-    def test_parse_allocator_spec(self):
+    @pytest.mark.parametrize("spec", ["anneal:5000", "portfolio:", "dp:100"])
+    def test_budgeted_specs_are_unknown(self, spec):
+        """A spec is a plain registry name: no budget suffix."""
         from repro.core.allocation import (
             UnknownAllocatorError,
-            parse_allocator_spec,
+            allocator_from_spec,
         )
 
-        assert parse_allocator_spec("dp") == ("dp", None)
-        assert parse_allocator_spec("anneal") == ("anneal", None)
-        assert parse_allocator_spec("anneal:5000") == ("anneal", 5000)
-        assert parse_allocator_spec("portfolio:800") == ("portfolio", 800)
-        for bad in ("dp:100", "anneal:", "anneal:many", "anneal:-1", "nope"):
-            with pytest.raises(UnknownAllocatorError):
-                parse_allocator_spec(bad)
-
-    def test_canonical_spec_normalizes_budgets(self):
-        from repro.core.allocation import canonical_allocator_spec
-        from repro.core.search import DEFAULT_SEARCH_BUDGET
-
-        assert canonical_allocator_spec("dp") == "dp"
-        assert (
-            canonical_allocator_spec("anneal")
-            == f"anneal:{DEFAULT_SEARCH_BUDGET}"
-        )
-        assert canonical_allocator_spec("anneal:500") == "anneal:500"
-        assert (
-            canonical_allocator_spec("portfolio")
-            == f"portfolio:{DEFAULT_SEARCH_BUDGET}"
-        )
-
-    def test_budgeted_spec_builds_fresh_instance(self, analysis):
-        from repro.core.search import AnnealAllocator
-
-        graph, timings = analysis
-        allocator = resolve_allocator("anneal:123", graph, timings)
-        assert isinstance(allocator, AnnealAllocator)
-        assert allocator.max_evals == 123
-        assert allocator is not ALLOCATORS["anneal"]
-
-    def test_pipeline_accepts_budgeted_spec(self, figure2_graph, small_config):
-        by_spec = ParaConv(
-            small_config, allocator_name="anneal:300"
-        ).run_at_width(figure2_graph, 2)
-        by_dp = ParaConv(small_config).run_at_width(figure2_graph, 2)
-        assert (
-            by_spec.allocation.total_delta_r
-            >= by_dp.allocation.total_delta_r
-        )
-        assert by_spec.compile_stats.search["budget"] == 300
+        with pytest.raises(UnknownAllocatorError) as excinfo:
+            allocator_from_spec(spec)
+        assert excinfo.value.choices == sorted(ALLOCATORS)
+        assert "budget" not in str(excinfo.value)
 
     def test_pipeline_rejects_unknown_spec(self, figure2_graph, small_config):
         with pytest.raises(ValueError):

@@ -53,8 +53,6 @@ class TestConstruction:
             assert table.keys[index] == item.key
             assert table.slots_list[index] == item.slots
             assert table.delta_list[index] == item.delta_r
-            assert int(table.deadlines[index]) == item.deadline
-            assert table.index_of(item.key) == index
 
 
 class TestScoring:

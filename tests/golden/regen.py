@@ -81,12 +81,13 @@ from repro.runtime.plan_cache import plan_to_dict
 from repro.sim.executor import PeFaultError, ScheduleExecutor, _ScheduleRun
 from repro.sim.modes import SimMode
 from repro.sim.sinks import NullSink
-from repro.verify.differential_search import (
-    DEFAULT_BUDGET_LADDER,
+from repro.verify.differential_search import DEFAULT_BUDGET_LADDER
+from repro.verify.oracle import (
+    DEFAULT_EXHAUSTIVE_LIMIT,
     allocation_instance,
+    exhaustive_allocate,
     machine_variants,
 )
-from repro.verify.oracle import DEFAULT_EXHAUSTIVE_LIMIT, exhaustive_allocate
 
 _HERE = Path(__file__).resolve().parent
 

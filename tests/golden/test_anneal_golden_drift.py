@@ -17,10 +17,8 @@ import pytest
 
 from repro.graph.generators import BENCHMARK_SIZES
 from repro.pim.config import PimConfig
-from repro.verify.differential_search import (
-    DEFAULT_BUDGET_LADDER,
-    machine_variants,
-)
+from repro.verify.differential_search import DEFAULT_BUDGET_LADDER
+from repro.verify.oracle import machine_variants
 
 from tests.golden.regen import (
     ANNEAL_GOLDEN_PATH,

@@ -613,6 +613,37 @@ def test_wrong_shape_graph_file_raises_when_read(graph, config, tmp_path):
     assert read_plan(tmp_path / "plan.json", graph).graph is graph
 
 
+@pytest.mark.parametrize("plan_too", [False, True], ids=["graph", "graph-and-plan"])
+def test_one_recompile_heals_a_corrupt_graph_file(
+    plan_too, graph, config, tmp_path, capsys
+):
+    """A bad graph file is dropped by the first load that rejects it, so
+    the recompile that follows publishes it again."""
+    from repro.fleet.store import SharedPlanStore
+    from repro.runtime.__main__ import main as runtime_main
+
+    store = SharedPlanStore(tmp_path)
+    key = plan_key_for(graph, config)
+    store.put(key, compile_plan(graph, config))
+    for path in (tmp_path / GRAPH_DIR).glob("*.json"):
+        path.write_bytes(b"\xff\xfe\x00")
+    if plan_too:
+        (tmp_path / f"{key.digest}.json").write_bytes(b"\xff\xfe\x00")
+        # A worker's cache holds the graph: the bad plan is a miss.
+        cache = store.open_cache()
+        cache.get_or_compile(key, graph, lambda: compile_plan(graph, config))
+        assert cache.stats.misses == 1
+    else:
+        # Only the standalone reader loads the graph file.
+        assert store.get(key) is None
+        store.put(key, compile_plan(graph, config))
+    assert store.get(key) is not None
+    capsys.readouterr()
+    assert runtime_main(["stats", "--disk", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "UNREADABLE" not in out and graph.name in out
+
+
 def test_placements_are_stored_once(graph, config):
     """The payload keeps the schedule's placements only, so a plan whose
     allocation disagrees with its schedule cannot be written."""

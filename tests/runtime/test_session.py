@@ -149,15 +149,7 @@ class TestBatchResult:
 
 
 class TestAllocatorSpecIdentity:
-    """Budgeted allocator specs key distinct plans in the cache."""
-
-    def test_session_canonicalizes_budgeted_spec(self, graph, config):
-        from repro.runtime.session import InferenceSession
-
-        session = InferenceSession(graph, config, allocator="anneal")
-        assert session.allocator == "anneal:2000"
-        explicit = InferenceSession(graph, config, allocator="anneal:2000")
-        assert explicit.allocator == session.allocator
+    """A session's allocator is the registry name it was given."""
 
     def test_dp_spec_is_untouched(self, graph, config):
         from repro.runtime.session import InferenceSession
@@ -168,44 +160,15 @@ class TestAllocatorSpecIdentity:
     def test_session_rejects_unknown_spec(self, graph, config):
         from repro.runtime.session import InferenceSession
 
-        with pytest.raises(ValueError):
-            InferenceSession(graph, config, allocator="annealed")
-
-    def test_plan_key_includes_search_budget(self, graph, config):
-        from repro.runtime.plan_cache import plan_key_for
-
-        default = plan_key_for(graph, config, allocator="anneal:2000")
-        bigger = plan_key_for(graph, config, allocator="anneal:5000")
-        dp = plan_key_for(graph, config, allocator="dp")
-        assert default.digest != bigger.digest
-        assert default.digest != dp.digest
-
-    def test_budget_partitions_the_shared_cache(self, graph, config):
-        from repro.runtime.plan_cache import PlanCache
-        from repro.runtime.session import InferenceSession
-
-        cache = PlanCache()
-        first = InferenceSession(
-            graph, config, allocator="anneal", cache=cache
-        )
-        first.compile()
-        # Same canonical spec: warm hit, no second compile.
-        warm = InferenceSession(
-            graph, config, allocator="anneal:2000", cache=cache
-        )
-        warm.compile()
-        assert warm.compilations == 0
-        # Different budget: its own entry, fresh compile.
-        cold = InferenceSession(
-            graph, config, allocator="anneal:150", cache=cache
-        )
-        cold.compile()
-        assert cold.compilations == 1
+        for spec in ("annealed", "anneal:2000", "dp:100"):
+            with pytest.raises(ValueError):
+                InferenceSession(graph, config, allocator=spec)
 
     def test_session_serves_search_plans(self, graph, config):
         from repro.runtime.session import InferenceSession
 
         session = InferenceSession(graph, config, allocator="portfolio")
+        assert session.allocator == "portfolio"
         result = session.run(iterations=5)
         assert result.iterations == 5
         assert session.plan.allocation.method == "portfolio"

@@ -11,11 +11,11 @@ from repro.verify.__main__ import build_parser, main
 from repro.verify.differential_search import (
     DEFAULT_BUDGET_LADDER,
     SEARCH_BATTERY,
-    machine_variants,
     search_differential,
     search_verdict,
 )
 from repro.verify.harness import CaseReport
+from repro.verify.oracle import machine_variants
 from repro.verify.validator import ScheduleValidator
 from repro.graph.generators import synthetic_benchmark
 

@@ -18,11 +18,11 @@ from repro.core.allocation import (
 from repro.core.search import AnnealAllocator
 from repro.graph.generators import synthetic_benchmark
 from repro.pim.config import PimConfig
-from repro.verify.differential_search import allocation_instance
 from repro.verify import oracle
 from repro.verify.oracle import (
     MAX_EXHAUSTIVE_LIMIT,
     OracleSizeError,
+    allocation_instance,
     exhaustive_allocate,
 )
 

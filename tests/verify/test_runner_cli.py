@@ -39,17 +39,21 @@ class TestAcceptanceSweep:
                 )
 
     def test_differential_ok_everywhere(self, sweep):
+        """Every workload is held to the oracle on every machine view."""
         for workload in sweep.workloads:
-            assert workload.differential is not None
-            assert workload.differential.ok, workload.differential.failures
+            assert list(workload.differentials) == [
+                "healthy", "degraded", "shard-0", "shard-1"
+            ]
+            for view, diff in workload.differentials.items():
+                assert diff.ok, (workload.workload, view, diff.failures)
 
     def test_exhaustive_used_on_small_instances(self, sweep):
         """Acceptance: DP held to the brute-force optimum when n <= limit."""
         for workload in sweep.workloads:
-            diff = workload.differential
-            assert diff.exhaustive_checked == (diff.num_items <= 16)
-            if diff.exhaustive_checked:
-                assert diff.profits["dp"] == diff.profits["exhaustive"]
+            for diff in workload.differentials.values():
+                assert diff.exhaustive_checked == (diff.num_items <= 16)
+                if diff.exhaustive_checked:
+                    assert diff.profits["dp"] == diff.profits["exhaustive"]
 
     def test_all_faults_detected_everywhere(self, sweep):
         """Acceptance: 100% detection rate across the whole sweep."""
@@ -81,7 +85,7 @@ class TestVerifyWorkload:
             with_faults=False,
         )
         assert outcome.ok
-        assert outcome.differential is None
+        assert outcome.differentials == {}
         assert outcome.faults is None
         assert list(outcome.reports) == ["dp"]
 
