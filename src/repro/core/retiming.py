@@ -118,6 +118,11 @@ class EdgePrice(NamedTuple):
         cache_units / edram_units: raw transfer times under each
             placement, before the clamp to the kernel period.
         slots: cache slots ``sp_m`` the result occupies if cached.
+        vault: the result's home eDRAM vault, ``hash(key) % num_vaults``
+            (static address interleaving). Only the simulator reads it.
+        service_units: time one access occupies the home vault, at least
+            one unit: the vault moves ``cache_bytes_per_unit //
+            edram_latency_factor`` bytes (at least one) per unit.
     """
 
     key: Tuple[int, int]
@@ -126,6 +131,8 @@ class EdgePrice(NamedTuple):
     cache_units: int
     edram_units: int
     slots: int
+    vault: int
+    service_units: int
 
 
 def price_edges(graph: TaskGraph, config: PimConfig) -> Tuple[EdgePrice, ...]:
@@ -135,24 +142,32 @@ def price_edges(graph: TaskGraph, config: PimConfig) -> Tuple[EdgePrice, ...]:
     :meth:`~repro.pim.config.PimConfig.edram_transfer_units` and
     :meth:`~repro.pim.config.PimConfig.slots_required`, computed from the
     config constants once per edge (edge sizes are positive by
-    construction, so the methods' argument checks cannot fire).
+    construction, so the methods' argument checks cannot fire). The
+    ``vault`` column interleaves over :attr:`PimConfig.num_vaults`, so a
+    vault-masked config homes every result on one of its survivors.
     """
     per_unit = config.cache_bytes_per_unit
     edram_factor = config.edram_latency_factor
     slot_bytes = config.cache_slot_bytes
+    num_vaults = config.num_vaults
+    vault_bytes = max(1, per_unit // edram_factor)
     prices = []
     for edge in graph.edges():
         size = edge.size_bytes
+        key = (edge.producer, edge.consumer)
         edram_units = size * edram_factor // per_unit
         slots = -(-size // slot_bytes)
+        service = size // vault_bytes
         prices.append(
             EdgePrice(
-                (edge.producer, edge.consumer),
+                key,
                 edge.producer,
                 edge.consumer,
                 size // per_unit,
                 edram_units if edram_units > 1 else 1,
                 slots if slots > 1 else 1,
+                hash(key) % num_vaults,
+                service if service > 1 else 1,
             )
         )
     return tuple(prices)
@@ -230,7 +245,7 @@ def analyze_edges(
         prices = price_edges(graph, config)
     placed = kernel.placements
     timings: Dict[Tuple[int, int], EdgeTiming] = {}
-    for key, producer, consumer, cache_units, edram_units, slots in prices:
+    for key, producer, consumer, cache_units, edram_units, slots, _, _ in prices:
         t_cache = cache_units if cache_units < period else period
         t_edram = edram_units if edram_units < period else period
         if t_edram < t_cache:

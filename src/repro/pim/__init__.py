@@ -7,34 +7,33 @@ carry inter-PE traffic; PEs reach DRAM vaults through TSVs via a crossbar.
 Fetching from a DRAM vault costs 2-10x more time and energy than the on-chip
 PE cache (Section 2.2), which is what makes intermediate-result placement
 worth optimizing.
+
+The machine is a set of parameters, not objects: :class:`PimConfig`
+holds the PE and vault counts, cache capacity and transfer-cost ratios,
+:func:`repro.core.retiming.price_edges` turns them into per-edge prices
+(slots, transfer units, home vault, vault service time), and the
+simulator (:mod:`repro.sim.executor`) advances PE, pFIFO, vault and
+crossbar-port timelines from those prices.
 """
 
 from repro.pim.config import PimConfig, ConfigurationError, assert_disjoint
 from repro.pim.tenancy import TenantPlacement, TenantSpec
 from repro.pim.faults import FaultEvent, FaultModel, FaultModelError
-from repro.pim.memory import CacheModel, EdramVault, MemorySystem, Placement
-from repro.pim.pe import ProcessingEngine, PEArray
-from repro.pim.interconnect import Crossbar
+from repro.pim.memory import Placement
 from repro.pim.energy import EnergyModel, EnergyReport
 from repro.pim.presets import ARCHITECTURES, architecture
 from repro.pim.stats import TrafficStats
 
 __all__ = [
     "ARCHITECTURES",
-    "CacheModel",
     "ConfigurationError",
-    "Crossbar",
-    "EdramVault",
     "EnergyModel",
     "EnergyReport",
     "FaultEvent",
     "FaultModel",
     "FaultModelError",
-    "MemorySystem",
-    "PEArray",
     "PimConfig",
     "Placement",
-    "ProcessingEngine",
     "TenantPlacement",
     "TenantSpec",
     "TrafficStats",

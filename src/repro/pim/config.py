@@ -24,6 +24,9 @@ CONFIG_FINGERPRINT_VERSION = 1
 #: Vault count of a :class:`PimConfig` that names none.
 DEFAULT_NUM_VAULTS = 32
 
+#: Depth of a PE's pFIFO, in staged intermediate results.
+PFIFO_DEPTH = 16
+
 
 #: Mask provenance values (see :attr:`PimConfig.mask_kind`).
 MASK_KIND_FAULT = "fault"
@@ -65,10 +68,12 @@ class PimConfig:
             fingerprint still distinguishes *which* PEs survived.
         num_vaults: number of eDRAM vaults in the stacked memory. The one
             place the vault count lives: the simulator interleaves
-            eDRAM-placed results over this many vaults, and every serving
-            tier reads it from here. Kept out of :meth:`fingerprint` --
-            no compile pass reads it -- so plans are shared between
-            machines that differ only in vault count.
+            eDRAM-placed results over this many vaults (the ``vault``
+            column of :func:`repro.core.retiming.price_edges`), and every
+            serving tier reads it from here. Kept out of
+            :meth:`fingerprint` -- no compile pass reads the ``vault``
+            column -- so plans are shared between machines that differ
+            only in vault count.
         vault_mask: surviving (or owned) physical eDRAM vault ids of a
             sub-machine; ``None`` when the machine owns all its vaults.
             ``num_vaults`` always equals the mask length, exactly as

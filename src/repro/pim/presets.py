@@ -23,7 +23,7 @@ Every preset is an ordinary :class:`PimConfig`; the comparison experiment
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.pim.config import ConfigurationError, PimConfig
 
@@ -67,7 +67,3 @@ def architecture(name: str, num_pes: int = None) -> PimConfig:
     if num_pes is not None:
         config = config.with_pes(num_pes)
     return config
-
-
-def architecture_names() -> List[str]:
-    return list(ARCHITECTURES)

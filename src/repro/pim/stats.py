@@ -1,4 +1,4 @@
-"""Traffic and utilization counters shared by the machine models."""
+"""Traffic counters: accesses and bytes per memory level, ALU ops, pFIFO pushes."""
 
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ class TrafficStats:
         return self.edram_bytes / total if total else 0.0
 
     def merged_with(self, other: "TrafficStats") -> "TrafficStats":
-        """Element-wise sum, for aggregating per-PE stats."""
+        """Element-wise sum of two sets of counters."""
         return TrafficStats(
             cache_accesses=self.cache_accesses + other.cache_accesses,
             cache_bytes=self.cache_bytes + other.cache_bytes,

@@ -28,8 +28,9 @@ The machine state is columnar:
   per-vault service clocks, crossbar port clocks -- advanced in place;
 * all static facts are **precomputed rows** built once per run, in one
   pass over the ops and one over the edges, from the schedule, the
-  compiler's edge prices (:func:`repro.core.retiming.price_edges`) and
-  the :mod:`repro.pim` models, one per event ``rid``
+  compiler's edge prices (:func:`repro.core.retiming.price_edges`:
+  slots, transfer units, home vault, vault service time), one per event
+  ``rid``
   (arrival: consumer, its PE, the edge's shared pFIFO entry; start: PE,
   execution time, ALU cost, pFIFO entries, cache-placed in-edges;
   produce: per out-edge placement, slots, transfer latencies, home vault,
@@ -96,11 +97,10 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.core.paraconv import ParaConvResult
 from repro.core.profit import require_numpy_floor
 from repro.core.retiming import price_edges
-from repro.pim.config import PimConfig
+from repro.pim.config import PFIFO_DEPTH, PimConfig
 from repro.pim.energy import EnergyModel, EnergyReport
 from repro.pim.faults import FAULT_UNIT_PE, FAULT_UNIT_VAULT, FaultModel
-from repro.pim.memory import MemorySystem, Placement
-from repro.pim.pe import PFIFO_DEPTH
+from repro.pim.memory import Placement
 from repro.pim.stats import TrafficStats
 from repro.sim.engine import SimulationError
 from repro.sim.modes import SimMode
@@ -545,10 +545,8 @@ class _ScheduleRun:
         # ---- static rows, indexed by rid ------------------------------
         # One pass over the edges, in insertion order: per consumer that
         # is graph.in_edges() order (the pFIFO consume order), per
-        # producer graph.out_edges() order. Slots and transfer units are
-        # the compiler's own edge prices; vault interleaving and service
-        # times come from the memory model, whose clocks are never read.
-        memory = MemorySystem(config)
+        # producer graph.out_edges() order. Slots, transfer units, home
+        # vaults and vault service times are the compiler's edge prices.
         placements = schedule.placements
         in_entries: Dict[int, List[tuple]] = {op.op_id: [] for op in ops}
         cache_in: Dict[int, List[int]] = {op.op_id: [] for op in ops}
@@ -563,7 +561,6 @@ class _ScheduleRun:
             entry = (key, size_bytes)
             consumer_pe = pe_of[consumer]
             is_cache = placements[key] is Placement.CACHE
-            vault = memory.vault_for(key)
             in_deg[consumer] += 1
             in_entries[consumer].append(entry)
             if is_cache:
@@ -584,8 +581,8 @@ class _ScheduleRun:
                 price.slots,
                 price.cache_units,
                 price.edram_units,
-                vault.access_time(size_bytes),
-                vault.vault_id,
+                price.service_units,
+                price.vault,
                 consumer_pe,
             ))
         for rank, op in enumerate(ops):
@@ -617,9 +614,7 @@ class _ScheduleRun:
         self._xin: List[int] = [0] * width
         self._xout: List[int] = [0] * config.num_vaults
         # Per-group cache share, as the allocator assumed.
-        self._cache_cap = max(
-            memory.cache.capacity_slots // result.num_groups, 0
-        )
+        self._cache_cap = max(config.total_cache_slots // result.num_groups, 0)
         self._cache_used = 0
         #: (iteration << RB) | edge_rid -> cache slots held.
         self._cache_live: Dict[int, int] = {}

@@ -30,7 +30,6 @@ from repro.compiler import (
 )
 from repro.core.paraconv import ParaConv
 from repro.core.retiming import (
-    EdgePrice,
     RetimingError,
     analyze_edges,
     edge_table,
@@ -309,15 +308,29 @@ def test_price_edges_agrees_with_the_config_methods():
         graph.add_op(op_id)
     for op_id, size in enumerate(sizes):
         graph.connect(op_id, op_id + 1, size_bytes=size)
-    for price, size in zip(price_edges(graph, config), sizes):
+    # The vault moves 1000 // 4 = 250 bytes per unit: 1 byte is below
+    # one service unit (floor 1), 123_457 bytes span 493 units.
+    vault_bytes = config.cache_bytes_per_unit // config.edram_latency_factor
+    prices = price_edges(graph, config)
+    for price, size in zip(prices, sizes):
+        key = (price.producer, price.consumer)
         assert price == (
-            (price.producer, price.consumer),
+            key,
             price.producer,
             price.consumer,
             config.cache_transfer_units(size),
             config.edram_transfer_units(size),
             config.slots_required(size),
+            hash(key) % config.num_vaults,
+            max(1, size // vault_bytes),
         )
+    assert prices[0].service_units == 1
+    assert prices[-1].service_units == 493
+    # A vault-masked machine homes every result on one of its survivors.
+    degraded = config.degraded(range(config.num_pes), [3, 7, 9])
+    vaults = [price.vault for price in price_edges(graph, degraded)]
+    assert vaults == [hash(p.key) % 3 for p in prices]
+    assert set(vaults) <= set(range(len(degraded.vault_mask)))
 
 
 def _context_with_kernel(
@@ -362,7 +375,7 @@ class TestFloorKeepsTheEdgeChecks:
         config = PimConfig(num_pes=2)
         kernel = compact_kernel_schedule(graph, 2)
         inverted = tuple(
-            EdgePrice(p.key, p.producer, p.consumer, 2, 1, p.slots)
+            p._replace(cache_units=2, edram_units=1)
             if p.key == (1, 2) else p
             for p in price_edges(graph, config)
         )

@@ -8,12 +8,12 @@ from repro.eval.architectures import (
     run_architectures,
 )
 from repro.pim.config import ConfigurationError
-from repro.pim.presets import ARCHITECTURES, architecture, architecture_names
+from repro.pim.presets import ARCHITECTURES, architecture
 
 
 class TestPresets:
     def test_all_presets_valid_configs(self):
-        for name in architecture_names():
+        for name in ARCHITECTURES:
             config = architecture(name)
             assert config.num_pes >= 1
             assert 2 <= config.edram_latency_factor <= 10

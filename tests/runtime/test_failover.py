@@ -83,20 +83,28 @@ class TestSessionFailover:
         self, graph, config, monkeypatch
     ):
         """A config degraded to vaults [0, 1] is a two-vault machine: the
-        session's executor interleaves over 2 vaults, not a default 32."""
-        built = []
-        real = executor_module.MemorySystem
+        session's executor homes every result on vault 0 or 1 and keeps
+        two vault timelines, not a default 32."""
+        homes, timelines = [], []
+        real_price_edges = executor_module.price_edges
+        real_execute = executor_module._ScheduleRun.execute
 
-        def spy(*args, **kwargs):
-            memory = real(*args, **kwargs)
-            built.append(len(memory.vaults))
-            return memory
+        def price_spy(graph, config):
+            prices = real_price_edges(graph, config)
+            homes.extend(price.vault for price in prices)
+            return prices
 
-        monkeypatch.setattr(executor_module, "MemorySystem", spy)
+        def execute_spy(run):
+            timelines.append((len(run._vault_free), len(run._xout)))
+            return real_execute(run)
+
+        monkeypatch.setattr(executor_module, "price_edges", price_spy)
+        monkeypatch.setattr(executor_module._ScheduleRun, "execute", execute_spy)
         degraded = config.degraded(range(config.num_pes), [0, 1])
         session = InferenceSession(graph, degraded)
         result = session.run(4)
-        assert built == [2]
+        assert timelines == [(2, 2)]
+        assert set(homes) == {0, 1}
         assert result.degraded and session.degraded_mode
 
     def test_static_mask_degrades_before_first_compile(self, graph, config):
