@@ -24,6 +24,8 @@ Quickstart::
     print(result.summary())
 """
 
+import importlib
+
 from repro.graph.taskgraph import (
     IntermediateResult,
     Operation,
@@ -35,11 +37,26 @@ from repro.pim.config import PimConfig
 from repro.core.paraconv import ParaConv, ParaConvResult
 from repro.core.baseline import SpartaScheduler
 from repro.cnn.workloads import load_workload, WORKLOADS
-from repro.runtime.plan_cache import PlanCache
-from repro.runtime.server import BatchingServer, QueueFullError
-from repro.runtime.session import InferenceSession
 
 __version__ = "1.1.0"
+
+#: Serving-runtime exports, imported on first access (PEP 562) so that a
+#: compile-only process such as ``python -m repro`` never loads the runtime.
+_LAZY_EXPORTS = {
+    "PlanCache": "repro.runtime.plan_cache",
+    "BatchingServer": "repro.runtime.server",
+    "QueueFullError": "repro.runtime.server",
+    "InferenceSession": "repro.runtime.session",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "BatchingServer",

@@ -13,6 +13,8 @@ The pipeline (:class:`repro.core.paraconv.ParaConv`) combines:
 * :mod:`repro.core.baseline` -- the SPARTA comparison scheme [6].
 """
 
+import importlib
+
 from repro.core.schedule import (
     KernelSchedule,
     PeriodicSchedule,
@@ -49,11 +51,6 @@ from repro.core.allocation import (
 from repro.core.expansion import ExpandedSchedule, expand, verify_expansion
 from repro.core.gantt import render_kernel, render_retiming
 from repro.core.iterative import IterativeAllocator
-from repro.core.search import (
-    AllocatorPortfolio,
-    AnnealAllocator,
-    SearchStats,
-)
 from repro.core.liveness import (
     live_instances,
     liveness_weighted_problem,
@@ -67,6 +64,23 @@ from repro.core.schedule_io import (
     schedule_to_json,
 )
 from repro.core.baseline import SpartaScheduler, SpartaResult
+
+#: The numpy-backed search allocators, imported on first access (PEP 562)
+#: so that compiling with the default DP never loads numpy.
+_LAZY_EXPORTS = {
+    "AllocatorPortfolio": "repro.core.search",
+    "AnnealAllocator": "repro.core.search",
+    "SearchStats": "repro.core.search",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "AllocationProblem",

@@ -324,30 +324,43 @@ def dp_allocate(problem: AllocationProblem) -> AllocationResult:
     The result is profit-optimal for the capacity (standard 0/1-knapsack
     optimality; the deadline order fixes tie-breaking as the paper
     prescribes).
-    """
-    import numpy as np
 
+    Each row ``B[., m]`` is one packed int: field ``s`` holds ``B[s, m]``
+    in ``w`` bits, where ``w - 1`` bits fit the total profit and the top
+    bit is a guard, so the whole row advances in a few big-int operations.
+    The packing needs ``sp_m >= 1`` and ``ΔR(m) >= 0``, which
+    :meth:`AllocationProblem.validate` guarantees.
+    """
     problem.validate()
     capacity = problem.capacity_slots
     items = problem.items
     n = len(items)
-    # rows[m][s] = B[s, m]; row 0 is all zeros. Vectorized over s with
-    # numpy: each item's row is a shifted-and-offset max of the previous.
-    rows = np.zeros((n + 1, capacity + 1), dtype=np.int64)
+    width = sum(item.delta_r for item in items).bit_length() + 1
+    full = (1 << width * (capacity + 1)) - 1
+    ones = full // ((1 << width) - 1)  # a 1 in the low bit of every field
+    guard = ones << (width - 1)
+    # rows[m] packs B[., m]; row 0 is all zeros.
+    rows = [0] * (n + 1)
+    row = 0
     for m, item in enumerate(items, start=1):
-        previous = rows[m - 1]
-        current = previous.copy()
-        weight, value = item.slots, item.delta_r
-        if weight <= capacity:
-            taken = previous[: capacity + 1 - weight] + value
-            np.maximum(current[weight:], taken, out=current[weight:])
-        rows[m] = current
+        if item.slots <= capacity:
+            # taken[s] = B[s - sp, m-1] + ΔR for s >= sp, 0 below. No field
+            # overflows: every entry stays <= the total profit.
+            shift = width * item.slots
+            taken = ((row + item.delta_r * ones) << shift) & full
+            # The guard bit of a field survives the subtraction iff
+            # B[s, m-1] >= taken[s]; widen it to a whole-field keep mask.
+            keep = ((row | guard) - taken) & guard
+            keep = (keep << 1) - (keep >> (width - 1))
+            row = taken ^ ((row ^ taken) & keep)
+        rows[m] = row
 
     # Reconstruction: item m was taken iff B[s, m] != B[s, m-1].
+    field_mask = (1 << width) - 1
     chosen: List[AllocationItem] = []
     s = capacity
     for m in range(n, 0, -1):
-        if rows[m][s] != rows[m - 1][s]:
+        if ((rows[m] ^ rows[m - 1]) >> width * s) & field_mask:
             item = items[m - 1]
             chosen.append(item)
             s -= item.slots

@@ -33,9 +33,11 @@ NUMPY_FLOOR = (1, 22)
 def require_numpy_floor(module_name: str):
     """Import numpy and assert the columnar floor with a clear error.
 
-    Called at import time by every columnar module so a too-old numpy
+    Called at import time by this module, which every numpy-backed path
+    (the anneal search, the columnar oracle) imports, so a too-old numpy
     fails loudly at the module boundary instead of deep inside an
-    array expression with a confusing ``TypeError``.
+    array expression with a confusing ``TypeError``. Compiling with the
+    default DP, simulating and serving do not import numpy at all.
     """
     try:
         import numpy as np
@@ -48,8 +50,8 @@ def require_numpy_floor(module_name: str):
     if match and tuple(map(int, match.groups())) < NUMPY_FLOOR:
         raise ImportError(
             f"{module_name} requires numpy >= "
-            f"{'.'.join(map(str, NUMPY_FLOOR))} (the simulator and the "
-            f"allocators store their state in numpy arrays), found "
+            f"{'.'.join(map(str, NUMPY_FLOOR))} (the search allocators and "
+            f"the columnar oracle store their state in numpy arrays), found "
             f"{np.__version__}; upgrade numpy"
         )
     return np

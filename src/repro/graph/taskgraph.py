@@ -29,7 +29,6 @@ from typing import (
     KeysView,
     List,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
@@ -537,19 +536,3 @@ class TaskGraph:
             f"edges={self.num_edges})"
         )
 
-
-def linear_chain(
-    lengths: Sequence[int], name: str = "chain", size_bytes: int = 1
-) -> TaskGraph:
-    """Build a simple pipeline graph ``T_0 -> T_1 -> ... -> T_{n-1}``.
-
-    Handy for tests and documentation examples; ``lengths[k]`` is the
-    execution time of the k-th stage.
-    """
-    graph = TaskGraph(name=name)
-    for idx, length in enumerate(lengths):
-        graph.add_op(idx, execution_time=length)
-    for idx in range(len(lengths) - 1):
-        graph.connect(idx, idx + 1, size_bytes=size_bytes)
-    graph.validate()
-    return graph

@@ -95,7 +95,6 @@ from heapq import heappop, heappush
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.paraconv import ParaConvResult
-from repro.core.profit import require_numpy_floor
 from repro.core.retiming import price_edges
 from repro.pim.config import PFIFO_DEPTH, PimConfig
 from repro.pim.energy import EnergyModel, EnergyReport
@@ -106,8 +105,6 @@ from repro.sim.engine import SimulationError
 from repro.sim.modes import SimMode
 from repro.sim.sinks import FastForwardNotice, InMemorySink, NullSink, TraceSink
 from repro.sim.trace import InstanceRecord, TransferKind, TransferRecord
-
-np = require_numpy_floor(__name__)
 
 __all__ = [
     "ExecutionTrace",
@@ -533,14 +530,13 @@ class _ScheduleRun:
             placed = kernel.placement(op_id)
             pe_of[op_id] = placed.pe
             start_const[op_id] = keys.const(_PRIO_START, n_edges + rank)
-            # nominal(op, it) = (it - 1) * p + static_off[op]: the whole
-            # round's nominal starts become one vectorized array add.
+            # nominal(op, it) = (it - 1) * p + static_off[op].
             static_off[op_id] = (
                 self.r_max - schedule.retiming[op_id]
             ) * self.period + placed.start
         self._in_deg = in_deg
         self._start_const = start_const
-        self._static_off = np.asarray(static_off, dtype=np.int64)
+        self._static_off = static_off
 
         # ---- static rows, indexed by rid ------------------------------
         # One pass over the edges, in insertion order: per consumer that
@@ -651,9 +647,10 @@ class _ScheduleRun:
 
         Every instance gets its record; source instances are scheduled at
         their nominal starts, dependent ones wait until every in-edge
-        delivered. The round's nominal starts are one vectorized add.
+        delivered.
         """
-        offs = (self._static_off + (iteration - 1) * self.period).tolist()
+        offs = self._static_off
+        base = (iteration - 1) * self.period
         heap = self._heap
         inst = self._inst
         in_deg = self._in_deg
@@ -661,7 +658,7 @@ class _ScheduleRun:
         time_shift = self._keys.time_shift
         ibits = iteration << self._keys.rid_bits
         for op_id in self._op_order:
-            nominal = offs[op_id]
+            nominal = offs[op_id] + base
             degree = in_deg[op_id]
             inst[ibits | op_id] = [degree, 0, nominal]
             if degree == 0:
@@ -941,23 +938,14 @@ class _ScheduleRun:
         """
         t = reference_time
         r = reference_iteration
-        pe_clamped = np.maximum(
-            np.asarray(self._pe_free, dtype=np.int64) - t, 0
-        ).tolist()
         pe_state = tuple(
-            (free, tuple(fifo))
-            for free, fifo in zip(pe_clamped, self._fifo)
+            (max(free - t, 0), tuple(fifo))
+            for free, fifo in zip(self._pe_free, self._fifo)
         )
-        vault_state = tuple(np.maximum(
-            np.asarray(self._vault_free, dtype=np.int64) - t, 0
-        ).tolist())
+        vault_state = tuple(max(free - t, 0) for free in self._vault_free)
         crossbar_state = (
-            tuple(np.maximum(
-                np.asarray(self._xin, dtype=np.int64) - t, 0
-            ).tolist()),
-            tuple(np.maximum(
-                np.asarray(self._xout, dtype=np.int64) - t, 0
-            ).tolist()),
+            tuple(max(free - t, 0) for free in self._xin),
+            tuple(max(free - t, 0) for free in self._xout),
         )
         keys = self._keys
         rid_bits = keys.rid_bits
@@ -1053,20 +1041,12 @@ class _ScheduleRun:
         )
         self._max_finish += time_shift
 
-        # 2. Timestamp splice: one array add per timeline; iteration
-        # labels of live bookkeeping rebuilt with the round shift.
-        self._pe_free = (
-            np.asarray(self._pe_free, dtype=np.int64) + time_shift
-        ).tolist()
-        self._vault_free = (
-            np.asarray(self._vault_free, dtype=np.int64) + time_shift
-        ).tolist()
-        self._xin = (
-            np.asarray(self._xin, dtype=np.int64) + time_shift
-        ).tolist()
-        self._xout = (
-            np.asarray(self._xout, dtype=np.int64) + time_shift
-        ).tolist()
+        # 2. Timestamp splice: every timeline shifts by the skipped time;
+        # iteration labels of live bookkeeping rebuilt with the round shift.
+        self._pe_free = [free + time_shift for free in self._pe_free]
+        self._vault_free = [free + time_shift for free in self._vault_free]
+        self._xin = [free + time_shift for free in self._xin]
+        self._xout = [free + time_shift for free in self._xout]
         # Keys carry (iteration << RB) above their rid: one add shifts a
         # label, and one more the time of an event. A constant added to
         # every key keeps their order, so the heap stays a heap.

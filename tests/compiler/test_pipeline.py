@@ -258,7 +258,7 @@ class TestWidthLowerBound:
         ``cp = 2 + 2 + 3 + 2 + 1 = 10``. With ``period_floor=1`` both
         clamp to 1: ``cp = 2 + 1 + 3 + 1 + 1 = 8``.
         """
-        from repro.graph.taskgraph import linear_chain
+        from tests.builders import linear_chain
 
         graph = linear_chain([2, 3, 1], size_bytes=16384)
         config = PimConfig(num_pes=4)

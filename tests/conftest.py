@@ -44,7 +44,7 @@ def figure2_graph() -> TaskGraph:
 @pytest.fixture
 def chain_graph() -> TaskGraph:
     """A 6-stage pipeline with mixed execution times."""
-    from repro.graph.taskgraph import linear_chain
+    from tests.builders import linear_chain
 
     return linear_chain([1, 2, 3, 1, 2, 1], name="chain6", size_bytes=1024)
 

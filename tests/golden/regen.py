@@ -320,7 +320,7 @@ def sim_tables_entry(name: str) -> Dict[str, Any]:
         "rid_fields_sha256": _sha256(run._rid_fields),
         "in_deg_sha256": _sha256(run._in_deg),
         "start_const_sha256": _sha256(run._start_const),
-        "static_off_sha256": _sha256(run._static_off.tolist()),
+        "static_off_sha256": _sha256(list(run._static_off)),
         "key_layout": {slot: getattr(keys, slot) for slot in keys.__slots__},
     })
 

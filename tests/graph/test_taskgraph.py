@@ -8,8 +8,8 @@ from repro.graph.taskgraph import (
     Operation,
     OperationKind,
     TaskGraph,
-    linear_chain,
 )
+from tests.builders import linear_chain
 
 
 class TestOperation:

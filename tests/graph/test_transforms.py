@@ -1,7 +1,8 @@
 """Tests for graph transformations."""
 
-from repro.graph.taskgraph import TaskGraph, linear_chain
+from repro.graph.taskgraph import TaskGraph
 from repro.graph.transforms import coarsen_chains
+from tests.builders import linear_chain
 
 
 class TestCoarsenChains:

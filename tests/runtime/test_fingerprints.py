@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.graph.taskgraph import TaskGraph, linear_chain
+from repro.graph.taskgraph import TaskGraph
 from repro.pim.config import ConfigurationError, PimConfig
+from tests.builders import linear_chain
 
 
 class TestConfigFingerprint:

@@ -7,11 +7,12 @@ import pytest
 from repro.core.paraconv import ParaConv
 from repro.core.retiming import analyze_edges
 from repro.graph.generators import synthetic_benchmark
-from repro.graph.taskgraph import TaskGraph, linear_chain
+from repro.graph.taskgraph import TaskGraph
 from repro.pim.config import ConfigurationError, PimConfig
 from repro.pim.memory import Placement
 from repro.sim.executor import ScheduleExecutor
 from repro.verify.validator import ScheduleValidator
+from tests.builders import linear_chain
 
 
 class TestDegenerateMachines:
