@@ -134,10 +134,6 @@ class CompileStats:
     best_width: Optional[int] = None
     pruning_enabled: bool = True
     total_seconds: float = 0.0
-    #: search-allocator observability of the *winning* plan (None for
-    #: non-search allocators): the :class:`repro.core.search.SearchStats`
-    #: dict — budget, evals used, seed vs best profit, anytime trajectory.
-    search: Optional[Dict[str, Any]] = None
 
     # -- recording ------------------------------------------------------
     def record_pass(self, name: str, seconds: float) -> None:
@@ -162,12 +158,6 @@ class CompileStats:
         self.widths_pruned.append(width)
         self.widths_cut_after_kernel.append(width)
         self.lost_to[width] = (floor, incumbent)
-
-    def record_search(self, search_stats: Any) -> None:
-        """Attach the winning plan's search stats (no-op for None)."""
-        self.search = (
-            search_stats.as_dict() if search_stats is not None else None
-        )
 
     # -- interrogation --------------------------------------------------
     @property
@@ -206,7 +196,6 @@ class CompileStats:
             "best_width": self.best_width,
             "pruning_enabled": self.pruning_enabled,
             "total_seconds": self.total_seconds,
-            "search": dict(self.search) if self.search is not None else None,
         }
 
     def _loss_lines(self) -> List[str]:
@@ -256,26 +245,6 @@ class CompileStats:
         lines.extend(self._loss_lines())
         if self.best_width is not None:
             lines.append(f"best width          : {self.best_width}")
-        if self.search is not None:
-            winner = self.search.get("winner")
-            method = self.search.get("method", "anneal") + (
-                f" (winner: {winner})" if winner else ""
-            )
-            lines.append(
-                f"search allocator    : {method}, "
-                f"{self.search.get('evals_used', 0)}/"
-                f"{self.search.get('budget', 0)} evals "
-                f"(seed {self.search.get('seed', 0)})"
-            )
-            lines.append(
-                f"search profit       : seed "
-                f"{self.search.get('seed_profit', 0)} "
-                f"[{self.search.get('seed_method', 'dp')}] -> best "
-                f"{self.search.get('best_profit', 0)} at eval "
-                f"{self.search.get('best_eval', 0)} "
-                f"({self.search.get('moves_accepted', 0)} accepted / "
-                f"{self.search.get('moves_rejected', 0)} rejected moves)"
-            )
         lines.append(
             f"compile wall time   : {self.total_seconds * 1e3:.3f} ms "
             f"({self.pass_seconds_total * 1e3:.3f} ms inside passes)"

@@ -13,8 +13,6 @@ The pipeline (:class:`repro.core.paraconv.ParaConv`) combines:
 * :mod:`repro.core.baseline` -- the SPARTA comparison scheme [6].
 """
 
-import importlib
-
 from repro.core.schedule import (
     KernelSchedule,
     PeriodicSchedule,
@@ -65,23 +63,6 @@ from repro.core.schedule_io import (
 )
 from repro.core.baseline import SpartaScheduler, SpartaResult
 
-#: The numpy-backed search allocators, imported on first access (PEP 562)
-#: so that compiling with the default DP never loads numpy.
-_LAZY_EXPORTS = {
-    "AllocatorPortfolio": "repro.core.search",
-    "AnnealAllocator": "repro.core.search",
-    "SearchStats": "repro.core.search",
-}
-
-
-def __getattr__(name: str):
-    module = _LAZY_EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value
-    return value
-
 __all__ = [
     "AllocationProblem",
     "AllocationResult",
@@ -99,9 +80,6 @@ __all__ = [
     "RetimingSolution",
     "ScheduleError",
     "IterativeAllocator",
-    "AnnealAllocator",
-    "AllocatorPortfolio",
-    "SearchStats",
     "SpartaResult",
     "SpartaScheduler",
     "all_edram_allocate",

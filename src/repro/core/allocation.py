@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
 from repro.core.retiming import EdgeTiming, RetimingError
 from repro.pim.memory import Placement
@@ -264,9 +264,6 @@ class AllocationResult:
     total_delta_r: int
     slots_used: int
     capacity_slots: int
-    #: search observability (set by the ``anneal``/``portfolio``
-    #: allocators); never serialized into the plan payload.
-    search_stats: Optional[Any] = field(default=None, compare=False, repr=False)
 
     @property
     def num_cached(self) -> int:

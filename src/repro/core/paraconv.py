@@ -312,7 +312,6 @@ class ParaConv:
         assert best is not None and best_ctx is not None
         best.case_histogram = case_census(best_ctx.get("timings"))
         stats.best_width = best.group_width
-        stats.record_search(getattr(best.allocation, "search_stats", None))
         stats.total_seconds = time.perf_counter() - started
         best.compile_stats = stats
         return best
@@ -359,7 +358,6 @@ class ParaConv:
         result = self._assemble(ctx)
         stats.record_width(width, time.perf_counter() - width_started)
         stats.best_width = width
-        stats.record_search(getattr(result.allocation, "search_stats", None))
         stats.total_seconds = time.perf_counter() - started
         result.compile_stats = stats
         return result

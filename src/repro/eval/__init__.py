@@ -17,33 +17,3 @@ Run everything from the command line::
 
     python -m repro.eval all
 """
-
-from repro.eval.table1 import Table1Row, run_table1
-from repro.eval.table2 import Table2Row, run_table2
-from repro.eval.figure5 import Figure5Row, run_figure5
-from repro.eval.figure6 import Figure6Row, run_figure6
-from repro.eval.ablation import AblationRow, run_ablation
-from repro.eval.architectures import ArchitectureRow, run_architectures
-from repro.eval.validation import ValidationRow, run_validation
-from repro.eval.energy import EnergyRow, run_energy
-from repro.eval.reporting import format_table
-
-__all__ = [
-    "AblationRow",
-    "ArchitectureRow",
-    "EnergyRow",
-    "Figure5Row",
-    "Figure6Row",
-    "Table1Row",
-    "Table2Row",
-    "ValidationRow",
-    "format_table",
-    "run_ablation",
-    "run_architectures",
-    "run_energy",
-    "run_figure5",
-    "run_figure6",
-    "run_table1",
-    "run_table2",
-    "run_validation",
-]

@@ -59,11 +59,13 @@ def bench_environment() -> Dict[str, str]:
     files can only be compared when this block says they ran on
     comparable stacks.
     """
-    try:
-        import numpy
+    # Imported here: importlib.metadata loads some 25 stdlib modules that
+    # only a report writer needs.
+    from importlib import metadata
 
-        numpy_version = numpy.__version__
-    except ImportError:  # pragma: no cover — numpy is a hard dependency
+    try:
+        numpy_version = metadata.version("numpy")
+    except metadata.PackageNotFoundError:  # pragma: no cover
         numpy_version = "unavailable"
     return {
         "python": platform.python_version(),

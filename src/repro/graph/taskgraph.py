@@ -463,6 +463,10 @@ class TaskGraph:
         the runtime plan cache needs. A version tag is folded in so a
         change to the canonical form invalidates old fingerprints.
 
+        A simulation depends on the graph's content only (the executor
+        walks ops by id and edges by key), so graphs with equal
+        fingerprints simulate identically whatever their insertion order.
+
         Computed once per graph state, like :meth:`topological_order`.
         """
         if self._fingerprint is None:

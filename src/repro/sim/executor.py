@@ -52,6 +52,12 @@ The machine state is columnar:
   integer ``(iteration << RB) | op_id``; live cache slots are keyed by
   ``(iteration << RB) | edge_rid``.
 
+Both passes walk the graph in content order -- ops by id, edges by
+``(producer, consumer)`` key -- never in insertion order, so a simulation
+depends on the graph's content only: two graphs with the same
+:meth:`~repro.graph.taskgraph.TaskGraph.fingerprint` give the same trace,
+which is what lets the runtime key plans and batch traces by fingerprint.
+
 Two simulation modes (:class:`~repro.sim.modes.SimMode`):
 
 * ``FULL_UNROLL`` -- the oracle. Every instance is simulated event by
@@ -499,8 +505,7 @@ class _ScheduleRun:
         # One rid space: arrivals ranked by (consumer, e0, e1), then the
         # starts, then the productions, each ranked by op id -- within one
         # (time, prio, iteration) the rid order is the old tuple order.
-        inserted = graph.operations()
-        ops = sorted(inserted, key=lambda op: op.op_id)
+        ops = sorted(graph.operations(), key=lambda op: op.op_id)
         size = ops[-1].op_id + 1 if ops else 0
         edges = graph.edges()
         n_edges = len(edges)
@@ -519,7 +524,7 @@ class _ScheduleRun:
         rows: List[tuple] = [None] * (n_edges + 2 * n_ops)
 
         # ---- static per-op tables (index = op_id) ---------------------
-        self._op_order: List[int] = [op.op_id for op in inserted]
+        self._op_order: List[int] = [op.op_id for op in ops]
         in_deg = [0] * size
         #: start_const[op] = the prio and rid fields of op's start key.
         start_const = [0] * size
@@ -539,15 +544,19 @@ class _ScheduleRun:
         self._static_off = static_off
 
         # ---- static rows, indexed by rid ------------------------------
-        # One pass over the edges, in insertion order: per consumer that
-        # is graph.in_edges() order (the pFIFO consume order), per
-        # producer graph.out_edges() order. Slots, transfer units, home
+        # One pass over the edges in (producer, consumer) key order, never
+        # insertion order: per consumer that is the pFIFO consume order,
+        # per producer the out-edge order, so two graphs with the same
+        # fingerprint simulate identically. Slots, transfer units, home
         # vaults and vault service times are the compiler's edge prices.
         placements = schedule.placements
         in_entries: Dict[int, List[tuple]] = {op.op_id: [] for op in ops}
         cache_in: Dict[int, List[int]] = {op.op_id: [] for op in ops}
         out_recs: Dict[int, List[tuple]] = {op.op_id: [] for op in ops}
-        for edge, price in zip(edges, price_edges(graph, config)):
+        for edge, price in sorted(
+            zip(edges, price_edges(graph, config)),
+            key=lambda pair: pair[1].key,
+        ):
             key = price.key
             consumer = price.consumer
             size_bytes = edge.size_bytes

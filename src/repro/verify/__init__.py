@@ -17,8 +17,8 @@ The schedule instruments check compiled plans directly:
 
 :data:`BATTERIES` registers the batteries ``python -m repro.verify``
 runs: ``schedule`` drives the three instruments over the benchmarks
-(:func:`run_verification_sweep`); ``sim``, ``faults``, ``search``,
-``fleet``, ``tenancy`` and ``rewire`` each hold one part of the system to
+(:func:`run_verification_sweep`); ``sim``, ``faults``, ``fleet``,
+``tenancy`` and ``rewire`` each hold one part of the system to
 a reference. Every battery returns :class:`CaseReport` lists built with
 the shared helpers of :mod:`repro.verify.harness`.
 """
@@ -35,7 +35,6 @@ from repro.verify.differential_sim import (
     differential_simulate,
     sim_differential_battery,
 )
-from repro.verify.differential_search import search_differential
 from repro.verify.differential_tenancy import (
     TENANCY_SCENARIOS,
     tenancy_differential,
@@ -125,7 +124,6 @@ __all__ = [
     "rewire_case",
     "rewire_differential",
     "run_verification_sweep",
-    "search_differential",
     "sim_differential_battery",
     "tenancy_differential",
     "verify_result",

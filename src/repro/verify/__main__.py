@@ -8,7 +8,7 @@ Usage::
     python -m repro.verify --strict-liveness     # escalate liveness warnings
     python -m repro.verify --no-oracle --no-mutations
     python -m repro.verify --sim --sim-iterations 1 20 1000
-    python -m repro.verify --faults --search     # add batteries by name
+    python -m repro.verify --faults --fleet      # add batteries by name
     python -m repro.verify --all                 # every registered battery
     python -m repro.verify --list-checks         # print the check catalog
     python -m repro.verify --json                # machine-readable output

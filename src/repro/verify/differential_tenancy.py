@@ -24,8 +24,9 @@ machine-checks that claim end to end on ≥3 co-residency scenarios
    cache ends the run holding exactly one plan per (tenant, workload).
 
 A fifth, fused-dataflow stage lowers paper models with ``fusion="auto"``
-and holds the fused plans to the existing sim and search differentials
-unchanged — the new ΔR profile flows through the stock pipeline.
+and holds the fused plans to the existing sim differential, the full
+validator and the allocation oracle on every machine view, unchanged —
+the new ΔR profile flows through the stock pipeline.
 
 A mismatch is a tenancy bug (a leaked unit, a cross-tenant cache hit, a
 scheduler that serialized what the hardware runs in parallel), which is
@@ -45,7 +46,6 @@ from repro.pim.config import PimConfig, assert_disjoint
 from repro.pim.tenancy import TenantPlacement
 from repro.fleet.tenancy import TenantScheduler
 from repro.verify.differential_sim import sim_differential_battery
-from repro.verify.differential_search import search_differential
 from repro.verify.harness import (
     Battery,
     CaseReport,
@@ -55,6 +55,7 @@ from repro.verify.harness import (
     replay_batches,
     run_case,
 )
+from repro.verify.oracle import machine_variants, view_differentials
 from repro.verify.validator import ScheduleValidator
 
 __all__ = [
@@ -236,10 +237,14 @@ def verify_fused_model(
     num_pes: int = 16,
     validator: Optional[ScheduleValidator] = None,
 ) -> CaseReport:
-    """Lower one paper model fused and hold it to sim+search differentials.
+    """Lower one paper model fused and hold it to the sim differential,
+    the validator and the oracle.
 
-    The fused plan's sim mismatches and search failures become this
-    case's own, located by the inner case that found them.
+    The fused DP plan on every machine view of
+    :func:`~repro.verify.oracle.machine_variants` must pass the full
+    validator and match the oracle on the instance it solved. The sim
+    mismatches and every failure become this case's own, located by the
+    inner case or the view that found them.
     """
     validator = validator or ScheduleValidator()
     with run_case("tenancy", f"fused-{model}", fused_verdict) as report:
@@ -286,17 +291,31 @@ def verify_fused_model(
         timings = analyze_edges(fused, plan.schedule.kernel, config)
         report.facts["delta_r"] = delta_r_accounting(fused, timings).as_dict()
 
-        inner = sim_differential_battery(
+        for case in sim_differential_battery(
             plan, config=config, iteration_counts=[1, 20]
-        ) + search_differential(
-            fused, config, budgets=[64, 256], validator=validator
-        )
-        for case in inner:
+        ):
             report.mismatches.extend(case.mismatches)
             report.failures.extend(
                 f"{case.battery}[{case.case}]: {text}"
                 for text in case.failures
                 + ([case.error] if case.error is not None else [])
+            )
+
+        plans = {
+            label: plan if label == "healthy"
+            else ParaConv(view, validate=False).run(fused)
+            for label, view in machine_variants(config)
+        }
+        for label, view_plan in plans.items():
+            report.failures.extend(
+                f"{label} plan: {violation}"
+                for violation in validator.validate(view_plan).errors()
+            )
+        for label, differential in view_differentials(
+            fused, config, plans=plans
+        ).items():
+            report.failures.extend(
+                f"{label} oracle: {text}" for text in differential.failures
             )
     return report
 
@@ -347,7 +366,8 @@ TENANCY_BATTERY = Battery(
          "isolated server over the same partition, aggregate counters must "
          "equal the sum of isolated runs, every tenant plan must pass the "
          "full validator, and fused-dataflow lowerings must conserve work "
-         "and pass the sim and search differentials unchanged",
+         "and pass the sim differential, the validator and the oracle on "
+         "every machine view unchanged",
     run=run_tenancy_battery,
     options=(
         option("--tenancy-requests", type=positive_int, default=12,

@@ -10,10 +10,9 @@ fault-detection score over the corpus must be 1.0.
 The corpus deliberately spans every check family: kernel resource faults
 (overlapping, stretched, dropped, swapped operations), retiming faults
 (negative values, dropped edges, flattened producers), placement faults
-(transfer inflation, placement flips), allocation-accounting faults
-(profit corruption, cache overfill), and search-candidate faults modeling
-a buggy search allocator (phantom cached profit, an internally consistent
-but capacity-violating candidate).
+(transfer inflation, placement flips), and allocation faults that any
+allocator could emit (profit corruption, cache overfill, phantom cached
+profit, and an honestly accounted result that overflows the cache).
 """
 
 from __future__ import annotations
@@ -268,17 +267,16 @@ def _mutate_corrupt_profit(
     )
 
 
-def _mutate_search_overstate_profit(
+def _mutate_phantom_cached_profit(
     result: ParaConvResult, rng: random.Random
 ) -> Optional[str]:
-    """Claim search profit for a result that was never actually cached.
+    """Claim profit for a result that was never actually cached.
 
-    Models the characteristic failure of a buggy search allocator: a
-    candidate's bookkeeping says an intermediate result is cached (and
-    banks its ``DR(m)``) while the emitted placements still send it to
-    eDRAM. The cached list then disagrees with the CACHE placements and
-    the profit accounting no longer sums over the cached set — both
-    allocation-check violations.
+    Models an allocator whose bookkeeping says an intermediate result is
+    cached (and banks its ``DR(m)``) while the emitted placements still
+    send it to eDRAM. The cached list then disagrees with the CACHE
+    placements and the profit accounting no longer sums over the cached
+    set — both allocation-check violations.
     """
     allocation = result.allocation
     phantom = sorted(
@@ -297,18 +295,17 @@ def _mutate_search_overstate_profit(
     )
 
 
-def _mutate_search_overfill_candidate(
+def _mutate_overfill_consistent(
     result: ParaConvResult, rng: random.Random
 ) -> Optional[str]:
-    """Emit an internally consistent candidate that overflows the cache.
+    """Emit an internally consistent allocation that overflows the cache.
 
-    Models a search walk that accepts an infeasible neighbor: extra
-    results are flipped to CACHE *consistently* — placements, cached
-    list, transfer times, profit and slot accounting all updated
-    honestly — until the charged slots exceed the capacity. Every
-    allocation-consistency check stays green by construction; only the
-    cache-capacity invariant can catch it, so a miss here is a hole in
-    that specific check.
+    Models an allocator that ignores the capacity: extra results are
+    flipped to CACHE *consistently* — placements, cached list, transfer
+    times, profit and slot accounting all updated honestly — until the
+    charged slots exceed the capacity. Every allocation-consistency check
+    stays green by construction; only the cache-capacity invariant can
+    catch it, so a miss here is a hole in that specific check.
     """
     from repro.core.retiming import analyze_edges
 
@@ -372,8 +369,8 @@ MUTATORS: Dict[str, Mutator] = {
     "overfill-cache": _mutate_overfill_cache,
     "corrupt-profit": _mutate_corrupt_profit,
     "shrink-period": _mutate_shrink_period,
-    "search-overstate-profit": _mutate_search_overstate_profit,
-    "search-overfill-candidate": _mutate_search_overfill_candidate,
+    "phantom-cached-profit": _mutate_phantom_cached_profit,
+    "overfill-consistent": _mutate_overfill_consistent,
 }
 
 

@@ -18,8 +18,9 @@ instance a compiled plan solved, on every machine view of
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.allocation import (
     ALLOCATORS,
@@ -28,10 +29,47 @@ from repro.core.allocation import (
     dp_allocate,
 )
 from repro.core.paraconv import ParaConv, ParaConvResult
-from repro.core.profit import ProfitTable, np
 from repro.core.retiming import analyze_edges
 from repro.graph.taskgraph import TaskGraph
 from repro.pim.config import PimConfig
+from repro.pim.memory import Placement
+
+#: Minimum numpy release the oracle's subset matrix is tested against.
+#: (``numpy >= 1.22`` is the floor pinned in ``pyproject.toml``: it is
+#: the first release with stable typed ``np.int64`` matmul promotion on
+#: every platform the CI matrix covers.)
+NUMPY_FLOOR = (1, 22)
+
+
+def require_numpy_floor(module_name: str):
+    """Import numpy and assert :data:`NUMPY_FLOOR` with a clear error.
+
+    Called when this module loads, so a too-old numpy fails loudly at the
+    module boundary instead of deep inside an array expression with a
+    confusing ``TypeError``. The oracle is the package's only numpy user:
+    compiling, simulating and serving never import it.
+    """
+    try:
+        import numpy as np
+    except ImportError as exc:  # pragma: no cover - environment guard
+        raise ImportError(
+            f"{module_name} requires numpy >= "
+            f"{'.'.join(map(str, NUMPY_FLOOR))}; numpy is not installed"
+        ) from exc
+    match = re.match(r"(\d+)\.(\d+)", np.__version__)
+    if match and tuple(map(int, match.groups())) < NUMPY_FLOOR:
+        raise ImportError(
+            f"{module_name} requires numpy >= "
+            f"{'.'.join(map(str, NUMPY_FLOOR))} (the oracle enumerates "
+            f"subsets as numpy bit matrices), found {np.__version__}; "
+            f"upgrade numpy"
+        )
+    return np
+
+
+np = require_numpy_floor(__name__)
+
+EdgeKey = Tuple[int, int]
 
 #: Largest item count enumerated exhaustively (2^n subsets).
 DEFAULT_EXHAUSTIVE_LIMIT = 16
@@ -52,6 +90,76 @@ class OracleSizeError(ValueError):
     """Raised when an instance is too large for exhaustive enumeration."""
 
 
+class ProfitTable:
+    """The space and profit columns of one allocation instance.
+
+    Attributes:
+        keys: item edge keys, in the problem's deadline order.
+        slots: ``int64`` array of space requirements ``sp_m``.
+        delta_r: ``int64`` array of profits ``ΔR(m)``.
+    """
+
+    __slots__ = ("keys", "slots", "delta_r")
+
+    def __init__(self, items) -> None:
+        self.keys: List[EdgeKey] = [item.key for item in items]
+        self.slots = np.asarray([item.slots for item in items], dtype=np.int64)
+        self.delta_r = np.asarray(
+            [item.delta_r for item in items], dtype=np.int64
+        )
+
+    @classmethod
+    def of(cls, problem: AllocationProblem) -> "ProfitTable":
+        """The table of ``problem``'s competing items."""
+        return cls(problem.items)
+
+    def score_masks(self, masks):
+        """Batch-score candidates: ``(profits, slots)`` ``int64`` arrays.
+
+        ``masks`` is a ``(k, n)`` boolean (or 0/1) matrix, one row per
+        candidate subset; scoring is two matrix-vector products.
+        """
+        matrix = np.asarray(masks)
+        if matrix.ndim != 2 or matrix.shape[1] != len(self.keys):
+            raise ValueError(
+                f"masks must be (k, {len(self.keys)}), got {matrix.shape}"
+            )
+        weights = matrix.astype(np.int64, copy=False)
+        return weights @ self.delta_r, weights @ self.slots
+
+    def result_from_mask(
+        self, method: str, problem: AllocationProblem, mask
+    ) -> AllocationResult:
+        """Build an :class:`AllocationResult` from a boolean member mask.
+
+        Field-identical to :func:`repro.core.allocation._finalize` on the
+        equivalent chosen-item sequence: ``cached`` lists keys in item
+        (deadline) order, and profit and slots are plain ints.
+        """
+        chosen = np.asarray(mask, dtype=bool)
+        if chosen.shape != (len(self.keys),):
+            raise ValueError(
+                f"mask must have shape ({len(self.keys)},), "
+                f"got {chosen.shape}"
+            )
+        placements = {key: Placement.EDRAM for key in problem.indifferent}
+        cached: List[EdgeKey] = []
+        for index, key in enumerate(self.keys):
+            if chosen[index]:
+                placements[key] = Placement.CACHE
+                cached.append(key)
+            else:
+                placements[key] = Placement.EDRAM
+        return AllocationResult(
+            method=method,
+            placements=placements,
+            cached=cached,
+            total_delta_r=int(self.delta_r[chosen].sum()),
+            slots_used=int(self.slots[chosen].sum()),
+            capacity_slots=problem.capacity_slots,
+        )
+
+
 def exhaustive_allocate(
     problem: AllocationProblem,
     limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
@@ -65,7 +173,7 @@ def exhaustive_allocate(
 
     Every subset is one row of a ``(2^n, n)`` bit matrix; profits and
     slot totals fall out of two matrix products on the
-    :class:`~repro.core.profit.ProfitTable` columns. Its verdicts on the
+    :class:`ProfitTable` columns. Its verdicts on the
     enumerable instances of every paper benchmark's machine views are
     pinned by ``tests/golden/oracle_verdicts.json``.
 
@@ -261,18 +369,17 @@ def view_differentials(
     graph: TaskGraph,
     config: PimConfig,
     exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
-    plan: Optional[ParaConvResult] = None,
+    plans: Optional[Mapping[str, ParaConvResult]] = None,
 ) -> Dict[str, DifferentialReport]:
     """:func:`differential_check` on every view of :func:`machine_variants`.
 
-    ``plan`` is the DP plan on the healthy ``config`` when the caller
-    already compiled it; every other view compiles its own.
+    ``plans`` maps a view label to the DP plan the caller already
+    compiled on that view; every other view compiles its own.
     """
+    plans = plans or {}
     return {
         label: differential_check(
-            allocation_instance(
-                graph, view, plan if label == "healthy" else None
-            )[0],
+            allocation_instance(graph, view, plans.get(label))[0],
             exhaustive_limit=exhaustive_limit,
         )
         for label, view in machine_variants(config)

@@ -28,7 +28,6 @@ from repro.pim.config import PimConfig
 from repro.verify.differential_failover import FAULTS_BATTERY
 from repro.verify.differential_fleet import FLEET_BATTERY
 from repro.verify.differential_rewire import REWIRE_BATTERY
-from repro.verify.differential_search import SEARCH_BATTERY
 from repro.verify.differential_sim import SIM_BATTERY, plans_at_dp_width
 from repro.verify.differential_tenancy import TENANCY_BATTERY
 from repro.verify.harness import (
@@ -142,7 +141,8 @@ def verify_workload(
 
     if with_differential:
         outcome.differentials = view_differentials(
-            graph, config, exhaustive_limit=oracle_limit, plan=dp_plan
+            graph, config, exhaustive_limit=oracle_limit,
+            plans={"healthy": dp_plan},
         )
     if with_faults:
         outcome.faults = fault_detection_report(
@@ -244,7 +244,6 @@ BATTERIES: Tuple[Battery, ...] = (
     SCHEDULE_BATTERY,
     SIM_BATTERY,
     FAULTS_BATTERY,
-    SEARCH_BATTERY,
     FLEET_BATTERY,
     TENANCY_BATTERY,
     REWIRE_BATTERY,

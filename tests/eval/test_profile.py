@@ -48,7 +48,6 @@ class TestRunProfile:
         table = "\n".join(row.function for row in report.rows)
         assert "dp_allocate" in table
         assert "analyze_edges" in table
-        assert "search.py" not in table
 
     def test_sim_profile_hits_the_columnar_engine(self, small_machine):
         report = run_profile("sim", small_machine, workload="cat", top=25)

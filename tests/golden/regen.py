@@ -1,6 +1,6 @@
 """Golden fixture computation and regeneration.
 
-Eight fixtures live next to this module:
+Seven fixtures live next to this module:
 
 * ``benchmarks.json`` pins the full compiled plan for every paper
   benchmark on the default machine: scalar plan metrics (period,
@@ -12,10 +12,6 @@ Eight fixtures live next to this module:
   case: the aggregate signature, the convergence observables, a digest
   of the per-round counter stream and the fault that stopped the run
   (``tests/golden/test_sim_golden_drift.py``).
-* ``anneal.json`` pins the annealing allocator's placements and
-  :class:`~repro.core.search.SearchStats` on every paper benchmark
-  across the search battery's machine variants and budget ladder
-  (``tests/golden/test_anneal_golden_drift.py``).
 * ``compile_grid.json`` pins the plan digest of every cell of the
   compile sweep: each paper and randwired workload on 16 and 64 PEs at
   N=1000, where wide machines make PE-packing ties common
@@ -38,8 +34,8 @@ Eight fixtures live next to this module:
   (``tests/golden/test_sim_tables_drift.py``).
 * ``oracle_verdicts.json`` pins the exhaustive allocation oracle's
   answer (placements as a digest, the cached keys in order, profit and
-  slots) on every instance the search battery enumerates: the paper
-  benchmarks on its machine variants at the verify CLI's defaults, where
+  slots) on every instance the oracle enumerates: the paper benchmarks
+  on every view of ``machine_variants`` at the verify CLI's defaults, where
   an instance has at most ``DEFAULT_EXHAUSTIVE_LIMIT`` competing results
   (``tests/golden/test_oracle_verdicts_drift.py``).
 
@@ -68,7 +64,6 @@ from repro.cnn.workloads import (
     load_workload,
 )
 from repro.core.paraconv import ParaConv, ParaConvResult
-from repro.core.search import AnnealAllocator
 from repro.fleet.loadgen import FleetLoadGenerator, run_bench
 from repro.fleet.router import FleetRouter
 from repro.fleet.slo import SloClass, SloPolicy
@@ -81,7 +76,6 @@ from repro.runtime.plan_cache import plan_to_dict
 from repro.sim.executor import PeFaultError, ScheduleExecutor, _ScheduleRun
 from repro.sim.modes import SimMode
 from repro.sim.sinks import NullSink
-from repro.verify.differential_search import DEFAULT_BUDGET_LADDER
 from repro.verify.oracle import (
     DEFAULT_EXHAUSTIVE_LIMIT,
     allocation_instance,
@@ -94,7 +88,6 @@ _HERE = Path(__file__).resolve().parent
 #: Where the golden fixture lives, next to this module.
 GOLDEN_PATH = _HERE / "benchmarks.json"
 SIM_GOLDEN_PATH = _HERE / "sim_signatures.json"
-ANNEAL_GOLDEN_PATH = _HERE / "anneal.json"
 COMPILE_GRID_PATH = _HERE / "compile_grid.json"
 PROFIT_SCORES_PATH = _HERE / "profit_scores.json"
 FLEET_METRICS_PATH = _HERE / "fleet_metrics.json"
@@ -112,7 +105,6 @@ SIM_NUM_VAULTS = 32
 #: The per-workload fault case: PE 0 dies at iteration boundary 3.
 SIM_FAULT = (FAULT_UNIT_PE, 0, 3)
 SIM_FAULT_ITERATIONS = 20
-ANNEAL_SEED = 0
 #: The compile sweep's machine sizes and iteration count.
 GRID_PES: Tuple[int, ...] = (16, 64)
 GRID_ITERATIONS = 1000
@@ -135,7 +127,7 @@ FLEET_KILL = "worker-1"
 #: simulator's static tables are frozen at.
 SIM_TABLES_MACHINE = "healthy"
 SIM_TABLES_ITERATIONS = 20
-#: The search battery's machine at the verify CLI's defaults.
+#: The oracle's machine at the verify CLI's defaults.
 ORACLE_PES = 16
 ORACLE_ITERATIONS = 1000
 
@@ -332,48 +324,6 @@ def compute_sim_tables() -> Dict[str, Any]:
         "num_vaults": SIM_NUM_VAULTS,
         "iterations": SIM_TABLES_ITERATIONS,
         "workloads": {name: sim_tables_entry(name) for name in WORKLOADS},
-    }
-
-
-# ----------------------------------------------------------------------
-# annealing walk verdicts
-# ----------------------------------------------------------------------
-def anneal_entry(problem, budget: int) -> Dict[str, Any]:
-    """The annealer's answer on one instance at one budget."""
-    result = AnnealAllocator(max_evals=budget, seed=ANNEAL_SEED)(problem)
-    placements = sorted(
-        [list(key), placement.value]
-        for key, placement in result.placements.items()
-    )
-    return _as_json({
-        "num_cached": len(result.cached),
-        "placements_sha256": _sha256(placements),
-        "total_delta_r": result.total_delta_r,
-        "slots_used": result.slots_used,
-        "search_stats": result.search_stats.as_dict(),
-    })
-
-
-def anneal_benchmark_entries(name: str) -> Dict[str, Any]:
-    """Every (variant, budget) entry of one paper benchmark."""
-    graph = synthetic_benchmark(name)
-    entries: Dict[str, Any] = {}
-    for variant, machine in machine_variants(PimConfig()):
-        problem, _width = allocation_instance(graph, machine)
-        for budget in DEFAULT_BUDGET_LADDER:
-            entries[f"{variant}/{budget}"] = anneal_entry(problem, budget)
-    return entries
-
-
-def compute_anneal_golden() -> Dict[str, Any]:
-    return {
-        "format_version": GOLDEN_FORMAT_VERSION,
-        "config": PimConfig().to_dict(),
-        "seed": ANNEAL_SEED,
-        "budgets": list(DEFAULT_BUDGET_LADDER),
-        "benchmarks": {
-            name: anneal_benchmark_entries(name) for name in BENCHMARK_SIZES
-        },
     }
 
 
@@ -600,10 +550,6 @@ def main() -> int:
     sim = compute_sim_golden()
     _write(SIM_GOLDEN_PATH, sim)
     print(f"wrote {len(sim['workloads'])} workloads to {SIM_GOLDEN_PATH}")
-    anneal = compute_anneal_golden()
-    _write(ANNEAL_GOLDEN_PATH, anneal)
-    print(f"wrote {len(anneal['benchmarks'])} benchmarks to "
-          f"{ANNEAL_GOLDEN_PATH}")
     grid = compute_compile_grid()
     _write(COMPILE_GRID_PATH, grid)
     print(f"wrote {len(grid['cells'])} cells to {COMPILE_GRID_PATH}")

@@ -2,8 +2,8 @@
 
 ``tests/golden/oracle_verdicts.json`` pins the oracle's answer -- the
 placements (as a digest), the cached keys in order, the profit and the
-slots -- on every instance the search battery enumerates: each paper
-benchmark on each machine variant at the verify CLI's defaults, where
+slots -- on every instance the oracle enumerates: each paper benchmark
+on each view of ``machine_variants`` at the verify CLI's defaults, where
 the instance has at most ``DEFAULT_EXHAUSTIVE_LIMIT`` competing results.
 The verdicts were frozen from the original incumbent scan, so a failing
 test here means the oracle's optimum or its tie-break moved; if the move
@@ -19,7 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.graph.generators import BENCHMARK_SIZES
-from repro.verify.oracle import DEFAULT_EXHAUSTIVE_LIMIT
+from repro.verify.oracle import DEFAULT_EXHAUSTIVE_LIMIT, machine_variants
 
 from tests.golden.regen import (
     GOLDEN_FORMAT_VERSION,
@@ -44,10 +44,13 @@ class TestFixtureShape:
     def test_format_version(self, golden):
         assert golden["format_version"] == GOLDEN_FORMAT_VERSION
 
-    def test_matrix_is_the_search_battery(self, golden):
+    def test_matrix_is_every_machine_view(self, golden):
         assert set(golden["benchmarks"]) == set(BENCHMARK_SIZES), REGEN_HINT
         assert golden["config"] == oracle_machine().to_dict()
         assert golden["limit"] == DEFAULT_EXHAUSTIVE_LIMIT
+        views = {label for label, _ in machine_variants(oracle_machine())}
+        for name, variants in golden["benchmarks"].items():
+            assert set(variants) <= views, f"{name}: {REGEN_HINT}"
 
     def test_every_entry_is_enumerable(self, golden):
         entries = [

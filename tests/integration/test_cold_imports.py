@@ -1,7 +1,10 @@
-"""Compiling with the default DP, simulating and serving never load numpy.
+"""What each entry point loads, checked in a fresh interpreter.
 
-Each check runs in a fresh interpreter, because numpy stays in
-``sys.modules`` once any earlier test imported it.
+Compiling with the default DP, simulating and serving never load numpy,
+the fleet loads none of the eval experiments, and the allocator registry
+is the same whatever a process imported first. Each check runs in a
+fresh interpreter, because modules stay in ``sys.modules`` once any
+earlier test imported them.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -74,18 +79,59 @@ def test_lazy_exports_resolve():
         import repro.core
 
         assert "repro.runtime" not in sys.modules
-        assert "repro.core.search" not in sys.modules
         from repro.runtime.session import InferenceSession
         assert repro.InferenceSession is InferenceSession
         namespace = {}
         exec("from repro import *", namespace)
         assert set(repro.__all__) <= set(namespace)
         assert namespace["PlanCache"].__module__ == "repro.runtime.plan_cache"
-        from repro.core.search import AnnealAllocator
-        assert repro.core.AnnealAllocator is AnnealAllocator
         try:
             repro.no_such_name
         except AttributeError as exc:
             print(exc)
     """)
     assert "has no attribute 'no_such_name'" in out
+
+
+#: The registry every process sees, whatever it imported first.
+REGISTRY = ["all-edram", "dp", "greedy", "iterative", "oracle", "random"]
+
+
+@pytest.mark.parametrize(
+    "entry", ["repro.__main__", "repro.runtime.session", "repro.verify"]
+)
+def test_allocator_registry_is_the_same_in_every_process(entry):
+    out = run_fresh(f"""
+        import importlib
+
+        importlib.import_module({entry!r})
+        from repro.cnn.workloads import load_workload
+        from repro.core.allocation import ALLOCATORS, UnknownAllocatorError
+        from repro.pim.config import PimConfig
+        from repro.runtime.session import InferenceSession
+
+        print(sorted(ALLOCATORS))
+        try:
+            InferenceSession(
+                load_workload("cat"), PimConfig(num_pes=16),
+                allocator="anneal",
+            )
+        except UnknownAllocatorError as exc:
+            print(exc.choices)
+    """)
+    assert out.splitlines() == [str(REGISTRY), str(REGISTRY)]
+
+
+def test_fleet_entry_loads_no_eval_experiment_verify_or_numpy():
+    out = run_fresh("""
+        import sys
+        import repro.fleet.__main__
+
+        loaded = sorted(
+            name for name in sys.modules
+            if name.startswith(("repro.eval", "repro.verify"))
+            or name == "numpy"
+        )
+        print(loaded)
+    """)
+    assert out.strip() == str(["repro.eval", "repro.eval.bench_io"])

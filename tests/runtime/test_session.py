@@ -164,11 +164,11 @@ class TestAllocatorSpecIdentity:
             with pytest.raises(ValueError):
                 InferenceSession(graph, config, allocator=spec)
 
-    def test_session_serves_search_plans(self, graph, config):
+    def test_session_serves_other_registry_plans(self, graph, config):
         from repro.runtime.session import InferenceSession
 
-        session = InferenceSession(graph, config, allocator="portfolio")
-        assert session.allocator == "portfolio"
+        session = InferenceSession(graph, config, allocator="greedy")
+        assert session.allocator == "greedy"
         result = session.run(iterations=5)
         assert result.iterations == 5
-        assert session.plan.allocation.method == "portfolio"
+        assert session.plan.allocation.method == "greedy"

@@ -12,7 +12,9 @@ from repro.verify.differential_tenancy import (
     tenancy_differential,
     verify_fused_model,
 )
+from repro.pim.config import PimConfig
 from repro.verify.harness import battery_ok
+from repro.verify.oracle import machine_variants
 
 # Small-but-real sizes: 16 PEs carve into slices that still compile the
 # fleet workloads, and 4 requests per tenant exercise multiple batches.
@@ -62,6 +64,28 @@ class TestFusedStage:
         assert facts["ops_absorbed"] > 0
         assert facts["delta_r"]["fused_ops_absorbed"] == facts["ops_absorbed"]
         assert fused_verdict({**facts, "work_conserved": False})
+
+    def test_suboptimal_dp_fails_the_oracle_on_every_view(self, monkeypatch):
+        """A dp that caches nothing still emits valid plans; only the
+        oracle stage can see it, and it must on every machine view."""
+        import repro.core.allocation as allocation_module
+
+        def broken_dp(problem):
+            result = allocation_module.all_edram_allocate(problem)
+            result.method = "dp"
+            return result
+
+        monkeypatch.setitem(allocation_module.ALLOCATORS, "dp", broken_dp)
+        report = verify_fused_model("alexnet")
+        assert not report.ok
+        flagged = {
+            failure.split(" ")[0]
+            for failure in report.failures
+            if " oracle: " in failure
+        }
+        views = machine_variants(PimConfig(num_pes=16))
+        assert flagged == {label for label, _ in views}
+        assert not any(" plan: " in failure for failure in report.failures)
 
     def test_unknown_model_reported_not_raised(self):
         report = verify_fused_model("ghostnet")

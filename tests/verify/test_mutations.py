@@ -95,11 +95,12 @@ class TestDetection:
         assert payload["injected"] >= 10
 
 
-class TestSearchMutators:
-    """The search-candidate corpus entries (100% detection required)."""
+class TestAllocationMutators:
+    """The phantom-profit and consistent-overfill corpus entries (100%
+    detection required)."""
 
     @pytest.mark.parametrize(
-        "name", ["search-overstate-profit", "search-overfill-candidate"]
+        "name", ["phantom-cached-profit", "overfill-consistent"]
     )
     def test_detected_whenever_applicable(self, config, name):
         applied_somewhere = False
@@ -113,11 +114,11 @@ class TestSearchMutators:
                 )
         assert applied_somewhere, f"{name} never applied on any benchmark"
 
-    def test_overstate_profit_breaks_the_cached_set_invariant(self, plan):
+    def test_phantom_profit_breaks_the_cached_set_invariant(self, plan):
         import random
 
         mutant = clone_result(plan)
-        description = MUTATORS["search-overstate-profit"](
+        description = MUTATORS["phantom-cached-profit"](
             mutant, random.Random(0)
         )
         if description is None:
@@ -126,13 +127,13 @@ class TestSearchMutators:
         assert not report.ok
         assert any(v.check == "allocation" for v in report.errors())
 
-    def test_overfill_candidate_only_breaks_capacity(self, plan):
+    def test_consistent_overfill_only_breaks_capacity(self, plan):
         """The overfill mutant is internally consistent by construction:
         every violation it produces must come from the capacity check."""
         import random
 
         mutant = clone_result(plan)
-        description = MUTATORS["search-overfill-candidate"](
+        description = MUTATORS["overfill-consistent"](
             mutant, random.Random(0)
         )
         if description is None:

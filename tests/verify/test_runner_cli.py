@@ -143,7 +143,6 @@ class TestCli:
     @pytest.mark.parametrize("flags", [
         ["--faults", "--fault-iteration", "-1"],
         ["--faults", "--fault-unit-id", "-1"],
-        ["--search", "--search-budgets", "-5", "10"],
     ])
     def test_negative_counts_are_usage_errors(self, flags, capsys):
         with pytest.raises(SystemExit) as excinfo:
