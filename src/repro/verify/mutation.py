@@ -267,7 +267,7 @@ def _mutate_corrupt_profit(
     )
 
 
-def _mutate_phantom_cached_profit(
+def _mutate_search_overstate_profit(
     result: ParaConvResult, rng: random.Random
 ) -> Optional[str]:
     """Claim profit for a result that was never actually cached.
@@ -295,7 +295,7 @@ def _mutate_phantom_cached_profit(
     )
 
 
-def _mutate_overfill_consistent(
+def _mutate_search_overfill_candidate(
     result: ParaConvResult, rng: random.Random
 ) -> Optional[str]:
     """Emit an internally consistent allocation that overflows the cache.
@@ -369,8 +369,8 @@ MUTATORS: Dict[str, Mutator] = {
     "overfill-cache": _mutate_overfill_cache,
     "corrupt-profit": _mutate_corrupt_profit,
     "shrink-period": _mutate_shrink_period,
-    "phantom-cached-profit": _mutate_phantom_cached_profit,
-    "overfill-consistent": _mutate_overfill_consistent,
+    "search-overstate-profit": _mutate_search_overstate_profit,
+    "search-overfill-candidate": _mutate_search_overfill_candidate,
 }
 
 

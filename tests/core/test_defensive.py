@@ -22,7 +22,11 @@ from repro.pim.config import ConfigurationError, PimConfig
 from repro.runtime.session import InferenceSession
 from repro.verify.oracle import exhaustive_allocate
 
-PLAIN_ALLOCATORS = sorted(set(ALLOCATORS) - {"iterative"})
+from tests.core.retired import RETIRED_ALLOCATORS, allocator_for
+
+PLAIN_ALLOCATORS = sorted(
+    set(ALLOCATORS) - {"iterative"} | set(RETIRED_ALLOCATORS)
+)
 
 
 def item(key=(0, 1), slots=2, delta_r=3, deadline=1) -> AllocationItem:
@@ -62,19 +66,19 @@ class TestAllocationProblemRejects:
     def test_negative_capacity(self, method, capacity):
         problem = AllocationProblem(items=[item()], capacity_slots=capacity)
         with pytest.raises(AllocationError):
-            ALLOCATORS[method](problem)
+            allocator_for(method)(problem)
 
     @pytest.mark.parametrize("method", PLAIN_ALLOCATORS)
     def test_non_positive_slots(self, method):
         problem = AllocationProblem(items=[item(slots=0)], capacity_slots=8)
         with pytest.raises(AllocationError):
-            ALLOCATORS[method](problem)
+            allocator_for(method)(problem)
 
     @pytest.mark.parametrize("method", PLAIN_ALLOCATORS)
     def test_negative_profit(self, method):
         problem = AllocationProblem(items=[item(delta_r=-1)], capacity_slots=8)
         with pytest.raises(AllocationError):
-            ALLOCATORS[method](problem)
+            allocator_for(method)(problem)
 
     @pytest.mark.parametrize("method", PLAIN_ALLOCATORS)
     def test_duplicate_keys(self, method):
@@ -82,7 +86,7 @@ class TestAllocationProblemRejects:
             items=[item(), item()], capacity_slots=8
         )
         with pytest.raises(AllocationError):
-            ALLOCATORS[method](problem)
+            allocator_for(method)(problem)
 
     def test_non_integer_capacity(self):
         problem = AllocationProblem(items=[item()], capacity_slots=4.5)

@@ -31,7 +31,38 @@ def table(problem):
     return ProfitTable.of(problem)
 
 
+class TestConstruction:
+    def test_cache_invalidates_on_item_count_change(self, problem):
+        """``of`` keeps no cache: a table always follows the items."""
+        items = problem.items
+        try:
+            problem.items = items[:-1]
+            rebuilt = ProfitTable.of(problem)
+            assert rebuilt.keys == [item.key for item in items[:-1]]
+        finally:
+            problem.items = items
+        assert len(ProfitTable.of(problem).keys) == len(items)
+
+    def test_columns_mirror_the_items(self, problem, table):
+        assert table.keys == [item.key for item in problem.items]
+        assert table.slots.tolist() == [item.slots for item in problem.items]
+        assert table.delta_r.tolist() == [
+            item.delta_r for item in problem.items
+        ]
+
+
 class TestScoring:
+    def test_score_mask_returns_plain_ints(self, problem, table):
+        """The table scores in ``int64``; the results it builds hold
+        plain ints."""
+        mask = np.zeros(len(table.keys), dtype=bool)
+        mask[0] = True
+        result = table.result_from_mask("unit-test", problem, mask)
+        assert type(result.total_delta_r) is int
+        assert type(result.slots_used) is int
+        assert result.total_delta_r == problem.items[0].delta_r
+        assert result.slots_used == problem.items[0].slots
+
     def test_batch_scoring_matches_object_walk(self, table, golden_scores):
         # The object walk's scores on a fixed batch, frozen by
         # ``python -m tests.golden.regen``.
@@ -43,6 +74,17 @@ class TestScoring:
         assert [
             [int(p), int(s)] for p, s in zip(profits, slots)
         ] == golden_scores["scores"]
+
+    def test_feasible_thresholds_on_capacity(self, problem, table):
+        """One-hot rows fit exactly the items no larger than the capacity,
+        the threshold the oracle applies to every subset."""
+        smallest = min(item.slots for item in problem.items)
+        _profits, slots = table.score_masks(
+            np.eye(len(table.keys), dtype=bool)
+        )
+        assert (slots <= smallest).tolist() == [
+            item.slots <= smallest for item in problem.items
+        ]
 
     def test_score_masks_rejects_wrong_shape(self, table):
         n = len(table.keys)
@@ -64,8 +106,6 @@ class TestFinalization:
         result = table.result_from_mask("unit-test", problem, chosen)
         item = problem.items[fitting[0]]
         assert result.method == "unit-test"
-        assert type(result.total_delta_r) is int
-        assert type(result.slots_used) is int
         assert result.total_delta_r == item.delta_r
         assert result.slots_used == item.slots
         assert result.cached == [item.key]

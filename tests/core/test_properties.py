@@ -37,6 +37,8 @@ from repro.pim.config import PimConfig
 from repro.verify.oracle import exhaustive_allocate
 from repro.verify.validator import ScheduleValidator
 
+from tests.core.retired import RETIRED_ALLOCATORS, allocator_for
+
 # ----------------------------------------------------------------------
 # instance generators (all deterministic in the seed)
 # ----------------------------------------------------------------------
@@ -79,7 +81,9 @@ RETIMING_SEEDS = range(60)
 ALLOCATION_SEEDS = range(60)
 ORACLE_SEEDS = range(48)
 PIPELINE_SEEDS = range(12)
-CAPACITY_AWARE = sorted(set(ALLOCATORS) - {"oracle", "iterative"})
+CAPACITY_AWARE = sorted(
+    set(ALLOCATORS) - {"oracle", "iterative"} | set(RETIRED_ALLOCATORS)
+)
 
 
 # ----------------------------------------------------------------------
@@ -131,7 +135,7 @@ def test_negative_delta_rejected(seed):
 def test_allocator_capacity_feasible_and_consistent(method, seed):
     """Every capacity-aware allocator: feasible + self-consistent."""
     problem = make_problem(seed)
-    result = ALLOCATORS[method](problem)
+    result = allocator_for(method)(problem)
     by_key = {item.key: item for item in problem.items}
 
     assert result.slots_used <= problem.capacity_slots

@@ -44,7 +44,8 @@ class TestFixtureShape:
     def test_format_version(self, golden):
         assert golden["format_version"] == GOLDEN_FORMAT_VERSION
 
-    def test_matrix_is_every_machine_view(self, golden):
+    def test_matrix_is_the_search_battery(self, golden):
+        """Every paper benchmark on the views of ``machine_variants``."""
         assert set(golden["benchmarks"]) == set(BENCHMARK_SIZES), REGEN_HINT
         assert golden["config"] == oracle_machine().to_dict()
         assert golden["limit"] == DEFAULT_EXHAUSTIVE_LIMIT

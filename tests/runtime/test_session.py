@@ -164,7 +164,9 @@ class TestAllocatorSpecIdentity:
             with pytest.raises(ValueError):
                 InferenceSession(graph, config, allocator=spec)
 
-    def test_session_serves_other_registry_plans(self, graph, config):
+    def test_session_serves_search_plans(self, graph, config):
+        """A plan from a non-default allocator (the greedy search) is
+        served as compiled."""
         from repro.runtime.session import InferenceSession
 
         session = InferenceSession(graph, config, allocator="greedy")

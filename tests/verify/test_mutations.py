@@ -95,12 +95,12 @@ class TestDetection:
         assert payload["injected"] >= 10
 
 
-class TestAllocationMutators:
+class TestSearchMutators:
     """The phantom-profit and consistent-overfill corpus entries (100%
     detection required)."""
 
     @pytest.mark.parametrize(
-        "name", ["phantom-cached-profit", "overfill-consistent"]
+        "name", ["search-overstate-profit", "search-overfill-candidate"]
     )
     def test_detected_whenever_applicable(self, config, name):
         applied_somewhere = False
@@ -114,11 +114,11 @@ class TestAllocationMutators:
                 )
         assert applied_somewhere, f"{name} never applied on any benchmark"
 
-    def test_phantom_profit_breaks_the_cached_set_invariant(self, plan):
+    def test_overstate_profit_breaks_the_cached_set_invariant(self, plan):
         import random
 
         mutant = clone_result(plan)
-        description = MUTATORS["phantom-cached-profit"](
+        description = MUTATORS["search-overstate-profit"](
             mutant, random.Random(0)
         )
         if description is None:
@@ -127,13 +127,13 @@ class TestAllocationMutators:
         assert not report.ok
         assert any(v.check == "allocation" for v in report.errors())
 
-    def test_consistent_overfill_only_breaks_capacity(self, plan):
+    def test_overfill_candidate_only_breaks_capacity(self, plan):
         """The overfill mutant is internally consistent by construction:
         every violation it produces must come from the capacity check."""
         import random
 
         mutant = clone_result(plan)
-        description = MUTATORS["overfill-consistent"](
+        description = MUTATORS["search-overfill-candidate"](
             mutant, random.Random(0)
         )
         if description is None:

@@ -15,7 +15,6 @@ from repro.verify.oracle import (
     OracleSizeError,
     differential_check,
     exhaustive_allocate,
-    machine_variants,
 )
 
 
@@ -122,24 +121,3 @@ class TestDpAgainstOracleOnRealGraphs:
         dp = dp_allocate(problem)
         best = exhaustive_allocate(problem)
         assert dp.total_delta_r == best.total_delta_r
-
-
-class TestMachineVariants:
-    """The machine views the DP is held to the oracle on."""
-
-    def test_healthy_degraded_and_shards(self):
-        labels = [label for label, _ in machine_variants(PimConfig(num_pes=16))]
-        assert labels == ["healthy", "degraded", "shard-0", "shard-1"]
-
-    def test_variant_machines_shrink(self):
-        config = PimConfig(num_pes=16)
-        variants = dict(machine_variants(config))
-        assert variants["degraded"].num_pes == config.num_pes - 1
-        assert (
-            variants["shard-0"].num_pes + variants["shard-1"].num_pes
-            == config.num_pes
-        )
-
-    def test_single_pe_machine_has_only_healthy(self):
-        labels = [label for label, _ in machine_variants(PimConfig(num_pes=1))]
-        assert labels == ["healthy"]

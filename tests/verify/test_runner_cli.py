@@ -143,6 +143,7 @@ class TestCli:
     @pytest.mark.parametrize("flags", [
         ["--faults", "--fault-iteration", "-1"],
         ["--faults", "--fault-unit-id", "-1"],
+        ["--unroll", "-3"],
     ])
     def test_negative_counts_are_usage_errors(self, flags, capsys):
         with pytest.raises(SystemExit) as excinfo:
