@@ -47,7 +47,7 @@ def test_retiming_propagation_scaling(benchmark, quick_machine, big_graph):
     config = quick_machine.with_pes(64)
     kernel = compact_kernel_schedule(big_graph, 64)
     timings = analyze_edges(big_graph, kernel, config)
-    deltas = {key: t.delta_edram for key, t in timings.items()}
+    deltas = list(timings.delta_edram)
     solution = benchmark(lambda: solve_retiming(big_graph, deltas))
     assert solution.max_retiming >= 0
 

@@ -10,9 +10,9 @@
   which is how the :class:`~repro.compiler.manager.PassManager` enforces
   immutability *between* passes;
 * **shared** holds width-invariant precomputation (ASAP levels, total
-  work, the kernel packing order, the per-edge price table and its
-  index-based edge table) that the width search hoists out of the
-  per-width loop and shares across forked contexts.
+  work, the kernel packing order, the per-edge prices laid out in the
+  graph's index space) that the width search hoists out of the per-width
+  loop and shares across forked contexts.
 
 Forking (:meth:`CompileContext.fork_for_width`) is how one validated graph
 feeds many candidate widths — or, in the ablation harness, how one edge
@@ -29,7 +29,7 @@ from repro.graph.taskgraph import TaskGraph
 from repro.pim.config import PimConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.retiming import EdgePrice, EdgeTable
+    from repro.core.retiming import EdgeTable
 
 #: Canonical artifact names produced by the standard pipeline, in order of
 #: first appearance. Kept as one tuple so tests and docs have a single
@@ -169,15 +169,6 @@ class CompileContext:
             self.shared["asap_levels"] = asap_levels(self.graph)
         return self.shared["asap_levels"]
 
-    def shared_edge_prices(self) -> "Tuple[EdgePrice, ...]":
-        """Raw transfer times and slot counts of every edge (see
-        :func:`repro.core.retiming.price_edges`)."""
-        if "edge_prices" not in self.shared:
-            from repro.core.retiming import price_edges
-
-            self.shared["edge_prices"] = price_edges(self.graph, self.config)
-        return self.shared["edge_prices"]
-
     def shared_packing_order(self, order: str) -> "Tuple[Tuple[int, int], ...]":
         """The kernel packing order ``order`` of the graph (see
         :func:`repro.core.scheduler.packing_order`)."""
@@ -192,12 +183,13 @@ class CompileContext:
         return self.shared[key]
 
     def shared_edge_table(self) -> "EdgeTable":
-        """The edge prices indexed by topological position (see
+        """Every edge's raw transfer times and slot counts in the graph's
+        index space (see :func:`repro.core.retiming.price_edges` and
         :func:`repro.core.retiming.edge_table`)."""
         if "edge_table" not in self.shared:
-            from repro.core.retiming import edge_table
+            from repro.core.retiming import edge_table, price_edges
 
             self.shared["edge_table"] = edge_table(
-                self.graph, self.shared_edge_prices()
+                self.graph, price_edges(self.graph, self.config)
             )
         return self.shared["edge_table"]

@@ -34,15 +34,18 @@ from repro.core.allocation import (
     AllocationResult,
     resolve_allocator,
 )
-from repro.core.retiming import analyze_edges, placed_deltas, solve_retiming
+from repro.core.retiming import (
+    analyze_edges,
+    emit_schedule,
+    placed_deltas,
+    solve_retiming,
+)
 from repro.core.schedule import (
-    PeriodicSchedule,
     ScheduleError,
     validate_kernel,
     validate_periodic_schedule,
 )
 from repro.core.scheduler import compact_kernel_schedule
-from repro.pim.memory import Placement
 
 Allocator = Callable[[AllocationProblem], AllocationResult]
 
@@ -73,8 +76,8 @@ class ValidateGraphPass(CompilerPass):
     """Structural preconditions; width-invariant, hoisted by the search.
 
     Also primes the shared width-invariant precomputation (ASAP levels,
-    total work, max execution time, edge prices) so per-width pipeline
-    runs share it.
+    total work, max execution time, edge prices and their edge table in
+    the graph's index space) so per-width pipeline runs share it.
     """
 
     name = "validate-graph"
@@ -87,7 +90,7 @@ class ValidateGraphPass(CompilerPass):
         ctx.shared_total_work()
         ctx.shared_max_execution_time()
         ctx.shared_asap_levels()
-        ctx.shared_edge_prices()
+        ctx.shared_edge_table()
         ctx.put("graph-valid", True)
 
 
@@ -135,7 +138,7 @@ class AnalyzeEdgesPass(CompilerPass):
                 ctx.graph,
                 ctx.get("kernel"),
                 ctx.config,
-                prices=ctx.shared_edge_prices(),
+                table=ctx.shared_edge_table(),
             ),
         )
 
@@ -202,11 +205,8 @@ class LivenessReweightPass(CompilerPass):
         provisional = solve_retiming(
             ctx.graph, placed_deltas(timings, allocation.placements)
         )
-        realized = {
-            edge.key: provisional.vertex_retiming[edge.producer]
-            - provisional.vertex_retiming[edge.consumer]
-            for edge in ctx.graph.edges()
-        }
+        vertex = provisional.vertex_retiming
+        realized = {(i, j): vertex[i] - vertex[j] for i, j in timings}
         problem = liveness_weighted_problem(
             timings, ctx.capacity_slots, realized
         )
@@ -237,25 +237,14 @@ class EmitSchedulePass(CompilerPass):
     produces = ("schedule",)
 
     def run(self, ctx: CompileContext) -> None:
-        timings = ctx.get("timings")
-        allocation = ctx.get("allocation")
-        solution = ctx.get("retiming")
-        placements = allocation.placements
-        cache = Placement.CACHE
-        transfer_times = {
-            key: t.transfer_cache if placements[key] is cache
-            else t.transfer_edram
-            for key, t in timings.items()
-        }
         ctx.put(
             "schedule",
-            PeriodicSchedule(
-                graph=ctx.graph,
-                kernel=ctx.get("kernel"),
-                retiming=solution.vertex_retiming,
-                edge_retiming=solution.edge_retiming,
-                placements=dict(allocation.placements),
-                transfer_times=transfer_times,
+            emit_schedule(
+                ctx.graph,
+                ctx.get("kernel"),
+                ctx.get("timings"),
+                ctx.get("allocation").placements,
+                ctx.get("retiming"),
             ),
         )
 

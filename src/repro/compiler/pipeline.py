@@ -75,7 +75,7 @@ from repro.core.retiming import (
     edge_table,
     price_edges,
 )
-from repro.core.schedule import ScheduleError
+from repro.core.schedule import require_layout
 from repro.core.scheduler import KERNEL_ORDERS
 from repro.graph.taskgraph import TaskGraph
 from repro.pim.config import PimConfig
@@ -416,7 +416,7 @@ def transfer_critical_path(
     if table is None:
         table = edge_table(graph, price_edges(graph, config))
     # reach[v]: the longest priced chain that ends where v starts.
-    reach = [0] * len(table.op_ids)
+    reach = [0] * len(table.index.op_ids)
     for producer, consumer, cache_units, _edram, execution_time in table.rows:
         arrival = reach[producer] + execution_time + (
             cache_units if cache_units < period_floor else period_floor
@@ -424,7 +424,7 @@ def transfer_critical_path(
         if arrival > reach[consumer]:
             reach[consumer] = arrival
     return max(
-        (start + run for start, run in zip(reach, table.execution_times)),
+        (start + run for start, run in zip(reach, table.index.execution_times)),
         default=0,
     )
 
@@ -440,7 +440,7 @@ def kernel_stage_floor(ctx: CompileContext, iterations: int) -> int:
     faster, and the minimal retiming only grows with a delta.
 
     ``R_floor`` is one reverse pass over the context's edge table, reading
-    the kernel's offsets; it builds no
+    the kernel's ``start``/``finish`` columns by vertex; it builds no
     :class:`~repro.core.retiming.EdgeTiming`. A cut width never runs
     :func:`~repro.core.retiming.analyze_edges`, so the pass keeps its
     checks: on an inverted memory hierarchy, a delta beyond Theorem 3.1's
@@ -452,18 +452,11 @@ def kernel_stage_floor(ctx: CompileContext, iterations: int) -> int:
     if period <= 0:
         raise RetimingError("kernel period must be positive")
     table = ctx.shared_edge_table()
-    op_ids = table.op_ids
-    placed = kernel.placements
-    try:
-        windows = [placed[op_id] for op_id in op_ids]
-    except KeyError as exc:
-        _report_bad_kernel(ctx)
-        raise ScheduleError(f"op {exc.args[0]} missing from kernel") from None
-    starts = [window.start for window in windows]
-    finishes = [window.finish for window in windows]
+    require_layout(kernel, table.index)
+    starts, finishes = kernel.start, kernel.finish
     twice = 2 * period
     # retiming[v]: the minimal R(v) with every edge at its cache delta.
-    retiming = [0] * len(op_ids)
+    retiming = [0] * len(starts)
     for producer, consumer, cache_units, edram_units, _ in reversed(
         table.rows
     ):
@@ -473,7 +466,9 @@ def kernel_stage_floor(ctx: CompileContext, iterations: int) -> int:
         # delta_edram > 2 exactly when gap + t_edram > 2p, and
         # delta_cache <= delta_edram unless the hierarchy is inverted.
         if t_edram < t_cache or gap + t_edram > twice:
-            _report_bad_kernel(ctx)
+            # Raise what analyze_edges raises on this kernel.
+            analyze_edges(ctx.graph, kernel, ctx.config, table=table)
+            op_ids = table.index.op_ids
             raise RetimingError(
                 f"edge {(op_ids[producer], op_ids[consumer])}: fails an "
                 "edge check that analyze_edges passes (internal error)"
@@ -485,15 +480,6 @@ def kernel_stage_floor(ctx: CompileContext, iterations: int) -> int:
             retiming[producer] = reach
     rounds = math.ceil(iterations / ctx.num_groups)
     return (max(retiming, default=0) + rounds) * period
-
-
-def _report_bad_kernel(ctx: CompileContext) -> None:
-    """Raise what :func:`~repro.core.retiming.analyze_edges` raises on
-    ``ctx``'s kernel, naming the first bad edge in edge order."""
-    analyze_edges(
-        ctx.graph, ctx.get("kernel"), ctx.config,
-        prices=ctx.shared_edge_prices(),
-    )
 
 
 def width_lower_bound(

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
-from repro.core.retiming import EdgeTiming, RetimingError
+from repro.core.retiming import EdgeTiming, EdgeTimings, RetimingError
 from repro.pim.memory import Placement
 
 EdgeKey = Tuple[int, int]
@@ -175,23 +175,25 @@ class AllocationProblem:
     @classmethod
     def from_timings(
         cls,
-        timings: Mapping[EdgeKey, EdgeTiming],
+        timings: EdgeTimings,
         capacity_slots: int,
     ) -> "AllocationProblem":
-        """Build the DP instance from the Section 3.2 edge analysis."""
+        """Build the DP instance from the Section 3.2 edge analysis,
+        reading its columns."""
         if capacity_slots < 0:
             raise AllocationError("capacity_slots must be >= 0")
         items: List[AllocationItem] = []
         indifferent: List[EdgeKey] = []
-        for key, timing in timings.items():
-            if timing.delta_r > 0:
+        for key, d_cache, d_edram, slots, deadline in zip(
+            timings.edge_keys,
+            timings.delta_cache,
+            timings.delta_edram,
+            timings.slots,
+            timings.deadline,
+        ):
+            if d_edram > d_cache:
                 items.append(
-                    AllocationItem(
-                        key=key,
-                        slots=timing.slots,
-                        delta_r=timing.delta_r,
-                        deadline=timing.deadline,
-                    )
+                    AllocationItem(key, slots, d_edram - d_cache, deadline)
                 )
             else:
                 indifferent.append(key)

@@ -26,9 +26,10 @@ program.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from typing import Dict, Mapping, Tuple
 
-from repro.core.retiming import EdgeTiming, RetimingError
+from repro.core.retiming import EdgeTiming, EdgeTimings, RetimingError
 
 
 class RetimingCase(enum.IntEnum):
@@ -89,11 +90,11 @@ def classify_all(
     return {key: classify_timing(t) for key, t in timings.items()}
 
 
-def case_census(
-    timings: Mapping[Tuple[int, int], EdgeTiming]
-) -> Dict[RetimingCase, int]:
-    """Histogram of cases over a graph's edges (all six keys present)."""
+def case_census(timings: EdgeTimings) -> Dict[RetimingCase, int]:
+    """Histogram of cases over a graph's edges (all six keys present),
+    read from the table's delta columns."""
     census = {case: 0 for case in RetimingCase}
-    for timing in timings.values():
-        census[classify_timing(timing)] += 1
+    pairs = Counter(zip(timings.delta_cache, timings.delta_edram))
+    for (delta_cache, delta_edram), count in pairs.items():
+        census[classify(delta_cache, delta_edram)] += count
     return census

@@ -25,20 +25,22 @@ def render_kernel(
     """Render one kernel window as an ASCII Gantt chart."""
     if cell_width < 2:
         raise ScheduleError("cell_width must be >= 2")
-    if not kernel.placements:
+    if not kernel.op_ids:
         return "(empty kernel)"
-    pes = sorted({p.pe for p in kernel.placements.values()})
+    pes = sorted(set(kernel.pe))
     if num_pes is not None:
         pes = list(range(num_pes))
     period = kernel.period
     grid: Dict[int, List[str]] = {
         pe: ["." .ljust(cell_width - 1)] * period for pe in pes
     }
-    for placement in kernel.placements.values():
-        label = (labels or {}).get(placement.op_id, f"T{placement.op_id}")
+    for op_id, pe, start, finish in zip(
+        kernel.op_ids, kernel.pe, kernel.start, kernel.finish
+    ):
+        label = (labels or {}).get(op_id, f"T{op_id}")
         label = label[: cell_width - 1]
-        for t in range(placement.start, placement.finish):
-            grid[placement.pe][t] = label.ljust(cell_width - 1)
+        for t in range(start, finish):
+            grid[pe][t] = label.ljust(cell_width - 1)
     lines = []
     header = "     " + " ".join(
         str(t).ljust(cell_width - 1) for t in range(period)

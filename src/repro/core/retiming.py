@@ -20,21 +20,28 @@ cache and eDRAM placements yields the six cases of Figure 4 and the profit
 Only the clamp to ``p`` and the offsets depend on the kernel. The raw
 cache/eDRAM transfer times and slot counts of every edge depend on the
 graph and the machine alone; :func:`price_edges` computes them once and
-the width search reuses that table for every candidate width.
-:func:`edge_table` re-indexes the same prices by topological position,
-for the width search's two bounds
-(:func:`repro.compiler.transfer_critical_path` and
-:func:`repro.compiler.kernel_stage_floor`).
+:func:`edge_table` lays them out in the graph's content-only index space
+(:meth:`~repro.graph.taskgraph.TaskGraph.index`), which the width search
+reuses for every candidate width.
+
+The per-width passes work on columns in that index space:
+:func:`analyze_edges` returns one :class:`EdgeTimings` column per
+:class:`EdgeTiming` field by edge row, :func:`placed_deltas` one delta per
+row, and :func:`solve_retiming`, one reverse pass over the rows like
+:func:`repro.compiler.kernel_stage_floor`, ``R(i)`` by vertex and
+``R(i, j)`` by row; :func:`emit_schedule` lays out the schedule.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
+from collections.abc import Mapping as MappingABC
+from dataclasses import dataclass, field
+from operator import add, ge, le
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from repro.core.schedule import KernelSchedule, ScheduleError
-from repro.graph.taskgraph import TaskGraph
+from repro.core.schedule import KernelSchedule, PeriodicSchedule, require_layout
+from repro.graph.taskgraph import ColumnView, GraphIndex, TaskGraph
 from repro.pim.config import PimConfig
 from repro.pim.memory import Placement
 
@@ -68,8 +75,8 @@ def required_retiming(finish: int, start: int, transfer: int, period: int) -> in
 class EdgeTiming(NamedTuple):
     """Per-edge retiming analysis under both placements.
 
-    An immutable named tuple: ``analyze_edges`` builds one per edge at
-    every explored width, so construction cost matters.
+    One row of an :class:`EdgeTimings` table, built when a caller looks
+    an edge up.
 
     Attributes:
         key: ``(producer, consumer)``.
@@ -174,105 +181,140 @@ def price_edges(graph: TaskGraph, config: PimConfig) -> Tuple[EdgePrice, ...]:
 
 
 class EdgeTable(NamedTuple):
-    """Index-based view of a graph's priced edges, for the width bounds.
+    """A graph's priced edges in its index space, for the per-width passes.
 
-    Vertices are numbered by their position in the graph's topological
-    order, and the rows are sorted by producer index, then consumer
-    index. A forward pass over the rows therefore sees every edge into a
-    vertex before any edge out of it, and a reverse pass sees every edge
-    out of a vertex before any edge into it, so a longest-path DP in
-    either direction is one flat loop over the rows.
+    Vertices and rows are those of the graph's
+    :class:`~repro.graph.taskgraph.GraphIndex`: rows sorted by producer
+    vertex, then consumer vertex, so a longest-path DP in either
+    direction is one flat loop over the rows.
 
     Attributes:
-        op_ids: op id of each vertex index (the topological order).
-        execution_times: execution time of each vertex index.
+        index: the graph's index.
         rows: one ``(producer, consumer, cache_units, edram_units,
-            producer_execution_time)`` tuple per edge, endpoints as
-            vertex indices and units as in :class:`EdgePrice`.
+            producer_execution_time)`` tuple per edge row, endpoints as
+            vertices and units as in :class:`EdgePrice`.
+        slots: the cache slots ``sp_m`` of each row.
         max_cache_units: the largest ``cache_units`` of any row (0 when
             the graph has no edge).
     """
 
-    op_ids: Tuple[int, ...]
-    execution_times: Tuple[int, ...]
+    index: GraphIndex
     rows: Tuple[Tuple[int, int, int, int, int], ...]
+    slots: Tuple[int, ...]
     max_cache_units: int
 
 
 def edge_table(graph: TaskGraph, prices: Sequence[EdgePrice]) -> EdgeTable:
     """Build the :class:`EdgeTable` of ``graph`` from its
     :func:`price_edges` table."""
-    op_ids = tuple(graph.topological_order())
-    index = {op_id: position for position, op_id in enumerate(op_ids)}
-    execution_times = tuple(
-        graph.operation(op_id).execution_time for op_id in op_ids
-    )
-    rows = sorted(
+    index = graph.index()
+    price_of = {price.key: price for price in prices}
+    row_prices = [price_of[key] for key in index.edge_keys]
+    execution_times = index.execution_times
+    rows = tuple(
         (
-            index[price.producer],
-            index[price.consumer],
+            producer,
+            consumer,
             price.cache_units,
             price.edram_units,
-            execution_times[index[price.producer]],
+            execution_times[producer],
         )
-        for price in prices
+        for producer, consumer, price in zip(
+            index.producers, index.consumers, row_prices
+        )
     )
     return EdgeTable(
-        op_ids,
-        execution_times,
-        tuple(rows),
+        index,
+        rows,
+        tuple(price.slots for price in row_prices),
         max((row[2] for row in rows), default=0),
     )
+
+
+@dataclass
+class EdgeTimings(MappingABC):
+    """The Section 3.2 analysis of every edge: one column per
+    :class:`EdgeTiming` field, by edge row.
+
+    The allocation problem and the schedule read the columns. As a
+    read-only mapping from edge key to :class:`EdgeTiming` it serves the
+    callers that look edges up one at a time; it iterates in row order.
+    """
+
+    edge_keys: Sequence[Tuple[int, int]]
+    transfer_cache: Sequence[int]
+    transfer_edram: Sequence[int]
+    delta_cache: Sequence[int]
+    delta_edram: Sequence[int]
+    slots: Sequence[int]
+    deadline: Sequence[int]
+    #: row of each edge key.
+    row_of: Mapping[Tuple[int, int], int] = field(repr=False, compare=False)
+
+    def __getitem__(self, key: Tuple[int, int]) -> EdgeTiming:
+        row = self.row_of[key]
+        return EdgeTiming(
+            key, self.transfer_cache[row], self.transfer_edram[row],
+            self.delta_cache[row], self.delta_edram[row], self.slots[row],
+            self.deadline[row],
+        )
+
+    def __iter__(self):
+        return iter(self.edge_keys)
+
+    def __len__(self) -> int:
+        return len(self.edge_keys)
 
 
 def analyze_edges(
     graph: TaskGraph,
     kernel: KernelSchedule,
     config: PimConfig,
-    prices: Optional[Sequence[EdgePrice]] = None,
-) -> Dict[Tuple[int, int], EdgeTiming]:
-    """Compute :class:`EdgeTiming` for every intermediate result.
+    table: Optional[EdgeTable] = None,
+) -> EdgeTimings:
+    """Compute the :class:`EdgeTimings` of every intermediate result.
 
     This is the "analysis of extra data movement" of Section 3.2: it bounds
     how many extra prologue iterations each placement choice costs.
-    ``prices`` may carry :func:`price_edges` of the same graph and machine,
+    ``table`` may carry :func:`edge_table` of the same graph and machine,
     precomputed once per width search; when omitted it is computed here.
+    The kernel's columns must be laid out over the graph's index.
     """
     period = kernel.period
     if period <= 0:
         raise RetimingError("kernel period must be positive")
-    if prices is None:
-        prices = price_edges(graph, config)
-    placed = kernel.placements
-    timings: Dict[Tuple[int, int], EdgeTiming] = {}
-    for key, producer, consumer, cache_units, edram_units, slots, _, _ in prices:
+    if table is None:
+        table = edge_table(graph, price_edges(graph, config))
+    index = table.index
+    require_layout(kernel, index)
+    starts, finishes = kernel.start, kernel.finish
+    columns = []
+    for producer, consumer, cache_units, edram_units, _ in table.rows:
         t_cache = cache_units if cache_units < period else period
         t_edram = edram_units if edram_units < period else period
-        if t_edram < t_cache:
-            raise RetimingError(
-                f"edge {key}: eDRAM transfer faster than cache "
-                "(configuration inverts the memory hierarchy)"
-            )
-        try:
-            finish = placed[producer].finish
-            start = placed[consumer].start
-        except KeyError as exc:
-            raise ScheduleError(
-                f"op {exc.args[0]} missing from kernel"
-            ) from None
+        start = starts[consumer]
         # delta = max(0, ceil((finish + t - start) / p)), per placement.
-        gap = finish - start
+        gap = finishes[producer] - start
         d_cache = -(-(gap + t_cache) // period) if gap + t_cache > 0 else 0
         d_edram = -(-(gap + t_edram) // period) if gap + t_edram > 0 else 0
-        if d_cache > 2 or d_edram > 2:
+        if t_edram < t_cache:
             raise RetimingError(
-                f"edge {key}: required retiming exceeds Theorem 3.1 "
-                f"bound (cache={d_cache}, eDRAM={d_edram})"
+                f"edge {index.edge_keys[len(columns)]}: eDRAM transfer faster "
+                "than cache (configuration inverts the memory hierarchy)"
             )
-        timings[key] = EdgeTiming(
-            key, t_cache, t_edram, d_cache, d_edram, slots, start
-        )
-    return timings
+        if d_edram > 2:
+            raise RetimingError(
+                f"edge {index.edge_keys[len(columns)]}: required retiming "
+                f"exceeds Theorem 3.1 bound (cache={d_cache}, eDRAM={d_edram})"
+            )
+        columns.append((t_cache, t_edram, d_cache, d_edram, start))
+    t_cache, t_edram, d_cache, d_edram, deadline = (
+        zip(*columns) if columns else ((),) * 5
+    )
+    return EdgeTimings(
+        index.edge_keys, t_cache, t_edram, d_cache, d_edram, table.slots,
+        deadline, index.row_of,
+    )
 
 
 @dataclass(frozen=True)
@@ -319,7 +361,7 @@ class DeltaRAccounting:
 
 
 def delta_r_accounting(
-    graph: TaskGraph, timings: Dict[Tuple[int, int], EdgeTiming]
+    graph: TaskGraph, timings: Mapping[Tuple[int, int], EdgeTiming]
 ) -> DeltaRAccounting:
     """Fold per-edge :class:`EdgeTiming` into a :class:`DeltaRAccounting`."""
     fused_ids = {
@@ -352,79 +394,115 @@ def delta_r_accounting(
 
 @dataclass
 class RetimingSolution:
-    """A legal vertex/edge retiming induced by per-edge requirements.
+    """A legal vertex/edge retiming induced by per-edge requirements, in
+    the graph's index space.
 
     Attributes:
-        vertex_retiming: ``R(i)`` per operation.
-        edge_retiming: ``R(i, j)`` per intermediate result, chosen as
-            ``R(j) + delta(i, j)`` -- always inside the legal band
-            ``[R(j), R(i)]``.
-        deltas: the per-edge requirements the solution satisfies.
+        index: the graph's index.
+        vertex_r: ``R(i)`` by vertex.
+        edge_r: ``R(i, j)`` by edge row, chosen as ``R(j) + delta(i, j)``
+            -- always inside the legal band ``[R(j), R(i)]``.
+        deltas: the per-row requirements the solution satisfies.
+
+    :attr:`vertex_retiming` and :attr:`edge_retiming` are the same columns
+    keyed by op id and edge key.
     """
 
-    vertex_retiming: Dict[int, int]
-    edge_retiming: Dict[Tuple[int, int], int]
-    deltas: Dict[Tuple[int, int], int]
+    index: GraphIndex = field(repr=False)
+    vertex_r: List[int]
+    edge_r: List[int]
+    deltas: Sequence[int]
+
+    @property
+    def vertex_retiming(self) -> ColumnView:
+        return self.index.by_vertex(self.vertex_r)
+
+    @property
+    def edge_retiming(self) -> ColumnView:
+        return self.index.by_row(self.edge_r)
 
     @property
     def max_retiming(self) -> int:
         """``R_max`` -- the prologue length in iterations."""
-        return max(self.vertex_retiming.values(), default=0)
+        return max(self.vertex_r, default=0)
 
     def is_legal(self) -> bool:
         """Definition 3.1: ``R(i) >= R(i,j) >= R(j)`` and ``R >= 0``."""
-        vertex = self.vertex_retiming
-        for (i, j), r_ij in self.edge_retiming.items():
-            if not vertex[i] >= r_ij >= vertex[j]:
-                return False
-        return all(r >= 0 for r in vertex.values())
+        vertex = self.vertex_r
+        return (
+            min(vertex, default=0) >= 0
+            and all(map(le, self.edge_r, map(vertex.__getitem__, self.index.producers)))
+            and all(map(ge, self.edge_r, map(vertex.__getitem__, self.index.consumers)))
+        )
 
 
-def solve_retiming(
-    graph: TaskGraph, deltas: Mapping[Tuple[int, int], int]
-) -> RetimingSolution:
+def solve_retiming(graph: TaskGraph, deltas: Sequence[int]) -> RetimingSolution:
     """Propagate per-edge requirements into the minimal vertex retiming.
 
+    ``deltas`` holds one requirement per edge row of ``graph.index()``.
     ``R(i) = max over out-edges (R(j) + delta(i, j))`` with ``R = 0`` at
-    sinks; computed in reverse topological order, this is the unique
-    pointwise-minimal legal retiming, hence it minimizes ``R_max``
-    for the given per-edge requirements.
+    sinks; computed in one reverse pass over the rows (every edge out of
+    a vertex comes before any edge into it), this is the unique
+    pointwise-minimal legal retiming, hence it minimizes ``R_max`` for the
+    given per-edge requirements.
     """
-    edge_keys = graph.edge_keys()
-    if not edge_keys <= deltas.keys():
-        missing = edge_keys - deltas.keys()
-        raise RetimingError(f"missing deltas for edges: {sorted(missing)[:5]}")
-    retiming: Dict[int, int] = {}
-    for op_id in reversed(graph.topological_order()):
-        best = 0
-        for consumer in graph.successors(op_id):
-            delta = deltas[(op_id, consumer)]
-            if delta < 0:
-                raise RetimingError(
-                    f"edge {(op_id, consumer)}: negative delta {delta}"
-                )
-            reach = retiming[consumer] + delta
-            if reach > best:
-                best = reach
-        retiming[op_id] = best
-    edge_retiming = {key: retiming[key[1]] + deltas[key] for key in edge_keys}
-    solution = RetimingSolution(
-        vertex_retiming=retiming,
-        edge_retiming=edge_retiming,
-        deltas=dict(deltas),
-    )
+    index = graph.index()
+    if len(deltas) != len(index.edge_keys):
+        raise RetimingError(
+            f"{'missing' if len(deltas) < len(index.edge_keys) else 'extra'} "
+            f"deltas: need one per edge ({len(index.edge_keys)}), got "
+            f"{len(deltas)}"
+        )
+    if deltas and min(deltas) < 0:
+        row = next(row for row, delta in enumerate(deltas) if delta < 0)
+        raise RetimingError(
+            f"edge {index.edge_keys[row]}: negative delta {deltas[row]}"
+        )
+    retiming = [0] * len(index.op_ids)
+    for producer, consumer, delta in zip(
+        reversed(index.producers), reversed(index.consumers), reversed(deltas)
+    ):
+        reach = retiming[consumer] + delta
+        if reach > retiming[producer]:
+            retiming[producer] = reach
+    edge_r = list(map(add, map(retiming.__getitem__, index.consumers), deltas))
+    solution = RetimingSolution(index, retiming, edge_r, deltas)
     if not solution.is_legal():
         raise RetimingError("propagated retiming is illegal (internal error)")
     return solution
 
 
 def placed_deltas(
-    timings: Mapping[Tuple[int, int], EdgeTiming],
-    placement: Mapping[Tuple[int, int], Placement],
-) -> Dict[Tuple[int, int], int]:
-    """Required relative retiming of every edge under its placement."""
+    timings: EdgeTimings, placement: Mapping[Tuple[int, int], Placement]
+) -> List[int]:
+    """Required relative retiming of every edge row under its placement."""
     cache = Placement.CACHE
-    return {
-        key: t.delta_cache if placement[key] is cache else t.delta_edram
-        for key, t in timings.items()
-    }
+    return [
+        d_cache if placement[key] is cache else d_edram
+        for key, d_cache, d_edram in zip(
+            timings.edge_keys, timings.delta_cache, timings.delta_edram
+        )
+    ]
+
+
+def emit_schedule(
+    graph: TaskGraph,
+    kernel: KernelSchedule,
+    timings: EdgeTimings,
+    placement: Mapping[Tuple[int, int], Placement],
+    solution: RetimingSolution,
+) -> PeriodicSchedule:
+    """The periodic schedule of one allocation and its retiming: each
+    row's placement and the transfer time it implies."""
+    edge_placement = [placement[key] for key in timings.edge_keys]
+    cache = Placement.CACHE
+    edge_transfer = [
+        t_cache if where is cache else t_edram
+        for where, t_cache, t_edram in zip(
+            edge_placement, timings.transfer_cache, timings.transfer_edram
+        )
+    ]
+    return PeriodicSchedule(
+        graph, kernel, solution.vertex_r, solution.edge_r, edge_placement,
+        edge_transfer,
+    )

@@ -9,18 +9,27 @@ Two layers of schedule exist in Para-CONV:
   per-edge placements and the prologue, i.e. everything needed to execute
   ``N`` iterations and to report the paper's metrics.
 
+Both are tables in the graph's content-only index space
+(:meth:`~repro.graph.taskgraph.TaskGraph.index`): the kernel holds
+``pe``/``start``/``finish`` columns by vertex, the periodic schedule
+``R(i)`` by vertex and ``R(i, j)``, placement and ``c_ij`` by edge row.
+Every compile pass reads and writes these lists; dict-like views keyed
+by op id or edge key serve the callers that look one entry up at a time.
+
+:func:`validate_kernel` checks a kernel's resources and
 :func:`validate_periodic_schedule` is the ground-truth semantic check: it
 verifies, for every unrolled dependency, that the producer instance's data
 (including its placement-dependent transfer time) arrives before the
-consumer instance starts. All correctness tests lean on it.
+consumer instance starts. All correctness tests lean on them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from operator import add, le, sub
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.graph.taskgraph import TaskGraph
+from repro.graph.taskgraph import ColumnView, GraphIndex, TaskGraph
 from repro.pim.memory import Placement
 
 
@@ -30,7 +39,8 @@ class ScheduleError(ValueError):
 
 @dataclass(frozen=True)
 class PlacedOp:
-    """One operation's placement inside the kernel window.
+    """One operation's placement inside the kernel window (a view of one
+    kernel row; :func:`validate_kernel` checks it).
 
     ``start``/``finish`` are offsets within the iteration, ``0 <= start <
     finish <= period``; the paper's absolute times follow as
@@ -42,14 +52,6 @@ class PlacedOp:
     start: int
     finish: int
 
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.finish <= self.start:
-            raise ScheduleError(
-                f"op {self.op_id}: invalid window [{self.start}, {self.finish})"
-            )
-        if self.pe < 0:
-            raise ScheduleError(f"op {self.op_id}: negative PE {self.pe}")
-
     @property
     def duration(self) -> int:
         return self.finish - self.start
@@ -57,40 +59,63 @@ class PlacedOp:
 
 @dataclass
 class KernelSchedule:
-    """Steady-state schedule of one iteration on the PE array."""
+    """Steady-state schedule of one iteration on the PE array.
+
+    Columns by vertex: op ``op_ids[v]`` runs on PE ``pe[v]`` over
+    ``[start[v], finish[v])``. A compiled kernel lays them out over its
+    graph's index, ``op_ids`` being ``graph.index().op_ids``.
+    """
 
     period: int
-    placements: Dict[int, PlacedOp] = field(default_factory=dict)
+    op_ids: Sequence[int] = ()
+    pe: List[int] = field(default_factory=list)
+    start: List[int] = field(default_factory=list)
+    finish: List[int] = field(default_factory=list)
+    #: ``(op_ids, {op_id: vertex})``, built by the first :meth:`placement`.
+    _position: Optional[Tuple[Sequence[int], Dict[int, int]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def placement(self, op_id: int) -> PlacedOp:
-        try:
-            return self.placements[op_id]
-        except KeyError:
-            raise ScheduleError(f"op {op_id} missing from kernel") from None
-
-    def start(self, op_id: int) -> int:
-        """``s_i`` -- start offset of ``V_i`` within the iteration."""
-        return self.placement(op_id).start
-
-    def finish(self, op_id: int) -> int:
-        """``f_i`` -- finish offset of ``V_i`` within the iteration."""
-        return self.placement(op_id).finish
-
-    def pe_of(self, op_id: int) -> int:
-        return self.placement(op_id).pe
+        """The placement of ``op_id``, as a :class:`PlacedOp` view."""
+        if self._position is None or self._position[0] is not self.op_ids:
+            self._position = (
+                self.op_ids, {op: v for v, op in enumerate(self.op_ids)}
+            )
+        v = self._position[1].get(op_id)
+        if v is None:
+            raise ScheduleError(f"op {op_id} missing from kernel")
+        return PlacedOp(op_id, self.pe[v], self.start[v], self.finish[v])
 
     def makespan(self) -> int:
-        return max((p.finish for p in self.placements.values()), default=0)
+        return max(self.finish, default=0)
 
     def pes_used(self) -> int:
-        return len({p.pe for p in self.placements.values()})
+        return len(set(self.pe))
 
     def utilization(self, num_pes: int) -> float:
         """Busy fraction of the PE array over one period."""
         if self.period <= 0 or num_pes <= 0:
             return 0.0
-        busy = sum(p.duration for p in self.placements.values())
+        busy = sum(self.finish) - sum(self.start)
         return busy / (self.period * num_pes)
+
+
+def require_layout(kernel: KernelSchedule, index: GraphIndex) -> None:
+    """Raise :class:`ScheduleError` unless ``kernel``'s columns are laid
+    out over ``index`` (naming the first op of the index it lacks)."""
+    op_ids = kernel.op_ids
+    if op_ids is not index.op_ids and tuple(op_ids) != index.op_ids:
+        placed = set(op_ids)
+        missing = [op_id for op_id in index.op_ids if op_id not in placed]
+        extra = sorted(placed - index.position.keys())
+        raise ScheduleError(
+            (f"op {missing[0]} missing from kernel; " if missing else "")
+            + f"kernel op mismatch: missing={sorted(missing)[:5]}, "
+            f"extra={extra[:5]} (or not in the graph's topological order)"
+        )
+    if {len(kernel.pe), len(kernel.start), len(kernel.finish)} != {len(op_ids)}:
+        raise ScheduleError(f"kernel columns must hold {len(op_ids)} entries")
 
 
 def validate_kernel(
@@ -101,73 +126,110 @@ def validate_kernel(
 ) -> None:
     """Check kernel resource feasibility (not dependencies).
 
-    * every operation is placed exactly once,
-    * every placement fits in ``[0, period]`` on a valid PE,
+    * every operation is placed exactly once, in the graph's index order,
+    * every placement is a non-empty window inside ``[0, period]`` on a
+      PE in ``[0, num_pes)``,
     * every placement occupies exactly its expected duration --
       ``c_i`` by default, or ``duration_of(op_id, pe)`` on machines where
       occupancy depends on the placement (heterogeneous arrays),
     * no two operations overlap on the same PE.
+
+    Each check runs over whole columns; a per-op loop names the first
+    offender only when one fails.
     """
-    execution_times = {op.op_id: op.execution_time for op in graph}
-    placed = kernel.placements
-    if placed.keys() != execution_times.keys():
-        missing = sorted(execution_times.keys() - placed.keys())
-        extra = sorted(placed.keys() - execution_times.keys())
-        raise ScheduleError(
-            f"kernel op mismatch: missing={missing[:5]}, extra={extra[:5]}"
-        )
-    period = kernel.period
-    per_pe: Dict[int, List[PlacedOp]] = {}
-    for placement in placed.values():
-        if placement.pe >= num_pes:
-            raise ScheduleError(
-                f"op {placement.op_id} on PE {placement.pe} but only "
-                f"{num_pes} PEs exist"
-            )
-        if placement.finish > period:
-            raise ScheduleError(
-                f"op {placement.op_id} finishes at {placement.finish} past "
-                f"period {period}"
-            )
-        if duration_of is not None:
-            expected = duration_of(placement.op_id, placement.pe)
-        else:
-            expected = execution_times[placement.op_id]
-        if placement.finish - placement.start != expected:
-            raise ScheduleError(
-                f"op {placement.op_id} occupies {placement.duration} units, "
-                f"execution time is {expected}"
-            )
-        per_pe.setdefault(placement.pe, []).append(placement)
-    for pe, placements in per_pe.items():
-        placements.sort(key=lambda p: p.start)
-        for left, right in zip(placements, placements[1:]):
-            if right.start < left.finish:
+    index = graph.index()
+    require_layout(kernel, index)
+    op_ids, pes = kernel.op_ids, kernel.pe
+    starts, finishes, period = kernel.start, kernel.finish, kernel.period
+    expected = (
+        index.execution_times if duration_of is None
+        else tuple(map(duration_of, op_ids, pes))
+    )
+    durations = tuple(map(sub, finishes, starts))
+    if op_ids and (
+        min(starts) < 0 or min(pes) < 0 or max(pes) >= num_pes
+        or max(finishes) > period or durations != expected
+    ):
+        for op_id, pe, start, finish, duration in zip(
+            op_ids, pes, starts, finishes, expected
+        ):
+            if start < 0 or finish <= start:
                 raise ScheduleError(
-                    f"PE {pe}: ops {left.op_id} and {right.op_id} overlap "
-                    f"([{left.start},{left.finish}) vs "
-                    f"[{right.start},{right.finish}))"
+                    f"op {op_id}: invalid window [{start}, {finish})"
                 )
+            if pe < 0:
+                raise ScheduleError(f"op {op_id}: negative PE {pe}")
+            if pe >= num_pes:
+                raise ScheduleError(
+                    f"op {op_id} on PE {pe} but only {num_pes} PEs exist"
+                )
+            if finish > period:
+                raise ScheduleError(
+                    f"op {op_id} finishes at {finish} past period {period}"
+                )
+            if finish - start != duration:
+                raise ScheduleError(
+                    f"op {op_id} occupies {finish - start} units, "
+                    f"execution time is {duration}"
+                )
+    # PE k's windows lie in [k * span, k * span + period] on one line that
+    # holds every PE's windows; two overlap iff two neighbours do.
+    span = period + 1
+    lo = [pe * span + start for pe, start in zip(pes, starts)]
+    order = sorted(range(len(lo)), key=lo.__getitem__)
+    line_lo = list(map(lo.__getitem__, order))
+    line_hi = list(map(add, line_lo, map(durations.__getitem__, order)))
+    if not all(map(le, line_hi, line_lo[1:])):
+        k = next(k for k, pair in enumerate(zip(line_hi, line_lo[1:]))
+                 if pair[0] > pair[1])
+        left, right = order[k], order[k + 1]
+        raise ScheduleError(
+            f"PE {pes[left]}: ops {op_ids[left]} and {op_ids[right]} overlap "
+            f"([{starts[left]},{finishes[left]}) vs "
+            f"[{starts[right]},{finishes[right]}))"
+        )
 
 
 @dataclass
 class PeriodicSchedule:
     """A complete retimed periodic schedule (kernel + retiming + placement).
 
+    Columns in the graph's index space (:meth:`TaskGraph.index`):
+
     Attributes:
         kernel: steady-state placements with period ``p``.
-        retiming: vertex retiming ``R(i)`` per operation.
-        edge_retiming: intermediate-result retiming ``R(i, j)`` per edge.
-        placements: cache/eDRAM placement per intermediate result.
-        transfer_times: effective ``c_{i,j}`` per edge under its placement.
+        vertex_r: vertex retiming ``R(i)`` by vertex.
+        edge_r: intermediate-result retiming ``R(i, j)`` by edge row.
+        edge_placement: cache/eDRAM placement by edge row.
+        edge_transfer: effective ``c_{i,j}`` under that placement, by row.
+
+    :attr:`retiming`, :attr:`edge_retiming`, :attr:`placements` and
+    :attr:`transfer_times` are the same columns keyed by op id or edge
+    key (write-through views, :class:`~repro.graph.taskgraph.ColumnView`).
     """
 
     graph: TaskGraph
     kernel: KernelSchedule
-    retiming: Dict[int, int]
-    edge_retiming: Dict[Tuple[int, int], int]
-    placements: Dict[Tuple[int, int], Placement]
-    transfer_times: Dict[Tuple[int, int], int]
+    vertex_r: List[int]
+    edge_r: List[int]
+    edge_placement: List[Placement]
+    edge_transfer: List[int]
+
+    @property
+    def retiming(self) -> ColumnView:
+        return self.graph.index().by_vertex(self.vertex_r)
+
+    @property
+    def edge_retiming(self) -> ColumnView:
+        return self.graph.index().by_row(self.edge_r)
+
+    @property
+    def placements(self) -> ColumnView:
+        return self.graph.index().by_row(self.edge_placement)
+
+    @property
+    def transfer_times(self) -> ColumnView:
+        return self.graph.index().by_row(self.edge_transfer)
 
     @property
     def period(self) -> int:
@@ -176,7 +238,7 @@ class PeriodicSchedule:
     @property
     def max_retiming(self) -> int:
         """``R_max = max_i R(T_i)`` -- prologue length in iterations."""
-        return max(self.retiming.values(), default=0)
+        return max(self.vertex_r, default=0)
 
     @property
     def prologue_time(self) -> int:
@@ -196,9 +258,6 @@ class PeriodicSchedule:
     def cached_edges(self) -> List[Tuple[int, int]]:
         """Keys of intermediate results allocated to the on-chip cache."""
         return [k for k, v in self.placements.items() if v is Placement.CACHE]
-
-    def cache_slots_used(self, slots_required: Mapping[Tuple[int, int], int]) -> int:
-        return sum(slots_required[k] for k in self.cached_edges())
 
     def prologue_rounds(self) -> List[List[int]]:
         """Operations executing in each prologue round (1..R_max).
@@ -234,38 +293,52 @@ def validate_periodic_schedule(
 
            finish(i) + c_ij <= delta * p + start(j)
 
-    Raises :class:`ScheduleError` on the first violation.
+    Raises :class:`ScheduleError` on the first violation. Reads the
+    schedule's columns, in the graph's index order.
     """
-    graph = schedule.graph
+    index = schedule.graph.index()
     period = schedule.period
     if period <= 0:
         raise ScheduleError("period must be positive")
-    retiming = schedule.retiming
-    for op in graph:
-        op_id = op.op_id
-        if op_id not in retiming:
-            raise ScheduleError(f"no retiming value for op {op_id}")
-        if retiming[op_id] < 0:
-            raise ScheduleError(f"negative retiming for op {op_id}")
-    placed = schedule.kernel.placements
-    placements = schedule.placements
-    transfer_times = schedule.transfer_times
-    edge_retiming = schedule.edge_retiming
-    for key in graph.edge_keys():
-        if key not in placements:
+    retiming = schedule.vertex_r
+    if len(retiming) != len(index.op_ids):
+        raise ScheduleError(
+            f"retiming must hold {len(index.op_ids)} entries, one per op"
+        )
+    if None in retiming or min(retiming, default=0) < 0:
+        for op_id, r in zip(index.op_ids, retiming):
+            if r is None:
+                raise ScheduleError(f"no retiming value for op {op_id}")
+            if r < 0:
+                raise ScheduleError(f"negative retiming for op {op_id}")
+    columns = (schedule.edge_placement, schedule.edge_transfer, schedule.edge_r)
+    if {len(column) for column in columns} != {len(index.edge_keys)}:
+        raise ScheduleError(
+            "placements, transfer times and edge retimings must hold "
+            f"{len(index.edge_keys)} entries each, one per intermediate result"
+        )
+    kernel = schedule.kernel
+    require_layout(kernel, index)
+    starts, finishes = kernel.start, kernel.finish
+    for key, producer, consumer, r_ij, placement, c_ij in zip(
+        index.edge_keys,
+        index.producers,
+        index.consumers,
+        schedule.edge_r,
+        schedule.edge_placement,
+        schedule.edge_transfer,
+    ):
+        if placement is None:
             raise ScheduleError(f"no placement for intermediate result {key}")
-        if key not in transfer_times:
+        if c_ij is None:
             raise ScheduleError(f"no transfer time for intermediate result {key}")
-        producer, consumer = key
         r_i = retiming[producer]
         r_j = retiming[consumer]
-        delta = r_i - r_j
-        if delta < 0:
+        if r_i < r_j:
             raise ScheduleError(
                 f"edge {key}: R(i)={r_i} < R(j)={r_j} breaks the dependency"
             )
         if check_legality:
-            r_ij = edge_retiming.get(key)
             if r_ij is None:
                 raise ScheduleError(f"edge {key}: missing R(i,j)")
             if not r_i >= r_ij >= r_j:
@@ -273,31 +346,26 @@ def validate_periodic_schedule(
                     f"edge {key}: illegal retiming R(i)={r_i} >= "
                     f"R(i,j)={r_ij} >= R(j)={r_j} violated"
                 )
-        c_ij = transfer_times[key]
         if c_ij > period:
             raise ScheduleError(
                 f"edge {key}: transfer time {c_ij} exceeds period {period} "
                 "(Theorem 3.1 requires c_ij <= p)"
             )
-        try:
-            arrival = placed[producer].finish + c_ij
-            start = placed[consumer].start
-        except KeyError as exc:
-            raise ScheduleError(
-                f"op {exc.args[0]} missing from kernel"
-            ) from None
+        arrival = finishes[producer] + c_ij
+        start = starts[consumer]
         # Theorem 3.1 bounds the *required* relative retiming of each pair
         # at 2; the realized R(i) - R(j) may exceed it when other paths
         # push R(i) higher (the data simply waits longer, still legal).
-        required = max(0, -(-(arrival - start) // period))
-        if required > 2:
+        if arrival - start > 2 * period:
+            required = -(-(arrival - start) // period)
             raise ScheduleError(
                 f"edge {key}: required relative retiming {required} exceeds "
                 "the Theorem 3.1 bound of 2"
             )
-        available = delta * period + start
-        if arrival > available:
+        delta = r_i - r_j
+        if arrival > delta * period + start:
             raise ScheduleError(
                 f"edge {key}: data arrives at offset {arrival} but consumer "
-                f"starts at {available} (delta={delta}, p={period})"
+                f"starts at {delta * period + start} (delta={delta}, "
+                f"p={period})"
             )

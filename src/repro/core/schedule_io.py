@@ -20,7 +20,11 @@ for:
 Sorted order, not the graph's insertion order: the graph fingerprint
 ignores insertion order, so two graphs with one fingerprint may list
 their edges differently, and both must read the same arrays the same
-way. Every array's length is checked before it is zipped with its keys.
+way. A schedule's columns are laid out in the graph's index space
+(:meth:`~repro.graph.taskgraph.TaskGraph.index`), which also depends on
+content only; writing and reading map the arrays through one permutation
+of the ops and one of the edges. Every array's length is checked before
+it is mapped.
 
 The standalone artifact (:func:`schedule_to_json`) wraps the layout in a
 ``{"graph": ..., "schedule": ...}`` envelope, so a schedule compiled
@@ -32,12 +36,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, List, Sequence, Tuple, Union
 
 from repro.core.schedule import (
     KernelSchedule,
     PeriodicSchedule,
-    PlacedOp,
     ScheduleError,
     validate_periodic_schedule,
 )
@@ -52,36 +55,53 @@ _CODE_OF: Dict[Placement, str] = {Placement.CACHE: "c", Placement.EDRAM: "e"}
 _PLACEMENT_OF = {code: placement for placement, code in _CODE_OF.items()}
 
 
+def _sorted_order(graph: TaskGraph) -> Tuple[List[int], List[int]]:
+    """The vertices of ``graph.index()`` in op-id order and its edge rows
+    in edge-key order: entry ``k`` of a payload array belongs to vertex
+    (or row) ``order[k]``."""
+    index = graph.index()
+    return (
+        sorted(range(len(index.op_ids)), key=index.op_ids.__getitem__),
+        sorted(range(len(index.edge_keys)), key=index.edge_keys.__getitem__),
+    )
+
+
 def schedule_to_dict(schedule: PeriodicSchedule) -> Dict[str, Any]:
     """Serialize a schedule (without its graph) to a JSON-compatible dict."""
-    graph = schedule.graph
-    op_ids = sorted(op.op_id for op in graph)
-    edge_keys = sorted(graph.edge_keys())
-    kernel = [schedule.kernel.placements[op_id] for op_id in op_ids]
+    ops, edges = _sorted_order(schedule.graph)
+    kernel = schedule.kernel
     return {
         "format_version": FORMAT_VERSION,
         "period": schedule.period,
-        "pe": [p.pe for p in kernel],
-        "start": [p.start for p in kernel],
-        "finish": [p.finish for p in kernel],
-        "retiming": [schedule.retiming[op_id] for op_id in op_ids],
-        "edge_retiming": [schedule.edge_retiming[key] for key in edge_keys],
-        "placements": "".join(
-            _CODE_OF[schedule.placements[key]] for key in edge_keys
-        ),
-        "transfer_times": [schedule.transfer_times[key] for key in edge_keys],
+        "pe": [kernel.pe[v] for v in ops],
+        "start": [kernel.start[v] for v in ops],
+        "finish": [kernel.finish[v] for v in ops],
+        "retiming": [schedule.vertex_r[v] for v in ops],
+        "edge_retiming": [schedule.edge_r[e] for e in edges],
+        "placements": "".join(_CODE_OF[schedule.edge_placement[e]] for e in edges),
+        "transfer_times": [schedule.edge_transfer[e] for e in edges],
     }
 
 
-def _ints(payload: Dict[str, Any], name: str, length: int) -> List[int]:
-    """``payload[name]`` as ints, which must number exactly ``length``."""
+def _column(payload: Any, order: Sequence[int]) -> List:
+    """The payload array ``payload`` (entries in sorted key order) as a
+    column in index order; its length must be ``len(order)``."""
+    column = [None] * len(order)
+    for position, value in zip(order, payload):
+        column[position] = value
+    return column
+
+
+def _ints(payload: Dict[str, Any], name: str, order: Sequence[int]) -> List[int]:
+    """``payload[name]`` as an int column, which must number exactly
+    ``len(order)`` entries."""
     values = payload[name]
-    if not isinstance(values, list) or len(values) != length:
+    if not isinstance(values, list) or len(values) != len(order):
         raise ScheduleError(
-            f"{name} must be a list of {length} entries, not "
+            f"{name} must be a list of {len(order)} entries, not "
             f"{len(values) if isinstance(values, list) else type(values).__name__}"
         )
-    return list(map(int, values))
+    return _column(list(map(int, values)), order)
 
 
 def schedule_from_dict(
@@ -100,14 +120,12 @@ def schedule_from_dict(
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise ScheduleError(f"unsupported schedule format version {version!r}")
-    op_ids = sorted(op.op_id for op in graph)
-    edge_keys = sorted(graph.edge_keys())
-    n_ops, n_edges = len(op_ids), len(edge_keys)
+    ops, edges = _sorted_order(graph)
     try:
         codes = payload["placements"]
-        if not isinstance(codes, str) or len(codes) != n_edges:
+        if not isinstance(codes, str) or len(codes) != len(edges):
             raise ScheduleError(
-                f"placements must be a string of {n_edges} codes"
+                f"placements must be a string of {len(edges)} codes"
             )
         unknown = set(codes) - _PLACEMENT_OF.keys()
         if unknown:
@@ -116,28 +134,19 @@ def schedule_from_dict(
                 f"{sorted(_PLACEMENT_OF)}"
             )
         kernel = KernelSchedule(
-            period=int(payload["period"]),
-            placements={
-                op_id: PlacedOp(op_id, pe, start, finish)
-                for op_id, pe, start, finish in zip(
-                    op_ids,
-                    _ints(payload, "pe", n_ops),
-                    _ints(payload, "start", n_ops),
-                    _ints(payload, "finish", n_ops),
-                )
-            },
+            int(payload["period"]),
+            graph.index().op_ids,
+            _ints(payload, "pe", ops),
+            _ints(payload, "start", ops),
+            _ints(payload, "finish", ops),
         )
         schedule = PeriodicSchedule(
-            graph=graph,
-            kernel=kernel,
-            retiming=dict(zip(op_ids, _ints(payload, "retiming", n_ops))),
-            edge_retiming=dict(
-                zip(edge_keys, _ints(payload, "edge_retiming", n_edges))
-            ),
-            placements=dict(zip(edge_keys, map(_PLACEMENT_OF.get, codes))),
-            transfer_times=dict(
-                zip(edge_keys, _ints(payload, "transfer_times", n_edges))
-            ),
+            graph,
+            kernel,
+            _ints(payload, "retiming", ops),
+            _ints(payload, "edge_retiming", edges),
+            _column(list(map(_PLACEMENT_OF.get, codes)), edges),
+            _ints(payload, "transfer_times", edges),
         )
     except ScheduleError:
         raise

@@ -12,6 +12,12 @@ Two schedulers cover the paper's two regimes:
   honoring intra-iteration dependencies and per-edge transfer latencies;
   this is what the un-retimed baseline executes (Figure 3(a)) and what
   SPARTA builds on.
+
+Every scheduler here, the two heterogeneous ones included, writes the
+kernel's ``pe``/``start``/``finish`` columns by vertex of the graph's
+index (:meth:`~repro.graph.taskgraph.TaskGraph.index`) and builds no
+:class:`~repro.core.schedule.PlacedOp`;
+:func:`~repro.core.schedule.validate_kernel` checks the result.
 """
 
 from __future__ import annotations
@@ -20,8 +26,8 @@ import heapq
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.schedule import KernelSchedule, PlacedOp, ScheduleError
-from repro.graph.taskgraph import IntermediateResult, TaskGraph
+from repro.core.schedule import KernelSchedule, ScheduleError
+from repro.graph.taskgraph import IntermediateResult, Operation, TaskGraph
 
 EdgeLatency = Callable[[IntermediateResult], int]
 
@@ -106,17 +112,24 @@ def compact_kernel_schedule(
         raise ScheduleError("num_pes must be >= 1")
     if packing is None:
         packing = packing_order(graph, order)
+    index = graph.index()
+    position = index.position
+    pes = [0] * len(position)
+    starts = [0] * len(position)
+    finishes = [0] * len(position)
     # (free_at, pe) pairs: the heap minimum is the earliest-free PE, the
     # lowest index among equally free ones.
     free = [(0, pe) for pe in range(num_pes)]
-    placements: Dict[int, PlacedOp] = {}
     for op_id, execution_time in packing:
         start, pe = free[0]
         finish = start + execution_time
         heapq.heapreplace(free, (finish, pe))
-        placements[op_id] = PlacedOp(op_id, pe, start, finish)
-    period = max(free)[0] if placements else 0
-    return KernelSchedule(period=period, placements=placements)
+        v = position[op_id]
+        pes[v] = pe
+        starts[v] = start
+        finishes[v] = finish
+    period = max(free)[0] if position else 0
+    return KernelSchedule(period, index.op_ids, pes, starts, finishes)
 
 
 #: Smallest PE group an iteration may be mapped onto. Serializing a whole
@@ -168,40 +181,9 @@ def list_schedule(
     """
     if num_pes < 1:
         raise ScheduleError("num_pes must be >= 1")
-    latency = edge_latency or (lambda _e: 0)
-    prio = priority or downward_rank(graph, latency)
-
-    remaining_preds = {
-        op.op_id: graph.in_degree(op.op_id) for op in graph.operations()
-    }
-    data_ready: Dict[int, int] = {op.op_id: 0 for op in graph.operations()}
-    ready = [op_id for op_id, n in remaining_preds.items() if n == 0]
-    free_at = [0] * num_pes
-    placements: Dict[int, PlacedOp] = {}
-
-    while ready:
-        ready.sort(key=lambda i: (-prio[i], i))
-        op_id = ready.pop(0)
-        op = graph.operation(op_id)
-        earliest = data_ready[op_id]
-        pe = min(range(num_pes), key=lambda k: (max(free_at[k], earliest), k))
-        start = max(free_at[pe], earliest)
-        finish = start + op.execution_time
-        free_at[pe] = finish
-        placements[op_id] = PlacedOp(op_id, pe, start, finish)
-        for edge in graph.out_edges(op_id):
-            succ = edge.consumer
-            data_ready[succ] = max(data_ready[succ], finish + latency(edge))
-            remaining_preds[succ] -= 1
-            if remaining_preds[succ] == 0:
-                ready.append(succ)
-
-    if len(placements) != graph.num_vertices:
-        raise ScheduleError(
-            "list scheduler stalled; the graph contains a cycle"
-        )
-    period = max((p.finish for p in placements.values()), default=0)
-    return KernelSchedule(period=period, placements=placements)
+    return _list_schedule(
+        graph, num_pes, lambda op, pe: op.execution_time, edge_latency, priority
+    )
 
 
 def compact_kernel_schedule_heterogeneous(
@@ -218,39 +200,21 @@ def compact_kernel_schedule_heterogeneous(
     num_pes = array.config.num_pes
     if num_pes < 1:
         raise ScheduleError("array needs >= 1 PE")
-    if order == "topological":
-        from repro.graph.analysis import asap_levels
-
-        levels = asap_levels(graph)
-        ordered = sorted(
-            graph.operations(),
-            key=lambda op: (levels[op.op_id], -op.execution_time, op.op_id),
-        )
-    elif order == "lpt":
-        ordered = sorted(
-            graph.operations(), key=lambda op: (-op.execution_time, op.op_id)
-        )
-    else:
-        raise ScheduleError(
-            f"unknown packing order {order!r}; choose from "
-            f"{', '.join(KERNEL_ORDERS)}"
-        )
     free_at = [0] * num_pes
-    placements: Dict[int, PlacedOp] = {}
-    for op in ordered:
+    kernel = _empty_kernel(graph)
+    position = graph.index().position
+    for op_id, execution_time in packing_order(graph, order):
         best_pe, best_finish, best_start = None, None, None
         for pe in range(num_pes):
-            duration = array.effective_time(op.execution_time, pe)
+            duration = array.effective_time(execution_time, pe)
             start = free_at[pe]
             finish = start + duration
             if best_finish is None or finish < best_finish:
                 best_pe, best_finish, best_start = pe, finish, start
         free_at[best_pe] = best_finish
-        placements[op.op_id] = PlacedOp(
-            op.op_id, best_pe, best_start, best_finish
-        )
-    period = max(free_at) if placements else 0
-    return KernelSchedule(period=period, placements=placements)
+        _place(kernel, position[op_id], best_pe, best_start, best_finish)
+    kernel.period = max(free_at) if position else 0
+    return kernel
 
 
 def list_schedule_heterogeneous(
@@ -271,44 +235,76 @@ def list_schedule_heterogeneous(
     num_pes = array.config.num_pes
     if num_pes < 1:
         raise ScheduleError("array needs >= 1 PE")
+    stalls = extra_occupancy or {}
+    return _list_schedule(
+        graph,
+        num_pes,
+        lambda op, pe: array.effective_time(op.execution_time, pe)
+        + stalls.get(op.op_id, 0),
+        edge_latency,
+        priority,
+    )
+
+
+def _list_schedule(
+    graph: TaskGraph,
+    num_pes: int,
+    duration: Callable[[Operation, int], int],
+    edge_latency: Optional[EdgeLatency],
+    priority: Optional[Dict[int, int]],
+) -> KernelSchedule:
+    """The list schedulers' common loop: each ready op goes to the PE
+    where it finishes first (the lowest such PE), taking
+    ``duration(op, pe)`` there. With every PE equally fast that is the PE
+    that can start it earliest."""
     latency = edge_latency or (lambda _e: 0)
     prio = priority or downward_rank(graph, latency)
-
     remaining_preds = {
         op.op_id: graph.in_degree(op.op_id) for op in graph.operations()
     }
     data_ready: Dict[int, int] = {op.op_id: 0 for op in graph.operations()}
     ready = [op_id for op_id, n in remaining_preds.items() if n == 0]
     free_at = [0] * num_pes
-    placements: Dict[int, PlacedOp] = {}
+    kernel = _empty_kernel(graph)
+    position = graph.index().position
 
     while ready:
         ready.sort(key=lambda i: (-prio[i], i))
         op_id = ready.pop(0)
         op = graph.operation(op_id)
         earliest = data_ready[op_id]
-        stall = (extra_occupancy or {}).get(op_id, 0)
-        best = None
-        for pe in range(num_pes):
-            duration = array.effective_time(op.execution_time, pe) + stall
-            start = max(free_at[pe], earliest)
-            finish = start + duration
-            if best is None or finish < best[0]:
-                best = (finish, pe, start)
-        finish, pe, start = best
+        finish, pe, start = min(
+            (max(free_at[k], earliest) + duration(op, k), k,
+             max(free_at[k], earliest))
+            for k in range(num_pes)
+        )
         free_at[pe] = finish
-        placements[op_id] = PlacedOp(op_id, pe, start, finish)
+        _place(kernel, position[op_id], pe, start, finish)
         for edge in graph.out_edges(op_id):
             succ = edge.consumer
             data_ready[succ] = max(data_ready[succ], finish + latency(edge))
             remaining_preds[succ] -= 1
             if remaining_preds[succ] == 0:
                 ready.append(succ)
+    kernel.period = kernel.makespan()
+    return kernel
 
-    if len(placements) != graph.num_vertices:
-        raise ScheduleError("list scheduler stalled; the graph contains a cycle")
-    period = max((p.finish for p in placements.values()), default=0)
-    return KernelSchedule(period=period, placements=placements)
+
+def _empty_kernel(graph: TaskGraph) -> KernelSchedule:
+    """A kernel over ``graph``'s index with every column zeroed, for the
+    list schedulers to fill in with :func:`_place`."""
+    op_ids = graph.index().op_ids
+    n = len(op_ids)
+    return KernelSchedule(0, op_ids, [0] * n, [0] * n, [0] * n)
+
+
+def _place(
+    kernel: KernelSchedule, v: int, pe: int, start: int, finish: int
+) -> None:
+    """Write vertex ``v``'s row of ``kernel``."""
+    kernel.pe[v] = pe
+    kernel.start[v] = start
+    kernel.finish[v] = finish
 
 
 def downward_rank(graph: TaskGraph, edge_latency: EdgeLatency) -> Dict[int, int]:

@@ -20,7 +20,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.cnn.workloads import load_workload
 from repro.core.allocation import AllocationProblem, dp_allocate
 from repro.core.baseline import SpartaScheduler
-from repro.core.retiming import analyze_edges, placed_deltas, solve_retiming
+from repro.core.retiming import (
+    analyze_edges,
+    emit_schedule,
+    placed_deltas,
+    solve_retiming,
+)
 from repro.core.schedule import PeriodicSchedule
 from repro.core.scheduler import (
     compact_kernel_schedule_heterogeneous,
@@ -66,16 +71,8 @@ def paraconv_heterogeneous(
     solution = solve_retiming(
         graph, placed_deltas(timings, allocation.placements)
     )
-    schedule = PeriodicSchedule(
-        graph=graph,
-        kernel=kernel,
-        retiming=solution.vertex_retiming,
-        edge_retiming=solution.edge_retiming,
-        placements=dict(allocation.placements),
-        transfer_times={
-            key: timing.transfer_for(allocation.placements[key])
-            for key, timing in timings.items()
-        },
+    schedule = emit_schedule(
+        graph, kernel, timings, allocation.placements, solution
     )
     return schedule, schedule.total_time(config.iterations)
 

@@ -49,11 +49,6 @@ PAPER_TABLE2: Dict[str, Dict[int, float]] = {
 }
 
 
-def paper_imp(benchmark: str, pes: int) -> float:
-    """IMP(%) the paper reports for one cell of Table 1."""
-    return PAPER_TABLE1[benchmark][pes][2]
-
-
 def paper_reduction(benchmark: str, pes: int) -> float:
     """Reduction implied by the paper's raw times (1 - para/sparta) * 100.
 

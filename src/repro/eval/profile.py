@@ -149,15 +149,3 @@ def run_profile(
     return ProfileReport(
         target=target, workload=workload, seconds=seconds, rows=rows
     )
-
-
-def run_profiles(
-    targets: Optional[Tuple[str, ...]] = None,
-    config: Optional[PimConfig] = None,
-    **kwargs: object,
-) -> Dict[str, ProfileReport]:
-    """Profile several targets (default: both) with shared settings."""
-    return {
-        target: run_profile(target, config, **kwargs)  # type: ignore[arg-type]
-        for target in (targets or PROFILE_TARGETS)
-    }

@@ -1,9 +1,7 @@
-"""Plain-text and CSV rendering for experiment results."""
+"""Plain-text rendering for experiment results."""
 
 from __future__ import annotations
 
-import csv
-import io
 from typing import Any, Iterable, List, Optional, Sequence
 
 
@@ -44,25 +42,3 @@ def format_table(
                 cells.append(cell.rjust(widths[idx]))
         lines.append("  ".join(cells))
     return "\n".join(lines)
-
-
-def to_csv(headers: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
-    """Render rows as CSV text (for spreadsheet import)."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(headers)
-    for row in rows:
-        writer.writerow(row)
-    return buffer.getvalue()
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean (0 for empty input); values must be positive."""
-    if not values:
-        return 0.0
-    product = 1.0
-    for value in values:
-        if value <= 0:
-            raise ValueError(f"geometric mean needs positive values, got {value}")
-        product *= value
-    return product ** (1.0 / len(values))

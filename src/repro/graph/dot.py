@@ -8,8 +8,7 @@ with any Graphviz installation (``dot -Tpng graph.dot -o graph.png``).
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Mapping, Optional, Tuple, Union
+from typing import Mapping, Optional, Tuple
 
 from repro.graph.taskgraph import OperationKind, TaskGraph
 
@@ -67,16 +66,6 @@ def graph_to_dot(
         )
     lines.append("}")
     return "\n".join(lines)
-
-
-def write_dot(
-    graph: TaskGraph,
-    path: Union[str, Path],
-    retiming: Optional[Mapping[int, int]] = None,
-    placements: Optional[Mapping[Tuple[int, int], object]] = None,
-) -> None:
-    """Write :func:`graph_to_dot` output to ``path``."""
-    Path(path).write_text(graph_to_dot(graph, retiming, placements))
 
 
 def result_to_dot(result) -> str:

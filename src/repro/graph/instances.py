@@ -19,7 +19,7 @@ retiming of the edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from repro.graph.taskgraph import GraphValidationError, TaskGraph
 
@@ -128,16 +128,3 @@ def unroll(
                 )
             )
     return instances, edges
-
-
-def instance_dependencies(
-    graph: TaskGraph,
-    iterations: int,
-    relative_retiming: Optional[Mapping[Tuple[int, int], int]] = None,
-) -> Dict[OperationInstance, List[OperationInstance]]:
-    """Predecessor map over unrolled instances (consumer -> producers)."""
-    _, edges = unroll(graph, iterations, relative_retiming)
-    deps: Dict[OperationInstance, List[OperationInstance]] = {}
-    for producer, consumer in edges:
-        deps.setdefault(consumer, []).append(producer)
-    return deps

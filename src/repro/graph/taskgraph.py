@@ -21,6 +21,7 @@ import enum
 import hashlib
 import heapq
 import json
+from collections.abc import MutableMapping
 from dataclasses import dataclass, replace
 from typing import (
     Dict,
@@ -28,7 +29,9 @@ from typing import (
     Iterator,
     KeysView,
     List,
+    NamedTuple,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -96,9 +99,10 @@ class Operation:
         work: abstract operation count (MACs for convolutions); informational.
         fused_count: number of original operations this vertex stands for.
             ``1`` for ordinary vertices; fused-dataflow lowering
-            (:func:`repro.graph.transforms.fuse_stages`, PIMfused-style)
-            contracts a run of stages into one vertex and records the run
-            length here so accounting and reports can attribute work.
+            (:func:`repro.cnn.partition.partition_network` with a
+            ``FusionSpec``, PIMfused-style) contracts a run of stages into
+            one vertex and records the run length here so accounting and
+            reports can attribute work.
     """
 
     op_id: int
@@ -173,6 +177,78 @@ class IntermediateResult:
         return (self.producer, self.consumer)
 
 
+class ColumnView(MutableMapping):
+    """One column of a :class:`GraphIndex` layout, read and written by op
+    id or edge key.
+
+    Writes go to the column itself. Deleting an entry stores ``None``,
+    which the view, and every schedule validator, treats as missing.
+    """
+
+    __slots__ = ("_keys", "_position", "_column")
+
+    def __init__(self, keys: Sequence, position: Dict, column: List):
+        self._keys = keys
+        self._position = position
+        self._column = column
+
+    def __getitem__(self, key):
+        value = self._column[self._position[key]]
+        if value is None:
+            raise KeyError(key)
+        return value
+
+    def __setitem__(self, key, value) -> None:
+        self._column[self._position[key]] = value
+
+    def __delitem__(self, key) -> None:
+        self[key]  # KeyError if already missing
+        self._column[self._position[key]] = None
+
+    def __iter__(self):
+        return (k for k, v in zip(self._keys, self._column) if v is not None)
+
+    def __len__(self) -> int:
+        return len(self._column) - self._column.count(None)
+
+
+class GraphIndex(NamedTuple):
+    """A graph's content-only index space, the layout of every schedule
+    column.
+
+    Vertex ``v`` is the ``v``-th op of :meth:`TaskGraph.topological_order`
+    (Kahn with min-id tie-breaks), edge row ``e`` the ``e``-th edge sorted
+    by (producer vertex, consumer vertex). Neither order depends on
+    insertion order, so a column means the same on every graph with one
+    fingerprint. A forward pass over the rows sees every edge into a
+    vertex before any edge out of it; a reverse pass, the other way round.
+
+    Attributes:
+        op_ids: op id of each vertex.
+        position: vertex of each op id.
+        execution_times: execution time of each vertex.
+        edge_keys: ``(producer, consumer)`` op ids of each row.
+        producers / consumers: the endpoints of each row, as vertices.
+        row_of: row of each edge key.
+    """
+
+    op_ids: Tuple[int, ...]
+    position: Dict[int, int]
+    execution_times: Tuple[int, ...]
+    edge_keys: Tuple[Tuple[int, int], ...]
+    producers: Tuple[int, ...]
+    consumers: Tuple[int, ...]
+    row_of: Dict[Tuple[int, int], int]
+
+    def by_vertex(self, column: List) -> ColumnView:
+        """``column`` (one entry per vertex) keyed by op id."""
+        return ColumnView(self.op_ids, self.position, column)
+
+    def by_row(self, column: List) -> ColumnView:
+        """``column`` (one entry per edge row) keyed by edge key."""
+        return ColumnView(self.edge_keys, self.row_of, column)
+
+
 class TaskGraph:
     """A weighted DAG of operations and intermediate processing results.
 
@@ -180,9 +256,10 @@ class TaskGraph:
     structural invariants (acyclicity, endpoint existence). Iteration order
     over operations is insertion order, which generators keep deterministic.
 
-    The topological order is computed on first use and kept until the
-    next :meth:`add_operation` / :meth:`add_edge`, so the width search
-    sorts each graph once, not once per candidate. The fingerprint is
+    The topological order and the :meth:`index` built on it are computed
+    on first use and kept until the next :meth:`add_operation` /
+    :meth:`add_edge`, so the width search sorts each graph once, not once
+    per candidate. The fingerprint is
     kept the same way, and assigning :attr:`period_hint` resets it too,
     so routing and plan-cache lookups hash each graph once.
     """
@@ -193,8 +270,8 @@ class TaskGraph:
         self._edges: Dict[Tuple[int, int], IntermediateResult] = {}
         self._succ: Dict[int, List[int]] = {}
         self._pred: Dict[int, List[int]] = {}
-        #: cached topological order; reset whenever a vertex or edge is added.
-        self._topo: Optional[List[int]] = None
+        #: cached :meth:`index`; reset whenever a vertex or edge is added.
+        self._index: Optional[GraphIndex] = None
         #: cached :meth:`fingerprint`; reset on every content change.
         self._fingerprint: Optional[str] = None
         self.period_hint = period_hint
@@ -220,7 +297,7 @@ class TaskGraph:
         self._ops[op.op_id] = op
         self._succ[op.op_id] = []
         self._pred[op.op_id] = []
-        self._topo = None
+        self._index = None
         self._fingerprint = None
         return op
 
@@ -262,7 +339,7 @@ class TaskGraph:
         self._edges[key] = edge
         self._succ[i].append(j)
         self._pred[j].append(i)
-        self._topo = None
+        self._index = None
         self._fingerprint = None
         return edge
 
@@ -386,9 +463,26 @@ class TaskGraph:
         reproducible. The order is computed once per graph state and each
         call returns a fresh copy; a cyclic graph raises on every call.
         """
-        if self._topo is None:
-            self._topo = self._kahn()
-        return list(self._topo)
+        return list(self.index().op_ids)
+
+    def index(self) -> "GraphIndex":
+        """The graph's content-only :class:`GraphIndex`, built once per
+        graph state (do not mutate its members)."""
+        if self._index is None:
+            op_ids = tuple(self._kahn())
+            position = {op_id: v for v, op_id in enumerate(op_ids)}
+            rows = sorted((position[i], position[j]) for i, j in self._edges)
+            edge_keys = tuple((op_ids[p], op_ids[c]) for p, c in rows)
+            self._index = GraphIndex(
+                op_ids,
+                position,
+                tuple(self._ops[op_id].execution_time for op_id in op_ids),
+                edge_keys,
+                tuple(p for p, _ in rows),
+                tuple(c for _, c in rows),
+                {key: row for row, key in enumerate(edge_keys)},
+            )
+        return self._index
 
     def _kahn(self) -> List[int]:
         indeg = {i: len(self._pred[i]) for i in self._ops}

@@ -52,6 +52,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Union
 from repro.core.allocation import AllocationResult
 from repro.core.cases import RetimingCase
 from repro.core.paraconv import ParaConvResult
+from repro.core.schedule import validate_kernel
 from repro.core.schedule_io import schedule_from_dict, schedule_to_dict
 from repro.graph.io import graph_from_json, graph_to_dict
 from repro.graph.taskgraph import TaskGraph
@@ -201,6 +202,10 @@ def plan_from_dict(
 ) -> ParaConvResult:
     """Rebuild (and semantically re-validate) a plan from its dict form.
 
+    Hydration runs both validators: :func:`validate_kernel` at the
+    payload's ``group_width`` (PE range, durations, PE exclusion) and,
+    inside :func:`schedule_from_dict`, the periodic-schedule semantics.
+
     ``graph`` is the graph the plan was compiled for, held by the caller:
     the plan is hydrated against it (``plan.graph is graph``), and its
     fingerprint must be the one the payload names. Without it, the graph
@@ -232,10 +237,12 @@ def plan_from_dict(
         )
     try:
         schedule = schedule_from_dict(payload["schedule"], graph)
+        group_width = int(payload["group_width"])
+        validate_kernel(graph, schedule.kernel, group_width)
         config = PimConfig.from_dict(payload["config"])
         alloc = payload["allocation"]
-        # The schedule's dicts are built in sorted edge-key order.
-        edge_keys = list(schedule.placements)
+        # Cached edges are indices into the sorted edge keys.
+        edge_keys = sorted(graph.edge_keys())
         cached = [int(i) for i in alloc["cached"]]
         if any(not 0 <= i < len(edge_keys) for i in cached):
             raise PlanCacheError(
@@ -262,7 +269,7 @@ def plan_from_dict(
             schedule=schedule,
             allocation=allocation,
             case_histogram=histogram,
-            group_width=int(payload["group_width"]),
+            group_width=group_width,
             num_groups=int(payload["num_groups"]),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -529,16 +529,16 @@ class _ScheduleRun:
         #: start_const[op] = the prio and rid fields of op's start key.
         start_const = [0] * size
         static_off = [0] * size
-        pe_of: Dict[int, int] = {}
         for rank, op in enumerate(ops):
-            op_id = op.op_id
-            placed = kernel.placement(op_id)
-            pe_of[op_id] = placed.pe
-            start_const[op_id] = keys.const(_PRIO_START, n_edges + rank)
+            start_const[op.op_id] = keys.const(_PRIO_START, n_edges + rank)
+        # The kernel and retiming columns, by vertex of the graph's index.
+        index = graph.index()
+        pe_of: Dict[int, int] = dict(zip(index.op_ids, kernel.pe))
+        for op_id, start, retiming in zip(
+            index.op_ids, kernel.start, schedule.vertex_r
+        ):
             # nominal(op, it) = (it - 1) * p + static_off[op].
-            static_off[op_id] = (
-                self.r_max - schedule.retiming[op_id]
-            ) * self.period + placed.start
+            static_off[op_id] = (self.r_max - retiming) * self.period + start
         self._in_deg = in_deg
         self._start_const = start_const
         self._static_off = static_off
@@ -549,7 +549,8 @@ class _ScheduleRun:
         # per producer the out-edge order, so two graphs with the same
         # fingerprint simulate identically. Slots, transfer units, home
         # vaults and vault service times are the compiler's edge prices.
-        placements = schedule.placements
+        placements = schedule.edge_placement
+        row_of = index.row_of
         in_entries: Dict[int, List[tuple]] = {op.op_id: [] for op in ops}
         cache_in: Dict[int, List[int]] = {op.op_id: [] for op in ops}
         out_recs: Dict[int, List[tuple]] = {op.op_id: [] for op in ops}
@@ -565,7 +566,7 @@ class _ScheduleRun:
             #: an arrival stages it and a start removes it by identity.
             entry = (key, size_bytes)
             consumer_pe = pe_of[consumer]
-            is_cache = placements[key] is Placement.CACHE
+            is_cache = placements[row_of[key]] is Placement.CACHE
             in_deg[consumer] += 1
             in_entries[consumer].append(entry)
             if is_cache:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.paraconv import ParaConvResult
-from repro.core.schedule import PlacedOp
+from repro.core.schedule import PeriodicSchedule
 from repro.pim.memory import Placement
 
 EdgeKey = Tuple[int, int]
@@ -34,16 +34,22 @@ def clone_result(result: ParaConvResult) -> ParaConvResult:
     """Deep-enough copy of a plan: every mutable container is duplicated.
 
     Graph and config are shared (mutators never touch them); the schedule,
-    kernel and allocation are copied so mutations cannot leak back into
-    the pristine plan.
+    its kernel, their columns and the allocation are copied so mutations
+    cannot leak back into the pristine plan.
     """
-    schedule = copy.copy(result.schedule)
-    schedule.kernel = copy.copy(result.schedule.kernel)
-    schedule.kernel.placements = dict(result.schedule.kernel.placements)
-    schedule.retiming = dict(result.schedule.retiming)
-    schedule.edge_retiming = dict(result.schedule.edge_retiming)
-    schedule.placements = dict(result.schedule.placements)
-    schedule.transfer_times = dict(result.schedule.transfer_times)
+    source = result.schedule
+    kernel = copy.copy(source.kernel)
+    kernel.pe = list(kernel.pe)
+    kernel.start = list(kernel.start)
+    kernel.finish = list(kernel.finish)
+    schedule = PeriodicSchedule(
+        source.graph,
+        kernel,
+        list(source.vertex_r),
+        list(source.edge_r),
+        list(source.edge_placement),
+        list(source.edge_transfer),
+    )
     allocation = copy.copy(result.allocation)
     allocation.placements = dict(result.allocation.placements)
     allocation.cached = list(result.allocation.cached)
@@ -60,26 +66,26 @@ def clone_result(result: ParaConvResult) -> ParaConvResult:
 
 # ----------------------------------------------------------------------
 # mutators: each corrupts the (already cloned) result in place and
-# returns a description, or None when not applicable to this plan.
+# returns a description, or None when not applicable to this plan. The
+# kernel mutators write the kernel's columns.
 # ----------------------------------------------------------------------
 def _mutate_overlap_ops(result: ParaConvResult, rng: random.Random) -> Optional[str]:
     """Slide one op onto a colleague's window on the same PE."""
     kernel = result.schedule.kernel
-    by_pe: Dict[int, List[PlacedOp]] = {}
-    for placement in kernel.placements.values():
-        by_pe.setdefault(placement.pe, []).append(placement)
-    crowded = [ops for ops in by_pe.values() if len(ops) >= 2]
+    by_pe: Dict[int, List[int]] = {}
+    for v, pe in enumerate(kernel.pe):
+        by_pe.setdefault(pe, []).append(v)
+    crowded = [rows for rows in by_pe.values() if len(rows) >= 2]
     if not crowded:
         return None
-    ops = rng.choice(crowded)
-    ops = sorted(ops, key=lambda p: p.start)
-    first, second = ops[0], ops[1]
-    kernel.placements[second.op_id] = PlacedOp(
-        second.op_id, first.pe, first.start, first.start + second.duration
-    )
+    rows = sorted(rng.choice(crowded), key=kernel.start.__getitem__)
+    first, second = rows[0], rows[1]
+    duration = kernel.finish[second] - kernel.start[second]
+    kernel.start[second] = kernel.start[first]
+    kernel.finish[second] = kernel.start[first] + duration
     return (
-        f"moved op {second.op_id} onto op {first.op_id}'s window on PE "
-        f"{first.pe}"
+        f"moved op {kernel.op_ids[second]} onto op {kernel.op_ids[first]}'s "
+        f"window on PE {kernel.pe[first]}"
     )
 
 
@@ -89,44 +95,43 @@ def _mutate_swap_dependent_ops(
     """Swap the start offsets of an intra-iteration producer/consumer pair."""
     schedule = result.schedule
     kernel = schedule.kernel
+    index = result.graph.index()
     candidates = []
-    for edge in result.graph.edges():
-        r_i = schedule.retiming.get(edge.producer, 0)
-        r_j = schedule.retiming.get(edge.consumer, 0)
-        if r_i != r_j:
+    for producer, consumer in zip(index.producers, index.consumers):
+        if schedule.vertex_r[producer] != schedule.vertex_r[consumer]:
             continue  # dependency crosses iterations; swap may stay legal
-        if kernel.finish(edge.producer) <= kernel.start(edge.consumer):
-            candidates.append(edge.key)
+        if kernel.finish[producer] <= kernel.start[consumer]:
+            candidates.append((producer, consumer))
     if not candidates:
         return None
-    producer, consumer = candidates[rng.randrange(len(candidates))]
-    p = kernel.placements[producer]
-    c = kernel.placements[consumer]
-    kernel.placements[producer] = PlacedOp(
-        producer, p.pe, c.start, c.start + p.duration
+    p, c = candidates[rng.randrange(len(candidates))]
+    starts, finishes = kernel.start, kernel.finish
+    p_start, c_start = starts[p], starts[c]
+    finishes[p] += c_start - p_start
+    finishes[c] += p_start - c_start
+    starts[p], starts[c] = c_start, p_start
+    return (
+        f"swapped start offsets of dependent ops {index.op_ids[p]} -> "
+        f"{index.op_ids[c]}"
     )
-    kernel.placements[consumer] = PlacedOp(
-        consumer, c.pe, p.start, p.start + c.duration
-    )
-    return f"swapped start offsets of dependent ops {producer} -> {consumer}"
 
 
 def _mutate_stretch_op(result: ParaConvResult, rng: random.Random) -> Optional[str]:
     """Inflate one op's occupancy past its execution time."""
     kernel = result.schedule.kernel
-    op_id = rng.choice(sorted(kernel.placements))
-    placement = kernel.placements[op_id]
-    kernel.placements[op_id] = PlacedOp(
-        op_id, placement.pe, placement.start, placement.finish + 1
-    )
+    op_id = rng.choice(sorted(kernel.op_ids))
+    kernel.finish[list(kernel.op_ids).index(op_id)] += 1
     return f"stretched op {op_id} by one unit"
 
 
 def _mutate_drop_op(result: ParaConvResult, rng: random.Random) -> Optional[str]:
     """Remove one operation from the kernel entirely."""
     kernel = result.schedule.kernel
-    op_id = rng.choice(sorted(kernel.placements))
-    del kernel.placements[op_id]
+    op_id = rng.choice(sorted(kernel.op_ids))
+    v = list(kernel.op_ids).index(op_id)
+    kernel.op_ids = tuple(kernel.op_ids[:v]) + tuple(kernel.op_ids[v + 1:])
+    for column in (kernel.pe, kernel.start, kernel.finish):
+        del column[v]
     return f"dropped op {op_id} from the kernel"
 
 
@@ -152,9 +157,9 @@ def _mutate_flatten_retiming(
         edge.key
         for edge in result.graph.edges()
         if schedule.retiming[edge.producer] > schedule.retiming[edge.consumer]
-        and kernel.finish(edge.producer)
+        and kernel.placement(edge.producer).finish
         + schedule.transfer_times[edge.key]
-        > kernel.start(edge.consumer)
+        > kernel.placement(edge.consumer).start
     ]
     if not loaded:
         return None

@@ -169,33 +169,35 @@ class ScheduleValidator:
         kernel = result.schedule.kernel
         width = result.group_width
         op_ids = {op.op_id for op in graph.operations()}
-        placed = set(kernel.placements)
+        placed = set(kernel.op_ids)
         for op_id in sorted(op_ids - placed):
             report.add("kernel-resources", "operation missing from kernel", op_id)
         for op_id in sorted(placed - op_ids):
             report.add("kernel-resources", "kernel places unknown operation", op_id)
-        for op_id, placement in kernel.placements.items():
+        for op_id, pe, start, finish in zip(
+            kernel.op_ids, kernel.pe, kernel.start, kernel.finish
+        ):
             if op_id not in op_ids:
                 continue
             expected = graph.operation(op_id).execution_time
-            if placement.duration != expected:
+            if finish - start != expected:
                 report.add(
                     "kernel-resources",
-                    f"occupies {placement.duration} units, execution time "
+                    f"occupies {finish - start} units, execution time "
                     f"is {expected}",
                     op_id,
                 )
-            if placement.start < 0 or placement.finish > kernel.period:
+            if start < 0 or finish > kernel.period:
                 report.add(
                     "kernel-resources",
-                    f"window [{placement.start}, {placement.finish}) outside "
+                    f"window [{start}, {finish}) outside "
                     f"[0, {kernel.period}]",
                     op_id,
                 )
-            if not 0 <= placement.pe < width:
+            if not 0 <= pe < width:
                 report.add(
                     "kernel-resources",
-                    f"placed on PE {placement.pe} outside group width {width}",
+                    f"placed on PE {pe} outside group width {width}",
                     op_id,
                 )
 
@@ -203,19 +205,24 @@ class ScheduleValidator:
         self, schedule: PeriodicSchedule, report: VerificationReport
     ) -> None:
         report.checks_run.append("pe-exclusion")
-        per_pe: Dict[int, List] = {}
-        for placement in schedule.kernel.placements.values():
-            per_pe.setdefault(placement.pe, []).append(placement)
-        for pe, placements in per_pe.items():
-            placements.sort(key=lambda p: (p.start, p.op_id))
-            for left, right in zip(placements, placements[1:]):
-                if right.start < left.finish:
+        kernel = schedule.kernel
+        per_pe: Dict[int, List[Tuple[int, int, int]]] = {}
+        for op_id, pe, start, finish in zip(
+            kernel.op_ids, kernel.pe, kernel.start, kernel.finish
+        ):
+            per_pe.setdefault(pe, []).append((start, op_id, finish))
+        for pe, windows in per_pe.items():
+            windows.sort()
+            for (l_start, left, l_finish), (r_start, right, r_finish) in zip(
+                windows, windows[1:]
+            ):
+                if r_start < l_finish:
                     report.add(
                         "pe-exclusion",
-                        f"ops {left.op_id} and {right.op_id} overlap on PE "
-                        f"{pe} ([{left.start},{left.finish}) vs "
-                        f"[{right.start},{right.finish}))",
-                        (left.op_id, right.op_id),
+                        f"ops {left} and {right} overlap on PE "
+                        f"{pe} ([{l_start},{l_finish}) vs "
+                        f"[{r_start},{r_finish}))",
+                        (left, right),
                     )
 
     def _check_retiming_legality(
@@ -287,8 +294,8 @@ class ScheduleValidator:
             if r_i is None or r_j is None:
                 continue  # reported by retiming-legality
             try:
-                finish_i = kernel.finish(edge.producer)
-                start_j = kernel.start(edge.consumer)
+                finish_i = kernel.placement(edge.producer).finish
+                start_j = kernel.placement(edge.consumer).start
             except Exception:
                 continue  # reported by kernel-resources
             for iteration in range(1, self.unroll_iterations + 1):
@@ -332,8 +339,10 @@ class ScheduleValidator:
                 )
                 continue
             try:
-                gap = kernel.finish(edge.producer) + transfer - kernel.start(
-                    edge.consumer
+                gap = (
+                    kernel.placement(edge.producer).finish
+                    + transfer
+                    - kernel.placement(edge.consumer).start
                 )
             except Exception:
                 continue  # reported by kernel-resources
@@ -568,8 +577,8 @@ class ScheduleValidator:
             if r_i is None or r_j is None or r_i < r_j:
                 continue
             try:
-                finish_i = kernel.finish(producer)
-                start_j = kernel.start(consumer)
+                finish_i = kernel.placement(producer).finish
+                start_j = kernel.placement(consumer).start
             except Exception:
                 continue
             delta = r_i - r_j

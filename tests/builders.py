@@ -21,3 +21,73 @@ def linear_chain(
         graph.connect(idx, idx + 1, size_bytes=size_bytes)
     graph.validate()
     return graph
+
+
+def kernel_of(graph, period, placements):
+    """A kernel over ``graph``'s index from ``{op_id: (pe, start, finish)}``
+    (``graph=None`` lays it out in the dict's order instead)."""
+    from repro.core.schedule import KernelSchedule
+
+    op_ids = tuple(placements) if graph is None else graph.index().op_ids
+    rows = [placements[op_id] for op_id in op_ids]
+    return KernelSchedule(
+        period,
+        op_ids,
+        [row[0] for row in rows],
+        [row[1] for row in rows],
+        [row[2] for row in rows],
+    )
+
+
+def set_row(kernel, op_id, pe, start, finish):
+    """Overwrite ``op_id``'s row of ``kernel``'s columns."""
+    v = list(kernel.op_ids).index(op_id)
+    kernel.pe[v], kernel.start[v], kernel.finish[v] = pe, start, finish
+
+
+def drop_row(kernel, op_id):
+    """Remove ``op_id``'s row from ``kernel``'s columns."""
+    v = list(kernel.op_ids).index(op_id)
+    kernel.op_ids = tuple(o for o in kernel.op_ids if o != op_id)
+    for column in (kernel.pe, kernel.start, kernel.finish):
+        del column[v]
+
+
+def schedule_of(graph, kernel, retiming, edge_retiming, placements, transfer_times):
+    """A periodic schedule from dicts keyed by op id and edge key; a key
+    a dict lacks leaves its entry missing (``None``)."""
+    from repro.core.schedule import PeriodicSchedule
+
+    index = graph.index()
+    return PeriodicSchedule(
+        graph,
+        kernel,
+        [retiming.get(op_id) for op_id in index.op_ids],
+        [edge_retiming.get(key) for key in index.edge_keys],
+        [placements.get(key) for key in index.edge_keys],
+        [transfer_times.get(key) for key in index.edge_keys],
+    )
+
+
+def timings_table(timings):
+    """An :class:`EdgeTimings` table of the given :class:`EdgeTiming` rows."""
+    from repro.core.retiming import EdgeTimings
+
+    rows = list(timings)
+    keys = tuple(t.key for t in rows)
+    return EdgeTimings(
+        keys,
+        *(
+            tuple(getattr(t, name) for t in rows)
+            for name in (
+                "transfer_cache", "transfer_edram", "delta_cache",
+                "delta_edram", "slots", "deadline",
+            )
+        ),
+        {key: row for row, key in enumerate(keys)},
+    )
+
+
+def row_deltas(graph, deltas):
+    """``{edge key: delta}`` as one delta per edge row of ``graph``."""
+    return [deltas[key] for key in graph.index().edge_keys]

@@ -36,7 +36,7 @@ from repro.core.retiming import (
     price_edges,
     solve_retiming,
 )
-from repro.core.schedule import KernelSchedule, PlacedOp, ScheduleError
+from repro.core.schedule import KernelSchedule, ScheduleError
 from repro.core.scheduler import (
     KERNEL_ORDERS,
     candidate_group_widths,
@@ -47,6 +47,7 @@ from repro.graph.randwired import RANDWIRED_KINDS, RandwiredSpec, randwired_grap
 from repro.graph.taskgraph import TaskGraph
 from repro.pim.config import PimConfig
 from repro.runtime.plan_cache import plan_to_dict
+from tests.builders import drop_row, kernel_of
 
 SOURCES = st.one_of(
     st.sampled_from(PAPER_BENCHMARKS),
@@ -178,8 +179,7 @@ def test_floor_is_the_all_cache_retiming(
     for width in candidate_group_widths(num_pes):
         ctx = pipeline.analysis_context(graph, width)
         timings = ctx.get("timings")
-        all_cache = {key: timing.delta_cache for key, timing in timings.items()}
-        r_max = solve_retiming(graph, all_cache).max_retiming
+        r_max = solve_retiming(graph, list(timings.delta_cache)).max_retiming
         rounds = math.ceil(iterations / ctx.num_groups)
         expected = (r_max + rounds) * ctx.get("kernel").period
         assert kernel_stage_floor(ctx, iterations) == expected, width
@@ -247,7 +247,7 @@ def test_table_critical_path_matches_a_longest_path_reference(
 def test_shared_packing_order_packs_the_unshared_kernel(source, num_pes):
     """(c) Packing every width from the context's shared order gives the
     kernel a standalone ``compact_kernel_schedule`` call builds, for both
-    packing orders, placement insertion order included."""
+    packing orders, column for column."""
     graph = _graph(source)
     base = CompileContext(graph=graph, config=PimConfig(num_pes=num_pes))
     for order in KERNEL_ORDERS:
@@ -257,9 +257,7 @@ def test_shared_packing_order_packs_the_unshared_kernel(source, num_pes):
             shared = ctx.get("kernel")
             unshared = compact_kernel_schedule(graph, width, order=order)
             assert shared.period == unshared.period
-            assert list(shared.placements.items()) == list(
-                unshared.placements.items()
-            )
+            assert shared == unshared
         assert f"packing_order:{order}" in base.shared
 
 
@@ -293,10 +291,10 @@ def test_sub_unit_edge_in_both_bounds():
         ctx = pipeline.analysis_context(graph, width)
         timings = ctx.get("timings")
         assert timings[(0, 1)].transfer_cache == 0
-        all_cache = {key: t.delta_cache for key, t in timings.items()}
         rounds = math.ceil(config.iterations / ctx.num_groups)
         assert kernel_stage_floor(ctx, config.iterations) == (
-            solve_retiming(graph, all_cache).max_retiming + rounds
+            solve_retiming(graph, list(timings.delta_cache)).max_retiming
+            + rounds
         ) * ctx.get("kernel").period
 
 
@@ -355,14 +353,7 @@ class TestFloorKeepsTheEdgeChecks:
         graph = _mixed_chain()
         config = PimConfig(num_pes=2)
         # Op 0 finishes past the period: the 0 -> 1 gap breaks Thm 3.1.
-        kernel = KernelSchedule(
-            period=2,
-            placements={
-                0: PlacedOp(0, 0, 0, 5),
-                1: PlacedOp(1, 1, 0, 1),
-                2: PlacedOp(2, 1, 1, 2),
-            },
-        )
+        kernel = kernel_of(graph, 2, {0: (0, 0, 5), 1: (1, 0, 1), 2: (1, 1, 2)})
         ctx = _context_with_kernel(graph, config, kernel)
         floor_error = _raised(lambda: kernel_stage_floor(ctx, 10))
         edge_error = _raised(lambda: analyze_edges(graph, kernel, config))
@@ -380,10 +371,12 @@ class TestFloorKeepsTheEdgeChecks:
             for p in price_edges(graph, config)
         )
         ctx = _context_with_kernel(graph, config, kernel)
-        ctx.shared["edge_prices"] = inverted
+        ctx.shared["edge_table"] = edge_table(graph, inverted)
         floor_error = _raised(lambda: kernel_stage_floor(ctx, 10))
         edge_error = _raised(
-            lambda: analyze_edges(graph, kernel, config, prices=inverted)
+            lambda: analyze_edges(
+                graph, kernel, config, table=edge_table(graph, inverted)
+            )
         )
         assert "inverts the memory hierarchy" in str(floor_error)
         assert str(floor_error) == str(edge_error)
@@ -392,7 +385,7 @@ class TestFloorKeepsTheEdgeChecks:
         graph = _mixed_chain()
         config = PimConfig(num_pes=2)
         kernel = compact_kernel_schedule(graph, 2)
-        del kernel.placements[1]
+        drop_row(kernel, 1)
         ctx = _context_with_kernel(graph, config, kernel)
         floor_error = _raised(lambda: kernel_stage_floor(ctx, 10))
         edge_error = _raised(lambda: analyze_edges(graph, kernel, config))

@@ -21,6 +21,7 @@ from repro.core.allocation import (
 )
 from repro.core.retiming import EdgeTiming
 from repro.pim.memory import Placement
+from tests.builders import timings_table
 
 
 def make_problem(items, capacity, indifferent=()):
@@ -50,20 +51,20 @@ def brute_force_best(problem):
 
 class TestFromTimings:
     def test_zero_delta_r_edges_go_to_edram(self):
-        timings = {
-            (0, 1): EdgeTiming((0, 1), 0, 1, 0, 0, 2, 5),  # case 1: ΔR=0
-            (1, 2): EdgeTiming((1, 2), 0, 1, 0, 1, 2, 3),  # case 2: ΔR=1
-        }
+        timings = timings_table([
+            EdgeTiming((0, 1), 0, 1, 0, 0, 2, 5),  # case 1: ΔR=0
+            EdgeTiming((1, 2), 0, 1, 0, 1, 2, 3),  # case 2: ΔR=1
+        ])
         problem = AllocationProblem.from_timings(timings, capacity_slots=10)
         assert problem.indifferent == [(0, 1)]
         assert [item.key for item in problem.items] == [(1, 2)]
 
     def test_items_sorted_by_deadline(self):
-        timings = {
-            (0, 2): EdgeTiming((0, 2), 0, 1, 0, 1, 1, 9),
-            (0, 1): EdgeTiming((0, 1), 0, 1, 0, 1, 1, 2),
-            (1, 2): EdgeTiming((1, 2), 0, 1, 0, 1, 1, 5),
-        }
+        timings = timings_table([
+            EdgeTiming((0, 2), 0, 1, 0, 1, 1, 9),
+            EdgeTiming((0, 1), 0, 1, 0, 1, 1, 2),
+            EdgeTiming((1, 2), 0, 1, 0, 1, 1, 5),
+        ])
         problem = AllocationProblem.from_timings(timings, 10)
         deadlines = [item.deadline for item in problem.items]
         assert deadlines == sorted(deadlines)

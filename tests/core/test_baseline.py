@@ -31,7 +31,9 @@ class TestSpartaScheduler:
         result = SpartaScheduler(paper_config).run(graph)
         # kernel is over the *stalled* view; check resources only
         per_pe = {}
-        for placement in result.kernel.placements.values():
+        kernel = result.kernel
+        for op_id in kernel.op_ids:
+            placement = kernel.placement(op_id)
             per_pe.setdefault(placement.pe, []).append(placement)
             assert placement.pe < result.group_width
         for placements in per_pe.values():

@@ -10,6 +10,7 @@ from repro.core.cases import (
     classify_timing,
 )
 from repro.core.retiming import EdgeTiming, RetimingError
+from tests.builders import timings_table
 
 
 def timing(delta_cache, delta_edram, key=(0, 1)):
@@ -69,12 +70,12 @@ class TestCaseSemantics:
 
 class TestCensus:
     def test_census_counts_all(self):
-        timings = {
-            (0, 1): timing(0, 0, (0, 1)),
-            (0, 2): timing(0, 1, (0, 2)),
-            (1, 3): timing(0, 1, (1, 3)),
-            (2, 3): timing(2, 2, (2, 3)),
-        }
+        timings = timings_table([
+            timing(0, 0, (0, 1)),
+            timing(0, 1, (0, 2)),
+            timing(0, 1, (1, 3)),
+            timing(2, 2, (2, 3)),
+        ])
         census = case_census(timings)
         assert census[RetimingCase.CASE_1] == 1
         assert census[RetimingCase.CASE_2] == 2

@@ -29,7 +29,7 @@ class TestExpand:
             expected_round = inst.iteration + r_max - schedule.retiming[inst.op_id]
             assert inst.round_index == expected_round
             base = (expected_round - 1) * schedule.period
-            assert inst.start == base + schedule.kernel.start(inst.op_id)
+            assert inst.start == base + schedule.kernel.placement(inst.op_id).start
 
     def test_makespan_bounded_by_rounds(self, expanded):
         result, exp = expanded

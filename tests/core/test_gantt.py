@@ -4,18 +4,13 @@ import pytest
 
 from repro.core.gantt import render_kernel, render_retiming
 from repro.core.paraconv import ParaConv
-from repro.core.schedule import KernelSchedule, PlacedOp, ScheduleError
+from repro.core.schedule import KernelSchedule, ScheduleError
+from tests.builders import kernel_of
 
 
 class TestRenderKernel:
     def test_basic_layout(self):
-        kernel = KernelSchedule(
-            period=3,
-            placements={
-                0: PlacedOp(0, 0, 0, 2),
-                1: PlacedOp(1, 1, 1, 3),
-            },
-        )
+        kernel = kernel_of(None, 3, {0: (0, 0, 2), 1: (1, 1, 3)})
         text = render_kernel(kernel)
         lines = text.splitlines()
         assert lines[1].startswith("PE0")
@@ -24,16 +19,12 @@ class TestRenderKernel:
         assert lines[1].count("T0") == 2  # occupies two time units
 
     def test_idle_cells_rendered(self):
-        kernel = KernelSchedule(
-            period=3, placements={0: PlacedOp(0, 0, 0, 1)}
-        )
+        kernel = kernel_of(None, 3, {0: (0, 0, 1)})
         text = render_kernel(kernel)
         assert "." in text
 
     def test_custom_labels_truncated(self):
-        kernel = KernelSchedule(
-            period=1, placements={0: PlacedOp(0, 0, 0, 1)}
-        )
+        kernel = kernel_of(None, 1, {0: (0, 0, 1)})
         text = render_kernel(kernel, labels={0: "convolution_very_long"})
         assert "con" in text
         assert "convolution_very_long" not in text
@@ -42,12 +33,12 @@ class TestRenderKernel:
         assert render_kernel(KernelSchedule(period=0)) == "(empty kernel)"
 
     def test_explicit_pe_count_adds_idle_rows(self):
-        kernel = KernelSchedule(period=1, placements={0: PlacedOp(0, 0, 0, 1)})
+        kernel = kernel_of(None, 1, {0: (0, 0, 1)})
         text = render_kernel(kernel, num_pes=3)
         assert "PE2" in text
 
     def test_bad_cell_width(self):
-        kernel = KernelSchedule(period=1, placements={0: PlacedOp(0, 0, 0, 1)})
+        kernel = kernel_of(None, 1, {0: (0, 0, 1)})
         with pytest.raises(ScheduleError):
             render_kernel(kernel, cell_width=1)
 

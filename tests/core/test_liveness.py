@@ -12,6 +12,7 @@ from repro.core.retiming import EdgeTiming, RetimingError
 from repro.graph.generators import synthetic_benchmark
 from repro.pim.config import PimConfig
 from repro.sim.executor import ScheduleExecutor
+from tests.builders import timings_table
 
 
 def timing(key, delta_cache=0, delta_edram=1, slots=2, deadline=0):
@@ -46,26 +47,26 @@ class TestPeakDemand:
 
 class TestWeightedProblem:
     def test_weights_scaled_by_realized_delta(self):
-        timings = {(0, 1): timing((0, 1), delta_cache=0, slots=2)}
+        timings = timings_table([timing((0, 1), delta_cache=0, slots=2)])
         problem = liveness_weighted_problem(
             timings, capacity_slots=20, realized_delta={(0, 1): 3}
         )
         assert problem.items[0].slots == 2 * 4  # (3 + 1) instances
 
     def test_requirement_is_lower_bound(self):
-        timings = {
-            (0, 1): timing((0, 1), delta_cache=1, delta_edram=2, slots=2)
-        }
+        timings = timings_table(
+            [timing((0, 1), delta_cache=1, delta_edram=2, slots=2)]
+        )
         problem = liveness_weighted_problem(
             timings, capacity_slots=20, realized_delta={(0, 1): 0}
         )
         assert problem.items[0].slots == 2 * 2  # delta_cache wins over 0
 
     def test_indifferent_edges_preserved(self):
-        timings = {
-            (0, 1): timing((0, 1)),
-            (1, 2): timing((1, 2), delta_edram=0),  # case 1: indifferent
-        }
+        timings = timings_table([
+            timing((0, 1)),
+            timing((1, 2), delta_edram=0),  # case 1: indifferent
+        ])
         problem = liveness_weighted_problem(timings, 10)
         assert (1, 2) in problem.indifferent
 

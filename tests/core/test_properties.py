@@ -37,6 +37,7 @@ from repro.pim.config import PimConfig
 from repro.verify.oracle import exhaustive_allocate
 from repro.verify.validator import ScheduleValidator
 
+from tests.builders import row_deltas
 from tests.core.retired import RETIRED_ALLOCATORS, allocator_for
 
 # ----------------------------------------------------------------------
@@ -95,7 +96,7 @@ def test_solve_retiming_legal_and_minimal(seed):
     graph = make_graph(seed)
     rng = random.Random(seed)
     deltas = {edge.key: rng.randint(0, 3) for edge in graph.edges()}
-    solution = solve_retiming(graph, deltas)
+    solution = solve_retiming(graph, row_deltas(graph, deltas))
 
     assert solution.is_legal()
     for (i, j), r_ij in solution.edge_retiming.items():
@@ -124,7 +125,7 @@ def test_negative_delta_rejected(seed):
     first = next(iter(deltas))
     deltas[first] = -1
     with pytest.raises(RetimingError):
-        solve_retiming(graph, deltas)
+        solve_retiming(graph, row_deltas(graph, deltas))
 
 
 # ----------------------------------------------------------------------

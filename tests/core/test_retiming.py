@@ -16,6 +16,7 @@ from repro.core.scheduler import compact_kernel_schedule
 from repro.graph.generators import SyntheticGraphGenerator
 from repro.graph.taskgraph import TaskGraph
 from repro.pim.memory import Placement
+from tests.builders import row_deltas
 
 
 class TestRequiredRetiming:
@@ -87,7 +88,8 @@ class TestAnalyzeEdges:
         kernel = compact_kernel_schedule(figure2_graph, small_config.num_pes)
         timings = analyze_edges(figure2_graph, kernel, small_config)
         for (producer, consumer), timing in timings.items():
-            finish, start = kernel.finish(producer), kernel.start(consumer)
+            finish = kernel.placement(producer).finish
+            start = kernel.placement(consumer).start
             assert timing.delta_cache == required_retiming(
                 finish, start, timing.transfer_cache, kernel.period
             )
@@ -114,7 +116,7 @@ class TestAnalyzeEdges:
         kernel = compact_kernel_schedule(figure2_graph, small_config.num_pes)
         timings = analyze_edges(figure2_graph, kernel, small_config)
         for key, timing in timings.items():
-            assert timing.deadline == kernel.start(key[1])
+            assert timing.deadline == kernel.placement(key[1]).start
 
     def test_accessors(self):
         timing = EdgeTiming(
@@ -130,19 +132,19 @@ class TestAnalyzeEdges:
 class TestSolveRetiming:
     def test_chain_accumulates(self, chain_graph):
         deltas = {e.key: 1 for e in chain_graph.edges()}
-        solution = solve_retiming(chain_graph, deltas)
+        solution = solve_retiming(chain_graph, row_deltas(chain_graph, deltas))
         assert solution.max_retiming == 5  # 5 edges, 1 each
         assert solution.vertex_retiming[0] == 5
         assert solution.vertex_retiming[5] == 0
 
     def test_zero_deltas_zero_retiming(self, figure2_graph):
         deltas = {e.key: 0 for e in figure2_graph.edges()}
-        solution = solve_retiming(figure2_graph, deltas)
+        solution = solve_retiming(figure2_graph, row_deltas(figure2_graph, deltas))
         assert solution.max_retiming == 0
 
     def test_legality(self, figure2_graph):
         deltas = {e.key: (1 if e.producer == 0 else 0) for e in figure2_graph.edges()}
-        solution = solve_retiming(figure2_graph, deltas)
+        solution = solve_retiming(figure2_graph, row_deltas(figure2_graph, deltas))
         assert solution.is_legal()
         for (i, j), r_ij in solution.edge_retiming.items():
             assert solution.vertex_retiming[i] >= r_ij >= solution.vertex_retiming[j]
@@ -150,7 +152,7 @@ class TestSolveRetiming:
     def test_minimality(self, diamond_graph):
         # R must be the pointwise minimum satisfying all constraints:
         deltas = {(0, 1): 2, (0, 2): 0, (1, 3): 0, (2, 3): 1}
-        solution = solve_retiming(diamond_graph, deltas)
+        solution = solve_retiming(diamond_graph, row_deltas(diamond_graph, deltas))
         r = solution.vertex_retiming
         assert r[3] == 0
         assert r[1] == 0
@@ -159,13 +161,13 @@ class TestSolveRetiming:
 
     def test_missing_delta_rejected(self, diamond_graph):
         with pytest.raises(RetimingError, match="missing"):
-            solve_retiming(diamond_graph, {(0, 1): 0})
+            solve_retiming(diamond_graph, [0])
 
     def test_negative_delta_rejected(self, diamond_graph):
         deltas = {e.key: 0 for e in diamond_graph.edges()}
         deltas[(0, 1)] = -1
         with pytest.raises(RetimingError, match="negative"):
-            solve_retiming(diamond_graph, deltas)
+            solve_retiming(diamond_graph, row_deltas(diamond_graph, deltas))
 
     @given(seed=st.integers(min_value=0, max_value=300))
     @settings(max_examples=25, deadline=None)
@@ -175,7 +177,7 @@ class TestSolveRetiming:
 
         rng = random.Random(seed)
         deltas = {e.key: rng.randint(0, 2) for e in graph.edges()}
-        solution = solve_retiming(graph, deltas)
+        solution = solve_retiming(graph, row_deltas(graph, deltas))
         for (i, j), delta in deltas.items():
             assert (
                 solution.vertex_retiming[i] - solution.vertex_retiming[j]

@@ -5,7 +5,6 @@ import pytest
 from repro.core.retiming import analyze_edges
 from repro.core.schedule import (
     KernelSchedule,
-    PeriodicSchedule,
     PlacedOp,
     ScheduleError,
     validate_kernel,
@@ -13,6 +12,7 @@ from repro.core.schedule import (
 )
 from repro.pim.config import PimConfig
 from repro.pim.memory import Placement
+from tests.builders import drop_row, kernel_of, schedule_of, set_row
 
 
 class TestPlacedOp:
@@ -29,25 +29,23 @@ class TestPlacedOp:
             {"start": 0, "finish": 1, "pe": -1},
         ],
     )
-    def test_invalid_windows_rejected(self, kwargs):
+    def test_invalid_windows_rejected(self, diamond_graph, kwargs):
+        # A placement is a view of a kernel row; validate_kernel checks it.
         base = {"op_id": 0, "pe": 0, "start": 0, "finish": 1}
         base.update(kwargs)
-        with pytest.raises(ScheduleError):
-            PlacedOp(**base)
+        kernel = _manual_kernel(diamond_graph)
+        set_row(kernel, 0, base["pe"], base["start"], base["finish"])
+        with pytest.raises(ScheduleError, match="op 0: (invalid window|negative PE)"):
+            validate_kernel(diamond_graph, kernel, 2)
 
 
 class TestKernelSchedule:
     def test_accessors(self):
-        kernel = KernelSchedule(
-            period=5,
-            placements={
-                0: PlacedOp(0, 0, 0, 2),
-                1: PlacedOp(1, 1, 1, 4),
-            },
-        )
-        assert kernel.start(0) == 0
-        assert kernel.finish(1) == 4
-        assert kernel.pe_of(1) == 1
+        kernel = kernel_of(None, 5, {0: (0, 0, 2), 1: (1, 1, 4)})
+        assert kernel.placement(0).start == 0
+        assert kernel.placement(1).finish == 4
+        assert kernel.placement(1).pe == 1
+        assert kernel.placement(1) == PlacedOp(1, 1, 1, 4)
         assert kernel.makespan() == 4
         assert kernel.pes_used() == 2
         assert kernel.utilization(2) == pytest.approx(5 / 10)
@@ -55,21 +53,21 @@ class TestKernelSchedule:
     def test_missing_op_raises(self):
         kernel = KernelSchedule(period=5)
         with pytest.raises(ScheduleError, match="missing"):
-            kernel.start(3)
+            kernel.placement(3)
 
     @pytest.mark.parametrize("dropped", [0, 3])
     def test_edge_analysis_names_missing_op(self, diamond_graph, dropped):
         # Op 0 is only ever a producer and op 3 only ever a consumer, so
         # both lookups of the analysis are covered.
         kernel = _manual_kernel(diamond_graph)
-        del kernel.placements[dropped]
+        drop_row(kernel, dropped)
         with pytest.raises(ScheduleError, match=f"op {dropped} missing"):
             analyze_edges(diamond_graph, kernel, PimConfig(num_pes=2))
 
     @pytest.mark.parametrize("dropped", [0, 3])
     def test_schedule_validation_names_missing_op(self, diamond_graph, dropped):
         schedule = _periodic(diamond_graph, {0: 2, 1: 1, 2: 1, 3: 0})
-        del schedule.kernel.placements[dropped]
+        drop_row(schedule.kernel, dropped)
         with pytest.raises(ScheduleError, match=f"op {dropped} missing"):
             validate_periodic_schedule(schedule)
 
@@ -77,14 +75,8 @@ class TestKernelSchedule:
 def _manual_kernel(diamond_graph, period=3):
     # valid hand schedule: T0 on PE0 [0,1), T1 PE0 [1,3), T2 PE1 [1,3),
     # T3 PE1... needs T3 after, use period 4 instead
-    return KernelSchedule(
-        period=4,
-        placements={
-            0: PlacedOp(0, 0, 0, 1),
-            1: PlacedOp(1, 0, 1, 3),
-            2: PlacedOp(2, 1, 0, 2),
-            3: PlacedOp(3, 1, 2, 3),
-        },
+    return kernel_of(
+        diamond_graph, 4, {0: (0, 0, 1), 1: (0, 1, 3), 2: (1, 0, 2), 3: (1, 2, 3)}
     )
 
 
@@ -94,31 +86,31 @@ class TestValidateKernel:
 
     def test_missing_op_detected(self, diamond_graph):
         kernel = _manual_kernel(diamond_graph)
-        del kernel.placements[3]
+        drop_row(kernel, 3)
         with pytest.raises(ScheduleError, match="mismatch"):
             validate_kernel(diamond_graph, kernel, 2)
 
     def test_pe_out_of_range_detected(self, diamond_graph):
         kernel = _manual_kernel(diamond_graph)
-        kernel.placements[0] = PlacedOp(0, 7, 0, 1)
+        set_row(kernel, 0, 7, 0, 1)
         with pytest.raises(ScheduleError, match="only 2 PEs"):
             validate_kernel(diamond_graph, kernel, 2)
 
     def test_period_overrun_detected(self, diamond_graph):
         kernel = _manual_kernel(diamond_graph)
-        kernel.placements[3] = PlacedOp(3, 1, 4, 5)
+        set_row(kernel, 3, 1, 4, 5)
         with pytest.raises(ScheduleError, match="past"):
             validate_kernel(diamond_graph, kernel, 2)
 
     def test_wrong_duration_detected(self, diamond_graph):
         kernel = _manual_kernel(diamond_graph)
-        kernel.placements[1] = PlacedOp(1, 0, 1, 2)  # c_1 is 2, not 1
+        set_row(kernel, 1, 0, 1, 2)  # c_1 is 2, not 1
         with pytest.raises(ScheduleError, match="occupies"):
             validate_kernel(diamond_graph, kernel, 2)
 
     def test_overlap_detected(self, diamond_graph):
         kernel = _manual_kernel(diamond_graph)
-        kernel.placements[2] = PlacedOp(2, 0, 0, 2)  # collides with T0/T1
+        set_row(kernel, 2, 0, 0, 2)  # collides with T0/T1
         with pytest.raises(ScheduleError, match="overlap"):
             validate_kernel(diamond_graph, kernel, 2)
 
@@ -131,13 +123,9 @@ def _periodic(diamond_graph, retiming, placements=None, transfers=None):
     edge_retiming = {
         k: retiming[k[1]] for k in edge_keys
     }
-    return PeriodicSchedule(
-        graph=diamond_graph,
-        kernel=kernel,
-        retiming=retiming,
-        edge_retiming=edge_retiming,
-        placements=placement_map,
-        transfer_times=transfer_map,
+    return schedule_of(
+        diamond_graph, kernel, retiming, edge_retiming, placement_map,
+        transfer_map,
     )
 
 

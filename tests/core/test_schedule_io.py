@@ -30,7 +30,7 @@ class TestRoundTrip:
         assert restored.edge_retiming == schedule.edge_retiming
         assert restored.placements == schedule.placements
         assert restored.transfer_times == schedule.transfer_times
-        assert restored.kernel.placements == schedule.kernel.placements
+        assert restored.kernel == schedule.kernel
 
     def test_json_file_round_trip(self, schedule, tmp_path):
         path = tmp_path / "schedule.json"

@@ -51,7 +51,7 @@ class TestCompactKernel:
     def test_topological_order_places_producers_first(self, chain_graph):
         kernel = compact_kernel_schedule(chain_graph, 2, order="topological")
         for left, right in zip(range(5), range(1, 6)):
-            assert kernel.start(left) <= kernel.start(right)
+            assert kernel.placement(left).start <= kernel.placement(right).start
 
     def test_lpt_order_available(self, chain_graph):
         kernel = compact_kernel_schedule(chain_graph, 2, order="lpt")
@@ -64,7 +64,7 @@ class TestCompactKernel:
     def test_deterministic(self, figure2_graph):
         a = compact_kernel_schedule(figure2_graph, 3)
         b = compact_kernel_schedule(figure2_graph, 3)
-        assert a.placements == b.placements
+        assert a == b
 
     @given(
         n=st.integers(min_value=2, max_value=40),
@@ -83,7 +83,10 @@ class TestListSchedule:
     def test_honors_dependencies(self, chain_graph):
         kernel = list_schedule(chain_graph, 4)
         for left in range(5):
-            assert kernel.finish(left) <= kernel.start(left + 1)
+            assert (
+                kernel.placement(left).finish
+                <= kernel.placement(left + 1).start
+            )
 
     def test_edge_latency_delays_consumers(self, chain_graph):
         plain = list_schedule(chain_graph, 2)
@@ -122,7 +125,10 @@ class TestListSchedule:
         kernel = list_schedule(graph, pes, edge_latency=lambda e: 1)
         validate_kernel(graph, kernel, pes)
         for edge in graph.edges():
-            assert kernel.finish(edge.producer) + 1 <= kernel.start(edge.consumer)
+            assert (
+                kernel.placement(edge.producer).finish + 1
+                <= kernel.placement(edge.consumer).start
+            )
 
 
 class TestDownwardRank:

@@ -13,7 +13,6 @@ from repro.eval.figure6 import render_figure6, run_figure6
 from repro.eval.paper_data import (
     PAPER_TABLE1,
     PAPER_TABLE2,
-    paper_imp,
     paper_reduction,
 )
 from repro.eval.table1 import (
@@ -39,9 +38,6 @@ class TestPaperData:
     def test_tables_cover_all_benchmarks(self):
         assert len(PAPER_TABLE1) == 12
         assert len(PAPER_TABLE2) == 12
-
-    def test_paper_imp_lookup(self):
-        assert paper_imp("protein", 16) == 56.93
 
     def test_paper_reduction_recomputed(self):
         # cat/16: 4.7 -> 4.0 is a ~14.9% reduction despite the printed 85.13

@@ -90,7 +90,7 @@ class TestHeterogeneousSchedulers:
     def test_list_het_honors_dependencies(self, graph, array):
         kernel = list_schedule_heterogeneous(graph, array)
         for edge in graph.edges():
-            assert kernel.finish(edge.producer) <= kernel.start(edge.consumer)
+            assert kernel.placement(edge.producer).finish <= kernel.placement(edge.consumer).start
 
     def test_extra_occupancy_stretches(self, graph, array):
         plain = list_schedule_heterogeneous(graph, array)

@@ -6,10 +6,8 @@ import pytest
 
 from repro.eval.profile import (
     DEFAULT_PROFILE_WORKLOADS,
-    PROFILE_TARGETS,
     ProfileReport,
     run_profile,
-    run_profiles,
 )
 from repro.pim.config import PimConfig
 
@@ -78,11 +76,6 @@ class TestRunProfile:
         ).render()
         assert rendered.startswith("## Hotspots: compile")
         assert "cumtime" in rendered
-
-
-def test_run_profiles_covers_both_targets(small_machine):
-    reports = run_profiles(config=small_machine, workload="cat", top=3)
-    assert set(reports) == set(PROFILE_TARGETS)
 
 
 def test_profile_cli(capsys):

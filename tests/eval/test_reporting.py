@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.eval.reporting import format_table, geometric_mean, to_csv
+from repro.eval.reporting import format_table
 
 
 class TestFormatTable:
@@ -28,22 +28,3 @@ class TestFormatTable:
         lines = text.splitlines()
         assert lines[2].startswith("x ")
         assert lines[2].rstrip().endswith("5")
-
-
-class TestCsv:
-    def test_round_trip(self):
-        text = to_csv(["a", "b"], [[1, "x"], [2, "y"]])
-        rows = [line.split(",") for line in text.strip().splitlines()]
-        assert rows == [["a", "b"], ["1", "x"], ["2", "y"]]
-
-
-class TestGeometricMean:
-    def test_basic(self):
-        assert geometric_mean([2, 8]) == pytest.approx(4.0)
-
-    def test_empty(self):
-        assert geometric_mean([]) == 0.0
-
-    def test_non_positive_rejected(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])

@@ -1,7 +1,7 @@
 """Tests for the Graphviz DOT exporter."""
 
 from repro.core.paraconv import ParaConv
-from repro.graph.dot import graph_to_dot, result_to_dot, write_dot
+from repro.graph.dot import graph_to_dot, result_to_dot
 from repro.pim.memory import Placement
 
 
@@ -40,11 +40,6 @@ class TestGraphToDot:
         graph.connect(0, 1)
         dot = graph_to_dot(graph)
         assert '\\"' in dot
-
-    def test_write_dot(self, diamond_graph, tmp_path):
-        path = tmp_path / "g.dot"
-        write_dot(diamond_graph, path)
-        assert path.read_text().startswith("digraph")
 
     def test_result_to_dot(self, figure2_graph, small_config):
         result = ParaConv(small_config).run(figure2_graph)

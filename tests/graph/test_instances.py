@@ -5,7 +5,6 @@ import pytest
 from repro.graph.instances import (
     IntermediateInstance,
     OperationInstance,
-    instance_dependencies,
     unroll,
 )
 from repro.graph.taskgraph import GraphValidationError
@@ -72,11 +71,3 @@ class TestUnroll:
     def test_zero_iterations_rejected(self, diamond_graph):
         with pytest.raises(GraphValidationError):
             unroll(diamond_graph, 0)
-
-    def test_dependency_map(self, diamond_graph):
-        deps = instance_dependencies(diamond_graph, 2)
-        sink = OperationInstance(3, 1)
-        producers = {p.op_id for p in deps[sink]}
-        assert producers == {1, 2}
-        # the source has no dependencies, so it never appears as a key
-        assert OperationInstance(0, 1) not in deps

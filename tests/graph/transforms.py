@@ -1,8 +1,11 @@
-"""Task-graph fusion rewrites.
+"""Task-graph fusion rewrites, a test helper.
 
 :func:`fuse_stages` contracts the runs of stages a caller names into
 single dataflow stages; :func:`coarsen_chains` fuses every maximal linear
 chain into one operation. Both drop ``period_hint`` when anything fused.
+The fused lowering the compiler serves is
+:func:`repro.cnn.partition.partition_network` with a ``FusionSpec``; the
+tests use these rewrites to build fused graphs directly.
 """
 
 from __future__ import annotations

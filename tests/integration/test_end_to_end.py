@@ -68,7 +68,7 @@ class TestUnrolledEquivalence:
 
         def absolute_start(op_id, iteration):
             round_index = iteration + r_max - schedule.retiming[op_id]
-            return (round_index - 1) * period + schedule.kernel.start(op_id)
+            return (round_index - 1) * period + schedule.kernel.placement(op_id).start
 
         def absolute_finish(op_id, iteration):
             op = graph.operation(op_id)

@@ -13,12 +13,12 @@ by PE index or op id alone.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.schedule import KernelSchedule, PlacedOp, ScheduleError
+from repro.core.schedule import PlacedOp, ScheduleError
 from repro.core.scheduler import compact_kernel_schedule
 from repro.graph.taskgraph import GraphValidationError, TaskGraph, _describe_cycle
 
@@ -31,7 +31,7 @@ def reference_compact_kernel_schedule(
     num_pes: int,
     order: str = "topological",
     levels: Optional[Dict[int, int]] = None,
-) -> KernelSchedule:
+) -> Tuple[int, Dict[int, PlacedOp]]:
     if num_pes < 1:
         raise ScheduleError("num_pes must be >= 1")
     if order == "topological":
@@ -58,7 +58,7 @@ def reference_compact_kernel_schedule(
         free_at[pe] = finish
         placements[op.op_id] = PlacedOp(op.op_id, pe, start, finish)
     period = max(free_at) if placements else 0
-    return KernelSchedule(period=period, placements=placements)
+    return period, placements
 
 
 def reference_topological_order(self: TaskGraph) -> List[int]:
@@ -123,12 +123,12 @@ class TestAgainstReferences:
         for order in ("topological", "lpt"):
             for width in range(1, max_pes + 1):
                 heap = compact_kernel_schedule(graph, width, order=order)
-                scan = reference_compact_kernel_schedule(
+                period, scan = reference_compact_kernel_schedule(
                     graph, width, order=order
                 )
-                assert heap.period == scan.period
-                assert list(heap.placements.items()) == list(
-                    scan.placements.items()
+                assert heap.period == period
+                assert [heap.placement(op_id) for op_id in scan] == list(
+                    scan.values()
                 )
 
     @settings(max_examples=80, deadline=None)

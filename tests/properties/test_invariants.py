@@ -65,8 +65,10 @@ class TestPipelineInvariants:
         for edge in graph.edges():
             transfer = result.schedule.transfer_times[edge.key]
             assert transfer <= period
-            gap = kernel.finish(edge.producer) + transfer - kernel.start(
-                edge.consumer
+            gap = (
+                kernel.placement(edge.producer).finish
+                + transfer
+                - kernel.placement(edge.consumer).start
             )
             required = max(0, math.ceil(gap / period))
             assert required <= 2

@@ -6,20 +6,19 @@ assert each one is rejected -- so the green correctness tests elsewhere
 actually certify something.
 """
 
-import copy
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.paraconv import ParaConv
 from repro.core.schedule import (
-    PlacedOp,
     ScheduleError,
     validate_kernel,
     validate_periodic_schedule,
 )
 from repro.graph.generators import SyntheticGraphGenerator
 from repro.pim.config import PimConfig
+from repro.verify.mutation import clone_result
+from tests.builders import drop_row, set_row
 
 
 def fresh_result(seed=3, pes=8):
@@ -28,14 +27,7 @@ def fresh_result(seed=3, pes=8):
 
 
 def clone_schedule(result):
-    schedule = copy.copy(result.schedule)
-    schedule.retiming = dict(result.schedule.retiming)
-    schedule.edge_retiming = dict(result.schedule.edge_retiming)
-    schedule.placements = dict(result.schedule.placements)
-    schedule.transfer_times = dict(result.schedule.transfer_times)
-    schedule.kernel = copy.copy(result.schedule.kernel)
-    schedule.kernel.placements = dict(result.schedule.kernel.placements)
-    return schedule
+    return clone_result(result).schedule
 
 
 class TestPeriodicValidatorCatchesCorruption:
@@ -51,8 +43,8 @@ class TestPeriodicValidatorCatchesCorruption:
         kernel = schedule.kernel
         loaded = [
             e.key for e in result.graph.edges()
-            if kernel.finish(e.producer) + schedule.transfer_times[e.key]
-            > kernel.start(e.consumer)
+            if kernel.placement(e.producer).finish + schedule.transfer_times[e.key]
+            > kernel.placement(e.consumer).start
         ]
         if not loaded:
             return  # nothing to corrupt in this instance
@@ -92,28 +84,28 @@ class TestPeriodicValidatorCatchesCorruption:
 class TestKernelValidatorCatchesCorruption:
     def test_shifting_an_op_onto_a_colleague_is_caught(self):
         result = fresh_result()
-        kernel = copy.copy(result.schedule.kernel)
-        kernel.placements = dict(kernel.placements)
+        kernel = clone_schedule(result).kernel
         # find two ops on the same PE and make them collide
         by_pe = {}
-        for placement in kernel.placements.values():
+        for op_id in kernel.op_ids:
+            placement = kernel.placement(op_id)
             by_pe.setdefault(placement.pe, []).append(placement)
         pe, ops = next((pe, v) for pe, v in by_pe.items() if len(v) >= 2)
         ops.sort(key=lambda p: p.start)
         first, second = ops[0], ops[1]
-        kernel.placements[second.op_id] = PlacedOp(
-            second.op_id, pe, first.start, first.start + second.duration
+        set_row(
+            kernel, second.op_id, pe, first.start,
+            first.start + second.duration,
         )
         with pytest.raises(ScheduleError, match="overlap"):
             validate_kernel(result.graph, kernel, result.group_width)
 
     def test_stretching_an_op_is_caught(self):
         result = fresh_result()
-        kernel = copy.copy(result.schedule.kernel)
-        kernel.placements = dict(kernel.placements)
-        placement = next(iter(kernel.placements.values()))
-        kernel.placements[placement.op_id] = PlacedOp(
-            placement.op_id, placement.pe, placement.start,
+        kernel = clone_schedule(result).kernel
+        placement = kernel.placement(kernel.op_ids[0])
+        set_row(
+            kernel, placement.op_id, placement.pe, placement.start,
             placement.finish + 1,
         )
         with pytest.raises(ScheduleError):
@@ -121,9 +113,8 @@ class TestKernelValidatorCatchesCorruption:
 
     def test_dropping_an_op_is_caught(self):
         result = fresh_result()
-        kernel = copy.copy(result.schedule.kernel)
-        kernel.placements = dict(kernel.placements)
-        kernel.placements.popitem()
+        kernel = clone_schedule(result).kernel
+        drop_row(kernel, kernel.op_ids[-1])
         with pytest.raises(ScheduleError, match="mismatch"):
             validate_kernel(result.graph, kernel, result.group_width)
 

@@ -421,6 +421,17 @@ def _grow(payload, section):
     return _schedule_with(payload, section, values + values[-1:])
 
 
+def _shrunk_finish(schedule):
+    """``finish`` with the first op longer than one unit cut to one unit:
+    it finishes earlier, so no dependency check can object."""
+    finish = list(schedule["finish"])
+    k = next(
+        k for k, (s, f) in enumerate(zip(schedule["start"], finish)) if f - s > 1
+    )
+    finish[k] = schedule["start"][k] + 1
+    return finish
+
+
 def _cached(payload, indices):
     return _with(payload, "allocation", _with(payload["allocation"], "cached", indices))
 
@@ -445,7 +456,7 @@ def v1_payload(plan) -> dict:
             "period": schedule.period,
             "kernel": [
                 {"op_id": p.op_id, "pe": p.pe, "start": p.start, "finish": p.finish}
-                for p in schedule.kernel.placements.values()
+                for p in map(schedule.kernel.placement, schedule.kernel.op_ids)
             ],
             "retiming": {str(k): v for k, v in schedule.retiming.items()},
             "edge_retiming": records(schedule.edge_retiming, "value"),
@@ -514,6 +525,17 @@ WRONG_SHAPES = {
         valid, [valid["schedule"]["placements"].index("e")]
     ),
     "foreign-fingerprint": lambda valid: _with(valid, "graph", "0" * 64),
+    # Kernels that only the kernel validator rejects: the periodic
+    # schedule's dependency checks read no PE and no op's own duration.
+    "pe-overlap": lambda valid: _schedule_with(
+        valid, "pe", [0] * len(valid["schedule"]["pe"])
+    ),
+    "pe-beyond-width": lambda valid: _schedule_with(
+        valid, "pe", [valid["group_width"] + 5] * len(valid["schedule"]["pe"])
+    ),
+    "duration-wrong": lambda valid: _schedule_with(
+        valid, "finish", _shrunk_finish(valid["schedule"])
+    ),
 }
 
 
@@ -538,7 +560,8 @@ MALFORMED_FILES = {
         name: _wrong_shape_file(name)
         for name in (
             "pe-one-short", "edge-retiming-one-long", "placement-code-unknown",
-            "cached-index-out-of-range", "foreign-fingerprint",
+            "cached-index-out-of-range", "foreign-fingerprint", "pe-overlap",
+            "pe-beyond-width", "duration-wrong",
         )
     },
 }

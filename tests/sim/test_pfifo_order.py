@@ -13,13 +13,13 @@ instance B^1 took.
 
 from types import SimpleNamespace
 
-from repro.core.schedule import KernelSchedule, PeriodicSchedule, PlacedOp
 from repro.graph.taskgraph import IntermediateResult, Operation, TaskGraph
 from repro.pim.config import PimConfig
 from repro.pim.memory import Placement
 from repro.sim.executor import ScheduleExecutor, _ScheduleRun
 from repro.sim.modes import SimMode
 from repro.sim.sinks import NullSink
+from tests.builders import kernel_of, schedule_of
 
 A, D, B, E = 0, 1, 2, 3
 PERIOD = 10
@@ -34,15 +34,15 @@ def _plan():
         graph.add_operation(Operation(op_id, execution_time=1))
     graph.add_edge(IntermediateResult(A, B, size_bytes=SIZE))
     graph.add_edge(IntermediateResult(D, E, size_bytes=SIZE))
-    kernel = KernelSchedule(period=PERIOD, placements={
-        A: PlacedOp(A, pe=0, start=0, finish=1),
-        D: PlacedOp(D, pe=0, start=5, finish=6),
-        B: PlacedOp(B, pe=1, start=0, finish=1),
-        E: PlacedOp(E, pe=1, start=5, finish=6),
+    kernel = kernel_of(graph, PERIOD, {
+        A: (0, 0, 1),
+        D: (0, 5, 6),
+        B: (1, 0, 1),
+        E: (1, 5, 6),
     })
-    schedule = PeriodicSchedule(
-        graph=graph,
-        kernel=kernel,
+    schedule = schedule_of(
+        graph,
+        kernel,
         retiming={A: 2, D: 2, B: 0, E: 0},
         edge_retiming={(A, B): 2, (D, E): 2},
         placements={(A, B): Placement.CACHE, (D, E): Placement.CACHE},

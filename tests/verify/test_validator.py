@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.paraconv import ParaConv
-from repro.core.schedule import PlacedOp
 from repro.graph.generators import synthetic_benchmark
 from repro.pim.config import PimConfig
 from repro.pim.memory import Placement
@@ -13,6 +12,7 @@ from repro.verify.validator import (
     ScheduleValidator,
     verify_result,
 )
+from tests.builders import drop_row, set_row
 
 
 @pytest.fixture(scope="module")
@@ -72,16 +72,15 @@ class TestTargetedCorruptions:
 
     def test_dropped_op_hits_kernel_resources(self, plan):
         mutant = clone_result(plan)
-        op_id = sorted(mutant.schedule.kernel.placements)[0]
-        del mutant.schedule.kernel.placements[op_id]
+        drop_row(mutant.schedule.kernel, sorted(mutant.schedule.kernel.op_ids)[0])
         assert "kernel-resources" in self._checks_fired(mutant)
 
     def test_stretched_op_misreports_duration(self, plan):
         mutant = clone_result(plan)
         kernel = mutant.schedule.kernel
-        op_id = sorted(kernel.placements)[0]
-        p = kernel.placements[op_id]
-        kernel.placements[op_id] = PlacedOp(op_id, p.pe, p.start, p.finish + 1)
+        op_id = sorted(kernel.op_ids)[0]
+        p = kernel.placement(op_id)
+        set_row(kernel, op_id, p.pe, p.start, p.finish + 1)
         assert "kernel-resources" in self._checks_fired(mutant)
 
     def test_negative_retiming_hits_legality(self, plan):
