@@ -26,7 +26,7 @@ consumer instance starts. All correctness tests lean on them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add, le, sub
+from operator import add, le, lt, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.graph.taskgraph import ColumnView, GraphIndex, TaskGraph
@@ -118,6 +118,23 @@ def require_layout(kernel: KernelSchedule, index: GraphIndex) -> None:
         raise ScheduleError(f"kernel columns must hold {len(op_ids)} entries")
 
 
+def check_windows(kernel: KernelSchedule) -> None:
+    """Raise :class:`ScheduleError` unless every kernel row is a
+    non-empty window starting at or after 0 on a non-negative PE (the
+    checks that need neither the graph nor the array's width)."""
+    pes, starts, finishes = kernel.pe, kernel.start, kernel.finish
+    if pes and (
+        min(starts) < 0 or min(pes) < 0 or not all(map(lt, starts, finishes))
+    ):
+        for op_id, pe, start, finish in zip(kernel.op_ids, pes, starts, finishes):
+            if start < 0 or finish <= start:
+                raise ScheduleError(
+                    f"op {op_id}: invalid window [{start}, {finish})"
+                )
+            if pe < 0:
+                raise ScheduleError(f"op {op_id}: negative PE {pe}")
+
+
 def validate_kernel(
     graph: TaskGraph,
     kernel: KernelSchedule,
@@ -139,26 +156,20 @@ def validate_kernel(
     """
     index = graph.index()
     require_layout(kernel, index)
+    check_windows(kernel)
     op_ids, pes = kernel.op_ids, kernel.pe
     starts, finishes, period = kernel.start, kernel.finish, kernel.period
+    in_range = not pes or max(pes) < num_pes
     expected = (
-        index.execution_times if duration_of is None
+        index.execution_times if duration_of is None or not in_range
         else tuple(map(duration_of, op_ids, pes))
     )
     durations = tuple(map(sub, finishes, starts))
-    if op_ids and (
-        min(starts) < 0 or min(pes) < 0 or max(pes) >= num_pes
-        or max(finishes) > period or durations != expected
+    if not in_range or max(finishes, default=0) > period or (
+        durations != expected
     ):
-        for op_id, pe, start, finish, duration in zip(
-            op_ids, pes, starts, finishes, expected
-        ):
-            if start < 0 or finish <= start:
-                raise ScheduleError(
-                    f"op {op_id}: invalid window [{start}, {finish})"
-                )
-            if pe < 0:
-                raise ScheduleError(f"op {op_id}: negative PE {pe}")
+        for v, op_id in enumerate(op_ids):
+            pe, start, finish = pes[v], starts[v], finishes[v]
             if pe >= num_pes:
                 raise ScheduleError(
                     f"op {op_id} on PE {pe} but only {num_pes} PEs exist"
@@ -167,6 +178,9 @@ def validate_kernel(
                 raise ScheduleError(
                     f"op {op_id} finishes at {finish} past period {period}"
                 )
+            duration = (
+                expected[v] if duration_of is None else duration_of(op_id, pe)
+            )
             if finish - start != duration:
                 raise ScheduleError(
                     f"op {op_id} occupies {finish - start} units, "

@@ -42,6 +42,7 @@ from repro.core.schedule import (
     KernelSchedule,
     PeriodicSchedule,
     ScheduleError,
+    check_windows,
     validate_periodic_schedule,
 )
 from repro.graph.io import graph_from_dict, graph_to_dict
@@ -111,7 +112,9 @@ def schedule_from_dict(
 
     ``graph`` is the graph the schedule was compiled for; the schedule is
     built on it. Any payload of the wrong shape raises
-    :class:`ScheduleError`, as does a schedule that breaks an invariant.
+    :class:`ScheduleError`, as does a kernel row that is not a non-empty
+    window on a non-negative PE (:func:`check_windows`) or a schedule
+    that breaks an invariant of :func:`validate_periodic_schedule`.
     """
     if not isinstance(payload, dict):
         raise ScheduleError(
@@ -152,6 +155,7 @@ def schedule_from_dict(
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ScheduleError(f"malformed schedule payload: {exc!r}") from exc
+    check_windows(kernel)
     validate_periodic_schedule(schedule)
     return schedule
 

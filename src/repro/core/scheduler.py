@@ -201,20 +201,18 @@ def compact_kernel_schedule_heterogeneous(
     if num_pes < 1:
         raise ScheduleError("array needs >= 1 PE")
     free_at = [0] * num_pes
-    kernel = _empty_kernel(graph)
-    position = graph.index().position
+    index = graph.index()
+    pes, starts, finishes = ([0] * len(index.op_ids) for _ in range(3))
     for op_id, execution_time in packing_order(graph, order):
-        best_pe, best_finish, best_start = None, None, None
-        for pe in range(num_pes):
-            duration = array.effective_time(execution_time, pe)
-            start = free_at[pe]
-            finish = start + duration
-            if best_finish is None or finish < best_finish:
-                best_pe, best_finish, best_start = pe, finish, start
-        free_at[best_pe] = best_finish
-        _place(kernel, position[op_id], best_pe, best_start, best_finish)
-    kernel.period = max(free_at) if position else 0
-    return kernel
+        finish, pe, start = min(
+            (free_at[k] + array.effective_time(execution_time, k), k, free_at[k])
+            for k in range(num_pes)
+        )
+        free_at[pe] = finish
+        v = index.position[op_id]
+        pes[v], starts[v], finishes[v] = pe, start, finish
+    period = max(free_at) if index.op_ids else 0
+    return KernelSchedule(period, index.op_ids, pes, starts, finishes)
 
 
 def list_schedule_heterogeneous(
@@ -265,8 +263,8 @@ def _list_schedule(
     data_ready: Dict[int, int] = {op.op_id: 0 for op in graph.operations()}
     ready = [op_id for op_id, n in remaining_preds.items() if n == 0]
     free_at = [0] * num_pes
-    kernel = _empty_kernel(graph)
-    position = graph.index().position
+    index = graph.index()
+    pes, starts, finishes = ([0] * len(index.op_ids) for _ in range(3))
 
     while ready:
         ready.sort(key=lambda i: (-prio[i], i))
@@ -279,32 +277,17 @@ def _list_schedule(
             for k in range(num_pes)
         )
         free_at[pe] = finish
-        _place(kernel, position[op_id], pe, start, finish)
+        v = index.position[op_id]
+        pes[v], starts[v], finishes[v] = pe, start, finish
         for edge in graph.out_edges(op_id):
             succ = edge.consumer
             data_ready[succ] = max(data_ready[succ], finish + latency(edge))
             remaining_preds[succ] -= 1
             if remaining_preds[succ] == 0:
                 ready.append(succ)
-    kernel.period = kernel.makespan()
-    return kernel
-
-
-def _empty_kernel(graph: TaskGraph) -> KernelSchedule:
-    """A kernel over ``graph``'s index with every column zeroed, for the
-    list schedulers to fill in with :func:`_place`."""
-    op_ids = graph.index().op_ids
-    n = len(op_ids)
-    return KernelSchedule(0, op_ids, [0] * n, [0] * n, [0] * n)
-
-
-def _place(
-    kernel: KernelSchedule, v: int, pe: int, start: int, finish: int
-) -> None:
-    """Write vertex ``v``'s row of ``kernel``."""
-    kernel.pe[v] = pe
-    kernel.start[v] = start
-    kernel.finish[v] = finish
+    return KernelSchedule(
+        max(finishes, default=0), index.op_ids, pes, starts, finishes
+    )
 
 
 def downward_rank(graph: TaskGraph, edge_latency: EdgeLatency) -> Dict[int, int]:

@@ -40,8 +40,11 @@ from repro.graph.randwired import (
     randwired_graph,
     watts_strogatz_dag,
 )
+from repro.graph.transforms import coarsen_chains, fuse_stages
 
 __all__ = [
+    "coarsen_chains",
+    "fuse_stages",
     "GraphValidationError",
     "IntermediateInstance",
     "IntermediateResult",

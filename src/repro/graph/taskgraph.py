@@ -99,10 +99,9 @@ class Operation:
         work: abstract operation count (MACs for convolutions); informational.
         fused_count: number of original operations this vertex stands for.
             ``1`` for ordinary vertices; fused-dataflow lowering
-            (:func:`repro.cnn.partition.partition_network` with a
-            ``FusionSpec``, PIMfused-style) contracts a run of stages into
-            one vertex and records the run length here so accounting and
-            reports can attribute work.
+            (:func:`repro.graph.transforms.fuse_stages`, PIMfused-style)
+            contracts a run of stages into one vertex and records the run
+            length here so accounting and reports can attribute work.
     """
 
     op_id: int

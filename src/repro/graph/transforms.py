@@ -1,11 +1,8 @@
-"""Task-graph fusion rewrites, a test helper.
+"""Task-graph fusion rewrites.
 
 :func:`fuse_stages` contracts the runs of stages a caller names into
 single dataflow stages; :func:`coarsen_chains` fuses every maximal linear
 chain into one operation. Both drop ``period_hint`` when anything fused.
-The fused lowering the compiler serves is
-:func:`repro.cnn.partition.partition_network` with a ``FusionSpec``; the
-tests use these rewrites to build fused graphs directly.
 """
 
 from __future__ import annotations

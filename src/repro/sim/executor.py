@@ -102,6 +102,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.paraconv import ParaConvResult
 from repro.core.retiming import price_edges
+from repro.core.schedule import require_layout
 from repro.pim.config import PFIFO_DEPTH, PimConfig
 from repro.pim.energy import EnergyModel, EnergyReport
 from repro.pim.faults import FAULT_UNIT_PE, FAULT_UNIT_VAULT, FaultModel
@@ -533,6 +534,7 @@ class _ScheduleRun:
             start_const[op.op_id] = keys.const(_PRIO_START, n_edges + rank)
         # The kernel and retiming columns, by vertex of the graph's index.
         index = graph.index()
+        require_layout(kernel, index)
         pe_of: Dict[int, int] = dict(zip(index.op_ids, kernel.pe))
         for op_id, start, retiming in zip(
             index.op_ids, kernel.start, schedule.vertex_r

@@ -96,6 +96,22 @@ class TestValidateKernel:
         with pytest.raises(ScheduleError, match="only 2 PEs"):
             validate_kernel(diamond_graph, kernel, 2)
 
+    @pytest.mark.parametrize("pe", [2, 7])
+    def test_pe_out_of_range_detected_before_duration_lookup(
+        self, diamond_graph, pe
+    ):
+        """``duration_of`` (a heterogeneous array's speeds) only sees PEs
+        inside the range: a PE outside it is the typed range error."""
+        kernel = _manual_kernel(diamond_graph)
+        set_row(kernel, 2, pe, 0, 2)
+
+        def duration_of(op_id, pe):
+            assert 0 <= pe < 2, f"duration looked up on PE {pe}"
+            return diamond_graph.operation(op_id).execution_time
+
+        with pytest.raises(ScheduleError, match=f"op 2 on PE {pe} but only 2"):
+            validate_kernel(diamond_graph, kernel, 2, duration_of=duration_of)
+
     def test_period_overrun_detected(self, diamond_graph):
         kernel = _manual_kernel(diamond_graph)
         set_row(kernel, 3, 1, 4, 5)

@@ -87,6 +87,32 @@ class TestValidationOnLoad:
             with pytest.raises(ScheduleError, match=section):
                 schedule_from_dict(payload, schedule.graph)
 
+    @pytest.mark.parametrize(
+        "column, value, match",
+        [
+            ("pe", lambda payload: -1, "negative PE"),
+            ("finish", lambda payload: payload["start"][0], "invalid window"),
+            ("start", lambda payload: -1, "invalid window"),
+        ],
+        ids=["pe-negative", "finish-at-start", "start-negative"],
+    )
+    def test_broken_kernel_row_rejected(
+        self, schedule, tmp_path, column, value, match
+    ):
+        """A row's own window and PE are checked on load, the artifact
+        carrying no width for :func:`validate_kernel`."""
+        payload = schedule_to_dict(schedule)
+        payload[column][0] = value(payload)
+        with pytest.raises(ScheduleError, match=match):
+            schedule_from_dict(payload, schedule.graph)
+        path = tmp_path / "schedule.json"
+        schedule_to_json(schedule, path)
+        envelope = json.loads(path.read_text())
+        envelope["schedule"] = payload
+        path.write_text(json.dumps(envelope))
+        with pytest.raises(ScheduleError, match=match):
+            schedule_from_json(path)
+
     def test_unknown_placement_code_rejected(self, schedule):
         payload = schedule_to_dict(schedule)
         payload["placements"] = "x" + payload["placements"][1:]

@@ -7,7 +7,7 @@ import pytest
 from repro.cnn.workloads import PAPER_BENCHMARKS, load_workload
 from repro.graph.io import graph_from_dict, graph_to_dict
 from repro.graph.taskgraph import GraphValidationError, TaskGraph
-from tests.graph.transforms import fuse_stages
+from repro.graph.transforms import fuse_stages
 
 
 def chain(n=4, **edge_kwargs):

@@ -9,7 +9,7 @@ no-op rewrite keeps it.
 from __future__ import annotations
 
 from repro.graph.taskgraph import TaskGraph
-from tests.graph.transforms import coarsen_chains, fuse_stages
+from repro.graph.transforms import coarsen_chains, fuse_stages
 
 
 def hinted_chain(stages: int = 4, hint: int = 10) -> TaskGraph:

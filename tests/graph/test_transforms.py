@@ -1,7 +1,7 @@
 """Tests for graph transformations."""
 
 from repro.graph.taskgraph import TaskGraph
-from tests.graph.transforms import coarsen_chains
+from repro.graph.transforms import coarsen_chains
 from tests.builders import linear_chain
 
 

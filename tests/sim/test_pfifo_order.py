@@ -13,6 +13,9 @@ instance B^1 took.
 
 from types import SimpleNamespace
 
+import pytest
+
+from repro.core.schedule import ScheduleError
 from repro.graph.taskgraph import IntermediateResult, Operation, TaskGraph
 from repro.pim.config import PimConfig
 from repro.pim.memory import Placement
@@ -87,3 +90,16 @@ def test_fifo_pushes_hand_count():
     # One push per delivered datum: two edges per iteration, and PE 1's
     # pFIFO never holds more than four entries, far below its depth.
     assert trace.stats.fifo_pushes == 2 * iterations
+
+
+def test_kernel_in_another_op_order_is_rejected():
+    """The executor pairs the kernel's columns with the graph's index, so
+    a kernel laid out in any other op order is refused, not misread."""
+    plan = _plan()
+    kernel = plan.schedule.kernel
+    rows = {op_id: kernel.placement(op_id) for op_id in (B, E, A, D)}
+    plan.schedule.kernel = kernel_of(None, PERIOD, {
+        op_id: (row.pe, row.start, row.finish) for op_id, row in rows.items()
+    })
+    with pytest.raises(ScheduleError, match="kernel op mismatch"):
+        ScheduleExecutor(CONFIG).execute(plan, iterations=2, sink=NullSink())
