@@ -87,8 +87,20 @@ PAPER_BENCHMARKS: List[str] = list(BENCHMARK_SIZES)
 RANDWIRED_BENCHMARKS: List[str] = list(RANDWIRED_SPECS)
 
 
+#: The graph each registry entry built, keyed by its builder: every
+#: entry is built once per process and served as copies of this template.
+_TEMPLATES: Dict[GraphBuilder, TaskGraph] = {}
+
+
 def load_workload(name: str) -> TaskGraph:
-    """Build the named workload's task graph (deterministic per name).
+    """A fresh task graph of the named workload (deterministic per name).
+
+    Each registry entry is built once per process; every call returns a
+    new copy of that template, sharing its frozen operations and edges
+    and carrying its :meth:`~TaskGraph.index` and
+    :meth:`~TaskGraph.fingerprint` (the content is equal). The copy is
+    the caller's own: changing it resets its caches only and leaves the
+    template, and every later load, as it was.
 
     Raises :class:`UnknownWorkloadError` — a typed
     :class:`GraphValidationError` enumerating the registry — when the
@@ -98,4 +110,10 @@ def load_workload(name: str) -> TaskGraph:
         builder = WORKLOADS[name]
     except KeyError:
         raise UnknownWorkloadError(name) from None
-    return builder()
+    template = _TEMPLATES.get(builder)
+    if template is None:
+        template = _TEMPLATES[builder] = builder()
+    graph = template.copy()
+    graph._index = template.index()
+    graph._fingerprint = template.fingerprint()
+    return graph

@@ -43,6 +43,7 @@ from repro.core.schedule import (
     PeriodicSchedule,
     ScheduleError,
     check_windows,
+    validate_kernel,
     validate_periodic_schedule,
 )
 from repro.graph.io import graph_from_dict, graph_to_dict
@@ -172,7 +173,13 @@ def schedule_to_json(
 
 
 def schedule_from_json(path: Union[str, Path]) -> PeriodicSchedule:
-    """Load (and validate) a schedule written by :func:`schedule_to_json`."""
+    """Load (and validate) a schedule written by :func:`schedule_to_json`.
+
+    The artifact carries no array width, so the kernel is checked with
+    :func:`validate_kernel` against as many PEs as it uses: no two ops
+    overlap on one PE, and every window lies in the period and lasts
+    its op's execution time.
+    """
     envelope = json.loads(Path(path).read_text())
     if not isinstance(envelope, dict):
         raise ScheduleError(
@@ -182,4 +189,6 @@ def schedule_from_json(path: Union[str, Path]) -> PeriodicSchedule:
         graph = graph_from_dict(envelope["graph"])
     except KeyError:
         raise ScheduleError("schedule artifact has no graph") from None
-    return schedule_from_dict(envelope.get("schedule"), graph)
+    schedule = schedule_from_dict(envelope.get("schedule"), graph)
+    validate_kernel(graph, schedule.kernel, max(schedule.kernel.pe) + 1)
+    return schedule

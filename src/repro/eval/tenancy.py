@@ -22,7 +22,7 @@ raises and writes the answers as a ``BENCH_tenancy/v1`` trajectory file:
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.cnn.models import MODEL_BUILDERS
 from repro.cnn.partition import partition_network

@@ -26,7 +26,6 @@ from repro.eval.bench_io import dump_bench
 from repro.graph.taskgraph import TaskGraph
 from repro.pim.config import PimConfig
 
-from repro.fleet.hashing import HashRing
 from repro.fleet.loadgen import FleetLoadGenerator, run_bench
 from repro.fleet.router import FleetRouter
 from repro.fleet.slo import DEFAULT_SLO_POLICIES, SloClass, SloPolicy
@@ -167,7 +166,7 @@ def build_fleet(
     """A router over ``num_workers`` equal shards of one physical machine.
 
     The router and every shard resolve workload names through one
-    :func:`fleet_graph_loader`, so each workload's graph is built once
+    :func:`fleet_graph_loader`, so each workload's graph is loaded once
     per fleet. Plans stay per shard: each shard's cache hydrates its own.
     """
     machine = PimConfig(num_pes=pes, num_vaults=vaults)
@@ -189,17 +188,20 @@ def build_fleet(
 
 
 def fleet_graph_loader() -> Callable[[str], TaskGraph]:
-    """A workload-name resolver that builds each graph once, then shares it.
+    """A workload-name resolver that loads each graph once, then shares it.
 
     The memo belongs to the returned loader alone, so it lives exactly
-    as long as the fleet holding it: a new fleet builds its graphs again.
+    as long as the fleet holding it and the router and every shard share
+    one graph object per workload. A new fleet gets new copies of the
+    process's workload templates (:func:`~repro.cnn.workloads.load_workload`)
+    rather than building its graphs again.
     """
     graphs: Dict[str, TaskGraph] = {}
 
     def load_graph(name: str) -> TaskGraph:
         graph = graphs.get(name)
         if graph is None:
-            # Looked up through the module on every build, so a wrapper
+            # Looked up through the module on every load, so a wrapper
             # installed on load_workload sees each one.
             graph = graphs[name] = cnn_workloads.load_workload(name)
         return graph

@@ -470,15 +470,17 @@ class TaskGraph:
         if self._index is None:
             op_ids = tuple(self._kahn())
             position = {op_id: v for v, op_id in enumerate(op_ids)}
-            rows = sorted((position[i], position[j]) for i, j in self._edges)
-            edge_keys = tuple((op_ids[p], op_ids[c]) for p, c in rows)
+            # The rows hold the graph's own edge-key tuples, not copies.
+            edge_keys = tuple(sorted(
+                self._edges, key=lambda key: (position[key[0]], position[key[1]])
+            ))
             self._index = GraphIndex(
                 op_ids,
                 position,
                 tuple(self._ops[op_id].execution_time for op_id in op_ids),
                 edge_keys,
-                tuple(p for p, _ in rows),
-                tuple(c for _, c in rows),
+                tuple(position[i] for i, _ in edge_keys),
+                tuple(position[j] for _, j in edge_keys),
                 {key: row for row, key in enumerate(edge_keys)},
             )
         return self._index

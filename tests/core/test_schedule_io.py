@@ -99,8 +99,8 @@ class TestValidationOnLoad:
     def test_broken_kernel_row_rejected(
         self, schedule, tmp_path, column, value, match
     ):
-        """A row's own window and PE are checked on load, the artifact
-        carrying no width for :func:`validate_kernel`."""
+        """A row's own window and PE are checked on load, from a payload
+        and from a standalone artifact."""
         payload = schedule_to_dict(schedule)
         payload[column][0] = value(payload)
         with pytest.raises(ScheduleError, match=match):
@@ -111,6 +111,17 @@ class TestValidationOnLoad:
         envelope["schedule"] = payload
         path.write_text(json.dumps(envelope))
         with pytest.raises(ScheduleError, match=match):
+            schedule_from_json(path)
+
+    def test_artifact_with_ops_sharing_a_pe_rejected(self, schedule, tmp_path):
+        """Every op on PE 0 is a legal row each, but the rows overlap:
+        the artifact's kernel is checked as a whole."""
+        path = tmp_path / "schedule.json"
+        schedule_to_json(schedule, path)
+        envelope = json.loads(path.read_text())
+        envelope["schedule"]["pe"] = [0] * len(envelope["schedule"]["pe"])
+        path.write_text(json.dumps(envelope))
+        with pytest.raises(ScheduleError, match="overlap"):
             schedule_from_json(path)
 
     def test_unknown_placement_code_rejected(self, schedule):

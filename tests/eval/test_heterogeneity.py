@@ -6,7 +6,6 @@ from repro.core.schedule import validate_kernel, validate_periodic_schedule
 from repro.core.scheduler import (
     compact_kernel_schedule,
     compact_kernel_schedule_heterogeneous,
-    list_schedule,
     list_schedule_heterogeneous,
 )
 from repro.eval.heterogeneity import (
