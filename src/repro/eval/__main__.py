@@ -16,6 +16,7 @@ from repro.eval.ablation import render_ablation, run_ablation
 from repro.eval.energy import render_energy, run_energy
 from repro.eval.figure5 import render_figure5, run_figure5
 from repro.eval.figure6 import render_figure6, run_figure6
+from repro.eval.profile import PROFILE_TARGETS, run_profile
 from repro.eval.table1 import (
     overall_average_improvement,
     render_table1,
@@ -40,9 +41,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument(
-        "target", nargs="?", default=None, choices=("compile", "sim"),
+        "target", nargs="?", default=None, choices=PROFILE_TARGETS,
         help="with the 'profile' experiment: hot path to profile "
-             "(default: both)",
+             "(default: every target)",
     )
     parser.add_argument(
         "--top", type=int, default=15,
@@ -89,8 +90,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     sections: List[str] = []
     if args.experiment == "profile":
-        from repro.eval.profile import run_profile
-
         # Profiling needs the paper's widest machine to make the hot
         # loops dominate; keep the user's N but pin 64 PEs.
         machine = PimConfig(
@@ -99,7 +98,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             cache_bytes_per_pe=args.cache_bytes_per_pe,
             edram_latency_factor=args.edram_factor,
         )
-        targets = (args.target,) if args.target else ("compile", "sim")
+        targets = (args.target,) if args.target else PROFILE_TARGETS
         for target in targets:
             report = run_profile(
                 target, machine,

@@ -1,17 +1,25 @@
-"""cProfile-backed hotspot tables for the two hot paths.
+"""cProfile-backed hotspot tables for the three hot paths.
 
-``python -m repro.eval profile [compile|sim]`` answers "where does the
-time actually go?" without leaving the repo's CLI surface: it runs a
+``python -m repro.eval profile [compile|sim|serve]`` answers "where does
+the time actually go?" without leaving the repo's CLI surface: it runs a
 representative workload under :mod:`cProfile` and renders the top-N
-functions by cumulative time. The two targets are the repo's two hot
+functions by cumulative time. The three targets are the repo's three hot
 paths:
 
 * ``compile`` — a cold :class:`~repro.core.paraconv.ParaConv` compile
   of ``protein`` (546 ops) with the default dynamic-programming
   allocator, the path the CLI and the benchmark's compile sweep take
   (the per-width pass pipeline is the hot loop).
-* ``sim`` — a paper-scale discrete-event run of the produced plan
-  (the per-round event hot loop), as a full unroll by default.
+* ``sim`` — a discrete-event run of the produced plan (the per-round
+  event hot loop), as a full unroll by default. The default workload is
+  the small ``lenet5`` (7 ops), so the table shows the engine's cost per
+  event rather than a paper-scale graph; pass a workload for that.
+* ``serve`` — one seeded open-loop trace through a four-shard fleet
+  (:func:`repro.fleet.__main__.build_fleet`, the fleet CLI's default
+  workload mix, :class:`~repro.fleet.loadgen.FleetLoadGenerator`, then
+  submit/pump/drain). Every plan is compiled before the profiled region,
+  so the table shows the per-request cost of the router, the shard
+  servers and the sessions, not the compiler.
 
 The rows come back as data (:class:`ProfileRow`) so tests can assert on
 the harness without parsing the rendered table, and so a future PR can
@@ -34,14 +42,22 @@ from repro.sim.modes import SimMode
 from repro.sim.sinks import NullSink
 
 #: profile targets, in the order the bare ``profile`` experiment runs them.
-PROFILE_TARGETS: Tuple[str, ...] = ("compile", "sim")
+PROFILE_TARGETS: Tuple[str, ...] = ("compile", "sim", "serve")
 
 #: default workload per target: large enough that the hot loops dominate
-#: the table.
+#: the table. ``serve`` defaults to the fleet CLI's mix, resolved when it
+#: runs so that the other targets never import the fleet.
 DEFAULT_PROFILE_WORKLOADS: Dict[str, str] = {
     "compile": "protein",
     "sim": "lenet5",
 }
+
+#: fleet shape of the ``serve`` target: the fleet CLI's default shards,
+#: batch window and arrival rate.
+SERVE_WORKERS = 4
+SERVE_BATCH_WINDOW = 512
+SERVE_PUMP_EVERY = 512
+SERVE_INTERARRIVAL_UNITS = 8
 
 
 @dataclass(frozen=True)
@@ -109,20 +125,25 @@ def run_profile(
     top: int = 15,
     sim_mode: str = "full",
     allocator: Optional[str] = None,
+    requests: int = 8000,
 ) -> ProfileReport:
     """Profile one hot path and return its hotspot table.
 
     Args:
-        target: ``"compile"`` or ``"sim"``.
+        target: ``"compile"``, ``"sim"`` or ``"serve"``.
         config: machine; defaults to 64 PEs at N=1000 (the perf-bench
             configuration, so the table matches the BENCH trajectories).
+            The ``serve`` target splits its PEs and vaults across the
+            fleet's shards.
         workload: workload name to compile / simulate; defaults to the
-            target's entry in :data:`DEFAULT_PROFILE_WORKLOADS`.
+            target's entry in :data:`DEFAULT_PROFILE_WORKLOADS`. For
+            ``serve``, a comma-separated mix (default: the fleet CLI's).
         top: number of hotspot rows to keep.
         sim_mode: simulation mode for the ``sim`` target (any
             :meth:`~repro.sim.modes.SimMode.from_name` name).
         allocator: allocator spec for the ``compile`` target; the
             default dynamic program when omitted.
+        requests: trace length for the ``serve`` target.
     """
     if target not in PROFILE_TARGETS:
         raise ValueError(
@@ -130,6 +151,8 @@ def run_profile(
             f"{', '.join(PROFILE_TARGETS)}"
         )
     machine = config or PimConfig(num_pes=64, iterations=1000)
+    if target == "serve":
+        return _profile_serve(machine, workload, top, requests)
     workload = workload or DEFAULT_PROFILE_WORKLOADS[target]
     graph = load_workload(workload)
     if target == "compile":
@@ -148,4 +171,52 @@ def run_profile(
     seconds, rows = _profile_callable(driver, top)
     return ProfileReport(
         target=target, workload=workload, seconds=seconds, rows=rows
+    )
+
+
+def _profile_serve(
+    machine: PimConfig,
+    workload: Optional[str],
+    top: int,
+    requests: int,
+) -> ProfileReport:
+    """Profile one seeded fleet trace on warm shards."""
+    import tempfile
+
+    from repro.fleet.__main__ import DEFAULT_WORKLOADS, build_fleet
+    from repro.fleet.loadgen import FleetLoadGenerator
+    from repro.fleet.store import SharedPlanStore
+
+    mix = [name.strip() for name in (workload or DEFAULT_WORKLOADS).split(",")]
+    generator = FleetLoadGenerator(
+        mix, mean_interarrival_units=SERVE_INTERARRIVAL_UNITS, seed=0
+    )
+    with tempfile.TemporaryDirectory(prefix="profile-serve-") as store_dir:
+        # One shard may hold the whole trace, and a pump every 512
+        # requests keeps each SLO class under its default depth bound, so
+        # nothing pushes back.
+        router = build_fleet(
+            SERVE_WORKERS, machine.num_pes, machine.num_vaults,
+            SharedPlanStore(store_dir),
+            batch_window=SERVE_BATCH_WINDOW,
+            max_queue=max(requests, len(mix)),
+        )
+        # Compile every plan before the profiled region.
+        for name in mix:
+            router.submit(name)
+        router.drain()
+
+        def driver() -> object:
+            for index, trace in enumerate(generator.requests(requests), 1):
+                router.advance_to(trace.arrival_units)
+                router.submit(
+                    trace.workload, iterations=trace.iterations, slo=trace.slo
+                )
+                if index % SERVE_PUMP_EVERY == 0:
+                    router.pump()
+            return router.drain()
+
+        seconds, rows = _profile_callable(driver, top)
+    return ProfileReport(
+        target="serve", workload=",".join(mix), seconds=seconds, rows=rows
     )

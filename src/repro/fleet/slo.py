@@ -8,6 +8,11 @@ optional dispatch deadline — so a flood of batch work can never push an
 interactive request into an unbounded queue, and a request that already
 blew its deadline while queued is *shed* (counted, surfaced, never
 silently dropped) instead of wasting shard time.
+
+The class is a dict key on every request's path (policy, per-class
+queue depth, admission counter, latency grouping), so :class:`SloClass`
+hashes by identity: ``Enum.__hash__`` hashes the member name in Python
+on every lookup.
 """
 
 from __future__ import annotations
@@ -23,6 +28,10 @@ class SloClass(enum.Enum):
     INTERACTIVE = "interactive"
     STANDARD = "standard"
     BATCH = "batch"
+
+    # Members are singletons compared by identity (unpickling returns the
+    # same member), so the identity hash agrees with ``==``.
+    __hash__ = object.__hash__
 
     @classmethod
     def from_name(cls, name: "str | SloClass") -> "SloClass":

@@ -21,12 +21,25 @@ completion prefix the batching server already attributes), and the
 horizon advances by the batch makespan. Queueing delay, service time and
 therefore every percentile the bench reports are exact functions of the
 trace — independent of host speed.
+
+The shard's per-request records, :class:`RequestMeta` (on admission) and
+:class:`FleetResult` (on completion), are immutable named tuples built
+positionally: every served request builds one of each, and a frozen
+dataclass would pay one ``object.__setattr__`` call per field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from repro.graph.taskgraph import TaskGraph
 from repro.pim.config import PimConfig
@@ -50,8 +63,7 @@ class WorkerDeadError(RuntimeError):
         super().__init__(f"worker {worker_id!r} is dead")
 
 
-@dataclass(frozen=True)
-class RequestMeta:
+class RequestMeta(NamedTuple):
     """Fleet-level identity the shard keeps per queued request."""
 
     fleet_id: int
@@ -59,8 +71,7 @@ class RequestMeta:
     arrival_units: int
 
 
-@dataclass(frozen=True)
-class FleetResult:
+class FleetResult(NamedTuple):
     """One served request, with fleet-level (virtual-time) attribution."""
 
     fleet_id: int
@@ -156,7 +167,7 @@ class FleetWorker:
             raise WorkerDeadError(self.worker_id)
         request = self.server.submit(workload, iterations=iterations)
         self._meta[request.request_id] = RequestMeta(
-            fleet_id=fleet_id, slo=slo, arrival_units=arrival_units
+            fleet_id, slo, arrival_units
         )
         return request
 
@@ -216,20 +227,14 @@ class FleetWorker:
             # completion offset (FIFO attribution inside the batch).
             self.virtual_free_at = dispatch + batch[-1].sim_latency
             for request_result in batch:
-                meta = self._meta.pop(request_result.request.request_id)
+                request = request_result.request
+                fleet_id, slo, arrival = self._meta.pop(request.request_id)
                 completion = dispatch + request_result.sim_latency
                 results.append(
                     FleetResult(
-                        fleet_id=meta.fleet_id,
-                        worker_id=self.worker_id,
-                        workload=request_result.request.workload,
-                        slo=meta.slo,
-                        iterations=request_result.request.iterations,
-                        arrival_units=meta.arrival_units,
-                        dispatch_units=dispatch,
-                        completion_units=completion,
-                        latency_units=completion - meta.arrival_units,
-                        result=request_result,
+                        fleet_id, self.worker_id, request.workload, slo,
+                        request.iterations, arrival, dispatch, completion,
+                        completion - arrival, request_result,
                     )
                 )
         self.served += len(results)

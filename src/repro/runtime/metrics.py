@@ -52,7 +52,11 @@ def percentile(values: List[float], q: float) -> float:
         raise ValueError("percentile of an empty sample")
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"percentile q must be in [0, 100], got {q}")
-    ordered = sorted(values)
+    return _sorted_percentile(sorted(values), q)
+
+
+def _sorted_percentile(ordered: List[float], q: float) -> float:
+    """:func:`percentile` of a non-empty, already sorted sample."""
     if len(ordered) == 1:
         return float(ordered[0])
     rank = (q / 100.0) * (len(ordered) - 1)
@@ -217,7 +221,8 @@ class Histogram:
 
         All fields are read under one lock acquisition so a concurrent
         ``observe`` can never produce a summary whose count and
-        percentiles disagree.
+        percentiles disagree. The reservoir is sorted once for all three
+        percentiles.
         """
         with self._lock:
             if not self.count:
@@ -226,14 +231,15 @@ class Histogram:
             total = self.total
             low = self.min
             high = self.max
-            samples = list(self._samples)
+            ordered = list(self._samples)
+        ordered.sort()
         return {
             "count": count,
             "mean": total / count,
             "min": low,
-            "p50": percentile(samples, 50.0),
-            "p95": percentile(samples, 95.0),
-            "p99": percentile(samples, 99.0),
+            "p50": _sorted_percentile(ordered, 50.0),
+            "p95": _sorted_percentile(ordered, 95.0),
+            "p99": _sorted_percentile(ordered, 99.0),
             "max": high,
         }
 

@@ -32,7 +32,7 @@ import itertools
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, NamedTuple, Optional
 
 from repro.cnn.workloads import load_workload
 from repro.graph.taskgraph import TaskGraph
@@ -63,8 +63,7 @@ class QueueFullError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class InferenceRequest:
+class InferenceRequest(NamedTuple):
     """One admitted inference request."""
 
     request_id: int
@@ -72,13 +71,8 @@ class InferenceRequest:
     iterations: int
     submit_wall: float
 
-    def __post_init__(self) -> None:
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
 
-
-@dataclass(frozen=True)
-class RequestResult:
+class RequestResult(NamedTuple):
     """Everything measured for one served request."""
 
     request: InferenceRequest
@@ -228,10 +222,7 @@ class BatchingServer:
             self.metrics.counter("requests_rejected").inc()
             raise QueueFullError(self.max_queue, workload)
         request = InferenceRequest(
-            request_id=next(self._ids),
-            workload=workload,
-            iterations=iterations,
-            submit_wall=self.clock(),
+            next(self._ids), workload, iterations, self.clock()
         )
         self._queue.append(request)
         self._state_for(workload).queued += 1
@@ -480,12 +471,8 @@ class BatchingServer:
             wall_latency = finished_wall - request.submit_wall
             results.append(
                 RequestResult(
-                    request=request,
-                    batch_id=batch_id,
-                    batch_size=batch_size,
-                    sim_latency=sim_latency,
-                    wall_latency=wall_latency,
-                    batch=batch_result,
+                    request, batch_id, batch_size, sim_latency,
+                    wall_latency, batch_result,
                 )
             )
             sim_latencies.append(sim_latency)

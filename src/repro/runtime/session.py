@@ -50,7 +50,7 @@ raises :class:`FaultRetryExhausted`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Optional, Tuple, Union
 
 from repro.compiler.pipeline import check_kernel_order
@@ -447,7 +447,14 @@ class InferenceSession:
                 return plan
 
             self.last_compile_stats = None
-            self._plan = self.cache.get_or_compile(key, self.graph, _compile)
+            plan = self.cache.get_or_compile(key, self.graph, _compile)
+            if plan.graph is not self.graph:
+                # A hit compiled for another session's graph: the cache
+                # checked that the fingerprints are equal, so only the
+                # object (and the name, which is outside the fingerprint)
+                # differs. Serve the plan on this session's own graph.
+                plan = replace(plan, graph=self.graph)
+            self._plan = plan
             self._plan_digest = key.digest
         else:
             self.compilations += 1

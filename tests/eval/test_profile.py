@@ -65,6 +65,34 @@ class TestRunProfile:
         assert "_canonical" not in table("full")
         assert "_canonical" in table("steady")
 
+    def test_serve_profile_runs_the_fleet(self):
+        from repro.fleet.__main__ import DEFAULT_WORKLOADS
+
+        machine = PimConfig(num_pes=16, num_vaults=8)
+        report = run_profile("serve", machine, top=40, requests=64)
+        assert report.target == "serve"
+        assert report.workload == DEFAULT_WORKLOADS
+        table = "\n".join(row.function for row in report.rows)
+        # The per-request path: router admission, shard pump, server step.
+        assert "router.py" in table and "(submit)" in table
+        assert "worker.py" in table and "(pump)" in table
+        assert "server.py" in table and "(step)" in table
+        # Plans are compiled before the profiled region.
+        assert "paraconv.py" not in table
+        submit = next(
+            row for row in report.rows
+            if "router.py" in row.function and "(submit)" in row.function
+        )
+        assert submit.calls == 64
+
+    def test_serve_profile_takes_a_mix(self):
+        machine = PimConfig(num_pes=16, num_vaults=8)
+        report = run_profile(
+            "serve", machine, workload="flower,lenet5", requests=16, top=5
+        )
+        assert report.workload == "flower,lenet5"
+        assert report.render().startswith("## Hotspots: serve (flower,lenet5,")
+
     def test_rows_sorted_by_cumulative_time(self, small_machine):
         report = run_profile("compile", small_machine, workload="cat")
         cumulative = [row.cumulative_seconds for row in report.rows]

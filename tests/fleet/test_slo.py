@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.fleet.slo import (
@@ -14,13 +16,34 @@ from repro.fleet.slo import (
 
 class TestSloClass:
     def test_from_name_accepts_strings_and_instances(self):
-        assert SloClass.from_name("interactive") is SloClass.INTERACTIVE
-        assert SloClass.from_name("BATCH") is SloClass.BATCH
-        assert SloClass.from_name(SloClass.STANDARD) is SloClass.STANDARD
+        for slo in SloClass:
+            for name in (slo.value, slo.value.upper(), slo.value.title()):
+                assert SloClass.from_name(name) is slo
+            assert SloClass.from_name(slo) is slo
 
     def test_unknown_name_lists_known(self):
-        with pytest.raises(ValueError, match="interactive"):
+        with pytest.raises(ValueError, match="interactive") as err:
             SloClass.from_name("gold")
+        for slo in SloClass:
+            assert slo.value in str(err.value)
+        assert "'gold'" in str(err.value)
+
+    def test_dict_and_set_key(self):
+        counts = {slo: index for index, slo in enumerate(SloClass)}
+        for index, slo in enumerate(SloClass):
+            assert counts[SloClass.from_name(slo.value)] == index
+        assert len({*SloClass, *SloClass}) == len(SloClass)
+        assert SloClass.BATCH in set(SloClass)
+        # Equal members hash equally; distinct members stay distinct.
+        assert len({hash(slo) for slo in SloClass}) == len(SloClass)
+        assert "batch" not in counts
+
+    @pytest.mark.parametrize("slo", list(SloClass), ids=lambda s: s.value)
+    def test_pickle_round_trip_is_the_same_member(self, slo):
+        restored = pickle.loads(pickle.dumps(slo))
+        assert restored is slo
+        assert hash(restored) == hash(slo)
+        assert {slo: 1}[restored] == 1
 
 
 class TestSloPolicy:

@@ -15,7 +15,12 @@ from repro.fleet.slo import (
     SloClass,
     SloPolicy,
 )
-from repro.fleet.worker import FleetWorker, WorkerDeadError
+from repro.fleet.worker import (
+    FleetResult,
+    FleetWorker,
+    RequestMeta,
+    WorkerDeadError,
+)
 from repro.pim.config import PimConfig
 from repro.runtime.plan_cache import plan_key_for
 from repro.runtime.server import QueueFullError
@@ -167,6 +172,45 @@ class TestVirtualTime:
                 sorted((r.fleet_id, r.latency_units) for r in results)
             )
         assert latencies[0] == latencies[1]
+
+
+class TestRecords:
+    """The shard's per-request records are immutable named tuples."""
+
+    def test_fields_are_pinned(self):
+        assert RequestMeta._fields == ("fleet_id", "slo", "arrival_units")
+        assert FleetResult._fields == (
+            "fleet_id", "worker_id", "workload", "slo", "iterations",
+            "arrival_units", "dispatch_units", "completion_units",
+            "latency_units", "result",
+        )
+
+    def test_served_result_carries_every_field(self, store):
+        router = build_fleet(store, num_workers=2)
+        router.advance_to(7)
+        router.submit("cat", iterations=3, slo="batch")
+        router.advance_to(19)
+        (result,) = router.drain()
+        owner = router.worker_for("cat").worker_id
+        completion = 19 + result.result.sim_latency
+        assert result == FleetResult(
+            1, owner, "cat", SloClass.BATCH, 3, 7, 19, completion,
+            completion - 7, result.result,
+        )
+        assert result.result.request.iterations == 3
+        with pytest.raises(AttributeError):
+            result.latency_units = 0
+
+    def test_evicted_meta_keeps_fleet_identity(self, store):
+        router = build_fleet(store, num_workers=2)
+        router.advance_to(5)
+        router.submit("cat", slo="interactive")
+        worker = router.worker_for("cat")
+        ((request, meta),) = worker.drain_queued()
+        assert request.workload == "cat"
+        assert meta == RequestMeta(1, SloClass.INTERACTIVE, 5)
+        with pytest.raises(AttributeError):
+            meta.arrival_units = 0
 
 
 class TestFailover:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -73,6 +75,27 @@ class TestHistogram:
 
     def test_empty_summary(self):
         assert Histogram("lat").summary() == {"count": 0}
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [random.Random(7).uniform(-1e3, 1e3) for _ in range(257)],
+            [random.Random(8).randrange(50) for _ in range(5000)],
+            [42.5],
+            [9.0, 1.0, 7.0, 3.0, 5.0, 2.0, 8.0, 4.0],
+        ],
+        ids=["random", "past-the-reservoir", "one-sample", "even-length"],
+    )
+    def test_summary_percentiles_equal_percentile(self, values):
+        # summary() sorts the reservoir once for all three percentiles;
+        # each must be exactly what percentile() gives on the samples.
+        hist = Histogram("lat")
+        hist.observe_many(values)
+        samples = list(hist._samples)
+        summary = hist.summary()
+        for q in (50, 95, 99):
+            assert repr(summary[f"p{q}"]) == repr(percentile(samples, q))
+            assert repr(getattr(hist, f"p{q}")) == repr(summary[f"p{q}"])
 
     def test_reservoir_bounds_memory_but_tracks_extremes(self):
         hist = Histogram("lat", reservoir_size=64)

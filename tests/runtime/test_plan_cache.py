@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -347,6 +348,25 @@ class TestHeldGraph:
         assert session.compilations == 0
         assert session.cache.stats.disk_hits == 1
         assert session.plan.graph is session.graph
+
+    def test_memory_hit_is_served_on_the_session_graph(self, config):
+        # The graph name is outside the fingerprint, so a renamed copy
+        # hits the plan the first session compiled; it must still be
+        # served on the second session's own graph.
+        cache = PlanCache()
+        first = InferenceSession(load_workload("cat"), config, cache=cache)
+        renamed = load_workload("cat").copy(name="cat-renamed")
+        second = InferenceSession(renamed, config, cache=cache)
+        assert first.plan.graph is first.graph
+        assert second.plan.graph is renamed
+        assert second.plan.graph.name == "cat-renamed"
+        assert first.plan.graph.name == "cat"
+        assert (second.compilations, cache.stats.hits) == (0, 1)
+        # Everything but the graph is the cached plan's own.
+        assert second.plan.schedule is first.plan.schedule
+        assert second.plan.allocation is first.plan.allocation
+        assert second.plan == replace(first.plan, graph=renamed)
+        assert second.run(4).realized_makespan == first.run(4).realized_makespan
 
     def test_graph_that_is_not_the_keys_raises(
         self, graph, other_graph, config, tmp_path

@@ -6,7 +6,12 @@ import pytest
 
 from repro.graph.generators import synthetic_benchmark
 from repro.runtime.plan_cache import PlanCache
-from repro.runtime.server import BatchingServer, QueueFullError
+from repro.runtime.server import (
+    BatchingServer,
+    InferenceRequest,
+    QueueFullError,
+    RequestResult,
+)
 
 from tests.runtime.conftest import tiny_graph
 
@@ -222,6 +227,17 @@ class TestSubmitValidation:
         assert "requests_accepted" not in counters
         assert "requests_rejected" not in counters
 
+    def test_rejection_leaves_admitted_state_unchanged(self, config):
+        server = make_server(config)
+        server.submit("cat")
+        with pytest.raises(ValueError, match="iterations must be >= 1"):
+            server.submit("cat", iterations=0)
+        assert server.queue_depth == 1
+        counters = server.metrics.snapshot()["counters"]
+        assert counters["requests_accepted"] == 1
+        # The next admitted request takes the next id: none was spent.
+        assert server.submit("cat").request_id == 2
+
     def test_validation_precedes_queue_full(self, config):
         """A bad request on a full queue is a ValueError, not
         backpressure — and it must not bump requests_rejected."""
@@ -234,6 +250,42 @@ class TestSubmitValidation:
         # the queue-full path still works for well-formed requests
         with pytest.raises(QueueFullError):
             server.submit("cat")
+
+
+class TestRecords:
+    """The per-request records are immutable named tuples."""
+
+    def test_fields_are_pinned(self):
+        assert InferenceRequest._fields == (
+            "request_id", "workload", "iterations", "submit_wall",
+        )
+        assert RequestResult._fields == (
+            "request", "batch_id", "batch_size", "sim_latency",
+            "wall_latency", "batch",
+        )
+
+    def test_fields_cannot_be_assigned(self, config):
+        server = make_server(config)
+        request = server.submit("cat")
+        (result,) = server.step()
+        with pytest.raises(AttributeError):
+            request.iterations = 2
+        with pytest.raises(AttributeError):
+            result.sim_latency = 0
+
+    def test_records_compare_by_value(self, config):
+        clock = FakeClock()
+        server = make_server(config, clock=clock)
+        clock.tick(2.5)
+        request = server.submit("cat", iterations=3)
+        assert request == InferenceRequest(1, "cat", 3, 2.5)
+        clock.tick(1.0)
+        (result,) = server.step()
+        plan = server._sessions["cat"].session.plan
+        assert result.request is request
+        assert result == RequestResult(
+            request, 1, 1, plan.total_time(3), 1.0, result.batch
+        )
 
 
 class TestCustomGraphs:

@@ -31,7 +31,11 @@ class TestCompileOnce:
         second = InferenceSession(graph.copy(), config, cache=cache)
         plan_a = first.plan
         plan_b = second.plan
-        assert plan_a is plan_b  # content-addressed hit
+        # Content-addressed hit: the compiled tables are the first plan's,
+        # served on the second session's own graph.
+        assert plan_b.schedule is plan_a.schedule
+        assert plan_b.allocation is plan_a.allocation
+        assert plan_b.graph is second.graph
         assert first.compilations == 1
         assert second.compilations == 0
         assert cache.stats.hits == 1 and cache.stats.misses == 1
