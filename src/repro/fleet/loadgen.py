@@ -16,6 +16,7 @@ conservation (``lost`` must be zero, worker death included).
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -79,6 +80,12 @@ class FleetLoadGenerator:
                 f"{len(self.weights)} weights for "
                 f"{len(self.workloads)} workloads"
             )
+        bad = [w for w in self.weights if not (math.isfinite(w) and w >= 0)]
+        if bad or not any(self.weights):
+            raise ValueError(
+                f"workload weights must be finite, >= 0 and not all zero; "
+                f"got {self.weights}"
+            )
         mix = dict(slo_mix) if slo_mix is not None else dict(DEFAULT_SLO_MIX)
         self.slo_classes = [s for s in SloClass if mix.get(s, 0.0) > 0.0]
         self.slo_weights = [mix[s] for s in self.slo_classes]
@@ -88,6 +95,11 @@ class FleetLoadGenerator:
             raise ValueError("mean_interarrival_units must be >= 1")
         self.mean_interarrival_units = mean_interarrival_units
         self.seed = seed
+        # random.choices accumulates its weights on every call and then
+        # bisects exactly as it does with cum_weights: one accumulation
+        # here draws the same trace.
+        self._cum_weights = list(itertools.accumulate(self.weights))
+        self._slo_cum_weights = list(itertools.accumulate(self.slo_weights))
 
     def requests(self, count: int) -> Iterator[TraceRequest]:
         """Yield ``count`` arrivals; deterministic per (seed, count)."""
@@ -100,8 +112,12 @@ class FleetLoadGenerator:
                 1.0 - rng.random()
             )
             arrival += int(gap)
-            workload = rng.choices(self.workloads, self.weights)[0]
-            slo = rng.choices(self.slo_classes, self.slo_weights)[0]
+            workload = rng.choices(
+                self.workloads, cum_weights=self._cum_weights
+            )[0]
+            slo = rng.choices(
+                self.slo_classes, cum_weights=self._slo_cum_weights
+            )[0]
             yield TraceRequest(
                 arrival_units=arrival, workload=workload, slo=slo
             )

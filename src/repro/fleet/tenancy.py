@@ -14,7 +14,7 @@ fair-share tie-break on each tenant's simulated-time horizon: tenants
 occupy *disjoint* hardware, so their virtual clocks advance
 independently — serving tenant A never delays tenant B's simulated
 time, which is exactly the isolation property the
-``repro.verify.differential_tenancy`` battery checks (co-resident
+``tenancy`` cases of ``repro.verify.scenarios`` check (co-resident
 aggregates == sum of isolated runs).
 
 Per-tenant metrics stay on each tenant's own registry; the fleet view
@@ -284,19 +284,20 @@ class TenantScheduler:
     def accounting(self) -> Dict[str, Any]:
         """Exact request conservation, per tenant and machine-wide.
 
-        For every tenant: ``accepted == served + shed + queued``. The
-        totals are the sums — nothing is lost between admission and
+        For every tenant: ``accepted == served + shed + queued``, read
+        from the tenant server's own :meth:`BatchingServer.accounting`.
+        The totals are the sums — nothing is lost between admission and
         disposition.
         """
         per_tenant: Dict[str, Dict[str, int]] = {}
         totals = {"accepted": 0, "served": 0, "shed": 0, "queued": 0}
         for name, state in self._tenants.items():
-            snap = state.server.metrics.snapshot()["counters"]
+            books = state.server.accounting()
             row = {
-                "accepted": snap.get("requests_accepted", 0),
-                "served": snap.get("requests_served", 0),
-                "shed": snap.get("requests_shed", 0),
-                "queued": state.server.queue_depth,
+                "accepted": books["admitted"],
+                "served": books["served"],
+                "shed": books["shed"],
+                "queued": books["queued"],
                 "horizon_units": state.horizon,
                 "slo": state.slo.value,
             }

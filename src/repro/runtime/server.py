@@ -521,6 +521,31 @@ class BatchingServer:
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
+    def accounting(self) -> Dict[str, int]:
+        """Exact request conservation: admitted = served + shed + failed
+        + queued, with the fleet router's keys.
+
+        ``shed`` counts what a caller shed and recorded here as
+        ``requests_shed`` (the tenant scheduler does); ``failed`` counts
+        the requests of batches that exhausted their failover budget.
+        ``lost`` is the residual and must be zero.
+        """
+        counters = self.metrics.snapshot()["counters"]
+        admitted = counters.get("requests_accepted", 0)
+        served = counters.get("requests_served", 0)
+        shed = counters.get("requests_shed", 0)
+        failed = counters.get("requests_failed", 0)
+        queued = self.queue_depth
+        return {
+            "admitted": admitted,
+            "served": served,
+            "shed": shed,
+            "failed": failed,
+            "queued": queued,
+            "rejected_at_admission": counters.get("requests_rejected", 0),
+            "lost": admitted - served - shed - failed - queued,
+        }
+
     def throughput_summary(self) -> Dict[str, float]:
         """Aggregate inferences/sec (wall) and inferences/unit (simulated)."""
         snap = self.metrics.snapshot()["counters"]

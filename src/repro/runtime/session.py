@@ -371,6 +371,19 @@ class InferenceSession:
             self._metric_inc("failover_recompiles")
         self._publish_degraded_gauge()
 
+    def arm_fault(self, fault_model: FaultModel) -> None:
+        """Strike ``fault_model``'s timed events on the following batches.
+
+        Unit ids are in the active machine's space, and the model replaces
+        any fault still armed: a live session meets a unit failure exactly
+        as one constructed with the model would. The private trace table
+        is keyed by ``N`` alone, so its healthy traces are dropped.
+        """
+        self._active_fault_model = (
+            None if fault_model.is_trivial else fault_model
+        )
+        self._traces.clear()
+
     # ------------------------------------------------------------------
     # live rewiring
     # ------------------------------------------------------------------

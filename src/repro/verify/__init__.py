@@ -1,43 +1,27 @@
 """Machine verification of Para-CONV schedules, allocations and serving.
 
-The schedule instruments check compiled plans directly:
+* :class:`ScheduleValidator` checks a compiled plan against the paper's
+  structural invariants and returns a :class:`VerificationReport`.
+* :func:`exhaustive_allocate` / :func:`differential_check` pin the DP
+  allocator to a brute-force oracle (dominance on large instances), on
+  every machine view (:func:`~repro.verify.oracle.view_differentials`).
+* :func:`inject_faults` / :func:`fault_detection_report` score the
+  validator on a seeded corpus of planted invariant violations.
+* :func:`run_scenario` drives one serving tier through a
+  :class:`Scenario`'s events and checks books, batches and isolation
+  after every step; :func:`scenario_table` lists every case.
 
-* :class:`ScheduleValidator` — checks a compiled plan against the paper's
-  structural invariants (dependency order across retimed iteration
-  instances, PE exclusion, cache capacity, prologue shape, profit
-  accounting) and returns a structured :class:`VerificationReport`.
-* :func:`exhaustive_allocate` / :func:`differential_check` — a brute-force
-  subset oracle that pins the DP allocator to the true optimum on small
-  instances and to dominance relations on large ones;
-  :func:`~repro.verify.oracle.view_differentials` runs it on every
-  machine view (healthy, degraded, shards).
-* :func:`inject_faults` / :func:`fault_detection_report` — a seeded
-  mutation corpus that scores the validator's ability to catch every
-  class of planted invariant violation.
-
-:data:`BATTERIES` registers the batteries ``python -m repro.verify``
-runs: ``schedule`` drives the three instruments over the benchmarks
-(:func:`run_verification_sweep`); ``sim``, ``faults``, ``fleet``,
-``tenancy`` and ``rewire`` each hold one part of the system to
-a reference. Every battery returns :class:`CaseReport` lists built with
-the shared helpers of :mod:`repro.verify.harness`.
+:data:`BATTERIES` registers what ``python -m repro.verify`` runs:
+``schedule`` (the first three over the benchmarks), ``sim`` (the
+steady-state engine against the full unroll) and ``scenarios`` (the
+scenario table). Every battery returns :class:`CaseReport` lists built
+with the helpers of :mod:`repro.verify.harness`.
 """
 
-from repro.verify.differential_failover import failover_differential
-from repro.verify.differential_fleet import fleet_differential
-from repro.verify.differential_rewire import (
-    randwired_property_battery,
-    rewire_case,
-    rewire_differential,
-)
 from repro.verify.differential_sim import (
     DEFAULT_SIM_ITERATIONS,
     differential_simulate,
     sim_differential_battery,
-)
-from repro.verify.differential_tenancy import (
-    TENANCY_SCENARIOS,
-    tenancy_differential,
 )
 from repro.verify.harness import Battery, CaseReport, Mismatch
 from repro.verify.hooks import (
@@ -65,23 +49,21 @@ from repro.verify.oracle import (
 )
 from repro.verify.runner import (
     BATTERIES,
-    SweepOutcome,
     WorkloadVerification,
     run_verification_sweep,
     verify_workload,
 )
+from repro.verify.scenarios import Scenario, run_scenario, scenario_table
 from repro.verify.validator import (
     CAPACITY_OBLIVIOUS_METHODS,
     CHECK_CATALOG,
     ScheduleValidator,
-    verify_result,
 )
 from repro.verify.violations import (
     Severity,
     VerificationError,
     VerificationReport,
     Violation,
-    worst_of,
 )
 
 __all__ = [
@@ -98,10 +80,9 @@ __all__ = [
     "MUTATORS",
     "Mismatch",
     "OracleSizeError",
+    "Scenario",
     "ScheduleValidator",
     "Severity",
-    "SweepOutcome",
-    "TENANCY_SCENARIOS",
     "VerificationError",
     "VerificationReport",
     "Violation",
@@ -116,17 +97,11 @@ __all__ = [
     "differential_check",
     "differential_simulate",
     "exhaustive_allocate",
-    "failover_differential",
     "fault_detection_report",
-    "fleet_differential",
     "inject_faults",
-    "randwired_property_battery",
-    "rewire_case",
-    "rewire_differential",
+    "run_scenario",
     "run_verification_sweep",
+    "scenario_table",
     "sim_differential_battery",
-    "tenancy_differential",
-    "verify_result",
     "verify_workload",
-    "worst_of",
 ]

@@ -5,19 +5,18 @@ Usage::
     python -m repro.verify                       # schedule battery, 12 benchmarks
     python -m repro.verify --benchmarks cat car  # subset
     python -m repro.verify --allocators dp greedy --pes 32
-    python -m repro.verify --strict-liveness     # escalate liveness warnings
-    python -m repro.verify --no-oracle --no-mutations
+    python -m repro.verify --no-oracle --no-mutations --strict-liveness
     python -m repro.verify --sim --sim-iterations 1 20 1000
-    python -m repro.verify --faults --fleet      # add batteries by name
+    python -m repro.verify --scenarios --json    # every serving scenario
     python -m repro.verify --all                 # every registered battery
     python -m repro.verify --list-checks         # print the check catalog
-    python -m repro.verify --json                # machine-readable output
 
 The schedule battery always runs; every other battery in
 :data:`~repro.verify.runner.BATTERIES` runs under its own ``--<name>``
-flag or ``--all``. Each prints one line per case, then one summary row
-per battery and one overall line. Exit status is non-zero when any case
-of any battery that ran failed — suitable as a CI gate.
+flag or ``--all``. Each run prints one line per case (a scenario case
+under its family: ``faults``, ``fleet``, ``tenancy``, ``rewire`` or
+``composed``), one summary row per battery and one overall line. Exit
+status is non-zero when any case of any battery that ran failed.
 """
 
 from __future__ import annotations
@@ -66,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--unroll", type=positive_int, default=3,
                         help="steady-state iterations to unroll (default 3)")
     parser.add_argument("--seed", type=int, default=0,
-                        help="fault-injection seed (default 0)")
+                        help="seed of the injected-fault corpus and the fleet "
+                             "trace (default 0)")
     for battery in BATTERIES:
         if not battery.always:
             parser.add_argument(f"--{battery.name}", action="store_true",
@@ -116,7 +116,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         for name, reports in results.items():
             passed = sum(1 for report in reports if report.ok)
             verdict = "ok" if battery_ok(reports) else "FAIL"
-            print(f"battery {name:<8} {verdict:<4} [{passed}/{len(reports)}]")
+            print(f"battery {name:<9} {verdict:<4} [{passed}/{len(reports)}]")
         print(f"overall: {'ok' if ok else 'FAIL'}")
     return 0 if ok else 1
 

@@ -1,24 +1,19 @@
 """The one shape every verification battery shares.
 
-A *battery* holds one part of the system to a reference: the steady-state
-simulator to the full unroll, a failed-over session to a cold compile on
-the degraded machine, a fleet shard to a standalone server, and so on.
-Every battery reports the same way -- a list of :class:`CaseReport`, one
-per case it ran -- and every case compares a *candidate* against a
-*reference*, recording each disagreement as a :class:`Mismatch` and each
-broken invariant as a failure string.
+A battery holds one part of the system to a reference and reports a list
+of :class:`CaseReport`, one per case: what the case observed (``facts``),
+each disagreement with its reference (a :class:`Mismatch`) and each
+broken invariant (a failure string). The helpers the batteries share:
 
-This module holds that shape and the helpers the batteries share:
-
-* :func:`run_case` opens a case and turns an unexpected exception into
-  the case's ``error`` (a battery reports, it never crashes);
-* :func:`diff_signatures` compares two aggregate-signature mappings;
-* :func:`hold_to_cold_compile` compares a served trace against a cold
-  compile executed on the full-unroll engine;
-* :func:`replay_batches` replays served batches, one by one, on a fresh
-  standalone :class:`~repro.runtime.server.BatchingServer`;
-* :class:`Battery` is one entry of the registry ``python -m repro.verify``
-  iterates (see :data:`repro.verify.runner.BATTERIES`).
+* :func:`run_case` opens a case and records an unexpected exception as
+  its ``error`` (a battery reports, it never crashes);
+* :func:`expectation_failures` is the one verdict: facts held to the
+  values a case expects;
+* :func:`diff_signatures` and :func:`hold_to_cold_compile` compare a
+  served trace with a cold compile run on the full-unroll engine;
+* :func:`replay_batches` replays served batches on a standalone
+  :class:`~repro.runtime.server.BatchingServer`;
+* :class:`Battery` is one entry of :data:`repro.verify.runner.BATTERIES`.
 """
 
 from __future__ import annotations
@@ -47,10 +42,6 @@ from repro.sim.executor import ScheduleExecutor
 from repro.sim.modes import SimMode
 from repro.sim.sinks import NullSink
 from repro.verify.validator import ScheduleValidator
-
-#: Turns a case's facts into failure strings (empty when every invariant
-#: holds). One per battery, so verdicts are testable on hand-built facts.
-Verdict = Callable[[Mapping[str, Any]], List[str]]
 
 
 @dataclass(frozen=True)
@@ -130,11 +121,22 @@ def battery_ok(reports: Sequence[CaseReport]) -> bool:
     return bool(reports) and all(report.ok for report in reports)
 
 
+def expectation_failures(
+    expect: Mapping[str, object], facts: Mapping[str, object]
+) -> List[str]:
+    """The verdict: every expected fact the case's facts do not hold."""
+    return [
+        f"{name}={facts.get(name)!r} (want {want!r})"
+        for name, want in expect.items()
+        if facts.get(name) != want
+    ]
+
+
 @contextmanager
 def run_case(
-    battery: str, case: str, verdict: Optional[Verdict] = None
+    battery: str, case: str, expect: Optional[Mapping[str, object]] = None
 ) -> Iterator[CaseReport]:
-    """Open one case; on a clean exit, apply ``verdict`` to its facts.
+    """Open one case; on a clean exit, hold its facts to ``expect``.
 
     An exception raised inside the ``with`` block is recorded as the
     case's ``error`` instead of propagating: a battery must report, not
@@ -146,8 +148,7 @@ def run_case(
     except Exception as exc:  # noqa: BLE001 — a battery must report, not crash
         report.error = f"{type(exc).__name__}: {exc}"
     else:
-        if verdict is not None:
-            report.failures.extend(verdict(report.facts))
+        report.failures.extend(expectation_failures(expect or {}, report.facts))
 
 
 def diff_signatures(
@@ -183,54 +184,57 @@ def hold_to_cold_compile(
     iterations: int,
     allocator: str,
     validator: ScheduleValidator,
-) -> None:
+    location: str = "",
+    references: Optional[Dict[tuple, tuple]] = None,
+) -> Mapping[str, object]:
     """Hold a served trace's signature to a cold compile of ``graph``.
 
     The cold plan is compiled from scratch on ``config`` and executed on
     the full-unroll engine; every signature field must match exactly, and
-    the cold plan must pass the full validator.
+    the cold plan must pass the full validator. ``references`` keeps the
+    cold runs by graph, machine, batch size and allocator, so a second
+    hold to the same reference compiles nothing. Returns the reference
+    signature.
     """
-    plan = ParaConv(config, allocator_name=allocator).run(graph)
-    reference = full_unroll_signature(plan, config, iterations)
-    report.mismatches.extend(diff_signatures(reference, candidate))
-    report.failures.extend(
-        f"cold plan: {violation}" for violation in validator.validate(plan).errors()
-    )
+    references = {} if references is None else references
+    key = (graph.fingerprint(), config, iterations, allocator)
+    if key not in references:
+        plan = ParaConv(config, allocator_name=allocator).run(graph)
+        references[key] = (
+            full_unroll_signature(plan, config, iterations),
+            [str(violation) for violation in validator.validate(plan).errors()],
+        )
+    reference, errors = references[key]
+    report.mismatches.extend(diff_signatures(reference, candidate, location))
+    report.failures.extend(f"{location} cold plan: {e}".lstrip() for e in errors)
+    return reference
 
 
 def replay_batches(
     report: CaseReport,
     location: str,
     results: Sequence[RequestResult],
-    config: PimConfig,
-    batch_window: int,
-    allocator: str,
-) -> Optional[BatchingServer]:
-    """Replay served batches on a fresh standalone server over ``config``.
+    baseline: BatchingServer,
+) -> List[RequestResult]:
+    """Replay served batches on ``baseline``, a standalone server.
 
     Batch composition is taken as given (grouped by ``batch_id``); each
-    batch is re-submitted to a private-cache server and executed as one
-    batch. Same composition in, same per-request ``sim_latency`` and batch
-    size out -- or the tier under test changed *what* was computed, not
-    just when. Counts ``replayed_batches`` in the report's facts and
-    returns the standalone server (None when nothing was served).
+    batch is re-submitted to the idle baseline and executed as one batch.
+    Same composition in, same per-request ``sim_latency`` and batch size
+    out -- or the tier under test changed *what* was computed, not just
+    when. Counts ``replayed_batches`` in the report's facts and returns
+    the baseline's results.
     """
-    if not results:
-        return None
-    baseline = BatchingServer(
-        config,
-        batch_window=batch_window,
-        max_queue=max(batch_window, len(results)),
-        allocator=allocator,
-    )
     batches: Dict[int, List[RequestResult]] = {}
     for res in results:
         batches.setdefault(res.batch_id, []).append(res)
+    replays: List[RequestResult] = []
     for batch_id in sorted(batches):
         served = batches[batch_id]
         for res in served:
             baseline.submit(res.request.workload, iterations=res.request.iterations)
         replay = baseline.step()
+        replays.extend(replay)
         report.facts["replayed_batches"] = (
             int(report.facts.get("replayed_batches", 0)) + 1
         )
@@ -240,36 +244,25 @@ def replay_batches(
                 Mismatch(where, "batch_size", len(replay), len(served))
             )
             continue
-        for res, base in zip(served, replay):
-            for name in ("sim_latency", "batch_size"):
-                if getattr(res, name) != getattr(base, name):
-                    report.mismatches.append(Mismatch(
-                        f"{where} request {res.request.request_id}",
-                        name,
-                        getattr(base, name),
-                        getattr(res, name),
-                    ))
-    return baseline
-
-
-def _int_at_least(text: str, low: int) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < low:
-        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-    return value
+        report.mismatches.extend(
+            Mismatch(f"{where} request {res.request.request_id}", name,
+                     getattr(base, name), getattr(res, name))
+            for res, base in zip(served, replay)
+            for name in ("sim_latency", "batch_size")
+            if getattr(res, name) != getattr(base, name)
+        )
+    return replays
 
 
 def positive_int(text: str) -> int:
     """argparse type: strictly positive integer."""
-    return _int_at_least(text, 1)
-
-
-def non_negative_int(text: str) -> int:
-    """argparse type: integer >= 0."""
-    return _int_at_least(text, 0)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 Option = Tuple[Tuple[str, ...], Dict[str, Any]]

@@ -9,8 +9,9 @@ against the brute-force oracle (or dominance on large instances); and per
 benchmark a seeded fault-injection corpus scores the validator's
 detection rate.
 
-:data:`BATTERIES` lists it together with the differential batteries, in
-the order ``python -m repro.verify`` runs them.
+:data:`BATTERIES` lists it together with the ``sim`` differential and
+the ``scenarios`` engine, in the order ``python -m repro.verify`` runs
+them.
 """
 
 from __future__ import annotations
@@ -25,11 +26,7 @@ from repro.core.paraconv import ParaConv, ParaConvResult
 from repro.graph.generators import BENCHMARK_SIZES
 from repro.graph.taskgraph import TaskGraph
 from repro.pim.config import PimConfig
-from repro.verify.differential_failover import FAULTS_BATTERY
-from repro.verify.differential_fleet import FLEET_BATTERY
-from repro.verify.differential_rewire import REWIRE_BATTERY
 from repro.verify.differential_sim import SIM_BATTERY, plans_at_dp_width
-from repro.verify.differential_tenancy import TENANCY_BATTERY
 from repro.verify.harness import (
     Battery,
     CaseReport,
@@ -46,6 +43,7 @@ from repro.verify.oracle import (
     DifferentialReport,
     view_differentials,
 )
+from repro.verify.scenarios import SCENARIOS_BATTERY
 from repro.verify.validator import ScheduleValidator
 from repro.verify.violations import VerificationReport
 
@@ -98,19 +96,6 @@ class WorkloadVerification:
         return report
 
 
-@dataclass
-class SweepOutcome:
-    """Aggregate of a whole verification sweep."""
-
-    config: PimConfig
-    allocators: List[str]
-    workloads: List[WorkloadVerification] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(w.ok for w in self.workloads)
-
-
 def verify_workload(
     graph: TaskGraph,
     config: PimConfig,
@@ -160,7 +145,7 @@ def run_verification_sweep(
     with_differential: bool = True,
     with_faults: bool = True,
     fault_seed: int = 0,
-) -> SweepOutcome:
+) -> List[WorkloadVerification]:
     """Verify benchmarks x allocators on one machine configuration.
 
     ``benchmarks`` accepts any name in the workload registry — the 12
@@ -173,21 +158,19 @@ def run_verification_sweep(
     allocator_names = (
         allocators if allocators is not None else sorted(ALLOCATORS)
     )
-    outcome = SweepOutcome(config=config, allocators=allocator_names)
-    for name in names:
-        outcome.workloads.append(
-            verify_workload(
-                load_workload(name),
-                config,
-                allocators=allocator_names,
-                validator=validator,
-                oracle_limit=oracle_limit,
-                with_differential=with_differential,
-                with_faults=with_faults,
-                fault_seed=fault_seed,
-            )
+    return [
+        verify_workload(
+            load_workload(name),
+            config,
+            allocators=allocator_names,
+            validator=validator,
+            oracle_limit=oracle_limit,
+            with_differential=with_differential,
+            with_faults=with_faults,
+            fault_seed=fault_seed,
         )
-    return outcome
+        for name in names
+    ]
 
 
 def oracle_limit(text: str) -> int:
@@ -204,7 +187,7 @@ def run_schedule_battery(
     args: argparse.Namespace, validator: ScheduleValidator
 ) -> List[CaseReport]:
     """One case per benchmark: validator, oracle and mutation corpus."""
-    sweep = run_verification_sweep(
+    return [workload.case_report() for workload in run_verification_sweep(
         config=machine(args),
         benchmarks=benchmark_names(args),
         allocators=args.allocators,
@@ -213,8 +196,7 @@ def run_schedule_battery(
         with_differential=not args.no_oracle,
         with_faults=not args.no_mutations,
         fault_seed=args.seed,
-    )
-    return [workload.case_report() for workload in sweep.workloads]
+    )]
 
 
 SCHEDULE_BATTERY = Battery(
@@ -243,8 +225,5 @@ SCHEDULE_BATTERY = Battery(
 BATTERIES: Tuple[Battery, ...] = (
     SCHEDULE_BATTERY,
     SIM_BATTERY,
-    FAULTS_BATTERY,
-    FLEET_BATTERY,
-    TENANCY_BATTERY,
-    REWIRE_BATTERY,
+    SCENARIOS_BATTERY,
 )

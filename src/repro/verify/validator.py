@@ -624,14 +624,3 @@ class ScheduleValidator:
                     f"allocator saw capacity {result.allocation.capacity_slots} "
                     f"slots but the per-group share is {share}",
                 )
-
-
-def verify_result(
-    result: ParaConvResult,
-    strict_liveness: bool = False,
-    unroll_iterations: int = 3,
-) -> VerificationReport:
-    """One-call convenience: run the full catalog against a plan."""
-    return ScheduleValidator(
-        strict_liveness=strict_liveness, unroll_iterations=unroll_iterations
-    ).validate(result)

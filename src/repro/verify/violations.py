@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 
 class Severity(enum.Enum):
@@ -113,12 +113,6 @@ class VerificationReport:
     def skip(self, check: str, reason: str) -> None:
         self.checks_skipped[check] = reason
 
-    def merge(self, other: "VerificationReport") -> None:
-        """Fold another report's findings into this one."""
-        self.checks_run.extend(other.checks_run)
-        self.checks_skipped.update(other.checks_skipped)
-        self.violations.extend(other.violations)
-
     # -- interrogation -------------------------------------------------
     def errors(self) -> List[Violation]:
         return [v for v in self.violations if v.severity is Severity.ERROR]
@@ -174,11 +168,3 @@ class VerificationReport:
         for check, reason in self.checks_skipped.items():
             lines.append(f"  [skipped:{check}] {reason}")
         return "\n".join(lines)
-
-
-def worst_of(reports: Sequence[VerificationReport]) -> VerificationReport:
-    """Aggregate many reports into one (used by the sweep runner)."""
-    merged = VerificationReport(subject="aggregate")
-    for report in reports:
-        merged.merge(report)
-    return merged

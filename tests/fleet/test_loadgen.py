@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.fleet.loadgen import (
@@ -27,6 +29,32 @@ class TestGenerator:
             FleetLoadGenerator(["cat"], mean_interarrival_units=0)
         with pytest.raises(ValueError, match="no positive"):
             FleetLoadGenerator(["cat"], slo_mix={SloClass.BATCH: 0.0})
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[2.0, -1.0], [0.0, 0.0], [1.0, float("inf")], [float("nan"), 1.0]],
+    )
+    def test_bad_weights_rejected_at_construction(self, weights):
+        with pytest.raises(ValueError, match="workload weights"):
+            FleetLoadGenerator(["cat", "car"], weights=weights)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_trace_equals_a_weights_stream(self, seed):
+        """Precomputed cumulative weights draw what ``weights=`` draws."""
+        weights = [3.0, 0.5, 1.25, 2.0]
+        mix = {SloClass.INTERACTIVE: 0.3, SloClass.BATCH: 0.7}
+        gen = FleetLoadGenerator(
+            WORKLOADS, weights=weights, slo_mix=mix, seed=seed
+        )
+        rng = random.Random(seed)
+        expected = []
+        for _ in range(300):
+            rng.random()  # the interarrival draw
+            expected.append((
+                rng.choices(WORKLOADS, weights)[0],
+                rng.choices(list(mix), list(mix.values()))[0],
+            ))
+        assert [(t.workload, t.slo) for t in gen.requests(300)] == expected
 
     def test_same_seed_same_trace(self):
         gen = FleetLoadGenerator(WORKLOADS, seed=11)

@@ -230,6 +230,19 @@ class TestFailover:
         assert len({r.fleet_id for r in results}) == 32
         assert all(r.worker_id != victim for r in results)
 
+    def test_accounting_counts_what_the_shards_hold(self, store):
+        """A request a shard drops behind the router's back reads as lost,
+        even though the router's per-class books still count it."""
+        router = build_fleet(store)
+        router.submit("cat")
+        router.submit("cat")
+        router.worker_for("cat").server.remove_queued(
+            lambda request: request.request_id == 1
+        )
+        assert router.queue_depth == 2
+        accounting = router.accounting()
+        assert (accounting["queued"], accounting["lost"]) == (1, 1)
+
     def test_rerouted_requests_keep_arrival_time(self, store):
         router = build_fleet(store, num_workers=2)
         router.advance_to(3)

@@ -208,6 +208,21 @@ class TestServerFailover:
         assert snap["gauges"]["degraded_mode"] == 1.0
         assert "fault tolerance" in server.stats_report()
 
+    def test_armed_fault_strikes_a_live_session(self, graph, config):
+        """A fault armed on a warm session fails over exactly as a session
+        built with the fault model does."""
+        model = FaultModel.single(FAULT_UNIT_PE, 0, 3)
+        live = InferenceSession(graph, config)
+        live.run(20)
+        live.arm_fault(model)
+        armed = live.run(20)
+        built = InferenceSession(graph, config, fault_model=model).run(20)
+        assert armed.failovers == built.failovers == 1
+        assert live.active_config == config.degraded(list(range(1, 16)))
+        assert (armed.realized_makespan, armed.stats) == (
+            built.realized_makespan, built.stats
+        )
+
     def test_retry_exhaustion_counts_failed_requests(self, config):
         fault_model = FaultModel(
             events=tuple(
@@ -224,6 +239,9 @@ class TestServerFailover:
         snap = server.metrics.snapshot()
         assert snap["counters"]["requests_failed"] == 2
         assert snap["counters"]["batches_failed"] == 1
+        # The failed batch closes the books: nothing reads as lost.
+        books = server.accounting()
+        assert (books["admitted"], books["failed"], books["lost"]) == (2, 2, 0)
 
     def test_healthy_server_unaffected_by_fault_plumbing(self, config):
         server = make_server(config)

@@ -1,57 +1,57 @@
-"""Tenancy differential: isolation scenarios and the fused-dataflow stage."""
+"""Tenancy scenarios (isolation) and the fused-dataflow stage."""
 
 import json
 
 import pytest
 
-from repro.verify.differential_tenancy import (
+from repro.pim.config import PimConfig
+from repro.verify.harness import battery_ok, expectation_failures
+from repro.verify.oracle import machine_variants
+from repro.verify.scenarios import (
     TENANCY_SCENARIOS,
-    fused_verdict,
+    fused_stages,
     run_scenario,
-    scenario_verdict,
-    tenancy_differential,
+    tenancy_case,
     verify_fused_model,
 )
-from repro.pim.config import PimConfig
-from repro.verify.harness import battery_ok
-from repro.verify.oracle import machine_variants
 
 # Small-but-real sizes: 16 PEs carve into slices that still compile the
 # fleet workloads, and 4 requests per tenant exercise multiple batches.
-FAST = dict(num_pes=16, requests_per_tenant=4, iterations=3)
+FAST = dict(num_pes=16, requests=4, iterations=3)
 
 
 class TestScenarios:
-    @pytest.mark.parametrize("scenario", TENANCY_SCENARIOS)
+    @pytest.mark.parametrize("scenario", list(TENANCY_SCENARIOS))
     def test_scenario_passes(self, scenario):
-        report = run_scenario(scenario, **FAST)
+        report = run_scenario(tenancy_case(scenario, **FAST))
         assert report.error is None
         assert report.mismatches == []
         assert report.failures == []
         assert report.ok, report.describe()
 
     def test_two_tenant_proves_distinct_plan_identity(self):
-        report = run_scenario("two-tenant", **FAST)
+        case = tenancy_case("two-tenant", **FAST)
+        report = run_scenario(case)
         # Both tenants serve the SAME workload: one cached plan each.
-        assert len(set(report.facts["workloads"].values())) == 1
-        assert report.facts["cached_plans"] == 2
-        assert scenario_verdict({"cached_plans": 1, "expected_plans": 2})
+        assert len(set(TENANCY_SCENARIOS["two-tenant"].values())) == 1
+        assert report.facts["plans"] == 2
+        assert expectation_failures(case.expect, {**report.facts, "plans": 1})
 
     def test_batches_actually_replayed(self):
-        report = run_scenario("two-tenant", **FAST)
+        report = run_scenario(tenancy_case("two-tenant", **FAST))
         assert report.facts["replayed_batches"] >= 2
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError, match="unknown tenancy scenario"):
-            run_scenario("warp-tenant", **FAST)
+            tenancy_case("warp-tenant", **FAST)
 
     def test_describe_and_as_dict(self):
-        report = run_scenario("degraded-tenant", **FAST)
+        report = run_scenario(tenancy_case("degraded-tenant", **FAST))
         assert "degraded-tenant" in report.describe()
         payload = json.loads(json.dumps(report.as_dict()))
         assert payload["ok"] is True
         assert payload["case"] == "degraded-tenant"
-        assert set(payload["facts"]["workloads"]) == {"tenant-a", "tenant-b"}
+        assert payload["facts"]["served"] == 8
 
 
 class TestFusedStage:
@@ -63,7 +63,9 @@ class TestFusedStage:
         assert facts["fused_stages"] > 0
         assert facts["ops_absorbed"] > 0
         assert facts["delta_r"]["fused_ops_absorbed"] == facts["ops_absorbed"]
-        assert fused_verdict({**facts, "work_conserved": False})
+        assert expectation_failures(
+            {"work_conserved": True}, {**facts, "work_conserved": False}
+        )
 
     def test_suboptimal_dp_fails_the_oracle_on_every_view(self, monkeypatch):
         """A dp that caches nothing still emits valid plans; only the
@@ -95,15 +97,18 @@ class TestFusedStage:
 
 class TestBattery:
     def test_full_battery(self):
-        reports = tenancy_differential(fused_models=("alexnet",), **FAST)
+        reports = [
+            run_scenario(tenancy_case(name, **FAST))
+            for name in TENANCY_SCENARIOS
+        ]
+        reports.append(fused_stages()[0].run(None))
         assert battery_ok(reports), [r.describe() for r in reports]
         assert [r.case for r in reports] == [
             *TENANCY_SCENARIOS, "fused-alexnet"
         ]
+        assert {r.battery for r in reports} == {"tenancy"}
         payload = json.loads(json.dumps([r.as_dict() for r in reports]))
         assert all(case["ok"] for case in payload)
 
     def test_empty_battery_is_not_ok(self):
-        reports = tenancy_differential(scenarios=(), fused_models=())
-        assert reports == []
-        assert not battery_ok(reports)
+        assert not battery_ok([])

@@ -24,14 +24,15 @@ def sweep():
 
 class TestAcceptanceSweep:
     def test_sweep_is_clean(self, sweep):
-        assert sweep.ok, sweep.summary()
+        failing = [w.case_report().describe() for w in sweep if not w.ok]
+        assert failing == []
 
     def test_covers_all_benchmarks(self, sweep):
-        assert {w.workload for w in sweep.workloads} == set(BENCHMARK_SIZES)
+        assert {w.workload for w in sweep} == set(BENCHMARK_SIZES)
 
     def test_zero_validator_errors_everywhere(self, sweep):
         """Acceptance: 12 benchmarks x every registered allocator, 0 errors."""
-        for workload in sweep.workloads:
+        for workload in sweep:
             assert set(workload.reports) == set(ALLOCATORS)
             for name, report in workload.reports.items():
                 assert report.ok, (
@@ -40,7 +41,7 @@ class TestAcceptanceSweep:
 
     def test_differential_ok_everywhere(self, sweep):
         """Every workload is held to the oracle on every machine view."""
-        for workload in sweep.workloads:
+        for workload in sweep:
             assert list(workload.differentials) == [
                 "healthy", "degraded", "shard-0", "shard-1"
             ]
@@ -49,7 +50,7 @@ class TestAcceptanceSweep:
 
     def test_exhaustive_used_on_small_instances(self, sweep):
         """Acceptance: DP held to the brute-force optimum when n <= limit."""
-        for workload in sweep.workloads:
+        for workload in sweep:
             for diff in workload.differentials.values():
                 assert diff.exhaustive_checked == (diff.num_items <= 16)
                 if diff.exhaustive_checked:
@@ -57,19 +58,19 @@ class TestAcceptanceSweep:
 
     def test_all_faults_detected_everywhere(self, sweep):
         """Acceptance: 100% detection rate across the whole sweep."""
-        for workload in sweep.workloads:
+        for workload in sweep:
             assert workload.faults is not None
             assert workload.faults.ok, (
                 f"{workload.workload}: missed {workload.faults.missed}"
             )
 
     def test_summary_mentions_every_workload(self, sweep):
-        lines = [w.case_report().describe() for w in sweep.workloads]
+        lines = [w.case_report().describe() for w in sweep]
         for name, line in zip(BENCHMARK_SIZES, lines):
             assert line.startswith(f"schedule[{name}]: ok")
 
     def test_as_dict_is_json_serializable(self, sweep):
-        payload = json.dumps([w.case_report().as_dict() for w in sweep.workloads])
+        payload = json.dumps([w.case_report().as_dict() for w in sweep])
         decoded = json.loads(payload)
         assert all(case["ok"] for case in decoded)
         assert len(decoded) == len(BENCHMARK_SIZES)
@@ -141,8 +142,8 @@ class TestCli:
         assert ("overall: ok" in out) == (code == 0)
 
     @pytest.mark.parametrize("flags", [
-        ["--faults", "--fault-iteration", "-1"],
-        ["--faults", "--fault-unit-id", "-1"],
+        ["--scenarios", "--fleet-requests", "-1"],
+        ["--pes", "-1"],
         ["--unroll", "-3"],
     ])
     def test_negative_counts_are_usage_errors(self, flags, capsys):
@@ -169,11 +170,17 @@ class TestCli:
         )
         assert args.oracle_limit == MAX_EXHAUSTIVE_LIMIT
 
-    def test_overall_line_matches_exit_status(self, capsys):
+    def test_overall_line_matches_exit_status(self, capsys, monkeypatch):
         """A battery that errors fails the overall line, not just the exit
         status: 64 PEs do not split into 3 equal fleet shards."""
-        code = main(["--fleet", "--fleet-workers", "3", "--benchmarks", "cat",
-                     "--no-oracle", "--no-mutations"])
+        from repro.verify import scenarios
+
+        monkeypatch.setattr(
+            scenarios, "scenario_table",
+            lambda *args: [scenarios.fleet_trace_case(8, ("cat",), workers=3)],
+        )
+        code = main(["--scenarios", "--benchmarks", "cat", "--no-oracle",
+                     "--no-mutations"])
         out = capsys.readouterr().out
         assert code == 1
         assert ("overall: ok" in out) == (code == 0)

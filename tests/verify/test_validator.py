@@ -7,11 +7,7 @@ from repro.graph.generators import synthetic_benchmark
 from repro.pim.config import PimConfig
 from repro.pim.memory import Placement
 from repro.verify.mutation import clone_result
-from repro.verify.validator import (
-    CHECK_CATALOG,
-    ScheduleValidator,
-    verify_result,
-)
+from repro.verify.validator import CHECK_CATALOG, ScheduleValidator
 from tests.builders import drop_row, set_row
 
 
@@ -37,9 +33,6 @@ class TestPristinePlans:
 
     def test_validator_is_callable(self, plan):
         assert ScheduleValidator()(plan).ok
-
-    def test_verify_result_convenience(self, plan):
-        assert verify_result(plan).ok
 
     def test_liveness_aware_plan_is_strict_clean(self, config):
         """liveness_aware plans satisfy even the strict occupancy check."""

@@ -7,7 +7,6 @@ from repro.verify.violations import (
     VerificationError,
     VerificationReport,
     Violation,
-    worst_of,
 )
 
 
@@ -76,14 +75,3 @@ def test_as_dict_counts():
     assert payload["num_errors"] == 1
     assert payload["num_warnings"] == 1
     assert payload["ok"] is False
-
-
-def test_worst_of_merges():
-    ok_report = VerificationReport(subject="a")
-    ok_report.checks_run.append("period")
-    bad_report = VerificationReport(subject="b")
-    bad_report.add("prologue", "off by one")
-    merged = worst_of([ok_report, bad_report])
-    assert not merged.ok
-    assert merged.checks_run == ["period"]
-    assert len(merged.violations) == 1
