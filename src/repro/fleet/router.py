@@ -482,14 +482,15 @@ class FleetRouter:
         ``lost`` is the residual — it must be zero by construction (every
         admitted request is served, shed with attribution, or still
         queued), and the bench asserts it. ``queued`` counts what the
-        shards' queues hold, not the router's per-class books, so a
-        request a shard dropped shows as lost.
+        live shards' queues hold, not the router's per-class books, so a
+        request a shard dropped, or one stranded on a dead shard's queue,
+        shows as lost.
         """
         counters = self.metrics.snapshot()["counters"]
         admitted = counters.get("fleet.requests_admitted", 0)
         served = counters.get("fleet.requests_served", 0)
         shed = counters.get("fleet.requests_shed", 0)
-        queued = sum(worker.queue_depth for worker in self.workers.values())
+        queued = sum(w.queue_depth for w in self.workers.values() if w.alive)
         return {
             "admitted": admitted,
             "served": served,

@@ -376,13 +376,20 @@ class InferenceSession:
 
         Unit ids are in the active machine's space, and the model replaces
         any fault still armed: a live session meets a unit failure exactly
-        as one constructed with the model would. The private trace table
-        is keyed by ``N`` alone, so its healthy traces are dropped.
+        as one constructed with the model would. Units the model marks
+        dead from the start degrade the machine now, as at construction,
+        so the next batch compiles for the survivors instead of failing
+        over. The private trace table is keyed by ``N`` alone, so its
+        healthy traces are dropped.
         """
         self._active_fault_model = (
             None if fault_model.is_trivial else fault_model
         )
         self._traces.clear()
+        if fault_model.failed_pes or fault_model.failed_vaults:
+            self._plan = None
+            self._executor = None
+            self._apply_static_masks()
 
     # ------------------------------------------------------------------
     # live rewiring

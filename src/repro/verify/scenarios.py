@@ -76,6 +76,9 @@ Event = Tuple[Any, ...]
 CONSERVED_COUNTERS = ("requests_served", "inferences_served", "sim_units_busy",
                       "cache_spills", "batches_executed")
 
+#: A fleet's end: every admitted fleet id came back exactly once.
+IDS_CONSERVED = {"duplicate_fleet_ids": [], "missing_fleet_ids": []}
+
 #: Converging paper models the fleet trace serves (the fleet bench's).
 FLEET_WORKLOADS = ("flower", "lenet5", "stock-predict", "string-matching")
 
@@ -96,12 +99,16 @@ class System:
     tier: Any
     #: every batching server serving for the tier, by location.
     servers: Dict[str, BatchingServer]
-    #: the graph each workload name serves now.
+    #: the graph each workload name serves now: the references' map. The
+    #: tiers load from a fixed copy, as they would from ``load_workload``,
+    #: so a rewire reaches them only through the tier's own overrides.
     graphs: Dict[str, TaskGraph]
     #: distinct plans the tier holds.
     plans: Callable[[], int]
     facts: Callable[[], Dict[str, object]] = dict
     close: Callable[[], None] = lambda: None
+    #: fleet ids the tier handed back: returned results and shed requests.
+    fleet_ids: List[int] = field(default_factory=list)
 
     def books(self) -> Dict[str, Mapping[str, int]]:
         """Each tier's ``accounting()``: the router's for a fleet (its
@@ -114,7 +121,7 @@ class System:
 def server_system(config: PimConfig, graphs: Dict[str, TaskGraph]) -> System:
     """One server; aliases of one graph get sessions of their own."""
     server = BatchingServer(config, cache=PlanCache(), batch_window=4,
-                            max_queue=1024, graph_loader=graphs.__getitem__)
+                            max_queue=1024, graph_loader=dict(graphs).__getitem__)
     return System(server, {"server": server}, graphs, lambda: len(server.cache))
 
 
@@ -132,19 +139,28 @@ def fleet_system(
     directory = tempfile.TemporaryDirectory(prefix="scenario-store-")
     store = SharedPlanStore(directory.name)
     shards = PimConfig(num_pes=num_pes).split(workers, split_vaults=True)
+    loader = dict(graphs).__getitem__
     fleet = [FleetWorker(f"worker-{index}", shard, store=store,
-                         batch_window=batch_window, graph_loader=graphs.__getitem__)
+                         batch_window=batch_window, graph_loader=loader)
              for index, shard in enumerate(shards)]
     router = FleetRouter(
         fleet, policies={SloClass.INTERACTIVE: SloPolicy(4096, deadline)},
-        graph_loader=graphs.__getitem__,
+        graph_loader=loader,
     )
+    system = System(router, {w.worker_id: w.server for w in fleet}, graphs,
+                    lambda: len(store), close=directory.cleanup)
+    for worker in fleet:  # shed requests are counted, never returned
+        def shed_expired(now, policies, shed=worker.shed_expired):
+            out = shed(now, policies)
+            system.fleet_ids.extend(meta.fleet_id for _, meta in out)
+            return out
+        worker.shed_expired = shed_expired
 
     def cold_replica() -> Dict[str, object]:
         # A cold shard on the same store serves every workload: each plan
         # must hydrate from disk, none compile.
         cold = FleetWorker("cold-replica", shards[0], store=store,
-                           graph_loader=graphs.__getitem__)
+                           graph_loader=loader)
         for index, workload in enumerate(graphs):
             cold.submit(workload, 1, SloClass.STANDARD, 0, -(index + 1))
             cold.pump(0)
@@ -152,9 +168,9 @@ def fleet_system(
         return {"cold_replica_compiles": compiles,
                 "cold_replica_disk_hits": cold.cache.stats.disk_hits}
 
-    return System(router, {w.worker_id: w.server for w in fleet}, graphs,
-                  lambda: len(store), cold_replica if replica else dict,
-                  directory.cleanup)
+    if replica:
+        system.facts = cold_replica
+    return system
 
 
 def tenancy_system(scenario: str, num_pes: int) -> System:
@@ -170,7 +186,7 @@ def tenancy_system(scenario: str, num_pes: int) -> System:
     graphs = _graphs(**{name: name for name in tenants.values()})
     scheduler = TenantScheduler(
         placement, slos={placement.names[0]: "interactive"}, batch_window=4,
-        graph_loader=graphs.__getitem__,
+        graph_loader=dict(graphs).__getitem__,
     )
     return System(scheduler, {t: scheduler.server_for(t) for t in tenants},
                   graphs, lambda: len(scheduler.cache))
@@ -205,7 +221,6 @@ class _Run:
     #: cold full-unroll references, shared by every hold of the run.
     cold: Dict[tuple, tuple] = field(default_factory=dict)
     seen: Dict[str, int] = field(default_factory=dict)
-    fleet_ids: List[int] = field(default_factory=list)
 
     def apply(self, event: Event) -> None:
         kind, *args = event
@@ -230,7 +245,7 @@ class _Run:
         if kind == "rewire":
             graphs[args[0]] = args[1]
         if isinstance(out, list) or hasattr(out, "drained"):
-            self.fleet_ids.extend(r.fleet_id for r in getattr(out, "drained", out)
+            self.system.fleet_ids.extend(r.fleet_id for r in getattr(out, "drained", out)
                                   if isinstance(r, FleetResult))
 
     def check(self, where: str, graphs: Mapping[str, TaskGraph]) -> None:
@@ -328,9 +343,13 @@ class _Run:
             "warm_recompiles": sum(s.compilations for s in sessions) - plans,
         }
         if isinstance(self.system.tier, FleetRouter):
-            counts = collections.Counter(self.fleet_ids)
+            # The router numbers admissions 1, 2, ...: each id comes back
+            # exactly once, served to a caller or shed.
+            counts = collections.Counter(self.system.fleet_ids)
             facts["workers_lost"] = books["workers_lost"]
             facts["duplicate_fleet_ids"] = sorted(i for i, n in counts.items() if n > 1)
+            facts["missing_fleet_ids"] = [i for i in range(1, books["admitted"] + 1)
+                                          if i not in counts]
         return {**facts, **self.system.facts()}
 
 
@@ -577,7 +596,7 @@ def fleet_trace_case(requests: int = 400, workloads: Sequence[str] = FLEET_WORKL
                              num_pes, batch_window, replica=True),
         (*events, ("drain",)),
         {"served": requests, "plans": len(workloads), "warm_recompiles": 0,
-         "workers_lost": int(workers > 1), "duplicate_fleet_ids": [],
+         "workers_lost": int(workers > 1), **IDS_CONSERVED,
          "cold_replica_compiles": 0, "cold_replica_disk_hits": len(workloads)},
     )
 
@@ -626,7 +645,7 @@ def fleet_rewire_case(new: str, requests: int = 8) -> Scenario:
         (*submits, ("drain",), *submits, ("rewire", "cat", new, "reroute"),
          ("drain",), ("rewire", "cat", "cat", "reroute"),
          ("rewire", "cat", new, "reroute")),
-        {"served": 2 * requests, "plans": 2, "warm_recompiles": 0},
+        {"served": 2 * requests, "plans": 2, "warm_recompiles": 0, **IDS_CONSERVED},
     )
 
 
@@ -659,7 +678,7 @@ def composed_cases(config: PimConfig) -> List[Scenario]:
             (*(("submit", "cat", 1, "interactive"),) * 3,
              ("submit", "flower", 1, "interactive"), flower, cat, ("shed", 51),
              ("drain",), ("submit", "cat", 1, "interactive"), ("drain",)),
-            {"served": 3, "shed": 4, "warm_recompiles": 0},
+            {"served": 3, "shed": 4, "warm_recompiles": 0, **IDS_CONSERVED},
         ),
         Scenario(
             "composed", f"kill during cat->{er} [reroute]",
@@ -668,7 +687,7 @@ def composed_cases(config: PimConfig) -> List[Scenario]:
              ("rewire", "cat", er, "reroute"), ("kill", "cat"), ("drain",), cat,
              ("drain",)),
             {"served": 18, "plans": 3, "warm_recompiles": 0, "workers_lost": 1,
-             "duplicate_fleet_ids": []},
+             **IDS_CONSERVED},
         ),
         Scenario(
             "composed", "trace reuse across pe0@3 failover racing swap_graph",
@@ -684,7 +703,7 @@ def composed_cases(config: PimConfig) -> List[Scenario]:
             "composed", "reversed-edge cat copies share one store", reversed_store,
             (*both * 3, ("drain",), ("kill", "cat"), *both * 2, ("drain",)),
             {"served": 10, "plans": 1, "warm_recompiles": 0, "batches_reused": 2,
-             "workers_lost": 1},
+             "workers_lost": 1, **IDS_CONSERVED},
         ),
     ]
 

@@ -243,6 +243,19 @@ class TestFailover:
         accounting = router.accounting()
         assert (accounting["queued"], accounting["lost"]) == (1, 1)
 
+    def test_accounting_counts_a_dead_shards_queue_as_lost(self, store):
+        """A shard killed without failing its queue over strands those
+        requests: they read as lost until the router fails it over."""
+        router = build_fleet(store)
+        router.submit("cat")
+        router.submit("cat")
+        router.worker_for("cat").kill()
+        accounting = router.accounting()
+        assert (accounting["queued"], accounting["lost"]) == (0, 2)
+        router.drain()
+        accounting = router.accounting()
+        assert (accounting["served"], accounting["lost"]) == (2, 0)
+
     def test_rerouted_requests_keep_arrival_time(self, store):
         router = build_fleet(store, num_workers=2)
         router.advance_to(3)

@@ -223,6 +223,22 @@ class TestServerFailover:
             built.realized_makespan, built.stats
         )
 
+    def test_armed_static_failure_degrades_up_front(self, graph, config):
+        """Units an armed model marks dead from the start degrade the
+        machine before the next batch, as at construction: no failover."""
+        model = FaultModel.static(failed_pes=[0])
+        live = InferenceSession(graph, config)
+        live.run(20)
+        live.arm_fault(model)
+        assert live.active_config == config.degraded(list(range(1, 16)))
+        armed = live.run(20)
+        built = InferenceSession(graph, config, fault_model=model).run(20)
+        assert armed.failovers == built.failovers == 0
+        assert live.faults_observed == 0
+        assert (armed.realized_makespan, armed.stats) == (
+            built.realized_makespan, built.stats
+        )
+
     def test_retry_exhaustion_counts_failed_requests(self, config):
         fault_model = FaultModel(
             events=tuple(

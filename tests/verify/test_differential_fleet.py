@@ -40,6 +40,7 @@ class TestCleanRun:
         assert report.facts["served"] == 160
         assert report.facts["shed"] == 0
         assert report.facts["duplicate_fleet_ids"] == []
+        assert report.facts["missing_fleet_ids"] == []
 
     def test_warm_everywhere(self, report):
         assert report.facts["plans"] == len(WORKLOADS)
@@ -79,7 +80,7 @@ class TestReportVerdicts:
             case.expect, {**self._clean(case), "duplicate_fleet_ids": [7]}
         )
         assert expectation_failures(
-            case.expect, {**self._clean(case), "cold_replica_disk_hits": 3}
+            case.expect, {**self._clean(case), "missing_fleet_ids": [3]}
         )
 
     def test_extra_compiles_fail(self, case):

@@ -101,9 +101,11 @@ class TestReportVerdicts:
 
     def test_overall_report_aggregates(self):
         fleet = fleet_rewire_case("randwired-er").expect
-        clean = {"served": 16, "plans": 2, "warm_recompiles": 0}
+        clean = {"served": 16, "plans": 2, "warm_recompiles": 0,
+                 "duplicate_fleet_ids": [], "missing_fleet_ids": []}
         assert expectation_failures(fleet, clean) == []
         assert expectation_failures(fleet, {**clean, "served": 13})
+        assert expectation_failures(fleet, {**clean, "missing_fleet_ids": [9]})
         assert expectation_failures(fleet, {**clean, "warm_recompiles": 1})
         reports = [
             CaseReport(battery="rewire", case="a"),

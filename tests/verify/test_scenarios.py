@@ -12,6 +12,7 @@ from repro.pim.config import PimConfig
 from repro.verify.scenarios import (
     Scenario,
     composed_cases,
+    fleet_trace_case,
     run_scenario,
     scenario_table,
     server_system,
@@ -129,3 +130,42 @@ class TestEngine:
         report = run_scenario(prefix)
         assert report.ok, report.describe()
         assert report.facts["faults_observed"] == 1
+
+
+class TestFleetMutants:
+    """Tier defects the fleet scenarios must catch."""
+
+    def test_rewire_without_override_on_idle_shards_fails(self):
+        """A rewire that installs no override on shards that never served
+        the workload sends the rerouted requests, after the kill, to a
+        survivor that loads the old graph."""
+        case = next(c for c in composed_cases(CONFIG) if c.name.startswith("kill"))
+
+        def forgetful():
+            system = case.build()
+            for server in system.servers.values():
+                server.set_graph_override = lambda workload, graph: None
+            return system
+
+        report = run_scenario(dataclasses.replace(case, build=forgetful))
+        assert not report.ok
+        kill = [event[0] for event in case.events].index("kill")
+        assert report.mismatches
+        assert all(m.location.startswith(f"step {kill + 2}: drain()")
+                   for m in report.mismatches)
+
+    def test_result_served_to_no_caller_is_missing(self):
+        """A pump that serves a request but returns it to no caller keeps
+        the books closed; the fleet ids find it."""
+        case = fleet_trace_case(32, workloads=("cat", "flower"), workers=2,
+                                num_pes=32, batch_window=8)
+
+        def hiding():
+            system = case.build()
+            pump = system.tier.pump
+            system.tier.pump = lambda *args: pump(*args)[1:]
+            return system
+
+        report = run_scenario(dataclasses.replace(case, build=hiding))
+        assert not report.ok
+        assert report.failures[0].startswith("missing_fleet_ids=[")
