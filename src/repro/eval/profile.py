@@ -31,7 +31,7 @@ from __future__ import annotations
 import cProfile
 import io
 import pstats
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cnn.workloads import load_workload
@@ -70,6 +70,17 @@ class ProfileRow:
     cumulative_seconds: float  #: time including callees (cumtime)
 
 
+@dataclass(frozen=True)
+class PlanBatches:
+    """How one plan on one machine served its batches (``serve`` only)."""
+
+    plan: str  #: plan-cache key digest, shortened
+    machine: str  #: PEs, vaults and config fingerprint, shortened
+    converging: int  #: simulations from round one that converged
+    resumed: int  #: batches resumed from the plan's steady boundary
+    reused: int  #: batches served from a stored trace of the same N
+
+
 @dataclass
 class ProfileReport:
     """Top-N hotspots of one profiled target."""
@@ -78,6 +89,7 @@ class ProfileReport:
     workload: str
     seconds: float  #: wall time of the profiled region
     rows: List[ProfileRow]
+    plans: List[PlanBatches] = field(default_factory=list)
 
     def render(self) -> str:
         lines = [
@@ -91,6 +103,19 @@ class ProfileReport:
                 f"{row.calls:>10}  {row.total_seconds:>9.4f}  "
                 f"{row.cumulative_seconds:>9.4f}  {row.function}"
             )
+        if self.plans:
+            lines += [
+                "",
+                "## Batches per plan and machine",
+                "",
+                f"{'plan':<12}  {'machine':<20}  {'converging':>10}  "
+                f"{'resumed':>7}  {'reused':>6}",
+            ]
+            lines += [
+                f"{p.plan:<12}  {p.machine:<20}  {p.converging:>10}  "
+                f"{p.resumed:>7}  {p.reused:>6}"
+                for p in self.plans
+            ]
         return "\n".join(lines)
 
 
@@ -217,6 +242,36 @@ def _profile_serve(
             return router.drain()
 
         seconds, rows = _profile_callable(driver, top)
+        plans = _plan_batches(router)
     return ProfileReport(
-        target="serve", workload=",".join(mix), seconds=seconds, rows=rows
+        target="serve", workload=",".join(mix), seconds=seconds, rows=rows,
+        plans=plans,
     )
+
+
+def _plan_batches(router) -> List[PlanBatches]:
+    """Per (plan, machine): how the fleet's sessions served their batches,
+    over the warm-up and the trace."""
+    counts: Dict[tuple, List[int]] = {}
+    for worker in router.workers.values():
+        for session in worker.server.sessions().values():
+            key = (session.plan_digest, session.active_config)
+            total = counts.setdefault(key, [0, 0, 0])
+            total[0] += session.converged_simulations
+            total[1] += session.batches_resumed
+            total[2] += session.batches_reused
+    return [
+        PlanBatches(
+            plan=digest[:12],
+            machine=(
+                f"{config.num_pes}pe/{config.num_vaults}v@"
+                f"{config.fingerprint()[:8]}"
+            ),
+            converging=converging,
+            resumed=resumed,
+            reused=reused,
+        )
+        for (digest, config), (converging, resumed, reused) in sorted(
+            counts.items(), key=lambda item: item[0][0]
+        )
+    ]

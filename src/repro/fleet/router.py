@@ -122,6 +122,9 @@ class FleetRouter:
         #: live-rewire overrides: workload -> the graph whose plan digest
         #: the workload now routes on (set by :meth:`rewire`).
         self._graph_overrides: Dict[str, TaskGraph] = {}
+        #: results served while re-routing onto a saturated shard, handed
+        #: out by the next :meth:`pump` (and so by :meth:`drain`).
+        self._unreturned: List[FleetResult] = []
 
     # ------------------------------------------------------------------
     # routing
@@ -259,12 +262,22 @@ class FleetRouter:
             self._queued_by_class[slo] -= count
             self.metrics.counter(f"fleet.requests_shed.{slo.value}").inc(count)
 
+    def _serve(
+        self, worker: FleetWorker, max_batches: Optional[int] = None
+    ) -> List[FleetResult]:
+        """Serve one shard: shed what has expired, pump, record."""
+        self._record_shed(worker.shed_expired(self.now_units, self.policies))
+        served = worker.pump(self.now_units, max_batches=max_batches)
+        self._record_served(served)
+        return served
+
     def pump(self, max_batches: Optional[int] = None) -> List[FleetResult]:
         """One scheduling round: shed expired, serve every live shard.
 
         A shard found dead with work still queued (killed outside
         :meth:`kill_worker`) is failed over here before serving, so the
-        router never strands a queue.
+        router never strands a queue. The results come after any that
+        re-routing served since the last pump.
         """
         results: List[FleetResult] = []
         for worker in list(self.workers.values()):
@@ -272,12 +285,10 @@ class FleetRouter:
                 if worker.worker_id in self.ring:
                     self._fail_over(worker)
                 continue
-            self._record_shed(
-                worker.shed_expired(self.now_units, self.policies)
-            )
-            served = worker.pump(self.now_units, max_batches=max_batches)
-            self._record_served(served)
-            results.extend(served)
+            results.extend(self._serve(worker, max_batches))
+        if self._unreturned:
+            results = self._unreturned + results
+            self._unreturned = []
         return results
 
     def drain(self) -> List[FleetResult]:
@@ -331,9 +342,10 @@ class FleetRouter:
         """Re-enqueue one already-admitted request on a surviving shard.
 
         Admission control is *not* re-applied — the request was already
-        admitted once. A saturated survivor is pumped (which can only
+        admitted once. A saturated survivor is served (which can only
         drain its queue) and the submit retried; with at least one live
-        shard this terminates, because every pump makes room.
+        shard this terminates, because every pump makes room. What that
+        serves is handed out by the next :meth:`pump`.
         """
         while True:
             target = self.workers[
@@ -349,9 +361,7 @@ class FleetRouter:
                 )
                 return
             except QueueFullError:
-                self._record_served(
-                    target.pump(self.now_units)
-                )
+                self._unreturned.extend(self._serve(target))
 
     # ------------------------------------------------------------------
     # live rewiring
@@ -373,8 +383,9 @@ class FleetRouter:
         Cut-point semantics (queued requests, nothing dropped):
 
         * ``"drain"`` — every live shard holding queued requests for the
-          workload is pumped first, so those requests are served on the
-          *old* plan with exact fleet attribution before the swap lands.
+          workload is served first (expired requests shed, as in
+          :meth:`pump`), so those requests are served on the *old* plan
+          with exact fleet attribution before the swap lands.
         * ``"reroute"`` — queued requests are evicted with their fleet
           identity (arrival time, SLO class, fleet id) and re-submitted
           after the swap, landing on the shard that owns the *new*
@@ -400,9 +411,7 @@ class FleetRouter:
                     request.workload == workload
                     for request in worker.server.queued_requests()
                 ):
-                    served = worker.pump(self.now_units)
-                    self._record_served(served)
-                    drained.extend(served)
+                    drained.extend(self._serve(worker))
         else:
             for worker in self.workers.values():
                 if worker.alive:

@@ -33,7 +33,8 @@ of batch traces, and every cache it opens shares it. A batch's trace is
 a function of ``(plan digest, active machine, sim mode, active fault
 model, N)``, so a shard that inherits another shard's workload — after a
 kill, say — serves a batch size the fleet already simulated from that
-table. The table lives exactly as long as the handle; a new
+table, and any other size its plan's steady-state boundary covers by
+resuming from it. The table lives exactly as long as the handle; a new
 ``SharedPlanStore`` over the same directory starts it empty.
 """
 
@@ -101,8 +102,8 @@ class SharedPlanStore:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.verify_on_load = verify_on_load
         self.stats = StoreStats()
-        #: batch traces shared by every cache :meth:`open_cache` returns
-        #: (see :attr:`PlanCache.batch_traces`).
+        #: batch traces and steady-state boundaries shared by every cache
+        #: :meth:`open_cache` returns (see :attr:`PlanCache.batch_traces`).
         self.batch_traces = TraceTable()
 
     # -- cache integration --------------------------------------------

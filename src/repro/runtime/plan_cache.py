@@ -68,8 +68,9 @@ PLAN_FORMAT_VERSION = 2
 #: Subdirectory of a disk tier holding one ``<fingerprint>.json`` per graph.
 GRAPH_DIR = "graphs"
 
-#: Batch traces one :class:`TraceTable` holds; a serving run keeps a few
-#: dozen, so only a stream of ever-new batch sizes reaches it.
+#: Batch traces and steady-state boundaries one :class:`TraceTable`
+#: holds; a serving run keeps a few dozen, so only a stream of ever-new
+#: batch sizes reaches it.
 BATCH_TRACE_CAPACITY = 256
 
 
@@ -78,7 +79,7 @@ class PlanCacheError(RuntimeError):
 
 
 class TraceTable(OrderedDict):
-    """Batch traces, least recently used first.
+    """Batch traces and steady-state boundaries, least recently used first.
 
     :meth:`get` refreshes a trace; storing one past
     :data:`BATCH_TRACE_CAPACITY` evicts the least recently used. Both
@@ -463,11 +464,12 @@ class PlanCache:
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
         self.verify_on_load = verify_on_load
         self.stats = CacheStats()
-        #: traces of the batches sessions on this cache simulated without
-        #: a fault, keyed ``(plan digest, active machine, sim mode, active
-        #: fault model, N)``, least recently used first. Every cache a
-        #: :class:`~repro.fleet.store.SharedPlanStore` opens shares the
-        #: store's table instead.
+        #: traces of the batches sessions on this cache served without a
+        #: fault, keyed ``(plan digest, active machine, sim mode, active
+        #: fault model, N)``, and each plan's steady-state boundary under
+        #: the same key without ``N``, least recently used first. Every
+        #: cache a :class:`~repro.fleet.store.SharedPlanStore` opens
+        #: shares the store's table instead.
         self.batch_traces: "TraceTable[tuple, ExecutionTrace]" = TraceTable()
         self._plans: "OrderedDict[str, ParaConvResult]" = OrderedDict()
         self._lock = threading.RLock()

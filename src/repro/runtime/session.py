@@ -17,19 +17,34 @@ checks it).
 
 Batch reuse. A plan is a static periodic schedule and every batch runs
 on a fresh machine, so a batch's trace depends only on the plan, the
-active machine, the active fault model, the sim mode and ``N``. The
-session stores the trace of each batch that finished without a fault
-and serves a repeated batch from it instead of simulating again. With a
-plan cache the trace goes into the cache's table under ``(plan digest,
-active machine, sim mode, active fault model, N)``; caches opened from
+active machine, the active fault model, the sim mode and ``N``. A batch
+is served in the first of three ways that applies:
+
+1. from the stored trace of a batch of the same ``N``
+   (``batches_reused``);
+2. by resuming from the plan's stored steady-state boundary
+   (:class:`~repro.sim.executor.SteadyBoundary`), when it covers ``N``:
+   the executor splices the converged state forward and simulates only
+   the remainder and the epilogue, or nothing when another ``N`` of the
+   same remainder did it before (``batches_resumed``);
+3. by a fresh simulation. Its trace is stored, and so is the boundary it
+   exported, if the plan has none yet (``converged_simulations`` counts
+   the fresh runs that converged).
+
+So a converged plan is simulated from round one once per machine,
+whatever sizes its batches have. Only batches that finished without a
+fault are stored. With a plan cache, traces go into the cache's table
+under ``(plan digest, active machine, sim mode, active fault model, N)``
+and the boundary under the same key without ``N``; caches opened from
 one :class:`~repro.fleet.store.SharedPlanStore` share that table, so a
 batch is simulated once per fleet, not once per shard. Without a cache
-the session keeps a private table keyed by ``N`` that belongs to one
-plan: it is dropped on failover, on :meth:`InferenceSession.swap_graph`
-and whenever :meth:`compile` installs a different plan object. Every
-table is a :class:`~repro.runtime.plan_cache.TraceTable`, which evicts
-its least recently used trace past ``BATCH_TRACE_CAPACITY``; an
-evicted batch is simulated again.
+the session keeps a private table keyed by ``N`` (the boundary under
+``None``) that belongs to one plan: it is dropped on failover, on
+:meth:`InferenceSession.swap_graph` and whenever :meth:`compile`
+installs a different plan object. Every table is a
+:class:`~repro.runtime.plan_cache.TraceTable`, which evicts its least
+recently used entry past ``BATCH_TRACE_CAPACITY``; an evicted batch is
+resumed or simulated again.
 
 Fault tolerance. A session constructed with a
 :class:`~repro.pim.faults.FaultModel` keeps serving when units die: the
@@ -244,8 +259,14 @@ class InferenceSession:
         self.swap_recompiles: int = 0
         #: the trace of the last successful batch (None before the first).
         self.last_trace: Optional[ExecutionTrace] = None
-        #: batches served from a stored trace instead of the simulator.
+        #: batches served from a stored trace of the same ``N`` instead of
+        #: the simulator.
         self.batches_reused: int = 0
+        #: batches resumed from the stored steady-state boundary of another
+        #: ``N`` instead of simulated from round one.
+        self.batches_resumed: int = 0
+        #: batches simulated from round one whose steady state converged.
+        self.converged_simulations: int = 0
         self._plan: Optional[ParaConvResult] = None
         #: cache key digest of ``_plan`` (set only when compiling through
         #: a cache).
@@ -438,6 +459,12 @@ class InferenceSession:
     def is_compiled(self) -> bool:
         return self._plan is not None
 
+    @property
+    def plan_digest(self) -> Optional[str]:
+        """Plan-cache key digest of the served plan (None without a cache
+        or before the first compile)."""
+        return self._plan_digest
+
     def _build_pipeline(self) -> ParaConv:
         return ParaConv(
             self._active_config,
@@ -520,11 +547,13 @@ class InferenceSession:
         executor path. A repeated ``iterations`` on the same plan skips
         even that: the batch is built from the stored trace of the last
         successful batch of that size (``batches_reused`` counts these;
-        ``wall_seconds`` is this call's own, ``failovers`` is 0). With a
-        cache the trace may come from any session on the cache's table
-        (see :meth:`_trace_slot`); without one, the stored traces are
-        dropped on failover, on :meth:`swap_graph` and when
-        :meth:`compile` installs a different plan.
+        ``wall_seconds`` is this call's own, ``failovers`` is 0). Any
+        other size the plan's stored steady-state boundary covers is
+        resumed from it (``batches_resumed``). With a cache the trace or
+        boundary may come from any session on the cache's table (see
+        :meth:`_trace_slot`); without one, they are dropped on failover,
+        on :meth:`swap_graph` and when :meth:`compile` installs a
+        different plan.
 
         Under a fault model, a :class:`~repro.sim.executor.PeFaultError`
         mid-batch triggers failover: degrade, recompile (cache-first),
@@ -553,16 +582,26 @@ class InferenceSession:
                 self._executor = ScheduleExecutor(
                     self._active_config, mode=self.sim_mode
                 )
+            table, key = self._trace_slot(None)
+            boundary = table.get(key)
+            if boundary is not None and not boundary.covers(iterations):
+                boundary = None
             try:
                 # Serving needs aggregates only: a NullSink keeps
                 # per-instance records out of memory no matter how large
                 # the batch is.
-                trace = self._executor.execute(
-                    plan,
-                    iterations=iterations,
-                    sink=NullSink(),
-                    fault_model=self._active_fault_model,
-                )
+                if boundary is not None:
+                    trace = self._executor.resume(
+                        plan, boundary, iterations,
+                        fault_model=self._active_fault_model,
+                    )
+                else:
+                    trace = self._executor.execute(
+                        plan,
+                        iterations=iterations,
+                        sink=NullSink(),
+                        fault_model=self._active_fault_model,
+                    )
             except PeFaultError as fault:
                 attempts += 1
                 self.faults_observed += 1
@@ -576,10 +615,18 @@ class InferenceSession:
                     self._sleep(self.retry_backoff_seconds * attempts)
                 continue
             wall = time.perf_counter() - started
+            if boundary is not None:
+                self.batches_resumed += 1
+            elif trace.converged_round is not None:
+                self.converged_simulations += 1
             self.last_trace = trace
             # Keyed after any failover: the machine the trace ran on.
             table, key = self._trace_slot(iterations)
             table[key] = trace
+            if trace.boundary is not None:
+                table, key = self._trace_slot(None)
+                if key not in table:
+                    table[key] = trace.boundary
             return self._batch_result(
                 trace,
                 energy_model,
@@ -588,8 +635,11 @@ class InferenceSession:
                 degraded=self.degraded_mode,
             )
 
-    def _trace_slot(self, iterations: int) -> Tuple[TraceTable, object]:
-        """Table and key of a batch of ``iterations`` on the served plan.
+    def _trace_slot(
+        self, iterations: Optional[int]
+    ) -> Tuple[TraceTable, object]:
+        """Table and key of a batch of ``iterations`` on the served plan;
+        ``None`` names the slot of the plan's steady-state boundary.
 
         With a cache: the cache's table, keyed by everything the trace
         depends on. The plan digest alone is not enough, because
@@ -603,12 +653,14 @@ class InferenceSession:
             return self._traces, iterations
         if self._plan is None:
             self.compile()
-        return self.cache.batch_traces, (
-            self._plan_digest,
+        key = (
+            self.plan_digest,
             self._active_config,
             self.sim_mode,
             self._active_fault_model,
-            iterations,
+        )
+        return self.cache.batch_traces, (
+            key if iterations is None else (*key, iterations)
         )
 
     @staticmethod

@@ -98,7 +98,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.paraconv import ParaConvResult
 from repro.core.retiming import price_edges
@@ -118,6 +118,7 @@ __all__ = [
     "PeFaultError",
     "ScheduleExecutor",
     "SimMode",
+    "SteadyBoundary",
 ]
 
 #: Event priorities: arrivals before starts before productions at a tie.
@@ -261,8 +262,20 @@ class ExecutionTrace:
     rounds_simulated: int = 0
     #: converged rounds replayed analytically (0 in full-unroll mode).
     rounds_fast_forwarded: int = 0
-    #: digest of the converged machine state (None before convergence).
+    #: digest of the machine state right after the last splice, in the
+    #: canonical form taken against the converged round
+    #: (``converged_round``); None before convergence. Without a splice it
+    #: is the converged state's digest. After one, the state has moved
+    #: ``rounds_fast_forwarded`` rounds past that reference, so the digest
+    #: depends on ``N`` (``tests/golden/sim_signatures.json`` pins it).
     steady_fingerprint: Optional[str] = None
+    #: the converged state a batch of another ``N`` can resume from
+    #: (:meth:`ScheduleExecutor.resume`): the one this run exported or
+    #: resumed from; None when the run did not converge or cannot be
+    #: resumed.
+    boundary: Optional["SteadyBoundary"] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def records(self) -> List[InstanceRecord]:
@@ -385,6 +398,75 @@ class _BoundarySnapshot:
         )
 
 
+@dataclass(frozen=True)
+class _Tail:
+    """What a resumed run adds after its splice, for one ``(N - b) mod q``.
+
+    The rounds after the splice start from the boundary's state shifted by
+    whole periods, so what they add does not depend on how many periods
+    were skipped: the counter increments from ``start`` to ``end``, the
+    maxima, and the latest finish relative to the splice boundary's time.
+    """
+
+    start: _BoundarySnapshot
+    end: _BoundarySnapshot
+    lateness_max: int
+    cache_peak_slots: int
+    pes_used: FrozenSet[int]
+    finish: int
+
+
+@dataclass(frozen=True, eq=False)
+class SteadyBoundary:
+    """A converged steady run's machine state at its converged round.
+
+    The paper's kernel repeats every period, so once a run's state at round
+    ``round`` equals its state ``period`` rounds earlier, its state at any
+    later boundary ``round + k * period`` is this one shifted by ``k``
+    periods. :meth:`ScheduleExecutor.resume` rebuilds a run of any
+    ``N >= min_iterations`` from it, splices forward exactly as a fresh
+    run's fast-forward does and simulates only the remainder and the
+    epilogue; ``tails`` memoizes those per ``(N - round) mod period``.
+
+    Clocks and times are relative to the boundary time ``round * p`` and
+    iteration labels relative to ``round``, so the state does not depend
+    on the key layout of the run that exported it.
+    """
+
+    round: int
+    period: int
+    #: smallest ``N`` whose fresh run arms every confirmation this run
+    #: armed, with ``round`` in range: it converges at the same round.
+    min_iterations: int
+    #: counters at ``round`` and at ``round - period``.
+    current: _BoundarySnapshot
+    previous: _BoundarySnapshot
+    lateness_max: int
+    cache_peak_slots: int
+    pes_used: FrozenSet[int]
+    max_finish: int
+    failed_pes: FrozenSet[int]
+    failed_vaults: FrozenSet[int]
+    pe_free: Tuple[int, ...]
+    fifos: Tuple[Tuple[tuple, ...], ...]
+    vault_free: Tuple[int, ...]
+    xin: Tuple[int, ...]
+    xout: Tuple[int, ...]
+    cache_used: int
+    #: ``(iteration, edge rid, slots)`` per live cache slot.
+    cache_live: Tuple[Tuple[int, int, int], ...]
+    #: ``(iteration, op_id, remaining in-edges, latest arrival, nominal
+    #: start)`` per instance record.
+    inst: Tuple[Tuple[int, int, int, int, int], ...]
+    #: ``(time, prio, iteration, rid)`` per queued event, in key order.
+    events: Tuple[Tuple[int, int, int, int], ...]
+    tails: Dict[int, _Tail] = field(default_factory=dict)
+
+    def covers(self, iterations: int) -> bool:
+        """True when a batch of ``iterations`` can resume from here."""
+        return iterations >= self.min_iterations
+
+
 class ScheduleExecutor:
     """Discrete-event executor for :class:`ParaConvResult` schedules.
 
@@ -461,6 +543,37 @@ class ScheduleExecutor:
             round_probe=self.round_probe,
         )
         return run.execute()
+
+    def resume(
+        self,
+        result: ParaConvResult,
+        boundary: SteadyBoundary,
+        iterations: int,
+        fault_model: Optional[FaultModel] = None,
+    ) -> ExecutionTrace:
+        """A steady-state batch of ``iterations`` resumed from ``boundary``.
+
+        ``boundary`` must come from a steady run of ``result`` on this
+        executor's machine under the same fault model (the serving runtime
+        keys it so), and must cover ``iterations``. Records are not kept.
+        The trace equals that of ``execute(result, iterations,
+        sink=NullSink())`` in the steady-state mode on every field but
+        ``rounds_simulated``, which counts the rounds this call simulated:
+        the remainder and the epilogue, or none when the boundary holds
+        them already for this ``N``'s remainder.
+        """
+        if not boundary.covers(iterations):
+            raise SimulationError(
+                f"a boundary converged at round {boundary.round} resumes "
+                f"N >= {boundary.min_iterations}, got {iterations}"
+            )
+        run = _ScheduleRun(
+            self.config, result, iterations, SimMode.STEADY_STATE, NullSink(),
+            fault_model=(
+                fault_model if fault_model is not None else self.fault_model
+            ),
+        )
+        return run.resume(boundary)
 
 
 class _ScheduleRun:
@@ -1000,6 +1113,42 @@ class _ScheduleRun:
         canon = self._canonical(reference_time, reference_iteration)
         return hashlib.sha256(repr(canon).encode("utf-8")).hexdigest()[:16]
 
+    def _replay_counters(
+        self,
+        current: _BoundarySnapshot,
+        previous: _BoundarySnapshot,
+        repetitions: int,
+    ) -> Tuple[int, int]:
+        """Add ``repetitions`` times the increments from ``previous`` to
+        ``current`` to every exact counter; returns the instances and
+        transfers added."""
+        trace = self.trace
+        for index, name in enumerate(list(trace.stats.as_dict())):
+            delta = current.trace_stats[index] - previous.trace_stats[index]
+            setattr(trace.stats, name,
+                    getattr(trace.stats, name) + repetitions * delta)
+        for index, name in enumerate(list(self._mem_stats.as_dict())):
+            delta = current.memory_stats[index] - previous.memory_stats[index]
+            setattr(self._mem_stats, name,
+                    getattr(self._mem_stats, name) + repetitions * delta)
+        instances = repetitions * (current.num_instances - previous.num_instances)
+        transfers = repetitions * (current.num_transfers - previous.num_transfers)
+        trace.cache_spills += repetitions * (
+            current.cache_spills - previous.cache_spills
+        )
+        trace.num_instances += instances
+        trace.num_transfers += transfers
+        trace.busy_units += repetitions * (
+            current.busy_units - previous.busy_units
+        )
+        trace.lateness_total += repetitions * (
+            current.lateness_total - previous.lateness_total
+        )
+        self._events_skipped += repetitions * (
+            current.events_processed - previous.events_processed
+        )
+        return instances, transfers
+
     def _fast_forward(
         self,
         boundary_round: int,
@@ -1023,33 +1172,8 @@ class _ScheduleRun:
         time_shift = rounds * self.period
 
         # 1. Counter replay: the converged per-cycle delta, M times.
-        for index, name in enumerate(list(trace.stats.as_dict())):
-            delta = current.trace_stats[index] - previous.trace_stats[index]
-            setattr(trace.stats, name,
-                    getattr(trace.stats, name) + repetitions * delta)
-        for index, name in enumerate(list(self._mem_stats.as_dict())):
-            delta = current.memory_stats[index] - previous.memory_stats[index]
-            setattr(self._mem_stats, name,
-                    getattr(self._mem_stats, name) + repetitions * delta)
-        instances_skipped = repetitions * (
-            current.num_instances - previous.num_instances
-        )
-        transfers_skipped = repetitions * (
-            current.num_transfers - previous.num_transfers
-        )
-        trace.cache_spills += repetitions * (
-            current.cache_spills - previous.cache_spills
-        )
-        trace.num_instances += instances_skipped
-        trace.num_transfers += transfers_skipped
-        trace.busy_units += repetitions * (
-            current.busy_units - previous.busy_units
-        )
-        trace.lateness_total += repetitions * (
-            current.lateness_total - previous.lateness_total
-        )
-        self._events_skipped += repetitions * (
-            current.events_processed - previous.events_processed
+        instances_skipped, transfers_skipped = self._replay_counters(
+            current, previous, repetitions
         )
         self._max_finish += time_shift
 
@@ -1092,13 +1216,188 @@ class _ScheduleRun:
             transfers_skipped=transfers_skipped,
         ))
 
+    def _converge(
+        self,
+        boundary_round: int,
+        period_rounds: int,
+        current: _BoundarySnapshot,
+        previous: _BoundarySnapshot,
+    ) -> int:
+        """Act on a period confirmed at ``boundary_round``: splice forward
+        every whole period up to the horizon. Returns the round the run
+        continues from."""
+        self._converged = True
+        trace = self.trace
+        # Never splice across a fault boundary: the converged fingerprint
+        # only describes the machine *between* faults, so the fast-forward
+        # horizon stops one round short of the next scheduled fault event.
+        horizon = self.iterations
+        if self.fault_model is not None:
+            next_fault = self.fault_model.next_event_after(boundary_round)
+            if next_fault is not None:
+                horizon = min(horizon, next_fault - 1)
+        repetitions = max(0, (horizon - boundary_round) // period_rounds)
+        if repetitions > 0:
+            self._fast_forward(
+                boundary_round, repetitions, period_rounds, current, previous
+            )
+            return boundary_round + repetitions * period_rounds
+        trace.converged_round = boundary_round
+        trace.converged_period = period_rounds
+        trace.steady_fingerprint = self._fingerprint(
+            boundary_round * self.period, boundary_round
+        )
+        return boundary_round
+
+    # ------------------------------------------------------------------
+    # resumable boundaries
+    # ------------------------------------------------------------------
+    def _boundary(
+        self,
+        boundary_round: int,
+        period_rounds: int,
+        min_iterations: int,
+        current: _BoundarySnapshot,
+        previous: _BoundarySnapshot,
+    ) -> SteadyBoundary:
+        """The state at a converged round, relative to it."""
+        t = boundary_round * self.period
+        keys = self._keys
+        rid_bits = keys.rid_bits
+        rid_mask = keys.rid_mask
+        trace = self.trace
+        return SteadyBoundary(
+            round=boundary_round,
+            period=period_rounds,
+            min_iterations=min_iterations,
+            current=current,
+            previous=previous,
+            lateness_max=trace.lateness_max,
+            cache_peak_slots=trace.cache_peak_slots,
+            pes_used=frozenset(trace.pes_used),
+            max_finish=self._max_finish - t,
+            failed_pes=self._failed_pes,
+            failed_vaults=self._failed_vaults,
+            pe_free=tuple(free - t for free in self._pe_free),
+            fifos=tuple(tuple(fifo) for fifo in self._fifo),
+            vault_free=tuple(free - t for free in self._vault_free),
+            xin=tuple(free - t for free in self._xin),
+            xout=tuple(free - t for free in self._xout),
+            cache_used=self._cache_used,
+            cache_live=tuple(
+                ((k >> rid_bits) - boundary_round, k & rid_mask, slots)
+                for k, slots in self._cache_live.items()
+            ),
+            inst=tuple(
+                ((k >> rid_bits) - boundary_round, k & rid_mask, count,
+                 avail - t, start - t)
+                for k, (count, avail, start) in self._inst.items()
+            ),
+            events=tuple(
+                (time - t, prio, iteration - boundary_round, rid)
+                for time, prio, iteration, rid in map(
+                    keys.unpack, sorted(self._heap)
+                )
+            ),
+        )
+
+    def _load(self, boundary: SteadyBoundary) -> None:
+        """Put the machine in ``boundary``'s state, in this run's layout."""
+        b = boundary.round
+        t = b * self.period
+        keys = self._keys
+        rid_bits = keys.rid_bits
+        self._pe_free = [t + free for free in boundary.pe_free]
+        self._fifo = [list(fifo) for fifo in boundary.fifos]
+        self._vault_free = [t + free for free in boundary.vault_free]
+        self._xin = [t + free for free in boundary.xin]
+        self._xout = [t + free for free in boundary.xout]
+        self._cache_used = boundary.cache_used
+        self._cache_live = {
+            ((iteration + b) << rid_bits) | rid: slots
+            for iteration, rid, slots in boundary.cache_live
+        }
+        self._inst = {
+            ((iteration + b) << rid_bits) | op_id: [count, t + avail, t + start]
+            for iteration, op_id, count, avail, start in boundary.inst
+        }
+        # Packing keeps the key order, so the sorted events are a heap.
+        self._heap = [
+            keys.pack(t + time, prio, b + iteration, rid)
+            for time, prio, iteration, rid in boundary.events
+        ]
+        self._max_finish = t + boundary.max_finish
+        self._next_iteration = b + 1
+        self._failed_pes = boundary.failed_pes
+        self._failed_vaults = boundary.failed_vaults
+        trace = self.trace
+        counters = boundary.current
+        for name, value in zip(list(trace.stats.as_dict()), counters.trace_stats):
+            setattr(trace.stats, name, value)
+        for name, value in zip(
+            list(self._mem_stats.as_dict()), counters.memory_stats
+        ):
+            setattr(self._mem_stats, name, value)
+        trace.cache_spills = counters.cache_spills
+        trace.num_instances = counters.num_instances
+        trace.num_transfers = counters.num_transfers
+        trace.busy_units = counters.busy_units
+        trace.lateness_total = counters.lateness_total
+        self._processed = counters.events_processed
+        trace.lateness_max = boundary.lateness_max
+        trace.cache_peak_slots = boundary.cache_peak_slots
+        trace.pes_used = set(boundary.pes_used)
+
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
     def execute(self) -> ExecutionTrace:
+        self._simulate(0)
+        return self._finish()
+
+    def resume(self, boundary: SteadyBoundary) -> ExecutionTrace:
+        """Continue from ``boundary`` as a fresh run of this ``N`` would.
+
+        The fresh run reaches the boundary's state at its round, so the
+        resumed run loads it there and splices exactly as the fresh run
+        does. The rounds after the splice are simulated once per
+        remainder ``(N - round) mod period``; a later ``N`` of the same
+        remainder adds their stored increments instead.
+        """
+        trace = self.trace
+        trace.boundary = boundary
+        self._load(boundary)
+        splice = self._converge(
+            boundary.round, boundary.period, boundary.current, boundary.previous
+        )
+        remainder = (self.iterations - boundary.round) % boundary.period
+        tail = boundary.tails.get(remainder)
+        if tail is None:
+            self._simulate(splice)
+        else:
+            self._replay_counters(tail.end, tail.start, 1)
+            trace.lateness_max = tail.lateness_max
+            trace.cache_peak_slots = tail.cache_peak_slots
+            trace.pes_used = set(tail.pes_used)
+            self._max_finish = splice * self.period + tail.finish
+        return self._finish()
+
+    def _simulate(self, boundary_round: int) -> None:
+        """Simulate the rounds after ``boundary_round`` until the heap drains.
+
+        In the steady-state mode a run that has not converged yet looks
+        for a period at every boundary. At its first convergence, with no
+        fault event left ahead, it exports a :class:`SteadyBoundary` on
+        ``trace.boundary``. The boundary is exported only when every
+        period candidate found so far was armed: a candidate skipped
+        because ``N`` was too close would be armed by a larger ``N``, whose
+        run would then take another path. A run that continues from a
+        splice of an exported boundary -- its own, or the one it resumed
+        from -- stores the rounds after the splice as the boundary's tail
+        for its remainder.
+        """
         trace = self.trace
         n = self.iterations
-        boundary_round = 0
         detecting = (
             self.mode is SimMode.STEADY_STATE and n > self.r_max + 3
         )
@@ -1109,6 +1408,11 @@ class _ScheduleRun:
         confirm_q: Optional[int] = None
         confirm_from = 0
         failed_confirms = 0
+        #: smallest N whose run arms every confirmation this one armed.
+        min_iterations = self.r_max + 4
+        resumable = True
+        #: counters and round at the splice the tail is measured from.
+        tail_from = (self._snapshot(), boundary_round) if self._converged else None
 
         while self._heap or self._next_iteration <= n:
             boundary_round += 1
@@ -1145,34 +1449,23 @@ class _ScheduleRun:
                 canonicals[boundary_round] = canonical
                 reference = canonicals.get(boundary_round - confirm_q)
                 if reference is not None and canonical == reference:
-                    self._converged = True
-                    # Never splice across a fault boundary: the converged
-                    # fingerprint only describes the machine *between*
-                    # faults, so the fast-forward horizon stops one round
-                    # short of the next scheduled fault event.
-                    horizon = n
-                    if self.fault_model is not None:
-                        next_fault = self.fault_model.next_event_after(
-                            boundary_round
+                    current = snapshots[boundary_round]
+                    previous = snapshots[boundary_round - confirm_q]
+                    if resumable and trace.converged_round is None and (
+                        self.fault_model is None
+                        or self.fault_model.next_event_after(boundary_round)
+                        is None
+                    ):
+                        trace.boundary = self._boundary(
+                            boundary_round, confirm_q,
+                            max(min_iterations, boundary_round),
+                            current, previous,
                         )
-                        if next_fault is not None:
-                            horizon = min(horizon, next_fault - 1)
-                    repetitions = max(
-                        0, (horizon - boundary_round) // confirm_q
+                    boundary_round = self._converge(
+                        boundary_round, confirm_q, current, previous
                     )
-                    if repetitions > 0:
-                        self._fast_forward(
-                            boundary_round, repetitions, confirm_q,
-                            snapshots[boundary_round],
-                            snapshots[boundary_round - confirm_q],
-                        )
-                        boundary_round += repetitions * confirm_q
-                    else:
-                        trace.converged_round = boundary_round
-                        trace.converged_period = confirm_q
-                        trace.steady_fingerprint = self._fingerprint(
-                            boundary_time, boundary_round
-                        )
+                    if trace.boundary is not None:
+                        tail_from = (self._snapshot(), boundary_round)
                     snapshots.clear()
                     canonicals.clear()
                     confirm_q = None
@@ -1190,15 +1483,39 @@ class _ScheduleRun:
                 q = candidate_period(
                     boundary_round, snapshots, self.max_period, self.r_max
                 )
-                if q is not None and n - boundary_round > q:
+                if q is None:
+                    continue
+                if n - boundary_round > q:
                     confirm_q = q
                     confirm_from = boundary_round
                     canonicals[boundary_round] = self._canonical(
                         boundary_time, boundary_round
                     )
+                    min_iterations = max(min_iterations, boundary_round + q + 1)
+                else:
+                    resumable = False
+        if tail_from is not None:
+            self._store_tail(*tail_from)
 
+    def _store_tail(self, start: _BoundarySnapshot, splice: int) -> None:
+        """Record the rounds since the splice at ``splice`` as the tail of
+        this ``N``'s remainder on the boundary the run spliced from."""
+        trace = self.trace
+        boundary = trace.boundary
+        remainder = (self.iterations - boundary.round) % boundary.period
+        boundary.tails[remainder] = _Tail(
+            start=start,
+            end=self._snapshot(),
+            lateness_max=trace.lateness_max,
+            cache_peak_slots=trace.cache_peak_slots,
+            pes_used=frozenset(trace.pes_used),
+            finish=self._max_finish - splice * self.period,
+        )
+
+    def _finish(self) -> ExecutionTrace:
+        trace = self.trace
         executed = trace.num_instances
-        expected = self.graph.num_vertices * n
+        expected = self.graph.num_vertices * self.iterations
         if executed != expected:
             raise SimulationError(
                 f"executed {executed} instances, expected {expected}; "

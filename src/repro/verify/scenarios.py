@@ -128,20 +128,26 @@ def server_system(config: PimConfig, graphs: Dict[str, TaskGraph]) -> System:
 def fleet_system(
     graphs: Dict[str, TaskGraph], workers: int = 4, num_pes: int = 64,
     batch_window: int = 16, deadline: Optional[int] = None,
-    replica: bool = False,
+    replica: bool = False, max_queue: int = 4096,
+    shards: Optional[Sequence[PimConfig]] = None,
 ) -> System:
     """Equal shards sharing one plan store; ``deadline`` sheds interactive
-    requests, ``replica`` adds the cold-replica facts."""
-    if num_pes % workers:
-        # Unequal shards have different logical shapes, so different plan
-        # identities: warm-everywhere holds only between equal shards.
-        raise ValueError(f"num_pes ({num_pes}) must divide evenly into {workers} workers")
+    requests, ``replica`` adds the cold-replica facts, ``max_queue`` bounds
+    every shard's queue and ``shards`` replaces the equal split."""
+    if shards is None:
+        if num_pes % workers:
+            # Unequal shards have different logical shapes, so different
+            # plan identities: warm-everywhere holds only between equal
+            # shards.
+            raise ValueError(
+                f"num_pes ({num_pes}) must divide evenly into {workers} workers")
+        shards = PimConfig(num_pes=num_pes).split(workers, split_vaults=True)
     directory = tempfile.TemporaryDirectory(prefix="scenario-store-")
     store = SharedPlanStore(directory.name)
-    shards = PimConfig(num_pes=num_pes).split(workers, split_vaults=True)
     loader = dict(graphs).__getitem__
     fleet = [FleetWorker(f"worker-{index}", shard, store=store,
-                         batch_window=batch_window, graph_loader=loader)
+                         batch_window=batch_window, max_queue=max_queue,
+                         graph_loader=loader)
              for index, shard in enumerate(shards)]
     router = FleetRouter(
         fleet, policies={SloClass.INTERACTIVE: SloPolicy(4096, deadline)},
@@ -212,9 +218,11 @@ class _Run:
     #: (location, workload) -> the machine its session should serve.
     machines: Dict[Tuple[str, str], PimConfig] = field(default_factory=dict)
     #: (location, graph fingerprint, machine) -> isolated replay server;
-    #: the replay servers share one plan cache, apart from the tier's.
+    #: the replay servers share one plan cache per machine, apart from the
+    #: tier's: their batch traces never cross machines, whatever the
+    #: tier's trace keys do.
     baselines: Dict[tuple, BatchingServer] = field(default_factory=dict)
-    plans: PlanCache = field(default_factory=PlanCache)
+    plans: Dict[PimConfig, PlanCache] = field(default_factory=dict)
     #: location -> conserved counters of its isolated run so far.
     isolated: Dict[str, collections.Counter] = field(
         default_factory=lambda: collections.defaultdict(collections.Counter))
@@ -277,8 +285,10 @@ class _Run:
                 else:
                     key = (location, graph.fingerprint(), config)
                     if key not in self.baselines:
+                        if config not in self.plans:
+                            self.plans[config] = PlanCache()
                         self.baselines[key] = BatchingServer(
-                            config, cache=self.plans, batch_window=1 << 16,
+                            config, cache=self.plans[config], batch_window=1 << 16,
                             max_queue=1 << 16, graph_loader=lambda _name, g=graph: g,
                         )
                     replay = replay_batches(self.report, f"{where}: {location}",
@@ -653,12 +663,29 @@ def composed_cases(config: PimConfig) -> List[Scenario]:
     """Events no single battery combined."""
     cat, flower = ("submit", "cat"), ("submit", "flower")
     both = (cat, ("submit", "cat-reversed"))
-    er = "randwired-er"
+    er, sm = "randwired-er", "string-matching"
 
     def reversed_store() -> System:
         graphs = _graphs(cat="cat")
         graphs["cat-reversed"] = reversed_copy(graphs["cat"], "cat-reversed")
         return fleet_system(graphs, workers=2, num_pes=32)
+
+    def vault_only_shards() -> System:
+        # The shards differ only in their vault count, so they share a plan
+        # digest (the config fingerprint leaves num_vaults out), while the
+        # makespans of string-matching differ between them.
+        whole = PimConfig(num_pes=32, num_vaults=12)
+        system = fleet_system(_graphs(**{sm: sm}), shards=[
+            whole.partition(range(16), range(8)),
+            whole.partition(range(16, 32), range(8, 12)),
+        ])
+        system.facts = lambda: {"batches_resumed": sum(
+            session.batches_resumed for server in system.servers.values()
+            for session in server.sessions().values())}
+        return system
+
+    def sm_batch(iterations: int) -> Tuple[Event, Event]:
+        return ("submit", sm, iterations), ("pump",)
 
     return [
         Scenario(
@@ -704,6 +731,30 @@ def composed_cases(config: PimConfig) -> List[Scenario]:
             (*both * 3, ("drain",), ("kill", "cat"), *both * 2, ("drain",)),
             {"served": 10, "plans": 1, "warm_recompiles": 0, "batches_reused": 2,
              "workers_lost": 1, **IDS_CONSERVED},
+        ),
+        Scenario(
+            "composed", "kill saturating the survivor [max_queue=2]",
+            lambda: fleet_system(_graphs(cat="cat", flower="flower"), workers=2,
+                                 num_pes=32, max_queue=2),
+            (cat, cat, flower, flower, ("kill", "cat"), ("drain",)),
+            {"served": 4, "workers_lost": 1, "warm_recompiles": 0,
+             **IDS_CONSERVED},
+        ),
+        Scenario(
+            "composed", f"shed during fleet cat->{er} [drain]",
+            lambda: fleet_system(_graphs(cat="cat", flower="flower"), workers=2,
+                                 num_pes=32, deadline=50),
+            (*(("submit", "cat", 1, "interactive"),) * 3, ("shed", 100),
+             ("rewire", "cat", er, "drain"), cat, flower, ("drain",)),
+            {"served": 2, "shed": 3, "warm_recompiles": 0, **IDS_CONSERVED},
+        ),
+        Scenario(
+            "composed", "shards differing only in num_vaults share no trace",
+            vault_only_shards,
+            (*sm_batch(20), *sm_batch(33), ("kill", sm), *sm_batch(40),
+             *sm_batch(33), *sm_batch(20)),
+            {"served": 5, "plans": 1, "warm_recompiles": 0, "workers_lost": 1,
+             "batches_reused": 0, "batches_resumed": 3, **IDS_CONSERVED},
         ),
     ]
 

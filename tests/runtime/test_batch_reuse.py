@@ -9,9 +9,15 @@ every served batch to the direct, uncached pipeline.
 
 from __future__ import annotations
 
+import dataclasses
+import random
+
 import pytest
 
+from repro.cnn.workloads import WORKLOADS, load_workload
 from repro.fleet.store import SharedPlanStore
+from repro.graph.generators import synthetic_benchmark
+from repro.pim.config import PimConfig
 from repro.pim.faults import FAULT_UNIT_PE, FaultModel
 from repro.runtime import plan_cache
 from repro.runtime.plan_cache import BATCH_TRACE_CAPACITY, PlanCache, TraceTable
@@ -21,8 +27,10 @@ from repro.runtime.session import (
     InferenceSession,
     direct_batch,
 )
-from repro.sim.executor import ScheduleExecutor
+from repro.sim.engine import SimulationError
+from repro.sim.executor import ExecutionTrace, ScheduleExecutor, SteadyBoundary
 from repro.sim.modes import SimMode
+from repro.sim.sinks import NullSink
 
 MODES = [SimMode.FULL_UNROLL, SimMode.STEADY_STATE]
 
@@ -90,13 +98,16 @@ class TestReuse:
         assert aggregates(second) == aggregates(first) == aggregates(direct)
 
     def test_other_size_simulates_again(self, graph, config, mode, executed):
+        # cat's steady run converges at round 11 and resumes N >= 12 only:
+        # no stored trace or boundary covers N=11.
         session = InferenceSession(graph, config, sim_mode=mode)
         session.run(12)
-        other = session.run(13)
+        other = session.run(11)
         session.run(12)
-        assert executed == [12, 13]
+        assert executed == [12, 11]
+        assert session.batches_resumed == 0
         assert aggregates(other) == aggregates(
-            direct_batch(graph, config, 13, sim_mode=mode)
+            direct_batch(graph, config, 11, sim_mode=mode)
         )
 
     def test_swap_graph_simulates_again(
@@ -203,7 +214,10 @@ class TestTraceTableBound:
             "cache": lambda: PlanCache(capacity=4),
             "store": lambda: SharedPlanStore(tmp_path).open_cache(),
         }[holder]()
-        session = InferenceSession(graph, config, cache=cache)
+        # A full unroll stores no boundary: the table holds traces only.
+        session = InferenceSession(
+            graph, config, cache=cache, sim_mode=SimMode.FULL_UNROLL
+        )
         for iterations in (12, 13, 14):
             session.run(iterations)
         table, _key = session._trace_slot(12)
@@ -216,3 +230,188 @@ class TestTraceTableBound:
         assert aggregates(result) == aggregates(
             cold_batch(session, 12, session.sim_mode)
         )
+
+
+# ----------------------------------------------------------------------
+# resuming from a stored steady-state boundary
+# ----------------------------------------------------------------------
+#: trace fields a resumed batch shares with a fresh steady run of its N.
+RESUMED_FIELDS = tuple(
+    f.name for f in dataclasses.fields(ExecutionTrace)
+    if f.name not in ("sink", "boundary", "rounds_simulated")
+)
+
+#: the steady detector's confirm window, in rounds, at the default
+#: ``steady_max_period`` of 8: ``2 * 8 + 2``.
+CONFIRM_WINDOW = 18
+
+
+def fresh_steady(session, iterations):
+    """A fresh steady run of ``iterations`` on ``session``'s plan."""
+    return ScheduleExecutor(session.active_config, mode=SimMode.STEADY_STATE).execute(
+        session.plan, iterations=iterations, sink=NullSink(),
+        fault_model=session._active_fault_model,
+    )
+
+
+def trace_fields(trace):
+    return {name: getattr(trace, name) for name in RESUMED_FIELDS}
+
+
+def flower_session(**kwargs):
+    return InferenceSession(
+        synthetic_benchmark("flower"), PimConfig(num_pes=16), **kwargs
+    )
+
+
+class TestResume:
+    def test_other_size_resumes(self, graph, config, executed):
+        session = InferenceSession(graph, config)
+        session.run(12)
+        assert session.last_trace.boundary.min_iterations == 12
+        result = session.run(40)
+        assert executed == [12]
+        assert (session.batches_resumed, session.batches_reused) == (1, 0)
+        assert trace_fields(session.last_trace) == trace_fields(
+            fresh_steady(session, 40)
+        )
+        assert aggregates(result) == aggregates(
+            direct_batch(graph, config, 40, sim_mode=SimMode.FULL_UNROLL)
+        ) | {"sim_mode": "steady", "converged_round": 11,
+             "rounds_fast_forwarded": 29}
+
+    def test_repeat_remainder_simulates_no_rounds(self, executed):
+        # stock-predict converges at round 20 with period 2: N=40 stores
+        # the tail of remainder 0, N=41 simulates that of remainder 1.
+        session = InferenceSession(
+            synthetic_benchmark("stock-predict"), PimConfig(num_pes=16)
+        )
+        session.run(40)
+        traces = {}
+        for iterations in (41, 43, 60):
+            session.run(iterations)
+            traces[iterations] = session.last_trace
+        assert executed == [40]
+        assert session.batches_resumed == 3
+        assert traces[41].rounds_simulated > 0
+        assert traces[43].rounds_simulated == traces[60].rounds_simulated == 0
+        for iterations, trace in traces.items():
+            assert trace_fields(trace) == trace_fields(
+                fresh_steady(session, iterations)
+            )
+
+    def test_boundary_is_stored_without_n(self, graph, config):
+        cache = PlanCache(capacity=4)
+        session = InferenceSession(graph, config, cache=cache)
+        session.run(12)
+        table, key = session._trace_slot(None)
+        assert table is cache.batch_traces
+        assert isinstance(table[key], SteadyBoundary)
+        assert table[key] is session.last_trace.boundary
+        assert session._trace_slot(12)[1] == (*key, 12)
+
+    def test_boundary_counts_against_the_bound(
+        self, graph, config, executed, monkeypatch
+    ):
+        monkeypatch.setattr(plan_cache, "BATCH_TRACE_CAPACITY", 1)
+        session = InferenceSession(graph, config, cache=PlanCache(capacity=4))
+        session.run(12)  # the trace, then the boundary evicts it
+        table, key = session._trace_slot(None)
+        assert list(table) == [key]
+        session.run(12)
+        assert executed == [12]
+        assert (session.batches_resumed, session.batches_reused) == (1, 0)
+
+    def test_boundary_of_one_machine_serves_no_other(self, graph, executed):
+        cache = PlanCache(capacity=4)
+        vaults = [PimConfig(num_pes=16, num_vaults=v) for v in (32, 8)]
+        sessions = [InferenceSession(graph, c, cache=cache) for c in vaults]
+        sessions[0].run(12)
+        sessions[1].run(40)
+        assert executed == [12, 40]
+        assert sessions[1].batches_resumed == 0
+
+    def test_fault_event_after_the_converged_round_keeps_no_boundary(self):
+        session = flower_session()
+        plan = session.plan
+        executor = ScheduleExecutor(session.config, mode=SimMode.STEADY_STATE)
+        # Flower's groups are 2 PEs wide: PE 15 is never hit.
+        late = FaultModel.single(FAULT_UNIT_PE, 15, 40)
+        trace = executor.execute(
+            plan, iterations=60, sink=NullSink(), fault_model=late
+        )
+        assert trace.rounds_fast_forwarded and trace.boundary is None
+        early = FaultModel.single(FAULT_UNIT_PE, 15, 3)
+        trace = executor.execute(
+            plan, iterations=60, sink=NullSink(), fault_model=early
+        )
+        assert trace.boundary is not None
+        resumed = executor.resume(plan, trace.boundary, 77, fault_model=early)
+        fresh = executor.execute(
+            plan, iterations=77, sink=NullSink(), fault_model=early
+        )
+        assert trace_fields(resumed) == trace_fields(fresh)
+
+    def test_uncovered_n_raises(self):
+        session = flower_session()
+        session.run(20)
+        boundary = session.last_trace.boundary
+        executor = ScheduleExecutor(session.config, mode=SimMode.STEADY_STATE)
+        with pytest.raises(SimulationError, match="resumes N >= 13"):
+            executor.resume(session.plan, boundary, boundary.min_iterations - 1)
+
+
+def sweep_sessions():
+    """Every registered workload at 16 PEs, then two degraded machines."""
+    machine = PimConfig(num_pes=16)
+    for name in WORKLOADS:
+        yield name, lambda name=name: InferenceSession(load_workload(name), machine)
+    yield "flower+static-fault", lambda: InferenceSession(
+        load_workload("flower"), machine,
+        fault_model=FaultModel.static(failed_pes=[0]),
+    )
+    yield "stock-predict+degraded", lambda: InferenceSession(
+        load_workload("stock-predict"), machine.degraded(range(12), range(16)),
+    )
+
+
+@pytest.mark.parametrize(
+    "build", [build for _, build in sweep_sessions()],
+    ids=[name for name, _ in sweep_sessions()],
+)
+def test_resume_sweep(build, request):
+    """A seeded sweep of N from 1 to three confirm windows past the
+    boundary: each batch equals a fresh steady run of its N, a sample
+    also the full unroll, and at most one simulation converges."""
+    rng = random.Random(request.node.callspec.id)
+    session = build()
+    plan = session.plan
+    first = plan.max_retiming + 4 * CONFIRM_WINDOW
+    session.run(first)
+    boundary = session.last_trace.boundary
+    top = first if boundary is None else max(
+        first, boundary.min_iterations + 3 * CONFIRM_WINDOW
+    )
+    samples = rng.sample(range(1, top + 1), 10 if boundary else 3)
+    converging = int(session.last_trace.converged_round is not None)
+    for iterations in samples:
+        served = session.batches_resumed + session.batches_reused
+        session.run(iterations)
+        trace = session.last_trace
+        if session.batches_resumed + session.batches_reused == served:
+            converging += trace.converged_round is not None
+        else:
+            assert boundary is not None and boundary.covers(iterations)
+        assert trace_fields(trace) == trace_fields(
+            fresh_steady(session, iterations)
+        ), iterations
+    assert converging <= 1
+    if boundary is not None:
+        assert session.batches_resumed
+    held = [n for n in samples if boundary is None or boundary.covers(n)][:1]
+    for iterations in held:
+        session.run(iterations)
+        full = ScheduleExecutor(session.active_config).execute(
+            plan, iterations=iterations, sink=NullSink(),
+        )
+        assert session.last_trace.aggregate_signature() == full.aggregate_signature()
