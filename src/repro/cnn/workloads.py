@@ -97,10 +97,12 @@ def load_workload(name: str) -> TaskGraph:
 
     Each registry entry is built once per process; every call returns a
     new copy of that template, sharing its frozen operations and edges
-    and carrying its :meth:`~TaskGraph.index` and
-    :meth:`~TaskGraph.fingerprint` (the content is equal). The copy is
-    the caller's own: changing it resets its caches only and leaves the
-    template, and every later load, as it was.
+    and carrying its :meth:`~TaskGraph.index`, the
+    :meth:`~TaskGraph.derived` facts kept with it, and its
+    :meth:`~TaskGraph.fingerprint` (the content is equal), so every load
+    of a name pays for these once. The copy is the caller's own:
+    changing it resets its caches only and leaves the template, and
+    every later load, as it was.
 
     Raises :class:`UnknownWorkloadError` — a typed
     :class:`GraphValidationError` enumerating the registry — when the
@@ -115,5 +117,6 @@ def load_workload(name: str) -> TaskGraph:
         template = _TEMPLATES[builder] = builder()
     graph = template.copy()
     graph._index = template.index()
+    graph._facts = template._facts
     graph._fingerprint = template.fingerprint()
     return graph

@@ -11,8 +11,9 @@
   immutability *between* passes;
 * **shared** holds width-invariant precomputation (ASAP levels, total
   work, the kernel packing order, the per-edge prices laid out in the
-  graph's index space) that the width search hoists out of the per-width
-  loop and shares across forked contexts.
+  graph's index space), shared across forked contexts. Each entry reads
+  through to the graph's facts (:meth:`TaskGraph.derived`), which are
+  built once per graph, not once per compile.
 
 Forking (:meth:`CompileContext.fork_for_width`) is how one validated graph
 feeds many candidate widths — or, in the ablation harness, how one edge
@@ -152,21 +153,30 @@ class CompileContext:
     # ------------------------------------------------------------------
     # shared precomputation helpers
     # ------------------------------------------------------------------
+    # Each reads through to the graph's facts (TaskGraph.derived), built
+    # once per graph index, and keeps what it read in ``shared`` for the
+    # rest of the compile; a value put in ``shared`` first wins.
     def shared_total_work(self) -> int:
         if "total_work" not in self.shared:
-            self.shared["total_work"] = self.graph.total_work()
+            self.shared["total_work"] = self.graph.derived(
+                "total_work", self.graph.total_work
+            )
         return self.shared["total_work"]
 
     def shared_max_execution_time(self) -> int:
         if "max_execution_time" not in self.shared:
-            self.shared["max_execution_time"] = self.graph.max_execution_time()
+            self.shared["max_execution_time"] = self.graph.derived(
+                "max_execution_time", self.graph.max_execution_time
+            )
         return self.shared["max_execution_time"]
 
     def shared_asap_levels(self) -> Dict[int, int]:
         if "asap_levels" not in self.shared:
             from repro.graph.analysis import asap_levels
 
-            self.shared["asap_levels"] = asap_levels(self.graph)
+            self.shared["asap_levels"] = self.graph.derived(
+                "asap_levels", lambda: asap_levels(self.graph)
+            )
         return self.shared["asap_levels"]
 
     def shared_packing_order(self, order: str) -> "Tuple[Tuple[int, int], ...]":
@@ -179,17 +189,18 @@ class CompileContext:
             levels = (
                 self.shared_asap_levels() if order == "topological" else None
             )
-            self.shared[key] = packing_order(self.graph, order, levels)
+            self.shared[key] = self.graph.derived(
+                key, lambda: packing_order(self.graph, order, levels)
+            )
         return self.shared[key]
 
     def shared_edge_table(self) -> "EdgeTable":
         """Every edge's raw transfer times and slot counts in the graph's
-        index space (see :func:`repro.core.retiming.price_edges` and
-        :func:`repro.core.retiming.edge_table`)."""
+        index space (see :func:`repro.core.retiming.graph_edge_table`)."""
         if "edge_table" not in self.shared:
-            from repro.core.retiming import edge_table, price_edges
+            from repro.core.retiming import graph_edge_table
 
-            self.shared["edge_table"] = edge_table(
-                self.graph, price_edges(self.graph, self.config)
+            self.shared["edge_table"] = graph_edge_table(
+                self.graph, self.config
             )
         return self.shared["edge_table"]

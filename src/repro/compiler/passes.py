@@ -77,7 +77,9 @@ class ValidateGraphPass(CompilerPass):
 
     Also primes the shared width-invariant precomputation (ASAP levels,
     total work, max execution time, edge prices and their edge table in
-    the graph's index space) so per-width pipeline runs share it.
+    the graph's index space) so per-width pipeline runs share it. Each
+    is built once per graph and kept with its index, so a later compile
+    of the graph only looks them up.
     """
 
     name = "validate-graph"
@@ -86,7 +88,7 @@ class ValidateGraphPass(CompilerPass):
 
     def run(self, ctx: CompileContext) -> None:
         ctx.graph.validate()
-        # Prime the width-invariant precomputation once per search.
+        # Prime the width-invariant precomputation (built once per graph).
         ctx.shared_total_work()
         ctx.shared_max_execution_time()
         ctx.shared_asap_levels()

@@ -29,22 +29,28 @@ with two admissible lower bounds. Before a width compiles anything,
 
 The search visits widths in ascending ``(bound, -width)`` order and stops
 at the first whose key exceeds the incumbent's ``(total_time, -width)``.
-Each width it visits runs three steps:
+Each width it visits runs up to four steps:
 
 * the *kernel stage* (``compact-kernel``) fixes the period ``p`` and every
   op's start and finish offset;
+* the *period bound*: ``R_max >= 0``, so a width whose ``(ceil(N/J) * p,
+  -width)`` exceeds the incumbent's key is cut in O(1);
 * :func:`kernel_stage_floor` bounds ``R_max`` from below in one
   reverse-topological pass over the graph's edge table and cuts the width
   when ``((R_floor + ceil(N/J)) * p, -width)`` exceeds the incumbent's
   key — before any edge analysis;
-* the *plan stage* (``analyze-edges`` through ``validate-schedule``)
-  builds and validates the plan of every width that survives.
+* the *rank stage* (``analyze-edges`` through ``solve-retiming``) yields
+  ``R_max`` and so the width's ``total_time``.
+
+Only the winner then runs the *emit stage* (``emit-schedule`` and
+``validate-schedule``): a losing width needs no schedule to rank.
 
 Both bounds read one index-based edge table per graph
-(:func:`repro.core.retiming.edge_table`). The critical-path term is what
-makes the first bound bite in the latency-oriented regime (small ``N``):
-narrow groups stretch the clamp on every transfer, so their dependence
-chains alone already exceed a wide incumbent's total.
+(:func:`repro.core.retiming.graph_edge_table`), built once per graph and
+kept with its index like the other graph facts. The critical-path term
+is what makes the first bound bite in the latency-oriented regime (small
+``N``): narrow groups stretch the clamp on every transfer, so their
+dependence chains alone already exceed a wide incumbent's total.
 """
 
 from __future__ import annotations
@@ -72,8 +78,7 @@ from repro.core.retiming import (
     EdgeTable,
     RetimingError,
     analyze_edges,
-    edge_table,
-    price_edges,
+    graph_edge_table,
 )
 from repro.core.schedule import require_layout
 from repro.core.scheduler import KERNEL_ORDERS
@@ -111,12 +116,17 @@ class CompileStats:
         widths_pruned: candidate widths that got no plan, in search order:
             skipped by the lower-bound rule or cut after the kernel stage.
         widths_cut_after_kernel: the pruned widths that ran the kernel
-            stage and were cut by its floor before the plan stage.
+            stage and were cut before the plan stage, by their period
+            bound or their kernel-stage floor.
+        widths_cut_by_period: the cut widths whose period bound
+            ``ceil(N/J) * p`` already lost, so their kernel-stage floor
+            was never computed.
         lost_to: why each pruned width lost: its bound (the width's
-            lower bound, or its kernel-stage floor if it was cut) and the
-            incumbent's ``(total_time, -width)`` key that the
-            ``(bound, -width)`` key exceeded.
-        per_width_seconds: wall seconds spent compiling each explored width.
+            lower bound, or its period bound or kernel-stage floor if it
+            was cut) and the incumbent's ``(total_time, -width)`` key
+            that the ``(bound, -width)`` key exceeded.
+        per_width_seconds: wall seconds spent ranking each explored width
+            (kernel through ``solve-retiming``).
         best_width: the winning group width (set by the search).
         pruning_enabled: whether the lower-bound pruning was active.
         total_seconds: end-to-end wall time of the compile entry point.
@@ -127,6 +137,7 @@ class CompileStats:
     widths_explored: List[int] = field(default_factory=list)
     widths_pruned: List[int] = field(default_factory=list)
     widths_cut_after_kernel: List[int] = field(default_factory=list)
+    widths_cut_by_period: List[int] = field(default_factory=list)
     lost_to: Dict[int, Tuple[int, Tuple[int, int]]] = field(
         default_factory=dict
     )
@@ -159,6 +170,14 @@ class CompileStats:
         self.widths_cut_after_kernel.append(width)
         self.lost_to[width] = (floor, incumbent)
 
+    def record_period_cut(
+        self, width: int, bound: int, incumbent: Tuple[int, int]
+    ) -> None:
+        """A width pruned after its kernel stage by the period bound
+        ``ceil(N/J) * p``, before its kernel-stage floor."""
+        self.record_cut(width, bound, incumbent)
+        self.widths_cut_by_period.append(width)
+
     # -- interrogation --------------------------------------------------
     @property
     def num_explored(self) -> int:
@@ -185,6 +204,7 @@ class CompileStats:
             "widths_explored": list(self.widths_explored),
             "widths_pruned": list(self.widths_pruned),
             "widths_cut_after_kernel": list(self.widths_cut_after_kernel),
+            "widths_cut_by_period": list(self.widths_cut_by_period),
             "lost_to": {
                 str(width): [bound, list(incumbent)]
                 for width, (bound, incumbent) in self.lost_to.items()
@@ -201,10 +221,13 @@ class CompileStats:
     def _loss_lines(self) -> List[str]:
         """One line per pruned width: the bound that beat it and why."""
         cut = set(self.widths_cut_after_kernel)
+        by_period = set(self.widths_cut_by_period)
         lines = []
         for width in self.widths_pruned:
             bound, (total, neg_width) = self.lost_to[width]
-            if width in cut:
+            if width in by_period:
+                name, where = "period", "cut before the staged floor"
+            elif width in cut:
                 name, where = "floor", "cut before edge analysis"
             else:
                 name, where = "bound", "never compiled"
@@ -231,7 +254,7 @@ class CompileStats:
         pruned = ", ".join(str(w) for w in self.widths_pruned) or "-"
         lines.append(
             f"widths explored     : {explored} "
-            f"({self.num_explored} compiled)"
+            f"({self.num_explored} ranked)"
         )
         cut = ", ".join(str(w) for w in self.widths_cut_after_kernel) or "-"
         lines.append(
@@ -240,7 +263,8 @@ class CompileStats:
         )
         lines.append(
             f"cut after kernel    : {cut} "
-            f"({len(self.widths_cut_after_kernel)} of the skipped)"
+            f"({len(self.widths_cut_after_kernel)} of the skipped, "
+            f"{len(self.widths_cut_by_period)} by the period bound)"
         )
         lines.extend(self._loss_lines())
         if self.best_width is not None:
@@ -264,7 +288,10 @@ class PipelineConfig:
     width search's :func:`kernel_stage_floor` runs between the two. The
     *plan stage* (``analyze-edges`` through ``validate-schedule``)
     derives every edge's delta under both placements, then allocates,
-    retimes, emits and validates without changing the kernel.
+    retimes, emits and validates without changing the kernel. The width
+    search runs the plan stage in two parts: the *rank stage* (through
+    ``solve-retiming``) on every width it explores, the *emit stage*
+    (``emit-schedule``, ``validate-schedule``) on the winner only.
 
     Attributes:
         allocator: a plain allocator callable, an
@@ -298,6 +325,23 @@ class PipelineConfig:
     def allocation_stage(self) -> List[CompilerPass]:
         """The plan stage after ``analyze-edges``: the passes that differ
         between allocators."""
+        return [*self.retiming_passes(), *self.emit_stage()]
+
+    def rank_stage(self) -> List[CompilerPass]:
+        """The plan stage up to ``solve-retiming``: enough to rank a width
+        by ``(R_max + ceil(N/J)) * p``."""
+        return [AnalyzeEdgesPass(), *self.retiming_passes()]
+
+    def emit_stage(self) -> List[CompilerPass]:
+        """The plan stage after ``solve-retiming``: emit the schedule and
+        validate it."""
+        passes: List[CompilerPass] = [EmitSchedulePass()]
+        if self.validate:
+            passes.append(ValidateSchedulePass())
+        return passes
+
+    def retiming_passes(self) -> List[CompilerPass]:
+        """``zero-dr-prepass`` through ``solve-retiming``."""
         passes: List[CompilerPass] = [
             ZeroDrPrepassPass(),
             AllocatePass(self.allocator),
@@ -305,9 +349,6 @@ class PipelineConfig:
         if self.liveness_aware:
             passes.append(LivenessReweightPass())
         passes.append(SolveRetimingPass())
-        passes.append(EmitSchedulePass())
-        if self.validate:
-            passes.append(ValidateSchedulePass())
         return passes
 
     def build_passes(self) -> List[CompilerPass]:
@@ -325,30 +366,39 @@ class PipelineConfig:
 
     def kernel_manager(self, hooks=None) -> PassManager:
         """The kernel stage, for contexts forked from a validated base."""
-        return PassManager(
-            self.kernel_stage(), initial_artifacts=("graph-valid",), hooks=hooks
-        )
-
-    def plan_manager(self, hooks=None) -> PassManager:
-        """The plan stage, for contexts the kernel stage completed."""
-        built = [a for p in self.kernel_stage() for a in p.produces]
-        return PassManager(
-            self.plan_stage(),
-            initial_artifacts=("graph-valid", *built),
-            hooks=hooks,
-        )
+        return self._stage_manager(self.kernel_stage(), [], hooks)
 
     def allocation_manager(self, hooks=None) -> PassManager:
         """The allocation stage, for contexts that ran ``analyze-edges``."""
-        built = [
-            a
-            for p in (*self.kernel_stage(), AnalyzeEdgesPass())
-            for a in p.produces
-        ]
-        return PassManager(
+        return self._stage_manager(
             self.allocation_stage(),
-            initial_artifacts=("graph-valid", *built),
-            hooks=hooks,
+            [*self.kernel_stage(), AnalyzeEdgesPass()],
+            hooks,
+        )
+
+    def rank_manager(self, hooks=None) -> PassManager:
+        """The rank stage, for contexts the kernel stage completed."""
+        return self._stage_manager(
+            self.rank_stage(), self.kernel_stage(), hooks
+        )
+
+    def emit_manager(self, hooks=None) -> PassManager:
+        """The emit stage, for contexts the rank stage completed."""
+        return self._stage_manager(
+            self.emit_stage(),
+            [*self.kernel_stage(), *self.rank_stage()],
+            hooks,
+        )
+
+    @staticmethod
+    def _stage_manager(
+        stage: List[CompilerPass], after: List[CompilerPass], hooks
+    ) -> PassManager:
+        """A manager for ``stage`` on contexts that ran ``validate-graph``
+        and the passes ``after``."""
+        built = [a for p in after for a in p.produces]
+        return PassManager(
+            stage, initial_artifacts=("graph-valid", *built), hooks=hooks
         )
 
 
@@ -407,14 +457,15 @@ def transfer_critical_path(
         period_floor: an admissible lower bound on the schedule period at
             the candidate width (the load-balance bound).
         table: :func:`~repro.core.retiming.edge_table` of the same graph
-            and machine, when the caller already holds it.
+            and machine; :func:`~repro.core.retiming.graph_edge_table`
+            when omitted.
 
     Returns:
         The maximum over all dependency paths of
         ``sum(execution_time) + sum(min(period_floor, cache_transfer))``.
     """
     if table is None:
-        table = edge_table(graph, price_edges(graph, config))
+        table = graph_edge_table(graph, config)
     # reach[v]: the longest priced chain that ends where v starts.
     reach = [0] * len(table.index.op_ids)
     for producer, consumer, cache_units, _edram, execution_time in table.rows:

@@ -23,10 +23,11 @@ The stages are *named compiler passes* executed by
 for the stage table. :class:`ParaConv` is the front-end: it turns its
 knobs into a :class:`repro.compiler.PipelineConfig`, hoists width-invariant
 work (graph validation, ASAP levels, the packing order, edge prices and
-the edge table) out of the width search, visits candidate widths best
-bound first, builds a plan only at widths whose admissible lower bounds
-(before compiling, and again after ``compact-kernel``, before any edge
-analysis) can still beat the incumbent, and attaches a
+the edge table, kept with the graph's index) out of the width search,
+visits candidate widths best bound first, ranks only widths whose
+admissible lower bounds (before compiling, and again after
+``compact-kernel``, before any edge analysis) can still beat the
+incumbent, emits and validates the winner's schedule only, and attaches a
 :class:`repro.compiler.CompileStats` breakdown to every result (surfaced
 by ``python -m repro … --explain`` and the serving runtime).
 """
@@ -241,26 +242,33 @@ class ParaConv:
         iteration count wins; ties prefer wider groups (lower latency and
         shorter prologue) via the explicit ``(total_time, -width)`` key.
 
-        Width-invariant work (graph validation, ASAP levels, work sums,
-        the kernel packing order, the edge price table and the edge table
-        both bounds read, the transfer critical path per period floor) is
-        hoisted out of the loop. Each visited width runs ``compact-kernel``
-        (the kernel stage), then — if it can still win — the plan stage,
-        ``analyze-edges`` through ``validate-schedule``. With
-        ``prune_widths`` the search is a branch-and-bound that builds only
-        the widths that can still win:
+        Graph-level work (ASAP levels, work sums, the kernel packing
+        order, the edge prices and the edge table both bounds read) is
+        built once per graph and kept with its index
+        (:meth:`TaskGraph.derived`), so a second compile of the graph, or
+        of a :func:`~repro.cnn.workloads.load_workload` copy of it, reuses
+        it. Graph validation and the transfer critical path per period
+        floor run once per compile. Each visited width runs
+        ``compact-kernel`` (the kernel stage), then — if it can still win
+        — the rank stage, ``analyze-edges`` through ``solve-retiming``,
+        which gives its ``total_time``. Only the winner runs
+        ``emit-schedule`` and ``validate-schedule``, so every returned
+        plan is validated. With ``prune_widths`` the search is a
+        branch-and-bound that ranks only the widths that can still win:
 
         * widths are visited in ascending ``(bound, -width)`` order, where
           ``bound`` is :func:`repro.compiler.width_lower_bound`; the first
           width whose key exceeds the incumbent's ``(total_time, -width)``
           ends the search, and it and every later width are pruned;
-        * after a width's kernel stage, a width whose
-          :func:`repro.compiler.kernel_stage_floor` key exceeds the
-          incumbent's is cut: it skips the plan stage, edge analysis
-          included.
+        * after a width's kernel stage, a width whose period bound
+          ``(ceil(N/J) * p, -width)`` exceeds the incumbent's key is cut
+          at once (``R_max >= 0``); otherwise one whose
+          :func:`repro.compiler.kernel_stage_floor` key exceeds it is
+          cut. A cut width skips the rank stage, edge analysis included.
 
-        Both bounds are admissible, so the produced plan is the one the
-        exhaustive widest-first loop (``prune_widths=False``) returns.
+        All bounds are admissible, and the floor is never below the
+        period bound, so the produced plan is the one the exhaustive
+        widest-first loop (``prune_widths=False``) returns.
         The attached ``compile_stats`` records what each width ran, and
         for each width without a plan the bound and incumbent key that
         removed it.
@@ -273,7 +281,7 @@ class ParaConv:
             [ValidateGraphPass()], hooks=self.invariant_hooks
         ).run(base, stats)
         kernel_stage = self.pipeline.kernel_manager(hooks=self.invariant_hooks)
-        plan_stage = self.pipeline.plan_manager(hooks=self.invariant_hooks)
+        rank_stage = self.pipeline.rank_manager(hooks=self.invariant_hooks)
         iterations = self.config.iterations
         widths = candidate_group_widths(self.config.num_pes)
         bounds: Dict[int, int] = {}
@@ -281,7 +289,6 @@ class ParaConv:
             bounds = self._width_bounds(base, widths)
             widths.sort(key=lambda width: (bounds[width], -width))
 
-        best: Optional[ParaConvResult] = None
         best_ctx: Optional[CompileContext] = None
         best_key = None
         for index, width in enumerate(widths):
@@ -298,19 +305,27 @@ class ParaConv:
             width_started = time.perf_counter()
             ctx = base.fork_for_width(width)
             kernel_stage.run(ctx, stats)
+            period = ctx.get("kernel").period
+            rounds = math.ceil(iterations / ctx.num_groups)
             if self.prune_widths and best_key is not None:
+                if (rounds * period, -width) > best_key:
+                    stats.record_period_cut(width, rounds * period, best_key)
+                    continue
                 floor = kernel_stage_floor(ctx, iterations)
                 if (floor, -width) > best_key:
                     stats.record_cut(width, floor, best_key)
                     continue
-            plan_stage.run(ctx, stats)
-            result = self._assemble(ctx, census=False)
+            rank_stage.run(ctx, stats)
             stats.record_width(width, time.perf_counter() - width_started)
-            key = (result.total_time(), -width)
+            r_max = ctx.get("retiming").max_retiming
+            key = ((r_max + rounds) * period, -width)
             if best_key is None or key < best_key:
-                best, best_ctx, best_key = result, ctx, key
-        assert best is not None and best_ctx is not None
-        best.case_histogram = case_census(best_ctx.get("timings"))
+                best_ctx, best_key = ctx, key
+        assert best_ctx is not None
+        self.pipeline.emit_manager(hooks=self.invariant_hooks).run(
+            best_ctx, stats
+        )
+        best = self._assemble(best_ctx)
         stats.best_width = best.group_width
         stats.total_seconds = time.perf_counter() - started
         best.compile_stats = stats
@@ -396,20 +411,14 @@ class ParaConv:
     # ------------------------------------------------------------------
     # assembly
     # ------------------------------------------------------------------
-    def _assemble(
-        self, ctx: CompileContext, census: bool = True
-    ) -> ParaConvResult:
-        """Build the result record from a fully-compiled context.
-
-        ``census=False`` leaves the case histogram empty; the width search
-        fills it in for the winning width only.
-        """
+    def _assemble(self, ctx: CompileContext) -> ParaConvResult:
+        """Build the result record from a fully-compiled context."""
         return ParaConvResult(
             graph=ctx.graph,
             config=ctx.config,
             schedule=ctx.get("schedule"),
             allocation=ctx.get("allocation"),
-            case_histogram=case_census(ctx.get("timings")) if census else {},
+            case_histogram=case_census(ctx.get("timings")),
             group_width=ctx.width,
             num_groups=ctx.num_groups,
         )

@@ -19,10 +19,11 @@ cache and eDRAM placements yields the six cases of Figure 4 and the profit
 
 Only the clamp to ``p`` and the offsets depend on the kernel. The raw
 cache/eDRAM transfer times and slot counts of every edge depend on the
-graph and the machine alone; :func:`price_edges` computes them once and
+graph and the machine alone; :func:`price_edges` computes them and
 :func:`edge_table` lays them out in the graph's content-only index space
-(:meth:`~repro.graph.taskgraph.TaskGraph.index`), which the width search
-reuses for every candidate width.
+(:meth:`~repro.graph.taskgraph.TaskGraph.index`). :func:`graph_prices`
+and :func:`graph_edge_table` keep both with the index, once per graph and
+price constants, so every compile and simulation of a graph reuses them.
 
 The per-width passes work on columns in that index space:
 :func:`analyze_edges` returns one :class:`EdgeTimings` column per
@@ -143,7 +144,7 @@ class EdgePrice(NamedTuple):
 
 
 def price_edges(graph: TaskGraph, config: PimConfig) -> Tuple[EdgePrice, ...]:
-    """Price every edge of ``graph`` on ``config``, in edge insertion order.
+    """Price every edge of ``graph`` on ``config``, in edge row order.
 
     The units are :meth:`~repro.pim.config.PimConfig.cache_transfer_units`,
     :meth:`~repro.pim.config.PimConfig.edram_transfer_units` and
@@ -159,17 +160,16 @@ def price_edges(graph: TaskGraph, config: PimConfig) -> Tuple[EdgePrice, ...]:
     num_vaults = config.num_vaults
     vault_bytes = max(1, per_unit // edram_factor)
     prices = []
-    for edge in graph.edges():
-        size = edge.size_bytes
-        key = (edge.producer, edge.consumer)
+    for key in graph.index().edge_keys:
+        size = graph.edge(*key).size_bytes
         edram_units = size * edram_factor // per_unit
         slots = -(-size // slot_bytes)
         service = size // vault_bytes
         prices.append(
             EdgePrice(
                 key,
-                edge.producer,
-                edge.consumer,
+                key[0],
+                key[1],
                 size // per_unit,
                 edram_units if edram_units > 1 else 1,
                 slots if slots > 1 else 1,
@@ -178,6 +178,34 @@ def price_edges(graph: TaskGraph, config: PimConfig) -> Tuple[EdgePrice, ...]:
             )
         )
     return tuple(prices)
+
+
+def graph_prices(graph: TaskGraph, config: PimConfig) -> Tuple[EdgePrice, ...]:
+    """:func:`price_edges` of ``graph`` on ``config``, built once per
+    graph index and kept with it (:meth:`TaskGraph.derived`), keyed by
+    the constants the prices read."""
+    key = ("edge_prices", *_unit_constants(config), config.num_vaults)
+    return graph.derived(key, lambda: price_edges(graph, config))
+
+
+def graph_edge_table(graph: TaskGraph, config: PimConfig) -> "EdgeTable":
+    """:func:`edge_table` of ``graph`` on ``config``, kept with the
+    graph's index like :func:`graph_prices`. The table has no vault
+    column, so its key leaves out ``num_vaults``; it keeps only the
+    columns the compiler reads, not the prices it is built from."""
+    return graph.derived(
+        ("edge_table", *_unit_constants(config)),
+        lambda: edge_table(graph, price_edges(graph, config)),
+    )
+
+
+def _unit_constants(config: PimConfig) -> Tuple[int, int, int]:
+    """The config constants every price column but ``vault`` reads."""
+    return (
+        config.cache_bytes_per_unit,
+        config.edram_latency_factor,
+        config.cache_slot_bytes,
+    )
 
 
 class EdgeTable(NamedTuple):
@@ -206,10 +234,12 @@ class EdgeTable(NamedTuple):
 
 def edge_table(graph: TaskGraph, prices: Sequence[EdgePrice]) -> EdgeTable:
     """Build the :class:`EdgeTable` of ``graph`` from its
-    :func:`price_edges` table."""
+    :func:`price_edges` table (one price per edge row, in row order)."""
     index = graph.index()
-    price_of = {price.key: price for price in prices}
-    row_prices = [price_of[key] for key in index.edge_keys]
+    if tuple(price.key for price in prices) != index.edge_keys:
+        raise RetimingError(
+            "edge prices must hold one price per edge row, in row order"
+        )
     execution_times = index.execution_times
     rows = tuple(
         (
@@ -220,13 +250,13 @@ def edge_table(graph: TaskGraph, prices: Sequence[EdgePrice]) -> EdgeTable:
             execution_times[producer],
         )
         for producer, consumer, price in zip(
-            index.producers, index.consumers, row_prices
+            index.producers, index.consumers, prices
         )
     )
     return EdgeTable(
         index,
         rows,
-        tuple(price.slots for price in row_prices),
+        tuple(price.slots for price in prices),
         max((row[2] for row in rows), default=0),
     )
 
@@ -276,15 +306,15 @@ def analyze_edges(
 
     This is the "analysis of extra data movement" of Section 3.2: it bounds
     how many extra prologue iterations each placement choice costs.
-    ``table`` may carry :func:`edge_table` of the same graph and machine,
-    precomputed once per width search; when omitted it is computed here.
+    ``table`` may carry :func:`edge_table` of the same graph and machine;
+    when omitted it is :func:`graph_edge_table`.
     The kernel's columns must be laid out over the graph's index.
     """
     period = kernel.period
     if period <= 0:
         raise RetimingError("kernel period must be positive")
     if table is None:
-        table = edge_table(graph, price_edges(graph, config))
+        table = graph_edge_table(graph, config)
     index = table.index
     require_layout(kernel, index)
     starts, finishes = kernel.start, kernel.finish

@@ -24,7 +24,10 @@ import json
 from collections.abc import MutableMapping
 from dataclasses import dataclass, replace
 from typing import (
+    Any,
+    Callable,
     Dict,
+    Hashable,
     Iterable,
     Iterator,
     KeysView,
@@ -34,7 +37,10 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    TypeVar,
 )
+
+T = TypeVar("T")
 
 #: Version tag baked into every task-graph fingerprint; bump when the
 #: canonical form changes so cached plans keyed on old fingerprints are
@@ -258,7 +264,9 @@ class TaskGraph:
     The topological order and the :meth:`index` built on it are computed
     on first use and kept until the next :meth:`add_operation` /
     :meth:`add_edge`, so the width search sorts each graph once, not once
-    per candidate. The fingerprint is
+    per candidate. Values derived from the content alone (work sums, ASAP
+    levels, packing orders, edge prices) are kept with the index through
+    :meth:`derived` and dropped with it. The fingerprint is
     kept the same way, and assigning :attr:`period_hint` resets it too,
     so routing and plan-cache lookups hash each graph once.
     """
@@ -271,6 +279,8 @@ class TaskGraph:
         self._pred: Dict[int, List[int]] = {}
         #: cached :meth:`index`; reset whenever a vertex or edge is added.
         self._index: Optional[GraphIndex] = None
+        #: :meth:`derived` values; a fresh map comes with each ``_index``.
+        self._facts: Optional[Dict[Hashable, Any]] = None
         #: cached :meth:`fingerprint`; reset on every content change.
         self._fingerprint: Optional[str] = None
         self.period_hint = period_hint
@@ -483,7 +493,26 @@ class TaskGraph:
                 tuple(position[j] for _, j in edge_keys),
                 {key: row for row, key in enumerate(edge_keys)},
             )
+            self._facts = {}
         return self._index
+
+    def derived(self, key: Hashable, build: Callable[[], T]) -> T:
+        """``build()``, computed once per :meth:`index` and kept under
+        ``key`` until a vertex or edge is added.
+
+        ``build`` must read only the graph's content (its operations and
+        edges, not its name or period hint) and whatever ``key`` names;
+        the value is shared, so callers must not mutate it. Graphs that
+        share an index share these values too (see
+        :func:`repro.cnn.workloads.load_workload`).
+        """
+        self.index()
+        facts = self._facts
+        try:
+            return facts[key]
+        except KeyError:
+            value = facts[key] = build()
+            return value
 
     def _kahn(self) -> List[int]:
         indeg = {i: len(self._pred[i]) for i in self._ops}
@@ -590,12 +619,16 @@ class TaskGraph:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def copy(self, name: Optional[str] = None) -> "TaskGraph":
-        """Deep-enough copy (operations and edges are immutable)."""
+        """Deep-enough copy (operations and edges are immutable).
+
+        The copy has its own maps, in this graph's insertion order, and
+        starts with no cached index, facts or fingerprint.
+        """
         clone = TaskGraph(name=name or self.name, period_hint=self.period_hint)
-        for op in self._ops.values():
-            clone.add_operation(op)
-        for edge in self._edges.values():
-            clone.add_edge(edge)
+        clone._ops = dict(self._ops)
+        clone._edges = dict(self._edges)
+        clone._succ = {op_id: list(out) for op_id, out in self._succ.items()}
+        clone._pred = {op_id: list(into) for op_id, into in self._pred.items()}
         return clone
 
     def subgraph(self, op_ids: Iterable[int], name: Optional[str] = None) -> "TaskGraph":

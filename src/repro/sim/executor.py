@@ -28,8 +28,9 @@ The machine state is columnar:
   per-vault service clocks, crossbar port clocks -- advanced in place;
 * all static facts are **precomputed rows** built once per run, in one
   pass over the ops and one over the edges, from the schedule, the
-  compiler's edge prices (:func:`repro.core.retiming.price_edges`:
-  slots, transfer units, home vault, vault service time), one per event
+  compiler's edge prices (:func:`repro.core.retiming.graph_prices`, kept
+  with the graph's index: slots, transfer units, home vault, vault
+  service time), one per event
   ``rid``
   (arrival: consumer, its PE, the edge's shared pFIFO entry; start: PE,
   execution time, ALU cost, pFIFO entries, cache-placed in-edges;
@@ -101,7 +102,7 @@ from heapq import heappop, heappush
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.paraconv import ParaConvResult
-from repro.core.retiming import price_edges
+from repro.core.retiming import graph_prices
 from repro.core.schedule import require_layout
 from repro.pim.config import PFIFO_DEPTH, PimConfig
 from repro.pim.energy import EnergyModel, EnergyReport
@@ -669,13 +670,11 @@ class _ScheduleRun:
         in_entries: Dict[int, List[tuple]] = {op.op_id: [] for op in ops}
         cache_in: Dict[int, List[int]] = {op.op_id: [] for op in ops}
         out_recs: Dict[int, List[tuple]] = {op.op_id: [] for op in ops}
-        for edge, price in sorted(
-            zip(edges, price_edges(graph, config)),
-            key=lambda pair: pair[1].key,
-        ):
+        # Prices sort by their leading field, the (unique) edge key.
+        for price in sorted(graph_prices(graph, config)):
             key = price.key
             consumer = price.consumer
-            size_bytes = edge.size_bytes
+            size_bytes = graph.edge(*key).size_bytes
             rid = arrive_rid[key]
             #: the edge's one shared pFIFO entry ``((e0, e1), size_bytes)``:
             #: an arrival stages it and a start removes it by identity.

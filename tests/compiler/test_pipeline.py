@@ -33,6 +33,8 @@ STANDARD_ORDER = [
 KERNEL_STAGE = ["compact-kernel"]
 PLAN_STAGE = STANDARD_ORDER[1 + len(KERNEL_STAGE):]
 ALLOCATION_STAGE = PLAN_STAGE[1:]
+EMIT_STAGE = ["emit-schedule", "validate-schedule"]
+RANK_STAGE = PLAN_STAGE[: -len(EMIT_STAGE)]
 
 
 class TestPipelineConfig:
@@ -69,12 +71,22 @@ class TestPipelineConfig:
         assert [p.name for p in config.kernel_stage()] == KERNEL_STAGE
         assert [p.name for p in config.plan_stage()] == PLAN_STAGE
         assert [p.name for p in config.allocation_stage()] == ALLOCATION_STAGE
-        assert config.plan_manager().initial_artifacts == {
-            "graph-valid", "kernel"
-        }
+        assert [p.name for p in config.rank_stage()] == RANK_STAGE
+        assert [p.name for p in config.emit_stage()] == EMIT_STAGE
         assert config.allocation_manager().initial_artifacts == {
             "graph-valid", "kernel", "timings"
         }
+        assert config.rank_manager().initial_artifacts == {
+            "graph-valid", "kernel"
+        }
+        assert config.emit_manager().initial_artifacts == {
+            "graph-valid", "kernel", "timings", "problem",
+            "resolved-allocator", "allocation", "retiming",
+        }
+
+    def test_emit_stage_without_validation(self):
+        config = PipelineConfig(allocator=dp_allocate, validate=False)
+        assert [p.name for p in config.emit_stage()] == ["emit-schedule"]
 
     def test_analysis_context_stops_after_the_kernel_stage(
         self, figure2_graph, small_config
@@ -141,8 +153,11 @@ class TestCompileStatsDeterminism:
         )
         for name in KERNEL_STAGE:
             assert stats.pass_runs[name] == ran_kernel_stage
-        for name in PLAN_STAGE:
+        # Every explored width is ranked; only the winner is emitted.
+        for name in RANK_STAGE:
             assert stats.pass_runs[name] == stats.num_explored
+        for name in EMIT_STAGE:
+            assert stats.pass_runs[name] == 1
 
     def test_cut_widths_run_only_the_kernel_stage(self):
         from repro.graph.generators import synthetic_benchmark
@@ -158,14 +173,76 @@ class TestCompileStatsDeterminism:
         assert stats.pass_runs["dp-allocate"] == stats.num_explored
         text = stats.explain()
         assert "cut after kernel" in text
+        by_period = set(stats.widths_cut_by_period)
+        assert by_period <= set(cut)
         for width in cut:
-            floor, (total, neg_width) = stats.lost_to[width]
-            assert (floor, -width) > (total, neg_width)
+            bound, (total, neg_width) = stats.lost_to[width]
+            assert (bound, -width) > (total, neg_width)
+            name, where = (
+                ("period", "cut before the staged floor")
+                if width in by_period
+                else ("floor", "cut before edge analysis")
+            )
             assert (
-                f"  {width}: floor {floor} "
-                f"{'>' if floor > total else '='} incumbent {total} at "
-                f"width {-neg_width} (cut before edge analysis)"
+                f"  {width}: {name} {bound} "
+                f"{'>' if bound > total else '='} incumbent {total} at "
+                f"width {-neg_width} ({where})"
             ) in text.splitlines()
+
+    @pytest.mark.parametrize("name, num_pes", [("flower", 16), ("car", 64)])
+    def test_explain_names_the_period_bound(self, name, num_pes):
+        """A width whose ``ceil(N/J) * p`` alone loses is cut before its
+        staged floor, and ``--explain`` names that bound."""
+        from repro.graph.generators import synthetic_benchmark
+
+        config = PimConfig(num_pes=num_pes, iterations=1000)
+        result = ParaConv(config).run(synthetic_benchmark(name))
+        stats = result.compile_stats
+        by_period = stats.widths_cut_by_period
+        assert by_period
+        assert set(by_period) <= set(stats.widths_cut_after_kernel)
+        assert stats.as_dict()["widths_cut_by_period"] == by_period
+        lines = stats.explain().splitlines()
+        assert any(
+            line.startswith("cut after kernel")
+            and line.endswith(f"{len(by_period)} by the period bound)")
+            for line in lines
+        )
+        for width in by_period:
+            bound, incumbent = stats.lost_to[width]
+            rounds = -(-config.iterations // max(1, num_pes // width))
+            period = ParaConv(config).analysis_context(
+                synthetic_benchmark(name), width
+            ).get("kernel").period
+            assert bound == rounds * period
+            assert (bound, -width) > incumbent
+            assert any(
+                line.startswith(f"  {width}: period {bound} ")
+                and line.endswith("(cut before the staged floor)")
+                for line in lines
+            )
+
+    @pytest.mark.parametrize("prune", [True, False])
+    @pytest.mark.parametrize("name, num_pes", [
+        ("protein", 64), ("flower", 16), ("speech-2", 16),
+    ])
+    def test_rank_per_width_and_emit_per_compile(self, name, num_pes, prune):
+        """``analyze-edges`` through ``solve-retiming`` run once per
+        explored width; ``emit-schedule`` and ``validate-schedule`` once
+        per compile, on the winner, pruned or exhaustive."""
+        from repro.graph.generators import synthetic_benchmark
+
+        config = PimConfig(num_pes=num_pes, iterations=1000)
+        result = ParaConv(config, prune_widths=prune).run(
+            synthetic_benchmark(name)
+        )
+        stats = result.compile_stats
+        assert stats.num_explored >= 1
+        for pass_name in RANK_STAGE:
+            assert stats.pass_runs[pass_name] == stats.num_explored
+        for pass_name in EMIT_STAGE:
+            assert stats.pass_runs[pass_name] == 1
+        assert result.group_width in stats.widths_explored
 
     def test_explain_says_why_every_pruned_width_lost(self):
         from repro.graph.generators import synthetic_benchmark
@@ -292,11 +369,15 @@ class TestWidthLowerBound:
         stats.record_width(4, 0.5)
         stats.record_pruned(2, 40, (30, -4))
         stats.record_cut(3, 35, (30, -4))
+        stats.record_period_cut(5, 32, (30, -4))
         stats.record_pass("dp-allocate", 0.25)
         stats.record_pass("dp-allocate", 0.25)
         assert stats.num_explored == 1
-        assert stats.num_pruned == 2
-        assert stats.widths_cut_after_kernel == [3]
-        assert stats.lost_to == {2: (40, (30, -4)), 3: (35, (30, -4))}
+        assert stats.num_pruned == 3
+        assert stats.widths_cut_after_kernel == [3, 5]
+        assert stats.widths_cut_by_period == [5]
+        assert stats.lost_to == {
+            2: (40, (30, -4)), 3: (35, (30, -4)), 5: (32, (30, -4))
+        }
         assert stats.pass_runs["dp-allocate"] == 2
         assert stats.pass_seconds_total == pytest.approx(0.5)

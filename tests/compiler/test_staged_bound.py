@@ -9,7 +9,9 @@ the allocator and pipeline knobs, and then the pruned search must return
 the exhaustive search's plan. The floor and the first bound's critical
 path are computed from one index-based edge table per graph, and every
 width packs from one shared packing order; each is held here to a plain
-reference computation.
+reference computation. Before the floor, the search cuts a width whose
+period bound ``ceil(N/J) * p`` alone loses; that bound never exceeds the
+floor, so it cuts nothing the floor would keep.
 """
 
 from __future__ import annotations
@@ -149,6 +151,40 @@ def test_pruned_search_returns_the_exhaustive_plan(
         exhaustive.compile_stats.widths_explored
     ) == sorted(candidate_group_widths(num_pes))
     assert exhaustive.compile_stats.num_pruned == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    source=SOURCES,
+    num_pes=NUM_PES,
+    iterations=ITERATIONS,
+    allocator=ALLOCATORS,
+    kernel_order=KERNEL_ORDER,
+)
+def test_period_bound_never_cuts_what_the_floor_keeps(
+    source, num_pes, iterations, allocator, kernel_order
+):
+    """``ceil(N/J) * p <= floor <=`` the realized total at every width,
+    so every width the O(1) period cut removes before its floor, the
+    floor would have cut too: the cut set is the floor's."""
+    graph = _graph(source)
+    pipeline = _pipeline(num_pes, iterations, allocator, False, kernel_order)
+    floors = {}
+    for width in candidate_group_widths(num_pes):
+        ctx = pipeline.analysis_context(graph, width)
+        rounds = math.ceil(iterations / ctx.num_groups)
+        period_bound = rounds * ctx.get("kernel").period
+        floor = kernel_stage_floor(ctx, iterations)
+        total = pipeline.run_at_width(graph, width).total_time()
+        assert period_bound <= floor <= total, (width, period_bound, floor)
+        floors[width] = floor
+    stats = pipeline.run(graph).compile_stats
+    by_period = stats.widths_cut_by_period
+    assert set(by_period) <= set(stats.widths_cut_after_kernel)
+    for width in by_period:
+        bound, incumbent = stats.lost_to[width]
+        assert (bound, -width) > incumbent
+        assert (floors[width], -width) > incumbent, width
 
 
 def _machine(num_pes: int, iterations: int, bytes_per_unit: int) -> PimConfig:

@@ -86,11 +86,11 @@ class TestSessionFailover:
         session's executor homes every result on vault 0 or 1 and keeps
         two vault timelines, not a default 32."""
         homes, timelines = [], []
-        real_price_edges = executor_module.price_edges
+        real_graph_prices = executor_module.graph_prices
         real_execute = executor_module._ScheduleRun.execute
 
         def price_spy(graph, config):
-            prices = real_price_edges(graph, config)
+            prices = real_graph_prices(graph, config)
             homes.extend(price.vault for price in prices)
             return prices
 
@@ -98,7 +98,7 @@ class TestSessionFailover:
             timelines.append((len(run._vault_free), len(run._xout)))
             return real_execute(run)
 
-        monkeypatch.setattr(executor_module, "price_edges", price_spy)
+        monkeypatch.setattr(executor_module, "graph_prices", price_spy)
         monkeypatch.setattr(executor_module._ScheduleRun, "execute", execute_spy)
         degraded = config.degraded(range(config.num_pes), [0, 1])
         session = InferenceSession(graph, degraded)
