@@ -24,8 +24,7 @@ Quickstart::
     print(result.summary())
 """
 
-import importlib
-
+from repro._lazy import lazy_exports
 from repro.graph.taskgraph import (
     IntermediateResult,
     Operation,
@@ -35,28 +34,19 @@ from repro.graph.taskgraph import (
 from repro.graph.generators import synthetic_benchmark, SyntheticGraphGenerator
 from repro.pim.config import PimConfig
 from repro.core.paraconv import ParaConv, ParaConvResult
-from repro.core.baseline import SpartaScheduler
 from repro.cnn.workloads import load_workload, WORKLOADS
 
 __version__ = "1.1.0"
 
-#: Serving-runtime exports, imported on first access (PEP 562) so that a
-#: compile-only process such as ``python -m repro`` never loads the runtime.
-_LAZY_EXPORTS = {
-    "PlanCache": "repro.runtime.plan_cache",
-    "BatchingServer": "repro.runtime.server",
-    "QueueFullError": "repro.runtime.server",
-    "InferenceSession": "repro.runtime.session",
-}
-
-
-def __getattr__(name: str):
-    module = _LAZY_EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value
-    return value
+#: The SPARTA baseline and the serving-runtime exports, imported on first
+#: access (PEP 562) so that a compile-only process such as ``python -m
+#: repro`` loads neither.
+__getattr__ = lazy_exports(__name__, globals(), {
+    "repro.core.baseline": ("SpartaScheduler",),
+    "repro.runtime.plan_cache": ("PlanCache",),
+    "repro.runtime.server": ("BatchingServer", "QueueFullError"),
+    "repro.runtime.session": ("InferenceSession",),
+})
 
 __all__ = [
     "BatchingServer",

@@ -18,8 +18,6 @@ from repro.cnn.workloads import (
     load_workload,
 )
 from repro.core.allocation import ALLOCATORS
-from repro.core.baseline import SpartaScheduler
-from repro.core.gantt import render_kernel, render_retiming
 from repro.core.paraconv import ParaConv
 from repro.pim.config import PimConfig
 
@@ -120,6 +118,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print()
         print(result.explain())
     if args.gantt:
+        from repro.core.gantt import render_kernel, render_retiming
+
         print()
         print(render_kernel(result.schedule.kernel, num_pes=result.group_width))
         print()
@@ -152,6 +152,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             write_chrome_trace(trace, args.trace)
             print(f"chrome://tracing JSON written to {args.trace}")
     if args.baseline:
+        from repro.core.baseline import SpartaScheduler
+
         sparta = SpartaScheduler(config).run(graph)
         reduction = (
             (sparta.total_time() - result.total_time())

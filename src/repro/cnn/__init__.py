@@ -8,43 +8,25 @@ partitioner that lowers a network into the periodic task-graph form that
 Para-CONV schedules.
 """
 
-from repro.cnn.layers import (
-    AvgPool2D,
-    Concat,
-    Conv2D,
-    Flatten,
-    FullyConnected,
-    InputLayer,
-    Layer,
-    LayerError,
-    LocalResponseNorm,
-    MaxPool2D,
-    TensorShape,
-)
-from repro.cnn.network import Network, NetworkError
-from repro.cnn.googlenet import build_googlenet, inception_module
-from repro.cnn.partition import FusionSpec, PartitionConfig, partition_network
-from repro.cnn.workloads import WORKLOADS, load_workload
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AvgPool2D",
-    "Concat",
-    "Conv2D",
-    "Flatten",
-    "FullyConnected",
-    "FusionSpec",
-    "InputLayer",
-    "Layer",
-    "LayerError",
-    "LocalResponseNorm",
-    "MaxPool2D",
-    "Network",
-    "NetworkError",
-    "PartitionConfig",
-    "TensorShape",
-    "WORKLOADS",
-    "build_googlenet",
-    "inception_module",
-    "load_workload",
-    "partition_network",
-]
+#: module -> the names this package exports from it, each imported on first
+#: access (PEP 562), so ``import repro.cnn.workloads`` loads no layer,
+#: network or partitioner module until a CNN-derived workload is built.
+_EXPORTS = {
+    "repro.cnn.layers": (
+        "AvgPool2D", "Concat", "Conv2D", "Flatten", "FullyConnected",
+        "InputLayer", "Layer", "LayerError", "LocalResponseNorm",
+        "MaxPool2D", "TensorShape",
+    ),
+    "repro.cnn.network": ("Network", "NetworkError"),
+    "repro.cnn.googlenet": ("build_googlenet", "inception_module"),
+    "repro.cnn.partition": (
+        "FusionSpec", "PartitionConfig", "partition_network",
+    ),
+    "repro.cnn.workloads": ("WORKLOADS", "load_workload"),
+}
+
+__getattr__ = lazy_exports(__name__, globals(), _EXPORTS)
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)

@@ -13,11 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
-from repro.cnn.googlenet import build_googlenet, googlenet_prefix
-from repro.cnn.models import MODEL_BUILDERS
-from repro.cnn.partition import PartitionConfig, partition_network
 from repro.graph.generators import BENCHMARK_SIZES, synthetic_benchmark
-from repro.graph.randwired import RANDWIRED_SPECS, randwired_benchmark
 from repro.graph.taskgraph import GraphValidationError, TaskGraph
 
 GraphBuilder = Callable[[], TaskGraph]
@@ -42,11 +38,29 @@ class UnknownWorkloadError(GraphValidationError):
         )
 
 
+#: The names of ``repro.cnn.models.MODEL_BUILDERS`` and
+#: ``repro.graph.randwired.RANDWIRED_SPECS``, in their order. The builders
+#: below import the network, partitioner and randwired modules on their
+#: first call, so loading the registry (and ``python -m repro``) does not;
+#: ``tests/integration/test_cold_imports.py`` holds these to the sources.
+MODEL_NAMES = ("lenet5", "alexnet", "vgg16")
+RANDWIRED_NAMES = (
+    "randwired-er", "randwired-ws", "randwired-ba", "randwired-er-64",
+    "randwired-ba-64",
+)
+
+
 def _googlenet_graph() -> TaskGraph:
+    from repro.cnn.googlenet import build_googlenet
+    from repro.cnn.partition import PartitionConfig, partition_network
+
     return partition_network(build_googlenet(), PartitionConfig())
 
 
 def _googlenet_small_graph() -> TaskGraph:
+    from repro.cnn.googlenet import googlenet_prefix
+    from repro.cnn.partition import PartitionConfig, partition_network
+
     return partition_network(googlenet_prefix(3), PartitionConfig())
 
 
@@ -59,6 +73,9 @@ def _synthetic(name: str) -> GraphBuilder:
 
 def _model_graph(name: str) -> GraphBuilder:
     def build() -> TaskGraph:
+        from repro.cnn.models import MODEL_BUILDERS
+        from repro.cnn.partition import PartitionConfig, partition_network
+
         return partition_network(MODEL_BUILDERS[name](), PartitionConfig())
 
     return build
@@ -66,6 +83,8 @@ def _model_graph(name: str) -> GraphBuilder:
 
 def _randwired(name: str) -> GraphBuilder:
     def build() -> TaskGraph:
+        from repro.graph.randwired import randwired_benchmark
+
         return randwired_benchmark(name)
 
     return build
@@ -76,15 +95,15 @@ WORKLOADS: Dict[str, GraphBuilder] = {
     **{name: _synthetic(name) for name in BENCHMARK_SIZES},
     "googlenet": _googlenet_graph,
     "googlenet-small": _googlenet_small_graph,
-    **{name: _model_graph(name) for name in MODEL_BUILDERS},
-    **{name: _randwired(name) for name in RANDWIRED_SPECS},
+    **{name: _model_graph(name) for name in MODEL_NAMES},
+    **{name: _randwired(name) for name in RANDWIRED_NAMES},
 }
 
 #: The paper's evaluation set, in Table 1 row order.
 PAPER_BENCHMARKS: List[str] = list(BENCHMARK_SIZES)
 
 #: The randomly-wired stress set, in registry order.
-RANDWIRED_BENCHMARKS: List[str] = list(RANDWIRED_SPECS)
+RANDWIRED_BENCHMARKS: List[str] = list(RANDWIRED_NAMES)
 
 
 #: The graph each registry entry built, keyed by its builder: every

@@ -13,99 +13,48 @@ The pipeline (:class:`repro.core.paraconv.ParaConv`) combines:
 * :mod:`repro.core.baseline` -- the SPARTA comparison scheme [6].
 """
 
-from repro.core.schedule import (
-    KernelSchedule,
-    PeriodicSchedule,
-    PlacedOp,
-    ScheduleError,
-    validate_kernel,
-    validate_periodic_schedule,
-)
-from repro.core.scheduler import (
-    compact_kernel_schedule,
-    list_schedule,
-    load_balance_bound,
-)
-from repro.core.retiming import (
-    DeltaRAccounting,
-    EdgeTiming,
-    RetimingError,
-    RetimingSolution,
-    analyze_edges,
-    delta_r_accounting,
-    required_retiming,
-    solve_retiming,
-)
-from repro.core.cases import RetimingCase, classify, classify_all
-from repro.core.allocation import (
-    AllocationResult,
-    AllocationProblem,
-    dp_allocate,
-    greedy_allocate,
-    random_allocate,
-    all_edram_allocate,
-    oracle_allocate,
-)
-from repro.core.expansion import ExpandedSchedule, expand, verify_expansion
-from repro.core.gantt import render_kernel, render_retiming
-from repro.core.iterative import IterativeAllocator
-from repro.core.liveness import (
-    live_instances,
-    liveness_weighted_problem,
-    peak_cache_demand,
-)
-from repro.core.paraconv import ParaConv, ParaConvResult
-from repro.core.schedule_io import (
-    schedule_from_dict,
-    schedule_from_json,
-    schedule_to_dict,
-    schedule_to_json,
-)
-from repro.core.baseline import SpartaScheduler, SpartaResult
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AllocationProblem",
-    "AllocationResult",
-    "DeltaRAccounting",
-    "EdgeTiming",
-    "delta_r_accounting",
-    "ExpandedSchedule",
-    "KernelSchedule",
-    "ParaConv",
-    "ParaConvResult",
-    "PeriodicSchedule",
-    "PlacedOp",
-    "RetimingCase",
-    "RetimingError",
-    "RetimingSolution",
-    "ScheduleError",
-    "IterativeAllocator",
-    "SpartaResult",
-    "SpartaScheduler",
-    "all_edram_allocate",
-    "analyze_edges",
-    "classify",
-    "classify_all",
-    "compact_kernel_schedule",
-    "dp_allocate",
-    "greedy_allocate",
-    "list_schedule",
-    "load_balance_bound",
-    "oracle_allocate",
-    "random_allocate",
-    "required_retiming",
-    "solve_retiming",
-    "expand",
-    "live_instances",
-    "liveness_weighted_problem",
-    "peak_cache_demand",
-    "render_kernel",
-    "schedule_from_dict",
-    "schedule_from_json",
-    "schedule_to_dict",
-    "schedule_to_json",
-    "render_retiming",
-    "validate_kernel",
-    "validate_periodic_schedule",
-    "verify_expansion",
-]
+# Imported eagerly: this module registers the "iterative" allocator, which
+# every process's ALLOCATORS must hold, whatever it imported first.
+from repro.core.iterative import IterativeAllocator
+
+#: module -> the names this package exports from it, each imported on first
+#: access (PEP 562), so a compile loads no baseline, Gantt renderer,
+#: expansion, liveness or schedule serializer module.
+_EXPORTS = {
+    "repro.core.schedule": (
+        "KernelSchedule", "PeriodicSchedule", "PlacedOp", "ScheduleError",
+        "validate_kernel", "validate_periodic_schedule",
+    ),
+    "repro.core.scheduler": (
+        "compact_kernel_schedule", "list_schedule", "load_balance_bound",
+    ),
+    "repro.core.retiming": (
+        "DeltaRAccounting", "EdgeTiming", "RetimingError",
+        "RetimingSolution", "analyze_edges", "delta_r_accounting",
+        "required_retiming", "solve_retiming",
+    ),
+    "repro.core.cases": ("RetimingCase", "classify", "classify_all"),
+    "repro.core.allocation": (
+        "AllocationProblem", "AllocationResult", "all_edram_allocate",
+        "dp_allocate", "greedy_allocate", "oracle_allocate",
+        "random_allocate",
+    ),
+    "repro.core.expansion": ("ExpandedSchedule", "expand", "verify_expansion"),
+    "repro.core.gantt": ("render_kernel", "render_retiming"),
+    "repro.core.iterative": ("IterativeAllocator",),
+    "repro.core.liveness": (
+        "live_instances", "liveness_weighted_problem", "peak_cache_demand",
+    ),
+    "repro.core.paraconv": ("ParaConv", "ParaConvResult"),
+    "repro.core.schedule_io": (
+        "schedule_from_dict", "schedule_from_json", "schedule_to_dict",
+        "schedule_to_json",
+    ),
+    "repro.core.baseline": ("SpartaResult", "SpartaScheduler"),
+}
+
+__getattr__ = lazy_exports(__name__, globals(), _EXPORTS)
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)

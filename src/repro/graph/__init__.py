@@ -10,66 +10,38 @@ A CNN application is modelled as a weighted directed acyclic graph
 * ``R`` is the retiming function computed by :mod:`repro.core.retiming`.
 """
 
-from repro.graph.taskgraph import (
-    GraphValidationError,
-    IntermediateResult,
-    Operation,
-    OperationKind,
-    TaskGraph,
-)
-from repro.graph.instances import OperationInstance, IntermediateInstance, unroll
-from repro.graph.generators import (
-    SyntheticGraphGenerator,
-    generate_series_parallel,
-    synthetic_benchmark,
-)
-from repro.graph.analysis import (
-    critical_path,
-    critical_path_length,
-    degree_histogram,
-    graph_statistics,
-    max_parallelism,
-    parallelism_profile,
-)
-from repro.graph.io import graph_from_dict, graph_from_json, graph_to_dict, graph_to_json
-from repro.graph.randwired import (
-    RandwiredSpec,
-    barabasi_albert_dag,
-    erdos_renyi_dag,
-    randwired_benchmark,
-    randwired_graph,
-    watts_strogatz_dag,
-)
-from repro.graph.transforms import coarsen_chains, fuse_stages
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "coarsen_chains",
-    "fuse_stages",
-    "GraphValidationError",
-    "IntermediateInstance",
-    "IntermediateResult",
-    "Operation",
-    "OperationInstance",
-    "OperationKind",
-    "RandwiredSpec",
-    "SyntheticGraphGenerator",
-    "TaskGraph",
-    "barabasi_albert_dag",
-    "critical_path",
-    "critical_path_length",
-    "degree_histogram",
-    "erdos_renyi_dag",
-    "generate_series_parallel",
-    "graph_from_dict",
-    "graph_from_json",
-    "graph_statistics",
-    "graph_to_dict",
-    "graph_to_json",
-    "max_parallelism",
-    "parallelism_profile",
-    "randwired_benchmark",
-    "randwired_graph",
-    "synthetic_benchmark",
-    "unroll",
-    "watts_strogatz_dag",
-]
+#: module -> the names this package exports from it, each imported on first
+#: access (PEP 562), so ``import repro.graph.taskgraph`` loads no generator,
+#: serializer or randwired builder.
+_EXPORTS = {
+    "repro.graph.taskgraph": (
+        "GraphValidationError", "IntermediateResult", "Operation",
+        "OperationKind", "TaskGraph",
+    ),
+    "repro.graph.instances": (
+        "IntermediateInstance", "OperationInstance", "unroll",
+    ),
+    "repro.graph.generators": (
+        "SyntheticGraphGenerator", "generate_series_parallel",
+        "synthetic_benchmark",
+    ),
+    "repro.graph.analysis": (
+        "critical_path", "critical_path_length", "degree_histogram",
+        "graph_statistics", "max_parallelism", "parallelism_profile",
+    ),
+    "repro.graph.io": (
+        "graph_from_dict", "graph_from_json", "graph_to_dict",
+        "graph_to_json",
+    ),
+    "repro.graph.randwired": (
+        "RandwiredSpec", "barabasi_albert_dag", "erdos_renyi_dag",
+        "randwired_benchmark", "randwired_graph", "watts_strogatz_dag",
+    ),
+    "repro.graph.transforms": ("coarsen_chains", "fuse_stages"),
+}
+
+__getattr__ = lazy_exports(__name__, globals(), _EXPORTS)
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)

@@ -16,27 +16,21 @@ simulator (:mod:`repro.sim.executor`) advances PE, pFIFO, vault and
 crossbar-port timelines from those prices.
 """
 
-from repro.pim.config import PimConfig, ConfigurationError, assert_disjoint
-from repro.pim.tenancy import TenantPlacement, TenantSpec
-from repro.pim.faults import FaultEvent, FaultModel, FaultModelError
-from repro.pim.memory import Placement
-from repro.pim.energy import EnergyModel, EnergyReport
-from repro.pim.presets import ARCHITECTURES, architecture
-from repro.pim.stats import TrafficStats
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ARCHITECTURES",
-    "ConfigurationError",
-    "EnergyModel",
-    "EnergyReport",
-    "FaultEvent",
-    "FaultModel",
-    "FaultModelError",
-    "PimConfig",
-    "Placement",
-    "TenantPlacement",
-    "TenantSpec",
-    "TrafficStats",
-    "architecture",
-    "assert_disjoint",
-]
+#: module -> the names this package exports from it, each imported on first
+#: access (PEP 562), so a compile loads no fault, tenancy, energy or preset
+#: module.
+_EXPORTS = {
+    "repro.pim.config": ("ConfigurationError", "PimConfig", "assert_disjoint"),
+    "repro.pim.tenancy": ("TenantPlacement", "TenantSpec"),
+    "repro.pim.faults": ("FaultEvent", "FaultModel", "FaultModelError"),
+    "repro.pim.memory": ("Placement",),
+    "repro.pim.energy": ("EnergyModel", "EnergyReport"),
+    "repro.pim.presets": ("ARCHITECTURES", "architecture"),
+    "repro.pim.stats": ("TrafficStats",),
+}
+
+__getattr__ = lazy_exports(__name__, globals(), _EXPORTS)
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)

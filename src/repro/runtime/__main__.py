@@ -273,7 +273,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
     from repro.runtime.plan_cache import PlanCacheError, read_plan
 
     files = sorted(store.glob("*.json"))
-    print(f"plan store {store}: {len(files)} plans")
+    # The store keeps one graph file per fingerprint: plans of equal
+    # content share it, and with it the name it was first published under.
+    print(
+        f"plan store {store}: {len(files)} plans (graph: the first name "
+        f"the store saw for its content, and the content's fingerprint)"
+    )
     for path in files:
         try:
             plan = read_plan(path)
@@ -282,6 +287,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             continue
         print(
             f"  {path.stem[:16]}…  {plan.graph.name:<20} "
+            f"graph={plan.graph.fingerprint()[:12]}  "
             f"{plan.config.num_pes:>3} PEs  period={plan.period:<4} "
             f"R_max={plan.max_retiming:<3} groups={plan.num_groups}x"
             f"{plan.group_width}  {path.stat().st_size / 1024:.1f} KiB"

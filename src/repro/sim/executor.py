@@ -32,8 +32,8 @@ The machine state is columnar:
   with the graph's index: slots, transfer units, home vault, vault
   service time), one per event
   ``rid``
-  (arrival: consumer, its PE, the edge's shared pFIFO entry; start: PE,
-  execution time, ALU cost, pFIFO entries, cache-placed in-edges;
+  (arrival: consumer, its PE; start: PE, execution time, ALU cost,
+  in-edge rids, cache-placed in-edge rids;
   produce: per out-edge placement, slots, transfer latencies, home vault,
   vault service time), so the hot loop does list indexing only;
 * events are **packed integers** on a ``heapq`` (:class:`_EventKeys`):
@@ -51,7 +51,13 @@ The machine state is columnar:
 * per-instance bookkeeping is **one record per operation instance**,
   ``[remaining in-edges, latest arrival, nominal start]``, keyed by the
   integer ``(iteration << RB) | op_id``; live cache slots are keyed by
-  ``(iteration << RB) | edge_rid``.
+  ``(iteration << RB) | edge_rid``;
+* **pFIFO entries are edge rids**: an arrival stages its edge's arrival
+  rid (an int) in the consumer PE's pFIFO, and a start removes the
+  oldest entry of each of its in-edge rids, so a full 16-deep pFIFO is
+  scanned with int compares. Only the canonical form and
+  :meth:`_ScheduleRun.fifo_entries` decode a rid to its edge's
+  ``((e0, e1), size_bytes)``.
 
 Both passes walk the graph in content order -- ops by id, edges by
 ``(producer, consumer)`` key -- never in insertion order, so a simulation
@@ -449,7 +455,9 @@ class SteadyBoundary:
     failed_pes: FrozenSet[int]
     failed_vaults: FrozenSet[int]
     pe_free: Tuple[int, ...]
-    fifos: Tuple[Tuple[tuple, ...], ...]
+    #: edge rids per PE pFIFO, oldest first (rids depend on the graph's
+    #: content only).
+    fifos: Tuple[Tuple[int, ...], ...]
     vault_free: Tuple[int, ...]
     xin: Tuple[int, ...]
     xout: Tuple[int, ...]
@@ -667,7 +675,7 @@ class _ScheduleRun:
         # vaults and vault service times are the compiler's edge prices.
         placements = schedule.edge_placement
         row_of = index.row_of
-        in_entries: Dict[int, List[tuple]] = {op.op_id: [] for op in ops}
+        in_rids: Dict[int, List[int]] = {op.op_id: [] for op in ops}
         cache_in: Dict[int, List[int]] = {op.op_id: [] for op in ops}
         out_recs: Dict[int, List[tuple]] = {op.op_id: [] for op in ops}
         # Prices sort by their leading field, the (unique) edge key.
@@ -675,19 +683,17 @@ class _ScheduleRun:
             key = price.key
             consumer = price.consumer
             size_bytes = graph.edge(*key).size_bytes
+            #: the edge's arrival rid, also its pFIFO entry: an arrival
+            #: stages it and a start removes it.
             rid = arrive_rid[key]
-            #: the edge's one shared pFIFO entry ``((e0, e1), size_bytes)``:
-            #: an arrival stages it and a start removes it by identity.
-            entry = (key, size_bytes)
             consumer_pe = pe_of[consumer]
             is_cache = placements[row_of[key]] is Placement.CACHE
             in_deg[consumer] += 1
-            in_entries[consumer].append(entry)
+            in_rids[consumer].append(rid)
             if is_cache:
                 cache_in[consumer].append(rid)
-            #: arrival row: (consumer, consumer_pe, fifo_entry,
-            #:   consumer_start_const)
-            rows[rid] = (consumer, consumer_pe, entry, start_const[consumer])
+            #: arrival row: (consumer, consumer_pe, consumer_start_const)
+            rows[rid] = (consumer, consumer_pe, start_const[consumer])
             rid_fields[rid] = (consumer, key, size_bytes)
             #: out-edge record of the producer's produce row: (arrive_const,
             #:   (e0, e1), size, is_cache, slots, cache_units, edram_units,
@@ -709,14 +715,14 @@ class _ScheduleRun:
             op_id = op.op_id
             start = n_edges + rank
             produce = start + n_ops
-            #: start row: (op_id, pe, exec_time, alu_cost, in_entries,
+            #: start row: (op_id, pe, exec_time, alu_cost, in-edge rids,
             #:   cache-placed in-edge rids, produce_const).
             rows[start] = (
                 op_id,
                 pe_of[op_id],
                 op.execution_time,
                 max(op.work, op.execution_time),
-                tuple(in_entries[op_id]),
+                tuple(in_rids[op_id]),
                 tuple(cache_in[op_id]),
                 keys.const(_PRIO_PRODUCE, produce),
             )
@@ -729,7 +735,8 @@ class _ScheduleRun:
 
         # ---- timeline arrays + dynamic state --------------------------
         self._pe_free: List[int] = [0] * width
-        self._fifo: List[List[tuple]] = [[] for _ in range(width)]
+        #: per PE: the edge rids staged in its pFIFO, oldest first.
+        self._fifo: List[List[int]] = [[] for _ in range(width)]
         self._vault_free: List[int] = [0] * config.num_vaults
         self._xin: List[int] = [0] * width
         self._xout: List[int] = [0] * config.num_vaults
@@ -860,7 +867,7 @@ class _ScheduleRun:
                 ibits = key & iteration_mask
                 rid = key & rid_mask
                 if rid < n_arrive:
-                    consumer, consumer_pe, entry, start_const = rows[rid]
+                    consumer, consumer_pe, start_const = rows[rid]
                     rec = inst[ibits | consumer]
                     if now > rec[1]:
                         rec[1] = now
@@ -869,7 +876,7 @@ class _ScheduleRun:
                     # read).
                     fifo = fifos[consumer_pe]
                     if len(fifo) < fifo_depth:
-                        fifo.append(entry)
+                        fifo.append(rid)
                         fifo_pushes += 1
                     remaining = rec[0] - 1
                     rec[0] = remaining
@@ -880,7 +887,7 @@ class _ScheduleRun:
                         start_at = rec[1]  # the latest arrival, >= now
                     heappush(heap, (start_at << time_shift) | ibits | start_const)
                 elif rid < n_arrive_start:
-                    (op_id, pe_id, duration, alu_cost, in_entries, cache_in,
+                    (op_id, pe_id, duration, alu_cost, in_rids, cache_in,
                      produce_const) = rows[rid]
                     if pe_id in failed_pes:
                         # The schedule placed this instance on a PE that is
@@ -888,13 +895,13 @@ class _ScheduleRun:
                         # mutating machine state.
                         self._raise_fault(FAULT_UNIT_PE, pe_id, now)
                     # Consume the pFIFO entries staged for this instance --
-                    # the oldest per in-edge (list.remove takes the first
-                    # match), so a neighbour instance's datum is never
-                    # stolen.
+                    # the oldest per in-edge rid (list.remove takes the
+                    # first match), so a neighbour instance's datum is
+                    # never stolen.
                     fifo = fifos[pe_id]
-                    for entry in in_entries:
-                        if entry in fifo:
-                            fifo.remove(entry)
+                    for arrive in in_rids:
+                        if arrive in fifo:
+                            fifo.remove(arrive)
                     start = pe_free[pe_id]
                     if now > start:
                         start = now
@@ -1047,6 +1054,12 @@ class _ScheduleRun:
             events_processed=self._processed,
         )
 
+    def fifo_entries(self, pe: int) -> Tuple[Tuple[Tuple[int, int], int], ...]:
+        """PE ``pe``'s pFIFO, oldest first, each rid decoded to its edge's
+        ``((e0, e1), size_bytes)``."""
+        fields = self._rid_fields
+        return tuple(fields[rid][1:] for rid in self._fifo[pe])
+
     def _canonical(self, reference_time: int, reference_iteration: int):
         """The state relative to a round boundary, as a comparable tuple.
 
@@ -1063,8 +1076,8 @@ class _ScheduleRun:
         t = reference_time
         r = reference_iteration
         pe_state = tuple(
-            (max(free - t, 0), tuple(fifo))
-            for free, fifo in zip(self._pe_free, self._fifo)
+            (max(free - t, 0), self.fifo_entries(pe))
+            for pe, free in enumerate(self._pe_free)
         )
         vault_state = tuple(max(free - t, 0) for free in self._vault_free)
         crossbar_state = (

@@ -77,6 +77,34 @@ class TestRuntimeCli:
         assert "1 plans" in out
         assert "UNREADABLE" in out and "period=" not in out
 
+    def test_stats_names_a_graph_by_the_first_name_its_content_had(
+        self, tmp_path, capsys
+    ):
+        """The name is outside the fingerprint: a plan of ``cat`` lands on
+        the graph file ``cat-renamed`` published, and ``stats`` says so."""
+        from repro.cnn.workloads import load_workload
+        from repro.core.paraconv import ParaConv
+        from repro.pim.config import PimConfig
+        from repro.runtime.plan_cache import write_plan
+
+        renamed = load_workload("cat")
+        renamed.name = "cat-renamed"
+        cat = load_workload("cat")
+        assert renamed.fingerprint() == cat.fingerprint()
+        store = tmp_path / "plans"
+        for digest, graph, pes in (("a" * 64, renamed, 16), ("b" * 64, cat, 32)):
+            write_plan(store, digest, ParaConv(PimConfig(num_pes=pes)).run(graph))
+        rc = runtime_cli.main(["stats", "--disk", str(store)])
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert "2 plans" in header
+        assert "the first name the store saw for its content" in header
+        graph_column = f"graph={cat.fingerprint()[:12]}"
+        assert [row.split()[1:3] for row in rows] == [
+            ["cat-renamed", graph_column], ["cat-renamed", graph_column],
+        ]
+        assert [row.split()[3] for row in rows] == ["16", "32"]
+
     def test_warmup_has_no_jobs_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             runtime_cli.main(["warmup", "--workloads", "cat", "--jobs", "2"])

@@ -6,9 +6,10 @@ and D/E at 5, retiming R(A) = R(D) = 2 and R(B) = R(E) = 0, so instance
 ``l`` of A/D runs in round ``l`` and instance ``l`` of B/E in round
 ``l + 2``. Before B^1 starts (t = 20) PE 1's pFIFO holds, in arrival
 order, the data of A^1, D^1, A^2 and D^2: two instances of A -> B are
-staged, interleaved with D -> E. Entries of one edge are equal tuples, so
-only their position relative to the other edge's entries shows which
-instance B^1 took.
+staged, interleaved with D -> E. pFIFO entries are edge rids, so entries
+of one edge are equal and only their position relative to the other
+edge's entries shows which instance B^1 took; ``fifo_entries`` decodes
+each rid to its edge's ``((e0, e1), size_bytes)``.
 """
 
 from types import SimpleNamespace
@@ -69,13 +70,13 @@ def test_oldest_staged_instance_is_consumed_first():
     for iteration in (1, 2):
         run._materialize(iteration)
         run._run_until(iteration * PERIOD - 1)
-    assert tuple(run._fifo[1]) == (AB, DE, AB, DE)
+    assert run.fifo_entries(1) == (AB, DE, AB, DE)
     assert run.trace.stats.fifo_pushes == 4
     # Round 3 opens with B^1's start at t = 20 (A^3's datum lands at 21).
     run._materialize(3)
     run._run_until(2 * PERIOD)
     # A^1's entry (the oldest) left; A^2's stays behind D^1's.
-    assert tuple(run._fifo[1]) == (DE, AB, DE)
+    assert run.fifo_entries(1) == (DE, AB, DE)
     # A^1..A^3, D^1, D^2 and B^1 have started by t = 20.
     assert run.trace.num_instances == 6
 
