@@ -26,6 +26,7 @@ pass                      paper stage
 
 from __future__ import annotations
 
+from operator import sub
 from typing import Callable, Tuple, Union
 
 from repro.compiler.context import CompileContext
@@ -149,8 +150,9 @@ class ZeroDrPrepassPass(CompilerPass):
     """Paper step 4: placement-indifferent results (``ΔR = 0``) to eDRAM.
 
     Builds the deadline-sorted :class:`AllocationProblem`; the prepass is
-    the ``indifferent`` partition inside
-    :meth:`AllocationProblem.from_timings`.
+    the competing-row mask of :meth:`AllocationProblem.from_timings`: only
+    the rows with ``ΔR > 0`` become items, and every other row stays in
+    eDRAM (``indifferent`` is derived from the mask when read).
     """
 
     name = "zero-dr-prepass"
@@ -207,8 +209,15 @@ class LivenessReweightPass(CompilerPass):
         provisional = solve_retiming(
             ctx.graph, placed_deltas(timings, allocation.placements)
         )
-        vertex = provisional.vertex_retiming
-        realized = {(i, j): vertex[i] - vertex[j] for i, j in timings}
+        # R(i) - R(j) by edge row.
+        vertex, index = provisional.vertex_r, provisional.index
+        realized = list(
+            map(
+                sub,
+                map(vertex.__getitem__, index.producers),
+                map(vertex.__getitem__, index.consumers),
+            )
+        )
         problem = liveness_weighted_problem(
             timings, ctx.capacity_slots, realized
         )

@@ -40,7 +40,12 @@ Each width it visits runs up to four steps:
   when ``((R_floor + ceil(N/J)) * p, -width)`` exceeds the incumbent's
   key — before any edge analysis;
 * the *rank stage* (``analyze-edges`` through ``solve-retiming``) yields
-  ``R_max`` and so the width's ``total_time``.
+  ``R_max`` and so the width's ``total_time``. It reads and writes edge-row
+  columns of the graph's index: the edge timings, the placements (one row
+  column, every row in eDRAM but the cached ones) and the per-row deltas.
+  Only the rows that compete for cache (``ΔR > 0``) become allocation
+  items; the indifferent ones are derived from the rows when something
+  reads them.
 
 Only the winner then runs the *emit stage* (``emit-schedule`` and
 ``validate-schedule``): a losing width needs no schedule to rank.
@@ -525,7 +530,7 @@ def kernel_stage_floor(ctx: CompileContext, iterations: int) -> int:
                 "edge check that analyze_edges passes (internal error)"
             )
         need = gap + t_cache
-        # delta_cache = max(0, ceil(need / p)).
+        # delta_cache = required_retiming(finish, start, t_cache, p), inlined.
         reach = retiming[consumer] + (-(-need // period) if need > 0 else 0)
         if reach > retiming[producer]:
             retiming[producer] = reach

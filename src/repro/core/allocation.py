@@ -18,15 +18,29 @@ Following the paper:
 
 Ablation allocators (greedy, random, all-eDRAM, capacity-oblivious oracle)
 share the same interface so experiments can swap them in.
+
+The problem works on edge rows (:class:`EdgeRows`):
+:meth:`AllocationProblem.from_timings` reads the analysis' row columns and
+keeps only the competing rows as items, so an allocator costs in the
+results that compete for cache, not in every edge. The
+``indifferent`` keys are derived from the rows when something reads them.
+Every allocator ends in :func:`_finalize`, which writes ``placements`` as
+one row column (every row in eDRAM but the cached ones), a mutable mapping
+keyed by edge key like the schedule's.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import compress
+from operator import attrgetter, gt, not_
+from typing import (
+    Any, Callable, Dict, List, Mapping, MutableMapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.core.retiming import EdgeTiming, EdgeTimings, RetimingError
+from repro.graph.taskgraph import ColumnView
 from repro.pim.memory import Placement
 
 EdgeKey = Tuple[int, int]
@@ -163,14 +177,57 @@ class AllocationItem:
     deadline: int
 
 
-@dataclass
-class AllocationProblem:
-    """A deadline-sorted instance of the Section 3.3 allocation problem."""
+class EdgeRows(NamedTuple):
+    """The edge rows an allocation places, and which of them compete.
 
-    items: List[AllocationItem]
-    capacity_slots: int
-    #: edges excluded from the DP because ``ΔR = 0`` (placed in eDRAM).
-    indifferent: List[EdgeKey] = field(default_factory=list)
+    Attributes:
+        edge_keys: the edge key of each row.
+        row_of: the row of each edge key.
+        competing: by row, whether the edge competes for cache
+            (``ΔR > 0``); the other rows are indifferent.
+    """
+
+    edge_keys: Sequence[EdgeKey]
+    row_of: Mapping[EdgeKey, int]
+    competing: Sequence[bool]
+
+    def by_row(self, column: List) -> ColumnView:
+        """``column`` (one entry per row) keyed by edge key."""
+        return ColumnView(self.edge_keys, self.row_of, column)
+
+
+class AllocationProblem:
+    """A deadline-sorted instance of the Section 3.3 allocation problem.
+
+    ``items`` are the competing results in DP order. ``rows`` are the edge
+    rows every allocator places: :meth:`from_timings` passes the graph
+    index's rows, so an allocation's ``placements`` is one row column of
+    the graph's index. A hand-built problem passes its ``indifferent`` keys
+    instead; its rows are then those keys followed by the item keys.
+    """
+
+    def __init__(
+        self,
+        items: List[AllocationItem],
+        capacity_slots: int,
+        indifferent: Sequence[EdgeKey] = (),
+        rows: Optional[EdgeRows] = None,
+    ):
+        if rows is not None and indifferent:
+            raise AllocationError(
+                "pass the indifferent keys or the edge rows, not both"
+            )
+        self.items = items
+        self.capacity_slots = capacity_slots
+        self._indifferent = list(indifferent)
+        self._rows = rows
+
+    def __repr__(self) -> str:
+        return (
+            f"AllocationProblem(items={self.items!r}, "
+            f"capacity_slots={self.capacity_slots!r}, "
+            f"indifferent={self.indifferent!r})"
+        )
 
     @classmethod
     def from_timings(
@@ -179,30 +236,44 @@ class AllocationProblem:
         capacity_slots: int,
     ) -> "AllocationProblem":
         """Build the DP instance from the Section 3.2 edge analysis,
-        reading its columns."""
+        reading its columns. Only the competing rows (``delta_edram >
+        delta_cache``) become items; the rest stay rows of the problem."""
         if capacity_slots < 0:
             raise AllocationError("capacity_slots must be >= 0")
-        items: List[AllocationItem] = []
-        indifferent: List[EdgeKey] = []
-        for key, d_cache, d_edram, slots, deadline in zip(
-            timings.edge_keys,
-            timings.delta_cache,
-            timings.delta_edram,
-            timings.slots,
-            timings.deadline,
-        ):
-            if d_edram > d_cache:
-                items.append(
-                    AllocationItem(key, slots, d_edram - d_cache, deadline)
-                )
-            else:
-                indifferent.append(key)
+        keys, slots, deadline = timings.edge_keys, timings.slots, timings.deadline
+        d_cache, d_edram = timings.delta_cache, timings.delta_edram
+        competing = list(map(gt, d_edram, d_cache))
+        items = [
+            AllocationItem(keys[row], slots[row], d_edram[row] - d_cache[row],
+                           deadline[row])
+            for row in compress(range(len(keys)), competing)
+        ]
         # Section 3.3.1: schedule (and therefore index) in increasing order
         # of deadline; ties broken by key for determinism.
-        items.sort(key=lambda item: (item.deadline, item.key))
-        indifferent.sort()
-        return cls(items=items, capacity_slots=capacity_slots,
-                   indifferent=indifferent)
+        items.sort(key=attrgetter("deadline", "key"))
+        return cls(items, capacity_slots,
+                   rows=EdgeRows(keys, timings.row_of, competing))
+
+    @property
+    def rows(self) -> EdgeRows:
+        """The edge rows the allocation places (see the class docstring)."""
+        if self._rows is not None:
+            return self._rows
+        keys = [*self._indifferent, *(item.key for item in self.items)]
+        row_of: Dict[EdgeKey, int] = {}
+        for row, key in enumerate(keys):
+            row_of.setdefault(key, row)
+        competing = [False] * len(self._indifferent) + [True] * len(self.items)
+        return EdgeRows(keys, row_of, competing)
+
+    @property
+    def indifferent(self) -> List[EdgeKey]:
+        """Edges excluded from the DP because ``ΔR = 0`` (placed in
+        eDRAM): the non-competing rows, sorted, derived on each read."""
+        if self._rows is None:
+            return self._indifferent
+        rows = self._rows
+        return sorted(compress(rows.edge_keys, map(not_, rows.competing)))
 
     def validate(self) -> None:
         """Reject malformed instances with a typed error.
@@ -211,8 +282,9 @@ class AllocationProblem:
         bad instance (hand-built, deserialized, or corrupted upstream)
         fails loudly instead of producing an infeasible or silently wrong
         allocation. Checks: non-negative integer capacity, strictly
-        positive per-item slot demands, non-negative profits, and no
-        duplicate edge keys.
+        positive per-item slot demands, non-negative profits, no
+        duplicate edge keys, and every item key a competing row (not
+        indifferent, not missing), in O(items).
         """
         if not isinstance(self.capacity_slots, int):
             raise AllocationError(
@@ -223,7 +295,10 @@ class AllocationProblem:
             raise AllocationError(
                 f"capacity_slots must be >= 0, got {self.capacity_slots}"
             )
+        rows = self.rows
+        row_of, competing = rows.row_of, rows.competing
         seen = set()
+        overlap = []
         for item in self.items:
             if item.slots <= 0:
                 raise AllocationError(
@@ -237,7 +312,13 @@ class AllocationProblem:
             if item.key in seen:
                 raise AllocationError(f"duplicate item key {item.key}")
             seen.add(item.key)
-        overlap = seen & set(self.indifferent)
+            row = row_of.get(item.key)
+            if row is None:
+                raise AllocationError(
+                    f"item {item.key}: not an edge row of the problem"
+                )
+            if not competing[row]:
+                overlap.append(item.key)
         if overlap:
             raise AllocationError(
                 f"keys both competing and indifferent: {sorted(overlap)[:5]}"
@@ -255,13 +336,15 @@ class AllocationProblem:
 class AllocationResult:
     """Outcome of one allocation strategy.
 
-    ``placements`` covers *every* edge the problem saw (competing and
-    indifferent); ``cached`` lists the edges put in on-chip cache;
-    ``total_delta_r`` is the achieved profit ``Σ ΔR`` over cached edges.
+    ``placements`` covers *every* edge row of the problem (competing and
+    indifferent), one row column keyed by edge key
+    (:meth:`EdgeRows.by_row`); ``cached`` lists the edges put in on-chip
+    cache; ``total_delta_r`` is the achieved profit ``Σ ΔR`` over cached
+    edges.
     """
 
     method: str
-    placements: Dict[EdgeKey, Placement]
+    placements: MutableMapping[EdgeKey, Placement]
     cached: List[EdgeKey]
     total_delta_r: int
     slots_used: int
@@ -282,24 +365,24 @@ def _finalize(
     problem: AllocationProblem,
     chosen: Sequence[AllocationItem],
 ) -> AllocationResult:
-    placements: Dict[EdgeKey, Placement] = {
-        key: Placement.EDRAM for key in problem.indifferent
-    }
+    """The :class:`AllocationResult` of caching ``chosen``: every row of
+    the problem in eDRAM but the chosen items', ``cached`` in item order."""
+    rows = problem.rows
+    row_of = rows.row_of
+    column = [Placement.EDRAM] * len(rows.edge_keys)
     chosen_keys = []
     profit = 0
     slots = 0
     chosen_set = {item.key for item in chosen}
     for item in problem.items:
         if item.key in chosen_set:
-            placements[item.key] = Placement.CACHE
+            column[row_of[item.key]] = Placement.CACHE
             chosen_keys.append(item.key)
             profit += item.delta_r
             slots += item.slots
-        else:
-            placements[item.key] = Placement.EDRAM
     return AllocationResult(
         method=method,
-        placements=placements,
+        placements=rows.by_row(column),
         cached=chosen_keys,
         total_delta_r=profit,
         slots_used=slots,

@@ -20,10 +20,10 @@ This module provides:
 
 from __future__ import annotations
 
-from typing import Mapping, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 from repro.core.allocation import AllocationItem, AllocationProblem
-from repro.core.retiming import EdgeTiming, RetimingError
+from repro.core.retiming import EdgeTiming, EdgeTimings, RetimingError
 
 EdgeKey = Tuple[int, int]
 
@@ -53,9 +53,9 @@ def peak_cache_demand(
 
 
 def liveness_weighted_problem(
-    timings: Mapping[EdgeKey, EdgeTiming],
+    timings: EdgeTimings,
     capacity_slots: int,
-    realized_delta: Mapping[EdgeKey, int] = None,
+    realized_delta: Optional[Sequence[int]] = None,
 ) -> AllocationProblem:
     """Build a Section 3.3 DP instance with liveness-corrected weights.
 
@@ -69,31 +69,20 @@ def liveness_weighted_problem(
     runs early and its data waits). Since realized retimings are only
     known after an allocation, callers typically run two passes: allocate,
     solve the retiming, then rebuild the problem passing the realized
-    deltas (``ParaConv(liveness_aware=True)`` does exactly this). Without
-    ``realized_delta`` the per-edge requirement is used as a lower-bound
-    estimate.
+    deltas, one per edge row of ``timings`` (``ParaConv(liveness_aware=
+    True)`` does exactly this). Without ``realized_delta`` the per-edge
+    requirement is used as a lower-bound estimate.
     """
     if capacity_slots < 0:
         raise RetimingError("capacity_slots must be >= 0")
     base = AllocationProblem.from_timings(timings, capacity_slots)
-    deltas = realized_delta or {}
-    items = [
-        AllocationItem(
-            key=item.key,
-            slots=timings[item.key].slots
-            * live_instances(
-                max(
-                    deltas.get(item.key, 0),
-                    timings[item.key].delta_cache,
-                )
-            ),
-            delta_r=item.delta_r,
-            deadline=item.deadline,
+    row_of, slots, d_cache = timings.row_of, timings.slots, timings.delta_cache
+    realized = d_cache if realized_delta is None else realized_delta
+    items = []
+    for item in base.items:
+        row = row_of[item.key]
+        live = live_instances(max(realized[row], d_cache[row]))
+        items.append(
+            AllocationItem(item.key, slots[row] * live, item.delta_r, item.deadline)
         )
-        for item in base.items
-    ]
-    return AllocationProblem(
-        items=items,
-        capacity_slots=capacity_slots,
-        indifferent=base.indifferent,
-    )
+    return AllocationProblem(items, capacity_slots, rows=base.rows)

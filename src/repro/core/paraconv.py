@@ -251,7 +251,11 @@ class ParaConv:
         floor run once per compile. Each visited width runs
         ``compact-kernel`` (the kernel stage), then — if it can still win
         — the rank stage, ``analyze-edges`` through ``solve-retiming``,
-        which gives its ``total_time``. Only the winner runs
+        which gives its ``total_time``. The rank stage works on edge-row
+        columns of the graph's index: only the rows that compete for
+        cache become allocation items, the allocation's placements are one
+        row column, and the indifferent rows are derived only when read.
+        Only the winner runs
         ``emit-schedule`` and ``validate-schedule``, so every returned
         plan is validated. With ``prune_widths`` the search is a
         branch-and-bound that ranks only the widths that can still win:

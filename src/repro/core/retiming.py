@@ -26,11 +26,13 @@ and :func:`graph_edge_table` keep both with the index, once per graph and
 price constants, so every compile and simulation of a graph reuses them.
 
 The per-width passes work on columns in that index space:
-:func:`analyze_edges` returns one :class:`EdgeTimings` column per
+:func:`analyze_edges` builds one :class:`EdgeTimings` column per
 :class:`EdgeTiming` field by edge row, :func:`placed_deltas` one delta per
-row, and :func:`solve_retiming`, one reverse pass over the rows like
-:func:`repro.compiler.kernel_stage_floor`, ``R(i)`` by vertex and
-``R(i, j)`` by row; :func:`emit_schedule` lays out the schedule.
+row from a placement row column, and :func:`solve_retiming`, one reverse
+pass over the rows like :func:`repro.compiler.kernel_stage_floor`,
+``R(i)`` by vertex and ``R(i, j)`` by row; :func:`emit_schedule` lays out
+the schedule. :func:`required_retiming` states the delta formula the
+columns compute inline.
 """
 
 from __future__ import annotations
@@ -38,11 +40,12 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field
-from operator import add, ge, le
+from itertools import compress, repeat
+from operator import add, ge, is_, le, lt, sub
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.schedule import KernelSchedule, PeriodicSchedule, require_layout
-from repro.graph.taskgraph import ColumnView, GraphIndex, TaskGraph
+from repro.graph.taskgraph import ColumnView, GraphIndex, TaskGraph, column_of
 from repro.pim.config import PimConfig
 from repro.pim.memory import Placement
 
@@ -53,6 +56,12 @@ class RetimingError(ValueError):
 
 def required_retiming(finish: int, start: int, transfer: int, period: int) -> int:
     """Minimum relative retiming for one dependency.
+
+    The reference for the per-edge delta formula, kept as public API:
+    :func:`analyze_edges` (under both placements) and
+    :func:`repro.compiler.kernel_stage_floor` (under the cache placement)
+    compute it inline on whole columns of rows, and a property test holds
+    every row they produce to this function.
 
     Args:
         finish: producer finish offset ``f_i`` within the kernel.
@@ -224,12 +233,17 @@ class EdgeTable(NamedTuple):
         slots: the cache slots ``sp_m`` of each row.
         max_cache_units: the largest ``cache_units`` of any row (0 when
             the graph has no edge).
+        cache_units / edram_units: the two unit columns of ``rows``.
+        max_edram_units: the largest ``edram_units`` of any row.
     """
 
     index: GraphIndex
     rows: Tuple[Tuple[int, int, int, int, int], ...]
     slots: Tuple[int, ...]
     max_cache_units: int
+    cache_units: Tuple[int, ...]
+    edram_units: Tuple[int, ...]
+    max_edram_units: int
 
 
 def edge_table(graph: TaskGraph, prices: Sequence[EdgePrice]) -> EdgeTable:
@@ -241,23 +255,25 @@ def edge_table(graph: TaskGraph, prices: Sequence[EdgePrice]) -> EdgeTable:
             "edge prices must hold one price per edge row, in row order"
         )
     execution_times = index.execution_times
+    cache_units = tuple(price.cache_units for price in prices)
+    edram_units = tuple(price.edram_units for price in prices)
     rows = tuple(
-        (
-            producer,
-            consumer,
-            price.cache_units,
-            price.edram_units,
-            execution_times[producer],
-        )
-        for producer, consumer, price in zip(
-            index.producers, index.consumers, prices
+        zip(
+            index.producers,
+            index.consumers,
+            cache_units,
+            edram_units,
+            map(execution_times.__getitem__, index.producers),
         )
     )
     return EdgeTable(
         index,
         rows,
         tuple(price.slots for price in prices),
-        max((row[2] for row in rows), default=0),
+        max(cache_units, default=0),
+        cache_units,
+        edram_units,
+        max(edram_units, default=0),
     )
 
 
@@ -309,6 +325,10 @@ def analyze_edges(
     ``table`` may carry :func:`edge_table` of the same graph and machine;
     when omitted it is :func:`graph_edge_table`.
     The kernel's columns must be laid out over the graph's index.
+
+    Each column is built whole, row by row: each delta is
+    :func:`required_retiming` of the row's producer finish, consumer
+    start, clamped transfer and period, computed inline.
     """
     period = kernel.period
     if period <= 0:
@@ -317,34 +337,47 @@ def analyze_edges(
         table = graph_edge_table(graph, config)
     index = table.index
     require_layout(kernel, index)
-    starts, finishes = kernel.start, kernel.finish
-    columns = []
-    for producer, consumer, cache_units, edram_units, _ in table.rows:
-        t_cache = cache_units if cache_units < period else period
-        t_edram = edram_units if edram_units < period else period
-        start = starts[consumer]
-        # delta = max(0, ceil((finish + t - start) / p)), per placement.
-        gap = finishes[producer] - start
-        d_cache = -(-(gap + t_cache) // period) if gap + t_cache > 0 else 0
-        d_edram = -(-(gap + t_edram) // period) if gap + t_edram > 0 else 0
-        if t_edram < t_cache:
-            raise RetimingError(
-                f"edge {index.edge_keys[len(columns)]}: eDRAM transfer faster "
-                "than cache (configuration inverts the memory hierarchy)"
-            )
-        if d_edram > 2:
-            raise RetimingError(
-                f"edge {index.edge_keys[len(columns)]}: required retiming "
-                f"exceeds Theorem 3.1 bound (cache={d_cache}, eDRAM={d_edram})"
-            )
-        columns.append((t_cache, t_edram, d_cache, d_edram, start))
-    t_cache, t_edram, d_cache, d_edram, deadline = (
-        zip(*columns) if columns else ((),) * 5
-    )
+    deadline = list(map(kernel.start.__getitem__, index.consumers))
+    gaps = list(map(sub, map(kernel.finish.__getitem__, index.producers), deadline))
+    t_cache = _clamped(table.cache_units, table.max_cache_units, period)
+    t_edram = _clamped(table.edram_units, table.max_edram_units, period)
+    d_cache = _required(gaps, t_cache, period)
+    d_edram = _required(gaps, t_edram, period)
+    if any(map(lt, t_edram, t_cache)) or max(d_edram, default=0) > 2:
+        for key, tc, te, dc, de in zip(
+            index.edge_keys, t_cache, t_edram, d_cache, d_edram
+        ):
+            if te < tc:
+                raise RetimingError(
+                    f"edge {key}: eDRAM transfer faster than cache "
+                    "(configuration inverts the memory hierarchy)"
+                )
+            if de > 2:
+                raise RetimingError(
+                    f"edge {key}: required retiming exceeds Theorem 3.1 "
+                    f"bound (cache={dc}, eDRAM={de})"
+                )
     return EdgeTimings(
         index.edge_keys, t_cache, t_edram, d_cache, d_edram, table.slots,
         deadline, index.row_of,
     )
+
+
+def _clamped(units: Sequence[int], max_units: int, period: int) -> Sequence[int]:
+    """``min(units, period)`` by row; ``units`` itself when none exceeds
+    ``period``."""
+    if max_units < period:
+        return units
+    return [unit if unit < period else period for unit in units]
+
+
+def _required(gaps: Sequence[int], transfers: Sequence[int], period: int) -> List[int]:
+    """:func:`required_retiming` of each row, from its ``finish - start``
+    gap and its transfer: ``max(0, ceil((gap + t) / p))``."""
+    return [
+        -(-(gap + t) // period) if gap + t > 0 else 0
+        for gap, t in zip(gaps, transfers)
+    ]
 
 
 @dataclass(frozen=True)
@@ -505,14 +538,32 @@ def solve_retiming(graph: TaskGraph, deltas: Sequence[int]) -> RetimingSolution:
 def placed_deltas(
     timings: EdgeTimings, placement: Mapping[Tuple[int, int], Placement]
 ) -> List[int]:
-    """Required relative retiming of every edge row under its placement."""
-    cache = Placement.CACHE
-    return [
-        d_cache if placement[key] is cache else d_edram
-        for key, d_cache, d_edram in zip(
-            timings.edge_keys, timings.delta_cache, timings.delta_edram
-        )
-    ]
+    """Required relative retiming of every edge row under its placement.
+
+    ``placement`` is read by row (:func:`~repro.graph.taskgraph.column_of`):
+    a row column of the graph's index, such as an allocation's
+    ``placements``, is read in place.
+    """
+    return _placed(
+        column_of(placement, timings.edge_keys),
+        timings.delta_cache,
+        timings.delta_edram,
+    )
+
+
+def _placed(
+    placement: Sequence[Placement],
+    if_cache: Sequence[int],
+    if_edram: Sequence[int],
+) -> List[int]:
+    """``if_cache[r]`` for each row ``r`` placed in cache, ``if_edram[r]``
+    for the rest: a copy of ``if_edram`` with the cached rows rewritten."""
+    values = list(if_edram)
+    for row in compress(
+        range(len(values)), map(is_, placement, repeat(Placement.CACHE))
+    ):
+        values[row] = if_cache[row]
+    return values
 
 
 def emit_schedule(
@@ -523,16 +574,10 @@ def emit_schedule(
     solution: RetimingSolution,
 ) -> PeriodicSchedule:
     """The periodic schedule of one allocation and its retiming: each
-    row's placement and the transfer time it implies."""
-    edge_placement = [placement[key] for key in timings.edge_keys]
-    cache = Placement.CACHE
-    edge_transfer = [
-        t_cache if where is cache else t_edram
-        for where, t_cache, t_edram in zip(
-            edge_placement, timings.transfer_cache, timings.transfer_edram
-        )
-    ]
+    row's placement and the transfer time it implies. The schedule gets
+    its own copy of the placement column."""
+    edge_placement = list(column_of(placement, timings.edge_keys))
     return PeriodicSchedule(
         graph, kernel, solution.vertex_r, solution.edge_r, edge_placement,
-        edge_transfer,
+        _placed(edge_placement, timings.transfer_cache, timings.transfer_edram),
     )

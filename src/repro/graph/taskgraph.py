@@ -32,6 +32,7 @@ from typing import (
     Iterator,
     KeysView,
     List,
+    Mapping,
     NamedTuple,
     Optional,
     Sequence,
@@ -215,6 +216,31 @@ class ColumnView(MutableMapping):
 
     def __len__(self) -> int:
         return len(self._column) - self._column.count(None)
+
+    def __eq__(self, other) -> bool:
+        # Two views of one layout are equal when their columns are (a
+        # missing entry is None in both): compare the columns instead of
+        # building a dict of each.
+        if isinstance(other, ColumnView) and other._keys is self._keys:
+            return self._column == other._column
+        return super().__eq__(other)
+
+    __hash__ = None
+
+
+def column_of(mapping: Mapping, keys: Sequence) -> Sequence:
+    """``mapping[key]`` for each of ``keys``, as one column.
+
+    A :class:`ColumnView` laid out over ``keys`` itself returns its own
+    column, read in place (do not mutate it). Either way a missing entry
+    raises ``KeyError``.
+    """
+    if isinstance(mapping, ColumnView) and mapping._keys is keys:
+        column = mapping._column
+        if None in column:
+            raise KeyError(keys[column.index(None)])
+        return column
+    return [mapping[key] for key in keys]
 
 
 class GraphIndex(NamedTuple):

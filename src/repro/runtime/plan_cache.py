@@ -170,6 +170,8 @@ def plan_to_dict(result: ParaConvResult) -> Dict[str, Any]:
     sorted edge order.
     """
     allocation = result.allocation
+    # Both are row columns of the graph's index on every compiled or
+    # loaded plan, so this compares two lists (ColumnView.__eq__).
     if allocation.placements != result.schedule.placements:
         raise PlanCacheError(
             "allocation placements differ from the schedule's; the payload "
@@ -254,7 +256,7 @@ def plan_from_dict(
             raise PlanCacheError("a cached edge is not placed in cache")
         allocation = AllocationResult(
             method=str(alloc["method"]),
-            placements=dict(schedule.placements),
+            placements=graph.index().by_row(list(schedule.edge_placement)),
             cached=cached_keys,
             total_delta_r=int(alloc["total_delta_r"]),
             slots_used=int(alloc["slots_used"]),

@@ -24,6 +24,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.paraconv import ParaConvResult
 from repro.core.schedule import PeriodicSchedule
+from repro.graph.taskgraph import column_of
 from repro.pim.memory import Placement
 
 EdgeKey = Tuple[int, int]
@@ -51,7 +52,10 @@ def clone_result(result: ParaConvResult) -> ParaConvResult:
         list(source.edge_transfer),
     )
     allocation = copy.copy(result.allocation)
-    allocation.placements = dict(result.allocation.placements)
+    index = result.graph.index()
+    allocation.placements = index.by_row(
+        list(column_of(result.allocation.placements, index.edge_keys))
+    )
     allocation.cached = list(result.allocation.cached)
     return ParaConvResult(
         graph=result.graph,

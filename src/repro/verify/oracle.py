@@ -26,13 +26,13 @@ from repro.core.allocation import (
     ALLOCATORS,
     AllocationProblem,
     AllocationResult,
+    _finalize,
     dp_allocate,
 )
 from repro.core.paraconv import ParaConv, ParaConvResult
 from repro.core.retiming import analyze_edges
 from repro.graph.taskgraph import TaskGraph
 from repro.pim.config import PimConfig
-from repro.pim.memory import Placement
 
 #: Minimum numpy release the oracle's subset matrix is tested against.
 #: (``numpy >= 1.22`` is the floor pinned in ``pyproject.toml``: it is
@@ -130,33 +130,19 @@ class ProfitTable:
     def result_from_mask(
         self, method: str, problem: AllocationProblem, mask
     ) -> AllocationResult:
-        """Build an :class:`AllocationResult` from a boolean member mask.
-
-        Field-identical to :func:`repro.core.allocation._finalize` on the
-        equivalent chosen-item sequence: ``cached`` lists keys in item
-        (deadline) order, and profit and slots are plain ints.
-        """
+        """Build an :class:`AllocationResult` from a boolean member mask
+        over ``problem``'s items, through the allocators' own
+        :func:`repro.core.allocation._finalize`."""
         chosen = np.asarray(mask, dtype=bool)
         if chosen.shape != (len(self.keys),):
             raise ValueError(
                 f"mask must have shape ({len(self.keys)},), "
                 f"got {chosen.shape}"
             )
-        placements = {key: Placement.EDRAM for key in problem.indifferent}
-        cached: List[EdgeKey] = []
-        for index, key in enumerate(self.keys):
-            if chosen[index]:
-                placements[key] = Placement.CACHE
-                cached.append(key)
-            else:
-                placements[key] = Placement.EDRAM
-        return AllocationResult(
-            method=method,
-            placements=placements,
-            cached=cached,
-            total_delta_r=int(self.delta_r[chosen].sum()),
-            slots_used=int(self.slots[chosen].sum()),
-            capacity_slots=problem.capacity_slots,
+        return _finalize(
+            method,
+            problem,
+            [item for item, keep in zip(problem.items, chosen.tolist()) if keep],
         )
 
 

@@ -10,7 +10,10 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cnn.workloads import WORKLOADS, load_workload
 from repro.core.allocation import (
+    ALLOCATORS,
+    AllocationError,
     AllocationItem,
     AllocationProblem,
     all_edram_allocate,
@@ -18,9 +21,14 @@ from repro.core.allocation import (
     greedy_allocate,
     oracle_allocate,
     random_allocate,
+    resolve_allocator,
 )
+from repro.core.paraconv import ParaConv
 from repro.core.retiming import EdgeTiming
+from repro.graph.taskgraph import TaskGraph
+from repro.pim.config import PimConfig
 from repro.pim.memory import Placement
+from repro.verify.mutation import fault_detection_report
 from tests.builders import timings_table
 
 
@@ -174,3 +182,97 @@ class TestOtherAllocators:
         assert result.cache_utilization() == pytest.approx(0.5)
         empty = make_problem([], capacity=0)
         assert dp_allocate(empty).cache_utilization() == 0.0
+
+
+class TestRowColumns:
+    """Placements are one row column of the graph's index, written by the
+    single ``_finalize`` every allocator ends in."""
+
+    @pytest.mark.parametrize("pes", [16, 64])
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_every_allocator_places_each_edge_row_once(self, name, pes):
+        graph = load_workload(name)
+        keys = list(graph.index().edge_keys)
+        for method in sorted(ALLOCATORS):
+            result = ParaConv(
+                PimConfig(num_pes=pes, iterations=1000), allocator_name=method
+            ).run(graph)
+            placements = result.allocation.placements
+            assert list(placements) == keys, method
+            assert len(placements) == len(keys), method
+            assert sorted(result.allocation.cached) == sorted(
+                key for key in keys if placements[key] is Placement.CACHE
+            ), method
+            assert placements == result.schedule.placements, method
+
+    @pytest.mark.parametrize("method", sorted(ALLOCATORS))
+    def test_hand_built_problem_serves_every_allocator(self, method):
+        # No timings: the problem's rows are its indifferent keys, then
+        # its item keys. The iterative factory still needs a graph.
+        graph = TaskGraph("hand-built")
+        for op_id in range(5):
+            graph.add_op(op_id, execution_time=1)
+        for key in [(0, 1), (1, 2), (2, 3), (3, 4)]:
+            graph.connect(*key, size_bytes=1)
+        timings = timings_table([
+            EdgeTiming((0, 1), 0, 1, 0, 2, 2, 0),
+            EdgeTiming((1, 2), 0, 1, 0, 1, 3, 1),
+            EdgeTiming((2, 3), 0, 1, 0, 1, 1, 2),
+            EdgeTiming((3, 4), 0, 1, 1, 1, 1, 3),
+        ])
+        problem = AllocationProblem(
+            items=[
+                AllocationItem((0, 1), 2, 2, 0),
+                AllocationItem((1, 2), 3, 1, 1),
+                AllocationItem((2, 3), 1, 1, 2),
+            ],
+            capacity_slots=3,
+            indifferent=[(3, 4)],
+        )
+        result = resolve_allocator(method, graph, timings)(problem)
+        assert list(result.placements) == [(3, 4), (0, 1), (1, 2), (2, 3)]
+        assert result.placements[(3, 4)] is Placement.EDRAM
+        assert [
+            key for key, where in result.placements.items()
+            if where is Placement.CACHE
+        ] == result.cached
+        assert problem.indifferent == [(3, 4)]
+
+    @pytest.mark.parametrize("route", ["hand-built", "timings"])
+    def test_key_both_competing_and_indifferent_rejected(self, route):
+        if route == "hand-built":
+            problem = make_problem([(1, 1), (2, 1)], capacity=5,
+                                   indifferent=[(0, 1)])
+        else:
+            timings = timings_table([
+                EdgeTiming((0, 1), 0, 1, 0, 0, 2, 5),  # ΔR = 0: indifferent
+                EdgeTiming((1, 2), 0, 1, 0, 1, 2, 3),
+            ])
+            problem = AllocationProblem.from_timings(timings, capacity_slots=10)
+            problem.validate()
+            problem.items.append(AllocationItem((0, 1), 2, 1, 5))
+        with pytest.raises(AllocationError, match="competing and indifferent"):
+            problem.validate()
+
+    def test_indifferent_derived_from_rows(self):
+        timings = timings_table([
+            EdgeTiming((2, 3), 0, 1, 0, 0, 1, 0),
+            EdgeTiming((0, 1), 0, 1, 1, 1, 1, 0),
+            EdgeTiming((1, 2), 0, 1, 0, 2, 1, 0),
+        ])
+        problem = AllocationProblem.from_timings(timings, capacity_slots=1)
+        assert problem.indifferent == [(0, 1), (2, 3)]
+        result = dp_allocate(problem)
+        assert list(result.placements) == [(2, 3), (0, 1), (1, 2)]
+        assert result.cached == [(1, 2)]
+
+    @pytest.mark.parametrize("name", ["cat", "flower", "speech-1"])
+    def test_placement_flip_mutants_still_caught(self, name):
+        plan = ParaConv(PimConfig(num_pes=16, iterations=1000)).run(
+            load_workload(name)
+        )
+        flips = ["flip-placement", "search-overfill-candidate"]
+        for seed in range(3):
+            report = fault_detection_report(plan, seed=seed, mutators=flips)
+            assert report.ok, (seed, report.missed)
+            assert "flip-placement" in report.detected, seed

@@ -49,7 +49,7 @@ class TestWeightedProblem:
     def test_weights_scaled_by_realized_delta(self):
         timings = timings_table([timing((0, 1), delta_cache=0, slots=2)])
         problem = liveness_weighted_problem(
-            timings, capacity_slots=20, realized_delta={(0, 1): 3}
+            timings, capacity_slots=20, realized_delta=[3]  # by edge row
         )
         assert problem.items[0].slots == 2 * 4  # (3 + 1) instances
 
@@ -58,7 +58,7 @@ class TestWeightedProblem:
             [timing((0, 1), delta_cache=1, delta_edram=2, slots=2)]
         )
         problem = liveness_weighted_problem(
-            timings, capacity_slots=20, realized_delta={(0, 1): 0}
+            timings, capacity_slots=20, realized_delta=[0]
         )
         assert problem.items[0].slots == 2 * 2  # delta_cache wins over 0
 

@@ -4,6 +4,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cnn.workloads import WORKLOADS, load_workload
+from repro.core.paraconv import ParaConv
 from repro.core.retiming import (
     EdgeTiming,
     RetimingError,
@@ -15,6 +17,7 @@ from repro.core.retiming import (
 from repro.core.scheduler import compact_kernel_schedule
 from repro.graph.generators import SyntheticGraphGenerator
 from repro.graph.taskgraph import TaskGraph
+from repro.pim.config import PimConfig
 from repro.pim.memory import Placement
 from tests.builders import row_deltas
 
@@ -199,3 +202,41 @@ class TestPlacementRetiming:
             graph, placed_deltas(timings, all_edram)
         ).max_retiming
         assert r_cache <= r_edram
+
+
+class TestColumnsMatchReference:
+    """``required_retiming`` is the reference for the delta formula that
+    ``analyze_edges`` computes inline on whole columns."""
+
+    @pytest.mark.parametrize("cache_bytes_per_unit", [None, 1024])
+    @pytest.mark.parametrize("pes", [16, 64])
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_every_row_equals_required_retiming(
+        self, name, pes, cache_bytes_per_unit
+    ):
+        config = PimConfig(num_pes=pes, iterations=1000)
+        if cache_bytes_per_unit is not None:
+            # Transfers of a unit and more, so the clamp to p bites too.
+            config = PimConfig(
+                num_pes=pes, iterations=1000,
+                cache_bytes_per_unit=cache_bytes_per_unit,
+            )
+        graph = load_workload(name)
+        para = ParaConv(config)
+        explored = para.run(graph).compile_stats.widths_explored
+        assert explored
+        for width in explored:
+            ctx = para.analysis_context(graph, width)
+            kernel, timings = ctx.get("kernel"), ctx.get("timings")
+            period = kernel.period
+            for row, key in enumerate(timings.edge_keys):
+                finish = kernel.placement(key[0]).finish
+                start = kernel.placement(key[1]).start
+                size = graph.edge(*key).size_bytes
+                for transfer, delta in (
+                    (config.cache_transfer_units(size), timings.delta_cache),
+                    (config.edram_transfer_units(size), timings.delta_edram),
+                ):
+                    assert delta[row] == required_retiming(
+                        finish, start, min(transfer, period), period
+                    ), (width, key)

@@ -8,6 +8,7 @@ from repro.graph.taskgraph import (
     Operation,
     OperationKind,
     TaskGraph,
+    column_of,
 )
 from tests.builders import linear_chain
 
@@ -199,3 +200,28 @@ class TestTaskGraphDerivation:
         text = repr(diamond_graph)
         assert "diamond" in text
         assert "vertices=4" in text
+
+
+class TestRowColumns:
+    def test_views_of_one_layout_compare_their_columns(self):
+        index = linear_chain([1, 1, 1, 1]).index()
+        view = index.by_row(["a", "b", "c"])
+        assert view == index.by_row(["a", "b", "c"])
+        assert view != index.by_row(["a", "b", "x"])
+        del view[(1, 2)]  # stores None: missing on both sides or neither
+        assert view == index.by_row(["a", None, "c"])
+        assert view != index.by_row(["a", "b", "c"])
+        assert view == {(0, 1): "a", (2, 3): "c"}
+        other = linear_chain([1, 1, 1, 1]).index().by_row(["a", None, "c"])
+        assert view == other  # another layout: compared as mappings
+
+    def test_column_of_reads_a_view_of_the_keys_in_place(self):
+        index = linear_chain([1, 1, 1]).index()
+        column = ["a", "b"]
+        assert column_of(index.by_row(column), index.edge_keys) is column
+        assert column_of({(1, 2): "y", (0, 1): "x"}, index.edge_keys) == [
+            "x", "y",
+        ]
+        del index.by_row(column)[(0, 1)]
+        with pytest.raises(KeyError):
+            column_of(index.by_row(column), index.edge_keys)

@@ -11,6 +11,7 @@ from repro.cnn.workloads import WORKLOADS, load_workload
 from repro.core.paraconv import ParaConv
 from repro.graph.io import graph_to_dict
 from repro.graph.taskgraph import TaskGraph
+from repro.pim.memory import Placement
 from repro.runtime.plan_cache import (
     GRAPH_DIR,
     PlanCache,
@@ -212,6 +213,18 @@ class TestDiskTier:
         cache.put(plan_key_for(graph, other), compile_plan(graph, other))
         assert len(cache.disk_digests()) == 2
         assert (graph_file.stat().st_mtime_ns, graph_file.stat().st_ino) == stamp
+
+    def test_placements_that_disagree_are_not_written(self, graph, config):
+        plan = compile_plan(graph, config)
+        placements = plan.allocation.placements
+        key = next(iter(placements))
+        placements[key] = (
+            Placement.CACHE
+            if placements[key] is Placement.EDRAM
+            else Placement.EDRAM
+        )
+        with pytest.raises(PlanCacheError, match="stores them once"):
+            plan_to_dict(plan)
 
     def test_bad_version_rejected(self, graph, config):
         payload = plan_to_dict(compile_plan(graph, config))
