@@ -30,34 +30,42 @@ The machine state is columnar:
   pass over the ops and one over the edges, from the schedule, the
   compiler's edge prices (:func:`repro.core.retiming.graph_prices`, kept
   with the graph's index: slots, transfer units, home vault, vault
-  service time), one per event
-  ``rid``
-  (arrival: consumer, its PE; start: PE, execution time, ALU cost,
-  in-edge rids, cache-placed in-edge rids;
+  service time), one per ``rid`` (arrival: its consumer; start: PE,
+  execution time, ALU cost, in-edge rids, cache-placed in-edge rids;
   produce: per out-edge placement, slots, transfer latencies, home vault,
-  vault service time), so the hot loop does list indexing only;
-* events are **packed integers** on a ``heapq`` (:class:`_EventKeys`):
-  ``key = (((time << 2) | priority) << (IB + RB)) | (iteration << RB) |
-  rid``. ``rid`` is a static row rank fixed when the tables are built --
-  arrivals ranked by ``(consumer, e0, e1)``, then starts and productions
-  each ranked by op id -- and indexes the row of static facts the
-  handler needs. ``RB`` is the bit length of ``max(E + 2V, max_op_id +
-  1)`` and ``IB`` that of ``iterations + 1``, so no field can overflow
-  into the next and integer order *is* the order of the tuple ``(time,
-  priority, iteration, op, e0, e1)``. That content key is unique per
-  event, so no sequence number is needed to break ties: same-time
-  ordering is a function of event identity alone, which is what lets the
-  fast-forward splice shift every in-flight key with one add;
+  vault service time, consumer, its PE and its start-key constant), so
+  the hot loop does list indexing only;
+* events are **packed integers** (:class:`_EventKeys`): ``key = (((time
+  << 2) | priority) << (IB + RB)) | (iteration << RB) | rid``. ``rid``
+  is a static row rank fixed when the tables are built -- arrivals
+  ranked by ``(consumer, e0, e1)``, then starts and productions each
+  ranked by op id -- and indexes the row of static facts the handler
+  needs. ``RB`` is the bit length of ``max(E + 2V, max_op_id + 1)`` and
+  ``IB`` that of ``iterations + 1``, so no field can overflow into the
+  next and integer order *is* the order of the tuple ``(time, priority,
+  iteration, op, e0, e1)``. That content key is unique per event, so no
+  sequence number is needed to break ties: same-time ordering is a
+  function of event identity alone, which is what lets the fast-forward
+  splice shift every in-flight key with one add;
+* the global ``heapq`` holds **starts and productions only**. A
+  transfer's arrival time is fixed when its producer finishes, so the
+  production settles it on the consumer's record at once (and the last
+  in-edge pushes the start); the arrival's key waits on a small
+  **pending heap per consumer PE** until it is staged in that PE's
+  pFIFO, in key order (:meth:`_ScheduleRun._run_until`);
 * per-instance bookkeeping is **one record per operation instance**,
-  ``[remaining in-edges, latest arrival, nominal start]``, keyed by the
-  integer ``(iteration << RB) | op_id``; live cache slots are keyed by
-  ``(iteration << RB) | edge_rid``;
-* **pFIFO entries are edge rids**: an arrival stages its edge's arrival
-  rid (an int) in the consumer PE's pFIFO, and a start removes the
-  oldest entry of each of its in-edge rids, so a full 16-deep pFIFO is
-  scanned with int compares. Only the canonical form and
+  ``[in-edges not issued, latest staged arrival, nominal start, latest
+  of the nominal start and the arrivals issued due after their round]``,
+  keyed by the integer ``(iteration << RB) | op_id``; live cache slots
+  are keyed by ``(iteration << RB) | edge_rid``;
+* **pFIFO entries are edge rids**: staging an arrival appends its edge's
+  arrival rid (an int) to the consumer PE's pFIFO, and a start removes
+  the oldest entry of each of its in-edge rids, so a full 16-deep pFIFO
+  is scanned with int compares. Only the canonical form and
   :meth:`_ScheduleRun.fifo_entries` decode a rid to its edge's
-  ``((e0, e1), size_bytes)``.
+  ``((e0, e1), size_bytes)``. The canonical form shows the state as if
+  each arrival were an event on the global heap: a pending arrival is a
+  queued arrive event, and a start still waiting for one is not queued.
 
 Both passes walk the graph in content order -- ops by id, edges by
 ``(producer, consumer)`` key -- never in insertion order, so a simulation
@@ -464,11 +472,16 @@ class SteadyBoundary:
     cache_used: int
     #: ``(iteration, edge rid, slots)`` per live cache slot.
     cache_live: Tuple[Tuple[int, int, int], ...]
-    #: ``(iteration, op_id, remaining in-edges, latest arrival, nominal
-    #: start)`` per instance record.
-    inst: Tuple[Tuple[int, int, int, int, int], ...]
-    #: ``(time, prio, iteration, rid)`` per queued event, in key order.
+    #: ``(iteration, op_id, in-edges not issued, latest staged arrival,
+    #: nominal start, latest of the nominal start and the arrivals due
+    #: after the round they were issued in)`` per instance record.
+    inst: Tuple[Tuple[int, int, int, int, int, int], ...]
+    #: ``(time, prio, iteration, rid)`` per queued start and production,
+    #: in key order.
     events: Tuple[Tuple[int, int, int, int], ...]
+    #: per PE, ``(time, iteration, edge rid)`` of each issued arrival not
+    #: staged yet, in key order.
+    pending: Tuple[Tuple[Tuple[int, int, int], ...], ...]
     tails: Dict[int, _Tail] = field(default_factory=dict)
 
     def covers(self, iterations: int) -> bool:
@@ -640,8 +653,8 @@ class _ScheduleRun:
                 sorted(edges, key=lambda e: (e.consumer, e.producer))
             )
         }
-        self._n_arrive = n_edges
-        self._n_arrive_start = n_edges + n_ops
+        #: rids below it are arrivals and starts, from it productions.
+        self._first_produce = n_edges + n_ops
         #: rid -> ``(op_id, (e0, e1), size)`` of its events, for decoding.
         rid_fields: List[tuple] = [None] * (n_edges + 2 * n_ops)
         rows: List[tuple] = [None] * (n_edges + 2 * n_ops)
@@ -692,13 +705,15 @@ class _ScheduleRun:
             in_rids[consumer].append(rid)
             if is_cache:
                 cache_in[consumer].append(rid)
-            #: arrival row: (consumer, consumer_pe, consumer_start_const)
-            rows[rid] = (consumer, consumer_pe, start_const[consumer])
+            #: arrival row: the consumer, whose instance record a pending
+            #: arrival updates when it is staged.
+            rows[rid] = consumer
             rid_fields[rid] = (consumer, key, size_bytes)
             #: out-edge record of the producer's produce row: (arrive_const,
             #:   (e0, e1), size, is_cache, slots, cache_units, edram_units,
-            #:   service, vault, consumer_pe). The arrival priority is 0,
-            #:   so arrive_const is also the edge's rid.
+            #:   service, vault, consumer_pe, consumer, consumer's
+            #:   start_const). The arrival priority is 0, so arrive_const
+            #:   is also the edge's rid.
             out_recs[price.producer].append((
                 keys.const(_PRIO_ARRIVE, rid),
                 key,
@@ -710,6 +725,8 @@ class _ScheduleRun:
                 price.service_units,
                 price.vault,
                 consumer_pe,
+                consumer,
+                start_const[consumer],
             ))
         for rank, op in enumerate(ops):
             op_id = op.op_id
@@ -737,6 +754,9 @@ class _ScheduleRun:
         self._pe_free: List[int] = [0] * width
         #: per PE: the edge rids staged in its pFIFO, oldest first.
         self._fifo: List[List[int]] = [[] for _ in range(width)]
+        #: per PE: a heap of the arrival keys bound for it that are issued
+        #: but not staged yet.
+        self._pending: List[List[int]] = [[] for _ in range(width)]
         self._vault_free: List[int] = [0] * config.num_vaults
         self._xin: List[int] = [0] * width
         self._xout: List[int] = [0] * config.num_vaults
@@ -745,8 +765,11 @@ class _ScheduleRun:
         self._cache_used = 0
         #: (iteration << RB) | edge_rid -> cache slots held.
         self._cache_live: Dict[int, int] = {}
-        #: (iteration << RB) | op_id -> [remaining in-edges, latest
-        #: arrival, nominal start]; dropped when the instance starts.
+        #: (iteration << RB) | op_id -> [in-edges not issued yet, latest
+        #: staged arrival (0 before the first), nominal start, the latest
+        #: of the nominal start and the arrivals issued due after the end
+        #: of their ``_run_until`` call]; the start goes at the later of
+        #: the last two fields. Dropped when the instance starts.
         self._inst: Dict[int, List[int]] = {}
         self._heap: List[int] = []
         self._now = 0
@@ -791,25 +814,47 @@ class _ScheduleRun:
         for op_id in self._op_order:
             nominal = offs[op_id] + base
             degree = in_deg[op_id]
-            inst[ibits | op_id] = [degree, 0, nominal]
+            inst[ibits | op_id] = [degree, 0, nominal, nominal]
             if degree == 0:
                 heappush(
                     heap, (nominal << time_shift) | ibits | start_const[op_id]
                 )
 
     def _run_until(self, until: int) -> None:
-        """Dispatch every queued event due at or before ``until``.
+        """Dispatch every event due at or before ``until``.
 
-        One fused loop handles all three event kinds (arrive, start,
-        produce), told apart by the rid range of the popped key. Static
-        rows, timelines and dicts are bound to locals once per call and
-        every exact counter accumulates in a local; the ``finally`` writes
-        the counters back on every exit -- a normal return or a
-        :class:`PeFaultError` -- so ``round_probe``, :meth:`_snapshot`,
-        :meth:`_canonical` and the fault's round/time see the same state
-        as if each event had updated it in place. A push keeps the popped
-        key's iteration bits and ORs in the new time and the row's
-        prio/rid constant.
+        One fused loop pops the two kinds the global heap holds, starts
+        and productions, told apart by the rid range of the popped key.
+        Arrivals are not events: a production computes each transfer's
+        arrival time and settles it on the consumer's record at once. The
+        last in-edge pushes the consumer's start, at the key the arrival
+        that completed it used to push. Only the pFIFO staging waits for
+        the arrival time, on the consumer PE's pending heap, and each PE
+        stages in key order, as the global heap would have popped its
+        arrivals:
+
+        * a start first stages its PE's pending keys below its own;
+        * a transfer that lands the moment it is produced is staged at
+          once, after its PE's pending keys below the popped key (the
+          heap would have popped it right after the production);
+        * the call ends by staging every pending key due by ``until``.
+
+        Events are counted (``events_processed``) and pFIFO pushes made
+        when an arrival is staged, so the counters and the pFIFOs read
+        the same at the end of a call as when each arrival was an event.
+        So does a record's latest staged arrival: it is raised at issue
+        for an arrival due in this call and, for one due later, at the
+        start of the call that stages it. :meth:`_canonical` rebuilds the
+        rest of that view from the pending heaps.
+
+        Static rows, timelines and dicts are bound to locals once per
+        call and every exact counter accumulates in a local; the
+        ``finally`` writes the counters back on every exit -- a normal
+        return or a :class:`PeFaultError` -- so ``round_probe``,
+        :meth:`_snapshot`, :meth:`_canonical` and the fault's round/time
+        see the same state as if each event had updated it in place. A
+        push keeps the popped key's iteration bits and ORs in the new
+        time and the row's prio/rid constant.
         """
         heap = self._heap
         trace = self.trace
@@ -817,8 +862,7 @@ class _ScheduleRun:
         mem = self._mem_stats
         # ---- static rows and key layout ----------------------------------
         rows = self._rows
-        n_arrive = self._n_arrive
-        n_arrive_start = self._n_arrive_start
+        first_produce = self._first_produce
         keys = self._keys
         time_shift = keys.time_shift
         rid_bits = keys.rid_bits
@@ -830,6 +874,7 @@ class _ScheduleRun:
         failed_vaults = self._failed_vaults
         # ---- timelines and dynamic dicts (mutated in place) --------------
         fifos = self._fifo
+        pending = self._pending
         pe_free = self._pe_free
         vault_free = self._vault_free
         xin = self._xin
@@ -841,6 +886,7 @@ class _ScheduleRun:
         record_instance = trace.sink.record_instance
         record_transfer = trace.sink.record_transfer
         fifo_depth = PFIFO_DEPTH
+        stage = self._stage
         # ---- exact counters (written back in the finally) ----------------
         now = self._now
         processed = self._processed
@@ -859,6 +905,15 @@ class _ScheduleRun:
         cache_bytes = mem.cache_bytes
         edram_accesses = mem.edram_accesses
         edram_bytes = mem.edram_bytes
+        # Arrivals issued by earlier calls and due in this one are staged
+        # by its end: they count as staged on their consumer's record.
+        for waiting in pending:
+            for due in waiting:
+                if due < limit:
+                    rec = inst[(due & iteration_mask) | rows[due & rid_mask]]
+                    arrival = due >> time_shift
+                    if arrival > rec[1]:
+                        rec[1] = arrival
         try:
             while heap and heap[0] < limit:
                 key = heappop(heap)
@@ -866,27 +921,7 @@ class _ScheduleRun:
                 now = key >> time_shift
                 ibits = key & iteration_mask
                 rid = key & rid_mask
-                if rid < n_arrive:
-                    consumer, consumer_pe, start_const = rows[rid]
-                    rec = inst[ibits | consumer]
-                    if now > rec[1]:
-                        rec[1] = now
-                    # Stage the datum in the consumer PE's pFIFO (occupancy
-                    # stats; a full FIFO degrades to a direct cache/eDRAM
-                    # read).
-                    fifo = fifos[consumer_pe]
-                    if len(fifo) < fifo_depth:
-                        fifo.append(rid)
-                        fifo_pushes += 1
-                    remaining = rec[0] - 1
-                    rec[0] = remaining
-                    if remaining:
-                        continue
-                    start_at = rec[2]
-                    if rec[1] > start_at:
-                        start_at = rec[1]  # the latest arrival, >= now
-                    heappush(heap, (start_at << time_shift) | ibits | start_const)
-                elif rid < n_arrive_start:
+                if rid < first_produce:  # start
                     (op_id, pe_id, duration, alu_cost, in_rids, cache_in,
                      produce_const) = rows[rid]
                     if pe_id in failed_pes:
@@ -894,11 +929,25 @@ class _ScheduleRun:
                         # dead under the active fault mask: abort before
                         # mutating machine state.
                         self._raise_fault(FAULT_UNIT_PE, pe_id, now)
+                    # Stage the arrivals due before this start, in key
+                    # order (occupancy stats; a full FIFO degrades to a
+                    # direct cache/eDRAM read): ``_stage``, inlined on the
+                    # hottest of its three call sites.
+                    fifo = fifos[pe_id]
+                    waiting = pending[pe_id]
+                    room = fifo_depth - len(fifo)
+                    while waiting and waiting[0] < key:
+                        processed += 1
+                        if room:
+                            fifo.append(heappop(waiting) & rid_mask)
+                            fifo_pushes += 1
+                            room -= 1
+                        else:
+                            heappop(waiting)
                     # Consume the pFIFO entries staged for this instance --
                     # the oldest per in-edge rid (list.remove takes the
                     # first match), so a neighbour instance's datum is
                     # never stolen.
-                    fifo = fifos[pe_id]
                     for arrive in in_rids:
                         if arrive in fifo:
                             fifo.remove(arrive)
@@ -931,37 +980,30 @@ class _ScheduleRun:
                         if slots is not None:
                             cache_used -= slots
                     heappush(heap, (finish << time_shift) | ibits | produce_const)
-                else:  # produce
-                    finish = now
-                    for (arrive, edge_key, size, is_cache, slots, cache_units,
-                         edram_units, service, vault,
-                         consumer_pe) in rows[rid]:
+                    continue
+                # produce: issue every out-edge's transfer.
+                for (arrive, edge_key, size, is_cache, slots, cache_units,
+                     edram_units, service, vault, consumer_pe, consumer,
+                     start_const) in rows[rid]:
+                    if is_cache and cache_used + slots <= cache_cap:
+                        cache_used += slots
+                        cache_live[ibits | arrive] = slots
+                        if cache_used > cache_peak:
+                            cache_peak = cache_used
+                        cache_accesses += 1
+                        cache_bytes += size
+                        arrival = now + cache_units
+                        if emit:
+                            record_transfer(TransferRecord(
+                                edge_key, ibits >> rid_bits,
+                                TransferKind.CACHE, size, now, arrival,
+                            ))
+                    else:
                         if is_cache:
-                            used = cache_used + slots
-                            if used <= cache_cap:
-                                cache_live[ibits | arrive] = slots
-                                cache_used = used
-                                if used > cache_peak:
-                                    cache_peak = used
-                                cache_accesses += 1
-                                cache_bytes += size
-                                arrival = finish + cache_units
-                                if emit:
-                                    record_transfer(TransferRecord(
-                                        edge_key, ibits >> rid_bits,
-                                        TransferKind.CACHE,
-                                        size, finish, arrival,
-                                    ))
-                                num_transfers += 1
-                                heappush(
-                                    heap,
-                                    (arrival << time_shift) | ibits | arrive,
-                                )
-                                continue
                             cache_spills += 1  # transient overflow: spill
                         if vault in failed_vaults:
-                            # The intermediate result's home vault is dead:
-                            # its eDRAM copy is gone, so neither the
+                            # The intermediate result's home vault is
+                            # dead: its eDRAM copy is gone, so neither the
                             # write-through nor the prefetch can complete.
                             self._raise_fault(FAULT_UNIT_VAULT, vault, now)
                         # eDRAM round-trip. The producer writes through to
@@ -973,7 +1015,7 @@ class _ScheduleRun:
                         # remaining wire latency rides on top -- exactly
                         # the analytic ``edram_transfer_units`` when the
                         # vault is idle.
-                        issued = finish
+                        issued = now
                         if xin[consumer_pe] > issued:
                             issued = xin[consumer_pe]
                         if xout[vault] > issued:
@@ -992,11 +1034,52 @@ class _ScheduleRun:
                         edram_bytes += size
                         if emit:
                             record_transfer(TransferRecord(
-                                edge_key, ibits >> rid_bits, TransferKind.EDRAM,
-                                size, finish, arrival,
+                                edge_key, ibits >> rid_bits,
+                                TransferKind.EDRAM, size, now, arrival,
                             ))
-                        num_transfers += 1
-                        heappush(heap, (arrival << time_shift) | ibits | arrive)
+                    num_transfers += 1
+                    # Settle the arrival on the consumer's record now: an
+                    # arrival due in this call is staged by its end, one
+                    # due later is folded in by the call that stages it.
+                    # The last in-edge pushes the start at the latest
+                    # arrival or the nominal start, whichever is later.
+                    rec = inst[ibits | consumer]
+                    due = (arrival << time_shift) | ibits | arrive
+                    if due < limit:
+                        if arrival > rec[1]:
+                            rec[1] = arrival
+                    elif arrival > rec[3]:
+                        rec[3] = arrival
+                    remaining = rec[0] - 1
+                    rec[0] = remaining
+                    if not remaining:
+                        start_at = rec[3]
+                        if rec[1] > start_at:
+                            start_at = rec[1]
+                        heappush(
+                            heap, (start_at << time_shift) | ibits | start_const
+                        )
+                    if arrival > now:
+                        heappush(pending[consumer_pe], due)
+                        continue
+                    # Lands at once: the heap would have popped it right
+                    # after this production, so it follows every pending
+                    # arrival keyed below the production.
+                    waiting = pending[consumer_pe]
+                    if waiting and waiting[0] < key:
+                        count, pushed = stage(consumer_pe, key)
+                        processed += count
+                        fifo_pushes += pushed
+                    processed += 1
+                    fifo = fifos[consumer_pe]
+                    if len(fifo) < fifo_depth:
+                        fifo.append(arrive)
+                        fifo_pushes += 1
+            for pe, waiting in enumerate(pending):
+                if waiting and waiting[0] < limit:
+                    count, pushed = stage(pe, limit)
+                    processed += count
+                    fifo_pushes += pushed
         finally:
             self._now = now
             self._processed = processed
@@ -1015,6 +1098,23 @@ class _ScheduleRun:
             mem.cache_bytes = cache_bytes
             mem.edram_accesses = edram_accesses
             mem.edram_bytes = edram_bytes
+
+    def _stage(self, pe: int, below: int) -> Tuple[int, int]:
+        """Stage PE ``pe``'s pending arrivals keyed below ``below`` into its
+        pFIFO, in key order. Returns the arrivals staged and the pFIFO
+        pushes, for the caller's counters."""
+        waiting = self._pending[pe]
+        fifo = self._fifo[pe]
+        rid_mask = self._keys.rid_mask
+        staged = pushed = 0
+        while waiting and waiting[0] < below:
+            staged += 1
+            if len(fifo) < PFIFO_DEPTH:
+                fifo.append(heappop(waiting) & rid_mask)
+                pushed += 1
+            else:
+                heappop(waiting)
+        return staged, pushed
 
     # ------------------------------------------------------------------
     # faults
@@ -1087,24 +1187,39 @@ class _ScheduleRun:
         keys = self._keys
         rid_bits = keys.rid_bits
         rid_mask = keys.rid_mask
+        iteration_mask = keys.iteration_mask
         fields = self._rid_fields
         cache_state = tuple(sorted(
             (fields[k & rid_mask][1], (k >> rid_bits) - r, slots)
             for k, slots in self._cache_live.items()
         ))
+        # The form an arrival event of its own per transfer gave: a
+        # pending arrival is a queued arrive event, and an in-edge its
+        # consumer still waits for; a start its pending arrivals have not
+        # all reached is not queued yet.
+        arrivals = [key for waiting in self._pending for key in waiting]
+        waiting_on: Dict[int, int] = {}
+        for key in arrivals:
+            record = (key & iteration_mask) | self._rows[key & rid_mask]
+            waiting_on[record] = waiting_on.get(record, 0) + 1
         pending_state = tuple(sorted(
-            (k & rid_mask, (k >> rid_bits) - r, count, max(avail - t, 0))
-            for k, (count, avail, _) in self._inst.items()
-            if count
+            (k & rid_mask, (k >> rid_bits) - r, count + waiting_on.get(k, 0),
+             max(staged - t, 0))
+            for k, (count, staged, _, _) in self._inst.items()
+            if count or k in waiting_on
         ))
         nominal_state = tuple(sorted(
             (k & rid_mask, (k >> rid_bits) - r, start - t)
-            for k, (_, _, start) in self._inst.items()
+            for k, (_, _, start, _) in self._inst.items()
         ))
         event_state = []
-        for key in sorted(self._heap):
+        for key in sorted(self._heap + arrivals):
             time, prio, iteration, rid = keys.unpack(key)
             op_id, edge, size = fields[rid]
+            if prio == _PRIO_START and (
+                (key & iteration_mask) | op_id
+            ) in waiting_on:
+                continue
             event_state.append((
                 time - t, prio, _KIND_OF_PRIO[prio], op_id, iteration - r,
                 edge, size,
@@ -1203,11 +1318,17 @@ class _ScheduleRun:
             k + label_shift: slots for k, slots in self._cache_live.items()
         }
         self._inst = {
-            k + label_shift: [count, avail + time_shift, start + time_shift]
-            for k, (count, avail, start) in self._inst.items()
+            k + label_shift: [
+                count, staged + time_shift, start + time_shift,
+                late + time_shift,
+            ]
+            for k, (count, staged, start, late) in self._inst.items()
         }
         key_shift = (time_shift << self._keys.time_shift) + label_shift
         self._heap = [key + key_shift for key in self._heap]
+        self._pending = [
+            [key + key_shift for key in waiting] for waiting in self._pending
+        ]
         self._next_iteration += rounds
 
         # 3. Bookkeeping for observability and the sink.
@@ -1302,14 +1423,23 @@ class _ScheduleRun:
             ),
             inst=tuple(
                 ((k >> rid_bits) - boundary_round, k & rid_mask, count,
-                 avail - t, start - t)
-                for k, (count, avail, start) in self._inst.items()
+                 staged - t, start - t, late - t)
+                for k, (count, staged, start, late) in self._inst.items()
             ),
             events=tuple(
                 (time - t, prio, iteration - boundary_round, rid)
                 for time, prio, iteration, rid in map(
                     keys.unpack, sorted(self._heap)
                 )
+            ),
+            pending=tuple(
+                tuple(
+                    (time - t, iteration - boundary_round, rid)
+                    for time, _, iteration, rid in map(
+                        keys.unpack, sorted(waiting)
+                    )
+                )
+                for waiting in self._pending
             ),
         )
 
@@ -1330,13 +1460,22 @@ class _ScheduleRun:
             for iteration, rid, slots in boundary.cache_live
         }
         self._inst = {
-            ((iteration + b) << rid_bits) | op_id: [count, t + avail, t + start]
-            for iteration, op_id, count, avail, start in boundary.inst
+            ((iteration + b) << rid_bits) | op_id: [
+                count, t + staged, t + start, t + late,
+            ]
+            for iteration, op_id, count, staged, start, late in boundary.inst
         }
         # Packing keeps the key order, so the sorted events are a heap.
         self._heap = [
             keys.pack(t + time, prio, b + iteration, rid)
             for time, prio, iteration, rid in boundary.events
+        ]
+        self._pending = [
+            [
+                keys.pack(t + time, _PRIO_ARRIVE, b + iteration, rid)
+                for time, iteration, rid in waiting
+            ]
+            for waiting in boundary.pending
         ]
         self._max_finish = t + boundary.max_finish
         self._next_iteration = b + 1
