@@ -51,6 +51,15 @@ def build_parser() -> argparse.ArgumentParser:
              "(default 15)",
     )
     parser.add_argument(
+        "--workload", default=None,
+        help="with the 'profile' experiment: workload to profile (for "
+             "'serve', a comma-separated mix; default: the target's own)",
+    )
+    parser.add_argument(
+        "--requests", type=int, default=8000,
+        help="with 'profile serve': trace length in requests (default 8000)",
+    )
+    parser.add_argument(
         "--benchmarks", nargs="*", default=None,
         help=f"benchmark subset (default: all of {', '.join(PAPER_BENCHMARKS)})",
     )
@@ -102,8 +111,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         for target in targets:
             report = run_profile(
                 target, machine,
+                workload=args.workload,
                 top=args.top,
                 sim_mode=args.sim_mode or "full",
+                requests=args.requests,
             )
             sections.append(report.render())
         print("\n\n".join(sections))

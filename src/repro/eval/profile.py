@@ -76,8 +76,9 @@ class PlanBatches:
 
     plan: str  #: plan-cache key digest, shortened
     machine: str  #: PEs, vaults and config fingerprint, shortened
-    converging: int  #: simulations from round one that converged
+    converging: int  #: simulations (not boundary resumes) that converged
     resumed: int  #: batches resumed from the plan's steady boundary
+    prefix: int  #: batches simulated from a stored prefix state
     reused: int  #: batches served from a stored trace of the same N
 
 
@@ -109,11 +110,11 @@ class ProfileReport:
                 "## Batches per plan and machine",
                 "",
                 f"{'plan':<12}  {'machine':<20}  {'converging':>10}  "
-                f"{'resumed':>7}  {'reused':>6}",
+                f"{'resumed':>7}  {'prefix':>6}  {'reused':>6}",
             ]
             lines += [
                 f"{p.plan:<12}  {p.machine:<20}  {p.converging:>10}  "
-                f"{p.resumed:>7}  {p.reused:>6}"
+                f"{p.resumed:>7}  {p.prefix:>6}  {p.reused:>6}"
                 for p in self.plans
             ]
         return "\n".join(lines)
@@ -256,10 +257,11 @@ def _plan_batches(router) -> List[PlanBatches]:
     for worker in router.workers.values():
         for session in worker.server.sessions().values():
             key = (session.plan_digest, session.active_config)
-            total = counts.setdefault(key, [0, 0, 0])
+            total = counts.setdefault(key, [0, 0, 0, 0])
             total[0] += session.converged_simulations
             total[1] += session.batches_resumed
-            total[2] += session.batches_reused
+            total[2] += session.prefix_resumes
+            total[3] += session.batches_reused
     return [
         PlanBatches(
             plan=digest[:12],
@@ -269,9 +271,10 @@ def _plan_batches(router) -> List[PlanBatches]:
             ),
             converging=converging,
             resumed=resumed,
+            prefix=prefix,
             reused=reused,
         )
-        for (digest, config), (converging, resumed, reused) in sorted(
+        for (digest, config), (converging, resumed, prefix, reused) in sorted(
             counts.items(), key=lambda item: item[0][0]
         )
     ]

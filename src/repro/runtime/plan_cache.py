@@ -79,7 +79,8 @@ class PlanCacheError(RuntimeError):
 
 
 class TraceTable(OrderedDict):
-    """Batch traces and steady-state boundaries, least recently used first.
+    """Batch traces and steady-state boundaries or prefix states, least
+    recently used first.
 
     :meth:`get` refreshes a trace; storing one past
     :data:`BATCH_TRACE_CAPACITY` evicts the least recently used. Both
@@ -96,6 +97,11 @@ class TraceTable(OrderedDict):
                 return default
             self.move_to_end(key)
             return self[key]
+
+    def peek(self, key, default=None):
+        """Like :meth:`get`, but leaves the entry's recency alone."""
+        with self._lock:
+            return super().get(key, default)
 
     def __setitem__(self, key, value) -> None:
         with self._lock:

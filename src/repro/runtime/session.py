@@ -18,33 +18,47 @@ checks it).
 Batch reuse. A plan is a static periodic schedule and every batch runs
 on a fresh machine, so a batch's trace depends only on the plan, the
 active machine, the active fault model, the sim mode and ``N``. A batch
-is served in the first of three ways that applies:
+is served in the first of four ways that applies:
 
-1. from the stored trace of a batch of the same ``N``
+1. exact reuse: from the stored trace of a batch of the same ``N``
    (``batches_reused``);
-2. by resuming from the plan's stored steady-state boundary
+2. boundary resume: from the plan's stored steady-state boundary
    (:class:`~repro.sim.executor.SteadyBoundary`), when it covers ``N``:
    the executor splices the converged state forward and simulates only
    the remainder and the epilogue, or nothing when another ``N`` of the
    same remainder did it before (``batches_resumed``);
-3. by a fresh simulation. Its trace is stored, and so is the boundary it
-   exported, if the plan has none yet (``converged_simulations`` counts
-   the fresh runs that converged).
+3. prefix resume, in the steady-state mode: from the latest stored
+   prefix state (:class:`~repro.sim.executor.RunPrefixes`) at or below
+   round ``N``. Earlier steady runs of the plan export them at sparse
+   round boundaries before their detector finds a period, and the
+   state at round ``r`` is the same for every ``N >= r``, so the
+   executor simulates only the rounds after it (``prefix_resumes``);
+4. a fresh simulation.
 
-So a converged plan is simulated from round one once per machine,
-whatever sizes its batches have. Only batches that finished without a
-fault are stored. With a plan cache, traces go into the cache's table
-under ``(plan digest, active machine, sim mode, active fault model, N)``
-and the boundary under the same key without ``N``; caches opened from
-one :class:`~repro.fleet.store.SharedPlanStore` share that table, so a
-batch is simulated once per fleet, not once per shard. Without a cache
-the session keeps a private table keyed by ``N`` (the boundary under
-``None``) that belongs to one plan: it is dropped on failover, on
-:meth:`InferenceSession.swap_graph` and whenever :meth:`compile`
-installs a different plan object. Every table is a
+The trace of a batch served in ways 2 to 4 is stored. So is the
+boundary a run exported, if the plan has none yet
+(``converged_simulations`` counts the runs that converged), and
+otherwise the prefix states, extended by the ones the run exported. A boundary replaces the
+prefix states and keeps those exported before it, which serve the ``N``
+it does not cover. So a converged plan is simulated from round one once
+per machine, whatever sizes its batches have, and every batch of a plan
+that has not converged starts from the longest run so far that reached
+its ``N``. Only batches that finished without a fault are stored. With
+a plan cache, traces go into the cache's table under ``(plan digest,
+active machine, sim mode, active fault model, N)`` and the boundary or
+prefix states under the same key without ``N``; caches opened from one
+:class:`~repro.fleet.store.SharedPlanStore` share that table, so a batch
+is simulated once per fleet, not once per shard. Without a cache the
+session keeps a private table keyed by ``N`` (the boundary or prefix
+states under ``None``) that belongs to one plan: it is dropped on
+failover, on :meth:`InferenceSession.swap_graph` and whenever
+:meth:`compile` installs a different plan object. Every table is a
 :class:`~repro.runtime.plan_cache.TraceTable`, which evicts its least
 recently used entry past ``BATCH_TRACE_CAPACITY``; an evicted batch is
-resumed or simulated again.
+resumed or simulated again. The session's executor keeps the static
+tables of the plan it serves, so the runs of a plan build them once,
+and again only for an ``N`` too wide for their key layout; it is
+dropped with the plan on failover and :meth:`InferenceSession.swap_graph`.
 
 Fault tolerance. A session constructed with a
 :class:`~repro.pim.faults.FaultModel` keeps serving when units die: the
@@ -80,7 +94,13 @@ from repro.pim.energy import EnergyModel, EnergyReport
 from repro.pim.faults import FAULT_UNIT_PE, FaultModel
 from repro.pim.stats import TrafficStats
 from repro.runtime.plan_cache import PlanCache, TraceTable, plan_key_for
-from repro.sim.executor import ExecutionTrace, PeFaultError, ScheduleExecutor
+from repro.sim.executor import (
+    ExecutionTrace,
+    PeFaultError,
+    RunPrefixes,
+    ScheduleExecutor,
+    SteadyBoundary,
+)
 from repro.sim.modes import SimMode
 from repro.sim.sinks import NullSink
 
@@ -265,7 +285,11 @@ class InferenceSession:
         #: batches resumed from the stored steady-state boundary of another
         #: ``N`` instead of simulated from round one.
         self.batches_resumed: int = 0
-        #: batches simulated from round one whose steady state converged.
+        #: batches simulated from a stored prefix state of a shorter or
+        #: equal round instead of from round one.
+        self.prefix_resumes: int = 0
+        #: batches simulated (from round one or from a prefix state) whose
+        #: steady state converged.
         self.converged_simulations: int = 0
         self._plan: Optional[ParaConvResult] = None
         #: cache key digest of ``_plan`` (set only when compiling through
@@ -549,11 +573,13 @@ class InferenceSession:
         successful batch of that size (``batches_reused`` counts these;
         ``wall_seconds`` is this call's own, ``failovers`` is 0). Any
         other size the plan's stored steady-state boundary covers is
-        resumed from it (``batches_resumed``). With a cache the trace or
-        boundary may come from any session on the cache's table (see
-        :meth:`_trace_slot`); without one, they are dropped on failover,
-        on :meth:`swap_graph` and when :meth:`compile` installs a
-        different plan.
+        resumed from it (``batches_resumed``), and any other steady batch
+        starts from the plan's latest stored prefix state at or below
+        round ``iterations`` (``prefix_resumes``). With a cache the trace,
+        boundary or prefix states may come from any session on the
+        cache's table (see :meth:`_trace_slot`); without one, they are
+        dropped on failover, on :meth:`swap_graph` and when
+        :meth:`compile` installs a different plan.
 
         Under a fault model, a :class:`~repro.sim.executor.PeFaultError`
         mid-batch triggers failover: degrade, recompile (cache-first),
@@ -583,9 +609,15 @@ class InferenceSession:
                     self._active_config, mode=self.sim_mode
                 )
             table, key = self._trace_slot(None)
-            boundary = table.get(key)
-            if boundary is not None and not boundary.covers(iterations):
-                boundary = None
+            held = table.get(key)
+            boundary = prefixes = None
+            if isinstance(held, SteadyBoundary):
+                if held.covers(iterations):
+                    boundary = held
+                else:
+                    prefixes = held.prefixes
+            elif self.sim_mode is SimMode.STEADY_STATE:
+                prefixes = held if held is not None else RunPrefixes()
             try:
                 # Serving needs aggregates only: a NullSink keeps
                 # per-instance records out of memory no matter how large
@@ -601,6 +633,7 @@ class InferenceSession:
                         iterations=iterations,
                         sink=NullSink(),
                         fault_model=self._active_fault_model,
+                        prefixes=prefixes,
                     )
             except PeFaultError as fault:
                 attempts += 1
@@ -617,16 +650,25 @@ class InferenceSession:
             wall = time.perf_counter() - started
             if boundary is not None:
                 self.batches_resumed += 1
-            elif trace.converged_round is not None:
-                self.converged_simulations += 1
+            else:
+                if prefixes is not None and prefixes.latest(
+                    iterations
+                ) is not None:
+                    self.prefix_resumes += 1
+                if trace.converged_round is not None:
+                    self.converged_simulations += 1
             self.last_trace = trace
             # Keyed after any failover: the machine the trace ran on.
             table, key = self._trace_slot(iterations)
             table[key] = trace
-            if trace.boundary is not None:
+            resumable = (
+                trace.boundary if trace.boundary is not None
+                else trace.prefixes
+            )
+            if resumable is not None:
                 table, key = self._trace_slot(None)
-                if key not in table:
-                    table[key] = trace.boundary
+                if not isinstance(table.peek(key), SteadyBoundary):
+                    table[key] = resumable
             return self._batch_result(
                 trace,
                 energy_model,
@@ -639,7 +681,8 @@ class InferenceSession:
         self, iterations: Optional[int]
     ) -> Tuple[TraceTable, object]:
         """Table and key of a batch of ``iterations`` on the served plan;
-        ``None`` names the slot of the plan's steady-state boundary.
+        ``None`` names the slot of the plan's steady-state boundary or, until
+        it has one, its prefix states.
 
         With a cache: the cache's table, keyed by everything the trace
         depends on. The plan digest alone is not enough, because
@@ -723,28 +766,3 @@ class InferenceSession:
             )
         return line
 
-
-def direct_batch(
-    graph: TaskGraph,
-    config: PimConfig,
-    iterations: int,
-    allocator: str = "dp",
-    energy_model: Optional[EnergyModel] = None,
-    sim_mode: Union[str, SimMode] = SimMode.FULL_UNROLL,
-) -> BatchResult:
-    """The uncached reference path: plan, execute, report.
-
-    Exists so tests (and users migrating from the one-shot pipeline) can
-    compare the session path against a from-scratch run with identical
-    semantics. Defaults to the full-unroll mode precisely because it is
-    the reference: comparing a steady-state session batch against a
-    full-unroll direct batch exercises the fast-forward equivalence
-    guarantee end to end.
-    """
-    result = ParaConv(config, allocator_name=allocator).run(graph)
-    started = time.perf_counter()
-    trace = ScheduleExecutor(config, mode=SimMode.from_name(sim_mode)).execute(
-        result, iterations=iterations, sink=NullSink()
-    )
-    wall = time.perf_counter() - started
-    return InferenceSession._batch_result(trace, energy_model, wall)

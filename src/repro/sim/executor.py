@@ -26,8 +26,9 @@ The machine state is columnar:
 
 * the machine is a set of **timeline arrays** -- per-PE busy clocks,
   per-vault service clocks, crossbar port clocks -- advanced in place;
-* all static facts are **precomputed rows** built once per run, in one
-  pass over the ops and one over the edges, from the schedule, the
+* all static facts are **precomputed rows** (:class:`_StaticTables`),
+  built once per plan and machine, in one pass over the ops and one over
+  the edges, from the schedule, the
   compiler's edge prices (:func:`repro.core.retiming.graph_prices`, kept
   with the graph's index: slots, transfer units, home vault, vault
   service time), one per ``rid`` (arrival: its consumer; start: PE,
@@ -41,9 +42,13 @@ The machine state is columnar:
   ranked by ``(consumer, e0, e1)``, then starts and productions each
   ranked by op id -- and indexes the row of static facts the handler
   needs. ``RB`` is the bit length of ``max(E + 2V, max_op_id + 1)`` and
-  ``IB`` that of ``iterations + 1``, so no field can overflow into the
-  next and integer order *is* the order of the tuple ``(time, priority,
-  iteration, op, e0, e1)``. That content key is unique per event, so no
+  ``IB`` that of ``iterations + 1`` for the ``N`` the tables were built
+  for, so no field can overflow into the next and integer order *is* the
+  order of the tuple ``(time, priority, iteration, op, e0, e1)``. The
+  rows hold key constants, so they depend on ``N`` only through ``IB``:
+  an executor keeps the tables of its last plan and reuses them for every
+  ``N'`` with ``N' + 1 < 2**IB``, and builds them again, at the wider
+  layout, for a larger ``N'``. That content key is unique per event, so no
   sequence number is needed to break ties: same-time ordering is a
   function of event identity alone, which is what lets the fast-forward
   splice shift every in-flight key with one add;
@@ -92,6 +97,17 @@ Two simulation modes (:class:`~repro.sim.modes.SimMode`):
   asserts it across the benchmark suite, and
   ``tests/golden/sim_signatures.json`` pins both modes' verdicts.
 
+A steady run asked to (``prefixes=``) also exports **prefix states**
+(:class:`RunPrefixes`): until its detector finds a first period
+candidate, its state at every ``_PREFIX_EVERY``-th round boundary up to
+``_PREFIX_LAST``, and at round ``N``. Instance ``l`` of an op runs in
+round ``l + R_max - R(i)`` and reads only earlier instances (the paper's
+Sec. 3.2), and iteration ``r`` is materialized at round ``r`` only when
+``r <= N``, so the state at round ``r`` -- the detector's counter window
+included -- is the same for every ``N >= r``. A later run of ``N'`` loads
+the latest prefix at or below ``N'`` and simulates only the rounds after
+it.
+
 Record retention is delegated to a pluggable
 :class:`~repro.sim.sinks.TraceSink`, so trace memory is bounded
 regardless of ``N``.
@@ -111,6 +127,8 @@ it, so a timed fault can never be skipped by the acceleration.
 from __future__ import annotations
 
 import hashlib
+import marshal
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
@@ -131,6 +149,7 @@ from repro.sim.trace import InstanceRecord, TransferKind, TransferRecord
 __all__ = [
     "ExecutionTrace",
     "PeFaultError",
+    "RunPrefixes",
     "ScheduleExecutor",
     "SimMode",
     "SteadyBoundary",
@@ -153,13 +172,15 @@ _PRIO_BITS = 2
 
 
 class _EventKeys:
-    """Field layout of a packed event key, sized for one run.
+    """Field layout of a packed event key, sized for the ``N`` it is built for.
 
     ``key = (((time << 2) | prio) << shift) | (iteration << rid_bits) |
     rid`` with ``shift = iteration_bits + rid_bits``. Time is the top
     field, so it is unbounded; every lower field is checked to fit its
-    width here, once, so integer order equals ``(time, prio, iteration,
-    rid)`` tuple order for every key the run can build.
+    width, here and by :meth:`check` for each run that reuses the layout,
+    so integer order equals ``(time, prio, iteration, rid)`` tuple order
+    for every key a run can build. The checks raise
+    :class:`SimulationError`, so ``python -O`` keeps them.
     """
 
     __slots__ = (
@@ -176,9 +197,30 @@ class _EventKeys:
         #: the iteration field in place (``key & iteration_mask`` keeps
         #: ``iteration << rid_bits``).
         self.iteration_mask = ((1 << self.iteration_bits) - 1) << self.rid_bits
-        assert num_rids - 1 <= self.rid_mask and max_op_id <= self.rid_mask
-        assert iterations + 1 < 1 << self.iteration_bits
-        assert max(_KIND_OF_PRIO) < 1 << _PRIO_BITS
+        if num_rids - 1 > self.rid_mask or max_op_id > self.rid_mask:
+            raise SimulationError(
+                f"{num_rids} rids or op id {max_op_id} overflow a "
+                f"{self.rid_bits}-bit rid field"
+            )
+        if max(_KIND_OF_PRIO) >= 1 << _PRIO_BITS:
+            raise SimulationError(
+                f"event priorities overflow a {_PRIO_BITS}-bit field"
+            )
+        self.check(iterations)
+
+    def serves(self, iterations: int) -> bool:
+        """True when every iteration label of a run of ``iterations``
+        fits the iteration field."""
+        return iterations + 1 < 1 << self.iteration_bits
+
+    def check(self, iterations: int) -> None:
+        """Raise :class:`SimulationError` unless :meth:`serves`."""
+        if not self.serves(iterations):
+            raise SimulationError(
+                f"N={iterations} overflows a {self.iteration_bits}-bit "
+                f"iteration field (it holds N <= "
+                f"{(1 << self.iteration_bits) - 2})"
+            )
 
     def const(self, prio: int, rid: int) -> int:
         """The priority and rid fields of a key, ready to OR in."""
@@ -289,6 +331,12 @@ class ExecutionTrace:
     #: resumed from; None when the run did not converge or cannot be
     #: resumed.
     boundary: Optional["SteadyBoundary"] = field(
+        default=None, repr=False, compare=False
+    )
+    #: the prefix states a later batch can start from: the ones the run
+    #: was given plus the ones it exported; None when the run was not
+    #: asked for them.
+    prefixes: Optional["RunPrefixes"] = field(
         default=None, repr=False, compare=False
     )
 
@@ -446,6 +494,13 @@ class SteadyBoundary:
     Clocks and times are relative to the boundary time ``round * p`` and
     iteration labels relative to ``round``, so the state does not depend
     on the key layout of the run that exported it.
+
+    A run asked for prefix states keeps them on its boundary
+    (``prefixes``): they were all exported before the run's first period
+    candidate, so they serve the ``N`` below ``min_iterations`` that the
+    boundary does not cover. The boundary also keeps the run's static
+    tables (``tables``), which every resume whose ``N`` fits their key
+    layout reuses, on whichever executor it runs.
     """
 
     round: int
@@ -483,10 +538,103 @@ class SteadyBoundary:
     #: staged yet, in key order.
     pending: Tuple[Tuple[Tuple[int, int, int], ...], ...]
     tails: Dict[int, _Tail] = field(default_factory=dict)
+    prefixes: Optional["RunPrefixes"] = None
+    #: the exporting run's static tables, for the resumes they fit.
+    tables: Optional["_StaticTables"] = field(default=None, repr=False)
 
     def covers(self, iterations: int) -> bool:
         """True when a batch of ``iterations`` can resume from here."""
         return iterations >= self.min_iterations
+
+
+#: a run exports a prefix state at every ``_PREFIX_EVERY``-th round
+#: boundary up to round ``_PREFIX_LAST``, and at round ``N``.
+_PREFIX_EVERY = 4
+_PREFIX_LAST = 64
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class _PrefixState:
+    """A steady run's machine and detector state at a round boundary
+    before its first period candidate; it serves every ``N >= round``.
+
+    It is loaded at the round it was taken, so clocks, times and labels
+    are absolute, and the timelines, pFIFOs, live cache slots, instance
+    records, heap and pending arrivals are one :mod:`marshal` blob of the
+    run's own containers (about 30 bytes an instance record; dumped and
+    loaded in C, and loading yields the fresh containers a run mutates).
+    Instance records and live cache slots are keyed by ``(iteration <<
+    RB) | id``, which does not depend on ``IB``; the heap and pending
+    arrival keys are in ``keys``' layout, repacked on load when the
+    loading run's layout differs.
+    """
+
+    round: int
+    keys: _EventKeys
+    #: the detector's ``steady_max_period``: it sizes the counter window.
+    max_period: int
+    #: ``(round, counters)`` of the detector's counter window, oldest
+    #: first; the last entry holds the counters at ``round``.
+    window: Tuple[Tuple[int, _BoundarySnapshot], ...]
+    lateness_max: int
+    cache_peak_slots: int
+    pes_used: FrozenSet[int]
+    max_finish: int
+    failed_pes: FrozenSet[int]
+    failed_vaults: FrozenSet[int]
+    cache_used: int
+    #: ``(pe_free, fifos, vault_free, xin, xout, cache_live, inst, heap,
+    #: pending)``, marshalled.
+    machine: bytes
+
+
+@dataclass(frozen=True, eq=False)
+class RunPrefixes:
+    """The prefix states of one plan's steady runs, by round.
+
+    Hand it to :meth:`ScheduleExecutor.execute` (``prefixes=``): the run
+    starts from the latest state at or below its ``N`` and returns, on
+    ``trace.prefixes``, a new collection with the states it exported
+    added. It never changes in place, so a run that fails adds nothing.
+    It keeps the static tables of the last run that extended it, which
+    the next run reuses when its ``N`` fits their key layout.
+    """
+
+    #: sorted by round, one per round.
+    states: Tuple[_PrefixState, ...] = ()
+    tables: Optional["_StaticTables"] = None
+
+    def __repr__(self) -> str:
+        return f"RunPrefixes(rounds={self.rounds})"
+
+    @property
+    def rounds(self) -> Tuple[int, ...]:
+        return tuple(state.round for state in self.states)
+
+    def latest(self, iterations: int) -> Optional[_PrefixState]:
+        """The state a run of ``iterations`` starts from, if any: the
+        latest one at or below round ``iterations``."""
+        index = bisect_right(self.rounds, iterations)
+        return self.states[index - 1] if index else None
+
+    def extended(
+        self, states: List[_PrefixState], tables: "_StaticTables"
+    ) -> "RunPrefixes":
+        """These states and ``states``, with ``tables``; a new state
+        replaces an old one of its round. Of the rounds off the
+        ``_PREFIX_EVERY`` grid (a run's own ``N``, or past
+        ``_PREFIX_LAST``) only the latest is kept, so a plan holds at most
+        ``_PREFIX_LAST // _PREFIX_EVERY + 1`` states whatever sizes its
+        batches have."""
+        if not states and tables is self.tables:
+            return self
+        by_round = {state.round: state for state in self.states}
+        by_round.update((state.round, state) for state in states)
+        last = max(by_round, default=0)
+        return RunPrefixes(tuple(
+            by_round[r] for r in sorted(by_round)
+            if r == last or (r % _PREFIX_EVERY == 0 and r <= _PREFIX_LAST)
+        ), tables)
 
 
 class ScheduleExecutor:
@@ -517,6 +665,10 @@ class ScheduleExecutor:
             _BoundarySnapshot) -> None`` invoked after every simulated
             round boundary (the per-round counter stream the golden
             fixture digests).
+
+    The executor keeps the static tables of the last plan it ran
+    (:class:`_StaticTables`, keyed by the plan object): every later run of
+    that plan whose ``N`` fits their key layout reuses them.
     """
 
     def __init__(
@@ -540,6 +692,30 @@ class ScheduleExecutor:
         self.steady_confirm_budget = steady_confirm_budget
         self.fault_model = fault_model
         self.round_probe = round_probe
+        #: ``(plan, tables)`` of the last plan run.
+        self._memo: Optional[Tuple[ParaConvResult, _StaticTables]] = None
+
+    def _tables(
+        self,
+        result: ParaConvResult,
+        iterations: int,
+        shared: Optional["_StaticTables"] = None,
+    ) -> "_StaticTables":
+        """The static tables of ``result`` for a run of ``iterations``:
+        ``shared`` (the ones a stored state carries) or the kept ones when
+        they fit, else new ones at ``iterations``' layout. The executor
+        keeps what it returns."""
+        memo = self._memo
+        if shared is not None and shared.keys.serves(iterations):
+            tables = shared
+        elif memo is not None and memo[0] is result and memo[1].keys.serves(
+            iterations
+        ):
+            return memo[1]
+        else:
+            tables = _StaticTables(self.config, result, iterations)
+        self._memo = (result, tables)
+        return tables
 
     def execute(
         self,
@@ -547,13 +723,32 @@ class ScheduleExecutor:
         iterations: int = 20,
         sink: Optional[TraceSink] = None,
         fault_model: Optional[FaultModel] = None,
+        prefixes: Optional[RunPrefixes] = None,
     ) -> ExecutionTrace:
-        """Run ``iterations`` logical iterations of one PE group."""
+        """Run ``iterations`` logical iterations of one PE group.
+
+        With ``prefixes`` (steady-state mode and a
+        :class:`~repro.sim.sinks.NullSink` only), the run starts from the
+        latest of their states at or below round ``iterations``, exports
+        its own, and returns them all on ``trace.prefixes``. The states
+        must come from runs of ``result`` on this machine under the same
+        fault model (the serving runtime keys them so). The trace equals
+        a fresh run's on every field but ``rounds_simulated``, which
+        counts the rounds this call simulated.
+        """
         if iterations < 1:
             raise SimulationError("iterations must be >= 1")
         run_sink = sink if sink is not None else (
             self._sink if self._sink is not None else InMemorySink()
         )
+        if prefixes is not None and (
+            self.mode is not SimMode.STEADY_STATE
+            or not isinstance(run_sink, NullSink)
+        ):
+            raise SimulationError(
+                "prefix states serve steady-state runs that keep no "
+                "records (sink=NullSink())"
+            )
         run = _ScheduleRun(
             self.config, result, iterations,
             self.mode, run_sink,
@@ -563,6 +758,10 @@ class ScheduleExecutor:
                 fault_model if fault_model is not None else self.fault_model
             ),
             round_probe=self.round_probe,
+            tables=self._tables(
+                result, iterations, None if prefixes is None else prefixes.tables
+            ),
+            prefixes=prefixes,
         )
         return run.execute()
 
@@ -577,12 +776,15 @@ class ScheduleExecutor:
 
         ``boundary`` must come from a steady run of ``result`` on this
         executor's machine under the same fault model (the serving runtime
-        keys it so), and must cover ``iterations``. Records are not kept.
-        The trace equals that of ``execute(result, iterations,
-        sink=NullSink())`` in the steady-state mode on every field but
-        ``rounds_simulated``, which counts the rounds this call simulated:
-        the remainder and the epilogue, or none when the boundary holds
-        them already for this ``N``'s remainder.
+        keys it so), and must cover ``iterations``; an ``N`` below it can
+        start from ``boundary.prefixes`` through :meth:`execute` instead.
+        Records are not kept. The run reuses the boundary's static
+        tables, or the executor's, when they fit. The trace equals that of
+        ``execute(result, iterations, sink=NullSink())`` in the
+        steady-state mode on every field but ``rounds_simulated``, which
+        counts the rounds this call simulated: the remainder and the
+        epilogue, or none when the boundary holds them already for this
+        ``N``'s remainder.
         """
         if not boundary.covers(iterations):
             raise SimulationError(
@@ -594,48 +796,33 @@ class ScheduleExecutor:
             fault_model=(
                 fault_model if fault_model is not None else self.fault_model
             ),
+            tables=self._tables(result, iterations, boundary.tables),
         )
         return run.resume(boundary)
 
 
-class _ScheduleRun:
-    """One executor invocation: static tables + timelines + loop."""
+class _StaticTables:
+    """The static rows and key layout of one plan on one machine.
+
+    Built in one pass over the ops and one over the edges. They depend on
+    the plan, the machine and the key layout only, and on ``N`` only
+    through the iteration field's width: built for one ``N``, they serve
+    every run whose labels fit ``keys`` (:meth:`_EventKeys.serves`).
+    """
+
+    __slots__ = (
+        "keys", "first_produce", "rid_fields", "rows", "op_order", "in_deg",
+        "start_const", "static_off",
+    )
 
     def __init__(
-        self,
-        config: PimConfig,
-        result: ParaConvResult,
-        iterations: int,
-        mode: SimMode,
-        sink: TraceSink,
-        max_period: int = 8,
-        confirm_budget: int = 8,
-        fault_model: Optional[FaultModel] = None,
-        round_probe=None,
+        self, config: PimConfig, result: ParaConvResult, iterations: int
     ):
-        self.iterations = iterations
-        self.mode = mode
-        #: trivial fault models are normalized away so the fault-free hot
-        #: path stays branch-cheap.
-        self.fault_model = (
-            fault_model
-            if fault_model is not None and not fault_model.is_trivial
-            else None
-        )
-        self._failed_pes: frozenset = frozenset()
-        self._failed_vaults: frozenset = frozenset()
-        self._current_round = 0
-        self.max_period = max_period
-        self.confirm_budget = confirm_budget
-        self._round_probe = round_probe
-
         schedule = result.schedule
         graph = result.graph
         kernel = schedule.kernel
-        self.period = schedule.period
-        self.r_max = schedule.max_retiming
-        width = result.group_width
-        self.graph = graph
+        period = schedule.period
+        r_max = schedule.max_retiming
 
         # ---- event-key layout and row ranks ---------------------------
         # One rid space: arrivals ranked by (consumer, e0, e1), then the
@@ -646,7 +833,7 @@ class _ScheduleRun:
         edges = graph.edges()
         n_edges = len(edges)
         n_ops = len(ops)
-        keys = self._keys = _EventKeys(n_edges + 2 * n_ops, size - 1, iterations)
+        keys = self.keys = _EventKeys(n_edges + 2 * n_ops, size - 1, iterations)
         arrive_rid = {
             edge.key: rid
             for rid, edge in enumerate(
@@ -654,13 +841,13 @@ class _ScheduleRun:
             )
         }
         #: rids below it are arrivals and starts, from it productions.
-        self._first_produce = n_edges + n_ops
+        self.first_produce = n_edges + n_ops
         #: rid -> ``(op_id, (e0, e1), size)`` of its events, for decoding.
         rid_fields: List[tuple] = [None] * (n_edges + 2 * n_ops)
         rows: List[tuple] = [None] * (n_edges + 2 * n_ops)
 
         # ---- static per-op tables (index = op_id) ---------------------
-        self._op_order: List[int] = [op.op_id for op in ops]
+        self.op_order: List[int] = [op.op_id for op in ops]
         in_deg = [0] * size
         #: start_const[op] = the prio and rid fields of op's start key.
         start_const = [0] * size
@@ -675,10 +862,10 @@ class _ScheduleRun:
             index.op_ids, kernel.start, schedule.vertex_r
         ):
             # nominal(op, it) = (it - 1) * p + static_off[op].
-            static_off[op_id] = (self.r_max - retiming) * self.period + start
-        self._in_deg = in_deg
-        self._start_const = start_const
-        self._static_off = static_off
+            static_off[op_id] = (r_max - retiming) * period + start
+        self.in_deg = in_deg
+        self.start_const = start_const
+        self.static_off = static_off
 
         # ---- static rows, indexed by rid ------------------------------
         # One pass over the edges in (producer, consumer) key order, never
@@ -747,8 +934,73 @@ class _ScheduleRun:
             rows[produce] = tuple(out_recs[op_id])
             rid_fields[start] = (op_id, (-1, -1), 0)
             rid_fields[produce] = (op_id, (-1, -1), 0)
-        self._rid_fields = rid_fields
-        self._rows = rows
+        self.rid_fields = rid_fields
+        self.rows = rows
+
+
+class _ScheduleRun:
+    """One executor invocation: timelines + loop over static tables.
+
+    ``tables`` are the plan's :class:`_StaticTables`, shared by the runs
+    whose ``N`` fits their layout; without them the run builds its own at
+    its ``N``'s layout. With ``prefixes``, :meth:`execute` starts from
+    the latest of their states at or below round ``N`` and exports the
+    run's own.
+    """
+
+    def __init__(
+        self,
+        config: PimConfig,
+        result: ParaConvResult,
+        iterations: int,
+        mode: SimMode,
+        sink: TraceSink,
+        max_period: int = 8,
+        confirm_budget: int = 8,
+        fault_model: Optional[FaultModel] = None,
+        round_probe=None,
+        tables: Optional[_StaticTables] = None,
+        prefixes: Optional[RunPrefixes] = None,
+    ):
+        self.iterations = iterations
+        self.mode = mode
+        #: trivial fault models are normalized away so the fault-free hot
+        #: path stays branch-cheap.
+        self.fault_model = (
+            fault_model
+            if fault_model is not None and not fault_model.is_trivial
+            else None
+        )
+        self._failed_pes: frozenset = frozenset()
+        self._failed_vaults: frozenset = frozenset()
+        self._current_round = 0
+        self.max_period = max_period
+        self.confirm_budget = confirm_budget
+        self._round_probe = round_probe
+
+        schedule = result.schedule
+        self.period = schedule.period
+        self.r_max = schedule.max_retiming
+        width = result.group_width
+        self.graph = result.graph
+        if tables is None:
+            tables = _StaticTables(config, result, iterations)
+        else:
+            tables.keys.check(iterations)
+        self._tables = tables
+        self._keys = tables.keys
+        self._first_produce = tables.first_produce
+        self._rid_fields = tables.rid_fields
+        self._rows = tables.rows
+        self._op_order = tables.op_order
+        self._in_deg = tables.in_deg
+        self._start_const = tables.start_const
+        self._static_off = tables.static_off
+        self._prefixes = prefixes
+        #: prefix states this run exported; None when not asked for them.
+        self._exported: Optional[List[_PrefixState]] = (
+            None if prefixes is None else []
+        )
 
         # ---- timeline arrays + dynamic state --------------------------
         self._pe_free: List[int] = [0] * width
@@ -1393,12 +1645,18 @@ class _ScheduleRun:
         current: _BoundarySnapshot,
         previous: _BoundarySnapshot,
     ) -> SteadyBoundary:
-        """The state at a converged round, relative to it."""
+        """The state at a converged round, relative to it, with the
+        run's prefix states if it was asked for them."""
         t = boundary_round * self.period
         keys = self._keys
         rid_bits = keys.rid_bits
         rid_mask = keys.rid_mask
         trace = self.trace
+        if self._exported is not None:
+            trace.prefixes = trace.prefixes.extended(
+                self._exported, self._tables
+            )
+            self._exported = []
         return SteadyBoundary(
             round=boundary_round,
             period=period_rounds,
@@ -1441,6 +1699,8 @@ class _ScheduleRun:
                 )
                 for waiting in self._pending
             ),
+            prefixes=trace.prefixes,
+            tables=self._tables,
         )
 
     def _load(self, boundary: SteadyBoundary) -> None:
@@ -1478,11 +1738,21 @@ class _ScheduleRun:
             for waiting in boundary.pending
         ]
         self._max_finish = t + boundary.max_finish
-        self._next_iteration = b + 1
-        self._failed_pes = boundary.failed_pes
-        self._failed_vaults = boundary.failed_vaults
+        self._restore(b, boundary, boundary.current)
+
+    def _restore(
+        self,
+        boundary_round: int,
+        state,
+        counters: _BoundarySnapshot,
+    ) -> None:
+        """Set the counters, maxima and fault masks of a state loaded at
+        ``boundary_round`` (a :class:`SteadyBoundary` or a
+        :class:`_PrefixState`)."""
+        self._next_iteration = boundary_round + 1
+        self._failed_pes = state.failed_pes
+        self._failed_vaults = state.failed_vaults
         trace = self.trace
-        counters = boundary.current
         for name, value in zip(list(trace.stats.as_dict()), counters.trace_stats):
             setattr(trace.stats, name, value)
         for name, value in zip(
@@ -1495,15 +1765,82 @@ class _ScheduleRun:
         trace.busy_units = counters.busy_units
         trace.lateness_total = counters.lateness_total
         self._processed = counters.events_processed
-        trace.lateness_max = boundary.lateness_max
-        trace.cache_peak_slots = boundary.cache_peak_slots
-        trace.pes_used = set(boundary.pes_used)
+        trace.lateness_max = state.lateness_max
+        trace.cache_peak_slots = state.cache_peak_slots
+        trace.pes_used = set(state.pes_used)
+
+    # ------------------------------------------------------------------
+    # prefix states
+    # ------------------------------------------------------------------
+    def _export_prefix(
+        self, boundary_round: int, snapshots: Dict[int, _BoundarySnapshot]
+    ) -> None:
+        """Keep the state at ``boundary_round`` as a prefix state."""
+        trace = self.trace
+        self._exported.append(_PrefixState(
+            round=boundary_round,
+            keys=self._keys,
+            max_period=self.max_period,
+            window=tuple(snapshots.items()),
+            lateness_max=trace.lateness_max,
+            cache_peak_slots=trace.cache_peak_slots,
+            pes_used=frozenset(trace.pes_used),
+            max_finish=self._max_finish,
+            failed_pes=self._failed_pes,
+            failed_vaults=self._failed_vaults,
+            cache_used=self._cache_used,
+            machine=marshal.dumps((
+                self._pe_free, self._fifo, self._vault_free, self._xin,
+                self._xout, self._cache_live, self._inst, self._heap,
+                self._pending,
+            )),
+        ))
+
+    def _load_prefix(self, state: _PrefixState) -> Dict[int, _BoundarySnapshot]:
+        """Put the machine in ``state``'s state; returns the detector's
+        counter window to continue from."""
+        if state.max_period != self.max_period:
+            raise SimulationError(
+                f"a prefix state of a detector with steady_max_period "
+                f"{state.max_period} cannot serve one with {self.max_period}"
+            )
+        (self._pe_free, self._fifo, self._vault_free, self._xin, self._xout,
+         self._cache_live, self._inst, self._heap,
+         self._pending) = marshal.loads(state.machine)
+        keys = self._keys
+        if state.keys.iteration_bits != keys.iteration_bits:
+            # Repacking keeps the key order, so heaps stay heaps.
+            unpack = state.keys.unpack
+            self._heap = [keys.pack(*unpack(key)) for key in self._heap]
+            self._pending = [
+                [keys.pack(*unpack(key)) for key in waiting]
+                for waiting in self._pending
+            ]
+        self._cache_used = state.cache_used
+        self._max_finish = state.max_finish
+        window = dict(state.window)
+        self._restore(state.round, state, window[state.round])
+        return window
 
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
     def execute(self) -> ExecutionTrace:
-        self._simulate(0)
+        """Simulate the run; with prefix states, from the latest one at or
+        below round ``N``, returning them and the run's own on
+        ``trace.prefixes``."""
+        prefixes = self._prefixes
+        if prefixes is None:
+            self._simulate(0)
+            return self._finish()
+        trace = self.trace
+        trace.prefixes = prefixes
+        state = prefixes.latest(self.iterations)
+        if state is None:
+            self._simulate(0)
+        else:
+            self._simulate(state.round, self._load_prefix(state))
+        trace.prefixes = trace.prefixes.extended(self._exported, self._tables)
         return self._finish()
 
     def resume(self, boundary: SteadyBoundary) -> ExecutionTrace:
@@ -1533,7 +1870,11 @@ class _ScheduleRun:
             self._max_finish = splice * self.period + tail.finish
         return self._finish()
 
-    def _simulate(self, boundary_round: int) -> None:
+    def _simulate(
+        self,
+        boundary_round: int,
+        history: Optional[Dict[int, _BoundarySnapshot]] = None,
+    ) -> None:
         """Simulate the rounds after ``boundary_round`` until the heap drains.
 
         In the steady-state mode a run that has not converged yet looks
@@ -1546,14 +1887,27 @@ class _ScheduleRun:
         splice of an exported boundary -- its own, or the one it resumed
         from -- stores the rounds after the splice as the boundary's tail
         for its remainder.
+
+        A run asked for prefix states exports one at the prefix rounds up
+        to ``N`` while its detector has found no period candidate, checked
+        at the round itself too: until then the detector's whole state is
+        the counter window, which ``history`` restores on a run that
+        continues from a prefix.
         """
         trace = self.trace
         n = self.iterations
-        detecting = (
-            self.mode is SimMode.STEADY_STATE and n > self.r_max + 3
+        # A candidate needs r >= R_max + 3 and is armed only when N - r > q,
+        # so a run of N <= R_max + 3 never arms one: it detects only to
+        # export prefix states, and that changes nothing else it does.
+        detecting = self.mode is SimMode.STEADY_STATE and (
+            n > self.r_max + 3 or self._exported is not None
         )
+        #: no period candidate found yet, and prefix states asked for.
+        clean = detecting and self._exported is not None
         #: recent boundary counters (cheap; pruned to a sliding window).
-        snapshots: Dict[int, _BoundarySnapshot] = {}
+        snapshots: Dict[int, _BoundarySnapshot] = (
+            history if history is not None else {}
+        )
         #: canonical forms computed during a confirmation phase.
         canonicals: Dict[int, tuple] = {}
         confirm_q: Optional[int] = None
@@ -1634,17 +1988,25 @@ class _ScheduleRun:
                 q = candidate_period(
                     boundary_round, snapshots, self.max_period, self.r_max
                 )
-                if q is None:
-                    continue
-                if n - boundary_round > q:
-                    confirm_q = q
-                    confirm_from = boundary_round
-                    canonicals[boundary_round] = self._canonical(
-                        boundary_time, boundary_round
-                    )
-                    min_iterations = max(min_iterations, boundary_round + q + 1)
-                else:
-                    resumable = False
+                if q is not None:
+                    clean = False
+                    if n - boundary_round > q:
+                        confirm_q = q
+                        confirm_from = boundary_round
+                        canonicals[boundary_round] = self._canonical(
+                            boundary_time, boundary_round
+                        )
+                        min_iterations = max(
+                            min_iterations, boundary_round + q + 1
+                        )
+                    else:
+                        resumable = False
+            if clean and (
+                boundary_round == n
+                or (boundary_round % _PREFIX_EVERY == 0
+                    and boundary_round <= _PREFIX_LAST)
+            ):
+                self._export_prefix(boundary_round, snapshots)
         if tail_from is not None:
             self._store_tail(*tail_from)
 

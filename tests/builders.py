@@ -1,4 +1,5 @@
-"""Graph builders shared by test modules and fixtures."""
+"""Graph builders and the uncached reference batch shared by test
+modules and fixtures."""
 
 from __future__ import annotations
 
@@ -91,3 +92,29 @@ def timings_table(timings):
 def row_deltas(graph, deltas):
     """``{edge key: delta}`` as one delta per edge row of ``graph``."""
     return [deltas[key] for key in graph.index().edge_keys]
+
+
+def direct_batch(graph, config, iterations, allocator="dp", sim_mode="full"):
+    """The uncached reference path: plan, execute, report.
+
+    The session tests compare a served batch against this from-scratch
+    run with identical semantics. It defaults to the full-unroll mode
+    because it is the reference: comparing a steady-state session batch
+    against a full-unroll direct batch exercises the fast-forward
+    equivalence end to end.
+    """
+    import time
+
+    from repro.core.paraconv import ParaConv
+    from repro.runtime.session import InferenceSession
+    from repro.sim.executor import ScheduleExecutor
+    from repro.sim.modes import SimMode
+    from repro.sim.sinks import NullSink
+
+    result = ParaConv(config, allocator_name=allocator).run(graph)
+    started = time.perf_counter()
+    trace = ScheduleExecutor(config, mode=SimMode.from_name(sim_mode)).execute(
+        result, iterations=iterations, sink=NullSink()
+    )
+    wall = time.perf_counter() - started
+    return InferenceSession._batch_result(trace, None, wall)

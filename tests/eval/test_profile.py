@@ -87,15 +87,17 @@ class TestRunProfile:
 
     def test_serve_profile_counts_batches_per_plan(self):
         # Three pumps serve three batches per plan after the one-request
-        # warm-up: the first converges, the others resume from it.
+        # warm-up: the first starts from the warm-up's prefix state at
+        # round 1 and converges, the others resume from its boundary.
         machine = PimConfig(num_pes=64, num_vaults=32)
         report = run_profile("serve", machine, top=5, requests=1100)
         assert len(report.plans) == 4
         assert {
-            (plan.machine, plan.converging, plan.resumed, plan.reused)
+            (plan.machine, plan.converging, plan.resumed, plan.prefix,
+             plan.reused)
             for plan in report.plans
         } == {(f"16pe/8v@{machine.split(4)[0].logical.fingerprint()[:8]}",
-               1, 2, 0)}
+               1, 2, 1, 0)}
         assert "## Batches per plan and machine" in report.render()
 
     def test_serve_profile_takes_a_mix(self):

@@ -22,15 +22,13 @@ from repro.pim.faults import FAULT_UNIT_PE, FaultModel
 from repro.runtime import plan_cache
 from repro.runtime.plan_cache import BATCH_TRACE_CAPACITY, PlanCache, TraceTable
 from repro.runtime.server import BatchingServer
-from repro.runtime.session import (
-    FaultRetryExhausted,
-    InferenceSession,
-    direct_batch,
-)
+from repro.runtime.session import FaultRetryExhausted, InferenceSession
 from repro.sim.engine import SimulationError
 from repro.sim.executor import ExecutionTrace, ScheduleExecutor, SteadyBoundary
 from repro.sim.modes import SimMode
 from repro.sim.sinks import NullSink
+
+from tests.builders import direct_batch
 
 MODES = [SimMode.FULL_UNROLL, SimMode.STEADY_STATE]
 
@@ -103,12 +101,24 @@ class TestReuse:
         session = InferenceSession(graph, config, sim_mode=mode)
         session.run(12)
         other = session.run(11)
+        other_trace = session.last_trace
         session.run(12)
         assert executed == [12, 11]
         assert session.batches_resumed == 0
         assert aggregates(other) == aggregates(
             direct_batch(graph, config, 11, sim_mode=mode)
         )
+        if mode is SimMode.FULL_UNROLL:
+            assert session.prefix_resumes == 0
+            return
+        # The steady N=12 run found its first period candidate after
+        # round 8, so its boundary keeps the prefix states of rounds 4
+        # and 8: N=11 starts from round 8.
+        assert session.prefix_resumes == 1
+        assert session.last_trace.boundary.prefixes.rounds == (4, 8)
+        fresh = fresh_steady(session, 11)
+        assert other_trace.rounds_simulated == fresh.rounds_simulated - 8
+        assert trace_fields(other_trace) == trace_fields(fresh)
 
     def test_swap_graph_simulates_again(
         self, graph, other_graph, config, mode, executed
@@ -238,7 +248,7 @@ class TestTraceTableBound:
 #: trace fields a resumed batch shares with a fresh steady run of its N.
 RESUMED_FIELDS = tuple(
     f.name for f in dataclasses.fields(ExecutionTrace)
-    if f.name not in ("sink", "boundary", "rounds_simulated")
+    if f.name not in ("sink", "boundary", "prefixes", "rounds_simulated")
 )
 
 #: the steady detector's confirm window, in rounds, at the default

@@ -6,8 +6,10 @@ import pytest
 
 from repro.core.paraconv import ParaConv
 from repro.runtime.plan_cache import PlanCache
-from repro.runtime.session import InferenceSession, direct_batch
+from repro.runtime.session import InferenceSession
 from repro.sim.executor import ScheduleExecutor
+
+from tests.builders import direct_batch
 
 
 class TestCompileOnce:

@@ -17,11 +17,12 @@ from repro.core.paraconv import ParaConv
 from repro.graph.taskgraph import TaskGraph
 from repro.pim.config import PimConfig
 from repro.runtime.plan_cache import PlanCache
-from repro.runtime.session import InferenceSession, direct_batch
+from repro.runtime.session import InferenceSession
 from repro.sim.executor import ScheduleExecutor
 from repro.sim.modes import SimMode
 from repro.sim.sinks import NullSink
 
+from tests.builders import direct_batch
 from tests.runtime.test_batch_reuse import aggregates
 
 
