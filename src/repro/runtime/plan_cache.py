@@ -79,7 +79,7 @@ class PlanCacheError(RuntimeError):
 
 
 class TraceTable(OrderedDict):
-    """Batch traces and steady-state boundaries or prefix states, least
+    """Batch traces and stores of steady-state round states, least
     recently used first.
 
     :meth:`get` refreshes a trace; storing one past
@@ -474,7 +474,7 @@ class PlanCache:
         self.stats = CacheStats()
         #: traces of the batches sessions on this cache served without a
         #: fault, keyed ``(plan digest, active machine, sim mode, active
-        #: fault model, N)``, and each plan's steady-state boundary under
+        #: fault model, N)``, and each plan's store of round states under
         #: the same key without ``N``, least recently used first. Every
         #: cache a :class:`~repro.fleet.store.SharedPlanStore` opens
         #: shares the store's table instead.

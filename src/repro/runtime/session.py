@@ -18,47 +18,46 @@ checks it).
 Batch reuse. A plan is a static periodic schedule and every batch runs
 on a fresh machine, so a batch's trace depends only on the plan, the
 active machine, the active fault model, the sim mode and ``N``. A batch
-is served in the first of four ways that applies:
+of an ``N`` served before is built from its stored trace
+(``batches_reused``). Every other steady-state batch is handed the plan's
+store of round states (:class:`~repro.sim.executor.RunStates`), and the
+executor starts from the latest state it holds for ``N``:
 
-1. exact reuse: from the stored trace of a batch of the same ``N``
-   (``batches_reused``);
-2. boundary resume: from the plan's stored steady-state boundary
-   (:class:`~repro.sim.executor.SteadyBoundary`), when it covers ``N``:
-   the executor splices the converged state forward and simulates only
-   the remainder and the epilogue, or nothing when another ``N`` of the
-   same remainder did it before (``batches_resumed``);
-3. prefix resume, in the steady-state mode: from the latest stored
-   prefix state (:class:`~repro.sim.executor.RunPrefixes`) at or below
-   round ``N``. Earlier steady runs of the plan export them at sparse
-   round boundaries before their detector finds a period, and the
-   state at round ``r`` is the same for every ``N >= r``, so the
-   executor simulates only the rounds after it (``prefix_resumes``);
-4. a fresh simulation.
+1. the converged boundary, when it covers ``N``: the executor splices
+   the converged state forward and simulates only the remainder and the
+   epilogue, or nothing when another ``N`` of the same remainder did it
+   before (``batches_resumed``);
+2. else the latest prefix state at or below round ``N``. Earlier steady
+   runs of the plan export them at sparse round boundaries before their
+   detector finds a period, and the state at round ``r`` is the same for
+   every ``N >= r``, so the executor simulates only the rounds after it
+   (``prefix_resumes``);
+3. else round one.
 
-The trace of a batch served in ways 2 to 4 is stored. So is the
-boundary a run exported, if the plan has none yet
-(``converged_simulations`` counts the runs that converged), and
-otherwise the prefix states, extended by the ones the run exported. A boundary replaces the
-prefix states and keeps those exported before it, which serve the ``N``
-it does not cover. So a converged plan is simulated from round one once
-per machine, whatever sizes its batches have, and every batch of a plan
-that has not converged starts from the longest run so far that reached
-its ``N``. Only batches that finished without a fault are stored. With
-a plan cache, traces go into the cache's table under ``(plan digest,
-active machine, sim mode, active fault model, N)`` and the boundary or
-prefix states under the same key without ``N``; caches opened from one
+The run returns the store extended by the states it exported, and the
+session stores it with the batch's trace (``converged_simulations``
+counts the runs that converged). A store keeps the first boundary a run
+exported. So a converged plan is simulated from round one once per
+machine, whatever sizes its batches have, and every batch of a plan that
+has not converged starts from the longest run so far that reached its
+``N``. Only batches that finished without a fault are stored. With a plan
+cache, traces go into the cache's table under ``(plan digest, active
+machine, sim mode, active fault model, N)`` and the store under the same
+key without ``N``; caches opened from one
 :class:`~repro.fleet.store.SharedPlanStore` share that table, so a batch
 is simulated once per fleet, not once per shard. Without a cache the
-session keeps a private table keyed by ``N`` (the boundary or prefix
-states under ``None``) that belongs to one plan: it is dropped on
-failover, on :meth:`InferenceSession.swap_graph` and whenever
-:meth:`compile` installs a different plan object. Every table is a
+session keeps a private table keyed by ``N`` (the store under ``None``)
+that belongs to one plan: it is dropped on failover, on
+:meth:`InferenceSession.swap_graph` and whenever :meth:`compile` installs
+a different plan object. Every table is a
 :class:`~repro.runtime.plan_cache.TraceTable`, which evicts its least
 recently used entry past ``BATCH_TRACE_CAPACITY``; an evicted batch is
-resumed or simulated again. The session's executor keeps the static
-tables of the plan it serves, so the runs of a plan build them once,
-and again only for an ``N`` too wide for their key layout; it is
-dropped with the plan on failover and :meth:`InferenceSession.swap_graph`.
+resumed or simulated again, and an evicted store is rebuilt by the runs
+that follow. The store carries the static tables of the plan's last run,
+and the session's executor keeps the ones of the plan it serves, so the
+runs of a plan build them once, and again only for an ``N`` too wide for
+their key layout; the executor is dropped with the plan on failover and
+:meth:`InferenceSession.swap_graph`.
 
 Fault tolerance. A session constructed with a
 :class:`~repro.pim.faults.FaultModel` keeps serving when units die: the
@@ -97,9 +96,8 @@ from repro.runtime.plan_cache import PlanCache, TraceTable, plan_key_for
 from repro.sim.executor import (
     ExecutionTrace,
     PeFaultError,
-    RunPrefixes,
+    RunStates,
     ScheduleExecutor,
-    SteadyBoundary,
 )
 from repro.sim.modes import SimMode
 from repro.sim.sinks import NullSink
@@ -572,14 +570,14 @@ class InferenceSession:
         even that: the batch is built from the stored trace of the last
         successful batch of that size (``batches_reused`` counts these;
         ``wall_seconds`` is this call's own, ``failovers`` is 0). Any
-        other size the plan's stored steady-state boundary covers is
-        resumed from it (``batches_resumed``), and any other steady batch
-        starts from the plan's latest stored prefix state at or below
-        round ``iterations`` (``prefix_resumes``). With a cache the trace,
-        boundary or prefix states may come from any session on the
-        cache's table (see :meth:`_trace_slot`); without one, they are
-        dropped on failover, on :meth:`swap_graph` and when
-        :meth:`compile` installs a different plan.
+        other steady batch is handed the plan's store of round states and
+        starts from its boundary when that covers ``iterations``
+        (``batches_resumed``), else from its latest prefix state at or
+        below round ``iterations`` (``prefix_resumes``). With a cache the
+        trace or store may come from any session on the cache's table
+        (see :meth:`_trace_slot`); without one, they are dropped on
+        failover, on :meth:`swap_graph` and when :meth:`compile` installs
+        a different plan.
 
         Under a fault model, a :class:`~repro.sim.executor.PeFaultError`
         mid-batch triggers failover: degrade, recompile (cache-first),
@@ -608,33 +606,21 @@ class InferenceSession:
                 self._executor = ScheduleExecutor(
                     self._active_config, mode=self.sim_mode
                 )
-            table, key = self._trace_slot(None)
-            held = table.get(key)
-            boundary = prefixes = None
-            if isinstance(held, SteadyBoundary):
-                if held.covers(iterations):
-                    boundary = held
-                else:
-                    prefixes = held.prefixes
-            elif self.sim_mode is SimMode.STEADY_STATE:
-                prefixes = held if held is not None else RunPrefixes()
+            states = None
+            if self.sim_mode is SimMode.STEADY_STATE:
+                table, key = self._trace_slot(None)
+                states = table.get(key, RunStates())
             try:
                 # Serving needs aggregates only: a NullSink keeps
                 # per-instance records out of memory no matter how large
                 # the batch is.
-                if boundary is not None:
-                    trace = self._executor.resume(
-                        plan, boundary, iterations,
-                        fault_model=self._active_fault_model,
-                    )
-                else:
-                    trace = self._executor.execute(
-                        plan,
-                        iterations=iterations,
-                        sink=NullSink(),
-                        fault_model=self._active_fault_model,
-                        prefixes=prefixes,
-                    )
+                trace = self._executor.execute(
+                    plan,
+                    iterations=iterations,
+                    sink=NullSink(),
+                    fault_model=self._active_fault_model,
+                    states=states,
+                )
             except PeFaultError as fault:
                 attempts += 1
                 self.faults_observed += 1
@@ -648,12 +634,12 @@ class InferenceSession:
                     self._sleep(self.retry_backoff_seconds * attempts)
                 continue
             wall = time.perf_counter() - started
-            if boundary is not None:
+            if states is not None and states.boundary is not None and (
+                states.boundary.covers(iterations)
+            ):
                 self.batches_resumed += 1
             else:
-                if prefixes is not None and prefixes.latest(
-                    iterations
-                ) is not None:
+                if states is not None and states.latest(iterations) is not None:
                     self.prefix_resumes += 1
                 if trace.converged_round is not None:
                     self.converged_simulations += 1
@@ -661,14 +647,9 @@ class InferenceSession:
             # Keyed after any failover: the machine the trace ran on.
             table, key = self._trace_slot(iterations)
             table[key] = trace
-            resumable = (
-                trace.boundary if trace.boundary is not None
-                else trace.prefixes
-            )
-            if resumable is not None:
+            if trace.states is not None:
                 table, key = self._trace_slot(None)
-                if not isinstance(table.peek(key), SteadyBoundary):
-                    table[key] = resumable
+                table[key] = trace.states
             return self._batch_result(
                 trace,
                 energy_model,
@@ -681,8 +662,7 @@ class InferenceSession:
         self, iterations: Optional[int]
     ) -> Tuple[TraceTable, object]:
         """Table and key of a batch of ``iterations`` on the served plan;
-        ``None`` names the slot of the plan's steady-state boundary or, until
-        it has one, its prefix states.
+        ``None`` names the slot of the plan's store of round states.
 
         With a cache: the cache's table, keyed by everything the trace
         depends on. The plan digest alone is not enough, because

@@ -97,16 +97,19 @@ Two simulation modes (:class:`~repro.sim.modes.SimMode`):
   asserts it across the benchmark suite, and
   ``tests/golden/sim_signatures.json`` pins both modes' verdicts.
 
-A steady run asked to (``prefixes=``) also exports **prefix states**
-(:class:`RunPrefixes`): until its detector finds a first period
+A steady run given a store (``states=``, a :class:`RunStates`) starts
+from the latest state the store holds for its ``N`` and exports its own
+**round states** into it: until its detector finds a first period
 candidate, its state at every ``_PREFIX_EVERY``-th round boundary up to
-``_PREFIX_LAST``, and at round ``N``. Instance ``l`` of an op runs in
-round ``l + R_max - R(i)`` and reads only earlier instances (the paper's
-Sec. 3.2), and iteration ``r`` is materialized at round ``r`` only when
-``r <= N``, so the state at round ``r`` -- the detector's counter window
-included -- is the same for every ``N >= r``. A later run of ``N'`` loads
-the latest prefix at or below ``N'`` and simulates only the rounds after
-it.
+``_PREFIX_LAST`` and at round ``N`` (prefix states), and its state at the
+round it converges (a :class:`SteadyBoundary`). Instance ``l`` of an op
+runs in round ``l + R_max - R(i)`` and reads only earlier instances (the
+paper's Sec. 3.2), and iteration ``r`` is materialized at round ``r``
+only when ``r <= N``, so the state at round ``r`` -- the detector's
+counter window included -- is the same for every ``N >= r``. A run of
+``N'`` that the boundary covers loads it and splices forward as a fresh
+run would; any other loads the latest prefix state at or below ``N'``.
+Either way it simulates only the rounds after the state it loaded.
 
 Record retention is delegated to a pluggable
 :class:`~repro.sim.sinks.TraceSink`, so trace memory is bounded
@@ -149,7 +152,7 @@ from repro.sim.trace import InstanceRecord, TransferKind, TransferRecord
 __all__ = [
     "ExecutionTrace",
     "PeFaultError",
-    "RunPrefixes",
+    "RunStates",
     "ScheduleExecutor",
     "SimMode",
     "SteadyBoundary",
@@ -326,17 +329,10 @@ class ExecutionTrace:
     #: ``rounds_fast_forwarded`` rounds past that reference, so the digest
     #: depends on ``N`` (``tests/golden/sim_signatures.json`` pins it).
     steady_fingerprint: Optional[str] = None
-    #: the converged state a batch of another ``N`` can resume from
-    #: (:meth:`ScheduleExecutor.resume`): the one this run exported or
-    #: resumed from; None when the run did not converge or cannot be
-    #: resumed.
-    boundary: Optional["SteadyBoundary"] = field(
-        default=None, repr=False, compare=False
-    )
-    #: the prefix states a later batch can start from: the ones the run
-    #: was given plus the ones it exported; None when the run was not
-    #: asked for them.
-    prefixes: Optional["RunPrefixes"] = field(
+    #: the store of round states a later batch can start from: the one
+    #: the run was given, with the states it exported added; None when
+    #: the run was given none.
+    states: Optional["RunStates"] = field(
         default=None, repr=False, compare=False
     )
 
@@ -479,74 +475,6 @@ class _Tail:
     finish: int
 
 
-@dataclass(frozen=True, eq=False)
-class SteadyBoundary:
-    """A converged steady run's machine state at its converged round.
-
-    The paper's kernel repeats every period, so once a run's state at round
-    ``round`` equals its state ``period`` rounds earlier, its state at any
-    later boundary ``round + k * period`` is this one shifted by ``k``
-    periods. :meth:`ScheduleExecutor.resume` rebuilds a run of any
-    ``N >= min_iterations`` from it, splices forward exactly as a fresh
-    run's fast-forward does and simulates only the remainder and the
-    epilogue; ``tails`` memoizes those per ``(N - round) mod period``.
-
-    Clocks and times are relative to the boundary time ``round * p`` and
-    iteration labels relative to ``round``, so the state does not depend
-    on the key layout of the run that exported it.
-
-    A run asked for prefix states keeps them on its boundary
-    (``prefixes``): they were all exported before the run's first period
-    candidate, so they serve the ``N`` below ``min_iterations`` that the
-    boundary does not cover. The boundary also keeps the run's static
-    tables (``tables``), which every resume whose ``N`` fits their key
-    layout reuses, on whichever executor it runs.
-    """
-
-    round: int
-    period: int
-    #: smallest ``N`` whose fresh run arms every confirmation this run
-    #: armed, with ``round`` in range: it converges at the same round.
-    min_iterations: int
-    #: counters at ``round`` and at ``round - period``.
-    current: _BoundarySnapshot
-    previous: _BoundarySnapshot
-    lateness_max: int
-    cache_peak_slots: int
-    pes_used: FrozenSet[int]
-    max_finish: int
-    failed_pes: FrozenSet[int]
-    failed_vaults: FrozenSet[int]
-    pe_free: Tuple[int, ...]
-    #: edge rids per PE pFIFO, oldest first (rids depend on the graph's
-    #: content only).
-    fifos: Tuple[Tuple[int, ...], ...]
-    vault_free: Tuple[int, ...]
-    xin: Tuple[int, ...]
-    xout: Tuple[int, ...]
-    cache_used: int
-    #: ``(iteration, edge rid, slots)`` per live cache slot.
-    cache_live: Tuple[Tuple[int, int, int], ...]
-    #: ``(iteration, op_id, in-edges not issued, latest staged arrival,
-    #: nominal start, latest of the nominal start and the arrivals due
-    #: after the round they were issued in)`` per instance record.
-    inst: Tuple[Tuple[int, int, int, int, int, int], ...]
-    #: ``(time, prio, iteration, rid)`` per queued start and production,
-    #: in key order.
-    events: Tuple[Tuple[int, int, int, int], ...]
-    #: per PE, ``(time, iteration, edge rid)`` of each issued arrival not
-    #: staged yet, in key order.
-    pending: Tuple[Tuple[Tuple[int, int, int], ...], ...]
-    tails: Dict[int, _Tail] = field(default_factory=dict)
-    prefixes: Optional["RunPrefixes"] = None
-    #: the exporting run's static tables, for the resumes they fit.
-    tables: Optional["_StaticTables"] = field(default=None, repr=False)
-
-    def covers(self, iterations: int) -> bool:
-        """True when a batch of ``iterations`` can resume from here."""
-        return iterations >= self.min_iterations
-
-
 #: a run exports a prefix state at every ``_PREFIX_EVERY``-th round
 #: boundary up to round ``_PREFIX_LAST``, and at round ``N``.
 _PREFIX_EVERY = 4
@@ -554,9 +482,10 @@ _PREFIX_LAST = 64
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class _PrefixState:
-    """A steady run's machine and detector state at a round boundary
-    before its first period candidate; it serves every ``N >= round``.
+class _RoundState:
+    """A steady run's machine and detector state at a round boundary; it
+    serves every ``N >= round`` (a converged one, through its
+    :class:`SteadyBoundary`, every ``N`` the boundary covers).
 
     It is loaded at the round it was taken, so clocks, times and labels
     are absolute, and the timelines, pFIFOs, live cache slots, instance
@@ -589,52 +518,93 @@ class _PrefixState:
 
 
 @dataclass(frozen=True, eq=False)
-class RunPrefixes:
-    """The prefix states of one plan's steady runs, by round.
+class SteadyBoundary:
+    """A converged steady run's state at its converged round.
 
-    Hand it to :meth:`ScheduleExecutor.execute` (``prefixes=``): the run
-    starts from the latest state at or below its ``N`` and returns, on
-    ``trace.prefixes``, a new collection with the states it exported
-    added. It never changes in place, so a run that fails adds nothing.
-    It keeps the static tables of the last run that extended it, which
-    the next run reuses when its ``N`` fits their key layout.
+    The paper's kernel repeats every period, so once a run's state at round
+    ``round`` equals its state ``period`` rounds earlier, its state at any
+    later boundary ``round + k * period`` is this one shifted by ``k``
+    periods. A run of any ``N >= min_iterations`` given the store that
+    holds it loads ``state``, splices forward exactly as a fresh run's
+    fast-forward does and simulates only the remainder and the epilogue;
+    ``tails`` memoizes those per ``(N - round) mod period``.
     """
 
-    #: sorted by round, one per round.
-    states: Tuple[_PrefixState, ...] = ()
+    state: _RoundState
+    period: int
+    #: smallest ``N`` whose fresh run arms every confirmation this run
+    #: armed, with ``round`` in range: it converges at the same round.
+    min_iterations: int
+    #: counters at ``round - period``.
+    previous: _BoundarySnapshot
+    tails: Dict[int, _Tail] = field(default_factory=dict)
+
+    @property
+    def round(self) -> int:
+        return self.state.round
+
+    def covers(self, iterations: int) -> bool:
+        """True when a batch of ``iterations`` can resume from here."""
+        return iterations >= self.min_iterations
+
+
+@dataclass(frozen=True, eq=False)
+class RunStates:
+    """The round states one plan's steady runs share.
+
+    Hand it to :meth:`ScheduleExecutor.execute` (``states=``): the run
+    starts from the boundary when it covers the run's ``N``, else from
+    the latest prefix state at or below ``N``, and returns, on
+    ``trace.states``, a new store with the states it exported added. It
+    never changes in place, so a run that fails adds nothing. It keeps
+    the static tables of the last run that extended it, which the next
+    run reuses when its ``N`` fits their key layout.
+    """
+
+    #: prefix states, sorted by round, one per round; all exported
+    #: before their run's first period candidate.
+    prefixes: Tuple[_RoundState, ...] = ()
+    #: the first converged state a run of the store exported.
+    boundary: Optional[SteadyBoundary] = None
     tables: Optional["_StaticTables"] = None
 
     def __repr__(self) -> str:
-        return f"RunPrefixes(rounds={self.rounds})"
+        converged = None if self.boundary is None else self.boundary.round
+        return f"RunStates(rounds={self.rounds}, boundary={converged})"
 
     @property
     def rounds(self) -> Tuple[int, ...]:
-        return tuple(state.round for state in self.states)
+        """The rounds of the prefix states."""
+        return tuple(state.round for state in self.prefixes)
 
-    def latest(self, iterations: int) -> Optional[_PrefixState]:
-        """The state a run of ``iterations`` starts from, if any: the
-        latest one at or below round ``iterations``."""
+    def latest(self, iterations: int) -> Optional[_RoundState]:
+        """The prefix state a run of ``iterations`` starts from, if any:
+        the latest one at or below round ``iterations``."""
         index = bisect_right(self.rounds, iterations)
-        return self.states[index - 1] if index else None
+        return self.prefixes[index - 1] if index else None
 
     def extended(
-        self, states: List[_PrefixState], tables: "_StaticTables"
-    ) -> "RunPrefixes":
-        """These states and ``states``, with ``tables``; a new state
-        replaces an old one of its round. Of the rounds off the
-        ``_PREFIX_EVERY`` grid (a run's own ``N``, or past
-        ``_PREFIX_LAST``) only the latest is kept, so a plan holds at most
-        ``_PREFIX_LAST // _PREFIX_EVERY + 1`` states whatever sizes its
-        batches have."""
-        if not states and tables is self.tables:
+        self,
+        states: List[_RoundState],
+        tables: "_StaticTables",
+        boundary: Optional[SteadyBoundary] = None,
+    ) -> "RunStates":
+        """These prefix states and ``states``, with ``tables``, and
+        ``boundary`` if the store has none; a new state replaces an old
+        one of its round. Of the rounds off the ``_PREFIX_EVERY`` grid (a
+        run's own ``N``, or past ``_PREFIX_LAST``) only the latest is
+        kept, so a plan holds at most ``_PREFIX_LAST // _PREFIX_EVERY +
+        1`` prefix states whatever sizes its batches have."""
+        boundary = self.boundary or boundary
+        if not states and tables is self.tables and boundary is self.boundary:
             return self
-        by_round = {state.round: state for state in self.states}
+        by_round = {state.round: state for state in self.prefixes}
         by_round.update((state.round, state) for state in states)
         last = max(by_round, default=0)
-        return RunPrefixes(tuple(
+        return RunStates(tuple(
             by_round[r] for r in sorted(by_round)
             if r == last or (r % _PREFIX_EVERY == 0 and r <= _PREFIX_LAST)
-        ), tables)
+        ), boundary, tables)
 
 
 class ScheduleExecutor:
@@ -702,9 +672,9 @@ class ScheduleExecutor:
         shared: Optional["_StaticTables"] = None,
     ) -> "_StaticTables":
         """The static tables of ``result`` for a run of ``iterations``:
-        ``shared`` (the ones a stored state carries) or the kept ones when
-        they fit, else new ones at ``iterations``' layout. The executor
-        keeps what it returns."""
+        ``shared`` (the ones a store of round states carries) or the kept
+        ones when they fit, else new ones at ``iterations``' layout. The
+        executor keeps what it returns."""
         memo = self._memo
         if shared is not None and shared.keys.serves(iterations):
             tables = shared
@@ -723,30 +693,33 @@ class ScheduleExecutor:
         iterations: int = 20,
         sink: Optional[TraceSink] = None,
         fault_model: Optional[FaultModel] = None,
-        prefixes: Optional[RunPrefixes] = None,
+        states: Optional[RunStates] = None,
     ) -> ExecutionTrace:
         """Run ``iterations`` logical iterations of one PE group.
 
-        With ``prefixes`` (steady-state mode and a
+        With ``states`` (steady-state mode and a
         :class:`~repro.sim.sinks.NullSink` only), the run starts from the
-        latest of their states at or below round ``iterations``, exports
-        its own, and returns them all on ``trace.prefixes``. The states
-        must come from runs of ``result`` on this machine under the same
-        fault model (the serving runtime keys them so). The trace equals
-        a fresh run's on every field but ``rounds_simulated``, which
-        counts the rounds this call simulated.
+        store's boundary when it covers ``iterations``, else from the
+        latest of its prefix states at or below round ``iterations``,
+        exports its own, and returns the extended store on
+        ``trace.states``. The store must come from runs of ``result`` on
+        this machine under the same fault model (the serving runtime keys
+        it so). The trace equals a fresh run's on every field but
+        ``rounds_simulated``, which counts the rounds this call simulated:
+        none when the boundary holds them already for this ``N``'s
+        remainder.
         """
         if iterations < 1:
             raise SimulationError("iterations must be >= 1")
         run_sink = sink if sink is not None else (
             self._sink if self._sink is not None else InMemorySink()
         )
-        if prefixes is not None and (
+        if states is not None and (
             self.mode is not SimMode.STEADY_STATE
             or not isinstance(run_sink, NullSink)
         ):
             raise SimulationError(
-                "prefix states serve steady-state runs that keep no "
+                "round states serve steady-state runs that keep no "
                 "records (sink=NullSink())"
             )
         run = _ScheduleRun(
@@ -759,46 +732,11 @@ class ScheduleExecutor:
             ),
             round_probe=self.round_probe,
             tables=self._tables(
-                result, iterations, None if prefixes is None else prefixes.tables
+                result, iterations, None if states is None else states.tables
             ),
-            prefixes=prefixes,
+            states=states,
         )
         return run.execute()
-
-    def resume(
-        self,
-        result: ParaConvResult,
-        boundary: SteadyBoundary,
-        iterations: int,
-        fault_model: Optional[FaultModel] = None,
-    ) -> ExecutionTrace:
-        """A steady-state batch of ``iterations`` resumed from ``boundary``.
-
-        ``boundary`` must come from a steady run of ``result`` on this
-        executor's machine under the same fault model (the serving runtime
-        keys it so), and must cover ``iterations``; an ``N`` below it can
-        start from ``boundary.prefixes`` through :meth:`execute` instead.
-        Records are not kept. The run reuses the boundary's static
-        tables, or the executor's, when they fit. The trace equals that of
-        ``execute(result, iterations, sink=NullSink())`` in the
-        steady-state mode on every field but ``rounds_simulated``, which
-        counts the rounds this call simulated: the remainder and the
-        epilogue, or none when the boundary holds them already for this
-        ``N``'s remainder.
-        """
-        if not boundary.covers(iterations):
-            raise SimulationError(
-                f"a boundary converged at round {boundary.round} resumes "
-                f"N >= {boundary.min_iterations}, got {iterations}"
-            )
-        run = _ScheduleRun(
-            self.config, result, iterations, SimMode.STEADY_STATE, NullSink(),
-            fault_model=(
-                fault_model if fault_model is not None else self.fault_model
-            ),
-            tables=self._tables(result, iterations, boundary.tables),
-        )
-        return run.resume(boundary)
 
 
 class _StaticTables:
@@ -943,9 +881,8 @@ class _ScheduleRun:
 
     ``tables`` are the plan's :class:`_StaticTables`, shared by the runs
     whose ``N`` fits their layout; without them the run builds its own at
-    its ``N``'s layout. With ``prefixes``, :meth:`execute` starts from
-    the latest of their states at or below round ``N`` and exports the
-    run's own.
+    its ``N``'s layout. With ``states``, :meth:`execute` starts from the
+    latest state the store holds for ``N`` and exports the run's own.
     """
 
     def __init__(
@@ -960,7 +897,7 @@ class _ScheduleRun:
         fault_model: Optional[FaultModel] = None,
         round_probe=None,
         tables: Optional[_StaticTables] = None,
-        prefixes: Optional[RunPrefixes] = None,
+        states: Optional[RunStates] = None,
     ):
         self.iterations = iterations
         self.mode = mode
@@ -996,11 +933,14 @@ class _ScheduleRun:
         self._in_deg = tables.in_deg
         self._start_const = tables.start_const
         self._static_off = tables.static_off
-        self._prefixes = prefixes
-        #: prefix states this run exported; None when not asked for them.
-        self._exported: Optional[List[_PrefixState]] = (
-            None if prefixes is None else []
+        self._states = states
+        #: prefix states this run exported; None when given no store.
+        self._exported: Optional[List[_RoundState]] = (
+            None if states is None else []
         )
+        #: the boundary the run resumed from or exported: the rounds after
+        #: the run's splice are its tail for this ``N``'s remainder.
+        self._boundary: Optional[SteadyBoundary] = None
 
         # ---- timeline arrays + dynamic state --------------------------
         self._pe_free: List[int] = [0] * width
@@ -1635,149 +1575,15 @@ class _ScheduleRun:
         return boundary_round
 
     # ------------------------------------------------------------------
-    # resumable boundaries
+    # round states
     # ------------------------------------------------------------------
-    def _boundary(
-        self,
-        boundary_round: int,
-        period_rounds: int,
-        min_iterations: int,
-        current: _BoundarySnapshot,
-        previous: _BoundarySnapshot,
-    ) -> SteadyBoundary:
-        """The state at a converged round, relative to it, with the
-        run's prefix states if it was asked for them."""
-        t = boundary_round * self.period
-        keys = self._keys
-        rid_bits = keys.rid_bits
-        rid_mask = keys.rid_mask
-        trace = self.trace
-        if self._exported is not None:
-            trace.prefixes = trace.prefixes.extended(
-                self._exported, self._tables
-            )
-            self._exported = []
-        return SteadyBoundary(
-            round=boundary_round,
-            period=period_rounds,
-            min_iterations=min_iterations,
-            current=current,
-            previous=previous,
-            lateness_max=trace.lateness_max,
-            cache_peak_slots=trace.cache_peak_slots,
-            pes_used=frozenset(trace.pes_used),
-            max_finish=self._max_finish - t,
-            failed_pes=self._failed_pes,
-            failed_vaults=self._failed_vaults,
-            pe_free=tuple(free - t for free in self._pe_free),
-            fifos=tuple(tuple(fifo) for fifo in self._fifo),
-            vault_free=tuple(free - t for free in self._vault_free),
-            xin=tuple(free - t for free in self._xin),
-            xout=tuple(free - t for free in self._xout),
-            cache_used=self._cache_used,
-            cache_live=tuple(
-                ((k >> rid_bits) - boundary_round, k & rid_mask, slots)
-                for k, slots in self._cache_live.items()
-            ),
-            inst=tuple(
-                ((k >> rid_bits) - boundary_round, k & rid_mask, count,
-                 staged - t, start - t, late - t)
-                for k, (count, staged, start, late) in self._inst.items()
-            ),
-            events=tuple(
-                (time - t, prio, iteration - boundary_round, rid)
-                for time, prio, iteration, rid in map(
-                    keys.unpack, sorted(self._heap)
-                )
-            ),
-            pending=tuple(
-                tuple(
-                    (time - t, iteration - boundary_round, rid)
-                    for time, _, iteration, rid in map(
-                        keys.unpack, sorted(waiting)
-                    )
-                )
-                for waiting in self._pending
-            ),
-            prefixes=trace.prefixes,
-            tables=self._tables,
-        )
-
-    def _load(self, boundary: SteadyBoundary) -> None:
-        """Put the machine in ``boundary``'s state, in this run's layout."""
-        b = boundary.round
-        t = b * self.period
-        keys = self._keys
-        rid_bits = keys.rid_bits
-        self._pe_free = [t + free for free in boundary.pe_free]
-        self._fifo = [list(fifo) for fifo in boundary.fifos]
-        self._vault_free = [t + free for free in boundary.vault_free]
-        self._xin = [t + free for free in boundary.xin]
-        self._xout = [t + free for free in boundary.xout]
-        self._cache_used = boundary.cache_used
-        self._cache_live = {
-            ((iteration + b) << rid_bits) | rid: slots
-            for iteration, rid, slots in boundary.cache_live
-        }
-        self._inst = {
-            ((iteration + b) << rid_bits) | op_id: [
-                count, t + staged, t + start, t + late,
-            ]
-            for iteration, op_id, count, staged, start, late in boundary.inst
-        }
-        # Packing keeps the key order, so the sorted events are a heap.
-        self._heap = [
-            keys.pack(t + time, prio, b + iteration, rid)
-            for time, prio, iteration, rid in boundary.events
-        ]
-        self._pending = [
-            [
-                keys.pack(t + time, _PRIO_ARRIVE, b + iteration, rid)
-                for time, iteration, rid in waiting
-            ]
-            for waiting in boundary.pending
-        ]
-        self._max_finish = t + boundary.max_finish
-        self._restore(b, boundary, boundary.current)
-
-    def _restore(
-        self,
-        boundary_round: int,
-        state,
-        counters: _BoundarySnapshot,
-    ) -> None:
-        """Set the counters, maxima and fault masks of a state loaded at
-        ``boundary_round`` (a :class:`SteadyBoundary` or a
-        :class:`_PrefixState`)."""
-        self._next_iteration = boundary_round + 1
-        self._failed_pes = state.failed_pes
-        self._failed_vaults = state.failed_vaults
-        trace = self.trace
-        for name, value in zip(list(trace.stats.as_dict()), counters.trace_stats):
-            setattr(trace.stats, name, value)
-        for name, value in zip(
-            list(self._mem_stats.as_dict()), counters.memory_stats
-        ):
-            setattr(self._mem_stats, name, value)
-        trace.cache_spills = counters.cache_spills
-        trace.num_instances = counters.num_instances
-        trace.num_transfers = counters.num_transfers
-        trace.busy_units = counters.busy_units
-        trace.lateness_total = counters.lateness_total
-        self._processed = counters.events_processed
-        trace.lateness_max = state.lateness_max
-        trace.cache_peak_slots = state.cache_peak_slots
-        trace.pes_used = set(state.pes_used)
-
-    # ------------------------------------------------------------------
-    # prefix states
-    # ------------------------------------------------------------------
-    def _export_prefix(
+    def _capture(
         self, boundary_round: int, snapshots: Dict[int, _BoundarySnapshot]
-    ) -> None:
-        """Keep the state at ``boundary_round`` as a prefix state."""
+    ) -> _RoundState:
+        """The state at ``boundary_round``, with the detector's counter
+        window ``snapshots``."""
         trace = self.trace
-        self._exported.append(_PrefixState(
+        return _RoundState(
             round=boundary_round,
             keys=self._keys,
             max_period=self.max_period,
@@ -1794,14 +1600,14 @@ class _ScheduleRun:
                 self._xout, self._cache_live, self._inst, self._heap,
                 self._pending,
             )),
-        ))
+        )
 
-    def _load_prefix(self, state: _PrefixState) -> Dict[int, _BoundarySnapshot]:
+    def _load(self, state: _RoundState) -> Dict[int, _BoundarySnapshot]:
         """Put the machine in ``state``'s state; returns the detector's
         counter window to continue from."""
         if state.max_period != self.max_period:
             raise SimulationError(
-                f"a prefix state of a detector with steady_max_period "
+                f"a round state of a detector with steady_max_period "
                 f"{state.max_period} cannot serve one with {self.max_period}"
             )
         (self._pe_free, self._fifo, self._vault_free, self._xin, self._xout,
@@ -1818,56 +1624,76 @@ class _ScheduleRun:
             ]
         self._cache_used = state.cache_used
         self._max_finish = state.max_finish
+        self._next_iteration = state.round + 1
+        self._failed_pes = state.failed_pes
+        self._failed_vaults = state.failed_vaults
         window = dict(state.window)
-        self._restore(state.round, state, window[state.round])
+        counters = window[state.round]
+        trace = self.trace
+        for name, value in zip(list(trace.stats.as_dict()), counters.trace_stats):
+            setattr(trace.stats, name, value)
+        for name, value in zip(
+            list(self._mem_stats.as_dict()), counters.memory_stats
+        ):
+            setattr(self._mem_stats, name, value)
+        trace.cache_spills = counters.cache_spills
+        trace.num_instances = counters.num_instances
+        trace.num_transfers = counters.num_transfers
+        trace.busy_units = counters.busy_units
+        trace.lateness_total = counters.lateness_total
+        self._processed = counters.events_processed
+        trace.lateness_max = state.lateness_max
+        trace.cache_peak_slots = state.cache_peak_slots
+        trace.pes_used = set(state.pes_used)
         return window
 
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
     def execute(self) -> ExecutionTrace:
-        """Simulate the run; with prefix states, from the latest one at or
-        below round ``N``, returning them and the run's own on
-        ``trace.prefixes``."""
-        prefixes = self._prefixes
-        if prefixes is None:
-            self._simulate(0)
-            return self._finish()
-        trace = self.trace
-        trace.prefixes = prefixes
-        state = prefixes.latest(self.iterations)
-        if state is None:
-            self._simulate(0)
-        else:
-            self._simulate(state.round, self._load_prefix(state))
-        trace.prefixes = trace.prefixes.extended(self._exported, self._tables)
-        return self._finish()
+        """Simulate the run; with a store of round states, from the latest
+        state it holds for ``N``, returning it extended by the run's own
+        on ``trace.states``.
 
-    def resume(self, boundary: SteadyBoundary) -> ExecutionTrace:
-        """Continue from ``boundary`` as a fresh run of this ``N`` would.
-
-        The fresh run reaches the boundary's state at its round, so the
-        resumed run loads it there and splices exactly as the fresh run
-        does. The rounds after the splice are simulated once per
+        A fresh run reaches the boundary's state at its round, so a run
+        the boundary covers loads it there and splices exactly as the
+        fresh run does. The rounds after the splice are simulated once per
         remainder ``(N - round) mod period``; a later ``N`` of the same
         remainder adds their stored increments instead.
         """
+        states = self._states
+        if states is None:
+            self._simulate(0)
+            return self._finish()
         trace = self.trace
-        trace.boundary = boundary
-        self._load(boundary)
-        splice = self._converge(
-            boundary.round, boundary.period, boundary.current, boundary.previous
-        )
-        remainder = (self.iterations - boundary.round) % boundary.period
-        tail = boundary.tails.get(remainder)
-        if tail is None:
-            self._simulate(splice)
+        trace.states = states
+        boundary = states.boundary
+        if boundary is not None and boundary.covers(self.iterations):
+            self._boundary = boundary
+            window = self._load(boundary.state)
+            splice = self._converge(
+                boundary.round, boundary.period, window[boundary.round],
+                boundary.previous,
+            )
+            remainder = (self.iterations - boundary.round) % boundary.period
+            tail = boundary.tails.get(remainder)
+            if tail is None:
+                self._simulate(splice)
+            else:
+                self._replay_counters(tail.end, tail.start, 1)
+                trace.lateness_max = tail.lateness_max
+                trace.cache_peak_slots = tail.cache_peak_slots
+                trace.pes_used = set(tail.pes_used)
+                self._max_finish = splice * self.period + tail.finish
         else:
-            self._replay_counters(tail.end, tail.start, 1)
-            trace.lateness_max = tail.lateness_max
-            trace.cache_peak_slots = tail.cache_peak_slots
-            trace.pes_used = set(tail.pes_used)
-            self._max_finish = splice * self.period + tail.finish
+            state = states.latest(self.iterations)
+            if state is None:
+                self._simulate(0)
+            else:
+                self._simulate(state.round, self._load(state))
+        trace.states = trace.states.extended(
+            self._exported, self._tables, self._boundary
+        )
         return self._finish()
 
     def _simulate(
@@ -1878,21 +1704,20 @@ class _ScheduleRun:
         """Simulate the rounds after ``boundary_round`` until the heap drains.
 
         In the steady-state mode a run that has not converged yet looks
-        for a period at every boundary. At its first convergence, with no
-        fault event left ahead, it exports a :class:`SteadyBoundary` on
-        ``trace.boundary``. The boundary is exported only when every
-        period candidate found so far was armed: a candidate skipped
-        because ``N`` was too close would be armed by a larger ``N``, whose
-        run would then take another path. A run that continues from a
-        splice of an exported boundary -- its own, or the one it resumed
-        from -- stores the rounds after the splice as the boundary's tail
-        for its remainder.
+        for a period at every boundary. A run given a store whose boundary
+        is not set exports one at its first convergence, with no fault
+        event left ahead, and only when every period candidate found so
+        far was armed: a candidate skipped because ``N`` was too close
+        would be armed by a larger ``N``, whose run would then take another
+        path. A run that continues from a splice of a boundary -- the one
+        it exported, or the one it resumed from -- stores the rounds after
+        the splice as the boundary's tail for its remainder.
 
-        A run asked for prefix states exports one at the prefix rounds up
-        to ``N`` while its detector has found no period candidate, checked
-        at the round itself too: until then the detector's whole state is
-        the counter window, which ``history`` restores on a run that
-        continues from a prefix.
+        A run given a store also exports a prefix state at the prefix
+        rounds up to ``N`` while its detector has found no period
+        candidate, checked at the round itself too: until then the
+        detector's whole state is the counter window, which ``history``
+        restores on a run that continues from a prefix state.
         """
         trace = self.trace
         n = self.iterations
@@ -1902,7 +1727,7 @@ class _ScheduleRun:
         detecting = self.mode is SimMode.STEADY_STATE and (
             n > self.r_max + 3 or self._exported is not None
         )
-        #: no period candidate found yet, and prefix states asked for.
+        #: no period candidate found yet, and a store given.
         clean = detecting and self._exported is not None
         #: recent boundary counters (cheap; pruned to a sliding window).
         snapshots: Dict[int, _BoundarySnapshot] = (
@@ -1956,20 +1781,24 @@ class _ScheduleRun:
                 if reference is not None and canonical == reference:
                     current = snapshots[boundary_round]
                     previous = snapshots[boundary_round - confirm_q]
-                    if resumable and trace.converged_round is None and (
-                        self.fault_model is None
-                        or self.fault_model.next_event_after(boundary_round)
-                        is None
+                    if (
+                        resumable and trace.converged_round is None
+                        and self._exported is not None
+                        and trace.states.boundary is None
+                        and (self.fault_model is None
+                             or self.fault_model.next_event_after(
+                                 boundary_round) is None)
                     ):
-                        trace.boundary = self._boundary(
-                            boundary_round, confirm_q,
+                        self._boundary = SteadyBoundary(
+                            self._capture(boundary_round, snapshots),
+                            confirm_q,
                             max(min_iterations, boundary_round),
-                            current, previous,
+                            previous,
                         )
                     boundary_round = self._converge(
                         boundary_round, confirm_q, current, previous
                     )
-                    if trace.boundary is not None:
+                    if self._boundary is not None:
                         tail_from = (self._snapshot(), boundary_round)
                     snapshots.clear()
                     canonicals.clear()
@@ -2006,7 +1835,9 @@ class _ScheduleRun:
                 or (boundary_round % _PREFIX_EVERY == 0
                     and boundary_round <= _PREFIX_LAST)
             ):
-                self._export_prefix(boundary_round, snapshots)
+                self._exported.append(
+                    self._capture(boundary_round, snapshots)
+                )
         if tail_from is not None:
             self._store_tail(*tail_from)
 
@@ -2014,7 +1845,7 @@ class _ScheduleRun:
         """Record the rounds since the splice at ``splice`` as the tail of
         this ``N``'s remainder on the boundary the run spliced from."""
         trace = self.trace
-        boundary = trace.boundary
+        boundary = self._boundary
         remainder = (self.iterations - boundary.round) % boundary.period
         boundary.tails[remainder] = _Tail(
             start=start,

@@ -23,8 +23,7 @@ from repro.runtime import plan_cache
 from repro.runtime.plan_cache import BATCH_TRACE_CAPACITY, PlanCache, TraceTable
 from repro.runtime.server import BatchingServer
 from repro.runtime.session import FaultRetryExhausted, InferenceSession
-from repro.sim.engine import SimulationError
-from repro.sim.executor import ExecutionTrace, ScheduleExecutor, SteadyBoundary
+from repro.sim.executor import ExecutionTrace, RunStates, ScheduleExecutor
 from repro.sim.modes import SimMode
 from repro.sim.sinks import NullSink
 
@@ -54,12 +53,17 @@ def aggregates(result):
 
 @pytest.fixture(autouse=True)
 def executed(monkeypatch):
-    """Iteration counts of every ``ScheduleExecutor.execute`` call."""
+    """Iteration counts of every ``ScheduleExecutor.execute`` call that
+    does not resume from a converged boundary."""
     calls = []
     real = ScheduleExecutor.execute
 
     def spy(self, plan, *args, **kwargs):
-        calls.append(kwargs["iterations"])
+        iterations = kwargs["iterations"]
+        states = kwargs.get("states")
+        boundary = None if states is None else states.boundary
+        if boundary is None or not boundary.covers(iterations):
+            calls.append(iterations)
         return real(self, plan, *args, **kwargs)
 
     monkeypatch.setattr(ScheduleExecutor, "execute", spy)
@@ -115,7 +119,7 @@ class TestReuse:
         # round 8, so its boundary keeps the prefix states of rounds 4
         # and 8: N=11 starts from round 8.
         assert session.prefix_resumes == 1
-        assert session.last_trace.boundary.prefixes.rounds == (4, 8)
+        assert session.last_trace.states.rounds == (4, 8)
         fresh = fresh_steady(session, 11)
         assert other_trace.rounds_simulated == fresh.rounds_simulated - 8
         assert trace_fields(other_trace) == trace_fields(fresh)
@@ -248,7 +252,7 @@ class TestTraceTableBound:
 #: trace fields a resumed batch shares with a fresh steady run of its N.
 RESUMED_FIELDS = tuple(
     f.name for f in dataclasses.fields(ExecutionTrace)
-    if f.name not in ("sink", "boundary", "prefixes", "rounds_simulated")
+    if f.name not in ("sink", "states", "rounds_simulated")
 )
 
 #: the steady detector's confirm window, in rounds, at the default
@@ -278,7 +282,7 @@ class TestResume:
     def test_other_size_resumes(self, graph, config, executed):
         session = InferenceSession(graph, config)
         session.run(12)
-        assert session.last_trace.boundary.min_iterations == 12
+        assert session.last_trace.states.boundary.min_iterations == 12
         result = session.run(40)
         assert executed == [12]
         assert (session.batches_resumed, session.batches_reused) == (1, 0)
@@ -316,8 +320,9 @@ class TestResume:
         session.run(12)
         table, key = session._trace_slot(None)
         assert table is cache.batch_traces
-        assert isinstance(table[key], SteadyBoundary)
-        assert table[key] is session.last_trace.boundary
+        assert isinstance(table[key], RunStates)
+        assert table[key] is session.last_trace.states
+        assert table[key].boundary is not None
         assert session._trace_slot(12)[1] == (*key, 12)
 
     def test_boundary_counts_against_the_bound(
@@ -348,27 +353,25 @@ class TestResume:
         # Flower's groups are 2 PEs wide: PE 15 is never hit.
         late = FaultModel.single(FAULT_UNIT_PE, 15, 40)
         trace = executor.execute(
-            plan, iterations=60, sink=NullSink(), fault_model=late
+            plan, iterations=60, sink=NullSink(), fault_model=late,
+            states=RunStates(),
         )
-        assert trace.rounds_fast_forwarded and trace.boundary is None
+        assert trace.rounds_fast_forwarded and trace.states.boundary is None
         early = FaultModel.single(FAULT_UNIT_PE, 15, 3)
         trace = executor.execute(
-            plan, iterations=60, sink=NullSink(), fault_model=early
+            plan, iterations=60, sink=NullSink(), fault_model=early,
+            states=RunStates(),
         )
-        assert trace.boundary is not None
-        resumed = executor.resume(plan, trace.boundary, 77, fault_model=early)
+        assert trace.states.boundary is not None
+        resumed = executor.execute(
+            plan, iterations=77, sink=NullSink(), fault_model=early,
+            states=trace.states,
+        )
         fresh = executor.execute(
             plan, iterations=77, sink=NullSink(), fault_model=early
         )
         assert trace_fields(resumed) == trace_fields(fresh)
-
-    def test_uncovered_n_raises(self):
-        session = flower_session()
-        session.run(20)
-        boundary = session.last_trace.boundary
-        executor = ScheduleExecutor(session.config, mode=SimMode.STEADY_STATE)
-        with pytest.raises(SimulationError, match="resumes N >= 13"):
-            executor.resume(session.plan, boundary, boundary.min_iterations - 1)
+        assert resumed.rounds_simulated < fresh.rounds_simulated
 
 
 def sweep_sessions():
@@ -398,7 +401,7 @@ def test_resume_sweep(build, request):
     plan = session.plan
     first = plan.max_retiming + 4 * CONFIRM_WINDOW
     session.run(first)
-    boundary = session.last_trace.boundary
+    boundary = session.last_trace.states.boundary
     top = first if boundary is None else max(
         first, boundary.min_iterations + 3 * CONFIRM_WINDOW
     )

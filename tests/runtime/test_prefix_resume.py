@@ -1,7 +1,8 @@
 """Prefix resumes: a steady batch starts from the longest run so far.
 
 A steady run that has not found a period candidate yet exports its state
-at sparse round boundaries (:class:`~repro.sim.executor.RunPrefixes`).
+at sparse round boundaries into the plan's store of round states
+(:class:`~repro.sim.executor.RunStates`).
 Instance ``l`` of an op runs in round ``l + R_max - R(i)`` and iteration
 ``r`` is materialized at round ``r`` only when ``r <= N``, so the state
 at round ``r`` serves every ``N >= r``. These tests hold every run that
@@ -11,6 +12,7 @@ starts, and check how the session stores and scopes the states.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -24,7 +26,7 @@ from repro.runtime.plan_cache import PlanCache
 from repro.runtime.session import FaultRetryExhausted, InferenceSession
 from repro.sim import executor as executor_module
 from repro.sim.engine import SimulationError
-from repro.sim.executor import RunPrefixes, ScheduleExecutor, SteadyBoundary
+from repro.sim.executor import RunStates, ScheduleExecutor
 from repro.sim.modes import SimMode
 from repro.sim.sinks import InMemorySink, NullSink
 
@@ -51,20 +53,19 @@ def compile_plan(name, liveness_aware=False):
 
 def run_chain(plan, sizes, executor=None):
     """Run ``sizes`` in order, each from the prefix states of the runs
-    before it, as a session does; returns ``(N, start round, trace)``."""
+    before it; returns ``(N, start round, trace)``. The store passed on
+    drops its boundary, so every run starts from a prefix state or round
+    one (``test_batch_reuse.test_resume_sweep`` covers boundary resumes)."""
     executor = executor or steady()
-    prefixes = RunPrefixes()
+    states = RunStates()
     runs = []
     for iterations in sizes:
-        state = prefixes.latest(iterations)
+        state = states.latest(iterations)
         trace = executor.execute(
-            plan, iterations=iterations, sink=NullSink(), prefixes=prefixes
+            plan, iterations=iterations, sink=NullSink(), states=states
         )
         runs.append((iterations, 0 if state is None else state.round, trace))
-        prefixes = (
-            trace.prefixes if trace.boundary is None
-            else trace.boundary.prefixes
-        )
+        states = dataclasses.replace(trace.states, boundary=None)
     return runs
 
 
@@ -107,13 +108,46 @@ def test_seeded_sweep_equals_fresh_runs(name, liveness_aware, sizes):
     assert_chain_equals_fresh(compile_plan(name, liveness_aware), sizes)
 
 
+class TestExport:
+    def test_only_a_run_given_a_store_exports(self, monkeypatch):
+        """A steady run given no store exports nothing; one given an empty
+        store exports prefix states and a boundary, and each state loads
+        back to the canonical form the run had at its round, at the
+        exporting run's key layout and at a wider one."""
+        plan = compile_plan("flower")
+        assert fresh(plan, 40).states is None
+        canonical = {}
+        real = executor_module._ScheduleRun._capture
+
+        def spy(self, boundary_round, snapshots):
+            canonical[boundary_round] = self._canonical(
+                boundary_round * self.period, boundary_round
+            )
+            return real(self, boundary_round, snapshots)
+
+        monkeypatch.setattr(executor_module._ScheduleRun, "_capture", spy)
+        states = steady().execute(
+            plan, iterations=40, sink=NullSink(), states=RunStates()
+        ).states
+        assert states.prefixes and states.boundary is not None
+        for state in (*states.prefixes, states.boundary.state):
+            for iterations in (40, 5000):
+                run = executor_module._ScheduleRun(
+                    MACHINE, plan, iterations, SimMode.STEADY_STATE, NullSink()
+                )
+                run._load(state)
+                assert run._canonical(
+                    state.round * run.period, state.round
+                ) == canonical[state.round], (state.round, iterations)
+
+
 class TestStartRound:
     def test_prefix_at_round_n_serves_n(self):
         # randwired-ba-64 does not converge within 24 rounds: N=16 exports
         # rounds 4, 8, 12 and 16, and N=12 starts from round 12 itself.
         plan = compile_plan("randwired-ba-64")
         runs = run_chain(plan, (16, 12, 11))
-        assert runs[0][2].prefixes.rounds == (4, 8, 12, 16)
+        assert runs[0][2].states.rounds == (4, 8, 12, 16)
         assert [start for _, start, _ in runs] == [0, 12, 8]
         for iterations, start, trace in runs:
             reference = fresh(plan, iterations)
@@ -132,7 +166,7 @@ class TestStartRound:
         plan = compile_plan("flower")
         assert 5 <= plan.max_retiming + 3
         runs = run_chain(plan, (5, 40))
-        assert runs[0][2].prefixes.rounds == (4, 5)
+        assert runs[0][2].states.rounds == (4, 5)
         assert runs[1][1] == 5
         assert fields(runs[0][2]) == fields(fresh(plan, 5))
         assert fields(runs[1][2]) == fields(fresh(plan, 40))
@@ -142,14 +176,14 @@ class TestStartRound:
         # within N=16: round 16 is not exported, and N=20 arms it.
         plan = compile_plan("protein")
         runs = run_chain(plan, (16, 20))
-        assert runs[0][2].prefixes.rounds == (4, 8, 12)
+        assert runs[0][2].states.rounds == (4, 8, 12)
         assert runs[1][1] == 12
         assert fields(runs[1][2]) == fields(fresh(plan, 20))
 
     def test_off_grid_rounds_keep_only_the_latest(self):
         plan = compile_plan("cat")
         runs = run_chain(plan, (5, 6, 3))
-        assert [trace.prefixes.rounds for _, _, trace in runs] == [
+        assert [trace.states.rounds for _, _, trace in runs] == [
             (4, 5), (4, 6), (4, 6),
         ]
 
@@ -162,19 +196,19 @@ class TestTables:
         plan = compile_plan("randwired-ba-64")
         executor = steady()
         narrow = executor.execute(
-            plan, iterations=12, sink=NullSink(), prefixes=RunPrefixes()
+            plan, iterations=12, sink=NullSink(), states=RunStates()
         )
-        assert narrow.prefixes.tables.keys.iteration_bits == 4
+        assert narrow.states.tables.keys.iteration_bits == 4
         wide = executor.execute(
-            plan, iterations=40, sink=NullSink(), prefixes=narrow.prefixes
+            plan, iterations=40, sink=NullSink(), states=narrow.states
         )
-        assert wide.prefixes.tables is not narrow.prefixes.tables
-        assert wide.prefixes.tables.keys.iteration_bits == 6
+        assert wide.states.tables is not narrow.states.tables
+        assert wide.states.tables.keys.iteration_bits == 6
         assert fields(wide) == fields(fresh(plan, 40))
         again = executor.execute(
-            plan, iterations=13, sink=NullSink(), prefixes=wide.prefixes
+            plan, iterations=13, sink=NullSink(), states=wide.states
         )
-        assert again.prefixes.tables is wide.prefixes.tables
+        assert again.states.tables is wide.states.tables
         assert fields(again) == fields(fresh(plan, 13))
 
     def test_a_run_on_tables_too_narrow_raises(self):
@@ -206,15 +240,19 @@ class TestTables:
 
     def test_boundary_carries_its_tables_to_another_executor(self, monkeypatch):
         plan = compile_plan("flower")
-        trace = fresh(plan, 40)
-        assert trace.boundary.tables is not None
+        states = steady().execute(
+            plan, iterations=40, sink=NullSink(), states=RunStates()
+        ).states
+        assert states.boundary is not None and states.tables is not None
         builds = []
         real = executor_module._StaticTables.__init__
         monkeypatch.setattr(
             executor_module._StaticTables, "__init__",
             lambda self, *args: builds.append(args) or real(self, *args),
         )
-        resumed = steady().resume(plan, trace.boundary, 50)
+        resumed = steady().execute(
+            plan, iterations=50, sink=NullSink(), states=states
+        )
         assert builds == []
         assert fields(resumed) == fields(fresh(plan, 50))
 
@@ -224,7 +262,7 @@ class TestMisuse:
         plan = compile_plan("cat")
         with pytest.raises(SimulationError, match="steady-state runs"):
             ScheduleExecutor(MACHINE).execute(
-                plan, iterations=5, sink=NullSink(), prefixes=RunPrefixes()
+                plan, iterations=5, sink=NullSink(), states=RunStates()
             )
 
     def test_a_run_that_keeps_records_takes_no_prefixes(self):
@@ -232,19 +270,19 @@ class TestMisuse:
         with pytest.raises(SimulationError, match="NullSink"):
             steady().execute(
                 plan, iterations=5, sink=InMemorySink(),
-                prefixes=RunPrefixes(),
+                states=RunStates(),
             )
 
     def test_another_detector_window_is_refused(self):
         plan = compile_plan("cat")
-        prefixes = steady().execute(
-            plan, iterations=12, sink=NullSink(), prefixes=RunPrefixes()
-        ).prefixes
+        states = steady().execute(
+            plan, iterations=12, sink=NullSink(), states=RunStates()
+        ).states
         other = ScheduleExecutor(
             MACHINE, mode=SimMode.STEADY_STATE, steady_max_period=4
         )
         with pytest.raises(SimulationError, match="steady_max_period 8"):
-            other.execute(plan, iterations=11, sink=NullSink(), prefixes=prefixes)
+            other.execute(plan, iterations=11, sink=NullSink(), states=states)
 
 
 # ----------------------------------------------------------------------
@@ -257,8 +295,8 @@ def executed(monkeypatch):
     real = ScheduleExecutor.execute
 
     def spy(self, plan, *args, **kwargs):
-        prefixes = kwargs.get("prefixes")
-        state = None if prefixes is None else prefixes.latest(
+        states = kwargs.get("states")
+        state = None if states is None else states.latest(
             kwargs["iterations"]
         )
         calls.append((kwargs["iterations"], state and state.round))
@@ -289,14 +327,15 @@ class TestSession:
         session = randwired_session(cache=cache)
         session.run(16)
         table, key = session._trace_slot(None)
-        assert isinstance(table[key], RunPrefixes)
-        assert table[key] is session.last_trace.prefixes
-        session.run(40)  # converges: the boundary replaces the states
-        boundary = table[key]
-        assert isinstance(boundary, SteadyBoundary)
-        assert boundary.prefixes.rounds == (4, 8, 12, 16)
+        assert isinstance(table[key], RunStates)
+        assert table[key] is session.last_trace.states
+        assert table[key].boundary is None
+        session.run(40)  # converges: the store gains a boundary
+        boundary = table[key].boundary
+        assert boundary is not None
+        assert table[key].rounds == (4, 8, 12, 16)
         session.run(13)  # below the boundary: from its prefix states
-        assert table[key] is boundary
+        assert table[key].boundary is boundary
         assert session.prefix_resumes == 2
 
     def test_prefix_counts_against_the_bound(self, executed, monkeypatch):

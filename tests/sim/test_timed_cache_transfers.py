@@ -8,7 +8,7 @@ their producer finishes and wait for their consumer's pFIFO like an
 eDRAM fetch does. On that machine, at 16 PEs:
 
 * a steady run equals the full unroll;
-* :meth:`ScheduleExecutor.resume` equals a fresh steady run;
+* a run resumed from a converged boundary equals a fresh steady run;
 * the full unroll and the steady run's convergence equal the values the
   simulator produced when every arrival was an event on the global heap.
 """
@@ -22,7 +22,7 @@ import pytest
 from repro.cnn.workloads import load_workload
 from repro.core.paraconv import ParaConv
 from repro.pim.config import PimConfig
-from repro.sim.executor import ScheduleExecutor
+from repro.sim.executor import RunStates, ScheduleExecutor
 from repro.sim.modes import SimMode
 from repro.sim.sinks import InMemorySink, NullSink
 from tests.runtime.test_batch_reuse import trace_fields
@@ -155,11 +155,29 @@ def test_steady_equals_full_unroll_and_frozen_values(name):
 
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_resume_equals_fresh_steady_run(name):
-    boundary = steady(name, ITERATIONS).boundary
-    assert boundary is not None
-    executor = ScheduleExecutor(MACHINE, mode=SimMode.STEADY_STATE)
-    for iterations in (boundary.min_iterations, ITERATIONS + 7, 2 * ITERATIONS):
-        resumed = executor.resume(plan_of(name), boundary, iterations)
-        assert trace_fields(resumed) == trace_fields(
-            steady(name, iterations)
-        ), iterations
+    """A boundary serves its own key layout and much wider ones: the one
+    a run of N=30 exports (a 5-bit iteration field) resumes N=5000 (13
+    bits). speech-2 converges at round 39, past N=30."""
+    for exported_at in (ITERATIONS, 30):
+        states = ScheduleExecutor(MACHINE, mode=SimMode.STEADY_STATE).execute(
+            plan_of(name), iterations=exported_at, sink=NullSink(),
+            states=RunStates(),
+        ).states
+        if states.boundary is None:
+            assert exported_at < EXPECTED[name]["steady"][0]
+            continue
+        assert states.tables.keys.iteration_bits == {ITERATIONS: 7, 30: 5}[
+            exported_at
+        ]
+        executor = ScheduleExecutor(MACHINE, mode=SimMode.STEADY_STATE)
+        for iterations in (
+            states.boundary.min_iterations, ITERATIONS + 7, 2 * ITERATIONS,
+            5000,
+        ):
+            resumed = executor.execute(
+                plan_of(name), iterations=iterations, sink=NullSink(),
+                states=states,
+            )
+            fresh = steady(name, iterations)
+            assert trace_fields(resumed) == trace_fields(fresh), iterations
+            assert resumed.rounds_simulated < fresh.rounds_simulated
