@@ -13,7 +13,10 @@
   work, the kernel packing order, the per-edge prices laid out in the
   graph's index space), shared across forked contexts. Each entry reads
   through to the graph's facts (:meth:`TaskGraph.derived`), which are
-  built once per graph, not once per compile.
+  built once per graph, not once per compile. The kernel stage's facts
+  are kept the same way, once per graph, packing order and width
+  (:class:`KernelRecord`): the kernel, and for the graph's own edge table
+  the kernel-stage floor and the edge timings.
 
 Forking (:meth:`CompileContext.fork_for_width`) is how one validated graph
 feeds many candidate widths — or, in the ablation harness, how one edge
@@ -23,7 +26,10 @@ analysis feeds many allocators — without re-running upstream passes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Hashable, List, Optional, Tuple,
+    TypeVar,
+)
 
 from repro.compiler.errors import ArtifactError
 from repro.graph.taskgraph import TaskGraph
@@ -31,6 +37,9 @@ from repro.pim.config import PimConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.retiming import EdgeTable
+    from repro.core.schedule import KernelSchedule
+
+T = TypeVar("T")
 
 #: Canonical artifact names produced by the standard pipeline, in order of
 #: first appearance. Kept as one tuple so tests and docs have a single
@@ -46,6 +55,23 @@ ARTIFACTS = (
     "schedule",
     "schedule-valid",
 )
+
+
+@dataclass
+class KernelRecord:
+    """The kernel stage's facts at one packing order and group width of a
+    graph, kept with its index (:meth:`CompileContext.shared_kernel`).
+
+    Attributes:
+        kernel: the validated compacted kernel. Its columns are read-only:
+            every compile of the graph reads this one object.
+        derived: what is computed from the kernel and the graph's own edge
+            table (:meth:`CompileContext.kernel_derived`), by name and the
+            table's :func:`~repro.core.retiming.unit_constants`.
+    """
+
+    kernel: "KernelSchedule"
+    derived: Dict[Hashable, Any] = field(default_factory=dict)
 
 
 @dataclass
@@ -68,6 +94,9 @@ class CompileContext:
     #: names overwritten via :meth:`replace` since construction/fork —
     #: inspected by the manager to enforce per-pass ``replaces`` contracts.
     _replaced_log: List[str] = field(default_factory=list)
+    #: whether :meth:`shared_kernel` found this width's kernel kept with
+    #: the graph instead of building it.
+    kernel_reused: bool = False
 
     # ------------------------------------------------------------------
     # derived machine facts
@@ -204,3 +233,65 @@ class CompileContext:
                 self.graph, self.config
             )
         return self.shared["edge_table"]
+
+    # ------------------------------------------------------------------
+    # kernel-stage facts, kept once per graph, packing order and width
+    # ------------------------------------------------------------------
+    def shared_kernel(self, order: str) -> "KernelSchedule":
+        """The compacted kernel of the graph at this context's width,
+        packed in ``order``.
+
+        :func:`~repro.core.scheduler.compact_kernel_schedule`, then
+        :func:`~repro.core.schedule.validate_kernel`, run once per graph
+        index, order and width; the :class:`KernelRecord` is kept with the
+        index, so every compile of the graph, at any PE count, reuses it
+        (:attr:`kernel_reused`). The kernel's columns are read-only:
+        :func:`~repro.core.retiming.emit_schedule` gives a plan its own
+        copies.
+        """
+        width = self.width
+        packing = self.shared_packing_order(order)
+        built: List["KernelSchedule"] = []
+
+        def build() -> KernelRecord:
+            from repro.core.schedule import validate_kernel
+            from repro.core.scheduler import compact_kernel_schedule
+
+            kernel = compact_kernel_schedule(
+                self.graph, width, order=order, packing=packing
+            )
+            validate_kernel(self.graph, kernel, width)
+            built.append(kernel)
+            return KernelRecord(kernel)
+
+        record = self.graph.derived(("kernel", order, width), build)
+        self.kernel_reused = not built
+        self.shared[("kernel_record", width)] = record
+        return record.kernel
+
+    def kernel_derived(self, name: str, build: Callable[[], T]) -> T:
+        """``build()``, a value of this context's kernel and edge table,
+        kept in the kernel's :class:`KernelRecord` under ``name`` and the
+        table's unit constants.
+
+        Only a kernel :meth:`shared_kernel` returned has a record, and only
+        the graph's own table (:func:`~repro.core.retiming.graph_edge_table`)
+        is named by its constants: with any other kernel, or with a table
+        put into :attr:`shared` by hand, ``build()`` runs on every call.
+        """
+        from repro.core.retiming import graph_edge_table, unit_constants
+
+        record = self.shared.get(("kernel_record", self.width))
+        if (
+            record is None
+            or record.kernel is not self.get("kernel")
+            or self.shared_edge_table()
+            is not graph_edge_table(self.graph, self.config)
+        ):
+            return build()
+        key = (name, *unit_constants(self.config))
+        try:
+            return record.derived[key]
+        except KeyError:
+            value = record.derived[key] = build()
+            return value

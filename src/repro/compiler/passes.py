@@ -41,12 +41,7 @@ from repro.core.retiming import (
     placed_deltas,
     solve_retiming,
 )
-from repro.core.schedule import (
-    ScheduleError,
-    validate_kernel,
-    validate_periodic_schedule,
-)
-from repro.core.scheduler import compact_kernel_schedule
+from repro.core.schedule import ScheduleError, validate_periodic_schedule
 
 Allocator = Callable[[AllocationProblem], AllocationResult]
 
@@ -98,15 +93,22 @@ class ValidateGraphPass(CompilerPass):
 
 
 class CompactKernelPass(CompilerPass):
-    """Paper step 2: the compacted steady-state kernel (Figure 3(b))."""
+    """Paper step 2: the compacted steady-state kernel (Figure 3(b)).
+
+    The kernel depends only on the graph, the group width and the packing
+    order, not on the PE count, ``N``, the allocator or the vaults. It is
+    built and validated once per graph, order and width and kept with the
+    graph (:meth:`~repro.compiler.context.CompileContext.shared_kernel`);
+    the pass puts that shared, read-only kernel. A reuse still runs the
+    pass.
+    """
 
     name = "compact-kernel"
     requires = ("graph-valid",)
     produces = ("kernel",)
 
-    def __init__(self, order: str = "topological", validate: bool = True):
+    def __init__(self, order: str = "topological"):
         self.order = order
-        self.validate = validate
 
     def run(self, ctx: CompileContext) -> None:
         width = ctx.width
@@ -116,19 +118,17 @@ class CompactKernelPass(CompilerPass):
             raise ScheduleError(
                 f"group width {width} outside [1, {ctx.config.num_pes}]"
             )
-        kernel = compact_kernel_schedule(
-            ctx.graph,
-            width,
-            order=self.order,
-            packing=ctx.shared_packing_order(self.order),
-        )
-        if self.validate:
-            validate_kernel(ctx.graph, kernel, width)
-        ctx.put("kernel", kernel)
+        ctx.put("kernel", ctx.shared_kernel(self.order))
 
 
 class AnalyzeEdgesPass(CompilerPass):
-    """Paper step 3: per-edge retiming analysis (Section 3.2)."""
+    """Paper step 3: per-edge retiming analysis (Section 3.2).
+
+    The timings depend only on the kernel and the edge table, so on a
+    kept kernel and the graph's own table they are computed once and kept
+    with the kernel
+    (:meth:`~repro.compiler.context.CompileContext.kernel_derived`).
+    """
 
     name = "analyze-edges"
     requires = ("kernel",)
@@ -137,11 +137,14 @@ class AnalyzeEdgesPass(CompilerPass):
     def run(self, ctx: CompileContext) -> None:
         ctx.put(
             "timings",
-            analyze_edges(
-                ctx.graph,
-                ctx.get("kernel"),
-                ctx.config,
-                table=ctx.shared_edge_table(),
+            ctx.kernel_derived(
+                "timings",
+                lambda: analyze_edges(
+                    ctx.graph,
+                    ctx.get("kernel"),
+                    ctx.config,
+                    table=ctx.shared_edge_table(),
+                ),
             ),
         )
 

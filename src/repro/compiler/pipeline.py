@@ -32,20 +32,24 @@ at the first whose key exceeds the incumbent's ``(total_time, -width)``.
 Each width it visits runs up to four steps:
 
 * the *kernel stage* (``compact-kernel``) fixes the period ``p`` and every
-  op's start and finish offset;
+  op's start and finish offset. The kernel depends on the graph, the
+  width and the packing order alone, so it is built once per graph and
+  kept with it: a later compile of the graph, at any PE count, reuses
+  the kernel of every width it visits again;
 * the *period bound*: ``R_max >= 0``, so a width whose ``(ceil(N/J) * p,
   -width)`` exceeds the incumbent's key is cut in O(1);
 * :func:`kernel_stage_floor` bounds ``R_max`` from below in one
   reverse-topological pass over the graph's edge table and cuts the width
   when ``((R_floor + ceil(N/J)) * p, -width)`` exceeds the incumbent's
-  key — before any edge analysis;
+  key — before any edge analysis. ``R_floor`` is kept with the kernel;
 * the *rank stage* (``analyze-edges`` through ``solve-retiming``) yields
   ``R_max`` and so the width's ``total_time``. It reads and writes edge-row
   columns of the graph's index: the edge timings, the placements (one row
   column, every row in eDRAM but the cached ones) and the per-row deltas.
   Only the rows that compete for cache (``ΔR > 0``) become allocation
   items; the indifferent ones are derived from the rows when something
-  reads them.
+  reads them. The edge timings are kept with the kernel too, so a width
+  ranked before allocates from them at once.
 
 Only the winner then runs the *emit stage* (``emit-schedule`` and
 ``validate-schedule``): a losing width needs no schedule to rank.
@@ -132,6 +136,12 @@ class CompileStats:
             that the ``(bound, -width)`` key exceeded.
         per_width_seconds: wall seconds spent ranking each explored width
             (kernel through ``solve-retiming``).
+        widths_kernel_reused: the widths whose kernel stage found the
+            kernel kept with the graph (an earlier compile of it built
+            it), in search order.
+        floor_runs / floor_seconds: calls of :func:`kernel_stage_floor`
+            and their wall seconds. The floor is not a pass, so its time
+            is in ``total_seconds`` but not in ``pass_seconds``.
         best_width: the winning group width (set by the search).
         pruning_enabled: whether the lower-bound pruning was active.
         total_seconds: end-to-end wall time of the compile entry point.
@@ -147,6 +157,9 @@ class CompileStats:
         default_factory=dict
     )
     per_width_seconds: Dict[int, float] = field(default_factory=dict)
+    widths_kernel_reused: List[int] = field(default_factory=list)
+    floor_runs: int = 0
+    floor_seconds: float = 0.0
     best_width: Optional[int] = None
     pruning_enabled: bool = True
     total_seconds: float = 0.0
@@ -159,6 +172,15 @@ class CompileStats:
     def record_width(self, width: int, seconds: float) -> None:
         self.widths_explored.append(width)
         self.per_width_seconds[width] = seconds
+
+    def record_kernel_reused(self, width: int) -> None:
+        """A width whose kernel stage reused the graph's kept kernel."""
+        self.widths_kernel_reused.append(width)
+
+    def record_floor(self, seconds: float) -> None:
+        """One :func:`kernel_stage_floor` call."""
+        self.floor_runs += 1
+        self.floor_seconds += seconds
 
     def record_pruned(
         self, width: int, bound: int, incumbent: Tuple[int, int]
@@ -218,6 +240,7 @@ class CompileStats:
                 str(width): self.per_width_seconds[width]
                 for width in sorted(self.per_width_seconds)
             },
+            "widths_kernel_reused": list(self.widths_kernel_reused),
             "best_width": self.best_width,
             "pruning_enabled": self.pruning_enabled,
             "total_seconds": self.total_seconds,
@@ -272,6 +295,17 @@ class CompileStats:
             f"{len(self.widths_cut_by_period)} by the period bound)"
         )
         lines.extend(self._loss_lines())
+        kernel_stages = self.num_explored + len(self.widths_cut_after_kernel)
+        reused = ", ".join(str(w) for w in self.widths_kernel_reused) or "-"
+        lines.append(
+            f"kernels reused      : {reused} "
+            f"({len(self.widths_kernel_reused)} of {kernel_stages} kernel "
+            f"stages)"
+        )
+        lines.append(
+            f"kernel-stage floor  : {self.floor_runs} runs, "
+            f"{self.floor_seconds * 1e3:.3f} ms (outside the passes)"
+        )
         if self.best_width is not None:
             lines.append(f"best width          : {self.best_width}")
         lines.append(
@@ -306,7 +340,9 @@ class PipelineConfig:
             :data:`~repro.core.scheduler.KERNEL_ORDERS`); anything else
             raises :class:`PipelineConfigError` here.
         liveness_aware: insert the ``liveness-reweight`` pass.
-        validate: run kernel/schedule validation passes.
+        validate: run the ``validate-schedule`` pass. The kernel is
+            always validated, once per graph, order and width, when the
+            kernel stage builds it.
     """
 
     allocator: Union[Callable, object]
@@ -319,9 +355,7 @@ class PipelineConfig:
 
     def kernel_stage(self) -> List[CompilerPass]:
         """Passes that build the kernel."""
-        return [
-            CompactKernelPass(order=self.kernel_order, validate=self.validate)
-        ]
+        return [CompactKernelPass(order=self.kernel_order)]
 
     def plan_stage(self) -> List[CompilerPass]:
         """Passes that turn a kernel-stage context into a validated plan."""
@@ -495,8 +529,13 @@ def kernel_stage_floor(ctx: CompileContext, iterations: int) -> int:
     each edge the cache or the eDRAM delta, the eDRAM transfer is never
     faster, and the minimal retiming only grows with a delta.
 
-    ``R_floor`` is one reverse pass over the context's edge table, reading
-    the kernel's ``start``/``finish`` columns by vertex; it builds no
+    ``R_floor`` reads only the kernel and the edge table, so on a kept
+    kernel and the graph's own table it is one int computed once and kept
+    with the kernel
+    (:meth:`~repro.compiler.context.CompileContext.kernel_derived`);
+    ``iterations`` and the group count are applied per call. Computing it
+    is one reverse pass over the context's edge table, reading the
+    kernel's ``start``/``finish`` columns by vertex; it builds no
     :class:`~repro.core.retiming.EdgeTiming`. A cut width never runs
     :func:`~repro.core.retiming.analyze_edges`, so the pass keeps its
     checks: on an inverted memory hierarchy, a delta beyond Theorem 3.1's
@@ -504,6 +543,14 @@ def kernel_stage_floor(ctx: CompileContext, iterations: int) -> int:
     ``analyze_edges`` raises on this kernel.
     """
     kernel = ctx.get("kernel")
+    r_floor = ctx.kernel_derived("floor", lambda: _cache_retiming(ctx, kernel))
+    rounds = math.ceil(iterations / ctx.num_groups)
+    return (r_floor + rounds) * kernel.period
+
+
+def _cache_retiming(ctx: CompileContext, kernel) -> int:
+    """``R_floor`` of :func:`kernel_stage_floor`: ``R_max`` of the minimal
+    retiming of ``kernel`` with every edge at its cache delta."""
     period = kernel.period
     if period <= 0:
         raise RetimingError("kernel period must be positive")
@@ -534,8 +581,7 @@ def kernel_stage_floor(ctx: CompileContext, iterations: int) -> int:
         reach = retiming[consumer] + (-(-need // period) if need > 0 else 0)
         if reach > retiming[producer]:
             retiming[producer] = reach
-    rounds = math.ceil(iterations / ctx.num_groups)
-    return (max(retiming, default=0) + rounds) * period
+    return max(retiming, default=0)
 
 
 def width_lower_bound(

@@ -24,6 +24,7 @@ for the stage table. :class:`ParaConv` is the front-end: it turns its
 knobs into a :class:`repro.compiler.PipelineConfig`, hoists width-invariant
 work (graph validation, ASAP levels, the packing order, edge prices and
 the edge table, kept with the graph's index) out of the width search,
+reuses the kernel stage's per-width facts kept with the graph,
 visits candidate widths best bound first, ranks only widths whose
 admissible lower bounds (before compiling, and again after
 ``compact-kernel``, before any edge analysis) can still beat the
@@ -247,17 +248,26 @@ class ParaConv:
         built once per graph and kept with its index
         (:meth:`TaskGraph.derived`), so a second compile of the graph, or
         of a :func:`~repro.cnn.workloads.load_workload` copy of it, reuses
-        it. Graph validation and the transfer critical path per period
-        floor run once per compile. Each visited width runs
-        ``compact-kernel`` (the kernel stage), then — if it can still win
-        — the rank stage, ``analyze-edges`` through ``solve-retiming``,
-        which gives its ``total_time``. The rank stage works on edge-row
-        columns of the graph's index: only the rows that compete for
-        cache become allocation items, the allocation's placements are one
-        row column, and the indifferent rows are derived only when read.
-        Only the winner runs
+        it. The kernel stage's facts are kept the same way, once per
+        graph, packing order and width: the validated kernel, its
+        ``R_floor`` and, for widths that were ranked, the edge timings
+        (the last two only on the graph's own edge table, keyed by its
+        unit constants). They depend on neither the PE count, ``N``, the
+        allocator nor the vaults, so a compile at 64 PEs reuses every
+        kernel a 16-PE compile of the graph built, and a failover
+        recompile on a degraded machine reuses the kernels of the widths
+        both machines visit. Graph validation and the transfer
+        critical path per period floor run once per compile. Each visited
+        width runs ``compact-kernel`` (the kernel stage), then — if it can
+        still win — the rank stage, ``analyze-edges`` through
+        ``solve-retiming``, which gives its ``total_time``. The rank
+        stage works on edge-row columns of the graph's index: only the
+        rows that compete for cache become allocation items, the
+        allocation's placements are one row column, and the indifferent
+        rows are derived only when read. Only the winner runs
         ``emit-schedule`` and ``validate-schedule``, so every returned
-        plan is validated. With ``prune_widths`` the search is a
+        plan is validated, and it gets its own copy of the shared
+        kernel's columns. With ``prune_widths`` the search is a
         branch-and-bound that ranks only the widths that can still win:
 
         * widths are visited in ascending ``(bound, -width)`` order, where
@@ -273,8 +283,9 @@ class ParaConv:
         All bounds are admissible, and the floor is never below the
         period bound, so the produced plan is the one the exhaustive
         widest-first loop (``prune_widths=False``) returns.
-        The attached ``compile_stats`` records what each width ran, and
-        for each width without a plan the bound and incumbent key that
+        The attached ``compile_stats`` records what each width ran, which
+        widths reused a kept kernel, the floor's runs and time, and for
+        each width without a plan the bound and incumbent key that
         removed it.
         """
         started = time.perf_counter()
@@ -309,13 +320,17 @@ class ParaConv:
             width_started = time.perf_counter()
             ctx = base.fork_for_width(width)
             kernel_stage.run(ctx, stats)
+            if ctx.kernel_reused:
+                stats.record_kernel_reused(width)
             period = ctx.get("kernel").period
             rounds = math.ceil(iterations / ctx.num_groups)
             if self.prune_widths and best_key is not None:
                 if (rounds * period, -width) > best_key:
                     stats.record_period_cut(width, rounds * period, best_key)
                     continue
+                floor_started = time.perf_counter()
                 floor = kernel_stage_floor(ctx, iterations)
+                stats.record_floor(time.perf_counter() - floor_started)
                 if (floor, -width) > best_key:
                     stats.record_cut(width, floor, best_key)
                     continue
@@ -374,6 +389,8 @@ class ParaConv:
         manager = self.pipeline.build_manager(hooks=self.invariant_hooks)
         width_started = time.perf_counter()
         manager.run(ctx, stats)
+        if ctx.kernel_reused:
+            stats.record_kernel_reused(width)
         result = self._assemble(ctx)
         stats.record_width(width, time.perf_counter() - width_started)
         stats.best_width = width

@@ -33,13 +33,20 @@ pass over the rows like :func:`repro.compiler.kernel_stage_floor`,
 ``R(i)`` by vertex and ``R(i, j)`` by row; :func:`emit_schedule` lays out
 the schedule. :func:`required_retiming` states the delta formula the
 columns compute inline.
+
+The timings depend on the kernel and the edge table alone. The compiler
+keeps them with the kernel, which it keeps with the graph, once per
+packing order, width and :func:`unit_constants` of a ranked width, so a
+later compile of the graph ranks that width without calling
+:func:`analyze_edges`; their columns are read-only. :func:`emit_schedule`
+gives the schedule its own copies of the kernel's columns.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping as MappingABC
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import compress, repeat
 from operator import add, ge, is_, le, lt, sub
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -193,7 +200,7 @@ def graph_prices(graph: TaskGraph, config: PimConfig) -> Tuple[EdgePrice, ...]:
     """:func:`price_edges` of ``graph`` on ``config``, built once per
     graph index and kept with it (:meth:`TaskGraph.derived`), keyed by
     the constants the prices read."""
-    key = ("edge_prices", *_unit_constants(config), config.num_vaults)
+    key = ("edge_prices", *unit_constants(config), config.num_vaults)
     return graph.derived(key, lambda: price_edges(graph, config))
 
 
@@ -203,13 +210,14 @@ def graph_edge_table(graph: TaskGraph, config: PimConfig) -> "EdgeTable":
     column, so its key leaves out ``num_vaults``; it keeps only the
     columns the compiler reads, not the prices it is built from."""
     return graph.derived(
-        ("edge_table", *_unit_constants(config)),
+        ("edge_table", *unit_constants(config)),
         lambda: edge_table(graph, price_edges(graph, config)),
     )
 
 
-def _unit_constants(config: PimConfig) -> Tuple[int, int, int]:
-    """The config constants every price column but ``vault`` reads."""
+def unit_constants(config: PimConfig) -> Tuple[int, int, int]:
+    """The config constants every price column but ``vault`` reads: with
+    the graph, they fix :func:`graph_edge_table`."""
     return (
         config.cache_bytes_per_unit,
         config.edram_latency_factor,
@@ -575,8 +583,16 @@ def emit_schedule(
 ) -> PeriodicSchedule:
     """The periodic schedule of one allocation and its retiming: each
     row's placement and the transfer time it implies. The schedule gets
-    its own copy of the placement column."""
+    its own copies of the placement column and of the kernel's
+    ``pe``/``start``/``finish`` columns, so editing a plan never reaches
+    the kernel the compiler keeps with the graph."""
     edge_placement = list(column_of(placement, timings.edge_keys))
+    kernel = replace(
+        kernel,
+        pe=list(kernel.pe),
+        start=list(kernel.start),
+        finish=list(kernel.finish),
+    )
     return PeriodicSchedule(
         graph, kernel, solution.vertex_r, solution.edge_r, edge_placement,
         _placed(edge_placement, timings.transfer_cache, timings.transfer_edram),

@@ -9,7 +9,9 @@ paths:
 * ``compile`` — a cold :class:`~repro.core.paraconv.ParaConv` compile
   of ``protein`` (546 ops) with the default dynamic-programming
   allocator, the path the CLI and the benchmark's compile sweep take
-  (the per-width pass pipeline is the hot loop).
+  (the per-width pass pipeline is the hot loop). It compiles a copy of
+  the workload with its own graph facts, so no kernel, floor or edge
+  timing an earlier compile in the process kept is reused.
 * ``sim`` — a discrete-event run of the produced plan (the per-round
   event hot loop), as a full unroll by default. The default workload is
   the small ``lenet5`` (7 ops), so the table shows the engine's cost per
@@ -182,6 +184,10 @@ def run_profile(
     workload = workload or DEFAULT_PROFILE_WORKLOADS[target]
     graph = load_workload(workload)
     if target == "compile":
+        # A copy has its own graph facts: whatever this process compiled
+        # before, the profiled compile builds every kernel it visits.
+        graph = graph.copy()
+
         def driver() -> object:
             return ParaConv(machine, allocator_name=allocator).run(graph)
     else:

@@ -291,8 +291,8 @@ class TaskGraph:
     on first use and kept until the next :meth:`add_operation` /
     :meth:`add_edge`, so the width search sorts each graph once, not once
     per candidate. Values derived from the content alone (work sums, ASAP
-    levels, packing orders, edge prices) are kept with the index through
-    :meth:`derived` and dropped with it. The fingerprint is
+    levels, packing orders, edge prices, the compiler's kernel records)
+    are kept with the index through :meth:`derived` and dropped with it. The fingerprint is
     kept the same way, and assigning :attr:`period_hint` resets it too,
     so routing and plan-cache lookups hash each graph once.
     """
@@ -531,6 +531,15 @@ class TaskGraph:
         the value is shared, so callers must not mutate it. Graphs that
         share an index share these values too (see
         :func:`repro.cnn.workloads.load_workload`).
+
+        The compiler keeps one
+        :class:`~repro.compiler.context.KernelRecord` here per packing
+        order and group width (key ``("kernel", order, width)``): the
+        validated kernel, and the ``R_floor`` and edge timings computed
+        from it per edge-table unit constants, which the record holds in
+        a map of its own that grows as compiles need them. Two threads
+        that miss the same key may both build it; they build equal values
+        and either is kept.
         """
         self.index()
         facts = self._facts

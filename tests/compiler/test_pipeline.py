@@ -114,7 +114,7 @@ class TestPipelineConfig:
             build_pass("lower-to-llvm")
 
     def test_build_pass_constructs_registered(self):
-        p = build_pass("compact-kernel", order="lpt", validate=False)
+        p = build_pass("compact-kernel", order="lpt")
         assert p.name == "compact-kernel"
         assert p.order == "lpt"
 
@@ -131,10 +131,19 @@ class TestCompileStatsDeterminism:
             assert a == b
         assert list(dicts[0]["pass_seconds"]) == sorted(dicts[0]["pass_seconds"])
         assert list(dicts[0]["pass_runs"]) == sorted(dicts[0]["pass_runs"])
-        # And the non-timing facts are bit-identical run to run.
+        # The first compile of the fresh graph builds every kernel it
+        # visits; the second reuses each of them.
+        kernel_stages = dicts[0]["widths_explored"] + dicts[0][
+            "widths_cut_after_kernel"
+        ]
+        assert dicts[0]["widths_kernel_reused"] == []
+        assert sorted(dicts[1]["widths_kernel_reused"]) == sorted(
+            kernel_stages
+        )
+        # And the other non-timing facts are bit-identical run to run.
         for d in dicts:
             for volatile in ("pass_seconds", "per_width_seconds",
-                             "total_seconds"):
+                             "total_seconds", "widths_kernel_reused"):
                 d.pop(volatile)
         assert dicts[0] == dicts[1]
 

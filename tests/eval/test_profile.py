@@ -47,6 +47,18 @@ class TestRunProfile:
         assert "dp_allocate" in table
         assert "analyze_edges" in table
 
+    def test_compile_profile_stays_cold_after_warm_compiles(self, small_machine):
+        # Kernels kept by an earlier compile of the workload are not the
+        # profiled compile's: it still builds and analyzes every width.
+        from repro.cnn.workloads import load_workload
+        from repro.core.paraconv import ParaConv
+
+        ParaConv(small_machine).run(load_workload("protein"))
+        report = run_profile("compile", small_machine, top=60)
+        table = "\n".join(row.function for row in report.rows)
+        assert "(compact_kernel_schedule)" in table
+        assert "(analyze_edges)" in table
+
     def test_sim_profile_hits_the_columnar_engine(self, small_machine):
         report = run_profile("sim", small_machine, workload="cat", top=25)
         table = "\n".join(row.function for row in report.rows)
