@@ -97,11 +97,7 @@ def _bench_scenario(
         "plans_cached": len(scheduler.cache),
         "placement_fingerprint": placement.fingerprint(),
         "wall_seconds": wall_seconds,
-        "fleet_counters": {
-            name: value
-            for name, value in sorted(fleet_counters.items())
-            if not name.startswith("tenant.")
-        },
+        "fleet_counters": dict(sorted(fleet_counters.items())),
     }
 
 

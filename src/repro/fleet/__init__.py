@@ -10,10 +10,13 @@ session, batching server) to N shards of one physical machine:
 * :class:`SharedPlanStore` — content-addressed disk artifact tier shared
   by every shard (compile once anywhere, warm everywhere), safe for
   concurrent writers;
-* :class:`FleetWorker` — one shard: a machine partition, a batching
-  server, a virtual-time horizon;
+* :class:`FleetWorker` — one shard or tenant: a machine partition, a
+  batching server, a virtual-time horizon (:func:`shard_worker` builds
+  a fleet shard);
 * :class:`FleetRouter` — routing, admission, pump/drain, and fleet-level
   failover with zero lost requests on whole-worker death;
+* :class:`TenantScheduler` — co-resident models, one worker per
+  placement partition, served strictest SLO class first;
 * :class:`FleetLoadGenerator` / :func:`run_bench` — deterministic
   trace-driven bench behind ``python -m repro.fleet bench``.
 """
@@ -37,12 +40,13 @@ from repro.fleet.slo import (
     SloPolicy,
 )
 from repro.fleet.store import SharedPlanStore, StoreStats
-from repro.fleet.tenancy import TenancyError, TenantResult, TenantScheduler
+from repro.fleet.tenancy import TenancyError, TenantScheduler
 from repro.fleet.worker import (
     FleetResult,
     FleetWorker,
     RequestMeta,
     WorkerDeadError,
+    shard_worker,
 )
 
 __all__ = [
@@ -63,9 +67,9 @@ __all__ = [
     "SloPolicy",
     "StoreStats",
     "TenancyError",
-    "TenantResult",
     "TenantScheduler",
     "TraceRequest",
     "WorkerDeadError",
     "run_bench",
+    "shard_worker",
 ]

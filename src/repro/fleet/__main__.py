@@ -30,7 +30,7 @@ from repro.fleet.loadgen import FleetLoadGenerator, run_bench
 from repro.fleet.router import FleetRouter
 from repro.fleet.slo import DEFAULT_SLO_POLICIES, SloClass, SloPolicy
 from repro.fleet.store import SharedPlanStore
-from repro.fleet.worker import FleetWorker
+from repro.fleet.worker import shard_worker
 
 # Bench defaults: paper workloads whose steady-state sim converges to a
 # limit cycle at shard scale, so per-batch cost is O(1) in iterations and
@@ -173,7 +173,7 @@ def build_fleet(
     shards = machine.split(num_workers, split_vaults=True)
     load_graph = fleet_graph_loader()
     workers = [
-        FleetWorker(
+        shard_worker(
             f"worker-{index}",
             shard,
             store=store,

@@ -148,9 +148,7 @@ class FleetRouter:
             )
             key = PlanKey(
                 graph_fingerprint=graph.fingerprint(),
-                config_fingerprint=(
-                    reference.serving_config.fingerprint()
-                ),
+                config_fingerprint=reference.server.config.fingerprint(),
                 allocator=reference.server.allocator,
             ).digest
             self._affinity_keys[workload] = key
@@ -473,7 +471,7 @@ class FleetRouter:
             "verify_failures": 0,
         }
         for worker in self.workers.values():
-            stats = worker.cache.stats
+            stats = worker.server.cache.stats
             totals["hits"] += stats.hits
             totals["misses"] += stats.misses
             totals["disk_hits"] += stats.disk_hits

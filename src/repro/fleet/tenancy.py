@@ -1,30 +1,34 @@
 """Multi-tenant scheduling over one spatially partitioned machine.
 
 The placement half of multi-tenancy lives in :mod:`repro.pim.tenancy`
-(pure config carving); this module is the *serving* half. A
-:class:`TenantScheduler` runs one deterministic
-:class:`~repro.runtime.server.BatchingServer` per tenant, each on the
-tenant's *partition* view — not ``.logical`` as the fleet shards do —
-so every tenant's plans carry the physical ``pe_mask`` in their cache
-identity and a shared :class:`~repro.runtime.plan_cache.PlanCache` can
-never cross-serve plans between tenants.
+(pure config carving); this module is the *serving* half. Each tenant is
+a :class:`~repro.fleet.worker.FleetWorker` named after the tenant, on
+the tenant's *partition* view — not ``.logical`` as the fleet shards
+serve — so every tenant's plans carry the physical ``pe_mask`` in their
+cache identity and the scheduler's one shared
+:class:`~repro.runtime.plan_cache.PlanCache` can never cross-serve plans
+between tenants.
 
-Scheduling across tenants is SLO-class-strictest-first with a
-fair-share tie-break on each tenant's simulated-time horizon: tenants
-occupy *disjoint* hardware, so their virtual clocks advance
-independently — serving tenant A never delays tenant B's simulated
-time, which is exactly the isolation property the
+Shedding and attribution are the fleet's: a request arrives at its
+tenant's virtual clock (``virtual_free_at``), expires by the one
+dispatch-time rule of :meth:`FleetWorker.shed_expired`, and is served
+and timed by :meth:`FleetWorker.pump`. What the scheduler adds is the
+choice of tenant: strictest SLO class first, then the tenant least far
+along its clock, then the name. Tenants occupy *disjoint* hardware, so
+their clocks advance independently — serving tenant A never delays
+tenant B's simulated time, which is exactly the isolation property the
 ``tenancy`` cases of ``repro.verify.scenarios`` check (co-resident
 aggregates == sum of isolated runs).
 
-Per-tenant metrics stay on each tenant's own registry; the fleet view
-namespaces them as ``tenant.<name>.<instrument>`` and folds the
-aggregate through the existing :meth:`MetricsRegistry.merge`.
+Each request is counted once, on its tenant's server; the scheduler's
+own registry holds only its admission rejections, and
+:meth:`TenantScheduler.fleet_view` merges the two as
+:meth:`FleetRouter.fleet_metrics` does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.fleet.slo import (
@@ -33,10 +37,11 @@ from repro.fleet.slo import (
     SloClass,
     SloPolicy,
 )
+from repro.fleet.worker import FleetResult, FleetWorker
 from repro.pim.tenancy import TenantPlacement
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.plan_cache import PlanCache
-from repro.runtime.server import BatchingServer, InferenceRequest, RequestResult
+from repro.runtime.server import BatchingServer, InferenceRequest
 
 
 class TenancyError(ValueError):
@@ -47,43 +52,13 @@ class TenancyError(ValueError):
 _SLO_ORDER = {slo: index for index, slo in enumerate(SloClass)}
 
 
-@dataclass(frozen=True)
-class TenantResult:
-    """One served request, attributed to its tenant."""
-
-    tenant: str
-    result: RequestResult
-
-    @property
-    def sim_latency(self) -> int:
-        return self.result.sim_latency
-
-
-@dataclass
-class _TenantState:
-    """One tenant's server plus scheduler-side bookkeeping."""
-
-    server: BatchingServer
-    slo: SloClass
-    policy: SloPolicy
-    #: this tenant's virtual clock: simulated units its partition has
-    #: been busy. Advances only when *this* tenant is served.
-    horizon: int = 0
-    #: request_id -> horizon at submit, for deadline shedding.
-    arrivals: Dict[int, int] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.arrivals is None:
-            self.arrivals = {}
-
-
 class TenantScheduler:
     """Serve several co-resident models, one partition each.
 
     Args:
         placement: validated-disjoint carving of the machine; one
-            :class:`BatchingServer` is created per tenant on the
-            tenant's partition view.
+            :class:`FleetWorker` is created per tenant on the tenant's
+            partition view.
         slos: per-tenant SLO class (``STANDARD`` when omitted).
         policies: per-class admission policy table
             (:data:`DEFAULT_SLO_POLICIES` by default). A tenant's queue
@@ -109,6 +84,7 @@ class TenantScheduler:
         self.policies = dict(DEFAULT_SLO_POLICIES)
         if policies:
             self.policies.update(policies)
+        #: admission rejections: the one count no tenant server keeps.
         self.metrics = MetricsRegistry()
         slos = slos or {}
         unknown = sorted(set(slos) - set(placement.names))
@@ -117,50 +93,50 @@ class TenantScheduler:
                 f"SLO classes given for unknown tenants {unknown}; "
                 f"placement has {sorted(placement.names)}"
             )
-        self._tenants: Dict[str, _TenantState] = {}
+        self._slos: Dict[str, SloClass] = {}
+        self._workers: Dict[str, FleetWorker] = {}
         for name, view in placement.items():
             slo = SloClass.from_name(slos.get(name, SloClass.STANDARD))
-            policy = self.policies[slo]
-            self._tenants[name] = _TenantState(
-                server=BatchingServer(
-                    config=view,
-                    cache=self.cache,
-                    max_queue=policy.max_queue_depth,
-                    **server_kwargs,
-                ),
-                slo=slo,
-                policy=policy,
+            server = BatchingServer(
+                config=view,
+                cache=self.cache,
+                max_queue=self.policies[slo].max_queue_depth,
+                **server_kwargs,
             )
+            self._slos[name] = slo
+            self._workers[name] = FleetWorker(name, view, server)
+        self._fleet_ids = itertools.count(1)
 
     # ------------------------------------------------------------------
     # views
     # ------------------------------------------------------------------
     @property
     def tenants(self) -> Tuple[str, ...]:
-        return tuple(self._tenants)
+        return tuple(self._workers)
 
     def server_for(self, tenant: str) -> BatchingServer:
-        return self._state(tenant).server
+        return self._worker(tenant).server
 
     def slo_for(self, tenant: str) -> SloClass:
-        return self._state(tenant).slo
+        self._worker(tenant)
+        return self._slos[tenant]
 
     def horizon(self, tenant: str) -> int:
         """The tenant's virtual clock (simulated units served so far)."""
-        return self._state(tenant).horizon
+        return self._worker(tenant).virtual_free_at
 
     def queue_depth(self, tenant: Optional[str] = None) -> int:
         if tenant is not None:
-            return self._state(tenant).server.queue_depth
-        return sum(s.server.queue_depth for s in self._tenants.values())
+            return self._worker(tenant).queue_depth
+        return sum(w.queue_depth for w in self._workers.values())
 
-    def _state(self, tenant: str) -> _TenantState:
+    def _worker(self, tenant: str) -> FleetWorker:
         try:
-            return self._tenants[tenant]
+            return self._workers[tenant]
         except KeyError:
             raise TenancyError(
                 f"unknown tenant {tenant!r}; scheduler has "
-                f"{sorted(self._tenants)}"
+                f"{sorted(self._workers)}"
             ) from None
 
     # ------------------------------------------------------------------
@@ -173,19 +149,22 @@ class TenantScheduler:
 
         Admission is bounded per tenant by the tenant's SLO-class policy
         — one tenant flooding its queue can never consume another
-        tenant's admission budget, mirroring the hardware isolation.
+        tenant's admission budget, mirroring the hardware isolation. The
+        request arrives at the tenant's virtual clock.
         """
-        state = self._state(tenant)
-        depth = state.server.queue_depth
-        if depth >= state.policy.max_queue_depth:
+        worker = self._worker(tenant)
+        slo = self._slos[tenant]
+        bound = self.policies[slo].max_queue_depth
+        if worker.queue_depth >= bound:
             self.metrics.counter("requests_rejected").inc()
-            raise FleetAdmissionError(
-                state.slo, depth, state.policy.max_queue_depth, workload
-            )
-        request = state.server.submit(workload, iterations)
-        state.arrivals[request.request_id] = state.horizon
-        self.metrics.counter("requests_accepted").inc()
-        return request
+            raise FleetAdmissionError(slo, worker.queue_depth, bound, workload)
+        return worker.submit(
+            workload,
+            iterations,
+            slo,
+            arrival_units=worker.virtual_free_at,
+            fleet_id=next(self._fleet_ids),
+        )
 
     # ------------------------------------------------------------------
     # scheduling
@@ -193,64 +172,38 @@ class TenantScheduler:
     def _next_tenant(self) -> Optional[str]:
         """Strictest SLO class first, then least-served, then name."""
         candidates = [
-            (name, state)
-            for name, state in self._tenants.items()
-            if state.server.queue_depth > 0
+            (_SLO_ORDER[self._slos[name]], worker.virtual_free_at, name)
+            for name, worker in self._workers.items()
+            if worker.queue_depth
         ]
-        if not candidates:
-            return None
-        candidates.sort(
-            key=lambda item: (_SLO_ORDER[item[1].slo], item[1].horizon, item[0])
-        )
-        return candidates[0][0]
+        return min(candidates)[2] if candidates else None
 
-    def _shed_expired(self, name: str, state: _TenantState) -> List[InferenceRequest]:
-        deadline = state.policy.deadline_units
-        if deadline is None:
-            return []
-        expired = state.server.remove_queued(
-            lambda request: (
-                state.horizon - state.arrivals.get(request.request_id, state.horizon)
-            )
-            > deadline
-        )
-        for request in expired:
-            state.arrivals.pop(request.request_id, None)
-            self.metrics.counter("requests_shed").inc()
-            state.server.metrics.counter("requests_shed").inc()
-        return expired
-
-    def step(self) -> List[TenantResult]:
+    def step(self) -> List[FleetResult]:
         """Serve one batch from the most urgent tenant; [] when idle.
 
-        The chosen tenant first sheds deadline-expired requests (counted,
-        never silently dropped), then serves one coalesced batch, and
-        its *own* virtual clock advances by the batch completion time.
-        Other tenants' clocks are untouched — disjoint partitions run
-        concurrently.
+        The chosen tenant first sheds deadline-expired requests (counted
+        as ``requests_shed`` on its server, never silently dropped), then
+        serves one coalesced batch at its own virtual clock, which
+        advances by the batch completion time. Other tenants' clocks are
+        untouched — disjoint partitions run concurrently.
         """
         while True:
             name = self._next_tenant()
             if name is None:
                 return []
-            state = self._tenants[name]
-            self._shed_expired(name, state)
-            results = state.server.step()
-            if not results:
-                # Everything queued for this tenant was expired; look for
-                # the next most urgent tenant instead of spinning here.
-                continue
-            batch_completion = max(r.sim_latency for r in results)
-            state.horizon += batch_completion
-            for result in results:
-                state.arrivals.pop(result.request.request_id, None)
-            self.metrics.counter("batches_executed").inc()
-            self.metrics.counter("requests_served").inc(len(results))
-            return [TenantResult(tenant=name, result=r) for r in results]
+            worker = self._workers[name]
+            shed = worker.shed_expired(worker.virtual_free_at, self.policies)
+            if shed:
+                worker.server.metrics.counter("requests_shed").inc(len(shed))
+            results = worker.pump(worker.virtual_free_at, max_batches=1)
+            if results:
+                return results
+            # Everything queued for this tenant was expired; look for the
+            # next most urgent tenant instead of spinning here.
 
-    def drain(self) -> List[TenantResult]:
+    def drain(self) -> List[FleetResult]:
         """Serve until every tenant's queue is empty (shedding included)."""
-        results: List[TenantResult] = []
+        results: List[FleetResult] = []
         while self.queue_depth() > 0:
             served = self.step()
             if not served and self.queue_depth() == 0:
@@ -261,24 +214,16 @@ class TenantScheduler:
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
-    def tenant_metrics(self, tenant: str) -> MetricsRegistry:
-        """The tenant's own (un-namespaced) server registry."""
-        return self._state(tenant).server.metrics
-
     def fleet_view(self) -> MetricsRegistry:
-        """One merged registry: aggregate + per-tenant namespaced copies.
+        """One merged registry: admission rejections + every tenant server.
 
-        Aggregate instruments keep their plain names (counters sum via
-        :meth:`MetricsRegistry.merge`, exactly like the fleet router's
-        view); each tenant's instruments additionally appear under
-        ``tenant.<name>.<instrument>`` so dashboards can attribute load
-        without losing the machine-wide totals.
+        Counters sum via :meth:`MetricsRegistry.merge`, exactly like the
+        fleet router's view; each request is counted once, by its tenant.
         """
         merged = MetricsRegistry()
         merged.merge(self.metrics)
-        for name, state in self._tenants.items():
-            merged.merge(state.server.metrics)
-            merged.merge(_namespaced(f"tenant.{name}", state.server.metrics))
+        for worker in self._workers.values():
+            merged.merge(worker.server.metrics)
         return merged
 
     def accounting(self) -> Dict[str, Any]:
@@ -291,15 +236,15 @@ class TenantScheduler:
         """
         per_tenant: Dict[str, Dict[str, int]] = {}
         totals = {"accepted": 0, "served": 0, "shed": 0, "queued": 0}
-        for name, state in self._tenants.items():
-            books = state.server.accounting()
+        for name, worker in self._workers.items():
+            books = worker.server.accounting()
             row = {
                 "accepted": books["admitted"],
                 "served": books["served"],
                 "shed": books["shed"],
                 "queued": books["queued"],
-                "horizon_units": state.horizon,
-                "slo": state.slo.value,
+                "horizon_units": worker.virtual_free_at,
+                "slo": self._slos[name].value,
             }
             per_tenant[name] = row
             for key in totals:
@@ -308,32 +253,10 @@ class TenantScheduler:
 
     def describe(self) -> str:
         lines = [self.placement.describe()]
-        for name, state in self._tenants.items():
+        for name, worker in self._workers.items():
             lines.append(
-                f"  {name}: slo={state.slo.value} "
-                f"queue={state.server.queue_depth} "
-                f"horizon={state.horizon} units"
+                f"  {name}: slo={self._slos[name].value} "
+                f"queue={worker.queue_depth} "
+                f"horizon={worker.virtual_free_at} units"
             )
         return "\n".join(lines)
-
-
-def _namespaced(prefix: str, registry: MetricsRegistry) -> MetricsRegistry:
-    """A copy of ``registry`` with every instrument renamed ``prefix.*``."""
-    out = MetricsRegistry()
-    with registry._lock:
-        counters = list(registry.counters.values())
-        gauges = list(registry.gauges.values())
-        histograms = list(registry.histograms.values())
-    for counter in counters:
-        with counter._lock:
-            value = counter.value
-        out.counter(f"{prefix}.{counter.name}").inc(value)
-    for gauge in gauges:
-        with gauge._lock:
-            value = gauge.value
-        out.gauge(f"{prefix}.{gauge.name}").add(value)
-    for histogram in histograms:
-        out.histogram(
-            f"{prefix}.{histogram.name}", histogram.reservoir_size
-        ).merge(histogram)
-    return out

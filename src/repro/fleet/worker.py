@@ -1,18 +1,17 @@
-"""One fleet shard: a batching server over a machine partition.
+"""One fleet worker: a batching server over a machine partition.
 
-A :class:`FleetWorker` owns one :meth:`~repro.pim.config.PimConfig.partition`
-of the fleet's physical machine and serves it with an ordinary
-:class:`~repro.runtime.server.BatchingServer`. Two views of the partition
-matter and they are deliberately different objects:
-
-* ``partition`` — the *physical* view (which PE/vault ids this shard
-  owns), kept for provenance, reporting and fleet bookkeeping;
-* ``serving_config`` — the *logical* view (``partition.logical``), the
-  shape the compile pipeline actually sees. Plans are keyed on the
-  logical shape, so every shape-identical shard in the fleet shares plan
-  identity — this is what makes the shared plan store a warm disk hit on
-  worker B for a plan compiled on worker A (mirroring oneflow's
-  ``TaskGraphMgr``: per-parallel-id placement over one logical lowering).
+A :class:`FleetWorker` owns one partition of the physical machine and
+serves it through the :class:`~repro.runtime.server.BatchingServer` it
+is given. ``partition`` is the *physical* view (which PE/vault ids the
+worker owns), kept for provenance and reporting; ``server.config`` is
+what it serves. A fleet shard (:func:`shard_worker`) serves
+``partition.logical``: plans are keyed on the logical shape, so every
+shape-identical shard shares plan identity — the shared plan store is a
+warm disk hit on worker B for a plan compiled on worker A (oneflow's
+``TaskGraphMgr``: per-parallel-id placement over one logical lowering).
+A tenant of :class:`~repro.fleet.tenancy.TenantScheduler` serves its
+partition view itself, ``pe_mask`` included, so same-shape tenants keep
+distinct plan identity.
 
 Fleet time is *virtual* and deterministic: the worker keeps a
 ``virtual_free_at`` horizon; a batch dispatched at ``max(now, free_at)``
@@ -49,10 +48,13 @@ from repro.runtime.server import (
     InferenceRequest,
     RequestResult,
 )
-from repro.sim.modes import SimMode
 
 from repro.fleet.slo import SloClass, SloPolicy
 from repro.fleet.store import SharedPlanStore
+
+
+#: in-memory plan LRU bound of each fleet shard's cache.
+_SHARD_CACHE_CAPACITY = 32
 
 
 class WorkerDeadError(RuntimeError):
@@ -89,61 +91,29 @@ class FleetResult(NamedTuple):
 
 
 class FleetWorker:
-    """One shard: partition ownership + a batching server + virtual time.
+    """One worker: partition ownership + a batching server + virtual time.
 
     Args:
-        worker_id: stable shard name (the consistent-hash ring member).
-        partition: the physical sub-machine this shard owns — typically
-            one element of :meth:`PimConfig.split`. Serving happens on
-            ``partition.logical``.
-        store: optional :class:`SharedPlanStore`; when given, this
-            shard's plan cache uses the store directory as its disk tier
-            (compile once anywhere, warm everywhere) and the store's
-            batch-trace table (simulate once per fleet: a batch another
-            shard already ran on an equal logical machine is reused).
-            Without one the shard's cache owns its traces.
-        cache_capacity: per-shard in-memory plan LRU bound.
-        batch_window / max_queue / allocator / sim_mode / clock /
-            graph_loader: forwarded to :class:`BatchingServer`.
+        worker_id: stable worker name (the consistent-hash ring member of
+            a fleet shard, the tenant name of a tenant).
+        partition: the physical sub-machine this worker owns — one element
+            of :meth:`PimConfig.split` for a shard, a placement view for a
+            tenant.
+        server: the batching server that serves it (:func:`shard_worker`
+            builds a shard's).
     """
 
     def __init__(
-        self,
-        worker_id: str,
-        partition: PimConfig,
-        store: Optional[SharedPlanStore] = None,
-        cache_capacity: int = 32,
-        batch_window: int = 8,
-        max_queue: int = 4096,
-        allocator: str = "dp",
-        sim_mode: "SimMode | str" = SimMode.STEADY_STATE,
-        clock: Optional[Callable[[], float]] = None,
-        graph_loader: Optional[Callable[[str], TaskGraph]] = None,
+        self, worker_id: str, partition: PimConfig, server: BatchingServer
     ):
         self.worker_id = worker_id
         self.partition = partition
-        self.serving_config = partition.logical
-        self.store = store
-        self.cache: PlanCache = (
-            store.open_cache(capacity=cache_capacity)
-            if store is not None
-            else PlanCache(capacity=cache_capacity)
-        )
-        self.server = BatchingServer(
-            self.serving_config,
-            cache=self.cache,
-            max_queue=max_queue,
-            batch_window=batch_window,
-            allocator=allocator,
-            clock=clock,
-            graph_loader=graph_loader,
-            sim_mode=sim_mode,
-        )
+        self.server = server
         self.alive = True
-        #: virtual time at which this shard finishes its current work.
+        #: virtual time at which this worker finishes its current work.
         self.virtual_free_at: int = 0
         self._meta: Dict[int, RequestMeta] = {}
-        #: requests served / shed by this shard (exact, fleet-facing).
+        #: requests served / shed by this worker (exact, fleet-facing).
         self.served: int = 0
         self.shed: int = 0
 
@@ -278,8 +248,8 @@ class FleetWorker:
             "worker_id": self.worker_id,
             "alive": self.alive,
             "partition": self.partition.describe(),
-            "pes": self.serving_config.num_pes,
-            "vaults": self.serving_config.num_vaults,
+            "pes": self.server.config.num_pes,
+            "vaults": self.server.config.num_vaults,
             "served": self.served,
             "shed": self.shed,
             "queue_depth": self.queue_depth,
@@ -289,5 +259,39 @@ class FleetWorker:
             "plans_compiled_or_loaded": counters.get(
                 "plans_compiled_or_loaded", 0
             ),
-            "cache": self.cache.stats.as_dict(),
+            "cache": self.server.cache.stats.as_dict(),
         }
+
+
+def shard_worker(
+    worker_id: str,
+    partition: PimConfig,
+    store: Optional[SharedPlanStore] = None,
+    batch_window: int = 8,
+    max_queue: int = 4096,
+    allocator: str = "dp",
+    graph_loader: Optional[Callable[[str], TaskGraph]] = None,
+) -> FleetWorker:
+    """A fleet shard: a worker serving ``partition.logical``.
+
+    With a ``store`` the shard's plan cache uses the store directory as
+    its disk tier (compile once anywhere, warm everywhere) and the
+    store's batch-trace table (simulate once per fleet: a batch another
+    shard already ran on an equal logical machine is reused). Without one
+    the shard's private cache owns its traces. The rest is forwarded to
+    :class:`BatchingServer`.
+    """
+    cache = (
+        store.open_cache(capacity=_SHARD_CACHE_CAPACITY)
+        if store is not None
+        else PlanCache(capacity=_SHARD_CACHE_CAPACITY)
+    )
+    server = BatchingServer(
+        partition.logical,
+        cache=cache,
+        max_queue=max_queue,
+        batch_window=batch_window,
+        allocator=allocator,
+        graph_loader=graph_loader,
+    )
+    return FleetWorker(worker_id, partition, server)

@@ -526,9 +526,12 @@ class BatchingServer:
         + queued, with the fleet router's keys.
 
         ``shed`` counts what a caller shed and recorded here as
-        ``requests_shed`` (the tenant scheduler does); ``failed`` counts
-        the requests of batches that exhausted their failover budget.
-        ``lost`` is the residual and must be zero.
+        ``requests_shed``: the tenant scheduler records what each
+        tenant's :meth:`FleetWorker.shed_expired` sheds on the tenant's
+        server, while the fleet router counts its shards' sheds on its
+        own registry, so a fleet shard's server records none. ``failed``
+        counts the requests of batches that exhausted their failover
+        budget. ``lost`` is the residual and must be zero.
         """
         counters = self.metrics.snapshot()["counters"]
         admitted = counters.get("requests_accepted", 0)

@@ -45,7 +45,7 @@ from repro.fleet.router import FleetRouter
 from repro.fleet.slo import SloClass, SloPolicy
 from repro.fleet.store import SharedPlanStore
 from repro.fleet.tenancy import TenantScheduler
-from repro.fleet.worker import FleetResult, FleetWorker
+from repro.fleet.worker import FleetResult, shard_worker
 from repro.graph.randwired import RandwiredSpec, randwired_graph, reseeded
 from repro.graph.taskgraph import TaskGraph
 from repro.pim.config import PimConfig, assert_disjoint
@@ -145,9 +145,9 @@ def fleet_system(
     directory = tempfile.TemporaryDirectory(prefix="scenario-store-")
     store = SharedPlanStore(directory.name)
     loader = dict(graphs).__getitem__
-    fleet = [FleetWorker(f"worker-{index}", shard, store=store,
-                         batch_window=batch_window, max_queue=max_queue,
-                         graph_loader=loader)
+    fleet = [shard_worker(f"worker-{index}", shard, store=store,
+                          batch_window=batch_window, max_queue=max_queue,
+                          graph_loader=loader)
              for index, shard in enumerate(shards)]
     router = FleetRouter(
         fleet, policies={SloClass.INTERACTIVE: SloPolicy(4096, deadline)},
@@ -165,14 +165,14 @@ def fleet_system(
     def cold_replica() -> Dict[str, object]:
         # A cold shard on the same store serves every workload: each plan
         # must hydrate from disk, none compile.
-        cold = FleetWorker("cold-replica", shards[0], store=store,
-                           graph_loader=loader)
+        cold = shard_worker("cold-replica", shards[0], store=store,
+                            graph_loader=loader)
         for index, workload in enumerate(graphs):
             cold.submit(workload, 1, SloClass.STANDARD, 0, -(index + 1))
             cold.pump(0)
         compiles = sum(s.compilations for s in cold.server.sessions().values())
         return {"cold_replica_compiles": compiles,
-                "cold_replica_disk_hits": cold.cache.stats.disk_hits}
+                "cold_replica_disk_hits": cold.server.cache.stats.disk_hits}
 
     if replica:
         system.facts = cold_replica

@@ -14,7 +14,7 @@ import pytest
 
 from repro.fleet.router import FleetRouter
 from repro.fleet.store import SharedPlanStore
-from repro.fleet.worker import FleetWorker
+from repro.fleet.worker import FleetWorker, shard_worker
 from repro.graph.generators import synthetic_benchmark
 from repro.pim.config import PimConfig
 
@@ -36,7 +36,7 @@ def build_fleet(
     machine = PimConfig(num_pes=num_pes, num_vaults=num_vaults)
     shards = machine.split(num_workers, split_vaults=True)
     workers: List[FleetWorker] = [
-        FleetWorker(
+        shard_worker(
             f"worker-{index}",
             shard,
             store=store,

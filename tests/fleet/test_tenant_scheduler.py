@@ -51,7 +51,7 @@ class TestAdmission:
         assert excinfo.value.slo is SloClass.STANDARD
         # Tenant b's budget is untouched by a's overload.
         scheduler.submit("b", "cat")
-        counters = scheduler.metrics.snapshot()["counters"]
+        counters = scheduler.fleet_view().snapshot()["counters"]
         assert counters["requests_rejected"] == 1
         assert counters["requests_accepted"] == 3
 
@@ -68,14 +68,14 @@ class TestScheduling:
         scheduler.submit("a", "cat")
         scheduler.submit("b", "cat")
         served = scheduler.step()
-        assert served and all(r.tenant == "b" for r in served)
+        assert served and all(r.worker_id == "b" for r in served)
 
     def test_horizon_advances_only_for_served_tenant(self):
         scheduler = make_scheduler()
         scheduler.submit("a", "cat")
         scheduler.submit("b", "car")
         served = scheduler.step()
-        first = served[0].tenant
+        first = served[0].worker_id
         other = "b" if first == "a" else "a"
         assert scheduler.horizon(first) > 0
         assert scheduler.horizon(other) == 0
@@ -85,9 +85,9 @@ class TestScheduling:
         for _ in range(2):
             scheduler.submit("a", "cat")
             scheduler.submit("b", "cat")
-        first = scheduler.step()[0].tenant
+        first = scheduler.step()[0].worker_id
         # Same SLO class: the not-yet-served tenant goes next.
-        second = scheduler.step()[0].tenant
+        second = scheduler.step()[0].worker_id
         assert {first, second} == {"a", "b"}
 
     def test_step_idle_returns_empty(self):
@@ -101,6 +101,30 @@ class TestScheduling:
         results = scheduler.drain()
         assert len(results) == 6
         assert scheduler.queue_depth() == 0
+
+    def test_results_carry_queueing_attribution(self):
+        scheduler = make_scheduler(slos={"b": "interactive"})
+        for iterations in (1, 5, 20):
+            scheduler.submit("a", "cat", iterations=iterations)
+            scheduler.submit("b", "car", iterations=iterations)
+        served = 0
+        while True:
+            horizons = {t: scheduler.horizon(t) for t in scheduler.tenants}
+            results = scheduler.step()
+            if not results:
+                break
+            for result in results:
+                assert result.dispatch_units == horizons[result.worker_id]
+                assert (
+                    result.completion_units - result.dispatch_units
+                    == result.result.sim_latency
+                )
+            tenant = results[0].worker_id
+            assert scheduler.horizon(tenant) == max(
+                r.completion_units for r in results
+            )
+            served += len(results)
+        assert served == 6
 
     def test_batches_coalesce_per_tenant(self):
         scheduler = make_scheduler(batch_window=4)
@@ -128,7 +152,7 @@ class TestShedding:
         assert row["served"] == 2
         assert row["shed"] == 4
         assert row["queued"] == 0
-        counters = scheduler.metrics.snapshot()["counters"]
+        counters = scheduler.fleet_view().snapshot()["counters"]
         assert counters["requests_shed"] == 4
 
     def test_no_deadline_means_no_shedding(self):
@@ -153,16 +177,28 @@ class TestAccountingAndMetrics:
         assert totals["accepted"] == 6
         assert totals["served"] + totals["queued"] == 6
 
-    def test_fleet_view_namespaces_and_aggregates(self):
-        scheduler = make_scheduler()
-        scheduler.submit("a", "cat")
-        scheduler.submit("b", "car")
+    def test_fleet_view_counts_each_request_once(self):
+        policies = {
+            SloClass.STANDARD: SloPolicy(max_queue_depth=100, deadline_units=1)
+        }
+        scheduler = make_scheduler(policies=policies)
+        for _ in range(3):
+            scheduler.submit("a", "cat", iterations=50)
+            scheduler.submit("b", "car")
         scheduler.drain()
+        totals = scheduler.accounting()["totals"]
+        assert (totals["accepted"], totals["served"], totals["shed"]) == (6, 4, 2)
         counters = scheduler.fleet_view().snapshot()["counters"]
-        assert counters["tenant.a.requests_served"] == 1
-        assert counters["tenant.b.requests_served"] == 1
-        # Plain names aggregate across tenants plus the scheduler's own.
-        assert counters["inferences_served"] == 2
+        assert counters["requests_accepted"] == totals["accepted"]
+        assert counters["requests_served"] == totals["served"]
+        assert counters["requests_shed"] == totals["shed"]
+        assert counters["batches_executed"] == sum(
+            scheduler.server_for(t).metrics.snapshot()["counters"][
+                "batches_executed"
+            ]
+            for t in scheduler.tenants
+        )
+        assert counters["inferences_served"] == 50 * 2 + 2
 
     def test_shared_cache_holds_one_plan_per_tenant(self):
         cache = PlanCache()
@@ -179,17 +215,89 @@ class TestAccountingAndMetrics:
         scheduler.submit("a", "cat")
         scheduler.drain()
         assert (
-            scheduler.tenant_metrics("a").snapshot()["counters"][
+            scheduler.server_for("a").metrics.snapshot()["counters"][
                 "requests_served"
             ]
             == 1
         )
         assert (
             "requests_served"
-            not in scheduler.tenant_metrics("b").snapshot()["counters"]
+            not in scheduler.server_for("b").metrics.snapshot()["counters"]
         )
 
     def test_describe_mentions_every_tenant(self):
         scheduler = make_scheduler()
         text = scheduler.describe()
         assert "a:" in text and "b:" in text
+
+
+class TestEquivalencePin:
+    """One fixed three-tenant run, step by step.
+
+    Pins the dispatch order (strictest SLO, then horizon, then name),
+    deadline shedding at dispatch and the per-tenant virtual clocks.
+    Reads only what every served result carries (``.result``) and the
+    tenant servers' own books, so it pins behaviour, not result types.
+    """
+
+    NAMES = ("a", "b", "c")
+
+    def _step(self, scheduler):
+        def books():
+            return {t: scheduler.server_for(t).accounting() for t in self.NAMES}
+
+        before = books()
+        results = scheduler.step()
+        after = books()
+        served = [
+            t for t in self.NAMES if after[t]["served"] > before[t]["served"]
+        ]
+        return (
+            served[0] if served else None,
+            [r.result.request.request_id for r in results],
+            [r.result.sim_latency for r in results],
+            sum(after[t]["shed"] - before[t]["shed"] for t in self.NAMES),
+            [scheduler.horizon(t) for t in self.NAMES],
+        )
+
+    def test_three_tenant_trace_is_pinned(self):
+        from repro.graph.generators import synthetic_benchmark
+
+        policies = {
+            SloClass.INTERACTIVE: SloPolicy(16, deadline_units=5),
+            SloClass.STANDARD: SloPolicy(16, deadline_units=100),
+        }
+        scheduler = make_scheduler(
+            names=self.NAMES, num_pes=12, slos={"b": "interactive"},
+            policies=policies, graph_loader=synthetic_benchmark,
+        )
+        for tenant, workload, iterations in [
+            ("a", "cat", 1), ("a", "cat", 5), ("a", "car", 20),
+            ("b", "flower", 1), ("b", "flower", 5), ("b", "flower", 20),
+            ("b", "flower", 1), ("c", "car", 5), ("c", "car", 1),
+            ("c", "cat", 20),
+        ]:
+            scheduler.submit(tenant, workload, iterations=iterations)
+        trace = [self._step(scheduler), self._step(scheduler)]
+        # Later arrivals are stamped with their tenant's horizon.
+        for tenant, workload, iterations in [
+            ("a", "car", 1), ("b", "flower", 5), ("c", "cat", 1),
+            ("b", "flower", 1),
+        ]:
+            scheduler.submit(tenant, workload, iterations=iterations)
+        while True:
+            trace.append(self._step(scheduler))
+            if not trace[-1][1]:
+                break
+        assert trace == [
+            ("b", [1, 2], [192, 240], 0, [0, 240, 0]),
+            # b's two remaining requests expired at 240: shed, then a.
+            ("a", [1, 2], [54, 72], 2, [72, 240, 0]),
+            ("b", [5, 6], [240, 240], 0, [72, 480, 0]),
+            ("c", [1, 2], [112, 112], 0, [72, 480, 112]),
+            ("a", [3, 4], [210, 224], 0, [296, 480, 112]),
+            # c's last two expired at 112: shed, nothing left to serve.
+            (None, [], [], 2, [296, 480, 112]),
+        ]
+        totals = scheduler.accounting()["totals"]
+        assert totals == {"accepted": 14, "served": 10, "shed": 4, "queued": 0}

@@ -64,7 +64,7 @@ class TestCrossShardReuse:
         router.kill_worker(victim.worker_id)
         survivor = router.worker_for("cat")
         assert survivor is not victim
-        assert survivor.serving_config == victim.serving_config
+        assert survivor.server.config == victim.server.config
         router.submit("cat", iterations=N)
         (second,) = router.drain()
 

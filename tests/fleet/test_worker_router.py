@@ -17,9 +17,9 @@ from repro.fleet.slo import (
 )
 from repro.fleet.worker import (
     FleetResult,
-    FleetWorker,
     RequestMeta,
     WorkerDeadError,
+    shard_worker,
 )
 from repro.pim.config import PimConfig
 from repro.runtime.plan_cache import plan_key_for
@@ -38,7 +38,7 @@ class TestWiring:
     def test_duplicate_ids_rejected(self):
         shard = PimConfig(num_pes=16).partition(range(16))
         workers = [
-            FleetWorker("w", shard, graph_loader=loader) for _ in range(2)
+            shard_worker("w", shard, graph_loader=loader) for _ in range(2)
         ]
         with pytest.raises(FleetConfigurationError, match="duplicate"):
             FleetRouter(workers, graph_loader=loader)
@@ -46,11 +46,11 @@ class TestWiring:
     def test_worker_serves_logical_view(self, store):
         machine = PimConfig(num_pes=64)
         shard = machine.split(4, split_vaults=True)[2]
-        worker = FleetWorker("w2", shard, store=store, graph_loader=loader)
+        worker = shard_worker("w2", shard, store=store, graph_loader=loader)
         assert worker.partition.is_partition
-        assert not worker.serving_config.has_mask
-        assert worker.serving_config.num_pes == 16
-        assert worker.serving_config.num_vaults == 8
+        assert not worker.server.config.has_mask
+        assert worker.server.config.num_pes == 16
+        assert worker.server.config.num_vaults == 8
 
     def test_advance_to_is_monotone(self, store):
         router = build_fleet(store, num_workers=2)
@@ -71,7 +71,7 @@ class TestAffinityRouting:
         router = build_fleet(store)
         drive(router, ["cat"], 4)
         owner = router.worker_for("cat")
-        assert router.affinity_key("cat") in owner.cache.keys()
+        assert router.affinity_key("cat") in owner.server.cache.keys()
 
     def test_all_served_on_owning_worker(self, store):
         router = build_fleet(store)
@@ -269,7 +269,7 @@ class TestFailover:
 
     def test_submit_to_dead_worker_raises(self, store):
         machine = PimConfig(num_pes=16)
-        worker = FleetWorker(
+        worker = shard_worker(
             "w", machine.partition(range(16)), graph_loader=loader
         )
         worker.kill()
@@ -446,7 +446,7 @@ class TestFleetScopedGraphs:
         router.drain()
         reference = next(iter(router.workers.values()))
         assert router.affinity_key("flower") == plan_key_for(
-            new_graph, reference.serving_config, reference.server.allocator
+            new_graph, reference.server.config, reference.server.allocator
         ).digest
         assert router.graph_loader("flower") is not new_graph
         sessions = [

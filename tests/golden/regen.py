@@ -67,7 +67,7 @@ from repro.core.paraconv import ParaConv, ParaConvResult
 from repro.fleet.loadgen import FleetLoadGenerator, run_bench
 from repro.fleet.router import FleetRouter
 from repro.fleet.slo import SloClass, SloPolicy
-from repro.fleet.worker import FleetWorker
+from repro.fleet.worker import shard_worker
 from repro.graph.generators import BENCHMARK_SIZES, synthetic_benchmark
 from repro.pim.config import PimConfig
 from repro.pim.faults import FAULT_UNIT_PE, FaultModel
@@ -463,7 +463,7 @@ def fleet_router() -> FleetRouter:
     """
     shards = PimConfig(num_pes=64).split(4, split_vaults=True)
     workers = [
-        FleetWorker(
+        shard_worker(
             f"worker-{index}", shard, batch_window=32, max_queue=64,
             graph_loader=load_workload,
         )
